@@ -36,9 +36,8 @@ def connect(catalog, config=None, **overrides):
         engine = repro.connect(catalog, config, parallel_workers=8)
 
     `config` is an `EngineConfig` (None = all defaults); keyword overrides
-    are applied on top via `EngineConfig.with_overrides`. Unlike the legacy
-    `FederatedEngine(catalog, **kwargs)` form, this path never emits a
-    `DeprecationWarning`.
+    are applied on top via `EngineConfig.with_overrides`, so a misspelled
+    knob is a `TypeError`.
     """
     from repro.federation.config import EngineConfig
     from repro.federation.engine import FederatedEngine

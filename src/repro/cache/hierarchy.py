@@ -108,16 +108,15 @@ class CacheHierarchy:
         self,
         key,
         relation,
+        size_bytes: int,
         tags: Iterable[str] = (),
         cost_seconds: float = 0.0,
-        size_bytes: Optional[int] = None,
     ) -> None:
-        if self.fetches is None:
-            return
-        size = relation.size_bytes() if size_bytes is None else size_bytes
-        self.fetches.put(
-            key, relation, size_bytes=size, tags=tags, cost_seconds=cost_seconds
-        )
+        """Store a fetched payload; the caller sized it at the fetch boundary."""
+        if self.fetches is not None:
+            self.fetches.put(
+                key, relation, size_bytes, tags=tags, cost_seconds=cost_seconds
+            )
 
     # -- result level ------------------------------------------------------------
 

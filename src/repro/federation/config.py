@@ -8,15 +8,15 @@ directly, or start from the defaults and refine with `with_overrides`:
     engine = FederatedEngine(catalog, config)
     faster = config.with_overrides(parallel_workers=8)
 
-The legacy keyword form (`FederatedEngine(catalog, clock=clock, ...)`)
-still works through a deprecation shim that maps the keywords onto an
-`EngineConfig` and emits a `DeprecationWarning`; `repro.connect` is the
-documented construction facade.
+`repro.connect(catalog, config, **overrides)` is the documented
+construction facade; the `FederatedEngine` constructor itself takes only
+`(catalog, config)`. Every cache level, the whole-result TTL included, is
+configured on the `repro.cache.CacheHierarchy` passed as `cache`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 
@@ -44,8 +44,6 @@ class EngineConfig:
     planner: Optional[Any] = None
     #: reject queries predicted to run longer than this (None = admit all)
     admission_budget_s: Optional[float] = None
-    #: legacy whole-result cache TTL; enables the result level when set
-    cache_ttl_s: Optional[float] = None
     #: a `repro.cache.CacheHierarchy` (None = default: plan cache only)
     cache: Optional[Any] = None
     #: the engine clock (None = wall-clock `time.time`; benchmarks pass a
@@ -55,14 +53,18 @@ class EngineConfig:
     #: failover; None = fail fast
     resilience: Optional[Any] = None
     #: degrade failed non-essential branches to annotated partial results
+    #: instead of failing the whole query
     partial_results: bool = False
-    #: strict mode: static analysis before planning, invariant checks after
+    #: strict mode: static analysis before planning, invariant checks after;
+    #: a statically infeasible query raises `AnalysisError`, zero bytes shipped
     validate: bool = False
     #: a `repro.trace.Tracer` (None = the zero-cost no-op tracer)
     tracer: Optional[Any] = None
     #: adaptive execution: an `AdaptiveContext`, `AdaptivePolicy` or True
     adaptive: Optional[Any] = None
-    #: per-source concurrency limiter (e.g. `repro.sched.SourceLimiter`)
+    #: per-source concurrency limiter: anything with a ``slot(source_name)``
+    #: context manager (e.g. `repro.sched.SourceLimiter`); bounds wall-clock
+    #: threads per source inside the prefetch pool
     source_limiter: Optional[Any] = None
     #: observe-only `repro.telemetry.TelemetryPlane` (or True for a default)
     telemetry: Optional[Any] = None
@@ -77,15 +79,5 @@ class EngineConfig:
     auto_materialize: Optional[Any] = None
 
     def with_overrides(self, **overrides: Any) -> "EngineConfig":
-        """A copy of this config with the given fields replaced."""
-        unknown = set(overrides) - {spec.name for spec in fields(self)}
-        if unknown:
-            raise TypeError(
-                f"unknown EngineConfig field(s): {', '.join(sorted(unknown))}"
-            )
+        """A copy with the given fields replaced (unknown names: `TypeError`)."""
         return replace(self, **overrides)
-
-
-#: The keyword names the legacy `FederatedEngine(catalog, **kwargs)` shim
-#: accepts — exactly the `EngineConfig` fields.
-LEGACY_KWARGS = frozenset(spec.name for spec in fields(EngineConfig))

@@ -1,22 +1,25 @@
 """Federated execution: parallel component fetches + assembly-site evaluation.
 
-The engine runs behind a three-level `repro.cache.CacheHierarchy`:
-whole-result lookups first, then plan reuse, then per-component fetch
-reuse during execution. Attach the hierarchy to an EAI broker (or call
-`FederatedEngine.attach_invalidation`) so writes evict dependent entries.
-
-Fault tolerance: pass a `ResiliencePolicy` to get bounded retries with
-exponential backoff (on the simulated clock), per-fetch timeouts, a
-per-source circuit breaker, and failover to catalog-registered replicas.
-With `partial_results=True`, a failed *non-essential* branch (a union arm
-or an outer-join enrichment) degrades to an annotated partial result —
-see `FederatedResult.completeness` — instead of failing the query.
+`FederatedEngine.query()` is a straight line of stages, each yielding a
+`FederatedResult` or passing: canonicalize (+ strict-mode pre-flight) →
+result cache → view answering → plan (plan cache, strict verification) →
+admission → execute. Every answer, whichever stage produced it, leaves
+through the one `_publish` epilogue: trace finish, result-cache admission,
+telemetry, advisor feed. Execution prefetches the plan's component queries
+in parallel, then evaluates the residual plan at the assembly site. Every
+statement sent to a source — a whole fetch or one bind-join chunk — takes
+the one path `_FetchRuntime._fetch_statement`: fetch-cache lookup, guarded
+remote call (a `ResiliencePolicy` adds retries with backoff on the simulated
+clock, per-source breakers and replica failover), degradation of failed
+*non-essential* branches to an annotated partial result under
+`partial_results` (see `FederatedResult.completeness`), and accounting with
+the payload sized once. `attach_invalidation` subscribes the cache hierarchy
+to an EAI broker so writes evict dependent entries.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -31,18 +34,16 @@ from repro.common.errors import (
     SourceTimeoutError,
 )
 from repro.common.relation import Relation
-from repro.engine.cost import CostModel
 from repro.engine.executor import LocalEngine
 from repro.engine.logical import LogicalJoin, LogicalPlan, LogicalUnion
 from repro.federation.catalog import FederationCatalog
-from repro.federation.config import LEGACY_KWARGS, EngineConfig
+from repro.federation.config import EngineConfig
 from repro.federation.nodes import LogicalBindJoin, LogicalFetch, with_in_filter
 from repro.federation.planner import FederatedPlan, FederatedPlanner
 from repro.federation.report import Report, counter_line
 from repro.federation.resilience import (
     CompletenessReport,
     ResilienceManager,
-    ResiliencePolicy,
     rename_statement_tables,
 )
 from repro.netsim.metrics import MetricsCollector
@@ -51,27 +52,23 @@ from repro.sql.ast import Select, UnionSelect
 from repro.sql.printer import to_sql
 from repro.storage.catalog import Database
 from repro.telemetry.plane import resolve_telemetry
-from repro.trace import NULL_TRACER, Tracer, explain_analyze, instrument_physical
+from repro.trace import (
+    NULL_TRACER,
+    Tracer,
+    explain_analyze,
+    instrument_physical,
+    makespan,
+)
 
 #: Simulated seconds per local cost unit at the assembly site.
 HUB_TIME_PER_COST_UNIT_S = 2e-6
 
 
-def parallel_makespan(durations: list, workers: int) -> float:
-    """Elapsed time of running `durations` on `workers` parallel slots.
-
-    Simple list scheduling in submission order — the same policy the thread
-    pool uses — so the simulated clock matches what the executor actually
-    overlaps.
-    """
-    if not durations:
-        return 0.0
-    workers = max(workers, 1)
-    slots = [0.0] * min(workers, len(durations))
-    for duration in durations:
-        slot = min(range(len(slots)), key=lambda i: slots[i])
-        slots[slot] += duration
-    return max(slots)
+#: Elapsed time of running durations on N parallel slots: list scheduling in
+#: submission order — the policy the thread pool uses — so the simulated
+#: clock matches what the executor overlaps, and the one function the trace
+#: layout uses, so a trace's elapsed time equals the engine's by construction.
+parallel_makespan = makespan
 
 
 @dataclass
@@ -155,10 +152,23 @@ class FederatedResult:
         return self.report(analyze=True).section("analyze").text()
 
 
-def _counter_line(section: str, counters: dict) -> str:
-    return f"{section}: " + ", ".join(
-        f"{key}={value}" for key, value in sorted(counters.items())
+def _statement_span(parent, category: str, node, sql, **attrs):
+    """A child span for one component statement (None when not tracing)."""
+    if parent is None:
+        return None
+    span = parent.child(
+        f"{category}:{node.source.name}",
+        category=category,
+        source=node.source.name,
+        **attrs,
+        sql=to_sql(sql),
     )
+    # Deterministic node tags tie spans to plan nodes (an id()-based key
+    # would leak allocation order into the exported JSON).
+    tag = getattr(node, "_trace_tag", None)
+    if tag is not None:
+        span.set(node=tag)
+    return span
 
 
 class _FetchRuntime:
@@ -182,10 +192,6 @@ class _FetchRuntime:
         #: (None when tracing is off — every trace call site guards on it)
         self.span = None
 
-    @property
-    def _store(self):
-        return self.engine.cache.fetches if self.engine.cache is not None else None
-
     # -- the guarded remote call -------------------------------------------------
 
     def _attempt(self, source, stmt, collector, description):
@@ -194,7 +200,8 @@ class _FetchRuntime:
         Runs on a private collector so a failed or timed-out attempt can be
         accounted without polluting `collector` with a half-recorded
         transfer; on success the private collector is merged in whole.
-        Returns ``(relation, attempt_simulated_seconds)``.
+        Returns ``(relation, payload_bytes, attempt_simulated_seconds,
+        source)`` — the payload is sized here, once, for every consumer.
         """
         local = MetricsCollector(network=collector.network)
         try:
@@ -202,11 +209,12 @@ class _FetchRuntime:
         except EIIError:
             collector.merge(local)  # the failed round trip still took time
             raise
+        size = raw.size_bytes()
         local.record_transfer(
             source.name,
             self.site,
             rows=len(raw),
-            payload_bytes=raw.size_bytes(),
+            payload_bytes=size,
             wire_format=source.capabilities.wire_format,
             description=description,
         )
@@ -222,7 +230,7 @@ class _FetchRuntime:
                 timeout_s=timeout,
             )
         collector.merge(local)
-        return raw, local.simulated_seconds
+        return raw, size, local.simulated_seconds, source
 
     def _candidates(self, node, stmt):
         """The primary, then every replica source able to answer `stmt`."""
@@ -243,29 +251,28 @@ class _FetchRuntime:
     def _remote_fetch(self, node, stmt, collector, description, span=None):
         """Execute `stmt` with retries/breaker/failover per the policy.
 
-        Returns ``(relation, cost_seconds, source_used, stmt_used)``; raises
-        the last candidate's error when every access path is exhausted.
+        Returns ``(relation, payload_bytes, cost_seconds, source_used)``;
+        raises the last candidate's error when every access path is exhausted.
         """
         # The per-source limiter (when attached) bounds how many pool
         # workers may sit inside one source's round trips at a time, so a
         # slow source queues its own callers instead of monopolizing the
         # whole prefetch pool. Simulated time is unaffected — the limiter
         # shapes wall-clock thread concurrency only.
-        limiter = self.engine.source_limiter
+        limiter = self.engine.config.source_limiter
         guard = (
             limiter.slot(node.source.name) if limiter is not None else nullcontext()
         )
         with guard:
             manager = self.engine.resilience
             if manager is None:
-                raw, cost = self._attempt(node.source, stmt, collector, description)
-                return raw, cost, node.source, stmt
+                return self._attempt(node.source, stmt, collector, description)
             last_error: Optional[Exception] = None
             for index, (source, candidate_stmt) in enumerate(
                 self._candidates(node, stmt)
             ):
                 try:
-                    raw, cost = manager.run_guarded(
+                    answer = manager.run_guarded(
                         source.name,
                         lambda s=source, q=candidate_stmt: self._attempt(
                             s, q, collector, description
@@ -283,13 +290,15 @@ class _FetchRuntime:
                         span.event(
                             "failover", span.offset_from(collector), source=source.name
                         )
-                return raw, cost, source, candidate_stmt
+                return answer
             assert last_error is not None
             raise last_error
 
-    def _degrade(self, node, error, collector, kind, span=None) -> bool:
+    def _degrade(self, node, error, collector, kind, est_rows, span=None) -> bool:
         """Record a skipped non-essential branch; True when degradation applies."""
-        if not self.engine.partial_results or not getattr(node, "degradable", False):
+        if not (
+            self.engine.config.partial_results and getattr(node, "degradable", False)
+        ):
             return False
         collector.degraded_fetches += 1
         if span is not None:
@@ -299,7 +308,7 @@ class _FetchRuntime:
             )
         if self.report is not None:
             self.report.note_skipped(
-                node.source.name, node.tables, error, node.est_rows, kind
+                node.source.name, node.tables, error, est_rows, kind
             )
         return True
 
@@ -327,6 +336,103 @@ class _FetchRuntime:
 
     # -- fetch / bind-fetch ------------------------------------------------------
 
+    def _fetch_statement(
+        self, node, stmt, collector, span, description, kind, est_rows, keys=None
+    ) -> list:
+        """Answer one component statement, from the fetch cache or remotely.
+
+        The only path a statement takes to a source: `fetch` sends a node's
+        whole statement, `bind_fetch` one IN-list chunk of ``keys`` keys.
+        Returns the raw rows — none when a non-essential branch degraded.
+        ``est_rows``, the share of the node's estimate this statement stands
+        for, weighs the completeness report whichever way it ends; `span`
+        is charged whatever the statement adds to `collector`.
+        """
+        if span is not None:
+            span.clock_base = base_seconds = collector.simulated_seconds
+            base_rows = collector.rows_shipped
+            base_payload = collector.payload_bytes
+            base_wire = collector.wire_bytes
+        try:
+            engine = self.engine
+            telemetry = engine.telemetry
+            primary = node.source.name
+            caching = engine.cache.fetches is not None
+            key = fetch_key(primary, stmt) if caching else None
+            entry = engine.cache.get_fetch(key) if caching else None
+            if entry is not None:
+                rows, answered_by = entry.value.rows, primary  # only it is cached
+                size, seconds = entry.size_bytes, entry.cost_seconds
+                collector.fetch_cache_hits += 1
+                collector.cache_seconds_saved += seconds
+                collector.cache_bytes_saved += size
+                if telemetry.enabled:
+                    telemetry.on_fetch(primary, cache="hit")
+                if span is not None:
+                    span.set(cache="hit")
+                    span.event(
+                        "cache.hit",
+                        span.offset_from(collector),
+                        seconds_saved=seconds,
+                        bytes_saved=size,
+                    )
+                self._note_stale_if_down(node, collector, span)
+            else:
+                if caching:
+                    collector.fetch_cache_misses += 1
+                    if span is not None:
+                        span.set(cache="miss")
+                    if telemetry.enabled:
+                        telemetry.on_fetch(primary, cache="miss")
+                try:
+                    raw, size, seconds, source_used = self._remote_fetch(
+                        node, stmt, collector, description, span
+                    )
+                except EIIError as exc:
+                    if telemetry.enabled and engine.resilience is None:
+                        # with a resilience manager, per-attempt failures are
+                        # already reported through its own hooks
+                        telemetry.on_fetch(primary, ok=False)
+                    if self._degrade(node, exc, collector, kind, est_rows, span):
+                        return []  # this branch's rows are lost, not the query
+                    raise
+                rows, answered_by = raw.rows, source_used.name
+                if telemetry.enabled:
+                    telemetry.on_fetch(
+                        answered_by, seconds=seconds, payload_bytes=size
+                    )
+                # Only a primary-served fetch is cached: the entry's key and tags
+                # describe the primary, and a replica answer must not mask it.
+                if caching and source_used is node.source:
+                    engine.cache.put_fetch(
+                        key, raw, size, tags=node.depends_on, cost_seconds=seconds
+                    )
+            if self.report is not None:
+                self.report.note_answered(answered_by, est_rows)
+            adaptive = engine.adaptive
+            if adaptive is not None:
+                # A cache hit is still a true cardinality observation.
+                from_cache = entry is not None
+                if keys is None:
+                    adaptive.observe_fetch(
+                        node, rows=len(rows), payload_bytes=size,
+                        seconds=seconds, from_cache=from_cache,
+                    )
+                else:
+                    adaptive.observe_bind_chunk(
+                        node, keys=keys, rows=len(rows), payload_bytes=size,
+                        seconds=seconds, from_cache=from_cache,
+                    )
+            return rows
+        finally:
+            if span is not None:
+                span.self_seconds = collector.simulated_seconds - base_seconds
+                span.set(
+                    rows=collector.rows_shipped - base_rows,
+                    payload_bytes=collector.payload_bytes - base_payload,
+                    wire_bytes=collector.wire_bytes - base_wire,
+                )
+
     def fetch(
         self,
         node: LogicalFetch,
@@ -337,197 +443,35 @@ class _FetchRuntime:
         if cached is not None:
             return cached
         collector = metrics if metrics is not None else self.metrics
-        if span is not None:
-            span.clock_base = collector.simulated_seconds
-        telemetry = self.engine.telemetry
-        key = fetch_key(node.source.name, node.stmt) if self._store is not None else None
-        if key is not None:
-            entry = self.engine.cache.get_fetch(key)
-            if entry is not None:
-                collector.fetch_cache_hits += 1
-                collector.cache_seconds_saved += entry.cost_seconds
-                collector.cache_bytes_saved += entry.size_bytes
-                if telemetry.enabled:
-                    telemetry.on_fetch(node.source.name, cache="hit")
-                if span is not None:
-                    span.set(cache="hit")
-                    span.event(
-                        "cache.hit",
-                        span.offset_from(collector),
-                        seconds_saved=entry.cost_seconds,
-                        bytes_saved=entry.size_bytes,
-                    )
-                self._note_stale_if_down(node, collector, span)
-                if self.report is not None:
-                    self.report.note_answered(node.source.name, node.est_rows)
-                result = Relation(node.schema, entry.value.rows)
-                self.local[id(node)] = result
-                adaptive = self.engine.adaptive
-                if adaptive is not None:
-                    # A cache hit is still a true cardinality observation.
-                    adaptive.observe_fetch(
-                        node,
-                        rows=len(result),
-                        payload_bytes=entry.size_bytes,
-                        seconds=entry.cost_seconds,
-                        from_cache=True,
-                    )
-                return result
-            collector.fetch_cache_misses += 1
-            if span is not None:
-                span.set(cache="miss")
-            if telemetry.enabled:
-                telemetry.on_fetch(node.source.name, cache="miss")
-        try:
-            raw, cost_seconds, source_used, _ = self._remote_fetch(
-                node, node.stmt, collector, f"fetch from {node.source.name}", span
-            )
-        except EIIError as exc:
-            if telemetry.enabled and self.engine.resilience is None:
-                # with a resilience manager, per-attempt failures are
-                # already reported through its own hooks
-                telemetry.on_fetch(node.source.name, ok=False)
-            if self._degrade(node, exc, collector, "fetch", span):
-                result = Relation(node.schema, [])
-                self.local[id(node)] = result
-                return result
-            raise
-        if telemetry.enabled:
-            telemetry.on_fetch(
-                source_used.name,
-                seconds=cost_seconds,
-                payload_bytes=raw.size_bytes(),
-            )
-        # Only a primary-served fetch is cached: the entry's key and tags
-        # describe the primary, and a replica answer must not mask it.
-        if key is not None and source_used is node.source:
-            self.engine.cache.put_fetch(
-                key, raw, tags=node.depends_on, cost_seconds=cost_seconds
-            )
-        if self.report is not None:
-            self.report.note_answered(source_used.name, node.est_rows)
+        rows = self._fetch_statement(
+            node, node.stmt, collector, span,
+            f"fetch from {node.source.name}", "fetch", node.est_rows,
+        )
         # Relabel positionally: the residual plan resolves against the
         # schema of the subtree the fetch replaced.
-        result = Relation(node.schema, raw.rows)
+        result = Relation(node.schema, rows)
         self.local[id(node)] = result
-        adaptive = self.engine.adaptive
-        if adaptive is not None:
-            adaptive.observe_fetch(
-                node,
-                rows=len(result),
-                payload_bytes=raw.size_bytes(),
-                seconds=cost_seconds,
-                from_cache=False,
-            )
         return result
 
     def bind_fetch(self, node: LogicalBindJoin, keys: list) -> Relation:
-        if not keys:
-            return Relation(node.fetch_schema, [])
         rows: list[tuple] = []
-        tag = getattr(node, "_trace_tag", None)
-        telemetry = self.engine.telemetry
         for chunk_index, start in enumerate(range(0, len(keys), node.max_inlist)):
             chunk = keys[start : start + node.max_inlist]
             stmt = with_in_filter(node.template, node.right_key, chunk)
-            span = None
-            base_seconds = base_payload = base_wire = base_rows = 0
-            if self.span is not None:
-                span = self.span.child(
-                    f"bind_fetch:{node.source.name}",
-                    category="bind_fetch",
-                    source=node.source.name,
-                    chunk=chunk_index,
+            span = _statement_span(
+                self.span, "bind_fetch", node, node.template,
+                chunk=chunk_index, keys=len(chunk),
+            )
+            rows.extend(
+                self._fetch_statement(
+                    node, stmt, self.metrics, span,
+                    f"bind fetch from {node.source.name} ({len(chunk)} keys)",
+                    "bind_chunk",
+                    # the node's estimate, split by this chunk's key share
+                    node.est_rows * (len(chunk) / len(keys)),
                     keys=len(chunk),
-                    sql=to_sql(node.template),
                 )
-                if tag is not None:
-                    span.set(node=tag)
-                span.clock_base = self.metrics.simulated_seconds
-                base_seconds = self.metrics.simulated_seconds
-                base_payload = self.metrics.payload_bytes
-                base_wire = self.metrics.wire_bytes
-                base_rows = self.metrics.rows_shipped
-            try:
-                key = (
-                    fetch_key(node.source.name, stmt) if self._store is not None else None
-                )
-                if key is not None:
-                    entry = self.engine.cache.get_fetch(key)
-                    if entry is not None:
-                        self.metrics.fetch_cache_hits += 1
-                        self.metrics.cache_seconds_saved += entry.cost_seconds
-                        self.metrics.cache_bytes_saved += entry.size_bytes
-                        if telemetry.enabled:
-                            telemetry.on_fetch(node.source.name, cache="hit")
-                        if span is not None:
-                            span.set(cache="hit")
-                            span.event(
-                                "cache.hit",
-                                span.offset_from(self.metrics),
-                                seconds_saved=entry.cost_seconds,
-                                bytes_saved=entry.size_bytes,
-                            )
-                        self._note_stale_if_down(node, self.metrics, span)
-                        rows.extend(entry.value.rows)
-                        adaptive = self.engine.adaptive
-                        if adaptive is not None:
-                            adaptive.observe_bind_chunk(
-                                node,
-                                keys=len(chunk),
-                                rows=len(entry.value.rows),
-                                payload_bytes=entry.size_bytes,
-                                seconds=entry.cost_seconds,
-                                from_cache=True,
-                            )
-                        continue
-                    self.metrics.fetch_cache_misses += 1
-                    if span is not None:
-                        span.set(cache="miss")
-                    if telemetry.enabled:
-                        telemetry.on_fetch(node.source.name, cache="miss")
-                description = f"bind fetch from {node.source.name} ({len(chunk)} keys)"
-                try:
-                    raw, cost_seconds, source_used, _ = self._remote_fetch(
-                        node, stmt, self.metrics, description, span
-                    )
-                except EIIError as exc:
-                    if telemetry.enabled and self.engine.resilience is None:
-                        telemetry.on_fetch(node.source.name, ok=False)
-                    if self._degrade(node, exc, self.metrics, "bind_chunk", span):
-                        continue  # this chunk's enrichments are lost, not the query
-                    raise
-                if telemetry.enabled:
-                    telemetry.on_fetch(
-                        source_used.name,
-                        seconds=cost_seconds,
-                        payload_bytes=raw.size_bytes(),
-                    )
-                if key is not None and source_used is node.source:
-                    self.engine.cache.put_fetch(
-                        key, raw, tags=node.depends_on, cost_seconds=cost_seconds
-                    )
-                rows.extend(raw.rows)
-                adaptive = self.engine.adaptive
-                if adaptive is not None:
-                    adaptive.observe_bind_chunk(
-                        node,
-                        keys=len(chunk),
-                        rows=len(raw),
-                        payload_bytes=raw.size_bytes(),
-                        seconds=cost_seconds,
-                        from_cache=False,
-                    )
-            finally:
-                if span is not None:
-                    span.self_seconds = self.metrics.simulated_seconds - base_seconds
-                    span.set(
-                        payload_bytes=self.metrics.payload_bytes - base_payload,
-                        wire_bytes=self.metrics.wire_bytes - base_wire,
-                        rows=self.metrics.rows_shipped - base_rows,
-                    )
-        if self.report is not None:
-            self.report.note_answered(node.source.name, node.est_rows)
+            )
         return Relation(node.fetch_schema, rows)
 
 
@@ -535,62 +479,19 @@ class FederatedEngine:
     """The EII server: plans and executes queries over registered sources."""
 
     def __init__(
-        self,
-        catalog: FederationCatalog,
-        config: Optional[EngineConfig] = None,
-        **legacy,
+        self, catalog: FederationCatalog, config: Optional[EngineConfig] = None
     ):
         """Build an engine over `catalog`, configured by an `EngineConfig`.
 
-        The documented construction path is ``repro.connect(catalog,
-        config=EngineConfig(...))`` (or this constructor with an explicit
-        config). The historical keyword knobs (``clock=``, ``cache=``,
-        ``resilience=``, ...) still work: they are mapped onto the config
-        via `EngineConfig.with_overrides` under a `DeprecationWarning`.
+        ``repro.connect(catalog, config, **overrides)`` is the documented
+        construction facade; this constructor takes the config whole.
         """
-        if config is not None and not isinstance(config, EngineConfig):
-            # historical positional second argument: the network model
-            warnings.warn(
-                "passing the network positionally is deprecated; use "
-                "EngineConfig(network=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            legacy.setdefault("network", config)
-            config = None
-        if legacy:
-            unknown = set(legacy) - LEGACY_KWARGS
-            if unknown:
-                raise TypeError(
-                    "unknown FederatedEngine argument(s): "
-                    + ", ".join(sorted(unknown))
-                )
-            warnings.warn(
-                "FederatedEngine keyword arguments are deprecated; pass an "
-                "EngineConfig (see repro.connect)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = (config or EngineConfig()).with_overrides(**legacy)
-        if config is None:
-            config = EngineConfig()
-        self.config = config
-
-        network = config.network
-        parallel_workers = config.parallel_workers
-        planner = config.planner
-        adaptive = config.adaptive
-        cache_ttl_s = config.cache_ttl_s
-        cache = config.cache
-        clock = config.clock if config.clock is not None else time.time
-        resilience = config.resilience
-        tracer = config.tracer
-        telemetry = config.telemetry
-
+        self.config = config = config or EngineConfig()
         self.catalog = catalog
-        self.network = network or NetworkModel()
-        self.parallel_workers = max(parallel_workers, 1)
-        self.planner = planner or FederatedPlanner(
+        self.clock = clock = config.clock if config.clock is not None else time.time
+        self.network = config.network or NetworkModel()
+        self.parallel_workers = max(config.parallel_workers, 1)
+        self.planner = config.planner or FederatedPlanner(
             catalog,
             network=self.network,
             semijoin=config.semijoin,
@@ -600,59 +501,39 @@ class FederatedEngine:
         #: LPT prefetch scheduling); None keeps the static engine — every
         #: adaptive code path is gated on this, so the default is
         #: byte-identical to the pre-adaptive behavior
-        self.adaptive = self._resolve_adaptive(adaptive)
+        self.adaptive = self._resolve_adaptive(config.adaptive)
         if self.adaptive is not None and self.adaptive.policy.feedback:
             from repro.adaptive import FeedbackCostModel
 
             self.planner.cost_model = FeedbackCostModel(
                 self.adaptive.store, catalog
             )
-        #: reject queries predicted to run longer than this (None = admit all)
-        self.admission_budget_s = config.admission_budget_s
-        #: legacy knob: enables the whole-result level with this TTL
-        self.cache_ttl_s = cache_ttl_s
-        self.clock = clock
-        if cache is None:
-            # Default: plan caching on (pure win — plans depend only on the
-            # schema); fetch caching off so repeated queries observably
-            # re-hit sources unless the caller opts in; result level only
-            # when the legacy TTL knob asks for it.
-            cache = CacheHierarchy(
-                CacheConfig(
-                    fetch_enabled=False,
-                    result_enabled=cache_ttl_s is not None,
-                    result_ttl_s=cache_ttl_s,
-                ),
-                clock=clock,
+        #: Default hierarchy: plan caching on (pure win — plans depend only
+        #: on the schema); fetch and result levels off, so repeated queries
+        #: observably re-hit sources unless the caller passes a hierarchy.
+        self.cache = (
+            config.cache
+            if config.cache is not None
+            else CacheHierarchy(
+                CacheConfig(fetch_enabled=False, result_enabled=False), clock=clock
             )
-        self.cache = cache
+        )
         #: per-source retry/breaker/failover behavior; None = fail fast,
         #: exactly the pre-resilience all-or-nothing engine
+        resilience = config.resilience
         if resilience is None or isinstance(resilience, ResilienceManager):
             self.resilience = resilience
         else:
             self.resilience = ResilienceManager(resilience, clock=clock)
-        #: opt-in: degrade failed non-essential branches to annotated
-        #: partial results instead of failing the whole query
-        self.partial_results = config.partial_results
-        #: opt-in strict mode: run static analysis before planning and plan
-        #: invariant verification after it, raising `AnalysisError` with
-        #: zero bytes shipped when a query is statically infeasible
-        self.validate = config.validate
-        #: optional per-source concurrency limiter (anything with a
-        #: ``slot(source_name)`` context manager, e.g.
-        #: `repro.sched.SourceLimiter`); bounds wall-clock threads per
-        #: source inside the prefetch pool
-        self.source_limiter = config.source_limiter
         self._analyzer = None
         self._scratch = Database("assembly")
         self._local = LocalEngine(self._scratch, optimize=False)
         self.tracer = NULL_TRACER
-        self.set_tracer(tracer)
+        self.set_tracer(config.tracer)
         #: observe-only telemetry plane; the no-op default keeps execution
         #: byte-identical to an engine without telemetry (same contract as
         #: `NULL_TRACER` — every call site guards on ``telemetry.enabled``)
-        self.telemetry = resolve_telemetry(telemetry)
+        self.telemetry = resolve_telemetry(config.telemetry)
         if self.telemetry.enabled:
             if self.telemetry.clock is None:
                 # windows roll on the engine's (usually simulated) clock
@@ -669,11 +550,10 @@ class FederatedEngine:
             from repro.views.answering import ViewAnswering
             from repro.views.catalog import ServePolicy
 
-            policy = config.view_policy or ServePolicy()
-            self.view_policy = policy
-            self._answering = ViewAnswering(self, policy)
+            self._answering = ViewAnswering(
+                self, config.view_policy or ServePolicy()
+            )
         else:
-            self.view_policy = config.view_policy
             self._answering = None
 
     def _resolve_views(self, views, auto_materialize):
@@ -762,131 +642,76 @@ class FederatedEngine:
         tracer = self.tracer
         if analyze and not tracer.enabled:
             tracer = Tracer(keep=1)
-        statement, canonical = canonical_statement(query)
-        if not isinstance(statement, (Select, UnionSelect, LogicalPlan)):
-            raise PlanError("federated queries must be SELECT statements")
+        statement, canonical = self._canonicalize(query)
         trace = tracer.begin("query", sql=canonical)
-        if self.validate and not isinstance(statement, LogicalPlan):
-            self._analyze_or_raise(
-                statement, query if isinstance(query, str) else None
+        if self.config.validate and not isinstance(statement, LogicalPlan):
+            # strict pre-flight: an infeasible query never reaches a cache
+            self._raise_unless_ok(
+                self._get_analyzer().analyze(
+                    statement, query if isinstance(query, str) else None
+                )
             )
         # The result level keeps its historical contract: only *textual*
         # queries are served whole from cache (now under the canonical key,
         # so reformatted spellings of one query share an entry).
         result_key = canonical if isinstance(query, str) else None
-        if result_key is not None:
-            hit = self.cache.get_result(result_key)
-            if hit is not None:
-                result = FederatedResult(
-                    hit.relation,
-                    hit.plan,
-                    hit.metrics,
-                    hit.fetch_seconds,
-                    elapsed_seconds=0.0,
-                    from_cache=True,
-                    completeness=hit.completeness,
-                )
-                if trace is not None:
-                    trace.root.set(result_cache="hit", rows=len(hit.relation))
-                    trace.root.event("cache.result_hit")
-                    tracer.finish(trace)
-                    result.trace = trace
-                if self.telemetry.enabled:
-                    self.telemetry.on_query("cached", rows=len(hit.relation))
-                    self.telemetry.tick(self.clock())
-                return result
+        result = self._cached_result(result_key)
         view_fallbacks: list = []
-        if use_views and self._answering is not None:
-            answer, view_fallbacks = self._answering.try_answer(statement)
-            if answer is not None:
-                result = self._finish_view_answer(
-                    answer, result_key, trace, tracer
-                )
-                if self.view_selector is not None:
-                    self.view_selector.observe_hit(answer.view)
-                return result
-        if trace is not None:
-            trace.root.child("parse", category="parse", sql=canonical)
-        plan, plan_was_cached = self._plan_for(statement, canonical)
-        plan_span = None
-        if trace is not None:
-            plan_span = trace.root.child("plan", category="plan", cached=plan_was_cached)
-        if plan_span is not None:
-            plan_span.set(
-                assembly_site=plan.assembly_site,
-                fetches=len(plan.fetches),
-                bind_joins=len(plan.bind_joins),
-            )
-        if self.validate:
-            self._verify_or_raise(plan)
-        if self.admission_budget_s is not None:
-            predicted = self.predict_elapsed(plan)
-            if predicted > self.admission_budget_s:
-                raise AdmissionError(
-                    f"query predicted to take {predicted:.3f}s, over the "
-                    f"{self.admission_budget_s:.3f}s admission budget",
-                    predicted_seconds=predicted,
-                )
-        try:
-            result = self.execute_plan(plan, trace=trace)
-        except EIIError:
-            if self.telemetry.enabled:
-                self.telemetry.on_query("error")
-                self.telemetry.tick(self.clock())
-            raise
-        if trace is not None:
-            trace.root.set(
-                rows=len(result.relation),
-                elapsed_s=result.elapsed_seconds,
-                partial=result.is_partial,
-            )
-            tracer.finish(trace)
-        if plan_was_cached:
-            result.metrics.plan_cache_hits += 1
-        # Partial answers must never be served later as if they were whole.
-        if result_key is not None and not result.is_partial:
-            self.cache.put_result(
-                result_key,
-                result,
-                tags=plan.table_dependencies(),
-                size_bytes=result.relation.size_bytes(),
-                cost_seconds=result.elapsed_seconds,
-            )
-        if view_fallbacks:
-            # views that matched but were too dirty/stale to serve
-            result.metrics.view_fallbacks += len(view_fallbacks)
-            if self.telemetry.enabled:
-                for name in view_fallbacks:
-                    self.telemetry.on_view(name, "fallback")
-        if self.telemetry.enabled:
-            self.telemetry.on_query(
-                "partial" if result.is_partial else "ok",
-                seconds=result.elapsed_seconds,
-                rows=len(result.relation),
-            )
-            self.telemetry.tick(self.clock())
-        if (
-            use_views
-            and self.view_selector is not None
-            and canonical is not None
-        ):
-            self.view_selector.observe(canonical, result)
-            self.view_selector.maintain()
-        return result
+        if result is None and use_views and self._answering is not None:
+            result, view_fallbacks = self._view_result(statement)
+        if result is None:
+            plan, plan_was_cached = self._plan(statement, canonical, trace)
+            self._admit(plan)
+            try:
+                result = self.execute_plan(plan, trace=trace)
+            except EIIError:
+                self._observe_query("error")
+                raise
+            if plan_was_cached:
+                result.metrics.plan_cache_hits += 1
+        return self._publish(
+            result, trace, tracer, result_key, view_fallbacks,
+            advisor_key=canonical if use_views else None,
+        )
 
-    def _finish_view_answer(
-        self, answer, result_key: Optional[str], trace, tracer
-    ) -> FederatedResult:
-        """Package a view-answered relation as a full `FederatedResult`.
+    # -- query stages (each yields a FederatedResult or None) ----------------------
 
-        Accounting: a local scan of the view's rows at the hub plus the
-        hub→client transfer of the answer — no source queries, no
-        federation bytes. Only *fresh* answers are admitted to the result
-        cache, tagged with the view's base tables (and the view itself) so
-        upstream writes evict them.
+    @staticmethod
+    def _canonicalize(query) -> tuple:
+        """``(statement, canonical SQL)``; rejects anything but a SELECT."""
+        statement, canonical = canonical_statement(query)
+        if not isinstance(statement, (Select, UnionSelect, LogicalPlan)):
+            raise PlanError("federated queries must be SELECT statements")
+        return statement, canonical
+
+    def _cached_result(self, result_key) -> Optional[FederatedResult]:
+        hit = self.cache.get_result(result_key)  # a None key never hits
+        if hit is None:
+            return None
+        return FederatedResult(
+            hit.relation,
+            hit.plan,
+            hit.metrics,
+            hit.fetch_seconds,
+            elapsed_seconds=0.0,
+            from_cache=True,
+            completeness=hit.completeness,
+        )
+
+    def _view_result(self, statement) -> tuple:
+        """Answer from a materialized view: ``(result | None, fallbacks)``.
+
+        ``fallbacks`` names views that matched but were too dirty/stale to
+        serve; they count only when the query goes on to live federation.
+        Accounting of an answer: a local scan of the view's rows at the hub
+        plus the hub→client transfer — no source queries, no federation
+        bytes.
         """
         from repro.views.answering import ViewProvenance
 
+        answer, fallbacks = self._answering.try_answer(statement)
+        if answer is None:
+            return None, fallbacks
         metrics = MetricsCollector(network=self.network)
         if answer.fresh:
             metrics.view_hits += 1
@@ -894,11 +719,12 @@ class FederatedEngine:
             metrics.view_stale_serves += 1
         scan_seconds = answer.rows_scanned * HUB_TIME_PER_COST_UNIT_S
         metrics.charge_seconds(scan_seconds)
+        payload_bytes = answer.relation.size_bytes()
         transfer_seconds = metrics.record_transfer(
             "hub",
             "client",
             rows=len(answer.relation),
-            payload_bytes=answer.relation.size_bytes(),
+            payload_bytes=payload_bytes,
             description=f"view answer from {answer.view}",
         )
         plan = FederatedPlan(
@@ -907,7 +733,7 @@ class FederatedEngine:
             bind_joins=[],
             assembly_site="hub",
             est_result_rows=float(len(answer.relation)),
-            est_result_bytes=answer.relation.size_bytes(),
+            est_result_bytes=payload_bytes,
         )
         result = FederatedResult(
             answer.relation,
@@ -915,41 +741,113 @@ class FederatedEngine:
             metrics,
             fetch_seconds=[],
             elapsed_seconds=scan_seconds + transfer_seconds,
+            view=ViewProvenance(
+                answer.view, answer.kind, answer.staleness_s, answer.fresh,
+                answer.tables,
+            ),
         )
-        result.view = ViewProvenance(
-            answer.view, answer.kind, answer.staleness_s, answer.fresh
-        )
+        return result, []
+
+    def _plan(self, statement, canonical, trace) -> tuple:
+        """``(plan, was_cached)`` through the plan cache, verified if strict."""
         if trace is not None:
-            trace.root.set(
-                rows=len(answer.relation),
-                elapsed_s=result.elapsed_seconds,
-                view=answer.view,
-                view_fresh=answer.fresh,
+            trace.root.child("parse", category="parse", sql=canonical)
+        plan, plan_was_cached = self._plan_for(statement, canonical)
+        if trace is not None:
+            trace.root.child(
+                "plan",
+                category="plan",
+                cached=plan_was_cached,
+                assembly_site=plan.assembly_site,
+                fetches=len(plan.fetches),
+                bind_joins=len(plan.bind_joins),
             )
+        if self.config.validate:
+            self._raise_unless_ok(self._get_analyzer().verify(plan))
+        return plan, plan_was_cached
+
+    def _admit(self, plan: FederatedPlan) -> None:
+        budget = self.config.admission_budget_s
+        if budget is None:
+            return
+        predicted = self.predict_elapsed(plan)
+        if predicted > budget:
+            raise AdmissionError(
+                f"query predicted to take {predicted:.3f}s, over the "
+                f"{budget:.3f}s admission budget",
+                predicted_seconds=predicted,
+            )
+
+    def _publish(
+        self, result, trace, tracer, result_key, view_fallbacks, advisor_key
+    ) -> FederatedResult:
+        """The one epilogue of `query()`, whichever stage answered: close the
+        trace, admit to the result cache, then feed telemetry and the advisor."""
+        rows = len(result.relation)
+        view = result.view
+        if trace is not None:
+            if result.from_cache:
+                trace.root.set(result_cache="hit", rows=rows)
+                trace.root.event("cache.result_hit")
+            else:
+                how = (
+                    {"partial": result.is_partial}
+                    if view is None
+                    else {"view": view.view, "view_fresh": view.fresh}
+                )
+                trace.root.set(rows=rows, elapsed_s=result.elapsed_seconds, **how)
             tracer.finish(trace)
             result.trace = trace
-        # a stale serve must never be re-served as if it were the live answer
-        if result_key is not None and answer.fresh:
+        # Never re-admit a hit, serve a partial answer later as if it were
+        # whole, or a stale view serve as if it were live. Tags (the plan's
+        # tables, or the view and its base tables) let upstream writes evict.
+        if (
+            result_key is not None
+            and self.cache.results is not None
+            and not result.from_cache
+            and not result.is_partial
+            and (view is None or view.fresh)
+        ):
             self.cache.put_result(
                 result_key,
                 result,
-                tags=answer.tables | {answer.view},
-                size_bytes=answer.relation.size_bytes(),
+                tags=result.plan.table_dependencies()
+                if view is None
+                else view.tables | {view.view},
+                # the hub→client transfer every execution ends with
+                size_bytes=result.metrics.transfers[-1].payload_bytes,
                 cost_seconds=result.elapsed_seconds,
             )
-        if self.telemetry.enabled:
-            self.telemetry.on_view(
-                answer.view,
-                "hit" if answer.fresh else "stale",
-                staleness_s=answer.staleness_s,
+        telemetry = self.telemetry
+        if view_fallbacks:
+            result.metrics.view_fallbacks += len(view_fallbacks)
+            for name in view_fallbacks:  # a no-op plane when telemetry is off
+                telemetry.on_view(name, "fallback")
+        if view is not None and telemetry.enabled:
+            telemetry.on_view(
+                view.view,
+                "hit" if view.fresh else "stale",
+                staleness_s=view.staleness_s,
             )
-            self.telemetry.on_query(
-                "ok",
-                seconds=result.elapsed_seconds,
-                rows=len(answer.relation),
-            )
-            self.telemetry.tick(self.clock())
+        status = (
+            "cached" if result.from_cache
+            else "partial" if result.is_partial
+            else "ok"
+        )
+        self._observe_query(status, result.elapsed_seconds, rows)
+        if self.view_selector is not None and advisor_key is not None:
+            if view is not None:
+                self.view_selector.observe_hit(view.view)
+            elif not result.from_cache:
+                self.view_selector.observe(advisor_key, result)
+                self.view_selector.maintain()
         return result
+
+    def _observe_query(self, status: str, seconds: float = 0.0, rows: int = 0) -> None:
+        """Report one finished query to the telemetry plane and roll its windows."""
+        if self.telemetry.enabled:
+            self.telemetry.on_query(status, seconds=seconds, rows=rows)
+            self.telemetry.tick(self.clock())
 
     def prepare(self, query: Union[str, Select, LogicalPlan]) -> FederatedPlan:
         """Plan a query — through the plan cache — without executing it.
@@ -959,10 +857,7 @@ class FederatedEngine:
         shipped. The plan landing in the cache here is the very plan a
         later `query()` call reuses, so preparing is never wasted work.
         """
-        statement, canonical = canonical_statement(query)
-        if not isinstance(statement, (Select, UnionSelect, LogicalPlan)):
-            raise PlanError("federated queries must be SELECT statements")
-        plan, _ = self._plan_for(statement, canonical)
+        plan, _ = self._plan_for(*self._canonicalize(query))
         return plan
 
     def _plan_for(self, statement, canonical) -> "tuple[FederatedPlan, bool]":
@@ -1008,27 +903,22 @@ class FederatedEngine:
         estimated transfer to the assembly site), list-schedules them over
         the worker pool, and adds assembly compute plus the final transfer.
         """
-        fetch_predictions = []
-        for fetch in plan.fetches:
-            source = fetch.source
-            caps = source.capabilities
-            exec_s = (
-                caps.per_query_overhead_s
-                + fetch.est_rows * caps.time_per_cost_unit_s
-            )
-            size = int(fetch.est_rows * fetch.schema.average_row_width())
-            transfer_s = self.network.transfer_seconds(
-                source.name, plan.assembly_site, size, caps.wire_format
-            )
-            fetch_predictions.append(exec_s + transfer_s)
+        # lazy like every adaptive import: that package imports this one
+        from repro.adaptive.scheduler import static_fetch_seconds
+
+        site = plan.assembly_site
+        fetch_predictions = [
+            static_fetch_seconds(fetch, fetch.est_rows, self.network, site)
+            for fetch in plan.fetches
+        ]
         elapsed = parallel_makespan(fetch_predictions, self.parallel_workers)
         elapsed += self._assembly_cost(plan.root)
-        elapsed += self.network.transfer_seconds(
-            plan.assembly_site, "client", plan.est_result_bytes
-        )
+        elapsed += self.network.transfer_seconds(site, "client", plan.est_result_bytes)
         for bind in plan.bind_joins:
             caps = bind.source.capabilities
-            elapsed += caps.per_query_overhead_s + bind.est_rows * caps.time_per_cost_unit_s
+            elapsed += (
+                caps.per_query_overhead_s + bind.est_rows * caps.time_per_cost_unit_s
+            )
         return elapsed
 
     def explain(self, query: Union[str, Select, LogicalPlan]) -> str:
@@ -1044,9 +934,8 @@ class FederatedEngine:
         except EIIError:
             analysis = None
         if analysis is not None and len(analysis):
-            report.add("diagnostics", "diagnostics:")
             report.add(
-                "diagnostics", *(f"  {d.render()}" for d in analysis)
+                "diagnostics", "diagnostics:", *(f"  {d.render()}" for d in analysis)
             )
         return report.render()
 
@@ -1059,21 +948,10 @@ class FederatedEngine:
             self._analyzer = QueryAnalyzer(catalog=self.catalog)
         return self._analyzer
 
-    def _analyze_or_raise(self, statement, text) -> None:
-        """Strict-mode pre-flight: reject infeasible queries byte-free."""
+    def _raise_unless_ok(self, report) -> None:
+        """Strict mode: reject on analyzer findings with zero bytes shipped."""
         from repro.analysis import AnalysisError
 
-        report = self._get_analyzer().analyze(statement, text)
-        if not report.ok:
-            raise AnalysisError(
-                report, metrics=MetricsCollector(network=self.network)
-            )
-
-    def _verify_or_raise(self, plan: FederatedPlan) -> None:
-        """Strict-mode post-planning invariant check."""
-        from repro.analysis import AnalysisError
-
-        report = self._get_analyzer().verify(plan)
         if not report.ok:
             raise AnalysisError(
                 report, metrics=MetricsCollector(network=self.network)
@@ -1105,26 +983,21 @@ class FederatedEngine:
         self, plan: FederatedPlan, metrics: MetricsCollector, trace=None
     ) -> FederatedResult:
         runtime = _FetchRuntime(self, metrics, plan.assembly_site)
-        if self.resilience is not None or self.partial_results:
+        if self.resilience is not None or self.config.partial_results:
             runtime.report = CompletenessReport()
-        if self.partial_results:
+        if self.config.partial_results:
             _mark_degradable(plan.root, False)
         for node in plan.root.walk():
             if isinstance(node, (LogicalFetch, LogicalBindJoin)):
                 node.runtime = runtime
 
-        execute_span = None
+        execute_span = fetch_span = None
         if trace is not None:
             execute_span = trace.root.child("execute", category="execute")
-            # Deterministic node tags tie spans to plan nodes (an id()-based
-            # key would leak allocation order into the exported JSON).
             for i, fetch_node in enumerate(plan.fetches):
                 fetch_node._trace_tag = f"fetch[{i}]"
             for j, bind_node in enumerate(plan.bind_joins):
                 bind_node._trace_tag = f"bind[{j}]"
-
-        fetch_span = None
-        if execute_span is not None:
             fetch_span = execute_span.child(
                 "prefetch",
                 category="prefetch",
@@ -1177,7 +1050,6 @@ class FederatedEngine:
         assembly_seconds = self._assembly_cost(root)
         metrics.charge_seconds(assembly_seconds)
 
-        wire_before = metrics.wire_bytes
         final_transfer = metrics.record_transfer(
             plan.assembly_site,
             "client",
@@ -1187,18 +1059,20 @@ class FederatedEngine:
         )
         if execute_span is not None:
             assembly_span.self_seconds = assembly_seconds
+            shipped = metrics.transfers[-1]  # the record just made
             transfer_span = execute_span.child(
                 "final_transfer",
                 category="transfer",
-                rows=len(relation),
-                payload_bytes=relation.size_bytes(),
-                wire_bytes=metrics.wire_bytes - wire_before,
+                rows=shipped.rows,
+                payload_bytes=shipped.payload_bytes,
+                wire_bytes=shipped.wire_bytes,
             )
             transfer_span.self_seconds = final_transfer
         elapsed = fetch_elapsed + serial_tail + assembly_seconds + final_transfer
-        result = FederatedResult(relation, plan, metrics, fetch_seconds, elapsed)
-        result.replan = replan_report
-        result.completeness = runtime.report
+        result = FederatedResult(
+            relation, plan, metrics, fetch_seconds, elapsed,
+            completeness=runtime.report, replan=replan_report,
+        )
         if self.resilience is not None:
             result.breaker_states = self.resilience.breaker_states()
         if trace is not None:
@@ -1241,18 +1115,9 @@ class FederatedEngine:
         # Spans are created on this thread in submission order (so the trace
         # is deterministic regardless of completion order); each worker only
         # ever touches its own span.
-        spans: list = [None] * len(fetches)
-        if parent_span is not None:
-            for i, node in enumerate(fetches):
-                spans[i] = parent_span.child(
-                    f"fetch:{node.source.name}",
-                    category="fetch",
-                    source=node.source.name,
-                    sql=to_sql(node.stmt),
-                )
-                tag = getattr(node, "_trace_tag", None)
-                if tag is not None:
-                    spans[i].set(node=tag)
+        spans = [
+            _statement_span(parent_span, "fetch", node, node.stmt) for node in fetches
+        ]
 
         def run_one(node: LogicalFetch, span=None):
             local = MetricsCollector(network=self.network)
@@ -1261,14 +1126,6 @@ class FederatedEngine:
                 runtime.fetch(node, metrics=local, span=span)
             except Exception as exc:  # noqa: BLE001 - re-raised in order below
                 error = exc
-            finally:
-                if span is not None:
-                    span.self_seconds = local.simulated_seconds
-                    span.set(
-                        rows=local.rows_shipped,
-                        payload_bytes=local.payload_bytes,
-                        wire_bytes=local.wire_bytes,
-                    )
             return local, error
 
         outcomes: list = []

@@ -72,6 +72,7 @@ class ViewProvenance:
     kind: str  # "spj" | "exact" | "rollup"
     staleness_s: float
     fresh: bool
+    tables: frozenset = frozenset()  # base tables under the view (cache tags)
 
     def describe(self) -> str:
         state = "fresh" if self.fresh else "STALE"

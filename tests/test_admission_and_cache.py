@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import CacheConfig, CacheHierarchy
 from repro.common.errors import AdmissionError
 from repro.federation import EngineConfig, FederatedEngine
 
@@ -55,7 +56,10 @@ class TestAdmissionControl:
 class TestResultCache:
     def make(self, ttl=60.0):
         clock = FakeClock()
-        engine = FederatedEngine(build_catalog(), EngineConfig(cache_ttl_s=ttl, clock=clock))
+        cache = CacheHierarchy(
+            CacheConfig(fetch_enabled=False, result_ttl_s=ttl), clock
+        )
+        engine = FederatedEngine(build_catalog(), EngineConfig(cache=cache, clock=clock))
         return engine, clock
 
     def test_second_read_served_from_cache(self):

@@ -348,3 +348,49 @@ class TestParallelism:
         parallel = FederatedEngine(build_catalog(), EngineConfig(parallel_workers=4)).query(sql)
         assert parallel.relation.sorted().rows == serial.relation.sorted().rows
         assert parallel.elapsed_seconds <= serial.elapsed_seconds
+
+
+class TestByteAccounting:
+    """Sizing a relation walks every value of every row, so the engine
+    sizes each payload once and hands the number to every consumer."""
+
+    SQL = (
+        "SELECT c.name, o.total FROM customers c "
+        "JOIN orders o ON c.id = o.cust_id WHERE o.total > 100"
+    )
+
+    @staticmethod
+    def sized(monkeypatch):
+        from repro.common.relation import Relation
+
+        calls: list = []
+        original = Relation.size_bytes
+
+        def counting(relation):
+            calls.append(relation)
+            return original(relation)
+
+        monkeypatch.setattr(Relation, "size_bytes", counting)
+        return calls
+
+    def test_default_engine_sizes_the_final_relation_once(self, monkeypatch):
+        calls = self.sized(monkeypatch)
+        result = build_engine().query(self.SQL)
+        assert sum(sized is result.relation for sized in calls) == 1
+
+    def test_observers_reuse_the_fetch_boundary_size(self, monkeypatch):
+        from repro.cache import CacheConfig, CacheHierarchy
+        from repro.trace import Tracer
+
+        calls = self.sized(monkeypatch)
+        engine = build_engine(
+            cache=CacheHierarchy(CacheConfig()),
+            tracer=Tracer(),
+            telemetry=True,
+            adaptive=True,
+        )
+        result = engine.query(self.SQL)
+        # one walk per fetched payload, one for the answer — not one per
+        # consumer (transfer record, span, telemetry, cache entry, feedback)
+        assert len(calls) == len(result.plan.fetches) + 1
+        assert len({id(sized) for sized in calls}) == len(calls)

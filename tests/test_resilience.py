@@ -16,6 +16,7 @@ from repro.common.errors import (
     SourceTimeoutError,
 )
 from repro.federation import EngineConfig, FederatedEngine, ResiliencePolicy
+from repro.federation.planner import FederatedPlanner
 from repro.federation.resilience import ResilienceManager
 from repro.netsim import (
     FaultInjector,
@@ -33,6 +34,10 @@ JOIN_Q = (
 )
 UNION_Q = "SELECT city FROM customers UNION ALL SELECT status FROM orders"
 LEFT_Q = "SELECT c.name, r.region FROM customers c LEFT JOIN regions r ON c.city = r.city"
+BIND_Q = (
+    "SELECT c.name, o.total FROM customers c "
+    "JOIN orders o ON c.id = o.cust_id WHERE c.city = 'SF'"
+)
 BIND_LEFT_Q = (
     "SELECT c.name, cr.score FROM customers c "
     "LEFT JOIN credit cr ON cr.cust_id = c.id"
@@ -128,6 +133,20 @@ class TestFailover:
         queried = set(result.metrics.source_queries)
         assert "crm_standby" in queried
 
+    def test_replica_served_bind_chunk_names_the_replica(self):
+        engine, injector, _ = faulty_engine(
+            ResiliencePolicy(max_attempts=1), with_replicas=True,
+            semijoin="force",
+        )
+        injector.script("sales", Outage())
+        result = engine.query(BIND_Q)
+        assert result.plan.bind_joins[0].source.name == "sales"
+        assert sorted(result.relation.rows) == reference(BIND_Q)
+        assert result.metrics.failovers >= 1
+        assert result.completeness.summary()["sources_answered"] == [
+            "crm", "sales_standby",
+        ]
+
     def test_replica_outage_too_exhausts_all_candidates(self):
         engine, injector, _ = faulty_engine(
             ResiliencePolicy(max_attempts=1, breaker_failure_threshold=None),
@@ -202,6 +221,38 @@ class TestPartialResults:
         assert len(result.relation) == 8
         assert all(row[1] is None for row in result.relation.rows)
         assert "creditsvc" in result.completeness.skipped_sources()
+
+    def test_fully_skipped_bind_join_is_not_counted_as_answered(self):
+        """A source none of whose statements returned rows did not answer,
+        and its probe weighs the missing fraction once, not per chunk."""
+        engine, injector, _ = faulty_engine(
+            ResiliencePolicy(max_attempts=2), partial_results=True
+        )
+        injector.script("creditsvc", Outage())
+        summary = engine.query(BIND_LEFT_Q).completeness.summary()
+        assert summary["sources_answered"] == ["crm"]
+        assert summary["sources_skipped"] == ["creditsvc"]
+        assert summary["est_missing_fraction"] == 0.5
+
+    def test_bind_join_weight_is_split_across_chunks_by_key_share(self):
+        clock = SimClock()
+        injector = FaultInjector(seed=3, clock=clock)
+        catalog = build_catalog(injector=injector)
+        engine = FederatedEngine(catalog, EngineConfig(
+            clock=clock,
+            resilience=ResiliencePolicy(max_attempts=1),
+            partial_results=True,
+            planner=FederatedPlanner(catalog, max_inlist=4),  # 8 keys, 2 chunks
+        ))
+        injector.script("creditsvc", Outage(end_call=1))  # first chunk only
+        result = engine.query(BIND_LEFT_Q)
+        scores = [row[1] for row in sorted(result.relation.rows)]
+        assert scores == [None] * 4 + [650, 660, 670, 680]
+        summary = result.completeness.summary()
+        assert summary["sources_answered"] == ["creditsvc", "crm"]
+        assert summary["sources_skipped"] == ["creditsvc"]
+        # crm 8 rows + credit 8 rows estimated, half of credit missing
+        assert summary["est_missing_fraction"] == 0.25
 
     def test_inner_join_branch_is_essential_and_still_fails(self):
         """partial_results must never fabricate rows: an inner join with a

@@ -148,7 +148,12 @@ class TestEndToEndTrace:
         assert prefetch.parallel_slots == 2
 
     def test_result_cache_hit_is_traced_not_executed(self):
-        engine, _ = traced_engine(tracer=Tracer(), cache_ttl_s=60.0)
+        from repro.cache import CacheConfig, CacheHierarchy
+
+        cache = CacheHierarchy(
+            CacheConfig(fetch_enabled=False, result_ttl_s=60.0), SimClock()
+        )
+        engine, _ = traced_engine(tracer=Tracer(), cache=cache)
         engine.query(JOIN_Q)
         hit = engine.query(JOIN_Q)
         assert hit.from_cache

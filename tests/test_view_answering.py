@@ -238,19 +238,6 @@ class TestServing:
 
 
 class TestEngineConfigShim:
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.deprecated_call():
-            engine = FederatedEngine(build_catalog(), parallel_workers=2)
-        assert engine.config.parallel_workers == 2
-        assert engine.query("SELECT name FROM customers").relation.rows
-
-    def test_legacy_positional_network_warns(self):
-        from repro.netsim import NetworkModel
-
-        with pytest.deprecated_call():
-            engine = FederatedEngine(build_catalog(), NetworkModel())
-        assert engine.query("SELECT name FROM customers").relation.rows
-
     def test_unknown_kwarg_is_a_typeerror(self):
         with pytest.raises(TypeError, match="parallel_wrokers"):
             FederatedEngine(build_catalog(), parallel_wrokers=2)
