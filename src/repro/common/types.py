@@ -120,20 +120,34 @@ _FIXED_WIDTHS = {
 VALUE_OVERHEAD_BYTES = 2
 
 
+#: Wire size by exact Python type, so sizing a value is one dictionary lookup.
+#: Strings (UTF-8 length), subclasses such as `datetime.datetime` and
+#: unsupported types are absent and take the `infer_type` scan.
+_SIZE_BY_EXACT_TYPE = {
+    type(None): VALUE_OVERHEAD_BYTES,
+    **{
+        py_type: VALUE_OVERHEAD_BYTES + _FIXED_WIDTHS[data_type]
+        for py_type, data_type in _PY_TO_TYPE.items()
+        if data_type in _FIXED_WIDTHS
+    },
+}
+
+
 def value_size(value) -> int:
     """Estimated serialized size of one value, in bytes.
 
     This is the unit of account for every bytes-shipped metric in the
     benchmarks. Strings cost their UTF-8 length; NULLs cost only framing.
     """
-    if value is None:
-        return VALUE_OVERHEAD_BYTES
-    inferred = infer_type(value)
-    if inferred is DataType.STRING:
+    size = _SIZE_BY_EXACT_TYPE.get(type(value))
+    if size is not None:
+        return size
+    if isinstance(value, str):
         return VALUE_OVERHEAD_BYTES + len(value.encode("utf-8"))
-    return VALUE_OVERHEAD_BYTES + _FIXED_WIDTHS[inferred]
+    # a subclass of a fixed-width type, or an unsupported type (raises)
+    return VALUE_OVERHEAD_BYTES + _FIXED_WIDTHS[infer_type(value)]
 
 
 def row_size(row) -> int:
     """Estimated serialized size of a row (tuple of values)."""
-    return sum(value_size(value) for value in row)
+    return sum(map(value_size, row))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from repro.common.errors import CapabilityError
@@ -15,6 +16,9 @@ from repro.storage.catalog import Database
 from repro.storage.stats import TableStats
 from repro.wrappers.dialects import Dialect, QUIRK_AWARE
 from repro.wrappers.pushability import can_push_select
+
+#: Statements `RelationalSource.query_log` keeps; older ones are dropped.
+QUERY_LOG_LENGTH = 256
 
 
 class RelationalSource(DataSource):
@@ -40,10 +44,11 @@ class RelationalSource(DataSource):
         super().__init__(name, capabilities)
         self.db = db
         self.engine = LocalEngine(db)
-        #: SQL text of every component query received, in the source dialect
-        #: (what a real wrapper would send over the wire). Useful in tests
-        #: and EXPLAIN output.
-        self.query_log: list[str] = []
+        #: SQL text of the most recent component queries received, in the
+        #: source dialect (what a real wrapper would send over the wire).
+        #: Useful in tests and EXPLAIN output. Bounded, so `len()` stops at
+        #: `QUERY_LOG_LENGTH`: it is not a count of round-trips.
+        self.query_log: deque[str] = deque(maxlen=QUERY_LOG_LENGTH)
 
     def table_names(self) -> list[str]:
         return self.db.table_names()

@@ -9,6 +9,7 @@ the final UNKNOWN to False (the WHERE-clause rule).
 
 from __future__ import annotations
 
+import datetime
 import operator
 import re
 from functools import lru_cache
@@ -48,6 +49,14 @@ _ARITHMETIC = {
     "%": operator.mod,
 }
 
+#: Ints up to this magnitude convert to float without rounding, so Python's
+#: exact int/float `==` and hashing answer what `_align_numeric` followed by
+#: a float `==` answers.
+_FLOAT_EXACT_INT = 2**53
+
+#: Literal types specialised at compile time (exact types, not subclasses).
+_PLAIN_TYPES = frozenset((bool, int, float, str, datetime.date))
+
 
 def compile_expr(expr: Expr, schema: RelSchema) -> Callable:
     """Compile `expr` against `schema` into a `row -> value` closure."""
@@ -76,7 +85,10 @@ def compile_expr(expr: Expr, schema: RelSchema) -> Callable:
         if expr.op == "-":
             def evaluate_neg(row):
                 value = inner(row)
-                return None if value is None else -value
+                try:
+                    return None if value is None else -value
+                except TypeError as exc:
+                    raise TypeMismatchError(f"cannot negate {value!r}") from exc
 
             return evaluate_neg
         raise PlanError(f"unknown unary operator {expr.op!r}")
@@ -124,7 +136,25 @@ def compile_expr(expr: Expr, schema: RelSchema) -> Callable:
                 return None
             return negated
 
-        return evaluate_in
+        probe = _literal_probe(expr.items)
+        if probe is None:
+            return evaluate_in
+        keys, has_float, has_null = probe
+        hit = not negated
+        miss = None if has_null else negated
+
+        def evaluate_in_probe(row):
+            value = inner(row)
+            if value is None:
+                return None
+            if has_float and isinstance(value, int) and not _float_exact(value):
+                return evaluate_in(row)  # float(value) rounds, or overflows
+            try:
+                return hit if value in keys else miss
+            except TypeError:  # unhashable operand
+                return evaluate_in(row)
+
+        return evaluate_in_probe
 
     if isinstance(expr, Like):
         inner = compile_expr(expr.operand, schema)
@@ -136,7 +166,12 @@ def compile_expr(expr: Expr, schema: RelSchema) -> Callable:
             pattern = pattern_fn(row)
             if value is None or pattern is None:
                 return None
-            matched = _like_regex(pattern).match(value) is not None
+            try:
+                matched = _like_regex(pattern).match(value) is not None
+            except TypeError as exc:
+                raise TypeMismatchError(
+                    f"LIKE needs strings, got {value!r} LIKE {pattern!r}"
+                ) from exc
             return matched != negated
 
         return evaluate_like
@@ -153,7 +188,12 @@ def compile_expr(expr: Expr, schema: RelSchema) -> Callable:
             high = high_fn(row)
             if value is None or low is None or high is None:
                 return None
-            result = low <= value <= high
+            try:
+                result = low <= value <= high
+            except TypeError as exc:
+                raise TypeMismatchError(
+                    f"cannot compare {value!r} with BETWEEN {low!r} AND {high!r}"
+                ) from exc
             return result != negated
 
         return evaluate_between
@@ -284,6 +324,41 @@ def _compile_binary(expr: BinaryOp, schema: RelSchema) -> Callable:
     raise PlanError(f"unknown binary operator {op!r}")
 
 
+def _float_exact(value: int) -> bool:
+    return -_FLOAT_EXACT_INT <= value <= _FLOAT_EXACT_INT
+
+
+def _is_plain(value) -> bool:
+    """An exact builtin scalar; if an int, one that `float()` keeps exact."""
+    kind = type(value)
+    return kind in _PLAIN_TYPES and (kind is not int or _float_exact(value))
+
+
+def _literal_probe(items):
+    """`(keys, has_float, has_null)` for an IN-list a frozenset can answer.
+
+    `value in keys` gives the verdict of the `_values_equal` loop when every
+    item is a plain literal or NULL and none is NaN (which `in` would match by
+    identity). Otherwise - a non-literal item, a subclass, an unhashable
+    value, an int beyond ±2**53 - returns None: the list keeps the loop.
+    """
+    keys = []
+    has_null = False
+    for item in items:
+        if not isinstance(item, Literal):
+            return None
+        value = item.value
+        if value is None:
+            has_null = True
+        elif _is_plain(value) and value == value:
+            keys.append(value)
+        else:
+            return None
+    # from the list, not the set: `1` and `1.0` collapse into one key
+    has_float = any(type(key) is float for key in keys)
+    return frozenset(keys), has_float, has_null
+
+
 def _values_equal(a, b) -> bool:
     a, b = _align_numeric(a, b)
     try:
@@ -293,7 +368,11 @@ def _values_equal(a, b) -> bool:
 
 
 def _align_numeric(a, b):
-    """Allow int/float cross-comparison while keeping bool distinct."""
+    """Convert the int side of an int/float pair to float.
+
+    A bool on either side skips the conversion only: it still compares as the
+    int it is, so `TRUE = 1` and `TRUE = 1.0` both hold.
+    """
     if isinstance(a, bool) or isinstance(b, bool):
         return a, b
     if isinstance(a, int) and isinstance(b, float):

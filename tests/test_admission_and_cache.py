@@ -50,7 +50,7 @@ class TestAdmissionControl:
         before = list(catalog.sources["sales"].query_log)
         with pytest.raises(AdmissionError):
             engine.query(EXPENSIVE)
-        assert catalog.sources["sales"].query_log == before
+        assert list(catalog.sources["sales"].query_log) == before
 
 
 class TestResultCache:

@@ -114,3 +114,37 @@ class TestWireSizes:
 
     def test_row_size_sums(self):
         assert row_size((5, "abcd", None)) == 10 + 6 + 2
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (None, 2),
+            (True, 2 + 1),
+            (7, 2 + 8),
+            (2**70, 2 + 8),
+            (1.5, 2 + 8),
+            ("abcd", 2 + 4),
+            ("naïve €", 2 + 10),
+            (datetime.date(2005, 6, 14), 2 + 8),
+            (datetime.datetime(2005, 6, 14, 12, 30), 2 + 8),  # a date subclass
+        ],
+    )
+    def test_value_size_of_every_supported_type(self, value, expected):
+        assert value_size(value) == expected
+        assert row_size((value, value)) == 2 * expected
+
+    def test_subclasses_size_as_their_base(self):
+        class Code(str):
+            pass
+
+        class Count(int):
+            pass
+
+        assert value_size(Code("é")) == 2 + 2
+        assert value_size(Count(3)) == 2 + 8
+
+    def test_unsupported_type_still_raises(self):
+        with pytest.raises(TypeMismatchError):
+            value_size(object())
+        with pytest.raises(TypeMismatchError):
+            row_size((1, [2]))

@@ -394,3 +394,80 @@ class TestByteAccounting:
         # consumer (transfer record, span, telemetry, cache entry, feedback)
         assert len(calls) == len(result.plan.fetches) + 1
         assert len({id(sized) for sized in calls}) == len(calls)
+
+    def test_sizing_makes_at_most_two_python_calls_per_value(self):
+        import datetime
+        import sys
+
+        from repro.common.relation import Relation
+        from repro.common.schema import RelSchema
+
+        schema = RelSchema.of(
+            ("id", T.INT), ("name", T.STRING), ("total", T.FLOAT),
+            ("day", T.DATE), ("paid", T.BOOL), ("note", T.STRING),
+        )  # fmt: skip
+        day = datetime.date(2005, 6, 14)
+        relation = Relation(
+            schema, [(i, f"name{i}", i / 7, day, i % 2 == 0, None) for i in range(1000)]
+        )
+        calls = 0
+
+        def count_calls(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count_calls)
+        try:
+            size = relation.size_bytes()
+        finally:
+            sys.setprofile(None)
+        assert size == sum(10 + 2 + len(row[1]) + 10 + 10 + 3 + 2 for row in relation.rows)
+        assert calls <= 2 * 1000 * 6
+
+
+class TestLinearSourceWork:
+    """A bind join's pushed-down `key IN (k1, ..., kn)` costs the source work
+    that follows the rows it scans, not rows × keys. Counted, never timed."""
+
+    ROWS = 2000
+
+    def equality_work(self, key_count):
+        from repro.federation.nodes import with_in_filter
+        from repro.sql.ast import ColumnRef
+        from repro.sql.parser import parse_select
+
+        class CountingInt(int):
+            work = 0
+
+            def __eq__(self, other):
+                CountingInt.work += 1
+                return int.__eq__(self, other)
+
+            def __hash__(self):
+                CountingInt.work += 1
+                return int.__hash__(self)
+
+        db = Database("sales")
+        db.create_table("orders", [("id", T.INT), ("cust_id", T.INT)])
+        db.table("orders").insert_many(
+            (i, CountingInt(i % 1000)) for i in range(self.ROWS)
+        )
+        source = RelationalSource("sales", db)
+        # 25 keys match two rows each; the rest of the list matches nothing
+        keys = list(range(25)) + list(range(10_000, 10_000 + key_count - 25))
+        stmt = with_in_filter(
+            parse_select("SELECT o.id, o.cust_id FROM orders o"),
+            ColumnRef("cust_id", "o"),
+            keys,
+        )
+        CountingInt.work = 0
+        result = source.execute_select(stmt)
+        assert sorted(result.column_values("id")) == sorted(
+            i for i in range(self.ROWS) if i % 1000 < 25
+        )
+        return CountingInt.work
+
+    def test_eight_times_the_keys_is_not_eight_times_the_comparisons(self):
+        few, many = self.equality_work(50), self.equality_work(400)
+        assert few >= self.ROWS  # every scanned row is looked at
+        assert many <= 1.5 * few

@@ -7,6 +7,7 @@ from repro.common.types import DataType as T
 from repro.netsim import MetricsCollector
 from repro.sources import CsvSource, RelationalSource, SourceCapabilities, WebServiceSource
 from repro.sources.base import SCAN_ONLY
+from repro.sources.relational import QUERY_LOG_LENGTH
 from repro.sql.parser import parse_select
 from repro.storage import Database
 from repro.wrappers import CONSERVATIVE, GENERIC
@@ -41,7 +42,15 @@ class TestRelationalSource:
     def test_query_log_in_dialect(self):
         source = make_relational()
         source.execute_select(parse_select("SELECT id FROM t WHERE id = 1"))
-        assert source.query_log == ["SELECT id FROM t WHERE (id = 1)"]
+        assert list(source.query_log) == ["SELECT id FROM t WHERE (id = 1)"]
+
+    def test_query_log_keeps_only_the_most_recent_statements(self):
+        source = make_relational()
+        for i in range(QUERY_LOG_LENGTH + 10):
+            source.execute_select(parse_select(f"SELECT id FROM t WHERE id = {i}"))
+        assert len(source.query_log) == QUERY_LOG_LENGTH
+        assert source.query_log[0] == "SELECT id FROM t WHERE (id = 10)"
+        assert source.query_log[-1].endswith(f"(id = {QUERY_LOG_LENGTH + 9})")
 
     def test_schema_and_stats(self):
         source = make_relational()

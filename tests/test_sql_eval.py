@@ -122,6 +122,18 @@ class TestPredicates:
         assert ev("a BETWEEN 1 AND 10") is True
         assert ev("a NOT BETWEEN 6 AND 10") is True
 
+    def test_between_incomparable_raises_typed(self):
+        with pytest.raises(TypeMismatchError):
+            ev("a BETWEEN 'a' AND 'z'")
+
+    def test_like_on_non_string_raises_typed(self):
+        with pytest.raises(TypeMismatchError):
+            ev("a LIKE '5%'")
+
+    def test_negating_non_number_raises_typed(self):
+        with pytest.raises(TypeMismatchError):
+            ev("-b")
+
     def test_is_null(self):
         assert ev("a IS NULL", NULL_ROW) is True
         assert ev("a IS NOT NULL") is True
