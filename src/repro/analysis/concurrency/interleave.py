@@ -406,7 +406,10 @@ class _PrefetchGate:
             self._cond.notify_all()
 
 
-def _observation(result) -> tuple:
+def _observe(engine, sql: str) -> tuple:
+    """Run `sql` on a throwaway engine and stop its prefetch workers."""
+    with engine:
+        result = engine.query(sql)
     rows = sorted(tuple(row) for row in result.relation.rows)
     return rows, tuple(sorted(result.metrics.summary().items())), result.elapsed_seconds
 
@@ -426,7 +429,7 @@ def fuzz_prefetch(
     """
     from repro.federation import engine as engine_module
 
-    oracle = _observation(engine_factory().query(sql))
+    oracle = _observe(engine_factory(), sql)
     diagnostics: List[Diagnostic] = []
 
     for seed in seeds:
@@ -441,7 +444,7 @@ def fuzz_prefetch(
         engine_module._FetchRuntime.fetch = gated_fetch
         controller.start()
         try:
-            observed = _observation(engine_factory().query(sql))
+            observed = _observe(engine_factory(), sql)
         finally:
             engine_module._FetchRuntime.fetch = original_fetch
             gate.close()

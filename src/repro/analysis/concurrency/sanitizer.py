@@ -17,10 +17,12 @@ engine's concurrent hot paths are instrumented:
   fingerprints, never a crash.
 * Pure lockset checking false-positives on fork/join hand-offs (the
   coordinator reads worker state after `join`, holding nothing). A
-  coarse happens-before *fence* fixes that: `Thread.join` and pool
-  shutdown bump a global epoch, and a shadow entry last touched in an
-  older epoch resets to exclusive-in-the-current-thread — ordering has
-  been established, no lock required.
+  coarse happens-before *fence* fixes that: `Thread.join` and a
+  `concurrent.futures.wait` that leaves no future unfinished (how the
+  engine's coordinator joins a query's tasks on its long-lived pool) bump
+  a global epoch, and a shadow entry last touched in an older epoch resets
+  to exclusive-in-the-current-thread — ordering has been established, no
+  lock required.
 * Every `SourceLimiter` whose slots the window observed must be drained
   by the end of the window, else **EII506** (slot leak); every
   `MetricsCollector` constructed inside the window is owner-bound, and a
@@ -34,6 +36,9 @@ can simply assert `report.ok`.
 
 from __future__ import annotations
 
+# loaded here, not on first use inside a window: its module-level lock must
+# be a real one
+import concurrent.futures.thread
 import threading
 import time
 import traceback
@@ -247,7 +252,7 @@ class RaceSanitizer:
     # -- happens-before fence ----------------------------------------------------
 
     def fence(self) -> None:
-        """Establish ordering: join/shutdown happened, old epochs are safe."""
+        """Establish ordering: join/wait happened, old epochs are safe."""
         with self._internal:
             self.epoch += 1
 
@@ -411,8 +416,6 @@ def _patch(owner, name: str, replacement):
 
 def _instrument_engine_hot_paths() -> List:
     """Wrap the known concurrent mutators; returns the undo list."""
-    import concurrent.futures
-
     from repro.cache.inflight import InFlightRegistry
     from repro.cache.store import BoundedStore
     from repro.netsim import metrics as metrics_module
@@ -479,16 +482,17 @@ def _instrument_engine_hot_paths() -> List:
 
     undos.append(_patch(threading.Thread, "join", fencing_join))
 
-    executor = concurrent.futures.ThreadPoolExecutor
-    original_shutdown = executor.shutdown
+    original_wait = concurrent.futures.wait
 
-    @wraps(original_shutdown)
-    def fencing_shutdown(self, wait=True, **kwargs):
-        original_shutdown(self, wait=wait, **kwargs)
-        if _ACTIVE is not None and wait:
+    @wraps(original_wait)
+    def fencing_wait(fs, timeout=None, return_when=concurrent.futures.ALL_COMPLETED):
+        outcome = original_wait(fs, timeout, return_when)
+        if _ACTIVE is not None and not outcome.not_done:
             _ACTIVE.fence()
+        return outcome
 
-    undos.append(_patch(executor, "shutdown", fencing_shutdown))
+    undos.append(_patch(concurrent.futures, "wait", fencing_wait))
+
     return undos
 
 

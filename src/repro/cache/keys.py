@@ -16,25 +16,37 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.cache.store import BoundedStore
 from repro.sql.ast import Select, UnionSelect
 from repro.sql.printer import to_sql
+
+#: query text -> `(statement, canonical SQL)`, SELECTs only (LRU). The AST
+#: is frozen, so one parse can be handed to every caller; parse errors and
+#: non-SELECT statements are never stored. Process-wide, hence small.
+_PARSED = BoundedStore("parsed", max_entries=256)
 
 
 def canonical_statement(query) -> Tuple[object, Optional[str]]:
     """Normalize a query input to `(statement, canonical_text)`.
 
     Textual queries are parsed once (the parse is reused downstream, so a
-    cache miss costs no extra work); SELECT ASTs are printed directly.
+    cache miss costs no extra work) and a repeated text skips lexer, parser
+    and printer altogether; SELECT ASTs are printed directly.
     Anything else — e.g. an already-built `LogicalPlan` — passes through
     with no key, and therefore bypasses the text-keyed cache levels.
     """
     if isinstance(query, str):
+        known = _PARSED.get(query)
+        if known is not None:
+            return known
         from repro.sql.parser import parse
 
         statement = parse(query)
-        if isinstance(statement, (Select, UnionSelect)):
-            return statement, to_sql(statement)
-        return statement, None
+        if not isinstance(statement, (Select, UnionSelect)):
+            return statement, None
+        known = statement, to_sql(statement)
+        _PARSED.put(query, known)
+        return known
     if isinstance(query, (Select, UnionSelect)):
         return query, to_sql(query)
     return query, None

@@ -19,8 +19,9 @@ to an EAI broker so writes evict dependent entries.
 
 from __future__ import annotations
 
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent import futures
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -526,6 +527,10 @@ class FederatedEngine:
         else:
             self.resilience = ResilienceManager(resilience, clock=clock)
         self._analyzer = None
+        #: the prefetch pool: started by the first multi-fetch query, kept
+        #: until `close()` (idle workers also exit once the engine is garbage)
+        self._pool: Optional[futures.ThreadPoolExecutor] = None
+        self._pool_lock = threading.Lock()
         self._scratch = Database("assembly")
         self._local = LocalEngine(self._scratch, optimize=False)
         self.tracer = NULL_TRACER
@@ -613,6 +618,28 @@ class FederatedEngine:
             f"adaptive must be an AdaptiveContext, AdaptivePolicy or bool, "
             f"got {type(adaptive).__name__}"
         )
+
+    def close(self) -> None:
+        """Stop the prefetch workers (a later query starts new ones)."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def __enter__(self) -> "FederatedEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _prefetch_pool(self) -> futures.ThreadPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = futures.ThreadPoolExecutor(
+                    max_workers=self.parallel_workers,
+                    thread_name_prefix="eii-prefetch",
+                )
+            return self._pool
 
     def set_tracer(self, tracer) -> None:
         """Attach a `Tracer` (or None for the zero-cost no-op default)."""
@@ -1136,22 +1163,23 @@ class FederatedEngine:
                 if outcome[1] is not None:
                     break  # serial mode: fail fast, later fetches never start
         else:
-            with ThreadPoolExecutor(max_workers=self.parallel_workers) as pool:
-                futures = [
-                    pool.submit(run_one, node, span)
-                    for node, span in zip(fetches, spans)
-                ]
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    if any(future.result()[1] is not None for future in done):
-                        for future in pending:
-                            future.cancel()
-                        break
-                # leaving the context manager joins every in-flight task
-            outcomes = [
-                future.result() for future in futures if not future.cancelled()
+            pool = self._prefetch_pool()
+            tasks = [
+                pool.submit(run_one, node, span) for node, span in zip(fetches, spans)
             ]
+            pending = set(tasks)
+            while pending:
+                done, pending = futures.wait(
+                    pending, return_when=futures.FIRST_COMPLETED
+                )
+                if any(task.result()[1] is not None for task in done):
+                    for task in pending:
+                        task.cancel()
+                    # join every in-flight task; a cancelled one counts as
+                    # done once a worker has discarded it
+                    futures.wait(pending)
+                    break
+            outcomes = [task.result() for task in tasks if not task.cancelled()]
 
         first_error: Optional[Exception] = None
         for local, error in outcomes:

@@ -17,11 +17,30 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Expr):
-    """A constant: int, float, str, bool, datetime.date or None."""
+    """A constant: int, float, str, bool, datetime.date or None.
+
+    Two literals are equal when they are the same constant to SQL, which is
+    stricter than Python's `==`: `1`, `1.0` and `TRUE` (and `0.0`, `-0.0`)
+    print, type and project differently. Statements key the sources'
+    prepared-statement maps, so this is what keeps their plans apart.
+    """
 
     value: object
+
+    def __eq__(self, other):
+        if other.__class__ is not Literal:
+            return NotImplemented
+        mine, theirs = self.value, other.value
+        if mine.__class__ is not theirs.__class__:
+            return False
+        if mine.__class__ is float:
+            return repr(mine) == repr(theirs)
+        return mine == theirs
+
+    def __hash__(self):
+        return hash((self.value.__class__, self.value))
 
     def __str__(self):
         from repro.sql.printer import render_literal

@@ -198,6 +198,9 @@ class Table:
     def index_on(self, column: str):
         return self._indexes.get(column)
 
+    def indexed_columns(self) -> tuple:
+        return tuple(self._indexes)
+
     def lookup(self, column: str, value) -> list[tuple]:
         """Indexed equality lookup, falling back to a scan if unindexed."""
         index = self._indexes.get(column)

@@ -10,6 +10,8 @@ toolkit exists to keep honest.
 """
 
 import threading
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -316,6 +318,39 @@ class TestRaceSanitizer:
                 counter.increment(1)  # coordinator, after the fence
             assert not sanitizer.report.has("EII504")
         finally:
+            undo()
+
+    def test_futures_wait_fences_a_pool_that_outlives_the_query(self):
+        # the engine's prefetch pool is never shut down between queries: the
+        # coordinator's join is `futures.wait` leaving nothing unfinished
+        undo = instrument_method(RacyCounter, "increment", ("value",))
+        pool = ThreadPoolExecutor(max_workers=2)
+        try:
+            with sanitize() as sanitizer:
+                counter = RacyCounter()
+                tasks = [pool.submit(counter.increment, 10)]
+                futures.wait(tasks)
+                counter.increment(1)  # coordinator, after the fence
+            assert not sanitizer.report.has("EII504")
+        finally:
+            pool.shutdown()
+            undo()
+
+    def test_futures_wait_with_work_still_running_is_no_fence(self):
+        undo = instrument_method(RacyCounter, "increment", ("value",))
+        pool = ThreadPoolExecutor(max_workers=2)
+        release = threading.Event()
+        try:
+            with sanitize() as sanitizer:
+                counter = RacyCounter()
+                tasks = [pool.submit(counter.increment, 10), pool.submit(release.wait, 10)]
+                done, pending = futures.wait(tasks, return_when=futures.FIRST_COMPLETED)
+                assert pending
+                counter.increment(1)  # a sibling is in flight: not ordered
+            assert sanitizer.report.has("EII504")
+        finally:
+            release.set()
+            pool.shutdown()
             undo()
 
     def test_sanitize_unpatches_threading(self):

@@ -1,0 +1,455 @@
+"""Prepare once, run many — and never run anything stale.
+
+Three places stopped re-deriving a repeated statement: a `RelationalSource`
+keeps prepared statements, `canonical_statement` keeps parsed texts, the
+engine keeps its prefetch pool. The tests here hold each of them to the
+behaviour of the code that derived everything on every call: a differential
+property for the prepared statements, and one test per check that must stay
+per-call (it fails if the check is cached away).
+"""
+
+import gc
+import sys
+import threading
+import time
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.cache import canonical_statement, keys
+from repro.common.errors import CapabilityError, ParseError, PlanError, SourceError
+from repro.federation import EngineConfig, FederatedEngine
+from repro.federation.nodes import with_in_filter
+from repro.federation.resilience import ResiliencePolicy
+from repro.netsim import FaultInjector, Outage, SimClock, Transient
+from repro.sources import RelationalSource
+from repro.sources.relational import PREPARED_STATEMENTS
+from repro.sql.ast import ColumnRef, Literal
+from repro.sql.parser import parse
+from repro.wrappers import ACMEDB, GENERIC, LEGACYSQL, QUIRK_AWARE
+
+from tests.conftest import build_demo_db
+from tests.federation_fixtures import build_catalog, build_engine
+
+JOIN_Q = (
+    "SELECT c.name, o.total FROM customers c "
+    "JOIN orders o ON c.id = o.cust_id WHERE o.total > 100"
+)
+POINT_Q = "SELECT name FROM customers WHERE id = 3"
+
+
+class Charges:
+    """The `metrics` a source charges its simulated seconds to."""
+
+    def __init__(self):
+        self.seconds = []
+
+    def record_source_query(self, name, seconds):
+        self.seconds.append((name, seconds))
+
+
+def answer(source, stmt):
+    """Everything a caller can observe of one `execute_select`."""
+    charges = Charges()
+    logged = len(source.query_log)
+    try:
+        relation = source.execute_select(stmt, charges)
+        outcome = (relation.schema.names, [repr(row) for row in relation.rows])
+    except Exception as exc:  # noqa: BLE001 - the failure is the observation
+        outcome = (type(exc), str(exc))
+    return outcome, charges.seconds, list(source.query_log)[logged:]
+
+
+# -- prepared statements: one long-lived source == a fresh source per call ------
+
+STATEMENTS = [
+    parse(text)
+    for text in (
+        POINT_Q,
+        "SELECT id, total FROM orders WHERE status = 'open' AND total > 200",
+        "SELECT id, total FROM orders WHERE total > 300",
+        "SELECT status, COUNT(*) AS n, SUM(total) AS revenue FROM orders GROUP BY status",
+        "SELECT c.name, o.total FROM customers c JOIN orders o ON c.id = o.cust_id "
+        "WHERE o.total > 350 ORDER BY o.total DESC LIMIT 5",
+        "SELECT id, severity FROM tickets WHERE open = TRUE AND severity >= 3",
+        "SELECT name FROM customers WHERE name LIKE 'cust0%'",
+        # equal under Python's `1 == 1.0 == True`, three statements to SQL
+        "SELECT 1 AS k FROM customers WHERE id = 1",
+        "SELECT 1.0 AS k FROM customers WHERE id = 1",
+        "SELECT TRUE AS k FROM customers WHERE id = 1",
+        "SELECT 0.0 AS k FROM customers WHERE id = 1",
+        "SELECT -0.0 AS k FROM customers WHERE id = 1",
+    )
+]
+BIND_TEMPLATE = parse("SELECT o.cust_id, o.total FROM orders o WHERE o.total > 100")
+BIND_KEY = ColumnRef("cust_id", "o")
+DIALECTS = [QUIRK_AWARE, ACMEDB, LEGACYSQL, GENERIC]
+
+statements = st.one_of(
+    st.sampled_from(STATEMENTS),
+    st.lists(st.integers(1, 25), max_size=6).map(
+        lambda ids: with_in_filter(BIND_TEMPLATE, BIND_KEY, ids)
+    ),
+)
+write_ops = st.one_of(
+    st.tuples(st.just("insert"), st.integers(1000, 1005), st.integers(1, 20)),
+    st.tuples(st.just("update"), st.integers(1, 20)),
+    st.tuples(st.just("delete"), st.integers(1, 20)),
+    st.tuples(
+        st.just("index"),
+        st.sampled_from([("customers", "id"), ("orders", "total"), ("orders", "cust_id")]),
+        st.booleans(),
+    ),
+    st.tuples(st.just("vacuum"), st.sampled_from(["orders", "customers"])),
+    st.tuples(st.just("recreate"), st.integers(0, 3)),
+    st.tuples(st.just("dialect"), st.sampled_from(DIALECTS)),
+)
+
+
+def apply_write(db, source, op):
+    kind = op[0]
+    if kind == "insert":
+        if db.table("orders").get(op[1]) is None:
+            db.table("orders").insert((op[1], op[2], 777.0, "open"))
+    elif kind == "update":
+        db.table("orders").update_where(
+            lambda row: row[1] == op[1], lambda row: row[:2] + (row[2] + 50.0, row[3])
+        )
+    elif kind == "delete":
+        db.table("orders").delete_where(lambda row: row[1] == op[1])
+    elif kind == "index":
+        (table, column), is_sorted = op[1], op[2]
+        db.table(table).create_index(column, sorted=is_sorted)
+    elif kind == "vacuum":
+        db.table(op[1]).vacuum()
+    elif kind == "recreate":
+        # a new `Table` under the old name: no indexes, and as many inserts
+        # (so the same `version`) as the demo table started with
+        old = db.table("customers")
+        db.drop_table("customers")
+        new = db.create_table(
+            "customers",
+            [(column.name, column.dtype) for column in old.schema],
+            primary_key=["id"],
+        )
+        for i in range(1, 21):
+            new.insert((i, f"cust{i:02d}r{op[1]}", "SEA", "smb"))
+    elif kind == "dialect":
+        source.capabilities.dialect = op[1]
+
+
+class TestPreparedStatementsDifferential:
+    @settings(max_examples=100, deadline=None)
+    # a sorted index created later turns heap order into key order ...
+    @example([STATEMENTS[2]], [0, ("index", ("orders", "total"), True), 0])
+    # ... and `vacuum` re-creates it, `recreate` is a new table at the same
+    # `version`, a dialect swap prints `TRUE` as `1`, an insert moves the cost
+    @example([STATEMENTS[2]], [("index", ("orders", "total"), True), 0, ("vacuum", "orders"), 0])
+    @example([STATEMENTS[0]], [0, ("recreate", 1), 0])
+    @example([STATEMENTS[5]], [0, ("dialect", ACMEDB), 0, ("dialect", GENERIC), 0])
+    @example([STATEMENTS[3]], [0, ("insert", 1000, 3), 0, ("delete", 3), 0])
+    @example(STATEMENTS[-5:-2], [0, 1, 2, 0, 1, 2])
+    @example(STATEMENTS[-2:], [0, 1, 0, 1])
+    @given(
+        st.lists(statements, min_size=1, max_size=3),
+        st.lists(st.one_of(st.integers(0, 2), st.integers(0, 2), write_ops), max_size=30),
+    )
+    def test_long_lived_source_answers_like_a_fresh_one(self, working_set, ops):
+        """`ops` interleaves writes with reads of a few statements (an int
+        picks one), the way repeating traffic meets a changing source."""
+        db = build_demo_db()
+        veteran = RelationalSource("s", db)
+        for op in ops:
+            if not isinstance(op, int):
+                apply_write(db, veteran, op)
+                continue
+            stmt = working_set[op % len(working_set)]
+            fresh = RelationalSource("s", db, dialect=veteran.capabilities.dialect)
+            assert answer(veteran, stmt) == answer(fresh, stmt)
+
+    def test_literal_types_keep_statements_apart(self):
+        source = RelationalSource("s", build_demo_db())
+        answers = [answer(source, stmt) for stmt in STATEMENTS[-5:]]
+        assert [outcome[1] for outcome, _, _ in answers] == [
+            ["(1,)"], ["(1.0,)"], ["(True,)"], ["(0.0,)"], ["(-0.0,)"]
+        ]
+        assert len({log[0] for _, _, log in answers}) == 5
+
+
+    def test_literals_are_equal_when_sql_would_call_them_the_same(self):
+        assert Literal(1) == Literal(1) and hash(Literal(1)) == hash(Literal(1))
+        assert Literal("a") == Literal("a") and Literal(None) == Literal(None)
+        assert len({Literal(1), Literal(1.0), Literal(True), Literal("1")}) == 4
+        assert Literal(0.0) != Literal(-0.0)
+        assert Literal(float("nan")) == Literal(float("nan"))
+        assert Literal(1) != 1
+
+
+class TestPreparedStatementReuse:
+    def planning_calls(self, source, monkeypatch):
+        calls = []
+        plan = source.engine.logical_plan
+        monkeypatch.setattr(
+            source.engine, "logical_plan", lambda stmt: calls.append(stmt) or plan(stmt)
+        )
+        return calls
+
+    def test_a_repeat_is_not_planned_again_until_something_changed(self, monkeypatch):
+        db = build_demo_db()
+        source = RelationalSource("s", db)
+        calls = self.planning_calls(source, monkeypatch)
+        stmt = parse(POINT_Q)
+        for _ in range(3):
+            source.execute_select(stmt)
+        assert len(calls) == 1
+        source.execute_select(parse(POINT_Q))  # an equal statement, new object
+        assert len(calls) == 1
+        db.table("customers").insert((99, "late", "SF", "smb"))
+        source.execute_select(stmt)
+        assert len(calls) == 2
+        db.table("customers").create_index("id")  # leaves `version` alone
+        source.execute_select(stmt)
+        assert len(calls) == 3
+        source.capabilities.dialect = ACMEDB
+        source.execute_select(stmt)
+        assert len(calls) == 4
+        source.execute_select(stmt)
+        assert len(calls) == 4
+
+    def test_a_write_to_another_table_keeps_the_plan(self, monkeypatch):
+        db = build_demo_db()
+        source = RelationalSource("s", db)
+        calls = self.planning_calls(source, monkeypatch)
+        stmt = parse(POINT_Q)
+        source.execute_select(stmt)
+        db.table("orders").delete_where(lambda row: row[0] == 1)
+        source.execute_select(stmt)
+        assert len(calls) == 1
+
+    def test_never_repeating_traffic_stays_bounded(self):
+        source = RelationalSource("s", build_demo_db())
+        for i in range(3 * PREPARED_STATEMENTS):
+            source.execute_select(parse(f"SELECT name FROM customers WHERE id = {i}"))
+        assert len(source._prepared) == PREPARED_STATEMENTS
+
+
+    def test_workers_sharing_a_source_each_get_their_own_statement_answered(self):
+        """More threads than cores, more statements than the map holds (so
+        entries are evicted and re-prepared under contention): an answer
+        cross-wired to another statement's plan would name the wrong row."""
+        source = RelationalSource("s", build_demo_db())
+        stmts = [
+            parse(f"SELECT id, name FROM customers WHERE id = {i % 20 + 1} AND id < {i + 100}")
+            for i in range(PREPARED_STATEMENTS + 8)
+        ]
+        wrong, deadline = [], time.monotonic() + 2.0
+
+        def worker(offset):
+            position = offset
+            while time.monotonic() < deadline and not wrong:
+                position = (position + 7) % len(stmts)
+                rows = source.execute_select(stmts[position]).rows
+                expected = position % 20 + 1
+                if rows != [(expected, f"cust{expected:02d}")]:
+                    wrong.append((position, rows))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len(source._prepared) <= PREPARED_STATEMENTS
+
+
+class TestSourceChecksStayPerCall:
+    def test_access_revoked_after_the_first_answer(self):
+        source = RelationalSource("s", build_demo_db())
+        stmt = parse(POINT_Q)
+        assert len(source.execute_select(stmt)) == 1
+        source.capabilities.allows_external_queries = False
+        with pytest.raises(SourceError, match="does not admit external queries"):
+            source.execute_select(stmt)
+        assert len(source.query_log) == 1
+
+    def test_non_pushable_raises_every_call_and_is_never_logged(self):
+        source = RelationalSource("s", build_demo_db(), dialect=GENERIC)
+        stmt = parse("SELECT name FROM customers WHERE name LIKE 'cust0%'")
+        for _ in range(3):
+            with pytest.raises(CapabilityError, match="cannot run"):
+                source.execute_select(stmt)
+        assert not source.query_log
+        assert len(source._prepared) == 0
+
+    def test_every_call_is_logged_and_charged(self):
+        source = RelationalSource("s", build_demo_db())
+        stmt = parse(POINT_Q)
+        first, second = answer(source, stmt), answer(source, stmt)
+        assert first == second
+        assert len(first[1]) == 1 and len(first[2]) == 1
+
+    def test_faulty_source_sees_one_execute_per_attempt(self):
+        clock = SimClock()
+        injector = FaultInjector(seed=3, clock=clock)
+        catalog = build_catalog(injector=injector)
+        engine = FederatedEngine(
+            catalog,
+            EngineConfig(clock=clock, resilience=ResiliencePolicy(max_attempts=3)),
+        )
+        crm = catalog.sources["crm"]
+        engine.query(POINT_Q)
+        assert (injector.calls("crm"), len(crm.query_log)) == (1, 1)
+        injector.script("crm", Transient(1))
+        engine.query(POINT_Q)  # one failed attempt, one retry
+        assert (injector.calls("crm"), len(crm.query_log)) == (3, 2)
+        engine.query(POINT_Q)
+        assert (injector.calls("crm"), len(crm.query_log)) == (4, 3)
+
+    def test_replica_gets_the_renamed_statement_on_every_failover(self):
+        clock = SimClock()
+        injector = FaultInjector(seed=3, clock=clock)
+        catalog = build_catalog(injector=injector, with_replicas=True)
+        engine = FederatedEngine(
+            catalog,
+            EngineConfig(clock=clock, resilience=ResiliencePolicy(max_attempts=1)),
+        )
+        injector.script("crm", Outage())
+        rows = [engine.query(POINT_Q).relation.rows for _ in range(2)]
+        assert rows[0] == rows[1] == [("cust3",)]
+        replica_log = catalog.sources["crm_standby"].query_log
+        assert len(replica_log) == 2
+        assert all("customers_v2" in text for text in replica_log)
+
+
+# -- the parsed-text memo ---------------------------------------------------------
+
+
+class TestParsedTextMemo:
+    def test_a_repeated_text_is_not_parsed_again(self, monkeypatch):
+        import repro.sql.parser as parser
+
+        parsed = []
+        monkeypatch.setattr(
+            parser, "parse", lambda text: parsed.append(text) or parse(text)
+        )
+        text = "SELECT name FROM customers WHERE id = 31337"
+        first = canonical_statement(text)
+        second = canonical_statement(text)
+        assert parsed == [text]
+        assert second[0] is first[0] and second[1] == first[1]
+        assert first[1] == "SELECT name FROM customers WHERE (id = 31337)"
+
+    def test_parse_error_is_raised_with_its_position_every_time(self):
+        text = "SELECT name\nFROM customers WHERE"
+        seen = []
+        for _ in range(3):
+            with pytest.raises(ParseError) as err:
+                canonical_statement(text)
+            seen.append((str(err.value), err.value.line, err.value.column))
+        assert len(set(seen)) == 1
+        assert seen[0][1] == 2 and seen[0][2] is not None
+        assert text not in keys._PARSED
+
+    def test_dml_text_is_a_plan_error_every_time(self):
+        engine = build_engine()
+        text = "DELETE FROM customers WHERE id = 1"
+        for _ in range(3):
+            with pytest.raises(PlanError, match="must be SELECT"):
+                engine.query(text)
+        assert text not in keys._PARSED
+        assert len(engine.catalog.sources["crm"].db.table("customers")) == 8
+
+    def test_two_spellings_share_a_plan_cache_entry(self):
+        engine = build_engine()
+        first = engine.query("SELECT name FROM customers WHERE id = 2")
+        second = engine.query("select name\n  from customers where id=2")
+        third = engine.query("select name\n  from customers where id=2")
+        assert first.metrics.plan_cache_hits == 0
+        assert second.metrics.plan_cache_hits == third.metrics.plan_cache_hits == 1
+        assert first.relation.rows == second.relation.rows == third.relation.rows
+
+    def test_never_repeating_texts_stay_bounded(self):
+        for i in range(keys._PARSED.max_entries + 50):
+            canonical_statement(f"SELECT name FROM customers WHERE id = {i}")
+        assert len(keys._PARSED) == keys._PARSED.max_entries
+
+
+# -- the engine's one prefetch pool -----------------------------------------------
+
+
+def settle(baseline, seconds=5.0):
+    """Wait for exiting workers; returns the thread count reached."""
+    deadline = time.monotonic() + seconds
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+class TestPrefetchPool:
+    def test_workers_are_bounded_reused_and_released_on_close(self):
+        baseline = threading.active_count()
+        engine = build_engine(parallel_workers=3)
+        expected = engine.query(JOIN_Q).relation.rows
+        peak = 0
+        for _ in range(200):
+            assert engine.query(JOIN_Q).relation.rows == expected
+            peak = max(peak, threading.active_count())
+        assert baseline < peak <= baseline + 3
+        engine.close()
+        assert threading.active_count() == baseline
+        # a closed engine still answers; it starts workers again
+        assert engine.query(JOIN_Q).relation.rows == expected
+        engine.close()
+        assert threading.active_count() == baseline
+
+    def test_single_fetch_queries_start_no_thread(self):
+        baseline = threading.active_count()
+        engine = build_engine(parallel_workers=4)
+        for _ in range(5):
+            engine.query(POINT_Q)
+        assert engine._pool is None
+        assert threading.active_count() == baseline
+        engine.close()  # nothing to stop
+
+    def test_serial_engine_starts_no_thread(self):
+        baseline = threading.active_count()
+        engine = build_engine(parallel_workers=1)
+        engine.query(JOIN_Q)
+        assert engine._pool is None and threading.active_count() == baseline
+
+    def test_context_manager_closes(self):
+        baseline = threading.active_count()
+        with build_engine(parallel_workers=4) as engine:
+            engine.query(JOIN_Q)
+            assert threading.active_count() > baseline
+        assert threading.active_count() == baseline
+
+    def test_a_collected_engine_releases_its_workers(self):
+        baseline = threading.active_count()
+        engine = build_engine(parallel_workers=4)
+        engine.query(JOIN_Q)
+        assert threading.active_count() > baseline
+        del engine
+        gc.collect()
+        assert settle(baseline) == baseline
+
+    def test_failed_query_leaves_the_pool_usable(self):
+        clock = SimClock()
+        injector = FaultInjector(seed=1, clock=clock)
+        engine = FederatedEngine(
+            build_catalog(injector=injector),
+            EngineConfig(parallel_workers=4, clock=clock),
+        )
+        with engine:
+            expected = engine.query(JOIN_Q).relation.rows
+            injector.script("crm", Transient(1))
+            with pytest.raises(SourceError, match="crm"):
+                engine.query(JOIN_Q)
+            assert engine.query(JOIN_Q).relation.rows == expected
