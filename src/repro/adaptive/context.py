@@ -69,37 +69,20 @@ class AdaptiveContext:
 
     # -- observation (called from fetch workers) --------------------------------------
 
-    def observe_fetch(
-        self, node, rows: int, payload_bytes: float, seconds: float, from_cache: bool
+    def observe(
+        self, node, rows: int, payload_bytes: float, seconds: float,
+        from_cache: bool, keys: Optional[int] = None,
     ) -> None:
+        """One answered statement: a whole fetch, or one ``keys``-key bind chunk."""
         if not self.policy.feedback:
             return
-        self.store.observe(
-            fetch_signature(node.source.name, node.stmt),
-            rows,
-            payload_bytes,
-            tags=node.depends_on,
+        signature = (
+            fetch_signature(node.source.name, node.stmt)
+            if keys is None
+            else bind_signature(node.source.name, node.template, node.right_key)
         )
-        if not from_cache and seconds > 0:
-            self.predictor.observe(node.source.name, seconds, payload_bytes)
-
-    def observe_bind_chunk(
-        self,
-        node,
-        keys: int,
-        rows: int,
-        payload_bytes: float,
-        seconds: float,
-        from_cache: bool,
-    ) -> None:
-        if not self.policy.feedback:
-            return
         self.store.observe(
-            bind_signature(node.source.name, node.template, node.right_key),
-            rows,
-            payload_bytes,
-            tags=node.depends_on,
-            keys=keys,
+            signature, rows, payload_bytes, tags=node.depends_on, keys=keys
         )
         if not from_cache and seconds > 0:
             self.predictor.observe(node.source.name, seconds, payload_bytes)

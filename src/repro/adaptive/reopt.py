@@ -63,10 +63,10 @@ class ActualsCostModel(CostModel):
         return super()._estimate_node(plan)
 
 
-def maybe_replan(plan, runtime, planner, threshold: float) -> Optional[ReplanReport]:
+def maybe_replan(plan, execution, planner, threshold: float) -> Optional[ReplanReport]:
     """Re-optimize `plan.root` against actuals; None when not warranted.
 
-    Fetch nodes are preserved by identity, so the runtime's per-node result
+    Fetch nodes are preserved by identity, so the execution's per-node result
     memo still serves them during assembly — replanning changes how the
     already-fetched relations combine, never re-fetches them.
     """
@@ -74,7 +74,7 @@ def maybe_replan(plan, runtime, planner, threshold: float) -> Optional[ReplanRep
     corrections: list = []
     worst = 1.0
     for fetch in plan.fetches:
-        relation = runtime.local.get(id(fetch))
+        relation = execution.local.get(id(fetch))
         if relation is None:
             continue  # not materialized (e.g. a fetch under a bind join's probe)
         actual = float(len(relation))
@@ -130,7 +130,6 @@ def _reconsider_bind_joins(root, cost_model, max_bind_keys: int):
                 depends_on=node.depends_on,
                 tables=node.tables,
             )
-            fetch.degradable = node.degradable
             conjuncts = [BinaryOp("=", node.left_key, node.right_key)]
             conjuncts.extend(split_conjuncts(node.residual))
             converted += 1

@@ -15,7 +15,7 @@ interleavings are perturbed on purpose:
   and every slot must drain, else **EII506**.
 * `fuzz_prefetch` — a whole `FederatedEngine.query` with the prefetch
   pool's fetches gated: each worker blocks at the top of
-  `_FetchRuntime.fetch` until a seeded controller releases it, forcing
+  `Execution.fetch` until a seeded controller releases it, forcing
   fetch completion orders the pool would rarely produce. Rows and the
   metrics summary must be identical to an unperturbed run (**EII505**).
 
@@ -427,26 +427,26 @@ def fuzz_prefetch(
     Every perturbed run's rows, metrics summary and simulated elapsed
     time must match the unperturbed oracle run; mismatches are EII505.
     """
-    from repro.federation import engine as engine_module
+    from repro.federation.execution import Execution
 
     oracle = _observe(engine_factory(), sql)
     diagnostics: List[Diagnostic] = []
 
     for seed in seeds:
         gate = _PrefetchGate(seed, timeout)
-        original_fetch = engine_module._FetchRuntime.fetch
+        original_fetch = Execution.fetch
 
         def gated_fetch(self, node, *args, _gate=gate, _orig=original_fetch, **kwargs):
             _gate.arrive_and_wait()
             return _orig(self, node, *args, **kwargs)
 
         controller = threading.Thread(target=gate.run_controller, daemon=True)
-        engine_module._FetchRuntime.fetch = gated_fetch
+        Execution.fetch = gated_fetch
         controller.start()
         try:
             observed = _observe(engine_factory(), sql)
         finally:
-            engine_module._FetchRuntime.fetch = original_fetch
+            Execution.fetch = original_fetch
             gate.close()
             controller.join(timeout)
 

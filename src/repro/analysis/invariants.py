@@ -20,8 +20,13 @@ from repro.sql.exprutil import column_refs, split_conjuncts
 from repro.sql.printer import to_sql
 
 
-def verify_plan(plan) -> List[Diagnostic]:
-    """EII4xx diagnostics for a `FederatedPlan` (never raises)."""
+def verify_plan(plan, degradable=None) -> List[Diagnostic]:
+    """EII4xx diagnostics for a `FederatedPlan` (never raises).
+
+    ``degradable`` is the set of node ``id()``s an execution would let
+    degrade under `partial_results`; by default the engine's own marking
+    (`repro.federation.execution.degradable_branches`) is checked.
+    """
     diags: List[Diagnostic] = []
     walked_fetches = []
     walked_binds = []
@@ -40,7 +45,7 @@ def verify_plan(plan) -> List[Diagnostic]:
         diags.extend(_check_bind_capabilities(node))
         diags.extend(_check_tags(node, "bind join"))
     diags.extend(_check_cartesian(plan))
-    diags.extend(_check_degradable(plan))
+    diags.extend(_check_degradable(plan, degradable))
     return diags
 
 
@@ -304,14 +309,18 @@ def _check_fetch_connectivity(node: LogicalFetch) -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def _check_degradable(plan) -> List[Diagnostic]:
+def _check_degradable(plan, marked=None) -> List[Diagnostic]:
     """Flag degradable marks on branches whose loss would fabricate answers.
 
-    Recomputes the legal marking with the same traversal the engine uses
+    Recomputes the legal marking independently of the engine's traversal
     (union arms and nullable sides of LEFT joins are non-essential) and
     reports any node marked degradable beyond it.
     """
     from repro.engine.logical import LogicalJoin, LogicalUnion
+    from repro.federation.execution import degradable_branches
+
+    if marked is None:
+        marked = degradable_branches(plan.root)
 
     allowed: Set[int] = set()
 
@@ -341,7 +350,7 @@ def _check_degradable(plan) -> List[Diagnostic]:
     for node in plan.root.walk():
         if not isinstance(node, (LogicalFetch, LogicalBindJoin)):
             continue
-        if getattr(node, "degradable", False) and id(node) not in allowed:
+        if id(node) in marked and id(node) not in allowed:
             diags.append(
                 error(
                     "EII405",

@@ -194,24 +194,29 @@ class LocalEngine:
 
     # -- lowering --------------------------------------------------------------------
 
-    def lower(self, plan: LogicalPlan) -> PhysicalOp:
+    def lower(self, plan: LogicalPlan, context=None) -> PhysicalOp:
+        """Lower `plan` to physical operators.
+
+        ``context`` is handed untouched to extension nodes' `lower_physical`
+        hooks: the federated engine passes the state of one execution.
+        """
         if isinstance(plan, LogicalScan):
             return SeqScan(self.db.table(plan.table_name), plan.binding)
 
         if isinstance(plan, LogicalFilter):
-            return self._lower_filter(plan)
+            return self._lower_filter(plan, context)
 
         if isinstance(plan, LogicalProject):
-            child = self.lower(plan.child)
+            child = self.lower(plan.child, context)
             fns = [compile_expr(item.expr, child.schema) for item in plan.items]
             description = ", ".join(str(item) for item in plan.items)
             return ProjectOp(child, fns, plan.schema, description)
 
         if isinstance(plan, LogicalJoin):
-            return self._lower_join(plan)
+            return self._lower_join(plan, context)
 
         if isinstance(plan, LogicalAggregate):
-            child = self.lower(plan.child)
+            child = self.lower(plan.child, context)
             group_fns = [compile_expr(expr, child.schema) for expr in plan.group_exprs]
             agg_specs = []
             for call in plan.aggregates:
@@ -226,7 +231,7 @@ class LocalEngine:
             return HashAggregateOp(child, group_fns, agg_specs, plan.schema, plan.label())
 
         if isinstance(plan, LogicalSort):
-            child = self.lower(plan.child)
+            child = self.lower(plan.child, context)
             key_fns = [
                 compile_expr(item.expr, child.schema) for item in plan.order_items
             ]
@@ -235,24 +240,24 @@ class LocalEngine:
             return SortOp(child, key_fns, ascendings, description)
 
         if isinstance(plan, LogicalLimit):
-            return LimitOp(self.lower(plan.child), plan.limit)
+            return LimitOp(self.lower(plan.child, context), plan.limit)
 
         if isinstance(plan, LogicalDistinct):
-            return DistinctOp(self.lower(plan.child))
+            return DistinctOp(self.lower(plan.child, context))
 
         if isinstance(plan, LogicalUnion):
-            return UnionAllOp([self.lower(child) for child in plan.inputs])
+            return UnionAllOp([self.lower(child, context) for child in plan.inputs])
 
         if isinstance(plan, LogicalAlias):
-            return RelabelOp(self.lower(plan.child), plan.schema, plan.label())
+            return RelabelOp(self.lower(plan.child, context), plan.schema, plan.label())
 
         # Extension nodes (federation) lower themselves.
         lowerer = getattr(plan, "lower_physical", None)
         if lowerer is not None:
-            return lowerer(self)
+            return lowerer(self, context)
         raise PlanError(f"cannot lower {type(plan).__name__}")
 
-    def _lower_filter(self, plan: LogicalFilter) -> PhysicalOp:
+    def _lower_filter(self, plan: LogicalFilter, context=None) -> PhysicalOp:
         """Lower Filter(Scan) through an index when one matches a conjunct."""
         if isinstance(plan.child, LogicalScan):
             table = self.db.table(plan.child.table_name)
@@ -266,7 +271,7 @@ class LocalEngine:
                     fn = compile_predicate(predicate, access.schema)
                     return FilterOp(access, fn, str(predicate))
                 return access
-        child = self.lower(plan.child)
+        child = self.lower(plan.child, context)
         fn = compile_predicate(plan.predicate, child.schema)
         return FilterOp(child, fn, str(plan.predicate))
 
@@ -298,9 +303,9 @@ class LocalEngine:
                 return access, remaining
         return None
 
-    def _lower_join(self, plan: LogicalJoin) -> PhysicalOp:
-        left = self.lower(plan.left)
-        right = self.lower(plan.right)
+    def _lower_join(self, plan: LogicalJoin, context=None) -> PhysicalOp:
+        left = self.lower(plan.left, context)
+        right = self.lower(plan.right, context)
         description = str(plan.condition) if plan.condition is not None else "cross"
         if plan.condition is None:
             return NestedLoopJoinOp(left, right, None, plan.kind, description)

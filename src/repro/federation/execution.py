@@ -1,0 +1,556 @@
+"""One execution of one plan: its context, and the one writer of its facts.
+
+A `FederatedPlan` is a value — the plan cache hands the same object to every
+caller, on every thread — so nothing after planning assigns to a plan node.
+What one run of one plan needs lives in an `Execution`: collector, assembly
+site, per-node result memo, completeness report, the spans and node tags of
+a traced run, the branches that may degrade under `partial_results`. It is
+handed to `FetchOp` / `BindJoinOp` when the assembly plan is lowered, and
+every statement sent to a source — a whole fetch or one bind-join chunk —
+takes its one path, `Execution._fetch_statement`.
+
+Each runtime fact is recorded once, by the `Recorder` method named after it,
+which updates every observer that reads the fact — `MetricsCollector`, span,
+telemetry plane (DESIGN.md tabulates fact × observer). A recorder is bound to
+one scope: the collector being written (each prefetch worker has its own),
+the span charged for it (None when untraced) and the plane (the no-op plane
+when off), so tracer-off and telemetry-off runs do no observer work.
+"""
+
+from __future__ import annotations
+
+from concurrent import futures
+from contextlib import nullcontext
+from typing import Optional
+
+from repro.cache import fetch_key
+from repro.common.errors import EIIError, SourceError, SourceTimeoutError
+from repro.common.relation import Relation
+from repro.engine.logical import LogicalJoin, LogicalPlan, LogicalUnion
+from repro.federation.nodes import LogicalBindJoin, LogicalFetch, with_in_filter
+from repro.federation.resilience import CompletenessReport, rename_statement_tables
+from repro.netsim.metrics import MetricsCollector
+from repro.sql.printer import to_sql
+from repro.telemetry.plane import NULL_TELEMETRY
+
+
+class Recorder:
+    """Writes each runtime fact once, to every observer that reads it."""
+
+    __slots__ = ("collector", "span", "telemetry")
+
+    def __init__(self, collector, span=None, telemetry=NULL_TELEMETRY):
+        self.collector = collector
+        self.span = span
+        self.telemetry = telemetry
+
+    def scoped(self, collector, span=None) -> "Recorder":
+        """The recorder of a narrower scope (one statement, one worker)."""
+        return Recorder(collector, span, self.telemetry)
+
+    def _event(self, name: str, **attrs) -> None:
+        span = self.span
+        if span is not None:
+            span.event(name, span.offset_from(self.collector), **attrs)
+
+    # -- one component statement ---------------------------------------------------
+
+    def cache_hit(self, source: str, seconds: float, size: int) -> None:
+        collector = self.collector
+        collector.fetch_cache_hits += 1
+        collector.cache_seconds_saved += seconds
+        collector.cache_bytes_saved += size
+        if self.telemetry.enabled:
+            self.telemetry.on_fetch(source, cache="hit")
+        if self.span is not None:
+            self.span.set(cache="hit")
+            self._event("cache.hit", seconds_saved=seconds, bytes_saved=size)
+
+    def cache_miss(self, source: str) -> None:
+        self.collector.fetch_cache_misses += 1
+        if self.span is not None:
+            self.span.set(cache="miss")
+        if self.telemetry.enabled:
+            self.telemetry.on_fetch(source, cache="miss")
+
+    def remote_answer(self, source: str, seconds: float, size: int) -> None:
+        # collector and span read the transfer itself (see `_attempt`)
+        if self.telemetry.enabled:
+            self.telemetry.on_fetch(source, seconds=seconds, payload_bytes=size)
+
+    def remote_failure(self, source: str) -> None:
+        if self.telemetry.enabled:
+            self.telemetry.on_fetch(source, ok=False)
+
+    def stale_hit(self) -> None:
+        self.collector.stale_cache_hits += 1
+        self._event("cache.stale_hit")
+
+    def degraded(self, kind: str, error: Exception) -> None:
+        self.collector.degraded_fetches += 1
+        if self.span is not None:
+            self.span.set(degraded=True)
+            self._event("degraded", kind=kind, error=str(error))
+
+    def failover(self, source: str) -> None:
+        self.collector.failovers += 1
+        if self.span is not None:
+            self.span.set(failover_to=source)
+            self._event("failover", source=source)
+
+    # -- the guarded call (`ResilienceManager.run_guarded`) ------------------------
+
+    def breaker_short_circuit(self, source: str) -> None:
+        self.collector.breaker_short_circuits += 1
+        if self.telemetry.enabled:
+            self.telemetry.on_breaker_short_circuit(source)
+        self._event("breaker.open", source=source)
+
+    def source_failure(self, source: str, attempt: int, error: Exception) -> None:
+        self.collector.source_failures += 1
+        if self.telemetry.enabled:
+            self.telemetry.on_source_failure(source)
+        self._event("source_failure", source=source, attempt=attempt, error=str(error))
+
+    def retry(self, source: str, attempt: int, delay: float) -> None:
+        collector = self.collector
+        collector.retries += 1
+        collector.backoff_seconds += delay
+        collector.charge_seconds(delay)
+        if self.telemetry.enabled:
+            self.telemetry.on_retry(source, backoff_s=delay)
+        self._event("retry", source=source, attempt=attempt, backoff_s=delay)
+
+    # -- one execution, one query --------------------------------------------------
+
+    def replanned(self, report) -> None:
+        self.collector.replans += 1
+        self._event(
+            "plan.reoptimized", worst_ratio=round(report.worst_ratio, 3),
+            threshold=report.threshold,
+            converted_bind_joins=report.converted_bind_joins,
+        )
+
+    def lpt_reordered(self) -> None:
+        self.collector.lpt_reorders += 1
+
+    def view_served(self, view: str, fresh: bool, staleness_s: float) -> None:
+        if fresh:
+            self.collector.view_hits += 1
+        else:
+            self.collector.view_stale_serves += 1
+        if self.telemetry.enabled:
+            status = "hit" if fresh else "stale"
+            self.telemetry.on_view(view, status, staleness_s=staleness_s)
+
+    def view_fallbacks(self, views: list) -> None:
+        self.collector.view_fallbacks += len(views)
+        if self.telemetry.enabled:
+            for view in views:
+                self.telemetry.on_view(view, "fallback")
+
+    def query_finished(self, status, clock, rows=None, seconds=None, **attrs) -> None:
+        span = self.span
+        if span is not None:
+            if rows is not None:
+                attrs["rows"] = rows
+            if seconds is not None:
+                attrs["elapsed_s"] = seconds
+            span.set(**attrs)
+            if status == "cached":
+                span.event("cache.result_hit")
+        if self.telemetry.enabled:
+            self.telemetry.on_query(status, seconds=seconds or 0.0, rows=rows or 0)
+            self.telemetry.tick(clock())
+
+
+def degradable_branches(root: LogicalPlan) -> frozenset:
+    """``id()`` of every remote branch that may degrade under `partial_results`.
+
+    A branch is non-essential when dropping it cannot fabricate wrong rows,
+    only miss some: an arm of a UNION ALL, or anything on the nullable side
+    of a LEFT join (the probed side of a LEFT bind join included). Everything
+    else stays essential — failing it fails the query.
+    """
+    marked = set()
+
+    def mark(node: LogicalPlan, degradable: bool) -> None:
+        if isinstance(node, LogicalFetch):
+            if degradable:
+                marked.add(id(node))
+        elif isinstance(node, LogicalBindJoin):
+            if degradable or node.kind == "LEFT":
+                marked.add(id(node))
+            mark(node.left, degradable)
+        elif isinstance(node, LogicalUnion):
+            for child in node.children:
+                mark(child, True)
+        elif isinstance(node, LogicalJoin):
+            mark(node.left, degradable)
+            mark(node.right, degradable or node.kind == "LEFT")
+        else:
+            for child in node.children:
+                mark(child, degradable)
+
+    mark(root, False)
+    return frozenset(marked)
+
+
+class Execution:
+    """Everything one run of one plan needs; the plan itself is only read.
+
+    `local` memoizes per-plan-node results within this execution (a node
+    referenced twice runs once); the engine's cache hierarchy is the
+    *cross-query* fetch store keyed by `(source, canonical SQL)`.
+    """
+
+    def __init__(self, engine, plan, metrics: MetricsCollector, trace=None):
+        self.engine = engine
+        self.metrics = metrics
+        self.site = plan.assembly_site
+        self.local: dict[int, Relation] = {}
+        #: the assembly tree being run (mid-query re-optimization swaps it)
+        self.root = plan.root
+        self.report: Optional[CompletenessReport] = (
+            CompletenessReport()
+            if engine.config.partial_results or engine.resilience is not None
+            else None
+        )
+        #: deterministic node tags tie spans (and EXPLAIN ANALYZE rows) to plan
+        #: nodes; an id()-based key would leak allocation order into the export
+        self.tags: dict[int, str] = {}
+        #: bind-join chunk spans attach to the assembly span
+        self.execute_span = self.prefetch_span = self.assembly_span = None
+        if trace is not None:
+            self.execute_span = trace.root.child("execute", category="execute")
+            for kind, nodes in (("fetch", plan.fetches), ("bind", plan.bind_joins)):
+                self.tags.update((id(n), f"{kind}[{i}]") for i, n in enumerate(nodes))
+            self.prefetch_span = self.execute_span.child(
+                "prefetch", category="prefetch", parallel_slots=engine.parallel_workers
+            )
+        # the plane is read per execution: a scheduler may attach one later
+        self.record = Recorder(metrics, self.execute_span, engine.telemetry)
+
+    # -- stages --------------------------------------------------------------------
+
+    def replanned(self, report) -> None:
+        """Mid-query re-optimization rebuilt the assembly tree above the fetches."""
+        self.root = report.root
+        self.record.replanned(report)
+
+    def begin_assembly(self) -> None:
+        if self.execute_span is not None:
+            self.assembly_span = self.execute_span.child(
+                "assembly", category="assembly", site=self.site
+            )
+
+    def end_assembly(self, assembly_seconds: float, transfer_seconds: float) -> None:
+        if self.execute_span is None:
+            return
+        self.assembly_span.self_seconds = assembly_seconds
+        shipped = self.metrics.transfers[-1]  # the final result to the client
+        self.execute_span.child(
+            "final_transfer", category="transfer", rows=shipped.rows,
+            payload_bytes=shipped.payload_bytes, wire_bytes=shipped.wire_bytes,
+        ).self_seconds = transfer_seconds
+
+    def _statement_span(self, parent, category: str, node, sql, **attrs):
+        """A child span for one component statement (None when not tracing)."""
+        if parent is None:
+            return None
+        span = parent.child(
+            f"{category}:{node.source.name}", category=category,
+            source=node.source.name, **attrs, sql=to_sql(sql),
+        )
+        tag = self.tags.get(id(node))
+        if tag is not None:
+            span.set(node=tag)
+        return span
+
+    # -- the guarded remote call -------------------------------------------------
+
+    def _attempt(self, source, stmt, collector, description):
+        """One attempt against one source: execute, ship, check the timeout.
+
+        Runs on a private collector, merged in whole on success, so a failed
+        or timed-out attempt never leaves a half-recorded transfer. Returns
+        ``(relation, payload_bytes, attempt_simulated_seconds, source)`` — the
+        payload is sized here, once, for every consumer.
+        """
+        local = MetricsCollector(network=collector.network)
+        try:
+            raw = source.execute_select(stmt, local)
+        except EIIError:
+            collector.merge(local)  # the failed round trip still took time
+            raise
+        size = raw.size_bytes()
+        local.record_transfer(
+            source.name, self.site, rows=len(raw), payload_bytes=size,
+            wire_format=source.capabilities.wire_format, description=description,
+        )
+        manager = self.engine.resilience
+        timeout = manager.policy.fetch_timeout_s if manager is not None else None
+        if timeout is not None and local.simulated_seconds > timeout:
+            # we "waited" until the deadline, then abandoned the attempt
+            collector.charge_seconds(timeout)
+            raise SourceTimeoutError(
+                f"fetch from {source.name!r} exceeded the {timeout:.3f}s "
+                f"timeout (attempt took {local.simulated_seconds:.3f}s simulated)",
+                source=source.name,
+                timeout_s=timeout,
+            )
+        collector.merge(local)
+        return raw, size, local.simulated_seconds, source
+
+    def _candidates(self, node, stmt):
+        """The primary, then every replica source able to answer `stmt`."""
+        yield node.source, stmt
+        manager = self.engine.resilience
+        if manager is None or not manager.policy.failover or not node.tables:
+            return
+        catalog = self.engine.catalog
+        candidates = catalog.failover_candidates(node.source.name, node.tables)
+        for source, mapping in candidates:
+            rename = {  # the primary's local table name -> the replica's
+                catalog.entry(name).local_name.lower(): mapping[name]
+                for name in node.tables
+            }
+            yield source, rename_statement_tables(stmt, rename)
+
+    def _remote_fetch(self, node, stmt, record: Recorder, description):
+        """Execute `stmt` with retries/breaker/failover per the policy.
+
+        Returns ``(relation, payload_bytes, cost_seconds, source_used)``;
+        raises the last candidate's error when every access path is exhausted.
+        """
+        # The per-source limiter (when attached) bounds how many pool workers
+        # may sit inside one source's round trips, so a slow source queues its
+        # own callers instead of the whole pool. Simulated time is unaffected.
+        limiter = self.engine.config.source_limiter
+        collector = record.collector
+        with limiter.slot(node.source.name) if limiter is not None else nullcontext():
+            manager = self.engine.resilience
+            if manager is None:
+                return self._attempt(node.source, stmt, collector, description)
+            last_error: Optional[Exception] = None
+            candidates = self._candidates(node, stmt)
+            for index, (source, candidate_stmt) in enumerate(candidates):
+                try:
+                    answer = manager.run_guarded(
+                        source.name,
+                        lambda s=source, q=candidate_stmt: self._attempt(
+                            s, q, collector, description
+                        ),
+                        record,
+                    )
+                except SourceError as exc:
+                    last_error = exc
+                    continue
+                if index > 0:
+                    record.failover(source.name)
+                return answer
+            assert last_error is not None
+            raise last_error
+
+    def _note_stale_if_down(self, node, record: Recorder) -> None:
+        """Annotate a cache hit whose every access path is currently down: it
+        touched no breaker, but the answer *cannot currently be re-validated*."""
+        manager = self.engine.resilience
+        if manager is None or not manager.source_down(node.source.name):
+            return
+        if manager.policy.failover:
+            for source, _ in self.engine.catalog.failover_candidates(
+                node.source.name, node.tables
+            ):
+                if not manager.source_down(source.name):
+                    return
+        record.stale_hit()
+        if self.report is not None:
+            self.report.note_stale(node.tables or node.depends_on)
+
+    # -- fetch / bind-fetch ------------------------------------------------------
+
+    def _fetch_statement(
+        self, node, stmt, record: Recorder, description, kind, est_rows, keys=None
+    ) -> list:
+        """Answer one component statement, from the fetch cache or remotely.
+
+        The only path a statement takes to a source: `fetch` sends a node's
+        whole statement, `bind_fetch` one IN-list chunk of ``keys`` keys.
+        Returns the raw rows — none when a non-essential branch degraded.
+        ``est_rows``, the share of the node's estimate this statement stands
+        for, weighs the completeness report whichever way it ends; `record`'s
+        span is charged whatever the statement adds to `record`'s collector.
+        """
+        span, collector = record.span, record.collector
+        if span is not None:
+            span.clock_base = base_seconds = collector.simulated_seconds
+            base_rows = collector.rows_shipped
+            base_payload = collector.payload_bytes
+            base_wire = collector.wire_bytes
+        try:
+            engine = self.engine
+            primary = node.source.name
+            caching = engine.cache.fetches is not None
+            key = fetch_key(primary, stmt) if caching else None
+            entry = engine.cache.get_fetch(key) if caching else None
+            if entry is not None:
+                rows, answered_by = entry.value.rows, primary  # only it is cached
+                size, seconds = entry.size_bytes, entry.cost_seconds
+                record.cache_hit(primary, seconds, size)
+                self._note_stale_if_down(node, record)
+            else:
+                if caching:
+                    record.cache_miss(primary)
+                try:
+                    raw, size, seconds, source_used = self._remote_fetch(
+                        node, stmt, record, description
+                    )
+                except EIIError as exc:
+                    if engine.resilience is None:
+                        # a resilience manager reports each failed attempt itself
+                        record.remote_failure(primary)
+                    if not (
+                        engine.config.partial_results
+                        and id(node) in degradable_branches(self.root)
+                    ):
+                        raise
+                    # a non-essential branch: its rows are lost, not the query
+                    record.degraded(kind, exc)
+                    if self.report is not None:
+                        self.report.note_skipped(
+                            primary, node.tables, exc, est_rows, kind
+                        )
+                    return []
+                rows, answered_by = raw.rows, source_used.name
+                record.remote_answer(answered_by, seconds, size)
+                # Only a primary-served fetch is cached: the entry's key and tags
+                # describe the primary, and a replica answer must not mask it.
+                if caching and source_used is node.source:
+                    engine.cache.put_fetch(
+                        key, raw, size, tags=node.depends_on, cost_seconds=seconds
+                    )
+            if self.report is not None:
+                self.report.note_answered(answered_by, est_rows)
+            if engine.adaptive is not None:
+                # A cache hit is still a true cardinality observation.
+                engine.adaptive.observe(
+                    node, len(rows), size, seconds, entry is not None, keys
+                )
+            return rows
+        finally:
+            if span is not None:
+                span.self_seconds = collector.simulated_seconds - base_seconds
+                span.set(
+                    rows=collector.rows_shipped - base_rows,
+                    payload_bytes=collector.payload_bytes - base_payload,
+                    wire_bytes=collector.wire_bytes - base_wire,
+                )
+
+    def fetch(self, node: LogicalFetch, record: Optional[Recorder] = None) -> Relation:
+        cached = self.local.get(id(node))
+        if cached is not None:
+            return cached
+        rows = self._fetch_statement(
+            node, node.stmt,
+            # a fetch nobody prefetched runs serially, on the execution's collector
+            record if record is not None else self.record.scoped(self.metrics),
+            f"fetch from {node.source.name}", "fetch", node.est_rows,
+        )
+        # Relabel positionally: the residual plan resolves against the
+        # schema of the subtree the fetch replaced.
+        result = Relation(node.schema, rows)
+        self.local[id(node)] = result
+        return result
+
+    def bind_fetch(self, node: LogicalBindJoin, keys: list) -> Relation:
+        rows: list[tuple] = []
+        for chunk_index, start in enumerate(range(0, len(keys), node.max_inlist)):
+            chunk = keys[start : start + node.max_inlist]
+            stmt = with_in_filter(node.template, node.right_key, chunk)
+            span = self._statement_span(
+                self.assembly_span, "bind_fetch", node, node.template,
+                chunk=chunk_index, keys=len(chunk),
+            )
+            rows.extend(
+                self._fetch_statement(
+                    node, stmt, self.record.scoped(self.metrics, span),
+                    f"bind fetch from {node.source.name} ({len(chunk)} keys)",
+                    "bind_chunk",
+                    # the node's estimate, split by this chunk's key share
+                    node.est_rows * (len(chunk) / len(keys)),
+                    keys=len(chunk),
+                )
+            )
+        return Relation(node.fetch_schema, rows)
+
+    def prefetch(self, fetches: list) -> list:
+        """Run component queries concurrently; returns per-fetch sim seconds.
+
+        Failure discipline: when any fetch fails, not-yet-started tasks are
+        cancelled, in-flight tasks are joined, every completed task's metrics
+        are merged, and the *first failure in submission order* is raised — a
+        multi-fetch failure is deterministic and leaves no work running.
+        """
+        if not fetches:
+            return []
+        engine = self.engine
+        adaptive = engine.adaptive
+        if adaptive is not None and adaptive.policy.lpt and len(fetches) > 1:
+            # Longest-predicted-first submission: list scheduling charges each
+            # slot in submission order, so fronting the predicted stragglers
+            # lowers the makespan on skewed fetch sets. Reordering before span
+            # creation keeps the trace a pure function of plan + store.
+            reordered = adaptive.lpt_order(fetches, engine.network, self.site)
+            if reordered != fetches:
+                self.record.lpt_reordered()
+            fetches = reordered
+
+        # Spans are created here, in submission order (a deterministic trace
+        # whatever the completion order); each worker only touches its own.
+        spans = [
+            self._statement_span(self.prefetch_span, "fetch", node, node.stmt)
+            for node in fetches
+        ]
+
+        def run_one(node: LogicalFetch, span=None):
+            local = MetricsCollector(network=engine.network)
+            error = None
+            try:
+                self.fetch(node, self.record.scoped(local, span))
+            except Exception as exc:  # noqa: BLE001 - re-raised in order below
+                error = exc
+            return local, error
+
+        outcomes: list = []
+        if engine.parallel_workers == 1 or len(fetches) == 1:
+            for node, span in zip(fetches, spans):
+                outcome = run_one(node, span)
+                outcomes.append(outcome)
+                if outcome[1] is not None:
+                    break  # serial mode: fail fast, later fetches never start
+        else:
+            pool = engine._prefetch_pool()
+            tasks = [
+                pool.submit(run_one, node, span) for node, span in zip(fetches, spans)
+            ]
+            pending = set(tasks)
+            while pending:
+                done, pending = futures.wait(
+                    pending, return_when=futures.FIRST_COMPLETED
+                )
+                if any(task.result()[1] is not None for task in done):
+                    for task in pending:
+                        task.cancel()
+                    # join every in-flight task; a cancelled one counts as
+                    # done once a worker has discarded it
+                    futures.wait(pending)
+                    break
+            outcomes = [task.result() for task in tasks if not task.cancelled()]
+
+        for local, _ in outcomes:
+            self.metrics.merge(local)
+        for _, error in outcomes:
+            if error is not None:
+                raise error
+        return [local.simulated_seconds for local, _ in outcomes]

@@ -1,7 +1,12 @@
 """Federation-specific plan nodes: remote fetches and bind joins.
 
 Both are logical-plan extension nodes that plug into the shared optimizer
-and executor through the `estimate_cost` / `lower_physical` hooks.
+and executor through the `estimate_cost` / `lower_physical` hooks. A node is
+a value: the planner (or mid-query re-optimization) builds it and nothing
+assigns to it afterwards, because the plan cache hands one plan to every
+caller. What a *run* needs arrives at lowering time instead — `FetchOp` and
+`BindJoinOp` are built per execution and hold that execution's context
+(`repro.federation.execution.Execution`).
 """
 
 from __future__ import annotations
@@ -9,7 +14,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.common.errors import PlanError
-from repro.common.relation import Relation
 from repro.common.schema import RelSchema
 from repro.engine.cost import PlanCost
 from repro.engine.logical import LogicalPlan
@@ -53,11 +57,6 @@ class LogicalFetch(LogicalPlan):
         #: lower-cased *global* names only — what replica failover needs to
         #: find alternate sources and rewrite the statement against them
         self.tables = tables
-        self.runtime = None  # injected by FederatedEngine before lowering
-        #: set by the engine in partial-results mode: True when this fetch
-        #: feeds a union arm or the nullable side of an outer join, so a
-        #: final failure may degrade to an annotated empty result
-        self.degradable = False
 
     def label(self):
         return f"Fetch[{self.source.name}]({to_sql(self.stmt)})"
@@ -67,27 +66,30 @@ class LogicalFetch(LogicalPlan):
             return PlanCost(self.est.rows, self.est.rows, self.est.column_stats)
         return PlanCost(self.est_rows, self.est_rows)
 
-    def lower_physical(self, engine) -> "FetchOp":
-        if self.runtime is None:
-            raise PlanError("LogicalFetch has no runtime; use FederatedEngine")
-        return FetchOp(self)
+    def lower_physical(self, engine, execution=None) -> "FetchOp":
+        return FetchOp(self, _required(execution, self))
 
-    # -- execution ----------------------------------------------------------------
 
-    def fetch(self) -> Relation:
-        """Execute the component query and charge the transfer."""
-        return self.runtime.fetch(self)
+def _required(execution, node):
+    if execution is None:
+        raise PlanError(
+            f"{type(node).__name__} has no execution context; use FederatedEngine"
+        )
+    return execution
 
 
 class FetchOp(PhysicalOp):
     """Physical side of LogicalFetch: returns (possibly prefetched) rows."""
 
-    def __init__(self, node: LogicalFetch):
+    def __init__(self, node: LogicalFetch, execution):
         self.node = node
+        self.execution = execution
         self.schema = node.schema
+        #: the node's tag in this execution's trace (None when untraced)
+        self.trace_tag = execution.tags.get(id(node))
 
     def run(self):
-        return self.node.fetch().rows
+        return self.execution.fetch(self.node).rows
 
     def explain_label(self):
         return self.node.label()
@@ -140,10 +142,6 @@ class LogicalBindJoin(LogicalPlan):
         #: to plain fetches
         self.required = required
         self.schema = left.schema.concat(fetch_schema)
-        self.runtime = None
-        #: see LogicalFetch.degradable; a LEFT bind join's probe is always
-        #: degradable (a lost enrichment null-pads instead of failing)
-        self.degradable = False
 
     @property
     def children(self):
@@ -151,7 +149,7 @@ class LogicalBindJoin(LogicalPlan):
 
     def with_children(self, children):
         (left,) = children
-        node = LogicalBindJoin(
+        return LogicalBindJoin(
             left,
             self.template,
             self.source,
@@ -166,9 +164,6 @@ class LogicalBindJoin(LogicalPlan):
             self.tables,
             self.required,
         )
-        node.runtime = self.runtime
-        node.degradable = self.degradable
-        return node
 
     def label(self):
         return (
@@ -180,20 +175,20 @@ class LogicalBindJoin(LogicalPlan):
         left = cost_model.estimate(self.left)
         return PlanCost(max(left.rows, self.est_rows), left.cost + self.est_rows)
 
-    def lower_physical(self, engine) -> "BindJoinOp":
-        if self.runtime is None:
-            raise PlanError("LogicalBindJoin has no runtime; use FederatedEngine")
-        left_physical = engine.lower(self.left)
-        return BindJoinOp(self, left_physical, engine)
+    def lower_physical(self, engine, execution=None) -> "BindJoinOp":
+        left_physical = engine.lower(self.left, _required(execution, self))
+        return BindJoinOp(self, left_physical, execution)
 
 
 class BindJoinOp(PhysicalOp):
     """Physical bind join: probe the remote source with collected keys."""
 
-    def __init__(self, node: LogicalBindJoin, left: PhysicalOp, engine):
+    def __init__(self, node: LogicalBindJoin, left: PhysicalOp, execution):
         self.node = node
         self.left = left
+        self.execution = execution
         self.schema = node.schema
+        self.trace_tag = execution.tags.get(id(node))
         self._residual_fn = None
         if node.residual is not None:
             from repro.sql.eval import compile_predicate
@@ -218,7 +213,7 @@ class BindJoinOp(PhysicalOp):
                 seen.add(value)
                 keys.append(value)
 
-        fetched = node.runtime.bind_fetch(node, keys)
+        fetched = self.execution.bind_fetch(node, keys)
         right_position = fetched.schema.index_of(
             node.right_key.name, node.right_key.qualifier
         )

@@ -34,7 +34,6 @@ from typing import Iterable, Optional
 
 from repro.common.errors import CapabilityError, CircuitOpenError, SourceError
 from repro.sql.ast import JoinClause, Select, TableRef
-from repro.telemetry.plane import NULL_TELEMETRY
 
 
 class BreakerState(enum.Enum):
@@ -187,13 +186,16 @@ class ResilienceManager:
         self._rng = random.Random(self.policy.seed)
         self._breakers: dict[str, CircuitBreaker] = {}
         self._lock = threading.Lock()
-        #: observe-only hook sink; the engine swaps in its telemetry plane
-        self.telemetry = NULL_TELEMETRY
+        #: breaker-transition listener handed to every breaker (None = nobody)
+        self._listener = None
 
     def attach_telemetry(self, telemetry) -> None:
-        """Point hooks at a telemetry plane, retrofitting existing breakers."""
-        self.telemetry = telemetry
-        listener = telemetry.on_breaker_transition if telemetry.enabled else None
+        """Feed breaker transitions to `telemetry`, retrofitting existing breakers.
+
+        Everything else a guarded call does reaches the plane through the
+        `Recorder` passed to `run_guarded`.
+        """
+        self._listener = listener = telemetry.on_breaker_transition
         with self._lock:
             for breaker in self._breakers.values():
                 breaker.listener = listener
@@ -213,11 +215,7 @@ class ResilienceManager:
                     half_open_probes=policy.breaker_half_open_probes,
                     success_threshold=policy.breaker_success_threshold,
                     clock=self.clock,
-                    listener=(
-                        self.telemetry.on_breaker_transition
-                        if self.telemetry.enabled
-                        else None
-                    ),
+                    listener=self._listener,
                 )
                 self._breakers[name] = breaker
             return breaker
@@ -248,72 +246,38 @@ class ResilienceManager:
             noise = 1.0 + policy.backoff_jitter * (2.0 * self._rng.random() - 1.0)
         return max(0.0, delay * noise)
 
-    def run_guarded(self, source_name: str, attempt_fn, collector=None, span=None):
+    def run_guarded(self, source_name: str, attempt_fn, record):
         """Run `attempt_fn` under the source's breaker with bounded retries.
 
-        Backoff is charged to `collector` as simulated seconds and advances
-        the shared clock when it is a `SimClock`, which is what lets an
-        open breaker's cooldown elapse during a fault schedule. Raises
-        `CircuitOpenError` when the breaker rejects the call, else the last
-        attempt's error. When a trace `span` is passed, failures, retries
-        and breaker rejections land on it as timestamped events.
+        `record` is the statement's `repro.federation.execution.Recorder`:
+        each breaker rejection, failure and retry is one call on it (the
+        retry charges its backoff to the recorder's collector as simulated
+        seconds). Backoff also advances the shared clock when it is a
+        `SimClock`, which is what lets an open breaker's cooldown elapse
+        during a fault schedule. Raises `CircuitOpenError` when the breaker
+        rejects the call, else the last attempt's error.
         """
-
-        def offset() -> float:
-            return span.offset_from(collector) if collector is not None else 0.0
-
         breaker = self.breaker(source_name)
+        attempts = max(1, self.policy.max_attempts)
         last_error: Optional[Exception] = None
-        for attempt in range(max(1, self.policy.max_attempts)):
+        for attempt in range(attempts):
             if not breaker.allow():
-                if collector is not None:
-                    collector.breaker_short_circuits += 1
-                if self.telemetry.enabled:
-                    self.telemetry.on_breaker_short_circuit(source_name)
-                if span is not None:
-                    span.event("breaker.open", offset(), source=source_name)
-                error = CircuitOpenError(
+                record.breaker_short_circuit(source_name)
+                raise CircuitOpenError(
                     f"circuit breaker open for source {source_name!r}",
                     source=source_name,
-                )
-                if last_error is not None:
-                    raise error from last_error
-                raise error
+                ) from last_error
             try:
                 result = attempt_fn()
             except CapabilityError:
                 raise  # deterministic planner-side failure: never retry
             except SourceError as exc:
                 breaker.record_failure()
-                if collector is not None:
-                    collector.source_failures += 1
-                if self.telemetry.enabled:
-                    self.telemetry.on_source_failure(source_name)
-                if span is not None:
-                    span.event(
-                        "source_failure",
-                        offset(),
-                        source=source_name,
-                        attempt=attempt,
-                        error=str(exc),
-                    )
+                record.source_failure(source_name, attempt, exc)
                 last_error = exc
-                if attempt + 1 < max(1, self.policy.max_attempts):
+                if attempt + 1 < attempts:
                     delay = self.backoff_delay(attempt)
-                    if collector is not None:
-                        collector.retries += 1
-                        collector.backoff_seconds += delay
-                        collector.charge_seconds(delay)
-                    if self.telemetry.enabled:
-                        self.telemetry.on_retry(source_name, backoff_s=delay)
-                    if span is not None:
-                        span.event(
-                            "retry",
-                            offset(),
-                            source=source_name,
-                            attempt=attempt + 1,
-                            backoff_s=delay,
-                        )
+                    record.retry(source_name, attempt + 1, delay)
                     if self._advance is not None:
                         self._advance(delay)
                 continue

@@ -198,92 +198,60 @@ class MetricsCollector:
             elif isinstance(value, int):
                 setattr(self, spec.name, 0)
 
-    def base_summary(self) -> dict:
-        """The always-present transfer/latency counters."""
-        return {
-            "source_queries": self.total_source_queries(),
-            "rows_shipped": self.rows_shipped,
-            "payload_bytes": self.payload_bytes,
-            "wire_bytes": self.wire_bytes,
-            "simulated_seconds": round(self.simulated_seconds, 6),
-        }
+    def group(self, name: str) -> dict:
+        """One `SUMMARY_GROUPS` group's counters, float fields rounded to 1 µs."""
+        out = {}
+        if name == "metrics":
+            out["source_queries"] = self.total_source_queries()
+        for counter in SUMMARY_GROUPS[name]:
+            value = getattr(self, counter)
+            out[counter] = round(value, 6) if counter in _FLOAT_FIELDS else value
+        return out
 
-    def cache_summary(self) -> dict:
-        return {
-            "plan_cache_hits": self.plan_cache_hits,
-            "fetch_cache_hits": self.fetch_cache_hits,
-            "fetch_cache_misses": self.fetch_cache_misses,
-            "result_cache_hits": self.result_cache_hits,
-            "cache_seconds_saved": round(self.cache_seconds_saved, 6),
-            "cache_bytes_saved": self.cache_bytes_saved,
-        }
+    def shown_groups(self):
+        """``(name, counters)`` per group worth showing, in table order.
 
-    def resilience_summary(self) -> dict:
-        return {
-            "retries": self.retries,
-            "backoff_seconds": round(self.backoff_seconds, 6),
-            "source_failures": self.source_failures,
-            "breaker_short_circuits": self.breaker_short_circuits,
-            "failovers": self.failovers,
-            "degraded_fetches": self.degraded_fetches,
-            "stale_cache_hits": self.stale_cache_hits,
-        }
-
-    def adaptive_summary(self) -> dict:
-        return {
-            "replans": self.replans,
-            "lpt_reorders": self.lpt_reorders,
-        }
-
-    def sched_summary(self) -> dict:
-        return {
-            "queue_wait_seconds": round(self.queue_wait_seconds, 6),
-            "coalesced_fetches": self.coalesced_fetches,
-            "coalesced_seconds_saved": round(self.coalesced_seconds_saved, 6),
-            "shed_queries": self.shed_queries,
-            "rejected_queries": self.rejected_queries,
-            "deadline_misses": self.deadline_misses,
-        }
-
-    def telemetry_summary(self) -> dict:
-        return {
-            "alerts_fired": self.alerts_fired,
-            "alerts_resolved": self.alerts_resolved,
-            "health_transitions": self.health_transitions,
-            "slo_breaches": self.slo_breaches,
-        }
-
-    def views_summary(self) -> dict:
-        return {
-            "view_hits": self.view_hits,
-            "view_stale_serves": self.view_stale_serves,
-            "view_fallbacks": self.view_fallbacks,
-        }
+        The base ``metrics`` group is always shown; every other group only
+        once one of its counters is nonzero, which keeps the compact account
+        stable for runs that never exercised that subsystem.
+        """
+        for name in SUMMARY_GROUPS:
+            counters = self.group(name)
+            if name == "metrics" or any(counters.values()):
+                yield name, counters
 
     def summary(self) -> dict:
-        """Flat dict used by EXPLAIN output and the benchmark harness.
-
-        The base counters are always present; cache telemetry appears only
-        once any cache level has actually been exercised, keeping the
-        compact summary stable for cache-less runs.
-        """
-        out = self.base_summary()
-        cache = self.cache_summary()
-        if any(cache.values()):
-            out.update(cache)
-        resilience = self.resilience_summary()
-        if any(resilience.values()):
-            out.update(resilience)
-        adaptive = self.adaptive_summary()
-        if any(adaptive.values()):
-            out.update(adaptive)
-        sched = self.sched_summary()
-        if any(sched.values()):
-            out.update(sched)
-        telemetry = self.telemetry_summary()
-        if any(telemetry.values()):
-            out.update(telemetry)
-        views = self.views_summary()
-        if any(views.values()):
-            out.update(views)
+        """Flat dict used by EXPLAIN output and the benchmark harness."""
+        out: dict = {}
+        for _, counters in self.shown_groups():
+            out.update(counters)
         return out
+
+
+#: What `MetricsCollector.summary()` and `FederatedResult.report()` show:
+#: group name -> counter fields, in display order. A subsystem adding a
+#: counter adds the dataclass field and names it here — nothing else.
+SUMMARY_GROUPS = {
+    # always present; led by the computed ``source_queries`` total
+    "metrics": ("rows_shipped", "payload_bytes", "wire_bytes", "simulated_seconds"),
+    "cache": (
+        "plan_cache_hits", "fetch_cache_hits", "fetch_cache_misses",
+        "result_cache_hits", "cache_seconds_saved", "cache_bytes_saved",
+    ),
+    "resilience": (
+        "retries", "backoff_seconds", "source_failures", "breaker_short_circuits",
+        "failovers", "degraded_fetches", "stale_cache_hits",
+    ),
+    "adaptive": ("replans", "lpt_reorders"),
+    "sched": (
+        "queue_wait_seconds", "coalesced_fetches", "coalesced_seconds_saved",
+        "shed_queries", "rejected_queries", "deadline_misses",
+    ),
+    "telemetry": (
+        "alerts_fired", "alerts_resolved", "health_transitions", "slo_breaches",
+    ),
+    "views": ("view_hits", "view_stale_serves", "view_fallbacks"),
+}
+_FLOAT_FIELDS = frozenset(
+    spec.name for spec in fields(MetricsCollector) if isinstance(spec.default, float)
+)

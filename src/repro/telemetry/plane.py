@@ -4,15 +4,17 @@
 *observation* — the plane never changes behavior, so an engine with a
 plane attached executes byte-for-byte the same queries as one without.
 The default is `NULL_TELEMETRY` (mirroring `NullTracer`): ``enabled`` is
-False, every hook is a no-op, and every call site in the engine guards on
-``telemetry.enabled`` so the disabled path does zero extra work.
+False, every hook is a no-op, and the engine's one writer
+(`repro.federation.execution.Recorder`) guards on ``telemetry.enabled`` so
+the disabled path does zero extra work.
 
 Hooked layers and what they report:
 
-* `FederatedEngine` / `_FetchRuntime` — per-source fetch outcomes,
-  latencies, bytes, cache hits/misses; per-query status and latency;
-* `ResilienceManager` — retries, source failures, breaker short-circuits
-  and breaker state transitions (which feed the health model directly);
+* `FederatedEngine`, through the `Recorder` of each execution — per-source
+  fetch outcomes, latencies, bytes, cache hits/misses, retries, source
+  failures, breaker short-circuits; per-query status and latency;
+* `ResilienceManager`'s breakers — state transitions (which feed the
+  health model directly);
 * `WorkloadScheduler` — arrivals, queue waits, sheds/rejections and the
   per-tenant `QueryOutcome` stream that drives the SLO tracker.
 
@@ -121,10 +123,8 @@ class TelemetryPlane:
         source: str,
         seconds: float = 0.0,
         payload_bytes: int = 0,
-        wire_bytes: int = 0,
         cache: str = "",
         ok: bool = True,
-        kind: str = "fetch",
     ) -> None:
         """One component fetch's outcome (remote call or cache hit)."""
         name = source.lower()
@@ -162,28 +162,23 @@ class TelemetryPlane:
                         "payload bytes shipped per source",
                         source=name,
                     ).inc(payload_bytes)
-                if wire_bytes:
-                    self.registry.counter(
-                        "eii_fetch_wire_bytes_total",
-                        "wire bytes shipped per source",
-                        source=name,
-                    ).inc(wire_bytes)
                 window.fetches += 1
                 window.latency_sum_s += seconds
             else:
                 window.failures += 1
 
     def on_query(self, status: str, seconds: float = 0.0, rows: int = 0) -> None:
-        self.registry.counter(
-            "eii_queries_total", "federated queries by status", status=status
-        ).inc()
-        if status in ("ok", "partial"):
-            self.registry.histogram(
-                "eii_query_latency_seconds", "simulated per-query elapsed"
-            ).observe(seconds)
+        with self._lock:  # one engine answers queries on many threads
             self.registry.counter(
-                "eii_query_rows_total", "rows returned to clients"
-            ).inc(rows)
+                "eii_queries_total", "federated queries by status", status=status
+            ).inc()
+            if status in ("ok", "partial"):
+                self.registry.histogram(
+                    "eii_query_latency_seconds", "simulated per-query elapsed"
+                ).observe(seconds)
+                self.registry.counter(
+                    "eii_query_rows_total", "rows returned to clients"
+                ).inc(rows)
 
     def on_view(self, view: str, status: str, staleness_s: float = 0.0) -> None:
         """A view-answering outcome: hit, stale (served), or fallback."""

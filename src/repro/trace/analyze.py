@@ -122,7 +122,7 @@ def explain_analyze(result) -> str:
         label = op.explain_label()
         annotations = []
         rows = getattr(op, "actual_rows", None)
-        tag = getattr(getattr(op, "node", None), "_trace_tag", None)
+        tag = getattr(op, "trace_tag", None)
         spans = tagged.get(tag, []) if tag is not None else []
         if spans:
             annotations.append(_fetch_annotations(spans))

@@ -378,8 +378,10 @@ class TestPlanInvariants:
 
     def test_eii405_degradable_essential_branch(self, catalog):
         plan = self.plan(catalog, "SELECT r.region FROM regions r")
-        plan.fetches[0].degradable = True  # sole input: essential
-        diags = verify_plan(plan)
+        # the engine's own marking never degrades a sole (essential) input...
+        assert "EII405" not in {d.code for d in verify_plan(plan)}
+        # ...and a marking that did is caught
+        diags = verify_plan(plan, degradable={id(plan.fetches[0])})
         assert "EII405" in {d.code for d in diags}
 
 

@@ -25,10 +25,19 @@ from repro.federation import (
     ResilienceManager,
     ResiliencePolicy,
 )
+from repro.federation.execution import Recorder
 from repro.federation.resilience import BreakerState
-from repro.netsim import FaultInjector, Outage, SimClock, Transient
+from repro.netsim import (
+    FaultInjector,
+    MetricsCollector,
+    Outage,
+    SimClock,
+    Transient,
+)
 from repro.sources import RelationalSource, WebServiceSource
 from repro.storage import Database
+from repro.telemetry import TelemetryPlane
+from repro.trace.span import Span
 
 from tests.federation_fixtures import build_catalog
 
@@ -232,7 +241,8 @@ class TestCircuitBreakerStateMachine:
 
 
 class TestRunGuarded:
-    """ResilienceManager.run_guarded: retries, backoff, breaker gating."""
+    """ResilienceManager.run_guarded: retries, backoff, breaker gating —
+    each reported once, through the statement's `Recorder`."""
 
     def test_retries_then_succeeds(self):
         clock = SimClock()
@@ -245,10 +255,23 @@ class TestRunGuarded:
                 raise SourceError("flap")
             return "ok"
 
-        assert manager.run_guarded("s", attempt) == "ok"
+        metrics, span, plane = MetricsCollector(), Span("fetch:s"), TelemetryPlane()
+        record = Recorder(metrics, span, plane)
+        assert manager.run_guarded("s", attempt, record) == "ok"
         assert len(attempts) == 3
         # backoff advanced the simulated clock between attempts
         assert attempts[1] > attempts[0] and attempts[2] > attempts[1]
+        # ... and every failure and retry reached all three observers once
+        assert (metrics.source_failures, metrics.retries) == (2, 2)
+        assert metrics.backoff_seconds == metrics.simulated_seconds > 0
+        assert [event.name for event in span.events] == [
+            "source_failure", "retry", "source_failure", "retry",
+        ]
+        assert span.events[1].attrs["attempt"] == 1
+        assert span.events[3].offset_s == pytest.approx(metrics.backoff_seconds)
+        counters = plane.registry.snapshot()
+        assert counters['eii_source_failures_total{source="s"}'] == 2
+        assert counters['eii_retries_total{source="s"}'] == 2
 
     def test_exhausted_retries_raise_last_error(self):
         manager = ResilienceManager(ResiliencePolicy(max_attempts=2), clock=SimClock())
@@ -256,8 +279,11 @@ class TestRunGuarded:
         def attempt():
             raise SourceError("still down")
 
+        metrics = MetricsCollector()
         with pytest.raises(SourceError, match="still down"):
-            manager.run_guarded("s", attempt)
+            manager.run_guarded("s", attempt, Recorder(metrics))
+        # the last attempt is not followed by a backoff
+        assert (metrics.source_failures, metrics.retries) == (2, 1)
 
     def test_capability_error_is_never_retried(self):
         manager = ResilienceManager(ResiliencePolicy(max_attempts=5), clock=SimClock())
@@ -267,9 +293,11 @@ class TestRunGuarded:
             calls.append(1)
             raise CapabilityError("source cannot run this query")
 
+        metrics = MetricsCollector()
         with pytest.raises(CapabilityError):
-            manager.run_guarded("s", attempt)
+            manager.run_guarded("s", attempt, Recorder(metrics))
         assert len(calls) == 1
+        assert (metrics.source_failures, metrics.retries) == (0, 0)
         # planner-side failure must not poison the breaker
         assert manager.breaker("s").state is BreakerState.CLOSED
 
@@ -284,11 +312,15 @@ class TestRunGuarded:
         def attempt():
             raise SourceError("down")
 
+        metrics, span = MetricsCollector(), Span("fetch:s")
+        record = Recorder(metrics, span)
         for _ in range(2):
             with pytest.raises(SourceError):
-                manager.run_guarded("s", attempt)
+                manager.run_guarded("s", attempt, record)
         with pytest.raises(CircuitOpenError, match="'s'"):
-            manager.run_guarded("s", attempt)
+            manager.run_guarded("s", attempt, record)
+        assert metrics.breaker_short_circuits == 1
+        assert span.events[-1].name == "breaker.open"
 
     def test_backoff_is_deterministic_per_seed(self):
         a = ResilienceManager(ResiliencePolicy(seed=7), clock=SimClock())

@@ -312,7 +312,7 @@ class TestPrefetchFailureDiscipline:
         """Serial prefetch, failure in the SECOND fetch: the first fetch's
         completed work must survive into the merged collector (the pre-fix
         engine dropped every collector as soon as any fetch raised)."""
-        from repro.federation.engine import _FetchRuntime
+        from repro.federation.execution import Execution
         from repro.netsim import MetricsCollector
 
         clock = SimClock()
@@ -323,9 +323,9 @@ class TestPrefetchFailureDiscipline:
         assert [f.source.name for f in plan.fetches] == ["sales", "crm"]
         injector.script("crm", Outage())  # sales healthy, crm down
         metrics = MetricsCollector(network=engine.network)
-        runtime = _FetchRuntime(engine, metrics, plan.assembly_site)
+        execution = Execution(engine, plan, metrics)
         with pytest.raises(InjectedFaultError, match="crm"):
-            engine._prefetch(plan.fetches, runtime, metrics)
+            execution.prefetch(plan.fetches)
         assert metrics.source_queries.get("sales") == 1
         assert metrics.rows_shipped > 0
 
