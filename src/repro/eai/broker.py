@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import fnmatch
 import itertools
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Callable
+
+#: Messages `MessageBroker.log` keeps; older ones are dropped.
+MESSAGE_LOG_LENGTH = 1024
 
 
 @dataclass(frozen=True)
@@ -23,14 +27,16 @@ class MessageBroker:
     Subscriptions match topics with `fnmatch` wildcards
     (`"employee.*"` receives `"employee.created"`). Delivery is synchronous
     and in subscription order; handler exceptions propagate to the
-    publisher (the process engine treats them as step failures). All
-    traffic is kept in `log` for auditing and tests.
+    publisher (the process engine treats them as step failures). The most
+    recent traffic is kept in `log` for auditing and tests.
     """
 
     def __init__(self):
         self._subscriptions: list[tuple[str, Callable[[Message], None]]] = []
         self._sequence = itertools.count(1)
-        self.log: list[Message] = []
+        #: The last `MESSAGE_LOG_LENGTH` messages, oldest first. Bounded, so
+        #: `len()` saturates: count messages by `Message.sequence`, not by it.
+        self.log: deque[Message] = deque(maxlen=MESSAGE_LOG_LENGTH)
 
     def subscribe(self, pattern: str, handler: Callable[[Message], None]) -> None:
         self._subscriptions.append((pattern, handler))

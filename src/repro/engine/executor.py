@@ -41,6 +41,8 @@ from repro.engine.physical import (
     SeqScan,
     SortOp,
     UnionAllOp,
+    eval_columns,
+    pick_columns,
 )
 from repro.engine.planner import DatabaseResolver, bind_select
 from repro.engine.rewrite import optimize_logical
@@ -208,27 +210,29 @@ class LocalEngine:
 
         if isinstance(plan, LogicalProject):
             child = self.lower(plan.child, context)
-            fns = [compile_expr(item.expr, child.schema) for item in plan.items]
+            to_tuples = _tuple_kernel([item.expr for item in plan.items], child.schema)
             description = ", ".join(str(item) for item in plan.items)
-            return ProjectOp(child, fns, plan.schema, description)
+            return ProjectOp(child, to_tuples, plan.schema, description)
 
         if isinstance(plan, LogicalJoin):
             return self._lower_join(plan, context)
 
         if isinstance(plan, LogicalAggregate):
             child = self.lower(plan.child, context)
-            group_fns = [compile_expr(expr, child.schema) for expr in plan.group_exprs]
+            keys = plan.group_exprs
+            group_keys = None  # a global aggregate
+            if len(keys) == 1 and isinstance(keys[0], ColumnRef):
+                group_keys = _value_reader(keys[0], child.schema)  # its position
+            elif keys:
+                group_keys = _tuple_kernel(keys, child.schema)
             agg_specs = []
             for call in plan.aggregates:
-                if len(call.args) == 1 and isinstance(call.args[0], Star):
-                    agg_specs.append((call.name, call.distinct, None))
-                elif len(call.args) == 1:
-                    agg_specs.append(
-                        (call.name, call.distinct, compile_expr(call.args[0], child.schema))
-                    )
-                else:
+                if len(call.args) != 1:
                     raise PlanError(f"aggregate {call.name} takes exactly one argument")
-            return HashAggregateOp(child, group_fns, agg_specs, plan.schema, plan.label())
+                (arg,) = call.args
+                reader = None if isinstance(arg, Star) else _value_reader(arg, child.schema)
+                agg_specs.append((call.name, call.distinct, reader))
+            return HashAggregateOp(child, group_keys, agg_specs, plan.schema, plan.label())
 
         if isinstance(plan, LogicalSort):
             child = self.lower(plan.child, context)
@@ -277,7 +281,7 @@ class LocalEngine:
 
     def _choose_index_access(self, table, binding, conjuncts):
         """Pick an index-backed access path for one of the conjuncts."""
-        from repro.storage.index import HashIndex, SortedIndex
+        from repro.storage.index import SortedIndex
 
         for i, conjunct in enumerate(conjuncts):
             if not isinstance(conjunct, BinaryOp):
@@ -357,6 +361,22 @@ class _StatsAdapter:
 
     def table_stats(self, table_name: str):
         return self.db.stats_for(table_name)
+
+
+def _value_reader(expr, schema):
+    """How a kernel reads `expr` off a row: the position of a plain column
+    (no closure, no call per row), else the compiled `row -> value`."""
+    if isinstance(expr, ColumnRef):
+        return schema.index_of(expr.name, expr.qualifier)
+    return compile_expr(expr, schema)
+
+
+def _tuple_kernel(exprs, schema):
+    """The `rows -> list[tuple]` kernel evaluating `exprs` against `schema`:
+    a C-level column pick when every expression is a plain column."""
+    if all(isinstance(expr, ColumnRef) for expr in exprs):
+        return pick_columns([_value_reader(expr, schema) for expr in exprs])
+    return eval_columns([compile_expr(expr, schema) for expr in exprs])
 
 
 def _const(expr: Expr):

@@ -5,14 +5,77 @@ carries its output schema and an `explain_label` for EXPLAIN trees. The
 executor (`repro.engine.executor`) lowers logical plans to these operators;
 the federation layer adds its own operators (bind joins, remote fetches)
 that follow the same protocol.
+
+The hot operators run *kernels*: the executor picks, once per lowering and
+from the logical node alone, the cheapest loop that gives the row-at-a-time
+answer (`pick_columns` when every expression is a plain column, a partition
+by key before aggregates are folded, one hash build/probe shared by every
+equi-join). A kernel never mutates or returns the list a child handed it -
+a `FetchOp`'s rows belong to the execution's result memo - and holds no
+state between runs: a prepared plan is run by many threads at once.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from repro.common.relation import Relation
 from repro.common.schema import RelSchema
+from repro.sql.functions import make_aggregate
+
+
+def pick_columns(positions: Sequence[int]) -> Callable[[list], list]:
+    """`rows -> list[tuple]` of the values at `positions`; no call per row."""
+    if len(positions) == 1:
+        (position,) = positions  # itemgetter(i) would yield bare values
+        return lambda rows: [(row[position],) for row in rows]
+    pick = itemgetter(*positions)
+    return lambda rows: list(map(pick, rows))
+
+
+def eval_columns(fns: Sequence[Callable]) -> Callable[[list], list]:
+    """`rows -> list[tuple]` of what each compiled `row -> value` yields."""
+    return lambda rows: [tuple([fn(row) for fn in fns]) for row in rows]
+
+
+def join_keys(positions: Sequence[int]) -> Callable[[list], list]:
+    """`rows -> keys` for `hash_join`: a bare value for one column, a tuple
+    for several, None wherever a key part is NULL."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda rows: [row[position] for row in rows]
+    pick = itemgetter(*positions)
+    return lambda rows: [None if None in key else key for key in map(pick, rows)]
+
+
+def hash_join(left_rows, left_keys, right_rows, right_keys, kind, residual, null_pad):
+    """Build on the right rows, probe with the left, in left-row order.
+
+    A None key (see `join_keys`) is never built, so it never matches: NULL
+    does not equi-join. `residual` filters the concatenated rows; a LEFT
+    join pads a probe row nothing survived for with `null_pad`.
+    """
+    table: dict = defaultdict(list)
+    for key, row in zip(right_keys, right_rows):
+        if key is not None:
+            table[key].append(row)
+    find = table.get  # a defaultdict's get() adds nothing
+    left_outer = kind == "LEFT"
+    out: list[tuple] = []
+    emit = out.append
+    for key, row in zip(left_keys, left_rows):
+        matched = False
+        for other in find(key, ()):
+            combined = row + other
+            if residual is None or residual(combined):
+                emit(combined)
+                matched = True
+        if left_outer and not matched:
+            emit(row + null_pad)
+    return out
 
 
 class PhysicalOp:
@@ -159,9 +222,11 @@ class FilterOp(PhysicalOp):
 
 
 class ProjectOp(PhysicalOp):
-    def __init__(self, child: PhysicalOp, fns: Sequence[Callable], schema: RelSchema, description: str = ""):
+    """`to_tuples` is `pick_columns(...)` or `eval_columns(...)`."""
+
+    def __init__(self, child: PhysicalOp, to_tuples: Callable, schema: RelSchema, description: str = ""):
         self.child = child
-        self.fns = list(fns)
+        self.to_tuples = to_tuples
         self.schema = schema
         self.description = description
 
@@ -170,8 +235,7 @@ class ProjectOp(PhysicalOp):
         return (self.child,)
 
     def run(self):
-        fns = self.fns
-        return [tuple(fn(row) for fn in fns) for row in self.child.run()]
+        return self.to_tuples(self.child.run())
 
     def explain_label(self):
         return f"Project({self.description})"
@@ -197,12 +261,13 @@ class HashJoinOp(PhysicalOp):
     ):
         self.left = left
         self.right = right
-        self.left_key_positions = list(left_key_positions)
-        self.right_key_positions = list(right_key_positions)
+        self.left_keys = join_keys(left_key_positions)
+        self.right_keys = join_keys(right_key_positions)
         self.kind = kind
         self.residual_fn = residual_fn
         self.description = description
         self.schema = left.schema.concat(right.schema)
+        self.null_pad = (None,) * len(right.schema)
 
     @property
     def children(self):
@@ -210,28 +275,11 @@ class HashJoinOp(PhysicalOp):
 
     def run(self):
         right_rows = self.right.run()
-        table: dict = {}
-        for row in right_rows:
-            key = tuple(row[i] for i in self.right_key_positions)
-            if any(part is None for part in key):
-                continue  # NULL never equi-joins
-            table.setdefault(key, []).append(row)
-        out: list[tuple] = []
-        null_pad = (None,) * len(self.right.schema)
-        residual = self.residual_fn
-        for row in self.left.run():
-            key = tuple(row[i] for i in self.left_key_positions)
-            matches = [] if any(part is None for part in key) else table.get(key, [])
-            matched = False
-            for other in matches:
-                combined = row + other
-                if residual is not None and not residual(combined):
-                    continue
-                out.append(combined)
-                matched = True
-            if not matched and self.kind == "LEFT":
-                out.append(row + null_pad)
-        return out
+        left_rows = self.left.run()
+        return hash_join(
+            left_rows, self.left_keys(left_rows), right_rows, self.right_keys(right_rows),
+            self.kind, self.residual_fn, self.null_pad,
+        )
 
     def explain_label(self):
         return f"HashJoin[{self.kind}]({self.description})"
@@ -347,22 +395,28 @@ class MergeJoinOp(PhysicalOp):
 
 
 class HashAggregateOp(PhysicalOp):
-    """Group-by hash aggregation.
+    """Group-by hash aggregation: partition the rows by key, then fold each
+    aggregate over each group, groups in order of first appearance.
 
-    `agg_specs` is a list of `(name, distinct, arg_fn)`; `arg_fn` of None
-    means COUNT(*) semantics (every row counts).
+    `group_keys` is None for a global aggregate, the position of the one
+    plain column grouped by, or else the `rows -> list[tuple]` kernel of the
+    key expressions. `agg_specs` is a list of `(name, distinct, arg)`: `arg`
+    None means COUNT(*) semantics (every row counts), an int reads that
+    column, anything else is a compiled `row -> value`. Values reach the
+    `Aggregate` classes one by one, in row order: float SUM/AVG stay the
+    left fold they were (never `sum()`, which 3.12 compensates).
     """
 
     def __init__(
         self,
         child: PhysicalOp,
-        group_fns: Sequence[Callable],
+        group_keys,
         agg_specs: Sequence[tuple],
         schema: RelSchema,
         description: str = "",
     ):
         self.child = child
-        self.group_fns = list(group_fns)
+        self.group_keys = group_keys
         self.agg_specs = list(agg_specs)
         self.schema = schema
         self.description = description
@@ -372,25 +426,51 @@ class HashAggregateOp(PhysicalOp):
         return (self.child,)
 
     def run(self):
-        from repro.sql.functions import make_aggregate
-
-        groups: dict = {}
-        for row in self.child.run():
-            key = tuple(fn(row) for fn in self.group_fns)
-            aggs = groups.get(key)
-            if aggs is None:
-                aggs = [make_aggregate(name, distinct) for name, distinct, _ in self.agg_specs]
-                groups[key] = aggs
-            for agg, (_, _, arg_fn) in zip(aggs, self.agg_specs):
-                agg.add(1 if arg_fn is None else arg_fn(row))
-        if not groups and not self.group_fns:
-            # Global aggregate over zero rows still yields one row.
-            aggs = [make_aggregate(name, distinct) for name, distinct, _ in self.agg_specs]
-            groups[()] = aggs
-        return [key + tuple(agg.finish() for agg in aggs) for key, aggs in groups.items()]
+        rows = self.child.run()
+        by = self.group_keys
+        bare_key = isinstance(by, int)
+        groups: dict = defaultdict(list)
+        if by is None:
+            # Global aggregate: one group, and one row even over zero rows.
+            groups[()] = rows
+        elif bare_key:
+            for row in rows:
+                groups[row[by]].append(row)
+        else:
+            for key, row in zip(by(rows), rows):
+                groups[key].append(row)
+        out = []
+        for key, members in groups.items():
+            results = []
+            for name, distinct, arg in self.agg_specs:
+                if arg is None and not distinct and name.upper() == "COUNT":
+                    results.append(len(members))
+                    continue
+                agg = make_aggregate(name, distinct)
+                if arg is None:
+                    values = repeat(1, len(members))
+                elif isinstance(arg, int):
+                    values = [row[arg] for row in members]
+                else:
+                    values = map(arg, members)
+                for value in values:
+                    agg.add(value)
+                results.append(agg.finish())
+            out.append(((key,) if bare_key else key) + tuple(results))
+        return out
 
     def explain_label(self):
         return f"HashAggregate({self.description})"
+
+
+def _nulls_low(fn: Callable) -> Callable:
+    """The sort key of `fn`'s value that orders NULL below everything."""
+
+    def sort_key(row):
+        value = fn(row)
+        return (value is not None, value if value is not None else 0)
+
+    return sort_key
 
 
 class SortOp(PhysicalOp):
@@ -398,10 +478,13 @@ class SortOp(PhysicalOp):
 
     def __init__(self, child: PhysicalOp, key_fns: Sequence[Callable], ascendings: Sequence[bool], description: str = ""):
         self.child = child
-        self.key_fns = list(key_fns)
-        self.ascendings = list(ascendings)
         self.schema = child.schema
         self.description = description
+        #: `(key, reverse)` per pass of `run()`, least-significant key first
+        self.passes = [
+            (_nulls_low(fn), not ascending)
+            for fn, ascending in reversed(list(zip(key_fns, ascendings)))
+        ]
 
     @property
     def children(self):
@@ -409,13 +492,9 @@ class SortOp(PhysicalOp):
 
     def run(self):
         rows = self.child.run()
-        # Successive stable sorts from the least-significant key backward.
-        for key_fn, ascending in reversed(list(zip(self.key_fns, self.ascendings))):
-            def sort_key(row, fn=key_fn):
-                value = fn(row)
-                return (value is not None, value if value is not None else 0)
-
-            rows = sorted(rows, key=sort_key, reverse=not ascending)
+        # Successive stable sorts; sorted() copies, the child's list is its own.
+        for sort_key, reverse in self.passes:
+            rows = sorted(rows, key=sort_key, reverse=reverse)
         return rows
 
     def explain_label(self):

@@ -17,8 +17,9 @@ from repro.common.errors import PlanError
 from repro.common.schema import RelSchema
 from repro.engine.cost import PlanCost
 from repro.engine.logical import LogicalPlan
-from repro.engine.physical import PhysicalOp
+from repro.engine.physical import PhysicalOp, hash_join, join_keys
 from repro.sql.ast import ColumnRef, Expr, InList, Literal, Select, and_all
+from repro.sql.eval import compile_predicate
 from repro.sql.printer import to_sql
 
 #: Maximum literals in one generated IN-list; longer key sets are chunked
@@ -189,10 +190,15 @@ class BindJoinOp(PhysicalOp):
         self.execution = execution
         self.schema = node.schema
         self.trace_tag = execution.tags.get(id(node))
+        self._left_keys = join_keys(
+            [left.schema.index_of(node.left_key.name, node.left_key.qualifier)]
+        )
+        self._right_keys = join_keys(
+            [node.fetch_schema.index_of(node.right_key.name, node.right_key.qualifier)]
+        )
+        self._null_pad = (None,) * len(node.fetch_schema)
         self._residual_fn = None
         if node.residual is not None:
-            from repro.sql.eval import compile_predicate
-
             self._residual_fn = compile_predicate(node.residual, node.schema)
 
     @property
@@ -200,43 +206,15 @@ class BindJoinOp(PhysicalOp):
         return (self.left,)
 
     def run(self):
-        node = self.node
         left_rows = self.left.run()
-        key_position = self.left.schema.index_of(
-            node.left_key.name, node.left_key.qualifier
+        left_keys = self._left_keys(left_rows)
+        # the distinct non-NULL keys, in order of first appearance
+        keys = [key for key in dict.fromkeys(left_keys) if key is not None]
+        fetched = self.execution.bind_fetch(self.node, keys).rows
+        return hash_join(
+            left_rows, left_keys, fetched, self._right_keys(fetched),
+            self.node.kind, self._residual_fn, self._null_pad,
         )
-        keys: list = []
-        seen: set = set()
-        for row in left_rows:
-            value = row[key_position]
-            if value is not None and value not in seen:
-                seen.add(value)
-                keys.append(value)
-
-        fetched = self.execution.bind_fetch(node, keys)
-        right_position = fetched.schema.index_of(
-            node.right_key.name, node.right_key.qualifier
-        )
-        table: dict = {}
-        for row in fetched.rows:
-            value = row[right_position]
-            if value is not None:
-                table.setdefault(value, []).append(row)
-
-        out: list[tuple] = []
-        null_pad = (None,) * len(node.fetch_schema)
-        for row in left_rows:
-            matches = table.get(row[key_position], [])
-            matched = False
-            for other in matches:
-                combined = row + other
-                if self._residual_fn is not None and not self._residual_fn(combined):
-                    continue
-                out.append(combined)
-                matched = True
-            if not matched and node.kind == "LEFT":
-                out.append(row + null_pad)
-        return out
 
     def explain_label(self):
         return self.node.label()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
 from repro.netsim.network import NetworkModel, WireFormat
@@ -158,6 +158,23 @@ class MetricsCollector:
     def total_source_queries(self) -> int:
         return sum(self.source_queries.values())
 
+    @classmethod
+    def _counter_kinds(cls) -> tuple:
+        """`(name, kind)` of every field `merge()` / `reset()` handle, read
+        from `fields(cls)` once per class (a subclass resolves its own): kind
+        is list, Counter, float or int by the field's default; the network
+        model and any other kind of field are left alone."""
+        kinds = cls.__dict__.get("_kinds")
+        if kinds is None:
+            found = []
+            for spec in fields(cls):
+                sample = spec.default if spec.default is not MISSING else spec.default_factory()
+                kind = next((k for k in (list, Counter, float, int) if isinstance(sample, k)), None)
+                if kind is not None:
+                    found.append((spec.name, kind))
+            cls._kinds = kinds = tuple(found)
+        return kinds
+
     def merge(self, other: "MetricsCollector") -> None:
         """Fold another collector's counters into this one.
 
@@ -167,36 +184,27 @@ class MetricsCollector:
         silently dropped by a hand-copied field list.
         """
         self._check_owner()
-        for spec in fields(self):
-            if spec.name == "network":
-                continue
-            mine = getattr(self, spec.name)
-            theirs = getattr(other, spec.name)
-            if isinstance(mine, list):
-                mine.extend(theirs)
-            elif isinstance(mine, Counter):
-                mine.update(theirs)
-            elif isinstance(mine, (int, float)):
-                setattr(self, spec.name, mine + theirs)
+        for name, kind in self._counter_kinds():
+            if kind is list:
+                getattr(self, name).extend(getattr(other, name))
+            elif kind is Counter:
+                getattr(self, name).update(getattr(other, name))
+            else:
+                setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def reset(self) -> None:
         """Zero every counter, field-generically (like `merge()`).
 
-        Iterating `fields(self)` instead of a hand-maintained list means a
+        Reading the fields instead of a hand-maintained list means a
         counter added to this dataclass is reset automatically rather than
         silently surviving across runs.
         """
         self._check_owner()
-        for spec in fields(self):
-            if spec.name == "network":
-                continue
-            value = getattr(self, spec.name)
-            if isinstance(value, (list, Counter)):
-                value.clear()
-            elif isinstance(value, float):
-                setattr(self, spec.name, 0.0)
-            elif isinstance(value, int):
-                setattr(self, spec.name, 0)
+        for name, kind in self._counter_kinds():
+            if kind is list or kind is Counter:
+                getattr(self, name).clear()
+            else:
+                setattr(self, name, kind())
 
     def group(self, name: str) -> dict:
         """One `SUMMARY_GROUPS` group's counters, float fields rounded to 1 µs."""
@@ -253,5 +261,5 @@ SUMMARY_GROUPS = {
     "views": ("view_hits", "view_stale_serves", "view_fallbacks"),
 }
 _FLOAT_FIELDS = frozenset(
-    spec.name for spec in fields(MetricsCollector) if isinstance(spec.default, float)
+    name for name, kind in MetricsCollector._counter_kinds() if kind is float
 )

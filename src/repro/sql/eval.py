@@ -114,13 +114,21 @@ def compile_expr(expr: Expr, schema: RelSchema) -> Callable:
 
     if isinstance(expr, InList):
         inner = compile_expr(expr.operand, schema)
-        item_fns = [compile_expr(item, schema) for item in expr.items]
+        probe = _literal_probe(expr.items)
+        # An all-literal list compiles its items only if the probe below ever
+        # falls back: a bind join's hundreds of keys are probed, not visited.
+        item_fns = None
+        if probe is None:
+            item_fns = [compile_expr(item, schema) for item in expr.items]
         negated = expr.negated
 
         def evaluate_in(row):
+            nonlocal item_fns
             value = inner(row)
             if value is None:
                 return None
+            if item_fns is None:
+                item_fns = [compile_expr(item, schema) for item in expr.items]
             found = False
             saw_null = False
             for fn in item_fns:
@@ -136,7 +144,6 @@ def compile_expr(expr: Expr, schema: RelSchema) -> Callable:
                 return None
             return negated
 
-        probe = _literal_probe(expr.items)
         if probe is None:
             return evaluate_in
         keys, has_float, has_null = probe

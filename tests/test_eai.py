@@ -31,6 +31,16 @@ class TestBroker:
         broker.publish("y.two", {"v": 2})
         assert [m.topic for m in broker.messages_on("x.*")] == ["x.one"]
 
+    def test_log_keeps_only_the_most_recent_messages(self):
+        from repro.eai.broker import MESSAGE_LOG_LENGTH
+
+        broker = MessageBroker()
+        for n in range(MESSAGE_LOG_LENGTH + 5):
+            broker.publish("tick", {"n": n})
+        assert len(broker.log) == MESSAGE_LOG_LENGTH  # saturates; sequence counts on
+        assert broker.log[0].sequence == 6 and broker.log[-1].sequence == MESSAGE_LOG_LENGTH + 5
+        assert len(broker.messages_on("tick")) == MESSAGE_LOG_LENGTH
+
     def test_sequence_monotonic(self):
         broker = MessageBroker()
         first = broker.publish("t", {})

@@ -95,6 +95,40 @@ class TestMetricsCollector:
             elif spec.name != "network":
                 assert not value, spec.name
 
+    def test_a_subclass_counter_is_merged_and_reset_unedited(self):
+        """The field list is resolved once per class - per *class*: a counter
+        a subclass adds is merged and zeroed although neither method names it
+        and the base class resolved its own list first."""
+        from collections import Counter
+        from dataclasses import dataclass, field
+
+        MetricsCollector().merge(MetricsCollector())  # base list resolved first
+
+        @dataclass
+        class Extended(MetricsCollector):
+            spills: int = 0
+            spill_seconds: float = 0.0
+            spill_log: list = field(default_factory=lambda: [])
+            spills_by_op: Counter = field(default_factory=Counter)
+            note: str = "kept"  # not a counter: left alone
+
+        mine, theirs = Extended(), Extended(spills=2, spill_seconds=0.5, note="other")
+        theirs.spill_log.append("sort")
+        theirs.spills_by_op["sort"] += 2
+        theirs.record_source_query("crm", seconds=1.0)
+        mine.merge(theirs)
+        mine.merge(theirs)
+        assert (mine.spills, mine.spill_seconds, mine.note) == (4, 1.0, "kept")
+        assert mine.spill_log == ["sort", "sort"] and mine.spills_by_op["sort"] == 4
+        assert mine.source_queries["crm"] == 2 and mine.simulated_seconds == 2.0
+        network = mine.network
+        mine.reset()
+        assert (mine.spills, mine.spill_seconds, mine.note) == (0, 0.0, "kept")
+        assert type(mine.spills) is int and type(mine.spill_seconds) is float
+        assert not mine.spill_log and not mine.spills_by_op and not mine.source_queries
+        assert mine.network is network
+        MetricsCollector().merge(theirs)  # the base class still folds only its own
+
     def test_summary_keys(self):
         metrics = MetricsCollector()
         metrics.record_transfer("a", "b", 5, 100, WireFormat.XML, "result ship")

@@ -103,6 +103,30 @@ class TestPredicates:
     def test_in_found_despite_null(self):
         assert ev("a IN (5, NULL)") is True
 
+    def test_literal_in_list_compiles_its_items_only_on_fallback(self, monkeypatch):
+        """A bind join's IN-list is hundreds of literals the frozenset probe
+        answers; their per-item closures are built by the first row that
+        needs the per-item loop (an int `float()` would round), and once."""
+        from repro.sql import eval as evaluator
+        from repro.sql.ast import ColumnRef, InList, Literal
+
+        compiled = []
+        compile_one = evaluator.compile_expr
+        monkeypatch.setattr(
+            evaluator, "compile_expr",
+            lambda expr, schema: compiled.append(expr) or compile_one(expr, schema),
+        )
+        schema = RelSchema.of(("v", DataType.ANY))
+        keys = tuple(Literal(key) for key in range(399)) + (Literal(0.5),)
+        fn = compile_one(InList(ColumnRef("v"), keys), schema)
+        assert compiled == [ColumnRef("v")]
+        assert fn((7,)) is True and fn((400,)) is False and fn((None,)) is None
+        assert compiled == [ColumnRef("v")]
+        assert fn((2**53 + 1,)) is False  # beyond the probe: visits every item
+        assert compiled == [ColumnRef("v"), *keys]
+        assert fn((2**53 + 3,)) is False
+        assert len(compiled) == 401
+
     def test_like_percent(self):
         assert ev("b LIKE 'he%'") is True
 
