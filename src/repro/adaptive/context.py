@@ -63,10 +63,6 @@ class AdaptiveContext:
     def generation(self) -> int:
         return self.store.generation
 
-    def attach(self, broker) -> None:
-        """Invalidate calibrations on the broker's table-change events."""
-        self.store.attach(broker)
-
     # -- observation (called from fetch workers) --------------------------------------
 
     def observe(

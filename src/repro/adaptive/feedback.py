@@ -3,7 +3,7 @@
 After every fetch and bind-chunk the engine records the *actual* rows and
 payload bytes under the node's canonical signature. Entries are EWMA-
 smoothed so a drifting source converges instead of thrashing, bounded by an
-LRU cap, and invalidated by the same ``table.*.changed`` broker events that
+LRU cap, and invalidated by the same table-change broker events that
 evict the fetch cache. A monotonic `generation` counter advances on every
 *material* change (new signature, large drift, invalidation, clear);
 plan-cache entries remember the generation they were planned at, so a
@@ -12,11 +12,12 @@ calibrated model never serves a stale ordering.
 
 from __future__ import annotations
 
-import fnmatch
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.eai.table_events import subscribe_table_changes
 
 
 def _ratio(a: float, b: float) -> float:
@@ -166,20 +167,8 @@ class FeedbackStore:
             return len(doomed)
 
     def attach(self, broker) -> None:
-        """Subscribe to ``table.<name>.changed`` events (same as the caches)."""
-        broker.subscribe("table.*.changed", self._on_change)
-
-    def _on_change(self, message) -> None:
-        table = None
-        payload = getattr(message, "payload", None)
-        if isinstance(payload, dict):
-            table = payload.get("table")
-        if table is None:
-            topic = getattr(message, "topic", "")
-            if fnmatch.fnmatch(topic, "table.*.changed"):
-                table = topic.split(".", 2)[1]
-        if table:
-            self.invalidate_table(str(table))
+        """Drop calibrations on the broker's table-change events."""
+        subscribe_table_changes(broker, self.invalidate_table)
 
     def clear(self) -> int:
         """Drop all calibrations (the shell's ``\\feedback clear``)."""

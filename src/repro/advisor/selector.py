@@ -105,7 +105,7 @@ class ViewSelector:
             stats.count += 1
             if not result.from_cache:
                 stats.total_elapsed_s += result.elapsed_seconds
-                stats.result_bytes = max(result.relation.size_bytes(), 1)
+                stats.result_bytes = max(result.payload_bytes, 1)
 
     def observe_hit(self, view_name: str) -> None:
         """Record a query answered from a view (ours or user-defined)."""
@@ -146,14 +146,13 @@ class ViewSelector:
                 manager.refresh(name)
 
     def _used_bytes(self, manager) -> int:
+        """Recorded sizes of the owned views (0 for one not yet refreshed)."""
         used = 0
         for name in self._owned:
             try:
-                view = manager.view(name)
+                used += manager.view(name).size_bytes
             except EIIError:
-                continue
-            if view.data is not None:
-                used += view.data.size_bytes()
+                continue  # dropped behind our back; `_refresh_dirty` forgets it
         return used
 
     def _admit(self, engine) -> None:
@@ -177,38 +176,26 @@ class ViewSelector:
         for stats in candidates:
             if used + stats.result_bytes > self.byte_budget:
                 continue
-            if not self._materializable(engine, stats):
-                continue
+            # Compiled once, by the manager, and kept on the record; only a
+            # shape the answering layer can match is worth a refresh query.
             with self._lock:
-                self._sequence += 1
-                name = f"{self.name_prefix}{self._sequence}"
-            try:
-                view = manager.define_materialized(name, stats.sql)
-            except EIIError:
+                name = f"{self.name_prefix}{self._sequence + 1}"
+            view = manager.compile(name, stats.sql)
+            rejected = view.compiled is None
+            if not rejected:
+                with self._lock:
+                    self._sequence += 1
+                try:
+                    manager.register(view)
+                except EIIError:
+                    rejected = True
+            if rejected:
                 with self._lock:
                     stats.rejected = True
                 continue
             with self._lock:
                 self._owned[name] = _Owned(name, stats.sql)
-            if view.data is not None:
-                used += view.data.size_bytes()
-
-    def _materializable(self, engine, stats: CandidateStats) -> bool:
-        """Only admit shapes the answering layer can actually match."""
-        from repro.sql.ast import Select
-        from repro.sql.parser import parse
-        from repro.views.catalog import compile_view
-
-        try:
-            statement = parse(stats.sql)
-            if not isinstance(statement, Select):
-                raise EIIError("not a plain SELECT")
-            compile_view("candidate", stats.sql, statement, engine.catalog)
-        except EIIError:
-            with self._lock:
-                stats.rejected = True
-            return False
-        return True
+            used += view.size_bytes
 
     def _retire(self, manager) -> None:
         """Drop the lowest-benefit owned views while over budget."""

@@ -19,7 +19,7 @@ dict.
 
 Fetch- and result-level entries are tagged with the lower-cased names of
 the source tables they were computed from; `invalidate_table` (usually
-driven by `table.<name>.changed` broker events — see `attach`) evicts
+driven by the broker's table-change events — see `attach`) evicts
 exactly the dependent entries, making stale reads impossible after a
 write through the mediator/EAI path.
 """
@@ -31,6 +31,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.cache.store import BoundedStore, CacheEntry
+from repro.eai.table_events import subscribe_table_changes
+
+
+#: Bounds of the fetch level: entries and payload bytes; entries never expire.
+FETCH_ENTRIES = 1024
+FETCH_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
@@ -40,9 +46,6 @@ class CacheConfig:
     plan_enabled: bool = True
     plan_entries: Optional[int] = 256
     fetch_enabled: bool = True
-    fetch_entries: Optional[int] = 1024
-    fetch_bytes: Optional[int] = 64 * 1024 * 1024
-    fetch_ttl_s: Optional[float] = None
     result_enabled: bool = True
     result_entries: Optional[int] = 256
     result_bytes: Optional[int] = 64 * 1024 * 1024
@@ -62,11 +65,7 @@ class CacheHierarchy:
         )
         self.fetches = (
             BoundedStore(
-                "fetch",
-                max_entries=c.fetch_entries,
-                max_bytes=c.fetch_bytes,
-                ttl_s=c.fetch_ttl_s,
-                clock=clock,
+                "fetch", max_entries=FETCH_ENTRIES, max_bytes=FETCH_BYTES, clock=clock
             )
             if c.fetch_enabled
             else None
@@ -158,12 +157,8 @@ class CacheHierarchy:
         return counts
 
     def attach(self, broker) -> None:
-        """Subscribe to `table.<name>.changed` events for auto-invalidation."""
-
-        def on_change(message):
-            self.invalidate_table(message.payload["table"])
-
-        broker.subscribe("table.*.changed", on_change)
+        """Evict dependent entries on the broker's table-change events."""
+        subscribe_table_changes(broker, self.invalidate_table)
 
     def clear(self) -> None:
         for store in (self.plans, self.fetches, self.results):

@@ -13,8 +13,8 @@ once: what a run needs lives in its `repro.federation.execution.Execution`,
 which prefetches the plan's component queries in parallel, serves the
 assembly-site operators lowered against it, and is the only writer of the
 three observers (`MetricsCollector`, trace spans, telemetry plane).
-`attach_invalidation` subscribes the cache hierarchy to an EAI broker so
-writes evict dependent entries.
+`attach_invalidation` subscribes the engine to an EAI broker's table-change
+events so writes evict dependent entries and dirty dependent views.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Optional, Union
 from repro.cache import CacheConfig, CacheHierarchy, canonical_statement
 from repro.common.errors import AdmissionError, EIIError, PlanError
 from repro.common.relation import Relation
+from repro.eai.table_events import subscribe_table_changes
 from repro.engine.executor import LocalEngine
 from repro.engine.logical import LogicalPlan
 from repro.federation.catalog import FederationCatalog
@@ -89,6 +90,11 @@ class FederatedResult:
     @property
     def is_partial(self) -> bool:
         return self.completeness is not None and not self.completeness.complete
+
+    @property
+    def payload_bytes(self) -> int:
+        """The answer's wire size, as sized for the transfer every run ends with."""
+        return self.metrics.transfers[-1].payload_bytes
 
     def report(self, analyze: bool = False) -> Report:
         """This result's execution account as a sectioned `Report`.
@@ -371,33 +377,29 @@ class FederatedEngine:
         answer is charged a local scan of the view's rows at the hub plus the
         hub→client transfer — no source queries, no federation bytes.
         """
-        from repro.views.answering import ViewProvenance
-
         answer, fallbacks = self._answering.try_answer(statement)
         if answer is None:
             return None, fallbacks
+        view = answer.provenance
         metrics = MetricsCollector(network=self.network)
         Recorder(metrics, None, self.telemetry).view_served(
-            answer.view, answer.fresh, answer.staleness_s
+            view.view, view.fresh, view.staleness_s
         )
         scan_seconds = answer.rows_scanned * HUB_TIME_PER_COST_UNIT_S
         metrics.charge_seconds(scan_seconds)
         payload_bytes = answer.relation.size_bytes()
         transfer_seconds = metrics.record_transfer(
             "hub", "client", rows=len(answer.relation), payload_bytes=payload_bytes,
-            description=f"view answer from {answer.view}",
+            description=f"view answer from {view.view}",
         )
         plan = FederatedPlan(
             root=answer.plan, fetches=[], bind_joins=[], assembly_site="hub",
             est_result_rows=float(len(answer.relation)),
             est_result_bytes=payload_bytes,
         )
-        provenance = ViewProvenance(
-            answer.view, answer.kind, answer.staleness_s, answer.fresh, answer.tables
-        )
         result = FederatedResult(
             answer.relation, plan, metrics, fetch_seconds=[],
-            elapsed_seconds=scan_seconds + transfer_seconds, view=provenance,
+            elapsed_seconds=scan_seconds + transfer_seconds, view=view,
         )
         return result, []
 
@@ -450,8 +452,7 @@ class FederatedEngine:
                 tags=result.plan.table_dependencies()
                 if view is None
                 else view.tables | {view.view},
-                # the hub→client transfer every execution ends with
-                size_bytes=result.metrics.transfers[-1].payload_bytes,
+                size_bytes=result.payload_bytes,
                 cost_seconds=result.elapsed_seconds,
             )
         if view_fallbacks:
@@ -516,20 +517,19 @@ class FederatedEngine:
         return plan, was_cached
 
     def attach_invalidation(self, broker) -> None:
-        """Evict dependent cache entries on `table.<name>.changed` events."""
-        self.cache.attach(broker)
-        if self.adaptive is not None:
-            # Calibrations describe table contents, so they expire with them.
-            self.adaptive.attach(broker)
-        if self.views is not None:
-            # Dirty-mark dependent materialized views dynamically (covers
-            # views defined after attachment, e.g. advisor-created ones).
-            def on_change(message):
-                table = message.payload.get("table")
-                if table:
-                    self.views.on_table_changed(table)
+        """Hear the broker's table-change events — one subscription, fanned out
+        to the cache hierarchy, the adaptive calibrations and the views."""
 
-            broker.subscribe("table.*.changed", on_change)
+        def on_change(table: str) -> None:
+            self.cache.invalidate_table(table)
+            if self.adaptive is not None:
+                # Calibrations describe table contents, so they expire with them.
+                self.adaptive.store.invalidate_table(table)
+            if self.views is not None:
+                # Looked up per event: covers views defined after attachment.
+                self.views.on_table_changed(table)
+
+        subscribe_table_changes(broker, on_change)
 
     def predict_elapsed(self, plan: FederatedPlan) -> float:
         """Pre-execution prediction of simulated elapsed seconds.

@@ -35,6 +35,9 @@ from typing import Iterable, Optional
 from repro.common.errors import CapabilityError, CircuitOpenError, SourceError
 from repro.sql.ast import JoinClause, Select, TableRef
 
+#: Retry *n* (0-based) waits ``backoff_base_s * BACKOFF_MULTIPLIER**n``.
+BACKOFF_MULTIPLIER = 2.0
+
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
@@ -50,7 +53,7 @@ class ResiliencePolicy:
     """Knobs for the per-source resilience behavior (engine-wide defaults).
 
     `max_attempts` counts the first try: 3 means one call plus two retries.
-    Backoff for attempt *n* (0-based) is ``base * multiplier**n`` with
+    Backoff for attempt *n* (0-based) is ``base * BACKOFF_MULTIPLIER**n`` with
     ``±jitter`` relative noise from a seeded RNG. `breaker_failure_threshold`
     consecutive failures open a source's breaker for `breaker_cooldown_s`
     simulated seconds; then `breaker_half_open_probes` concurrent probes are
@@ -61,7 +64,6 @@ class ResiliencePolicy:
 
     max_attempts: int = 3
     backoff_base_s: float = 0.05
-    backoff_multiplier: float = 2.0
     backoff_jitter: float = 0.25
     fetch_timeout_s: Optional[float] = None
     breaker_failure_threshold: Optional[int] = 5
@@ -241,7 +243,7 @@ class ResilienceManager:
 
     def backoff_delay(self, attempt: int) -> float:
         policy = self.policy
-        delay = policy.backoff_base_s * (policy.backoff_multiplier**attempt)
+        delay = policy.backoff_base_s * (BACKOFF_MULTIPLIER**attempt)
         with self._lock:
             noise = 1.0 + policy.backoff_jitter * (2.0 * self._rng.random() - 1.0)
         return max(0.0, delay * noise)

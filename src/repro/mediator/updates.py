@@ -22,6 +22,7 @@ from typing import Optional
 
 from repro.common.errors import PlanError
 from repro.eai.process import ProcessDefinition, Step
+from repro.eai.table_events import publish_table_changed
 from repro.sql.ast import ColumnRef, Select
 from repro.sql.exprutil import equi_join_sides, split_conjuncts
 
@@ -48,7 +49,7 @@ class UpdateSagaGenerator:
         self.schema = mediated_schema
         self.catalog = catalog
         #: when given, every step (and every compensation) that mutates a
-        #: source table publishes `table.<name>.changed` — the same event
+        #: source table announces the change — the same event
         #: `ChangeNotifier` emits — so view staleness and mediator-cache
         #: invalidation react to writes through this path immediately,
         #: without waiting for a notifier poll sweep.
@@ -169,10 +170,7 @@ class UpdateSagaGenerator:
 
     def _notify_changed(self, table_name: str, table) -> None:
         if self.broker is not None:
-            self.broker.publish(
-                f"table.{table_name.lower()}.changed",
-                {"table": table_name.lower(), "version": table.version},
-            )
+            publish_table_changed(self.broker, table_name, table.version)
 
     def _table_step(self, table_name, local_key, key_value, targets) -> Step:
         entry = self.catalog.entry(table_name)

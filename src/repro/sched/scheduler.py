@@ -74,14 +74,8 @@ class SchedulerConfig:
     #: per-source virtual concurrency caps, e.g. ``{"crm": 2}``; a source
     #: not listed is unlimited
     source_limits: Optional[dict] = None
-    #: drop queries whose deadline already passed while they queued
-    shed_late: bool = True
     #: reject queries predicted to run longer than this (None = admit all)
     admission_budget_s: Optional[float] = None
-    #: keep the engine's SimClock in step with workload virtual time, so
-    #: time-windowed behavior (cache TTLs, outage windows) sees the
-    #: workload timeline; ignored when the engine clock can't be advanced
-    advance_clock: bool = True
     #: build the workload `Trace` (byte-identical across seeded replays)
     trace: bool = True
 
@@ -303,9 +297,9 @@ class _RunState:
         self.active_order.append(index)
 
     def _sync_clock(self) -> None:
-        """Advance the engine's SimClock to workload virtual time."""
-        if not self.config.advance_clock:
-            return
+        """Advance the engine's SimClock to workload virtual time, so
+        time-windowed behavior (cache TTLs, outage windows) sees the workload
+        timeline."""
         clock = getattr(self.engine, "clock", None)
         if clock is None or not hasattr(clock, "advance"):
             return  # wall clock (time.time) — nothing to keep in step
@@ -354,11 +348,8 @@ class _RunState:
             request = entry.request
             index = entry.token
             deadline = request.deadline_s
-            if (
-                self.config.shed_late
-                and deadline is not None
-                and self.now > deadline
-            ):
+            if deadline is not None and self.now > deadline:
+                # its deadline passed while it queued: shed, do not run late
                 self._shed(index)
                 continue
             self._dispatch(index)

@@ -99,43 +99,42 @@ def conjoin(conjuncts: Iterable[Expr]) -> Optional[Expr]:
     return and_all(list(conjuncts))
 
 
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild one node from `fn`-rewritten children; a leaf is returned as it is."""
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(expr.op, fn(expr.left), fn(expr.right))
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, fn(expr.operand))
+    if isinstance(expr, FuncCall):
+        return FuncCall(expr.name, tuple(fn(arg) for arg in expr.args), expr.distinct)
+    if isinstance(expr, IsNull):
+        return IsNull(fn(expr.operand), expr.negated)
+    if isinstance(expr, InList):
+        return InList(fn(expr.operand), tuple(fn(i) for i in expr.items), expr.negated)
+    if isinstance(expr, Like):
+        return Like(fn(expr.operand), fn(expr.pattern), expr.negated)
+    if isinstance(expr, Between):
+        return Between(fn(expr.operand), fn(expr.low), fn(expr.high), expr.negated)
+    if isinstance(expr, CaseWhen):
+        return CaseWhen(
+            tuple((fn(cond), fn(value)) for cond, value in expr.whens),
+            fn(expr.default) if expr.default is not None else None,
+        )
+    return expr
+
+
 def transform(expr: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
     """Bottom-up rewrite: `fn` may return a replacement node or None to keep.
 
     Children are rewritten first so `fn` sees already-rewritten subtrees.
     """
-    if isinstance(expr, BinaryOp):
-        rebuilt: Expr = BinaryOp(expr.op, transform(expr.left, fn), transform(expr.right, fn))
-    elif isinstance(expr, UnaryOp):
-        rebuilt = UnaryOp(expr.op, transform(expr.operand, fn))
-    elif isinstance(expr, FuncCall):
-        rebuilt = FuncCall(expr.name, tuple(transform(a, fn) for a in expr.args), expr.distinct)
-    elif isinstance(expr, IsNull):
-        rebuilt = IsNull(transform(expr.operand, fn), expr.negated)
-    elif isinstance(expr, InList):
-        rebuilt = InList(
-            transform(expr.operand, fn),
-            tuple(transform(i, fn) for i in expr.items),
-            expr.negated,
-        )
-    elif isinstance(expr, Like):
-        rebuilt = Like(transform(expr.operand, fn), transform(expr.pattern, fn), expr.negated)
-    elif isinstance(expr, Between):
-        rebuilt = Between(
-            transform(expr.operand, fn),
-            transform(expr.low, fn),
-            transform(expr.high, fn),
-            expr.negated,
-        )
-    elif isinstance(expr, CaseWhen):
-        rebuilt = CaseWhen(
-            tuple((transform(c, fn), transform(v, fn)) for c, v in expr.whens),
-            transform(expr.default, fn) if expr.default is not None else None,
-        )
-    else:
-        rebuilt = expr
-    replacement = fn(rebuilt)
-    return rebuilt if replacement is None else replacement
+
+    def visit(node: Expr) -> Expr:
+        rebuilt = map_children(node, visit)
+        replacement = fn(rebuilt)
+        return rebuilt if replacement is None else replacement
+
+    return visit(expr)
 
 
 def substitute_columns(expr: Expr, mapping: dict) -> Expr:

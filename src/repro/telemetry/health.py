@@ -38,21 +38,24 @@ DOWN = "down"
 _SEVERITY = {DEGRADED: WARNING, DOWN: CRITICAL}
 
 
+# Thresholds of the per-window fusion rules.
+#: window mean latency this many deviations above the source's EWMA
+#: baseline marks it degraded
+LATENCY_Z = 3.0
+#: also degraded when window mean latency exceeds baseline by this
+#: factor (catches regressions too early for the z-score's history)
+LATENCY_FACTOR = 4.0
+#: window failure-rate thresholds
+FAILURE_RATE_DEGRADED = 0.25
+FAILURE_RATE_DOWN = 0.75
+#: cache hit rate under `CACHE_HIT_DROP` × its EWMA baseline degrades
+CACHE_HIT_DROP = 0.5
+
+
 @dataclass
 class HealthPolicy:
-    """Thresholds for the per-window fusion rules."""
+    """Recovery and baseline knobs of the per-window fusion rules."""
 
-    #: window mean latency this many deviations above the source's EWMA
-    #: baseline marks it degraded
-    latency_z: float = 3.0
-    #: also degraded when window mean latency exceeds baseline by this
-    #: factor (catches regressions too early for the z-score's history)
-    latency_factor: float = 4.0
-    #: window failure-rate thresholds
-    failure_rate_degraded: float = 0.25
-    failure_rate_down: float = 0.75
-    #: cache hit rate under `cache_hit_drop` × its EWMA baseline degrades
-    cache_hit_drop: float = 0.5
     #: windows of touch-free or clean observation before re-marking healthy
     recovery_windows: int = 1
     #: EWMA smoothing for the latency / hit-rate baselines
@@ -206,13 +209,13 @@ class HealthModel:
         entry.windows_observed += 1
         reasons = []
         failure_rate = window.failure_rate
-        if failure_rate >= policy.failure_rate_down:
+        if failure_rate >= FAILURE_RATE_DOWN:
             reasons.append("failure_rate")
             self._update_baselines(entry, window, latency=False)
             self._set_state(entry, DOWN, now, tuple(reasons))
             entry.clean_windows = 0
             return
-        if failure_rate >= policy.failure_rate_degraded:
+        if failure_rate >= FAILURE_RATE_DEGRADED:
             reasons.append("failure_rate")
         mean_latency = window.mean_latency_s
         baseline = entry.latency_baseline
@@ -220,9 +223,9 @@ class HealthModel:
             z = baseline.zscore(mean_latency)
             factor_breach = (
                 baseline.mean > 0
-                and mean_latency >= policy.latency_factor * baseline.mean
+                and mean_latency >= LATENCY_FACTOR * baseline.mean
             )
-            if z >= policy.latency_z or factor_breach:
+            if z >= LATENCY_Z or factor_breach:
                 reasons.append("latency")
         hit_rate = window.cache_hit_rate
         hit_baseline = entry.hit_rate_baseline
@@ -230,7 +233,7 @@ class HealthModel:
             (window.cache_hits + window.cache_misses) > 0
             and hit_baseline.count >= policy.min_baseline_windows
             and hit_baseline.mean > 0.2
-            and hit_rate < policy.cache_hit_drop * hit_baseline.mean
+            and hit_rate < CACHE_HIT_DROP * hit_baseline.mean
         ):
             reasons.append("cache_decay")
         if reasons:

@@ -31,36 +31,27 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.common.errors import EIIError
-from repro.engine.executor import LocalEngine
+from repro.common.relation import Relation
 from repro.mediator.cq import Atom, ConjunctiveQuery, Var, is_contained_in
 from repro.sql.ast import (
-    Between,
     BinaryOp,
-    CaseWhen,
     ColumnRef,
     Expr,
     FuncCall,
-    InList,
-    IsNull,
-    Like,
     Literal,
     OrderItem,
     Select,
     SelectItem,
-    Star,
     TableRef,
-    UnaryOp,
 )
-from repro.sql.exprutil import column_refs, conjoin
+from repro.sql.exprutil import column_refs, conjoin, map_children
 from repro.sql.functions import is_aggregate_name
-from repro.storage.catalog import Database
 from repro.views.catalog import (
     CompiledView,
     QueryShape,
     ServePolicy,
     canonical_text,
     compile_shape,
-    compile_view,
 )
 
 
@@ -82,19 +73,14 @@ class ViewProvenance:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ViewAnswer:
     """One successful view rewrite, evaluated over the view's rows."""
 
-    relation: object
-    view: str
-    kind: str
-    staleness_s: float
-    fresh: bool
-    select: Select  # the compensation, over the view as a table
-    tables: frozenset  # base tables under the view (for cache tags)
+    relation: Relation
+    plan: object  # logical plan of the compensation, over the view as a table
     rows_scanned: int
-    plan: Optional[object] = None  # logical plan of the compensation
+    provenance: ViewProvenance
 
 
 class _RewriteFailed(Exception):
@@ -105,28 +91,13 @@ def _view_col(view: CompiledView, text: str) -> ColumnRef:
     return ColumnRef(view.outputs[text].lower())
 
 
-def _rebuild(node: Expr, fn: Callable) -> Expr:
-    """Rebuild one non-leaf node with `fn`-rewritten children."""
-    if isinstance(node, BinaryOp):
-        return BinaryOp(node.op, fn(node.left), fn(node.right))
-    if isinstance(node, UnaryOp):
-        return UnaryOp(node.op, fn(node.operand))
-    if isinstance(node, FuncCall):
-        return FuncCall(node.name, tuple(fn(arg) for arg in node.args), node.distinct)
-    if isinstance(node, IsNull):
-        return IsNull(fn(node.operand), node.negated)
-    if isinstance(node, InList):
-        return InList(fn(node.operand), tuple(fn(i) for i in node.items), node.negated)
-    if isinstance(node, Like):
-        return Like(fn(node.operand), fn(node.pattern), node.negated)
-    if isinstance(node, Between):
-        return Between(fn(node.operand), fn(node.low), fn(node.high), node.negated)
-    if isinstance(node, CaseWhen):
-        return CaseWhen(
-            tuple((fn(c), fn(v)) for c, v in node.whens),
-            fn(node.default) if node.default is not None else None,
-        )
-    raise _RewriteFailed(f"unsupported node {type(node).__name__}")
+def _descend(expr: Expr, rewrite: Callable[[Expr], Expr]) -> Expr:
+    """The rewriters' shared tail: a column the view does not expose fails the
+    rewrite, any other node is rebuilt from its rewritten children (so the
+    query's own output aliases, literals and `*` pass through)."""
+    if isinstance(expr, ColumnRef) and expr.qualifier is not None:
+        raise _RewriteFailed(f"column {expr} not exposed by view")
+    return map_children(expr, rewrite)
 
 
 def _rewrite_plain(expr: Expr, view: CompiledView) -> Expr:
@@ -135,13 +106,7 @@ def _rewrite_plain(expr: Expr, view: CompiledView) -> Expr:
     text = canonical_text(expr)
     if text in view.outputs and text not in view.aggregate_outputs:
         return _view_col(view, text)
-    if isinstance(expr, ColumnRef):
-        if expr.qualifier is None:
-            return expr  # reference to the query's own output alias
-        raise _RewriteFailed(f"column {expr} not exposed by view")
-    if isinstance(expr, (Literal, Star)):
-        return expr
-    return _rebuild(expr, lambda node: _rewrite_plain(node, view))
+    return _descend(expr, lambda node: _rewrite_plain(node, view))
 
 
 def _rewrite_exact(expr: Expr, view: CompiledView) -> Expr:
@@ -157,13 +122,7 @@ def _rewrite_exact(expr: Expr, view: CompiledView) -> Expr:
             sum_col, count_col = _avg_parts(view, expr.args[0])
             return BinaryOp("/", sum_col, count_col)
         raise _RewriteFailed(f"aggregate {text} not exposed by view")
-    if isinstance(expr, ColumnRef):
-        if expr.qualifier is None:
-            return expr
-        raise _RewriteFailed(f"column {expr} not exposed by view")
-    if isinstance(expr, (Literal, Star)):
-        return expr
-    return _rebuild(expr, lambda node: _rewrite_exact(node, view))
+    return _descend(expr, lambda node: _rewrite_exact(node, view))
 
 
 def _rewrite_rollup(expr: Expr, view: CompiledView) -> Expr:
@@ -193,13 +152,7 @@ def _rewrite_rollup(expr: Expr, view: CompiledView) -> Expr:
     text = canonical_text(expr)
     if text in view.outputs and text not in view.aggregate_outputs:
         return _view_col(view, text)
-    if isinstance(expr, ColumnRef):
-        if expr.qualifier is None:
-            return expr
-        raise _RewriteFailed(f"column {expr} not exposed by view")
-    if isinstance(expr, (Literal, Star)):
-        return expr
-    return _rebuild(expr, lambda node: _rewrite_rollup(node, view))
+    return _descend(expr, lambda node: _rewrite_rollup(node, view))
 
 
 def _avg_parts(view: CompiledView, arg: Expr) -> tuple:
@@ -386,73 +339,21 @@ def match_and_rewrite(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Scratch:
-    """A view's rows staged as a local single-table database."""
-
-    stamp: tuple
-    engine: Optional[LocalEngine]
-    rows: int
-
-
 class ViewAnswering:
     """Matches engine SELECTs against the engine's materialized views.
 
     Owned by `FederatedEngine`; `try_answer` is called on the query path
-    (result-cache miss, before planning). Thread-safe: one lock serializes
-    matching, refresh decisions and scratch staging. Nested engine queries
-    issued by view refresh run with ``use_views=False``, so the lock is
-    never re-entered.
+    (result-cache miss, before planning). Everything it knows about a view it
+    reads off the view's `MaterializedView` record; when a view refreshes is
+    `ViewManager.refresh_if_due`'s decision. Thread-safe: one lock serializes
+    matching, refreshes and staging. Nested engine queries issued by view
+    refresh run with ``use_views=False``, so the lock is never re-entered.
     """
 
     def __init__(self, engine, policy: Optional[ServePolicy] = None):
         self.engine = engine
         self.policy = policy or ServePolicy()
         self._lock = threading.Lock()
-        #: view name -> (sql, CompiledView | None when uncompilable)
-        self._compiled: dict = {}
-        self._scratch: dict = {}
-
-    # -- compile caches --------------------------------------------------------
-
-    def _compiled_view(self, name: str, sql: str) -> Optional[CompiledView]:
-        cached = self._compiled.get(name)
-        if cached is not None and cached[0] == sql:
-            return cached[1]
-        from repro.sql.parser import parse
-
-        compiled: Optional[CompiledView] = None
-        try:
-            statement = parse(sql)
-            if isinstance(statement, Select):
-                compiled = compile_view(name, sql, statement, self.engine.catalog)
-        except EIIError:
-            compiled = None
-        self._compiled[name] = (sql, compiled)
-        return compiled
-
-    def _scratch_for(self, name: str, view, compiled: CompiledView) -> Optional[_Scratch]:
-        stamp = (view.refreshed_at, view.refresh_count)
-        scratch = self._scratch.get(name)
-        if scratch is not None and scratch.stamp == stamp:
-            return scratch if scratch.engine is not None else None
-        relation = view.data
-        scratch = _Scratch(stamp, None, len(relation.rows))
-        have = {column.name.lower() for column in relation.schema.columns}
-        want = {output.lower() for output in compiled.outputs.values()}
-        if want <= have:
-            db = Database(f"view_{name}")
-            db.create_table(
-                name, [(column.name, column.dtype) for column in relation.schema.columns]
-            )
-            table = db.table(name)
-            for row in relation.rows:
-                table.insert(row)
-            scratch.engine = LocalEngine(db)
-        self._scratch[name] = scratch
-        return scratch if scratch.engine is not None else None
-
-    # -- the answer path -------------------------------------------------------
 
     def try_answer(self, statement) -> tuple:
         """Try to answer `statement` from a materialized view.
@@ -463,71 +364,43 @@ class ViewAnswering:
         """
         if not isinstance(statement, Select):
             return None, []
-        manager = getattr(self.engine, "views", None)
-        if manager is None:
-            return None, []
+        manager, catalog = self.engine.views, self.engine.catalog
         with self._lock:
             try:
-                q = compile_shape(statement, self.engine.catalog)
+                q = compile_shape(statement, catalog)
             except EIIError:
                 return None, []
             fallbacks: list = []
             for name in manager.materialized_names():
-                view = manager.materialized(name)
-                compiled = self._compiled_view(name, view.sql)
-                if compiled is None:
+                view = manager.view(name)
+                if view.compiled is None:
                     continue
-                match = match_and_rewrite(q, compiled, self.engine.catalog)
+                match = match_and_rewrite(q, view.compiled, catalog)
                 if match is None:
                     continue
-                rewritten, kind = match
-                answer = self._serve(name, view, compiled, rewritten, kind, fallbacks)
+                answer = self._serve(manager, name, view, *match, fallbacks)
                 if answer is not None:
                     return answer, fallbacks
             return None, fallbacks
 
     def _serve(
-        self, name, view, compiled, rewritten, kind, fallbacks
+        self, manager, name, view, rewritten, kind, fallbacks
     ) -> Optional[ViewAnswer]:
-        from repro.views.manager import RefreshPolicy
-
-        manager = self.engine.views
         try:
-            if view.policy == RefreshPolicy.ON_QUERY:
-                manager.refresh(name)
-            elif view.policy == RefreshPolicy.INTERVAL and (
-                view.data is None
-                or view.dirty
-                or view.staleness() > view.interval_s
-            ):
-                manager.refresh(name)
+            manager.refresh_if_due(view, reading=False)
         except EIIError:
-            return None
-        if view.data is None:
-            fallbacks.append(name)
             return None
         staleness = view.staleness()
         fresh = self.policy.is_fresh(view.dirty, staleness)
-        if not fresh and not self.policy.serve_stale:
+        if view.data is None or not (fresh or self.policy.serve_stale):
             fallbacks.append(name)
             return None
-        scratch = self._scratch_for(name, view, compiled)
-        if scratch is None:
-            return None
         try:
-            relation = scratch.engine.query(rewritten)
-            plan = scratch.engine.logical_plan(rewritten)
+            staged = manager.staged(view)
+            plan = staged.logical_plan(rewritten)
+            relation = staged.lower(plan).relation()
         except EIIError:
             return None
         view.serve_count += 1
-        return ViewAnswer(
-            relation=relation,
-            view=name,
-            kind=kind,
-            staleness_s=staleness,
-            fresh=fresh,
-            select=rewritten,
-            tables=compiled.base_tables,
-            rows_scanned=scratch.rows,
-            plan=plan,
-        )
+        provenance = ViewProvenance(name, kind, staleness, fresh, view.tables)
+        return ViewAnswer(relation, plan, len(view.data), provenance)

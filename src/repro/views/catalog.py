@@ -21,22 +21,20 @@ from typing import Callable, Optional
 
 from repro.common.errors import EIIError
 from repro.sql.ast import (
-    Between,
     BinaryOp,
-    CaseWhen,
     ColumnRef,
     Expr,
     FuncCall,
-    InList,
-    IsNull,
-    Like,
-    Literal,
     OrderItem,
     Select,
     Star,
-    UnaryOp,
 )
-from repro.sql.exprutil import column_refs, split_conjuncts
+from repro.sql.exprutil import (
+    column_refs,
+    contains_aggregate,
+    map_children,
+    split_conjuncts,
+)
 from repro.sql.functions import is_aggregate_name
 
 
@@ -129,10 +127,6 @@ class CompiledView:
     #: canonical aggregate text -> output name (subset of `outputs`)
     aggregate_outputs: dict = field(default_factory=dict)
 
-    @property
-    def base_tables(self) -> frozenset:
-        return self.shape.tables
-
 
 def canonical_text(expr: Expr) -> str:
     """Canonical comparison text: commutative equality is side-sorted."""
@@ -183,53 +177,12 @@ class _Resolver:
     def expr(self, node: Expr) -> Expr:
         if isinstance(node, ColumnRef):
             return self.resolve_column(node)
-        if isinstance(node, Literal):
-            return node
-        if isinstance(node, Star):
-            if node.qualifier is not None:
-                raise UnsupportedShape("qualified * is not matchable")
-            return node
-        if isinstance(node, BinaryOp):
-            return BinaryOp(node.op, self.expr(node.left), self.expr(node.right))
-        if isinstance(node, UnaryOp):
-            return UnaryOp(node.op, self.expr(node.operand))
-        if isinstance(node, FuncCall):
-            return FuncCall(
-                node.name.upper(),
-                tuple(self.expr(arg) for arg in node.args),
-                node.distinct,
-            )
-        if isinstance(node, IsNull):
-            return IsNull(self.expr(node.operand), node.negated)
-        if isinstance(node, InList):
-            return InList(
-                self.expr(node.operand),
-                tuple(self.expr(item) for item in node.items),
-                node.negated,
-            )
-        if isinstance(node, Like):
-            return Like(self.expr(node.operand), self.expr(node.pattern), node.negated)
-        if isinstance(node, Between):
-            return Between(
-                self.expr(node.operand),
-                self.expr(node.low),
-                self.expr(node.high),
-                node.negated,
-            )
-        if isinstance(node, CaseWhen):
-            return CaseWhen(
-                tuple((self.expr(c), self.expr(v)) for c, v in node.whens),
-                self.expr(node.default) if node.default is not None else None,
-            )
-        raise UnsupportedShape(f"unsupported expression {type(node).__name__}")
-
-
-def _contains_aggregate(expr: Expr) -> bool:
-    if isinstance(expr, FuncCall) and is_aggregate_name(expr.name):
-        return True
-    from repro.sql.exprutil import children
-
-    return any(_contains_aggregate(child) for child in children(expr))
+        if isinstance(node, Star) and node.qualifier is not None:
+            raise UnsupportedShape("qualified * is not matchable")
+        rebuilt = map_children(node, self.expr)
+        if isinstance(rebuilt, FuncCall):
+            return FuncCall(rebuilt.name.upper(), rebuilt.args, rebuilt.distinct)
+        return rebuilt
 
 
 def compile_shape(select: Select, catalog) -> QueryShape:
@@ -296,7 +249,7 @@ def compile_shape(select: Select, catalog) -> QueryShape:
                 item.output_name,
                 normalized,
                 canonical_text(normalized),
-                _contains_aggregate(normalized),
+                contains_aggregate(normalized),
             )
         )
     for group_expr in select.group_by:
@@ -313,9 +266,6 @@ def compile_shape(select: Select, catalog) -> QueryShape:
     shape.is_aggregate = bool(shape.group) or any(
         item.is_aggregate for item in shape.items
     )
-    if shape.is_aggregate and not shape.group and shape.having is None:
-        # a global aggregate (no GROUP BY) is still an aggregate shape
-        pass
     return shape
 
 

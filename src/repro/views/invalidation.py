@@ -3,11 +3,10 @@
 Rosenthal (§7): programmers hand-code Read/Notify/Update methods; "It
 should be possible to generate Notify methods automatically." This module
 does exactly that for the read side: a `ChangeNotifier` watches source
-tables (by their monotonic version counters) and publishes
-`table.<name>.changed` events on the EAI broker; `wire_invalidation`
-derives each materialized view's table dependencies *from its own SQL*
-and subscribes it, so views go stale the moment an underlying table
-changes — no hand-written plumbing per view.
+tables (by their monotonic version counters) and announces each change on
+the EAI broker (`repro.eai.table_events`); every materialized view's table
+dependencies are derived *from its own SQL*, so views go stale the moment
+an underlying table changes — no hand-written plumbing per view.
 """
 
 from __future__ import annotations
@@ -16,20 +15,21 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.eai.broker import MessageBroker
+from repro.eai.table_events import publish_table_changed, subscribe_table_changes
 from repro.sql.ast import Select, UnionSelect
 from repro.sql.parser import parse
-from repro.views.manager import ViewManager
 
 
-def table_dependencies(sql: str, mediated_schema=None) -> set[str]:
+def table_dependencies(sql, mediated_schema=None) -> set[str]:
     """The lower-cased base-table names a SELECT (or union) references.
 
-    When `mediated_schema` (a `repro.mediator.MediatedSchema`) is given,
+    `sql` is the statement's text, or the statement already parsed. When
+    `mediated_schema` (a `repro.mediator.MediatedSchema`) is given,
     references to mediated views are expanded recursively, so a dashboard
     over `customer360` correctly depends on the *source* tables underneath.
     The mediated names themselves are also included (useful for logging).
     """
-    statement = parse(sql)
+    statement = parse(sql) if isinstance(sql, str) else sql
     selects: list[Select] = []
     if isinstance(statement, UnionSelect):
         selects.extend(statement.selects)
@@ -65,8 +65,7 @@ class ChangeNotifier:
 
     Real sources would push; our storage tables expose a monotone `version`
     counter, so the notifier polls it. One `poll()` sweep publishes one
-    `table.<name>.changed` event per table that changed since the last
-    sweep.
+    change event per table that changed since the last sweep.
     """
 
     def __init__(self, broker: Optional[MessageBroker] = None):
@@ -86,62 +85,29 @@ class ChangeNotifier:
         for watch in self._watches.values():
             if watch.table.version != watch.last_version:
                 watch.last_version = watch.table.version
-                self.broker.publish(
-                    f"table.{watch.name}.changed",
-                    {"table": watch.name, "version": watch.table.version},
-                )
+                publish_table_changed(self.broker, watch.name, watch.table.version)
                 changed.append(watch.name)
         return changed
 
 
-def wire_cache_invalidation(cache, broker: MessageBroker) -> None:
-    """Evict mediator-cache entries when a table's change event fires.
-
-    `cache` is a `repro.cache.CacheHierarchy` (or anything exposing
-    `invalidate_table`); fetch- and result-level entries tagged with the
-    changed table are dropped, so no query can read through the cache past
-    a write that the broker has announced.
-    """
-
-    def on_change(message):
-        cache.invalidate_table(message.payload["table"])
-
-    broker.subscribe("table.*.changed", on_change)
-
-
 def wire_invalidation(
-    manager: ViewManager,
-    broker: MessageBroker,
-    eager: bool = False,
-    mediated_schema=None,
-    cache=None,
+    manager, broker: MessageBroker, eager: bool = False, mediated_schema=None
 ) -> dict:
-    """Subscribe every materialized view to its tables' change events.
+    """Subscribe a `ViewManager` no engine drives to table-change events.
 
-    Dependencies are computed from each view's SQL — nothing is declared by
-    hand; pass `mediated_schema` so views over GAV virtual tables depend on
-    the source tables underneath. `eager=True` refreshes immediately on
+    (An engine's own manager is wired by `FederatedEngine.attach_invalidation`.)
+    Dependencies come from each view's SQL — nothing is declared by hand;
+    pass `mediated_schema` so views over GAV virtual tables depend on the
+    source tables underneath. `eager=True` refreshes immediately on
     notification; the default marks the view dirty so the next read
-    refreshes (cheaper under bursts). Pass `cache` (a
-    `repro.cache.CacheHierarchy`) to also evict dependent fetch/result
-    cache entries on the same events. Returns `{view: {tables}}`.
+    refreshes (cheaper under bursts). Returns `{view: {tables}}`.
     """
-    if cache is not None:
-        wire_cache_invalidation(cache, broker)
-    dependencies = {
-        name: table_dependencies(manager.view(name).sql, mediated_schema)
-        for name in manager.names()
-        if name in manager._materialized
-    }
+    dependencies = manager.expand_dependencies(mediated_schema)
 
-    def on_change(message):
-        table = message.payload["table"].lower()
-        for view_name, tables in dependencies.items():
-            if table in tables:
-                if eager:
-                    manager.refresh(view_name)
-                else:
-                    manager.mark_dirty(view_name)
+    def on_change(table: str) -> None:
+        for name in manager.on_table_changed(table):
+            if eager:
+                manager.refresh(name)
 
-    broker.subscribe("table.*.changed", on_change)
+    subscribe_table_changes(broker, on_change)
     return dependencies

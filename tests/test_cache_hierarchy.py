@@ -10,7 +10,7 @@ from repro.mediator import MediatedSchema
 from repro.mediator.updates import UpdateSagaGenerator
 from repro.sources import RelationalSource
 from repro.storage import Database
-from repro.views.invalidation import ChangeNotifier, wire_cache_invalidation
+from repro.views.invalidation import ChangeNotifier
 
 from tests.federation_fixtures import build_catalog
 
@@ -126,7 +126,7 @@ class TestInvalidation:
         catalog = build_catalog()
         engine, cache = caching_engine(catalog=catalog)
         broker = MessageBroker()
-        wire_cache_invalidation(cache, broker)
+        cache.attach(broker)
         notifier = ChangeNotifier(broker)
         crm_db = catalog.sources["crm"].db
         notifier.watch_database(crm_db)
@@ -144,7 +144,7 @@ class TestInvalidation:
         catalog = build_catalog()
         engine, cache = caching_engine(catalog=catalog)
         broker = MessageBroker()
-        wire_cache_invalidation(cache, broker)
+        cache.attach(broker)
         engine.query(POINT)  # depends on customers only
         broker.publish("table.orders.changed", {"table": "orders", "version": 1})
         assert engine.query(POINT).metrics.fetch_cache_hits == 1

@@ -1,27 +1,35 @@
 """Answering queries using views: matching, serving, advisor, config shim.
 
-The differential oracle at the bottom is the load-bearing test: a
-view-answering engine and a plain engine run the same interleaving of
-queries, writes, refreshes and clock ticks over identical catalogs, and
-every FRESH answer (view-served or not) must be row-identical to the
-plain engine's. Stale serves are allowed only under an explicit
-``serve_stale`` policy and must always be annotated.
+The differential oracle is the load-bearing test: a view-answering engine
+and a plain engine run the same interleaving of queries, writes, refreshes,
+re-definitions and clock ticks over identical catalogs, and every FRESH
+answer (view-served or not) must be row-identical to the plain engine's.
+Stale serves are allowed only under an explicit ``serve_stale`` policy and
+must always be annotated. `TestDerivedOnce` below it counts how often each
+fact about a view is derived.
 """
 
 import warnings
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.common.errors import PlanError
+import repro.views.manager as view_manager
 from repro.advisor import ViewSelector
+from repro.bench import BenchConfig, build_enterprise
+from repro.common.errors import PlanError
+from repro.common.relation import Relation
+from repro.eai import MessageBroker
+from repro.engine.executor import LocalEngine
 from repro.federation import EngineConfig, FederatedEngine
 from repro.federation.report import SECTION_ORDER
 from repro.netsim import SimClock
 from repro.sql.parser import parse
 from repro.views import (
+    ChangeNotifier,
     RefreshPolicy,
     ServePolicy,
     UnsupportedShape,
@@ -216,10 +224,29 @@ class TestServing:
         assert rows(result) == truth
         assert truth != rows(view_engine().query(ORDERS_BY_STATUS))
 
-    def test_broker_events_invalidate_through_the_engine(self):
-        from repro.eai import MessageBroker
-        from repro.views.invalidation import ChangeNotifier
+    def test_redefined_view_answers_from_its_own_rows(self):
+        """Regression: on a SimClock a re-created view repeats the dropped
+        one's (refreshed_at, refresh_count), and the rows staged under the
+        *name* outlived the drop — `total > 10` got the `total > 1000` counts."""
+        fixture = build_enterprise(BenchConfig(scale=1, seed=42))
+        engine = FederatedEngine(
+            fixture.catalog(), EngineConfig(views=True, clock=SimClock())
+        )
+        by_status = (
+            "SELECT status, COUNT(*) AS n FROM orders WHERE total > {} GROUP BY status"
+        )
+        engine.views.define_materialized("mv", by_status.format(1000))
+        assert rows(engine.query(by_status.format(1000)))[0] == ("closed", 186)
+        engine.views.drop("mv")
+        engine.views.define_materialized("mv", by_status.format(10))
+        served = engine.query(by_status.format(10))
+        assert served.view is not None and served.view.fresh
+        assert rows(served) == [
+            ("closed", 225), ("open", 269), ("returned", 252), ("shipped", 254)
+        ]
+        assert rows(served) == rows(engine.query(by_status.format(10), use_views=False))
 
+    def test_broker_events_invalidate_through_the_engine(self):
         engine = view_engine()
         broker = MessageBroker()
         engine.attach_invalidation(broker)
@@ -382,11 +409,35 @@ QUERY_POOL = (
     "SELECT name FROM customers WHERE city = 'SF'",
     "SELECT name, city FROM customers",
     "SELECT city, COUNT(*) AS n FROM customers GROUP BY city",
+    "SELECT status, COUNT(*) AS n FROM orders WHERE total > 50 GROUP BY status",
+)
+
+#: what `redefine` may turn each of the oracle's two views into: the original,
+#: a narrower and a differently-shaped definition over the same table
+VIEW_POOLS = (
+    (
+        "mv_orders",
+        (
+            ORDERS_BY_STATUS_CUST,
+            "SELECT status, cust_id, SUM(total) AS total_sum, COUNT(*) AS n "
+            "FROM orders WHERE total > 50 GROUP BY status, cust_id",
+            ORDERS_BY_STATUS,
+        ),
+    ),
+    (
+        "mv_customers",
+        (
+            CUSTOMER_CITIES,
+            "SELECT id, name, city FROM customers WHERE city = 'SF'",
+            "SELECT name, city FROM customers",
+        ),
+    ),
 )
 
 ACTIONS = st.lists(
     st.one_of(
         st.tuples(st.just("query"), st.integers(0, len(QUERY_POOL) - 1)),
+        st.tuples(st.just("redefine"), st.integers(0, 5)),
         st.tuples(st.just("write_orders"), st.integers(1, 4)),
         st.tuples(st.just("write_customers"), st.integers(0, 1)),
         st.tuples(st.just("refresh"), st.just(0)),
@@ -402,6 +453,16 @@ class TestDifferentialOracle:
         actions=ACTIONS,
         serve_stale=st.booleans(),
         max_staleness=st.sampled_from([None, 5.0]),
+    )
+    @example(  # rows staged for the wide view, served for the narrow one
+        actions=[("query", 4), ("redefine", 3), ("query", 3)],
+        serve_stale=False,
+        max_staleness=None,
+    )
+    @example(
+        actions=[("query", 0), ("redefine", 2), ("query", 6)],
+        serve_stale=False,
+        max_staleness=None,
     )
     @settings(max_examples=40, deadline=None)
     def test_view_answers_match_plain_federation(
@@ -438,6 +499,12 @@ class TestDifferentialOracle:
                 for engine in (viewed, plain):
                     engine.catalog.sources["crm"].db.table("customers").insert(row)
                 viewed.views.on_table_changed("customers")
+            elif action == "redefine":
+                # same name, other rows, and the clock does not move: nothing
+                # derived from the dropped definition may answer for the new one
+                name, definitions = VIEW_POOLS[arg % 2]
+                viewed.views.drop(name)
+                viewed.views.define_materialized(name, definitions[arg // 2])
             elif action == "refresh":
                 viewed.views.refresh_all()
             elif action == "tick":
@@ -449,3 +516,97 @@ class TestDifferentialOracle:
             assert rows(got) == rows(plain.query(sql, use_views=False)), sql
             if got.view is not None:
                 assert got.view.fresh
+
+
+# -- derive once --------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, owner, name, label):
+    """Count calls of ``owner.name`` under ``label(*args)``; returns the Counter."""
+    counts: Counter = Counter()
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[label(*args)] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+class TestDerivedOnce:
+    """What follows from a view's definition is derived once per definition,
+    what follows from its rows at most once per refresh — in the style of
+    `tests/test_prepare_once.py`'s planning-call counts."""
+
+    CITY_COUNTS = "SELECT city, COUNT(*) AS n FROM customers GROUP BY city"
+
+    def test_define_serve_write_serve(self, monkeypatch):
+        compiles = count_calls(
+            monkeypatch, view_manager, "compile_view", lambda name, *_: name
+        )
+        sized = []  # held, so no id() is ever reused
+        inner_size = Relation.size_bytes
+        monkeypatch.setattr(
+            Relation, "size_bytes", lambda self: sized.append(self) or inner_size(self)
+        )
+        staged = count_calls(
+            monkeypatch, view_manager.Table, "build", lambda name, *_: name
+        )
+        planned = count_calls(
+            monkeypatch, LocalEngine, "logical_plan", lambda self, *_: self.db.name
+        )
+
+        engine = build_engine(auto_materialize=True, clock=SimClock())
+        broker = MessageBroker()
+        engine.attach_invalidation(broker)
+        notifier = ChangeNotifier(broker)
+        orders = engine.catalog.sources["sales"].db.table("orders")
+        customers = engine.catalog.sources["crm"].db.table("customers")
+        notifier.watch("orders", orders)
+        notifier.watch("customers", customers)
+        # INTERVAL like A11's hand-made view: dirtied by the broker, it
+        # re-warehouses at its next serve; `mv_idle` is never matched
+        engine.views.define_materialized(
+            "mv", ORDERS_BY_STATUS_CUST, policy=RefreshPolicy.INTERVAL, interval_s=1e9
+        )
+        engine.views.define_materialized("mv_idle", "SELECT city, region FROM regions")
+        for _ in range(3):  # the third repeat makes the advisor define auto_mv_1
+            engine.query(self.CITY_COUNTS)
+        assert engine.view_selector.owned_views() == ["auto_mv_1"]
+
+        def serve_ten():
+            results = [
+                engine.query(sql)
+                for _ in range(5)
+                for sql in (ORDERS_BY_STATUS, self.CITY_COUNTS)
+            ]
+            return [result for result in results if result.view is not None]
+
+        served = serve_ten()
+        assert len(served) == 10
+        orders.insert((999, 1, 2.5, "open"))
+        customers.insert((999, "c999", "SF"))
+        assert notifier.poll() == ["orders", "customers"]
+        served += serve_ten()
+
+        views = {name: engine.views.view(name) for name in engine.views.names()}
+        assert sorted(views) == ["auto_mv_1", "mv", "mv_idle"]
+        assert compiles == {name: 1 for name in views}  # once per definition
+        refreshes = {name: view.refresh_count for name, view in views.items()}
+        assert refreshes == {"auto_mv_1": 2, "mv": 2, "mv_idle": 1}
+        # sized once per refresh — by the refresh query's own final transfer;
+        # neither the advisor nor anyone else walks a relation a second time
+        assert len({id(relation) for relation in sized}) == len(sized)
+        for view in views.values():
+            assert sum(relation is view.data for relation in sized) == 1
+        # staged at the first serve after a refresh, never for an unserved view
+        assert {name: staged[name] for name in views} == {
+            "auto_mv_1": 2, "mv": 2, "mv_idle": 0,
+        }
+        # one fallback (auto_mv_1 is MANUAL: dirty until `maintain()` ran), and
+        # every served query planned its compensation exactly once
+        assert len(served) == 19
+        for name, view in views.items():
+            assert planned[f"view_{name}"] == view.serve_count
+        assert sum(view.serve_count for view in views.values()) == len(served)
