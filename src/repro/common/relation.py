@@ -6,7 +6,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.common.errors import SchemaError
 from repro.common.schema import RelSchema
-from repro.common.types import row_size
+from repro.common.types import rows_size
 
 
 class Relation:
@@ -21,12 +21,11 @@ class Relation:
 
     def __init__(self, schema: RelSchema, rows: Iterable[Sequence]):
         self.schema = schema
-        self.rows: list[tuple] = [tuple(row) for row in rows]
-        for row in self.rows:
-            if len(row) != len(schema):
-                raise SchemaError(
-                    f"row width {len(row)} does not match schema width {len(schema)}"
-                )
+        self.rows: list[tuple] = list(map(tuple, rows))
+        width = len(schema)
+        if not set(map(len, self.rows)) <= {width}:
+            ragged = next(row for row in self.rows if len(row) != width)
+            raise SchemaError(f"row width {len(ragged)} does not match schema width {width}")
 
     def __len__(self):
         return len(self.rows)
@@ -63,7 +62,7 @@ class Relation:
 
     def size_bytes(self) -> int:
         """Serialized size under the wire model (see `repro.common.types`)."""
-        return sum(row_size(row) for row in self.rows)
+        return rows_size(self.rows)
 
     def pretty(self, limit: int = 20) -> str:
         """Render as an aligned text table (for examples and EXPLAIN output)."""

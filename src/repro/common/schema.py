@@ -45,11 +45,13 @@ class Column:
 class RelSchema:
     """An ordered sequence of `Column`s with SQL-style name resolution."""
 
-    __slots__ = ("columns", "_index_cache")
+    __slots__ = ("columns", "_positions")
 
     def __init__(self, columns: Iterable[Column]):
         self.columns: tuple[Column, ...] = tuple(columns)
-        self._index_cache: dict[tuple[str, Optional[str]], int] = {}
+        #: lower-cased `(name, qualifier)` and `(name, None)` -> position, -1
+        #: where several columns match; built by the first `index_of`
+        self._positions: Optional[dict[tuple[str, Optional[str]], int]] = None
 
     @classmethod
     def of(cls, *specs) -> "RelSchema":
@@ -97,25 +99,26 @@ class RelSchema:
 
         Raises `SchemaError` if the reference is unknown or ambiguous.
         """
-        key = (name.lower(), qualifier.lower() if qualifier else None)
-        cached = self._index_cache.get(key)
-        if cached is not None:
-            return cached
-        matches = [
-            index
-            for index, column in enumerate(self.columns)
-            if column.matches(name, qualifier)
-        ]
-        if not matches:
+        positions = self._positions
+        if positions is None:
+            # lower-cased once per schema: planning resolves against fresh ones
+            positions = {}
+            for index, column in enumerate(self.columns):
+                lowered = column.name.lower()
+                qualifier_key = column.qualifier.lower() if column.qualifier else None
+                for key in {(lowered, None), (lowered, qualifier_key)}:
+                    positions[key] = -1 if key in positions else index
+            self._positions = positions
+        index = positions.get((name.lower(), qualifier.lower() if qualifier else None))
+        if index is None:
             ref = f"{qualifier}.{name}" if qualifier else name
             raise SchemaError(
                 f"unknown column {ref!r}; available: {', '.join(self.qualified_names)}"
             )
-        if len(matches) > 1:
+        if index < 0:
             ref = f"{qualifier}.{name}" if qualifier else name
             raise SchemaError(f"ambiguous column reference {ref!r}")
-        self._index_cache[key] = matches[0]
-        return matches[0]
+        return index
 
     def column(self, name: str, qualifier: Optional[str] = None) -> Column:
         return self.columns[self.index_of(name, qualifier)]

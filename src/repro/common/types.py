@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import datetime
 import enum
+from itertools import compress, repeat
+from operator import is_
 
 from repro.common.errors import TypeMismatchError
 
@@ -47,6 +49,10 @@ _PY_TO_TYPE = {
     str: DataType.STRING,
     datetime.date: DataType.DATE,
 }
+
+
+#: What a stored column of each declared type holds (ANY: anything, so absent).
+PYTHON_TYPES = {data_type: py_type for py_type, data_type in _PY_TO_TYPE.items()}
 
 
 def infer_type(value) -> DataType:
@@ -151,3 +157,27 @@ def value_size(value) -> int:
 def row_size(row) -> int:
     """Estimated serialized size of a row (tuple of values)."""
     return sum(map(value_size, row))
+
+
+def rows_size(rows) -> int:
+    """`sum(map(row_size, rows))` for equal-width rows with no call per value:
+    per column, fixed widths times the count of each exact type, strings as
+    framing plus the UTF-8 length of their concatenation. Anything else (a
+    subclass such as `datetime.datetime`, an unsupported value, a string
+    UTF-8 cannot encode) hands every row to `row_size`, to size or to raise.
+    """
+    total = 0
+    try:
+        for column in zip(*rows):
+            kinds = set(map(type, column))
+            kind_of = list(map(type, column)) if len(kinds) > 1 else None
+            for kind in kinds:
+                count = len(column) if kind_of is None else kind_of.count(kind)
+                if kind is str:
+                    strings = column if kind_of is None else compress(column, map(is_, kind_of, repeat(str)))
+                    total += VALUE_OVERHEAD_BYTES * count + len("".join(strings).encode("utf-8"))
+                else:
+                    total += _SIZE_BY_EXACT_TYPE[kind] * count
+    except (KeyError, UnicodeEncodeError):  # a type, or a string, the table cannot price
+        return sum(map(row_size, rows))
+    return total

@@ -12,6 +12,7 @@ from typing import Optional, Union
 
 from repro.common.errors import PlanError
 from repro.common.relation import Relation
+from repro.common.types import PYTHON_TYPES
 from repro.engine.cost import CostModel
 from repro.engine.logical import (
     LogicalAggregate,
@@ -58,8 +59,8 @@ from repro.sql.ast import (
     UnionSelect,
     Update,
 )
-from repro.sql.eval import compile_expr, compile_predicate
-from repro.sql.exprutil import conjoin, equi_join_sides, split_conjuncts
+from repro.sql.eval import compile_expr, compile_filter_passes, compile_predicate, exact_under
+from repro.sql.exprutil import column_vs_literal, conjoin, equi_join_sides, split_conjuncts
 from repro.sql.parser import parse
 
 
@@ -263,34 +264,36 @@ class LocalEngine:
 
     def _lower_filter(self, plan: LogicalFilter, context=None) -> PhysicalOp:
         """Lower Filter(Scan) through an index when one matches a conjunct."""
+        predicate = plan.predicate
+        conjuncts = split_conjuncts(predicate)
+        chosen = None
         if isinstance(plan.child, LogicalScan):
             table = self.db.table(plan.child.table_name)
-            binding = plan.child.binding
-            conjuncts = split_conjuncts(plan.predicate)
-            chosen = self._choose_index_access(table, binding, conjuncts)
-            if chosen is not None:
-                access, remaining = chosen
-                if remaining:
-                    predicate = conjoin(remaining)
-                    fn = compile_predicate(predicate, access.schema)
-                    return FilterOp(access, fn, str(predicate))
-                return access
-        child = self.lower(plan.child, context)
-        fn = compile_predicate(plan.predicate, child.schema)
-        return FilterOp(child, fn, str(plan.predicate))
+            chosen = self._choose_index_access(table, plan.child.binding, conjuncts)
+        if chosen is None:
+            child = self.lower(plan.child, context)
+        else:
+            child, conjuncts = chosen
+            if not conjuncts:
+                return child
+            predicate = conjoin(conjuncts)
+        passes = compile_filter_passes(conjuncts, child.schema)
+        return FilterOp(child, compile_expr(predicate, child.schema), str(predicate), passes)
 
     def _choose_index_access(self, table, binding, conjuncts):
         """Pick an index-backed access path for one of the conjuncts."""
         from repro.storage.index import SortedIndex
 
         for i, conjunct in enumerate(conjuncts):
-            if not isinstance(conjunct, BinaryOp):
+            comparison = column_vs_literal(conjunct)
+            if comparison is None:
                 continue
-            column, value, op = _index_shape(conjunct, binding)
-            if column is None:
+            ref, op, value = comparison
+            if ref.qualifier is not None and ref.qualifier.lower() != binding.lower():
                 continue
+            column = ref.name
             index = table.index_on(column)
-            if index is None:
+            if index is None or not _index_is_exact(table.schema.column(column).dtype, value):
                 continue
             remaining = conjuncts[:i] + conjuncts[i + 1 :]
             if op == "=":
@@ -339,7 +342,7 @@ class LocalEngine:
         if left_positions:
             residual_fn = None
             if residual:
-                residual_fn = compile_predicate(conjoin(residual), plan.schema)
+                residual_fn = compile_expr(conjoin(residual), plan.schema)
             return HashJoinOp(
                 left,
                 right,
@@ -349,7 +352,7 @@ class LocalEngine:
                 residual_fn,
                 description,
             )
-        condition_fn = compile_predicate(plan.condition, plan.schema)
+        condition_fn = compile_expr(plan.condition, plan.schema)
         return NestedLoopJoinOp(left, right, condition_fn, plan.kind, description)
 
 
@@ -387,18 +390,13 @@ def _const(expr: Expr):
     raise PlanError(f"INSERT values must be literals, got {expr}")
 
 
-def _index_shape(conjunct: BinaryOp, binding: str):
-    """Match `col <op> literal` where col belongs to `binding`."""
-    mirror = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-    if conjunct.op not in mirror:
-        return None, None, None
-    left, right = conjunct.left, conjunct.right
-    if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        column, value, op = left, right.value, conjunct.op
-    elif isinstance(right, ColumnRef) and isinstance(left, Literal):
-        column, value, op = right, left.value, mirror[conjunct.op]
-    else:
-        return None, None, None
-    if column.qualifier is not None and column.qualifier.lower() != binding.lower():
-        return None, None, None
-    return column.name, value, op
+def _index_is_exact(dtype, value) -> bool:
+    """Whether an index on a `dtype` column answers `col <op> value` as the
+    filter does: only for a literal the filter compares bare with what such a
+    column stores (the filter passes' table). Not NULL, which an index looks
+    up as a key or reads as "unbounded"; not 'x' against numbers, which an
+    index cannot order and the filter reports typed; not a float against INT,
+    which the filter rounds beyond 2**53; not NaN, which no bisect can place.
+    """
+    admits = exact_under(value)
+    return admits is not None and PYTHON_TYPES.get(dtype) in admits and value == value

@@ -18,7 +18,7 @@ state between runs: a prepared plan is run by many threads at once.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -78,6 +78,25 @@ def hash_join(left_rows, left_keys, right_rows, right_keys, kind, residual, null
     return out
 
 
+def run_filter_passes(passes, rows):
+    """The rows every pass (`repro.sql.eval.compile_filter_passes`) keeps, in
+    order, as a new list - or None when a column holds a type its pass is not
+    exact for. Every guard sweeps *all* of `rows` before any pass runs: a row
+    an earlier pass drops (its conjunct NULL, say) still reaches the later
+    conjuncts of the closure, and may raise there.
+    """
+    found = [set(map(type, map(itemgetter(position), rows))) for position, _, _, _ in passes]
+    if not all(kinds <= admits for kinds, (_, admits, _, _) in zip(found, passes)):
+        return None
+    for kinds, (position, _, test, operand) in zip(found, passes):
+        if type(None) in kinds:
+            rows = [row for row in rows if row[position] is not None and test(operand, row[position])]
+        else:
+            column = map(itemgetter(position), rows)
+            rows = list(compress(rows, map(test, repeat(operand), column)))
+    return rows
+
+
 class PhysicalOp:
     """Base physical operator: `schema`, `run() -> list[tuple]`, children."""
 
@@ -112,7 +131,7 @@ class SeqScan(PhysicalOp):
         self.schema = table.schema.with_qualifier(binding)
 
     def run(self):
-        return list(self.table.rows())
+        return self.table.live_rows()
 
     def explain_label(self):
         return f"SeqScan({self.table.name} AS {self.binding})"
@@ -203,10 +222,14 @@ class RelabelOp(PhysicalOp):
 
 
 class FilterOp(PhysicalOp):
-    def __init__(self, child: PhysicalOp, predicate_fn: Callable, description: str = ""):
+    """Keeps the rows the compiled `predicate_fn` finds true: through `passes`
+    where the executor derived them, through the closure when a guard fails."""
+
+    def __init__(self, child: PhysicalOp, predicate_fn: Callable, description: str = "", passes=None):
         self.child = child
         self.predicate_fn = predicate_fn
         self.description = description
+        self.passes = passes
         self.schema = child.schema
 
     @property
@@ -214,8 +237,13 @@ class FilterOp(PhysicalOp):
         return (self.child,)
 
     def run(self):
+        rows = self.child.run()
+        if self.passes is not None:
+            kept = run_filter_passes(self.passes, rows)
+            if kept is not None:
+                return kept
         predicate = self.predicate_fn
-        return [row for row in self.child.run() if predicate(row)]
+        return [row for row in rows if predicate(row)]
 
     def explain_label(self):
         return f"Filter({self.description})"

@@ -19,7 +19,7 @@ from repro.engine.cost import PlanCost
 from repro.engine.logical import LogicalPlan
 from repro.engine.physical import PhysicalOp, hash_join, join_keys
 from repro.sql.ast import ColumnRef, Expr, InList, Literal, Select, and_all
-from repro.sql.eval import compile_predicate
+from repro.sql.eval import compile_expr
 from repro.sql.printer import to_sql
 
 #: Maximum literals in one generated IN-list; longer key sets are chunked
@@ -199,7 +199,7 @@ class BindJoinOp(PhysicalOp):
         self._null_pad = (None,) * len(node.fetch_schema)
         self._residual_fn = None
         if node.residual is not None:
-            self._residual_fn = compile_predicate(node.residual, node.schema)
+            self._residual_fn = compile_expr(node.residual, node.schema)
 
     @property
     def children(self):

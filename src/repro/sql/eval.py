@@ -31,6 +31,7 @@ from repro.sql.ast import (
     Star,
     UnaryOp,
 )
+from repro.sql.exprutil import SWAPPED_COMPARISONS, column_vs_literal
 from repro.sql.functions import call_scalar, is_aggregate_name
 
 _COMPARATORS = {
@@ -233,6 +234,65 @@ def compile_predicate(expr: Expr, schema: RelSchema) -> Callable:
         return bool(inner(row))
 
     return predicate
+
+
+_NULL = type(None)
+
+#: Literal type -> the exact types of column values (NULL aside, which a pass
+#: drops first) under which the bare Python comparison neither raises nor
+#: answers differently from `evaluate_cmp`'s `_align_numeric` + compare.
+_EXACT_UNDER = {
+    int: frozenset((int, float, _NULL)),  # float(literal) is exact: `_is_plain`
+    float: frozenset((float, _NULL)),  # float() rounds an int beyond 2**53
+    str: frozenset((str, _NULL)),
+    datetime.date: frozenset((datetime.date, _NULL)),  # a `datetime` raises on <
+    bool: frozenset((bool, int, float, _NULL)),  # a bool operand is never aligned
+}
+
+#: The same for `value in keys` (`evaluate_in_probe`): any plain scalar - but
+#: no int once a key is a float, which can send the probe to the item loop.
+_EXACT_IN = _PLAIN_TYPES | {_NULL}
+
+
+def exact_under(literal):
+    """The exact types a column may hold for a bare `column <op> literal` to be
+    exact; None for a literal that never is (NULL, a subclass, an int `float()` rounds)."""
+    return _EXACT_UNDER[type(literal)] if _is_plain(literal) else None
+
+
+def compile_filter_passes(conjuncts, schema: RelSchema):
+    """One `(position, admits, test, operand)` pass per conjunct, or None.
+
+    A pass keeps the rows whose value at `position` is not NULL and makes the
+    C-level `test(operand, value)` true. While every value of the column is
+    of a type in `admits` that is the verdict of the `compile_expr` closure
+    and cannot raise, so neither conjunct order nor error order can show.
+    Only `column <op> literal` (either way round) and a plain `column IN
+    (literals)` have a pass; any other conjunct leaves all to the closure.
+    """
+    passes = []
+    for conjunct in conjuncts:
+        comparison = column_vs_literal(conjunct)
+        if comparison is not None:
+            column, op, operand = comparison
+            admits = exact_under(operand)
+            test = _COMPARATORS[SWAPPED_COMPARISONS[op]]  # operand first
+        elif (
+            isinstance(conjunct, InList)
+            and not conjunct.negated
+            and isinstance(conjunct.operand, ColumnRef)
+            and (probe := _literal_probe(conjunct.items)) is not None
+        ):
+            column = conjunct.operand
+            operand, has_float, _ = probe
+            admits = _EXACT_IN - {int} if has_float else _EXACT_IN
+            test = operator.contains
+        else:
+            return None
+        if admits is None:
+            return None
+        passes.append((schema.index_of(column.name, column.qualifier), admits, test, operand))
+    return passes
 
 
 def _compile_binary(expr: BinaryOp, schema: RelSchema) -> Callable:

@@ -173,16 +173,25 @@ def requalify(expr: Expr, old: Optional[str], new: Optional[str]) -> Expr:
     return transform(expr, rewrite)
 
 
+#: the comparison that holds with its operands swapped
+SWAPPED_COMPARISONS = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def column_vs_literal(expr: Expr) -> Optional[tuple[ColumnRef, str, object]]:
+    """`(column, op, value)` if the expression compares a column with a
+    literal, written either way round; `op` reads `column <op> value`."""
+    if isinstance(expr, BinaryOp) and expr.op in SWAPPED_COMPARISONS:
+        left, right = expr.left, expr.right
+        if isinstance(left, ColumnRef) and isinstance(right, Literal):
+            return left, expr.op, right.value
+        if isinstance(left, Literal) and isinstance(right, ColumnRef):
+            return right, SWAPPED_COMPARISONS[expr.op], left.value
+    return None
+
+
 def is_literal_comparison(expr: Expr) -> bool:
     """True for `col <op> literal` / `literal <op> col` shapes."""
-    if not isinstance(expr, BinaryOp):
-        return False
-    if expr.op not in ("=", "<>", "<", "<=", ">", ">="):
-        return False
-    pair = (expr.left, expr.right)
-    has_col = any(isinstance(side, ColumnRef) for side in pair)
-    has_lit = any(isinstance(side, Literal) for side in pair)
-    return has_col and has_lit
+    return column_vs_literal(expr) is not None
 
 
 def equi_join_sides(expr: Expr) -> Optional[tuple[ColumnRef, ColumnRef]]:

@@ -7,7 +7,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from repro.common.errors import IntegrityError, SchemaError
 from repro.common.relation import Relation
 from repro.common.schema import Column, RelSchema
-from repro.common.types import DataType, coerce_value
+from repro.common.types import coerce_value
 from repro.storage.index import HashIndex, SortedIndex
 
 
@@ -67,13 +67,17 @@ class Table:
 
     def rows(self) -> Iterator[tuple]:
         """Iterate live rows in heap order."""
-        for row in self._heap:
-            if row is not None:
-                yield row
+        return iter(self.live_rows())
+
+    def live_rows(self) -> list[tuple]:
+        """A new list of the live rows in heap order (a slice, without tombstones)."""
+        if self._live_count == len(self._heap):
+            return self._heap[:]
+        return [row for row in self._heap if row is not None]
 
     def scan(self) -> Relation:
         """Materialize all live rows as a Relation qualified by table name."""
-        return Relation(self.schema.with_qualifier(self.name), list(self.rows()))
+        return Relation(self.schema.with_qualifier(self.name), self.live_rows())
 
     def row_by_id(self, rid: int) -> Optional[tuple]:
         if 0 <= rid < len(self._heap):

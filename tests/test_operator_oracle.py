@@ -1,8 +1,9 @@
 """Differential oracle: the operator kernels vs the row-at-a-time operators.
 
 The `ref_*` functions below are the `run()` bodies of `ProjectOp`,
-`HashAggregateOp`, `HashJoinOp` and `BindJoinOp` as they stood before the
-kernels (one key tuple, one closure call and one `zip` per row). Hypothesis
+`HashAggregateOp`, `HashJoinOp`, `BindJoinOp` and `FilterOp`, and the
+bodies of `Relation.__init__` / `Relation.size_bytes`, as they stood before
+the kernels (one key tuple, one closure call and one `zip` per row). Hypothesis
 drives both with rows over every scalar the wire model knows - mixed types
 in one column included - through `LocalEngine.lower()`, so which kernel is
 picked from which logical node is part of what is checked. Answers are
@@ -19,22 +20,32 @@ single-failure case.
 """
 
 import datetime
+import gc
+import importlib.util
 import math
+import pathlib
 import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.bench import BenchConfig, build_enterprise
+from repro.bench.workload import QUERIES
+from repro.common.errors import SchemaError, TypeMismatchError
 from repro.common.relation import Relation
 from repro.common.schema import Column, RelSchema
 from repro.common.types import DataType as T
+from repro.common.types import row_size
 from repro.engine import LocalEngine
 from repro.engine.logical import (
     LogicalAggregate,
+    LogicalFilter,
     LogicalJoin,
     LogicalPlan,
     LogicalProject,
+    LogicalScan,
     LogicalSort,
 )
 from repro.engine.physical import (
@@ -44,14 +55,21 @@ from repro.engine.physical import (
     PhysicalOp,
     ProjectOp,
     RelabelOp,
+    SeqScan,
     ValuesOp,
+    run_filter_passes,
 )
+from repro.federation import EngineConfig
 from repro.federation.nodes import LogicalBindJoin
+from repro.netsim import SimClock
 from repro.sql.ast import (
+    Between,
     BinaryOp,
     ColumnRef,
     FuncCall,
+    InList,
     IsNull,
+    Like,
     Literal,
     OrderItem,
     SelectItem,
@@ -60,7 +78,7 @@ from repro.sql.ast import (
 )
 from repro.sql.eval import compile_expr, compile_predicate
 from repro.sql.functions import make_aggregate
-from repro.storage import Database
+from repro.storage import Database, Table
 
 # --- the pre-kernel operators -------------------------------------------------
 
@@ -138,6 +156,25 @@ def ref_bind_join(left_rows, key_position, bind_fetch, right_position, kind, res
         if not matched and kind == "LEFT":
             out.append(row + null_pad)
     return out
+
+
+def ref_filter(predicate, rows):
+    """`predicate` is `compile_predicate(...)`: one closure call per row."""
+    return [row for row in rows if predicate(row)]
+
+
+def ref_relation_rows(schema, rows):
+    rows = [tuple(row) for row in rows]
+    for row in rows:
+        if len(row) != len(schema):
+            raise SchemaError(
+                f"row width {len(row)} does not match schema width {len(schema)}"
+            )
+    return rows
+
+
+def ref_size_bytes(rows):
+    return sum(row_size(row) for row in rows)
 
 
 # --- harness ------------------------------------------------------------------
@@ -465,6 +502,334 @@ def test_bind_join_matches_its_own_old_loop(left, remote, kind, residual):
     assert [repr(key) for key in execution.asked] == [repr(key) for key in asked]
 
 
+# --- filters ------------------------------------------------------------------
+
+
+class Tagged(int):
+    """An int subclass: an int to `isinstance`, not to an exact-type guard."""
+
+
+#: what a column mostly holds - on these a guard holds and the passes answer
+clean_columns = [
+    st.one_of(st.none(), st.integers(-3, 3), st.sampled_from([2**53, 2**53 + 1, -(2**53) - 1])),
+    st.one_of(st.none(), st.integers(-3, 3).map(float), st.sampled_from([0.5, -0.0, 2.0**53, NAN])),
+    st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(float)),  # no NULL: the C-level form
+    strings,
+    dates,
+    st.one_of(st.none(), st.booleans()),
+    st.sampled_from([1, 2, 3]),
+]
+#: ... and what lands in one now and then, so that a guard fails mid-column
+wild = st.one_of(
+    scalars,
+    st.sampled_from([10**400, Tagged(1), Tagged(2**53 + 1)]),
+    st.just([1]),  # unhashable
+)
+
+literal_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, -(2**53), -(2**53) - 1, 10**400]),
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.5, -0.0, NAN, float("inf"), float("-inf"), 2.0**53, -(2.0**53)]),
+    st.sampled_from(["", "a", "b", "é"]),
+    st.sampled_from([datetime.date(2005, 6, 14), datetime.date(2005, 6, 15)]),
+    st.just(datetime.datetime(2005, 6, 14)),
+    st.just(Tagged(1)),
+)
+comparators = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
+columns = st.integers(0, 2).map(col)
+literals = literal_values.map(Literal)
+
+#: conjuncts a pass exists for (when the literal is plain) ...
+kernel_conjuncts = st.one_of(
+    st.builds(BinaryOp, comparators, columns, literals),
+    st.builds(BinaryOp, comparators, literals, columns),
+    st.builds(InList, columns, st.lists(literals, min_size=1, max_size=4).map(tuple)),
+)
+#: ... and conjuncts that keep the whole predicate with its closure
+fallback_conjuncts = st.one_of(
+    st.builds(lambda a, b: BinaryOp("OR", a, b), kernel_conjuncts, kernel_conjuncts),
+    st.builds(Like, columns, st.sampled_from(["a%", "_", "%"]).map(Literal)),
+    st.builds(Between, columns, literals, literals),
+    st.builds(InList, columns, st.lists(literals, min_size=1, max_size=3).map(tuple), st.just(True)),
+    st.builds(InList, columns, st.tuples(literals, columns)),
+    st.builds(BinaryOp, comparators, columns, columns),
+    st.builds(lambda op, c, v: BinaryOp(op, BinaryOp("+", c, Literal(1)), v), comparators, columns, literals),
+    st.builds(IsNull, columns, st.booleans()),
+)
+
+
+@st.composite
+def filter_cases(draw):
+    families = [draw(st.sampled_from(clean_columns)) for _ in range(3)]
+    rows = draw(st.lists(st.tuples(*families), max_size=12))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        if rows:
+            target = draw(st.integers(0, len(rows) - 1))
+            row = list(rows[target])
+            row[draw(st.integers(0, 2))] = draw(wild)
+            rows[target] = tuple(row)
+    conjuncts = draw(
+        st.lists(
+            st.one_of(kernel_conjuncts, kernel_conjuncts, kernel_conjuncts, fallback_conjuncts),
+            min_size=1, max_size=3,
+        )
+    )
+    return rows, conjuncts
+
+
+def run_both_filters(rows, conjuncts):
+    leaf = Rows("t", rows, 3)
+    predicate = and_all(conjuncts)
+    op = ENGINE.lower(LogicalFilter(leaf, predicate))
+    assert type(op) is FilterOp and op.explain_label() == f"Filter({predicate})"
+    reference = compile_predicate(predicate, leaf.schema)
+    return op, outcome(op.run), outcome(lambda: ref_filter(reference, rows))
+
+
+@given(case=filter_cases())
+# a NULL first conjunct still evaluates the second, which raises
+@example(case=([(None, "x", 0), (5, 1, 0)], [BinaryOp(">", col(0), Literal(1)), BinaryOp("<", col(1), Literal(2))]))
+# ... a FALSE one does not
+@example(case=([(0, "x", 0), (5, 1, 0)], [BinaryOp(">", col(0), Literal(1)), BinaryOp("<", col(1), Literal(2))]))
+# float(2**53 + 1) rounds down to the literal: an int under a float literal
+@example(case=([(2**53 + 1, 0, 0)], [BinaryOp("=", col(0), Literal(2.0**53))]))
+# ... and float(literal) rounds down to the value: an int literal beyond 2**53
+@example(case=([(2.0**53, 0, 0), (2**53 + 1, 0, 0)], [BinaryOp("=", col(0), Literal(2**53 + 1))]))
+@example(case=([(10**400, 0, 0)], [BinaryOp("<", col(0), Literal(0.5))]))  # OverflowError
+@example(case=([(True, 0, 0), (1, 0, 0)], [BinaryOp("=", col(0), Literal(1))]))  # a bool under an int literal
+@example(case=([(datetime.datetime(2005, 6, 14), 0, 0)], [BinaryOp("<", col(0), Literal(datetime.date(2005, 6, 15)))]))
+@example(case=([(datetime.datetime(2005, 6, 14), 0, 0)], [BinaryOp("=", col(0), Literal(datetime.date(2005, 6, 14)))]))
+@example(case=([(2**53 + 1, 0, 0), (1, 0, 0)], [InList(col(0), (Literal(2.0**53), Literal(1)))]))
+@example(case=([([1], 0, 0)], [InList(col(0), (Literal(1),))]))
+@example(case=([(NAN, 0, 0), (1.0, 0, 0)], [BinaryOp("<>", col(0), Literal(NAN))]))
+@example(case=([(1, 0, 0), (None, 0, 0), (2.5, 0, 0)], [BinaryOp("=", col(0), Literal(True))]))
+@settings(max_examples=600, deadline=None)
+def test_filter_passes_match_the_compiled_predicate(case):
+    _, kernel, reference = run_both_filters(*case)
+    assert kernel == reference
+
+
+FALSE, TRUE = Literal(False), Literal(True)
+D14, D15 = datetime.date(2005, 6, 14), datetime.date(2005, 6, 15)
+
+
+@pytest.mark.parametrize(
+    "rows, conjuncts, expected",
+    [
+        # the q8 shape: a bool literal, then an int literal over a float column
+        (
+            [(False, 2500.0, 0), (True, 3000.0, 0), (False, 2000.0, 0), (None, 9e9, 0), (False, None, 0)],
+            [BinaryOp("=", col(0), FALSE), BinaryOp(">", col(1), Literal(2000))],
+            [(False, 2500.0, 0)],
+        ),
+        # literal on the left: 2 < c0 keeps what c0 > 2 keeps
+        ([(1, 0, 0), (3, 0, 0), (2.5, 0, 0), (None, 0, 0)], [BinaryOp("<", Literal(2), col(0))], [(3, 0, 0), (2.5, 0, 0)]),
+        # NULL is dropped by <> as by every comparison; NaN <> 1 holds
+        ([(1.0, 0, 0), (None, 0, 0), (NAN, 0, 0)], [BinaryOp("<>", col(0), Literal(1.0))], [(NAN, 0, 0)]),
+        # 1 / 1.0 / TRUE are one key; a NULL item changes no survivor
+        ([(1, 0, 0), (1.0, 0, 0), (True, 0, 0), (None, 0, 0), ("1", 0, 0)], [InList(col(0), (Literal(1), Literal(None)))], [(1, 0, 0), (1.0, 0, 0), (True, 0, 0)]),
+        ([("a", D14, 0), ("é", D15, 0), (None, D15, 0)], [BinaryOp(">=", col(0), Literal("a")), BinaryOp("=", col(1), Literal(D15))], [("é", D15, 0)]),
+        # every row survives / none does / there is none
+        ([(1, 0, 0), (2, 0, 0)], [BinaryOp(">", col(0), Literal(0))], [(1, 0, 0), (2, 0, 0)]),
+        ([(1, 0, 0), (2, 0, 0)], [BinaryOp(">", col(0), Literal(5)), BinaryOp("=", col(1), Literal(0))], []),
+        ([], [BinaryOp(">", col(0), Literal(5))], []),
+    ],
+)
+def test_filter_pass_answers(rows, conjuncts, expected):
+    """Clean columns: the passes themselves answer, not the fallback."""
+    op, kernel, reference = run_both_filters(rows, conjuncts)
+    assert run_filter_passes(op.passes, rows) is not None
+    assert kernel == reference == ("ok", [repr(row) for row in expected])
+
+
+@pytest.mark.parametrize(
+    "conjunct, has_passes",
+    [
+        (BinaryOp("=", col(0), Literal(1)), True),
+        (BinaryOp(">=", Literal("a"), col(1)), True),
+        (BinaryOp("<>", col(0), Literal(NAN)), True),
+        (BinaryOp("=", col(0), TRUE), True),
+        (InList(col(0), (Literal(1), Literal(2.5), Literal(None))), True),
+        (BinaryOp("=", col(0), Literal(None)), False),
+        (BinaryOp("=", col(0), Literal(2**53 + 1)), False),
+        (BinaryOp("=", col(0), Literal(datetime.datetime(2005, 6, 14))), False),
+        (BinaryOp("=", col(0), Literal(Tagged(1))), False),
+        (BinaryOp("=", col(0), col(1)), False),
+        (BinaryOp("=", BinaryOp("+", col(0), Literal(1)), Literal(2)), False),
+        (BinaryOp("OR", BinaryOp("=", col(0), Literal(1)), BinaryOp("=", col(0), Literal(2))), False),
+        (InList(col(0), (Literal(1),), True), False),
+        (InList(col(0), (Literal(1), col(1))), False),
+        (InList(col(0), (Literal(NAN),)), False),
+        (InList(BinaryOp("+", col(0), Literal(1)), (Literal(1),)), False),
+        (Like(col(1), Literal("a%")), False),
+        (Between(col(0), Literal(1), Literal(2)), False),
+        (IsNull(col(0)), False),
+    ],
+)
+def test_which_predicates_get_passes(conjunct, has_passes):
+    """One conjunct outside the two shapes keeps the whole filter a closure."""
+    leaf = Rows("t", [], 3)
+    alone = ENGINE.lower(LogicalFilter(leaf, conjunct))
+    assert (alone.passes is not None) == has_passes
+    beside = ENGINE.lower(LogicalFilter(leaf, and_all([BinaryOp("<", col(2), Literal(9)), conjunct])))
+    assert (beside.passes is not None) == has_passes
+    if has_passes:
+        assert len(beside.passes) == 2
+
+
+def test_a_failed_guard_hands_every_row_to_the_closure():
+    """The guard is over all input rows, and failing it costs nothing but the
+    sweep: the closure answers - or raises - for the whole input."""
+    rows = [(None, "x", 0), (5, 1, 0)]
+    conjuncts = [BinaryOp(">", col(0), Literal(1)), BinaryOp("<", col(1), Literal(2))]
+    op, kernel, reference = run_both_filters(rows, conjuncts)
+    assert run_filter_passes(op.passes, rows) is None
+    assert kernel == reference == ("raise", TypeMismatchError, "cannot compare 'x' with 2")
+    # the same rows without the offender: the passes answer
+    assert run_filter_passes(op.passes, rows[1:]) == [(5, 1, 0)]
+
+
+# --- relations ----------------------------------------------------------------
+
+#: values `value_size` prices through its slow path, or refuses
+odd_values = st.sampled_from(
+    [datetime.datetime(2005, 6, 14, 12), Tagged(7), 10**400, b"bytes", (1, 2), "\ud800", "a\ud800"]
+)
+
+
+@st.composite
+def equal_width_rows(draw):
+    width = draw(st.integers(0, 5))
+    values = st.one_of(scalars, scalars, scalars, st.text(max_size=5), odd_values)
+    return width, draw(st.lists(st.tuples(*[values] * width), max_size=12))
+
+
+@given(case=equal_width_rows())
+@example(case=(0, []))
+@example(case=(0, [(), (), ()]))
+@example(case=(3, []))
+@example(case=(2, [("é", None), (None, "日本"), ("", "a")]))
+@example(case=(1, [(datetime.datetime(2005, 6, 14),), (datetime.date(2005, 6, 14),)]))
+@example(case=(2, [(1, "a"), (b"x", "\ud800")]))  # which error: the first in row order
+@example(case=(2, [(1, "\ud800"), (b"x", "a")]))
+@settings(max_examples=400, deadline=None)
+def test_size_bytes_is_the_sum_of_row_sizes(case):
+    width, rows = case
+    relation = Relation(Rows("t", [], width).schema, rows)
+
+    def size(thunk):
+        try:
+            return ("ok", thunk())
+        except Exception as exc:
+            return ("raise", type(exc), str(exc))
+
+    assert size(relation.size_bytes) == size(lambda: ref_size_bytes(rows))
+
+
+ragged = st.lists(
+    st.one_of(st.lists(scalars, max_size=4), st.lists(scalars, max_size=4).map(tuple)),
+    max_size=8,
+)
+
+
+@given(rows=ragged, width=st.integers(0, 4), lazily=st.booleans())
+@example(rows=[(1, 2), (1,), (1, 2, 3)], width=2, lazily=False)  # names the first ragged row
+@example(rows=[], width=2, lazily=True)
+@example(rows=[(), ()], width=0, lazily=False)
+@settings(max_examples=300, deadline=None)
+def test_relation_construction_matches_the_row_loop(rows, width, lazily):
+    schema = Rows("t", [], width).schema
+    expected = outcome(lambda: ref_relation_rows(schema, rows))
+    built = outcome(lambda: Relation(schema, iter(rows) if lazily else rows).rows)
+    assert built == expected
+    if expected[0] == "ok":
+        assert all(type(row) is tuple for row in Relation(schema, rows).rows)
+        assert Relation(schema, rows).rows is not rows
+
+
+# --- index access paths -------------------------------------------------------
+
+#: declared type -> what `Table` stores in such a column. No NaN: a sorted
+#: index cannot order it, whatever the statement.
+stored_values = {
+    T.INT: st.one_of(st.none(), st.integers(-3, 3), st.sampled_from([2**53, 2**53 + 1, -(2**53) - 1])),
+    T.FLOAT: st.one_of(st.none(), st.integers(-3, 3).map(float), st.sampled_from([0.5, -0.0, 2.0**53, float("inf")])),
+    T.STRING: strings,
+    T.DATE: dates,
+    T.BOOL: st.one_of(st.none(), st.booleans()),
+}
+
+
+@st.composite
+def index_cases(draw):
+    dtype = draw(st.sampled_from(sorted(stored_values, key=lambda t: t.name)))
+    values = draw(st.lists(stored_values[dtype], max_size=8))
+    op, literal = draw(comparators), Literal(draw(literal_values))
+    k = ColumnRef("k", draw(st.sampled_from([None, "t"])))
+    conjuncts = [BinaryOp(op, k, literal) if draw(st.booleans()) else BinaryOp(op, literal, k)]
+    if draw(st.booleans()):  # beside a conjunct that cannot raise
+        conjuncts.insert(draw(st.integers(0, 1)), BinaryOp(">=", ColumnRef("id"), Literal(2)))
+    return dtype, values, and_all(conjuncts)
+
+
+def scan_and_index_outcomes(dtype, values, predicate):
+    """The statement's outcome with no index, a hash index and a sorted index
+    on `k`: rows as a bag (an index scan returns them in its own order)."""
+    outcomes = []
+    for index in (None, "hash", "sorted"):
+        db = Database("indexed")
+        table = Table.build("t", [("id", T.INT), ("k", dtype)], list(enumerate(values)))
+        db.add_table(table)
+        if index is not None:
+            table.create_index("k", sorted=index == "sorted")
+        op = LocalEngine(db).lower(LogicalFilter(LogicalScan("t", "t", table.schema), predicate))
+        result = outcome(op.run)
+        outcomes.append(result[:1] + (sorted(result[1]),) if result[0] == "ok" else result)
+    return outcomes
+
+
+@given(case=index_cases())
+@example(case=(T.INT, [1, None, 3], BinaryOp("=", ColumnRef("k"), Literal(None))))
+@example(case=(T.INT, [1, None, 3], BinaryOp(">", ColumnRef("k"), Literal(None))))
+@example(case=(T.INT, [1, None, 3], BinaryOp("=", ColumnRef("k"), Literal("x"))))
+@example(case=(T.INT, [1, None, 3], BinaryOp("<", ColumnRef("k"), Literal("x"))))
+@example(case=(T.INT, [2**53 + 1, 2**53], BinaryOp("=", ColumnRef("k"), Literal(2.0**53))))
+@example(case=(T.FLOAT, [1.0, None, 3.0], BinaryOp("<", Literal(NAN), ColumnRef("k"))))
+@example(case=(T.INT, [1, 0, None], BinaryOp("=", ColumnRef("k"), Literal(True))))
+@settings(max_examples=400, deadline=None)
+def test_an_index_access_path_answers_what_the_filter_answers(case):
+    plain, hashed, ordered = scan_and_index_outcomes(*case)
+    assert hashed == plain
+    assert ordered == plain
+
+
+def test_an_index_is_still_taken_for_a_literal_of_the_columns_family():
+    db = Database("indexed")
+    table = Table.build("t", [("id", T.INT), ("k", T.INT), ("f", T.FLOAT)], [(0, 1, 1.5), (1, None, 2.5)])
+    db.add_table(table)
+    table.create_index("k", sorted=True)
+    table.create_index("f", sorted=True)
+    scan = LogicalScan("t", "t", table.schema)
+
+    def label(predicate):
+        return LocalEngine(db).lower(LogicalFilter(scan, predicate)).explain()
+
+    k, f = ColumnRef("k"), ColumnRef("f")
+    assert label(BinaryOp("=", k, Literal(1))).startswith("IndexEqScan(t.k = 1)")
+    assert label(BinaryOp("<", Literal(0), k)).startswith("IndexRangeScan(t.k: 0 < x)")
+    assert label(BinaryOp(">=", f, Literal(2))).startswith("IndexRangeScan(t.f: 2 <= x)")
+    # outside the family the conjunct stays in the filter, over a full scan
+    for predicate in (
+        BinaryOp("=", k, Literal(None)), BinaryOp(">", k, Literal(None)),
+        BinaryOp("=", k, Literal("x")), BinaryOp("=", k, Literal(2.0**53)),
+        BinaryOp("=", k, Literal(2**53 + 1)), BinaryOp("<", f, Literal(NAN)),
+    ):
+        assert label(predicate) == f"Filter({predicate})\n  SeqScan(t AS t)"
+
+
 # --- cost shape and ownership -------------------------------------------------
 
 
@@ -475,11 +840,15 @@ def python_calls(thunk):
         nonlocal calls
         calls += event == "call"
 
+    was_collecting = gc.isenabled()
+    gc.disable()  # a collection would run Hypothesis' Python-level gc callback
     sys.setprofile(count_calls)
     try:
         thunk()
     finally:
         sys.setprofile(None)
+        if was_collecting:
+            gc.enable()
     return calls
 
 
@@ -493,6 +862,50 @@ def test_an_all_column_projection_makes_no_python_call_per_row():
         op = ENGINE.lower(LogicalProject(leaf, items))
         assert python_calls(op.run) <= 10
         assert op.run() == [tuple(row[i] for i in picks) for row in rows]
+
+
+def test_a_kernel_filter_makes_no_python_call_per_row():
+    """Two conjuncts over 2 000 rows were four closure frames per row and
+    conjunct (~20 000 calls); a pass is a C-level sweep, or one comprehension
+    when its column holds a NULL."""
+    conjuncts = [BinaryOp("=", col(4), FALSE), BinaryOp(">", col(2), Literal(100))]
+    clean = [(i, f"name{i}", i / 7, None, i % 2 == 0) for i in range(2000)]
+    holed = [row if i % 50 else (i, None, None, None, None) for i, row in enumerate(clean)]
+    for rows in (clean, holed):
+        leaf = Rows("t", rows, 5)
+        op = ENGINE.lower(LogicalFilter(leaf, and_all(conjuncts)))
+        assert python_calls(op.run) <= 15
+        reference = compile_predicate(and_all(conjuncts), leaf.schema)
+        assert op.run() == ref_filter(reference, rows) and len(op.run()) > 600
+
+
+def test_sizing_and_building_a_relation_make_no_python_call_per_value():
+    """`size_bytes()` was a `row_size` + genexpr step per row and a
+    `value_size` per value (~14 000 calls for 2 000 x 5), `Relation(...)` a
+    `len(schema)` per row."""
+    rows = [
+        (i, f"naïve{i}" if i % 3 else None, i / 7, None, datetime.date(2005, 6, 14))
+        for i in range(2000)
+    ]
+    schema = Rows("t", [], 5).schema
+    relation = Relation(schema, rows)
+    assert python_calls(relation.size_bytes) <= 25
+    assert relation.size_bytes() == ref_size_bytes(rows)
+    assert python_calls(lambda: Relation(schema, rows)) <= 5
+    assert python_calls(lambda: Relation(schema, map(list, rows))) <= 5
+
+
+def test_a_sequential_scan_copies_the_heap():
+    table = Table.build("t", [("id", T.INT), ("name", T.STRING)], [(i, f"n{i}") for i in range(2000)])
+    scan = SeqScan(table, "t")
+    assert python_calls(scan.run) <= 3
+    assert scan.run() == list(table.rows()) and scan.run() is not scan.run()
+    scan.run().clear()  # the caller's copy, not the heap
+    assert len(scan.run()) == 2000
+    table.delete_where(lambda row: row[0] % 2 == 1)  # tombstones
+    assert python_calls(scan.run) <= 3
+    assert scan.run() == list(table.rows()) == [(i, f"n{i}") for i in range(0, 2000, 2)]
+    assert table.scan().rows == scan.run()
 
 
 class SameList(PhysicalOp):
@@ -524,6 +937,12 @@ def test_no_operator_mutates_or_returns_its_childs_list():
         LogicalSort(child, [OrderItem(left_col(0)), OrderItem(left_col(1), ascending=False)]),
         LogicalJoin(child, other, "LEFT", BinaryOp("=", left_col(0), right_col(0))),
         LogicalJoin(other, child, "INNER", BinaryOp("=", right_col(0), left_col(0))),
+        # filter passes: every row survives / a NULL in the column / the
+        # guard fails and the closure answers / there never were passes
+        LogicalFilter(child, BinaryOp("<>", left_col(1), Literal("z"))),
+        LogicalFilter(child, and_all([BinaryOp("<>", left_col(1), Literal("z")), BinaryOp(">", left_col(0), Literal(0))])),
+        LogicalFilter(child, BinaryOp("<>", left_col(2), Literal("z"))),
+        LogicalFilter(child, IsNull(left_col(1), negated=True)),
     ]
     for plan in plans:
         op = ENGINE.lower(plan)
@@ -568,3 +987,44 @@ def test_project_op_takes_the_kernel_the_executor_picked():
     mixed = ENGINE.lower(LogicalProject(leaf, [SelectItem(col(1)), SelectItem(Literal(0), "z")]))
     assert type(picked) is type(mixed) is ProjectOp
     assert picked.run() == [(2, 1)] and mixed.run() == [(2, 0)]
+
+
+# --- the real traffic ---------------------------------------------------------
+
+
+def benchmark_statements():
+    """Q1-Q12, the six `adhoc_lookup_s1` templates (for one customer) and the
+    five dashboard aggregates, read from the wall-clock harness itself."""
+    path = pathlib.Path(__file__).parent.parent / "benchmarks" / "wallclock" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("eiibench_wall_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    lookups = [template.format(id=3) for template in workloads.LOOKUP_TEMPLATES.values()]
+    return list(QUERIES.values()) + lookups + list(workloads.DASHBOARD.values())
+
+
+def test_every_filter_of_the_benchmark_traffic_runs_its_passes(monkeypatch):
+    """Asserted, not assumed: each `FilterOp` the four workloads lower - at a
+    source or at the hub - carries passes, and every guard holds on the
+    scale-1 enterprise, so no benchmark row meets a predicate closure."""
+    ran = {}
+    run = FilterOp.run
+
+    def watched(op):
+        rows = op.child.run()
+        assert op.passes is not None, op.description
+        assert run_filter_passes(op.passes, rows) is not None, op.description
+        ran[op.description] = len(op.passes)
+        return run(op)
+
+    monkeypatch.setattr(FilterOp, "run", watched)
+    fixture = build_enterprise(BenchConfig(scale=1, seed=42))
+    with repro.connect(fixture.catalog(), EngineConfig(clock=SimClock())) as engine:
+        for sql in benchmark_statements():
+            engine.query(sql)
+    assert len(ran) >= 14, sorted(ran)  # distinct predicates, source side and hub
+    assert ran["((i.paid = FALSE) AND (i.amount > 2000))"] == 2  # q8: the bool-literal row
