@@ -9,6 +9,26 @@ from repro.common.schema import RelSchema
 from repro.common.types import rows_size
 
 
+class Batch(list):
+    """Rows, plus what their producer vouches: `kinds` is None or, per column,
+    None, a frozenset of at least every exact `type(value)` the column holds,
+    or a callable yielding either (a table column's kinds, swept on demand).
+    It describes the rows as built: whoever edits the list drops it."""
+
+    kinds = None
+
+
+def vouched(rows: list, kinds) -> list:
+    """`rows`, the caller's own list, as a `Batch` carrying `kinds` (one
+    pointer copy unless it is a `Batch` already), if there is a vouch."""
+    if kinds is None:
+        return rows
+    if type(rows) is not Batch:
+        rows = Batch(rows)
+    rows.kinds = kinds
+    return rows
+
+
 class Relation:
     """An ordered bag of rows with a `RelSchema`.
 
@@ -26,6 +46,14 @@ class Relation:
         if not set(map(len, self.rows)) <= {width}:
             ragged = next(row for row in self.rows if len(row) != width)
             raise SchemaError(f"row width {len(ragged)} does not match schema width {width}")
+
+    @classmethod
+    def adopt(cls, schema: RelSchema, rows: list) -> "Relation":
+        """Take over `rows` - tuples of the schema's width that an operator
+        just built - with neither a copy nor a check; a `Batch` keeps its vouch."""
+        relation = cls.__new__(cls)
+        relation.schema, relation.rows = schema, rows
+        return relation
 
     def __len__(self):
         return len(self.rows)

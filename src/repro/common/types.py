@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime
 import enum
 from itertools import compress, repeat
-from operator import is_
+from operator import is_, itemgetter
 
 from repro.common.errors import TypeMismatchError
 
@@ -162,17 +162,28 @@ def row_size(row) -> int:
 def rows_size(rows) -> int:
     """`sum(map(row_size, rows))` for equal-width rows with no call per value:
     per column, fixed widths times the count of each exact type, strings as
-    framing plus the UTF-8 length of their concatenation. Anything else (a
-    subclass such as `datetime.datetime`, an unsupported value, a string
-    UTF-8 cannot encode) hands every row to `row_size`, to size or to raise.
+    framing plus the UTF-8 length of their concatenation. A column vouched
+    (`repro.common.relation.Batch.kinds`) to hold one type is not swept for
+    its types - any part of it still is of that type - nor, at a fixed width,
+    read. Anything else (a subclass such as `datetime.datetime`, an unsupported
+    value, a string UTF-8 cannot encode) hands every row to `row_size`.
     """
     total = 0
+    kinds = getattr(rows, "kinds", None)
+    if kinds is None:
+        columns = zip(zip(*rows), repeat(None))
+    else:
+        columns = zip([map(itemgetter(at), rows) for at in range(len(kinds))], kinds)
     try:
-        for column in zip(*rows):
-            kinds = set(map(type, column))
-            kind_of = list(map(type, column)) if len(kinds) > 1 else None
-            for kind in kinds:
-                count = len(column) if kind_of is None else kind_of.count(kind)
+        for column, vouch in columns:
+            if callable(vouch):  # a table column's kinds, swept when first called for
+                vouch = vouch()
+            if vouch is None or len(vouch) > 1:
+                column = tuple(column)
+                vouch = set(map(type, column))
+            kind_of = list(map(type, column)) if len(vouch) > 1 else None
+            for kind in vouch:
+                count = len(rows) if kind_of is None else kind_of.count(kind)
                 if kind is str:
                     strings = column if kind_of is None else compress(column, map(is_, kind_of, repeat(str)))
                     total += VALUE_OVERHEAD_BYTES * count + len("".join(strings).encode("utf-8"))

@@ -13,27 +13,44 @@ by key before aggregates are folded, one hash build/probe shared by every
 equi-join). A kernel never mutates or returns the list a child handed it -
 a `FetchOp`'s rows belong to the execution's result memo - and holds no
 state between runs: a prepared plan is run by many threads at once.
+
+`run()` may return a `Batch`, whose `kinds` vouch per column for the exact
+types held: a scan's are its table's, operators that only drop, reorder, pick
+or concatenate rows pass them on, filter guards and wire sizing read them.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from itertools import compress, repeat
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from repro.common.relation import Relation
+from repro.common.relation import Batch, Relation, vouched
 from repro.common.schema import RelSchema
 from repro.sql.functions import make_aggregate
 
+_NULL_KIND = frozenset((type(None),))
+
 
 def pick_columns(positions: Sequence[int]) -> Callable[[list], list]:
-    """`rows -> list[tuple]` of the values at `positions`; no call per row."""
+    """`rows -> Batch` of the values at `positions`, vouched as `rows` were;
+    no call per row."""
     if len(positions) == 1:
         (position,) = positions  # itemgetter(i) would yield bare values
-        return lambda rows: [(row[position],) for row in rows]
-    pick = itemgetter(*positions)
-    return lambda rows: list(map(pick, rows))
+        pick = lambda rows, get=itemgetter(position): zip(map(get, rows))  # noqa: E731
+    else:
+        pick = partial(map, itemgetter(*positions))
+
+    def kernel(rows):
+        out = Batch(pick(rows))
+        kinds = getattr(rows, "kinds", None)
+        if kinds is not None:
+            out.kinds = tuple([kinds[position] for position in positions])
+        return out
+
+    return kernel
 
 
 def eval_columns(fns: Sequence[Callable]) -> Callable[[list], list]:
@@ -58,38 +75,71 @@ def hash_join(left_rows, left_keys, right_rows, right_keys, kind, residual, null
     does not equi-join. `residual` filters the concatenated rows; a LEFT
     join pads a probe row nothing survived for with `null_pad`.
     """
+    left_outer = kind == "LEFT"
+    kinds = _joined_kinds(left_rows, right_rows, null_pad, left_outer)
+    unique = dict(zip(right_keys, right_rows))
+    if residual is None and len(unique) == len(right_rows) and None not in unique:
+        # every build key distinct and not NULL: one row, or none, per probe
+        others = map(unique.get, left_keys, repeat(null_pad if left_outer else None))
+        return vouched([row + other for row, other in zip(left_rows, others) if other is not None], kinds)
     table: dict = defaultdict(list)
     for key, row in zip(right_keys, right_rows):
         if key is not None:
             table[key].append(row)
     find = table.get  # a defaultdict's get() adds nothing
-    left_outer = kind == "LEFT"
+    if residual is None:
+        pads = (null_pad,) if left_outer else ()
+        out = [row + other for key, row in zip(left_keys, left_rows) for other in find(key, pads)]
+        return vouched(out, kinds)
     out: list[tuple] = []
     emit = out.append
     for key, row in zip(left_keys, left_rows):
         matched = False
         for other in find(key, ()):
             combined = row + other
-            if residual is None or residual(combined):
+            if residual(combined):
                 emit(combined)
                 matched = True
         if left_outer and not matched:
             emit(row + null_pad)
-    return out
+    return vouched(out, kinds)
+
+
+def _joined_kinds(left_rows, right_rows, null_pad, left_outer):
+    """What a join of the two vouches: their vouches side by side (a None per
+    column of a side with none), the right one's NULL-able too under LEFT."""
+    left, right = getattr(left_rows, "kinds", None), getattr(right_rows, "kinds", None)
+    if left is None and right is None or not left_rows:
+        return None
+    left, right = left or (None,) * len(left_rows[0]), right or null_pad
+    if left_outer:
+        right = [vouch() if callable(vouch) else vouch for vouch in right]
+        right = tuple([None if vouch is None else vouch | _NULL_KIND for vouch in right])
+    return left + right
 
 
 def run_filter_passes(passes, rows):
     """The rows every pass (`repro.sql.eval.compile_filter_passes`) keeps, in
     order, as a new list - or None when a column holds a type its pass is not
-    exact for. Every guard sweeps *all* of `rows` before any pass runs: a row
+    exact for. Every guard covers *all* of `rows` before any pass runs: a row
     an earlier pass drops (its conjunct NULL, say) still reaches the later
-    conjuncts of the closure, and may raise there.
+    conjuncts of the closure, and may raise there. The rows' vouch answers a
+    guard it satisfies; one it fails is no evidence (it may name types these
+    rows lack), so the column is swept.
     """
-    found = [set(map(type, map(itemgetter(position), rows))) for position, _, _, _ in passes]
-    if not all(kinds <= admits for kinds, (_, admits, _, _) in zip(found, passes)):
-        return None
-    for kinds, (position, _, test, operand) in zip(found, passes):
-        if type(None) in kinds:
+    kinds = getattr(rows, "kinds", None)
+    found = []
+    for position, admits, _, _ in passes:
+        vouch = None if kinds is None else kinds[position]
+        if callable(vouch):  # a table column's, resolved on demand
+            vouch = vouch()
+        if vouch is None or not vouch <= admits:
+            vouch = set(map(type, map(itemgetter(position), rows)))
+            if not vouch <= admits:
+                return None
+        found.append(vouch)
+    for vouch, (position, _, test, operand) in zip(found, passes):
+        if type(None) in vouch:
             rows = [row for row in rows if row[position] is not None and test(operand, row[position])]
         else:
             column = map(itemgetter(position), rows)
@@ -110,7 +160,7 @@ class PhysicalOp:
         raise NotImplementedError
 
     def relation(self) -> Relation:
-        return Relation(self.schema, self.run())
+        return Relation.adopt(self.schema, self.run())
 
     def explain_label(self) -> str:
         return type(self).__name__
@@ -131,7 +181,8 @@ class SeqScan(PhysicalOp):
         self.schema = table.schema.with_qualifier(binding)
 
     def run(self):
-        return self.table.live_rows()
+        version = self.table.version  # read before the rows, compared after
+        return self.table.vouch(version, self.table.live_rows())
 
     def explain_label(self):
         return f"SeqScan({self.table.name} AS {self.binding})"
@@ -148,7 +199,8 @@ class IndexEqScan(PhysicalOp):
         self.schema = table.schema.with_qualifier(binding)
 
     def run(self):
-        return self.table.lookup(self.column, self.value)
+        version = self.table.version
+        return self.table.vouch(version, self.table.lookup(self.column, self.value))
 
     def explain_label(self):
         return f"IndexEqScan({self.table.name}.{self.column} = {self.value!r})"
@@ -177,9 +229,10 @@ class IndexRangeScan(PhysicalOp):
         self.schema = table.schema.with_qualifier(binding)
 
     def run(self):
+        version = self.table.version
         index = self.table.index_on(self.column)
         rids = index.range(self.low, self.high, self.include_low, self.include_high)
-        return [self.table.row_by_id(rid) for rid in rids]
+        return self.table.vouch(version, Batch(map(self.table.row_by_id, rids)))
 
     def explain_label(self):
         low = "" if self.low is None else f"{self.low!r} <{'=' if self.include_low else ''} "
@@ -238,12 +291,11 @@ class FilterOp(PhysicalOp):
 
     def run(self):
         rows = self.child.run()
-        if self.passes is not None:
-            kept = run_filter_passes(self.passes, rows)
-            if kept is not None:
-                return kept
-        predicate = self.predicate_fn
-        return [row for row in rows if predicate(row)]
+        kept = None if self.passes is None else run_filter_passes(self.passes, rows)
+        if kept is None:
+            predicate = self.predicate_fn
+            kept = [row for row in rows if predicate(row)]
+        return vouched(kept, getattr(rows, "kinds", None))
 
     def explain_label(self):
         return f"Filter({self.description})"
@@ -520,10 +572,11 @@ class SortOp(PhysicalOp):
 
     def run(self):
         rows = self.child.run()
-        # Successive stable sorts; sorted() copies, the child's list is its own.
+        # Successive stable sorts of a copy; the child's list is its own.
+        out = vouched(Batch(rows), getattr(rows, "kinds", None))
         for sort_key, reverse in self.passes:
-            rows = sorted(rows, key=sort_key, reverse=reverse)
-        return rows
+            out.sort(key=sort_key, reverse=reverse)
+        return out
 
     def explain_label(self):
         return f"Sort({self.description})"
@@ -540,7 +593,8 @@ class LimitOp(PhysicalOp):
         return (self.child,)
 
     def run(self):
-        return self.child.run()[: self.limit]
+        rows = self.child.run()
+        return vouched(rows[: self.limit], getattr(rows, "kinds", None))
 
     def explain_label(self):
         return f"Limit({self.limit})"
@@ -556,13 +610,9 @@ class DistinctOp(PhysicalOp):
         return (self.child,)
 
     def run(self):
-        seen = set()
-        out = []
-        for row in self.child.run():
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return out
+        rows = self.child.run()
+        # first appearances, in order: a dict's keys
+        return vouched(Batch(dict.fromkeys(rows)), getattr(rows, "kinds", None))
 
 
 class UnionAllOp(PhysicalOp):

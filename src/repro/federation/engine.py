@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 from repro.cache import CacheConfig, CacheHierarchy, canonical_statement
 from repro.common.errors import AdmissionError, EIIError, PlanError
-from repro.common.relation import Relation
+from repro.common.relation import Batch, Relation, vouched
 from repro.eai.table_events import subscribe_table_changes
 from repro.engine.executor import LocalEngine
 from repro.engine.logical import LogicalPlan
@@ -648,6 +648,11 @@ class FederatedEngine:
             payload_bytes=relation.size_bytes(), description="final result to client",
         )
         run.end_assembly(assembly_seconds, final_transfer)
+        # The answer's list is the caller's: not the result memo's (maybe a
+        # fetch-cache entry's too), which a pass-through root - q1's - hands up.
+        rows = relation.rows
+        if any(rows is fetched.rows for fetched in run.local.values()):
+            relation.rows = vouched(Batch(rows), getattr(rows, "kinds", None))
         elapsed = fetch_elapsed + serial_tail + assembly_seconds + final_transfer
         result = FederatedResult(
             relation, plan, metrics, fetch_seconds, elapsed,

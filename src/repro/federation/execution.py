@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from concurrent import futures
 from contextlib import nullcontext
+from itertools import chain
 from typing import Optional
 
 from repro.cache import fetch_key
@@ -458,13 +459,14 @@ class Execution:
             f"fetch from {node.source.name}", "fetch", node.est_rows,
         )
         # Relabel positionally: the residual plan resolves against the
-        # schema of the subtree the fetch replaced.
-        result = Relation(node.schema, rows)
+        # schema of the subtree the fetch replaced; the rows, maybe a cache
+        # entry's, are shared with their vouch, not copied.
+        result = Relation.adopt(node.schema, rows)
         self.local[id(node)] = result
         return result
 
     def bind_fetch(self, node: LogicalBindJoin, keys: list) -> Relation:
-        rows: list[tuple] = []
+        chunks = []
         for chunk_index, start in enumerate(range(0, len(keys), node.max_inlist)):
             chunk = keys[start : start + node.max_inlist]
             stmt = with_in_filter(node.template, node.right_key, chunk)
@@ -472,7 +474,7 @@ class Execution:
                 self.assembly_span, "bind_fetch", node, node.template,
                 chunk=chunk_index, keys=len(chunk),
             )
-            rows.extend(
+            chunks.append(
                 self._fetch_statement(
                     node, stmt, self.record.scoped(self.metrics, span),
                     f"bind fetch from {node.source.name} ({len(chunk)} keys)",
@@ -482,7 +484,9 @@ class Execution:
                     keys=len(chunk),
                 )
             )
-        return Relation(node.fetch_schema, rows)
+        # one chunk's rows are shared like a fetch's, vouch and all; several vouch nothing
+        rows = chunks[0] if len(chunks) == 1 else list(chain.from_iterable(chunks))
+        return Relation.adopt(node.fetch_schema, rows)
 
     def prefetch(self, fetches: list) -> list:
         """Run component queries concurrently; returns per-fetch sim seconds.

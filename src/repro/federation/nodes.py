@@ -11,6 +11,7 @@ caller. What a *run* needs arrives at lowering time instead — `FetchOp` and
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.common.errors import PlanError
@@ -18,7 +19,7 @@ from repro.common.schema import RelSchema
 from repro.engine.cost import PlanCost
 from repro.engine.logical import LogicalPlan
 from repro.engine.physical import PhysicalOp, hash_join, join_keys
-from repro.sql.ast import ColumnRef, Expr, InList, Literal, Select, and_all
+from repro.sql.ast import ColumnRef, Expr, InList, LiteralValues, Select, and_all
 from repro.sql.eval import compile_expr
 from repro.sql.printer import to_sql
 
@@ -222,16 +223,6 @@ class BindJoinOp(PhysicalOp):
 
 def with_in_filter(template: Select, key_ref: ColumnRef, keys: Sequence) -> Select:
     """Return `template` with an extra `key_ref IN (keys)` conjunct."""
-    in_clause = InList(key_ref, tuple(Literal(key) for key in keys))
+    in_clause = InList(key_ref, LiteralValues(keys))
     where = and_all([c for c in (template.where, in_clause) if c is not None])
-    return Select(
-        items=template.items,
-        from_tables=template.from_tables,
-        joins=template.joins,
-        where=where,
-        group_by=template.group_by,
-        having=template.having,
-        order_by=template.order_by,
-        limit=template.limit,
-        distinct=template.distinct,
-    )
+    return replace(template, where=where)

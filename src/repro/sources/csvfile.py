@@ -48,8 +48,7 @@ class CsvSource(DataSource):
         return self._table(table).schema
 
     def stats_of(self, table: str) -> Optional[TableStats]:
-        stored = self._table(table)
-        return TableStats.collect(stored.schema, list(stored.rows()))
+        return self._table(table).stats()
 
     def execute_select(self, stmt: Select, metrics=None) -> Relation:
         self._check_access()

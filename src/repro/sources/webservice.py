@@ -58,7 +58,7 @@ class WebServiceSource(DataSource):
 
     def stats_of(self, table: str) -> Optional[TableStats]:
         self._check_table(table)
-        return TableStats.collect(self._backing.schema, list(self._backing.rows()))
+        return self._backing.stats()
 
     def lookup(self, key_value) -> list[tuple]:
         """One service call: all rows for one key value."""

@@ -7,8 +7,9 @@ than mutating (see `repro.sql.exprutil`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 
 class Expr:
@@ -123,10 +124,43 @@ class IsNull(Expr):
         return f"({self.operand} {suffix})"
 
 
+class LiteralValues(Sequence):
+    """A bind join's IN-list items, held as the values: a sequence of `Literal`s
+    made when first read, hashed and compared (per execution) as the tuple of
+    them would be - by exact type and value, floats by `repr` - but at C level."""
+
+    __slots__ = ("values", "_key", "_literals")
+
+    def __init__(self, values):
+        self.values = values = tuple(values)
+        kinds = tuple(map(type, values))
+        if float in kinds:
+            values = tuple([repr(v) if type(v) is float else v for v in values])
+        self._key = (kinds, values)
+        self._literals = None
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if self._literals is None:  # a statement no source has prepared yet
+            self._literals = tuple(map(Literal, self.values))
+        return self._literals[index]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other):
+        return other.__class__ is LiteralValues and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+
 @dataclass(frozen=True)
 class InList(Expr):
     operand: Expr
-    items: Tuple[Expr, ...]
+    items: Sequence[Expr]  # a tuple, or `LiteralValues`
     negated: bool = False
 
     def __str__(self):

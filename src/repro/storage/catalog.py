@@ -71,19 +71,12 @@ class Database(Catalog):
     def __init__(self, name: str = "db"):
         super().__init__()
         self.name = name
-        self._stats: dict[str, tuple[int, TableStats]] = {}
         self._active_txn: Optional[Transaction] = None
         self.created_at = time.time()
 
     def stats_for(self, table_name: str) -> TableStats:
         """Statistics for a table, recollected when the table has changed."""
-        table = self.table(table_name)
-        cached = self._stats.get(table_name.lower())
-        if cached is not None and cached[0] == table.version:
-            return cached[1]
-        stats = TableStats.collect(table.schema, list(table.rows()))
-        self._stats[table_name.lower()] = (table.version, stats)
-        return stats
+        return self.table(table_name).stats()
 
     def analyze(self) -> None:
         """Refresh statistics for every table."""

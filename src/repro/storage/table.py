@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import compress, repeat
+from operator import is_not, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.common.errors import IntegrityError, SchemaError
-from repro.common.relation import Relation
+from repro.common.relation import Batch, Relation
 from repro.common.schema import Column, RelSchema
 from repro.common.types import coerce_value
 from repro.storage.index import HashIndex, SortedIndex
+from repro.storage.stats import TableStats
 
 
 class Table:
@@ -40,6 +44,8 @@ class Table:
         self._pk_map: dict[tuple, int] = {}
         self._indexes: dict[str, object] = {}
         self.version = 0  # bumped on every mutation; used for staleness tracking
+        self._derived: tuple = (0, {})  # what `derived` keeps for `version`
+        self._positions = range(len(schema))
 
     # -- construction helpers -------------------------------------------------
 
@@ -70,10 +76,45 @@ class Table:
         return iter(self.live_rows())
 
     def live_rows(self) -> list[tuple]:
-        """A new list of the live rows in heap order (a slice, without tombstones)."""
-        if self._live_count == len(self._heap):
-            return self._heap[:]
-        return [row for row in self._heap if row is not None]
+        """A new list (a `Batch`) of the live rows in heap order, without tombstones."""
+        heap = self._heap
+        if self._live_count == len(heap):
+            return Batch(heap)
+        return Batch(compress(heap, map(is_not, heap, repeat(None))))
+
+    def derived(self, key, derive: Callable):
+        """`derive()`, kept until a write moves `version`: the one memo of what
+        is computed from the whole heap (statistics, column kinds)."""
+        version = self.version
+        memo = self._derived
+        if memo[0] != version:
+            memo = self._derived = (version, {})
+        if key not in memo[1]:
+            memo[1][key] = derive()
+        return memo[1][key]
+
+    def stats(self) -> TableStats:
+        return self.derived("stats", lambda: TableStats.collect(self.schema, self.live_rows()))
+
+    def vouch(self, version: int, rows: list) -> list:
+        """`rows` - live ones, read no earlier than `version` - vouching per
+        column `column_kinds` (uncalled), unless a write moved `version` since."""
+        if self.version != version:
+            return rows
+        if type(rows) is not Batch:  # `vouched`, inlined: a scan stays three frames deep
+            rows = Batch(rows)
+        rows.kinds = tuple(map(partial, repeat(self.column_kinds), self._positions, repeat(version)))
+        return rows
+
+    def column_kinds(self, position: int, version: Optional[int] = None) -> Optional[frozenset]:
+        """The exact `type(value)`s column `position` holds, swept from the
+        live rows when first asked for - at `version` (a scan's), None once
+        the table has moved on from it."""
+        if version is None:
+            version = self.version
+        column = itemgetter(position)
+        kinds = self.derived(position, lambda: frozenset(map(type, map(column, self.live_rows()))))
+        return kinds if self.version == version else None
 
     def scan(self) -> Relation:
         """Materialize all live rows as a Relation qualified by table name."""

@@ -34,19 +34,24 @@ import repro
 from repro.bench import BenchConfig, build_enterprise
 from repro.bench.workload import QUERIES
 from repro.common.errors import SchemaError, TypeMismatchError
-from repro.common.relation import Relation
+from repro.common.relation import Batch, Relation, vouched
 from repro.common.schema import Column, RelSchema
 from repro.common.types import DataType as T
 from repro.common.types import row_size
 from repro.engine import LocalEngine
+from repro.engine import physical
 from repro.engine.logical import (
     LogicalAggregate,
+    LogicalAlias,
+    LogicalDistinct,
     LogicalFilter,
     LogicalJoin,
+    LogicalLimit,
     LogicalPlan,
     LogicalProject,
     LogicalScan,
     LogicalSort,
+    LogicalUnion,
 )
 from repro.engine.physical import (
     DistinctOp,
@@ -989,12 +994,332 @@ def test_project_op_takes_the_kernel_the_executor_picked():
     assert picked.run() == [(2, 1)] and mixed.run() == [(2, 0)]
 
 
+# --- what a batch vouches -----------------------------------------------------
+#
+# A `Batch` carries, per column, a frozenset its producer vouches to hold at
+# least every exact type of the column (or None, or a callable yielding
+# either). Consumers may skip work on its word, never answer differently: the
+# references stay the sweeping bodies above.
+
+NULL = type(None)
+EVERY_KIND = [NULL, bool, int, float, str, datetime.date, datetime.datetime, Tagged, bytes]
+
+
+def column_types(rows, position):
+    return {type(row[position]) for row in rows}
+
+
+def resolved(vouch):
+    return vouch() if callable(vouch) else vouch
+
+
+@st.composite
+def sound_vouches(draw, rows, width):
+    """Per column: the exact kinds, a strict superset, nothing - bare or
+    behind a call, as a scan hands them out."""
+    kinds = []
+    for position in range(width):
+        exact = frozenset(column_types(rows, position))
+        extra = frozenset(draw(st.lists(st.sampled_from(EVERY_KIND), max_size=2)))
+        vouch = draw(st.sampled_from([exact, exact, exact | extra, None]))
+        kinds.append((lambda v=vouch: v) if draw(st.booleans()) else vouch)
+    return tuple(kinds)
+
+
+@st.composite
+def vouched_rows(draw):
+    width, rows = draw(equal_width_rows())
+    return width, rows, draw(sound_vouches(rows, width))
+
+
+def size_outcome(thunk):
+    try:
+        return ("ok", thunk())
+    except Exception as exc:
+        return ("raise", type(exc), str(exc))
+
+
+D14_NOON = datetime.datetime(2005, 6, 14, 12)
+
+
+@given(case=vouched_rows())
+@example(case=(2, [(1, None), (2, "é")], (frozenset({int}), frozenset({str, NULL}))))
+# a `datetime` in a DATE column is its own kind: nothing fixed-width prices it
+@example(case=(1, [(D14,), (D14_NOON,)], (frozenset({datetime.date, datetime.datetime}),)))
+@example(case=(1, [(D14_NOON,)], (frozenset({datetime.datetime}),)))
+@example(case=(2, [(Tagged(1), 1)], (frozenset({Tagged}), frozenset({int}))))  # an int subclass
+@example(case=(2, [(1, "\ud800"), (2, "a")], (frozenset({int}), frozenset({str}))))  # a lone surrogate
+@example(case=(2, [(b"x", "\ud800")], (frozenset({bytes}), frozenset({str}))))  # which error: row order
+@example(case=(3, [], (frozenset({int}), frozenset({datetime.datetime}), None)))  # zero rows
+@example(case=(2, [], (frozenset(), frozenset())))
+@example(case=(1, [(1,), (2,)], (frozenset({int, str}),)))  # two kinds vouched: swept
+@example(case=(1, [(1,), (2.5,)], (frozenset({int, float}),)))
+@settings(max_examples=400, deadline=None)
+def test_size_bytes_under_any_sound_vouch_is_the_sum_of_row_sizes(case):
+    width, rows, kinds = case
+    relation = Relation.adopt(Rows("t", [], width).schema, vouched(list(rows), kinds))
+    assert getattr(relation.rows, "kinds", None) is kinds
+    assert size_outcome(relation.size_bytes) == size_outcome(lambda: ref_size_bytes(rows))
+
+
+class VouchedRows(LogicalPlan):
+    """A leaf whose operator hands out a `Batch` vouching `kinds`."""
+
+    def __init__(self, qualifier, rows, width, kinds):
+        self.schema = RelSchema(Column(f"c{i}", T.ANY, qualifier) for i in range(width))
+        self.rows, self.kinds = rows, kinds
+
+    def lower_physical(self, engine, context=None):
+        leaf = ValuesOp(self.schema, self.rows)
+        leaf.run = lambda: vouched(list(self.rows), self.kinds)
+        return leaf
+
+
+@st.composite
+def vouched_filter_cases(draw):
+    rows, conjuncts = draw(filter_cases())
+    return rows, conjuncts, draw(sound_vouches(rows, 3))
+
+
+@given(case=vouched_filter_cases())
+# a vouch wider than the guard admits, over rows the guard would pass
+@example(case=([(1, "a", 0), (5, "b", 0)], [BinaryOp(">", col(0), Literal(1))], (frozenset({int, str}), None, None)))
+@example(case=([(None, "x", 0), (5, 1, 0)], [BinaryOp(">", col(0), Literal(1)), BinaryOp("<", col(1), Literal(2))], (frozenset({int, NULL}), frozenset({str, int}), None)))
+@example(case=([], [BinaryOp(">", col(0), Literal(1))], (frozenset(), frozenset(), frozenset())))
+@settings(max_examples=500, deadline=None)
+def test_a_filter_answers_the_same_with_the_guard_from_the_vouch(case):
+    rows, conjuncts, kinds = case
+    predicate = and_all(conjuncts)
+    op = ENGINE.lower(LogicalFilter(VouchedRows("t", rows, 3, kinds), predicate))
+    reference = compile_predicate(predicate, op.schema)
+    assert outcome(op.run) == outcome(lambda: ref_filter(reference, rows))
+    if op.passes is not None:  # the passes answer exactly when they would over a sweep
+        swept, told = run_filter_passes(op.passes, list(rows)), run_filter_passes(op.passes, op.child.run())
+        assert (swept is None) == (told is None) and (swept is None or [repr(r) for r in swept] == [repr(r) for r in told])
+
+
+def test_a_vouch_the_guard_does_not_admit_is_no_evidence_against_the_rows():
+    rows = [(1, 0, 0), (5, 0, 0)]
+    op = ENGINE.lower(LogicalFilter(
+        VouchedRows("t", rows, 3, (frozenset({int, str, Tagged}), None, None)),
+        BinaryOp(">", col(0), Literal(1)),
+    ))
+    assert run_filter_passes(op.passes, op.child.run()) == [(5, 0, 0)]  # swept, not the closure
+    assert op.run() == [(5, 0, 0)] and op.run().kinds[0] == {int, str, Tagged}  # and passed on
+
+
+# every operator over stored tables: what comes out is vouched soundly
+
+stored_columns = [("id", T.INT), ("n", T.INT), ("f", T.FLOAT), ("s", T.STRING), ("d", T.DATE), ("v", T.ANY)]
+stored_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 4)),
+        st.one_of(st.none(), st.integers(-2, 2)),
+        st.one_of(st.none(), st.sampled_from([0.5, -1.0])),
+        strings,
+        st.one_of(st.none(), st.sampled_from([D14, D15, D14_NOON])),
+        st.sampled_from([None, 1, 2.5, "x", True, D14]),
+    ),
+    max_size=6,
+)
+
+
+def stored(name, index):
+    return ColumnRef(stored_columns[index][0], name)
+
+
+@st.composite
+def plans_over_tables(draw, depth=3):
+    """`(plan, computes, full)`: whether the root computes new values (and so
+    vouches nothing) and whether every column below it came off a table."""
+    name = draw(st.sampled_from(["a", "b"]))
+    schema = RelSchema(Column(column, dtype) for column, dtype in stored_columns)
+    plan, computes, full = LogicalScan(name, name, schema), False, True
+    steps = ["filter", "index", "pick", "eval", "sort", "limit", "distinct", "alias", "join", "left", "aggregate", "union"]
+    for _ in range(draw(st.integers(0, depth))):
+        width = len(plan.schema)
+        first = ColumnRef(plan.schema[0].name, plan.schema[0].qualifier)
+        step = draw(st.sampled_from(steps))
+        full = full and not computes
+        computes = step in ("eval", "aggregate", "union")
+        if step == "filter":
+            plan = LogicalFilter(plan, BinaryOp(draw(comparators), first, Literal(draw(st.integers(0, 3)))))
+        elif step == "index":
+            if isinstance(plan, LogicalScan):  # lowered to an index scan, maybe under a filter
+                plan = LogicalFilter(plan, BinaryOp(draw(st.sampled_from(["=", "<", ">="])), stored(name, 1), Literal(0)))
+        elif step == "pick":
+            picks = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=4))
+            refs = [ColumnRef(plan.schema[i].name, plan.schema[i].qualifier) for i in picks]
+            plan = LogicalProject(plan, [SelectItem(ref, f"p{n}") for n, ref in enumerate(refs)])
+        elif step == "eval":
+            plan = LogicalProject(plan, [SelectItem(first, "p0"), SelectItem(IsNull(first), "p1")])
+        elif step == "sort":
+            plan = LogicalSort(plan, [OrderItem(IsNull(first), draw(st.booleans()))])
+        elif step == "limit":
+            plan = LogicalLimit(plan, draw(st.integers(0, 4)))
+        elif step == "distinct":
+            plan = LogicalDistinct(plan)
+        elif step == "alias":
+            plan = LogicalAlias(plan, "z")
+        elif step in ("join", "left"):
+            other = draw(st.sampled_from(["a", "b", "c"]))  # c: a side nothing vouches for
+            full = full and other != "c"
+            right = LogicalScan(other, "r", schema) if other != "c" else Rows("r", draw(stored_rows), len(schema))
+            key = ColumnRef("id" if other != "c" else "c0", "r")
+            plan = LogicalJoin(plan, right, "LEFT" if step == "left" else "INNER", BinaryOp("=", first, key))
+        elif step == "aggregate":
+            plan = LogicalAggregate(plan, [first], ["g"], [FuncCall("COUNT", (Star(),))], ["n"])
+        elif step == "union":
+            plan = LogicalUnion([plan, plan])
+    return plan, computes, full
+
+
+@given(a=stored_rows, b=stored_rows, case=plans_over_tables())
+@settings(max_examples=400, deadline=None)
+def test_every_operator_vouches_a_superset_of_what_it_outputs(a, b, case):
+    plan, computes, full = case
+    db = Database("vouched")
+    for name, rows in (("a", a), ("b", b)):
+        table = db.add_table(Table.build(name, stored_columns, rows))
+        table.create_index("n", sorted=True)
+    try:
+        rows = LocalEngine(db, optimize=False).lower(plan).run()
+    except Exception:
+        return  # a comparison the drawn values do not support: nothing came out
+    kinds = getattr(rows, "kinds", None)
+    if computes:
+        assert kinds is None
+    if kinds is None:
+        assert computes or not full or not rows  # a join of no rows has no width to vouch
+        return
+    assert len(kinds) == len(plan.schema)
+    for position, vouch in enumerate(kinds):
+        vouch = resolved(vouch)
+        assert vouch is None or column_types(rows, position) <= vouch, (position, vouch)
+        assert vouch is not None or not full, position
+
+
+def test_a_left_join_vouches_the_null_it_pads_with():
+    db = Database("padded")
+    db.add_table(Table.build("a", [("id", T.INT)], [(1,), (2,)]))
+    db.add_table(Table.build("b", [("id", T.INT), ("s", T.STRING)], [(1, "x")]))
+    a, b = (LogicalScan(n, n, db.table(n).schema) for n in "ab")
+    condition = BinaryOp("=", ColumnRef("id", "a"), ColumnRef("id", "b"))
+    for kind, expected in (("INNER", [{int}, {int}, {str}]), ("LEFT", [{int}, {int, NULL}, {str, NULL}])):
+        rows = LocalEngine(db).lower(LogicalJoin(a, b, kind, condition)).run()
+        assert [resolved(vouch) for vouch in rows.kinds] == expected, kind
+
+
+def test_a_scan_vouches_nothing_for_a_version_it_did_not_read():
+    table = Table.build("t", [("v", T.ANY)], [(1,), (2,)])
+    for scan in (SeqScan(table, "t"), physical.IndexEqScan(table, "t", "v", 1)):
+        before = scan.run()
+        assert resolved(before.kinds[0]) == {int}
+        table.insert(("x",))
+        assert resolved(before.kinds[0]) is None  # even though it was resolved: the memo is the new version's
+        assert resolved(scan.run().kinds[0]) == ({int, str} if isinstance(scan, SeqScan) else {int, str})
+        table.delete_where(lambda row: row[0] == "x")
+    unread = SeqScan(table, "t").run()
+    table.insert((2.5,))
+    assert resolved(unread.kinds[0]) is None and column_types(unread, 0) == {int}
+    # a write landing between the version and the rows: nothing is vouched
+    racing = SeqScan(table, "t")
+    live_rows = table.live_rows
+    table.live_rows = lambda: (table.insert(("late",)), live_rows())[1]
+    try:
+        assert getattr(racing.run(), "kinds", None) is None
+    finally:
+        del table.live_rows
+    assert resolved(racing.run().kinds[0]) == {int, float, str}
+
+
+class Watched(Batch):
+    """Counts the rows anything reads off it by iterating."""
+
+    reads = 0
+
+    def __iter__(self):
+        for row in list.__iter__(self):
+            self.reads += 1
+            yield row
+
+
+def test_a_vouched_batch_is_sized_adopted_and_filtered_without_a_sweep(monkeypatch):
+    """Counted, never timed, over 2 000 rows."""
+    day = datetime.date(2005, 6, 14)
+    rows = Watched((i, i / 7, i % 2 == 0, day) for i in range(2000))
+    rows.kinds = (frozenset({int}), frozenset({float}), frozenset({bool}), frozenset({datetime.date}))
+    schema = Rows("t", [], 4).schema
+    relation = Relation.adopt(schema, rows)
+    assert relation.rows is rows and python_calls(lambda: Relation.adopt(schema, rows)) <= 2
+    rows.reads = 0
+    assert relation.size_bytes() == ref_size_bytes(list.__iter__(rows))
+    assert rows.reads == 0  # fixed widths: no value is looked at
+    plain = Relation.adopt(schema, vouched(list(rows), rows.kinds))
+    assert python_calls(plain.size_bytes) <= 6
+    # strings are read once, for their bytes, not for their types
+    named = vouched([(i, f"naïve{i}") for i in range(2000)], (frozenset({int}), frozenset({str})))
+    assert python_calls(Relation.adopt(schema, named).size_bytes) <= 6
+    assert Relation.adopt(schema, named).size_bytes() == ref_size_bytes(named)
+    # an operator's relation() is its rows, adopted
+    leaf = SameList(schema, rows)
+    assert leaf.relation().rows is rows and python_calls(leaf.relation) <= 4
+    # a vouched filter asks no value for its type
+    typed = []
+    monkeypatch.setattr(physical, "type", lambda value: typed.append(1) or type(value), raising=False)
+    conjuncts = [BinaryOp("=", col(2), FALSE), BinaryOp(">", col(0), Literal(100))]
+    op = ENGINE.lower(LogicalFilter(VouchedRows("t", list(rows), 4, rows.kinds), and_all(conjuncts)))
+    assert len(op.run()) == 950 and len(typed) <= 4
+    assert python_calls(op.run) <= 15
+    op = ENGINE.lower(LogicalFilter(VouchedRows("t", list(rows), 4, None), and_all(conjuncts)))
+    assert len(op.run()) == 950 and len(typed) >= 4000  # unvouched: both guards sweep
+
+
+def test_an_answer_is_the_callers_list_and_no_one_elses(monkeypatch):
+    """Mutating `result.relation.rows` changes no heap, index bucket, cache
+    entry, memo or later answer - with and without the fetch cache, whether
+    the root builds its rows (join, aggregate) or passes a fetch's through."""
+    from repro.cache import CacheConfig, CacheHierarchy
+    from repro.federation.execution import Execution
+    from tests.federation_fixtures import build_engine
+
+    texts = [
+        "SELECT name, id FROM customers",  # a bare fetch of a scan
+        "SELECT name FROM customers WHERE id = 3",  # ... of an index bucket
+        "SELECT c.city, COUNT(*) AS n FROM customers c JOIN orders o ON c.id = o.cust_id GROUP BY c.city ORDER BY c.city",
+        "SELECT c.name, o.total FROM customers c JOIN orders o ON c.id = o.cust_id WHERE o.total > 100",
+    ]
+    fetched = []
+    fetch = Execution.fetch
+    monkeypatch.setattr(Execution, "fetch", lambda run, node, record=None: fetched.append(fetch(run, node, record)) or fetched[-1])
+    for cache in (None, CacheHierarchy(CacheConfig(result_enabled=False))):
+        with build_engine(cache=cache) as engine:
+            heaps = {
+                (source.name, name): list(source.db.table(name)._heap)
+                for source in engine.catalog.sources.values() if hasattr(source, "db")
+                for name in source.db.table_names()
+            }
+            for text in texts:
+                expected = list(engine.query(text).relation.rows)
+                del fetched[:]
+                again = engine.query(text)
+                assert again.relation.rows == expected
+                memo = [(relation, list(relation.rows)) for relation in fetched]
+                assert memo and all(again.relation.rows is not relation.rows for relation, _ in memo)
+                again.relation.rows.reverse()
+                again.relation.rows.append(("edited",))
+                del again.relation.rows[0]
+                assert all(relation.rows == rows for relation, rows in memo)
+                assert engine.query(text).relation.rows == expected
+            for (source, name), heap in heaps.items():
+                assert engine.catalog.sources[source].db.table(name)._heap == heap
+
+
 # --- the real traffic ---------------------------------------------------------
 
 
-def benchmark_statements():
-    """Q1-Q12, the six `adhoc_lookup_s1` templates (for one customer) and the
-    five dashboard aggregates, read from the wall-clock harness itself."""
+def wall_workloads():
+    """`benchmarks/wallclock/workloads.py`, the wall-clock harness's own module."""
     path = pathlib.Path(__file__).parent.parent / "benchmarks" / "wallclock" / "workloads.py"
     spec = importlib.util.spec_from_file_location("eiibench_wall_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -1003,6 +1328,13 @@ def benchmark_statements():
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
+    return workloads
+
+
+def benchmark_statements():
+    """Q1-Q12, the six `adhoc_lookup_s1` templates (for one customer) and the
+    five dashboard aggregates, read from the wall-clock harness itself."""
+    workloads = wall_workloads()
     lookups = [template.format(id=3) for template in workloads.LOOKUP_TEMPLATES.values()]
     return list(QUERIES.values()) + lookups + list(workloads.DASHBOARD.values())
 
@@ -1028,3 +1360,87 @@ def test_every_filter_of_the_benchmark_traffic_runs_its_passes(monkeypatch):
             engine.query(sql)
     assert len(ran) >= 14, sorted(ran)  # distinct predicates, source side and hub
     assert ran["((i.paid = FALSE) AND (i.amount > 2000))"] == 2  # q8: the bool-literal row
+
+
+def derivations(monkeypatch):
+    """Every `(table, key)` a `Table.derived` memo had to derive, in order."""
+    derived, memo = [], Table.derived
+
+    def watched(table, key, derive):
+        return memo(table, key, lambda: derived.append((table.name, key)) or derive())
+
+    monkeypatch.setattr(Table, "derived", watched)
+    return derived
+
+
+def test_the_benchmark_traffic_is_vouched_at_the_wire_and_guarded_from_the_memo(monkeypatch):
+    """Asserted, not assumed, on the scale-1 enterprise: what a relational
+    source ships is fully and soundly vouched unless an aggregate computed it
+    (a handful of rows), and on a second execution every filter guard at a
+    source is answered by the table's memo - nothing is derived again."""
+    from repro.sources import RelationalSource
+
+    shipped, guards = [], []
+    execute, run = RelationalSource.execute_select, FilterOp.run
+
+    def shipping(source, stmt, metrics=None):
+        relation = execute(source, stmt, metrics)
+        kinds = getattr(relation.rows, "kinds", None)
+        if kinds is not None:
+            kinds = [resolved(vouch) for vouch in kinds]
+            for position, vouch in enumerate(kinds):
+                assert vouch is not None and column_types(relation.rows, position) <= vouch, stmt
+        shipped.append((len(relation), kinds))
+        return relation
+
+    def guarded(op):
+        rows = op.child.run()
+        if isinstance(op.child, (SeqScan, physical.IndexEqScan, physical.IndexRangeScan)):
+            for position, admits, _, _ in op.passes:
+                guards.append(resolved(rows.kinds[position]) <= admits)
+        return run(op)
+
+    monkeypatch.setattr(RelationalSource, "execute_select", shipping)
+    monkeypatch.setattr(FilterOp, "run", guarded)
+    derived = derivations(monkeypatch)
+    fixture = build_enterprise(BenchConfig(scale=1, seed=42))
+    with repro.connect(fixture.catalog(), EngineConfig(clock=SimClock())) as engine:
+        statements = benchmark_statements()
+        for sql in statements:
+            engine.query(sql)
+        first, first_guards = len(derived), len(guards)
+        for sql in statements:
+            engine.query(sql)
+    assert len(derived) == first and len(set(derived)) == first  # each once, none again
+    assert len(guards) == 2 * first_guards >= 24 and all(guards)
+    unvouched = [rows for rows, kinds in shipped if kinds is None]
+    assert len(shipped) - len(unvouched) >= 50 and max(unvouched) <= 5  # q3, q10, d1-d5
+    assert sum(unvouched) < 0.01 * sum(rows for rows, _ in shipped)
+
+
+def test_an_announced_write_re_derives_each_touched_column_once(monkeypatch):
+    """`dashboard_rw`'s write path: an insert and its broker announcement. The
+    reads that follow sweep the written table's columns again - each one a
+    guard or the wire asks about, once - and no other table's."""
+    workloads = wall_workloads()
+    workload = workloads.DashboardRW(1)
+    stack = workload.build()
+    try:
+        texts = sorted({step.sql for step in workload.steps(0) if step.sql is not None})
+        for sql in texts:
+            stack.engine.query(sql)
+        derived = derivations(monkeypatch)
+        for sql in texts:
+            stack.engine.query(sql)
+        assert derived == []  # warm: result cache or memo, nothing swept
+        stack.write("orders")
+        for _ in range(2):
+            for sql in texts:
+                stack.engine.query(sql)
+    finally:
+        stack.engine.close()
+    assert {table for table, _ in derived} == {"orders"}
+    assert len(derived) == len(set(derived))  # exactly once each
+    columns = {key for _, key in derived if key != "stats"}
+    width = len(stack.fixture.sales.table("orders").schema)
+    assert 2 <= len(columns) < width and columns <= set(range(width))  # the touched ones only

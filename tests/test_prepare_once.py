@@ -8,6 +8,7 @@ property for the prepared statements, and one test per check that must stay
 per-call (it fails if the check is cached away).
 """
 
+import datetime
 import gc
 import sys
 import threading
@@ -25,11 +26,16 @@ from repro.federation.resilience import ResiliencePolicy
 from repro.netsim import FaultInjector, Outage, SimClock, Transient
 from repro.sources import RelationalSource
 from repro.sources.relational import PREPARED_STATEMENTS
-from repro.sql.ast import ColumnRef, Literal
+from repro.sql.ast import ColumnRef, InList, Literal, LiteralValues, Select
+from repro.sql.eval import compile_filter_passes, compile_predicate
+from repro.sql.exprutil import walk
 from repro.sql.parser import parse
+from repro.sql.printer import to_sql
+from repro.wrappers.pushability import can_push_select
 from repro.wrappers import ACMEDB, GENERIC, LEGACYSQL, QUIRK_AWARE
 
 from tests.conftest import build_demo_db
+from tests.test_operator_oracle import python_calls
 from tests.federation_fixtures import build_catalog, build_engine
 
 JOIN_Q = (
@@ -186,6 +192,119 @@ class TestPreparedStatementsDifferential:
         assert Literal(1) != 1
 
 
+# -- a bind join's keys: values, read as the `Literal`s they stand for -----------
+
+NAN = float("nan")
+KEY_VALUES = st.sampled_from([
+    0, 1, 2, True, False, 1.0, 0.0, -0.0, 2.5, NAN, float("nan"), float("inf"),
+    "1", "a", "", None, datetime.date(2005, 6, 14), datetime.datetime(2005, 6, 14), 2**53 + 1,
+])
+key_lists = st.lists(KEY_VALUES, max_size=5)
+
+
+def literal_in(keys):
+    """`with_in_filter` as it was: one `Literal` node per key, in a tuple."""
+    stmt = with_in_filter(BIND_TEMPLATE, BIND_KEY, keys)
+    (in_list,) = [node for node in walk(stmt.where) if isinstance(node, InList)]
+    nodes = tuple(Literal(key) for key in keys)
+    where = stmt.where.__class__(stmt.where.op, stmt.where.left, InList(in_list.operand, nodes))
+    return Select(stmt.items, stmt.from_tables, stmt.joins, where)
+
+
+class TestValueBackedInList:
+    @settings(max_examples=500, deadline=None)
+    @example([1], [1.0])
+    @example([1], [True])
+    @example([0.0], [-0.0])
+    @example([NAN], [float("nan")])
+    @example([1, "a"], [1, "a"])
+    @example([datetime.date(2005, 6, 14)], [datetime.datetime(2005, 6, 14)])
+    @example([], [])
+    @given(key_lists, key_lists)
+    def test_equal_and_hashed_exactly_as_the_literal_tuples(self, a, b):
+        as_nodes = tuple(map(Literal, a)) == tuple(map(Literal, b))
+        assert (LiteralValues(a) == LiteralValues(b)) == as_nodes
+        assert (with_in_filter(BIND_TEMPLATE, BIND_KEY, a) == with_in_filter(BIND_TEMPLATE, BIND_KEY, b)) == as_nodes
+        if as_nodes:
+            assert hash(LiteralValues(a)) == hash(LiteralValues(b))
+            assert hash(with_in_filter(BIND_TEMPLATE, BIND_KEY, a)) == hash(with_in_filter(BIND_TEMPLATE, BIND_KEY, b))
+
+    def test_what_sql_tells_apart_stays_apart(self):
+        lists = [[1], [1.0], [True], [0.0], [-0.0], ["1"], [None], [1, 2], [2, 1], [NAN], []]
+        assert len({LiteralValues(keys) for keys in lists}) == len(lists)
+        assert len({with_in_filter(BIND_TEMPLATE, BIND_KEY, keys) for keys in lists}) == len(lists)
+        assert LiteralValues([1]) != (Literal(1),) and LiteralValues([NAN]) == LiteralValues([float("nan")])
+
+    @settings(max_examples=200, deadline=None)
+    @example([1.0, 3, None])
+    @example([])
+    @given(st.lists(st.one_of(st.integers(1, 9), st.sampled_from([None, 2.0, 8.5, True, "x", NAN])), max_size=6))
+    def test_reads_prints_pushes_and_answers_as_the_literal_tuple_does(self, keys):
+        valued, noded = with_in_filter(BIND_TEMPLATE, BIND_KEY, keys), literal_in(keys)
+        (items,) = [node.items for node in walk(valued.where) if isinstance(node, InList)]
+        assert len(items) == len(keys) and tuple(items) == tuple(map(Literal, keys))
+        assert [items[i] for i in range(len(keys))] == list(items) and items[-1:] == tuple(items)[-1:]
+        leaves = [[node for node in walk(stmt.where) if isinstance(node, Literal)] for stmt in (valued, noded)]
+        assert leaves[0] == leaves[1] and len(leaves[0]) == len(keys) + 1
+        assert to_sql(valued) == to_sql(noded) and str(valued.where) == str(noded.where)
+        for dialect in DIALECTS:
+            assert can_push_select(valued, dialect) == can_push_select(noded, dialect)
+            assert to_sql(valued, dialect.print_options) == to_sql(noded, dialect.print_options)
+        db = build_demo_db()
+        assert answer(RelationalSource("s", db), valued) == answer(RelationalSource("s", db), noded)
+        schema = db.table("orders").schema.with_qualifier("o")
+        rows = list(db.table("orders").rows())
+        by_value, by_node = (compile_predicate(stmt.where, schema) for stmt in (valued, noded))
+        assert [by_value(row) for row in rows] == [by_node(row) for row in rows]
+        assert (compile_filter_passes([valued.where.right], schema) is None) == (compile_filter_passes([noded.where.right], schema) is None)
+
+    def test_a_web_service_reads_its_keys_off_either_form(self):
+        from repro.sources import WebServiceSource
+        from repro.common.types import DataType as T
+
+        credit = WebServiceSource("svc", "credit", [("cust_id", T.INT), ("score", T.INT)], "cust_id", rows=[(i, 600 + i) for i in range(1, 9)])
+        template = parse("SELECT cust_id, score FROM credit")
+        valued = with_in_filter(template, ColumnRef("cust_id"), [3, 5, 3, 99])
+        noded = Select(valued.items, valued.from_tables, where=InList(ColumnRef("cust_id"), tuple(map(Literal, [3, 5, 3, 99]))))
+        assert credit._extract_keys(valued) == credit._extract_keys(noded) == [3, 5, 99]
+        assert credit.execute_select(valued).rows == credit.execute_select(noded).rows == [(3, 603), (5, 605)]
+
+    @pytest.mark.race_sanitize_exempt  # the sanitizer's lock wrappers are Python calls too
+    def test_the_prepared_map_hashes_and_compares_keys_at_c_level(self):
+        """Counted, never timed: a bind statement used to cost three Python
+        calls per key at the map (`Literal.__hash__` twice, `__eq__` once);
+        now what the lookup costs does not depend on how many keys there are."""
+        source = RelationalSource("s", build_demo_db())
+        calls = {}
+        for count in (2, 200):
+            keys = list(range(1, count + 1))
+            source.execute_select(with_in_filter(BIND_TEMPLATE, BIND_KEY, keys))
+            stmt = with_in_filter(BIND_TEMPLATE, BIND_KEY, keys)  # equal, not the same object
+            hits = source._prepared.stats.hits
+            calls[count] = python_calls(lambda: source._prepared.get(stmt))
+            assert source._prepared.stats.hits == hits + 1
+            assert python_calls(lambda: with_in_filter(BIND_TEMPLATE, BIND_KEY, keys)) <= 12  # no `Literal` made
+        # the template's own nodes (frozen dataclasses) hash and compare at
+        # Python level, twice over (`get`, then `move_to_end`): ~40 calls
+        assert calls[2] == calls[200] <= 45
+
+    def test_two_executions_of_a_bind_join_share_one_prepared_statement(self, monkeypatch):
+        engine = FederatedEngine(build_catalog(), EngineConfig(semijoin="force"))
+        sql = "SELECT c.name, o.total FROM customers c JOIN orders o ON c.id = o.cust_id"
+        probed = engine.planner.plan(sql).bind_joins[0].source
+        planned = []
+        plan = probed.engine.logical_plan
+        monkeypatch.setattr(probed.engine, "logical_plan", lambda stmt: planned.append(stmt) or plan(stmt))
+        with engine:
+            first = engine.query(sql)
+            hits = probed._prepared.stats.hits
+            again = engine.query(sql)
+        assert again.relation.rows == first.relation.rows and len(first.relation) == 40
+        assert len(planned) == 1 and probed._prepared.stats.hits == hits + 1
+        (in_list,) = [node for node in walk(planned[0].where) if isinstance(node, InList)]
+        assert type(in_list.items) is LiteralValues and len(in_list.items) == 8  # what the source was sent
+
+
 class TestPreparedStatementReuse:
     def planning_calls(self, source, monkeypatch):
         calls = []
@@ -267,6 +386,58 @@ class TestPreparedStatementReuse:
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
         assert len(source._prepared) <= PREPARED_STATEMENTS
+
+
+class TestDerivedMemosUnderWorkers:
+    def test_workers_deriving_one_tables_memos_all_size_and_vouch_soundly(self):
+        """Kinds and statistics memos are written by whichever prefetch worker
+        asks first; a round of writes lands between rounds of reads (a table
+        has no lock of its own). More threads than cores, short switch
+        interval: a vouch derived for one version and used for another would
+        mis-size the NULL row or hide its type from the guard."""
+        from repro.common.types import row_size
+
+        db = build_demo_db()
+        source = RelationalSource("s", db)
+        stmts = [parse(text) for text in (
+            "SELECT id, cust_id, total, status FROM orders WHERE total > 100",
+            "SELECT status, total FROM orders",
+            "SELECT cust_id FROM orders WHERE status = 'open' AND total > 50",
+        )]
+        wrong, rounds = [], 6
+        barrier = threading.Barrier(9, timeout=30)
+
+        def worker(offset):
+            for _ in range(rounds):
+                barrier.wait()
+                for i in range(12):
+                    stmt = stmts[(offset + i) % len(stmts)]
+                    relation = source.execute_select(stmt)
+                    if relation.size_bytes() != sum(map(row_size, relation.rows)):
+                        wrong.append(("size", stmt))
+                    for position, vouch in enumerate(relation.rows.kinds):
+                        if not {type(row[position]) for row in relation.rows} <= vouch():
+                            wrong.append(("vouch", stmt, position))
+                    db.stats_for("orders")
+                barrier.wait()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for round_ in range(rounds):
+                barrier.wait()  # the workers read ...
+                barrier.wait()  # ... and rest while the table changes kinds
+                db.table("orders").insert((9000 + round_, 3, None if round_ % 2 else 120.5, None))
+                assert db.stats_for("orders").row_count == len(db.table("orders"))
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
 
 
 class TestSourceChecksStayPerCall:

@@ -4,7 +4,13 @@ Hypothesis drives random insert/delete/update/vacuum sequences against a
 `Table` while a plain dict models the expected contents; invariants checked
 after every step: row multiset, primary-key map, live count, and index
 consistency (hash and sorted).
+
+A second machine holds what a table remembers per version - column kinds,
+statistics, the vouch a scan took - to a sweep of the live rows after any
+sequence of writes, `clear`, `vacuum` and rolled-back transactions.
 """
+
+import datetime
 
 from hypothesis import settings
 from hypothesis.stateful import (
@@ -17,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.common.errors import IntegrityError
 from repro.common.types import DataType as T
-from repro.storage import Table
+from repro.engine.physical import IndexEqScan, SeqScan
+from repro.storage import Database, Table
 
 KEYS = st.integers(min_value=0, max_value=30)
 VALUES = st.sampled_from(["a", "b", "c", "d"])
@@ -104,3 +111,101 @@ TableMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
 TestTableStateMachine = TableMachine.TestCase
+
+
+DAY = datetime.date(2005, 6, 14)
+NUMBERS = st.one_of(st.none(), st.integers(0, 3))
+#: a `datetime` is a DATE too, and its own exact kind (beside a `date`,
+#: `TableStats.collect` cannot order the column: not this file's subject)
+DAYS = st.sampled_from([None, datetime.datetime(2005, 6, 14, 12), datetime.datetime(2005, 6, 15)])
+ANYTHING = st.sampled_from([None, 1, 2.5, "x", True, DAY])
+WIDTH = 4
+
+
+def kinds_of(rows, position):
+    return {type(row[position]) for row in rows}
+
+
+class KindsMachine(RuleBasedStateMachine):
+    """`column_kinds` / `stats` are read at arbitrary points (so a memo exists
+    to go stale), scans are kept with their vouch across later writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.db = Database("kinds")
+        self.table = self.db.create_table("t", [("id", T.INT), ("n", T.INT), ("d", T.DATE), ("v", T.ANY)])
+        self.table.create_index("n")
+        self.next_id = 0
+        self.scans: list = []
+
+    def row(self, n, d, v):
+        self.next_id += 1
+        return (self.next_id, n, d, v)
+
+    @rule(n=NUMBERS, d=DAYS, v=ANYTHING)
+    def insert(self, n, d, v):
+        self.table.insert(self.row(n, d, v))
+
+    @rule(n=NUMBERS, v=ANYTHING)
+    def update(self, n, v):
+        self.table.update_where(lambda row: row[1] == n, lambda row: row[:3] + (v,))
+
+    @rule(n=NUMBERS)
+    def delete(self, n):
+        self.table.delete_where(lambda row: row[1] == n)
+
+    @rule()
+    def clear(self):
+        self.table.clear()
+
+    @rule()
+    def vacuum(self):
+        self.table.vacuum()
+
+    @rule(n=NUMBERS, d=DAYS, v=ANYTHING, drop=NUMBERS)
+    def rolled_back(self, n, d, v, drop):
+        before = sorted(self.table.rows())
+        txn = self.db.begin()
+        txn.insert("t", self.row(n, d, v))
+        txn.update_where("t", lambda row: row[1] == drop, lambda row: row[:3] + (v,))
+        txn.delete_where("t", lambda row: row[1] == n)
+        self.read(position=3)  # a memo of the uncommitted state
+        txn.rollback()
+        assert sorted(self.table.rows()) == before
+
+    @rule(position=st.integers(0, WIDTH - 1))
+    def read(self, position):
+        assert self.table.column_kinds(position) == kinds_of(self.table.live_rows(), position)
+        assert self.table.stats().row_count == len(self.table)
+
+    @rule(n=NUMBERS, resolve=st.booleans())
+    def scan(self, n, resolve):
+        for op in (SeqScan(self.table, "t"), IndexEqScan(self.table, "t", "n", n)):
+            rows = op.run()
+            if resolve:
+                assert all(vouch() == kinds_of(self.table.live_rows(), p) for p, vouch in enumerate(rows.kinds))
+            self.scans.append(rows)
+
+    @invariant()
+    def memos_match_a_sweep(self):
+        live = self.table.live_rows()
+        assert len(SeqScan(self.table, "t").run().kinds) == WIDTH
+        for position in range(WIDTH):
+            assert self.table.column_kinds(position) == kinds_of(live, position)
+        assert self.table.column_kinds(0) is self.table.column_kinds(0)  # kept, not swept again
+        stats = self.table.stats()
+        assert stats is self.table.stats() is self.db.stats_for("t")
+        assert stats.row_count == len(live) == len(self.table)
+
+    @invariant()
+    def an_old_scan_never_vouches_for_less_than_it_holds(self):
+        for rows in self.scans:
+            for position, vouch in enumerate(rows.kinds):
+                vouch = vouch()
+                assert vouch is None or kinds_of(rows, position) <= vouch
+
+
+KindsMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestKindsStateMachine = KindsMachine.TestCase
