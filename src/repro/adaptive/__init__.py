@@ -22,7 +22,7 @@ from repro.adaptive.scheduler import LatencyPredictor, lpt_order
 from repro.adaptive.signature import (
     bind_signature,
     fetch_signature,
-    statement_shape,
+    cardinality_shape,
     subtree_signature,
 )
 
@@ -39,6 +39,6 @@ __all__ = [
     "fetch_signature",
     "lpt_order",
     "maybe_replan",
-    "statement_shape",
+    "cardinality_shape",
     "subtree_signature",
 ]

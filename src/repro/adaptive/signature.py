@@ -20,8 +20,8 @@ from repro.sql.exprutil import conjoin, split_conjuncts
 from repro.sql.printer import to_sql
 
 
-def statement_shape(stmt: Select) -> str:
-    """Canonical text of a component statement's cardinality-relevant shape."""
+def cardinality_shape(stmt: Select) -> str:
+    """Text of all a statement's cardinality rests on - constants too, unlike `repro.sql.shape`."""
     where = stmt.where
     if where is not None:
         conjuncts = sorted(split_conjuncts(where), key=to_sql)
@@ -43,7 +43,7 @@ def statement_shape(stmt: Select) -> str:
 
 def fetch_signature(source_name: str, stmt: Select) -> str:
     """Signature for a whole component fetch at one source."""
-    return f"{source_name}::{statement_shape(stmt)}"
+    return f"{source_name}::{cardinality_shape(stmt)}"
 
 
 def bind_signature(source_name: str, template: Select, right_key) -> str:
@@ -54,7 +54,7 @@ def bind_signature(source_name: str, template: Select, right_key) -> str:
     key* against the template's shape.
     """
     key = f"{(right_key.qualifier or '').lower()}.{right_key.name.lower()}"
-    return f"{source_name}::bind[{key}]::{statement_shape(template)}"
+    return f"{source_name}::bind[{key}]::{cardinality_shape(template)}"
 
 
 def subtree_signature(plan, catalog) -> Optional[str]:

@@ -1,10 +1,10 @@
 """The mediator's three-level cache hierarchy.
 
-Level 1 — **plan cache**: canonical query text → `FederatedPlan`. Repeated
-query shapes skip reformulation, optimization and decomposition entirely
-(the planner is the longest code path between a request and its first
-component query). Plans depend on the *schema*, not the data, so data
-writes do not evict them.
+Level 1 — **plan cache**: statement shape (`repro.sql.shape`) → a small
+family of `FederatedPlan`s. A repeated shape skips reformulation,
+optimization and decomposition entirely. Of the data a plan depends only on
+what the cost model read of its lookup constants, which every other binding
+of the shape is held to before it is served; writes do not evict plans.
 
 Level 2 — **fetch cache**: `(source, canonical pushed-down SQL)` → fetched
 relation. Shared by all executions of all queries, so concurrent and
@@ -141,7 +141,7 @@ class CacheHierarchy:
 
     def invalidate_table(self, table: str) -> dict:
         """Evict fetch/result entries depending on `table`; plans survive
-        (they depend on the catalog's schema, not on row contents)."""
+        (a binding whose statistics moved is planned anew, see level 1)."""
         counts = {"fetch": 0, "result": 0}
         if self.fetches is not None:
             counts["fetch"] = self.fetches.invalidate_tag(table)

@@ -2,14 +2,10 @@
 
 Two query texts that differ only in whitespace, case of keywords, or other
 surface syntax parse to the same AST — printing that AST back with
-`repro.sql.printer.to_sql` yields one canonical spelling, which is the
-cache key. This is what lets the plan cache treat
-
-    SELECT name FROM customers WHERE id = 1
-    select name  from customers where id=1
-
-as the same query shape: one parse (cheap) replaces the whole
-reformulate/optimize/decompose pipeline (expensive) on a hit.
+`repro.sql.printer.to_sql` yields one canonical spelling, the key of the
+result, fetch and view levels. The plan level keys on less: the statement's
+*shape* (`repro.sql.shape.lift`, memoised here with the parse), under which
+`WHERE id = 1` and `where id=2` share one plan.
 """
 
 from __future__ import annotations
@@ -21,8 +17,8 @@ from repro.sql.ast import Select, UnionSelect
 from repro.sql.printer import to_sql
 
 #: query text -> `(statement, canonical SQL)`, SELECTs only (LRU). The AST
-#: is frozen, so one parse can be handed to every caller; parse errors and
-#: non-SELECT statements are never stored. Process-wide, hence small.
+#: is frozen, so one parse - and the shape lifted from it - can be handed to
+#: every caller; parse errors and non-SELECT statements are never stored.
 _PARSED = BoundedStore("parsed", max_entries=256)
 
 

@@ -37,7 +37,8 @@ from repro.sql.ast import (
     Literal,
     UnaryOp,
 )
-from repro.sql.exprutil import equi_join_sides, split_conjuncts
+from repro.sql.exprutil import column_vs_literal, equi_join_sides, split_conjuncts
+from repro.sql.shape import lift
 from repro.storage.stats import (
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_LIKE_SELECTIVITY,
@@ -232,6 +233,20 @@ class CostModel:
             return (1.0 - sel) if expr.negated else sel
         return DEFAULT_RANGE_SELECTIVITY
 
+    def slot_reads(self, stmt) -> tuple:
+        """All that estimating reads of the *values* of `stmt`'s lifted constants:
+        per slot, `eq_selectivity(value)` (`_comparison_selectivity` asks it) under
+        the current statistics of every table its column may belong to."""
+        reads, lifted = [], lift(stmt)
+        for column, literal in zip(lifted.columns, lifted.values):
+            qualifier = (column.qualifier or "").lower()
+            for table in stmt.tables():
+                if not qualifier or table.binding.lower() == qualifier:
+                    stats = self._table_stats(table.name)
+                    stat = stats and stats.column(column.name)
+                    reads.append(stat and stat.eq_selectivity(literal.value))
+        return tuple(reads)
+
     # -- node estimators -----------------------------------------------------------
 
     def _scan(self, plan: LogicalScan) -> PlanCost:
@@ -256,11 +271,8 @@ class CostModel:
         right = self.estimate(plan.right)
         merged_stats = {**left.column_stats, **right.column_stats}
         combined = PlanCost(0, 0, merged_stats)
-        selectivity = 1.0
-        if plan.condition is None:
-            rows = left.rows * right.rows
-        else:
-            rows = left.rows * right.rows
+        rows = left.rows * right.rows
+        if plan.condition is not None:
             for conjunct in split_conjuncts(plan.condition):
                 sides = equi_join_sides(conjunct)
                 if sides is not None:
@@ -269,7 +281,6 @@ class CostModel:
                     rows /= max(left_ndv, right_ndv, 1.0)
                 else:
                     rows *= self.selectivity(conjunct, combined)
-                    selectivity *= 1  # non-equi handled multiplicatively above
         if plan.kind == "LEFT":
             rows = max(rows, left.rows)
         cost = (
@@ -342,7 +353,7 @@ class CostModel:
         return float(stat.distinct) if stat is not None else DEFAULT_NDV
 
     def _comparison_selectivity(self, expr: BinaryOp, context: PlanCost) -> float:
-        column, value, op = _normalize_comparison(expr)
+        column, op, value = column_vs_literal(expr) or (None, expr.op, None)
         if column is None:
             if equi_join_sides(expr) is not None:
                 left_ndv = self._ndv(expr.left, context)
@@ -367,18 +378,6 @@ class CostModel:
             if stat is not None:
                 return stat.eq_selectivity(value)
         return DEFAULT_EQ_SELECTIVITY
-
-
-_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-
-
-def _normalize_comparison(expr: BinaryOp):
-    """Return (column, literal_value, op) with the column on the left."""
-    if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
-        return expr.left, expr.right.value, expr.op
-    if isinstance(expr.right, ColumnRef) and isinstance(expr.left, Literal):
-        return expr.right, expr.left.value, _MIRROR[expr.op]
-    return None, None, expr.op
 
 
 def _literal_value(expr: Expr):

@@ -7,12 +7,14 @@ nodes via each node's `with_children`.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError
 from repro.common.schema import Column, RelSchema
 from repro.common.types import DataType
-from repro.sql.ast import ColumnRef, Expr, FuncCall, OrderItem, SelectItem
+from repro.sql.ast import BinaryOp, ColumnRef, Expr, FuncCall, OrderItem, Select, SelectItem
+from repro.sql.shape import rebind, rebind_select
 
 
 class LogicalPlan:
@@ -292,3 +294,27 @@ class LogicalUnion(LogicalPlan):
 
     def label(self):
         return f"UnionAll({len(self.inputs)})"
+
+
+def rebind_plan(plan: LogicalPlan, swap: dict) -> LogicalPlan:
+    """`plan` for other constants in its statement's slots (`swap`: see
+    `repro.sql.shape.rebind`). A node's predicates, component statements and
+    children are rebound (not a union's inputs: no statement that lifts has
+    one); only a changed node and the path above it are copied, schema and all."""
+    changed = {}
+    for name, old in vars(plan).items():
+        if isinstance(old, LogicalPlan):
+            new = rebind_plan(old, swap)
+        elif old.__class__ is BinaryOp:
+            new = rebind(old, swap)
+        elif old.__class__ is Select:
+            new = rebind_select(old, swap)
+        else:
+            continue
+        if new is not old:
+            changed[name] = new
+    if not changed:
+        return plan
+    bound = copy.copy(plan)
+    vars(bound).update(changed)
+    return bound

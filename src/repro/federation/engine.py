@@ -40,6 +40,7 @@ from repro.federation.resilience import CompletenessReport, ResilienceManager
 from repro.netsim.metrics import MetricsCollector
 from repro.netsim.network import NetworkModel
 from repro.sql.ast import Select, UnionSelect
+from repro.sql.shape import FAMILY, lift
 from repro.storage.catalog import Database
 from repro.telemetry.plane import resolve_telemetry
 from repro.trace import (
@@ -162,9 +163,9 @@ class FederatedEngine:
             from repro.adaptive import FeedbackCostModel
 
             self.planner.cost_model = FeedbackCostModel(self.adaptive.store, catalog)
-        #: Default hierarchy: plan caching on (pure win — plans depend only
-        #: on the schema); fetch and result levels off, so repeated queries
-        #: observably re-hit sources unless the caller passes a hierarchy.
+        #: Default hierarchy: plan caching on (a pure win); fetch and result
+        #: levels off, so repeated queries observably re-hit sources unless
+        #: the caller passes a hierarchy.
         self.cache = (
             config.cache
             if config.cache is not None
@@ -497,24 +498,32 @@ class FederatedEngine:
         return plan
 
     def _plan_for(self, statement, canonical) -> "tuple[FederatedPlan, bool]":
-        """Cached-plan lookup + (re)planning; returns (plan, was_cached)."""
-        plan = self.cache.get_plan(canonical)
-        if (
-            plan is not None
-            and self.adaptive is not None
-            and self.adaptive.policy.feedback
-            and plan.feedback_generation != self.adaptive.generation
-        ):
-            # Calibrations moved since this plan was built: replan so the
-            # cache never serves an ordering the feedback already disowned.
-            plan = None
-        was_cached = plan is not None
-        if plan is None:
-            plan = self.planner.plan(statement)
-            if self.adaptive is not None and self.adaptive.policy.feedback:
-                plan.feedback_generation = self.adaptive.generation
-            self.cache.put_plan(canonical, plan)
-        return plan, was_cached
+        """Cached-plan lookup + (re)planning; returns (plan, was_cached).
+
+        Per statement *shape* (`repro.sql.shape`) the cache holds a family of
+        plans, one per distinct `CostModel.slot_reads`: the same constants get
+        the member itself, others with its reads get it re-bound, the rest is
+        planned and joins. A family is replaced whole: other threads read it.
+        """
+        key, values = canonical, ()
+        if isinstance(statement, Select):
+            key, _, values = lift(statement)
+        if key is not None and self.adaptive is not None and self.adaptive.policy.feedback:
+            # Calibrations are keyed on the constants, so plans are per text - and
+            # per generation: the cache must not serve what feedback disowned.
+            key = f"{self.adaptive.generation}: {canonical}"
+        family = self.cache.get_plan(key) or ()
+        for plan in family:
+            if plan.slots == values:
+                return plan, True
+        if family:
+            reads = self.planner.cost_model.slot_reads(statement)
+            for plan in family:
+                if plan.reads == reads:
+                    return plan.bound_to(values), True
+        plan = self.planner.plan(statement)
+        self.cache.put_plan(key, (plan, *family[: FAMILY - 1]))
+        return plan, False
 
     def attach_invalidation(self, broker) -> None:
         """Hear the broker's table-change events — one subscription, fanned out

@@ -11,7 +11,7 @@ transfer cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from repro.common.errors import PlanError
@@ -26,7 +26,7 @@ from repro.engine.logical import (
     LogicalProject,
     LogicalScan,
     LogicalSort,
-    LogicalUnion,
+    rebind_plan,
 )
 from repro.engine.planner import bind_select
 from repro.engine.rewrite import optimize_logical
@@ -34,7 +34,6 @@ from repro.federation.catalog import FederationCatalog
 from repro.federation.nodes import DEFAULT_MAX_INLIST, LogicalBindJoin, LogicalFetch
 from repro.netsim.network import NetworkModel
 from repro.sql.ast import (
-    BinaryOp,
     ColumnRef,
     Expr,
     InList,
@@ -47,12 +46,14 @@ from repro.sql.ast import (
     UnionSelect,
 )
 from repro.sql.exprutil import (
+    column_vs_literal,
     conjoin,
     equi_join_sides,
     split_conjuncts,
     substitute_columns,
 )
-from repro.sql.parser import parse_select
+from repro.sql.parser import parse
+from repro.sql.shape import plant
 from repro.wrappers.dialects import PRED_IN
 from repro.wrappers.pushability import can_push_expr
 
@@ -67,10 +68,17 @@ class FederatedPlan:
     assembly_site: str
     est_result_rows: float = 0.0
     est_result_bytes: int = 0
-    #: feedback-store generation this plan was built at (None = planned
-    #: without feedback); the engine treats cached plans from an older
-    #: generation as misses so calibration always reaches the plan cache
-    feedback_generation: Optional[int] = None
+    #: the literals planted in this plan for its statement's lifted constants
+    #: (`repro.sql.shape`), and the `CostModel.slot_reads` it was estimated under
+    slots: tuple = ()
+    reads: tuple = ()
+
+    def bound_to(self, values: tuple) -> "FederatedPlan":
+        """This plan for other constants in its slots; what holds none is shared."""
+        slots = tuple(Literal(literal.value) for literal in values)
+        root = rebind_plan(self.root, dict(zip(map(id, self.slots), slots)))
+        fetches, bind_joins = _remote_nodes(root)
+        return replace(self, root=root, fetches=fetches, bind_joins=bind_joins, slots=slots)
 
     def pretty(self) -> str:
         lines = [f"assembly site: {self.assembly_site}"]
@@ -91,6 +99,15 @@ class FederatedPlan:
             elif isinstance(node, LogicalScan):
                 tags.add(node.table_name.lower())
         return frozenset(tags)
+
+
+def _remote_nodes(root: LogicalPlan) -> tuple:
+    """``(fetches, bind joins)`` of a cut plan, in walk order."""
+    nodes = list(root.walk())
+    return (
+        [node for node in nodes if isinstance(node, LogicalFetch)],
+        [node for node in nodes if isinstance(node, LogicalBindJoin)],
+    )
 
 
 @dataclass
@@ -146,6 +163,12 @@ class FederatedPlanner:
     # -- public ----------------------------------------------------------------
 
     def plan(self, query: Union[str, Select, LogicalPlan]) -> FederatedPlan:
+        if isinstance(query, str):
+            query = parse(query)
+        slots = reads = ()
+        if isinstance(query, Select):
+            reads = self.cost_model.slot_reads(query)
+            query, slots = plant(query)
         logical = self.logical_plan(query)
         # One memo scope for the whole cutting pass: subtree estimates are
         # re-requested by pushability analysis, bind-join costing and the
@@ -153,24 +176,18 @@ class FederatedPlanner:
         with self.cost_model.memo_scope():
             root = self._cut(logical)
             self._check_access_paths(root)
-            fetches = [node for node in root.walk() if isinstance(node, LogicalFetch)]
-            bind_joins = [
-                node for node in root.walk() if isinstance(node, LogicalBindJoin)
-            ]
+            fetches, bind_joins = _remote_nodes(root)
             est = self.cost_model.estimate(root)
         est_bytes = int(est.rows * root.schema.average_row_width())
         site = self._choose_site(fetches, est_bytes)
-        return FederatedPlan(root, fetches, bind_joins, site, est.rows, est_bytes)
+        return FederatedPlan(root, fetches, bind_joins, site, est.rows, est_bytes, slots, reads)
 
     def logical_plan(self, query: Union[str, Select, LogicalPlan]) -> LogicalPlan:
         if isinstance(query, str):
-            from repro.sql.parser import parse
-
-            statement = parse(query)
-            if not isinstance(statement, (Select, UnionSelect)):
+            query = parse(query)
+        if not isinstance(query, LogicalPlan):
+            if not isinstance(query, (Select, UnionSelect)):
                 raise PlanError("federated queries must be SELECT statements")
-            query = statement
-        if isinstance(query, (Select, UnionSelect)):
             query = bind_select(query, self.catalog)
         return optimize_logical(
             query, self.cost_model, join_dp_limit=self.join_dp_limit
@@ -247,10 +264,7 @@ class FederatedPlanner:
         if isinstance(node, LogicalDistinct):
             return _Info(sources, dialect.supports_aggregate, unbound)
 
-        if isinstance(node, LogicalUnion):
-            return _Info(sources, False, unbound)
-
-        return _Info(sources, False, unbound)
+        return _Info(sources, False, unbound)  # a union, or a node unknown here
 
     # -- cutting ---------------------------------------------------------------------
 
@@ -670,13 +684,11 @@ def _peel_filters(plan: LogicalPlan):
 
 def _binding_satisfied(conjunct: Expr, unbound: dict) -> Optional[str]:
     """If `conjunct` supplies literal keys for an unbound scan, return its binding."""
-    if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
-        pair = (conjunct.left, conjunct.right)
-        for a, b in (pair, pair[::-1]):
-            if isinstance(a, ColumnRef) and isinstance(b, Literal):
-                binding = (a.qualifier or "").lower()
-                if unbound.get(binding, object()) == a.name.lower():
-                    return binding
+    found = column_vs_literal(conjunct)
+    if found is not None and found[1] == "=":
+        binding = (found[0].qualifier or "").lower()
+        if unbound.get(binding, object()) == found[0].name.lower():
+            return binding
     if (
         isinstance(conjunct, InList)
         and not conjunct.negated

@@ -10,10 +10,12 @@ from repro.common.errors import CapabilityError
 from repro.common.relation import Relation
 from repro.common.schema import RelSchema
 from repro.engine.executor import LocalEngine
+from repro.engine.logical import LogicalPlan, rebind_plan
 from repro.engine.physical import PhysicalOp
 from repro.sources.base import DataSource, SourceCapabilities
 from repro.sql.ast import Select
 from repro.sql.printer import to_sql
+from repro.sql.shape import FAMILY, lift, plant
 from repro.storage.catalog import Database
 from repro.storage.stats import TableStats
 from repro.wrappers.dialects import Dialect, QUIRK_AWARE
@@ -22,21 +24,23 @@ from repro.wrappers.pushability import can_push_select
 #: Statements `RelationalSource.query_log` keeps; older ones are dropped.
 QUERY_LOG_LENGTH = 256
 
-#: Prepared statements a source keeps (LRU). Small on purpose: repeating
-#: traffic is a handful of statements per source, and never-repeating
-#: traffic must not grow the process.
+#: Statement shapes a source keeps prepared (LRU), `FAMILY` bindings of each:
+#: never-repeating traffic must neither grow the process nor evict the rest.
 PREPARED_STATEMENTS = 32
 
 
 class _Prepared(NamedTuple):
-    """What running a statement again needs (no logical plan)."""
+    """One binding of a shape, ready to run again - and the model for others."""
 
-    dialect: Dialect  # `text` was checked and printed under this one
+    dialect: Dialect  # the shape was checked and `text` printed under this one
     text: str  # for `query_log`
-    cost: float = 0.0  # the cost model's estimate
-    physical: Optional[PhysicalOp] = None
-    tables: tuple = ()  # every `Table` the plan reads ...
-    state: tuple = ()  # ... and `_state` of them when it was planned
+    slots: tuple  # the literals planted in `logical` for the lifted constants
+    reads: tuple  # `CostModel.slot_reads` of them, which `cost` rests on
+    logical: LogicalPlan
+    cost: float  # the cost model's estimate
+    physical: PhysicalOp
+    tables: tuple  # every `Table` the plan reads ...
+    state: tuple  # ... and `_state` of them when it was prepared
 
 
 def _tables_read(op: PhysicalOp) -> list:
@@ -75,7 +79,8 @@ class RelationalSource(DataSource):
         #: Useful in tests and EXPLAIN output. Bounded, so `len()` stops at
         #: `QUERY_LOG_LENGTH`: it is not a count of round-trips.
         self.query_log: deque[str] = deque(maxlen=QUERY_LOG_LENGTH)
-        #: pushed-down `Select` -> `_Prepared`; hit from prefetch workers
+        #: statement shape (`repro.sql.shape`) -> its `_Prepared` bindings, a
+        #: tuple replaced whole: prefetch workers read it while one writes
         self._prepared = BoundedStore("prepared", max_entries=PREPARED_STATEMENTS)
 
     def table_names(self) -> list[str]:
@@ -90,23 +95,36 @@ class RelationalSource(DataSource):
     def execute_select(self, stmt: Select, metrics=None) -> Relation:
         self._check_access()
         dialect = self.capabilities.dialect
-        prepared = self._prepared.get(stmt)
-        if prepared is None or prepared.dialect is not dialect:
-            if not can_push_select(stmt, dialect):
-                raise CapabilityError(
-                    f"source {self.name!r} ({dialect}) cannot run: {to_sql(stmt)}"
-                )
-            prepared = _Prepared(dialect, to_sql(stmt, dialect.print_options))
-        self.query_log.append(prepared.text)
-        if prepared.physical is None or self._state(prepared.tables) != prepared.state:
-            logical = self.engine.logical_plan(stmt)
-            cost = self.engine.cost_model.estimate(logical).cost
-            physical = self.engine.lower(logical)
-            tables = tuple(_tables_read(physical))
-            prepared = prepared._replace(
-                cost=cost, physical=physical, tables=tables, state=self._state(tables)
+        shape, _, values = lift(stmt)
+        family = self._prepared.get(shape) or ()
+        if family and family[0].dialect is not dialect:
+            family = ()
+        if not family and not can_push_select(stmt, dialect):  # reads no constant
+            raise CapabilityError(
+                f"source {self.name!r} ({dialect}) cannot run: {to_sql(stmt)}"
             )
-            self._prepared.put(stmt, prepared)
+        prepared = next((known for known in family if known.slots == values), None)
+        text = to_sql(stmt, dialect.print_options) if prepared is None else prepared.text
+        self.query_log.append(text)
+        if prepared is None or self._state(prepared.tables) != prepared.state:
+            engine = self.engine
+            reads = engine.cost_model.slot_reads(stmt)
+            planted, slots = plant(stmt)
+            for model in family:
+                # same reads, still current: its plan re-bound, its cost
+                if model.reads == reads and self._state(model.tables) == model.state:
+                    swap = dict(zip(map(id, model.slots), slots))
+                    logical, cost = rebind_plan(model.logical, swap), model.cost
+                    break
+            else:
+                logical = engine.logical_plan(planted)
+                cost = engine.cost_model.estimate(logical).cost
+            physical = engine.lower(logical)
+            tables = tuple(_tables_read(physical))
+            state = self._state(tables)
+            prepared = _Prepared(dialect, text, slots, reads, logical, cost, physical, tables, state)
+            others = [known for known in family if known.slots != values]
+            self._prepared.put(shape, (prepared, *others[: FAMILY - 1]))
         result = prepared.physical.relation()
         self._account(metrics, prepared.cost * self.capabilities.time_per_cost_unit_s)
         return result

@@ -24,8 +24,8 @@ class Literal(Expr):
 
     Two literals are equal when they are the same constant to SQL, which is
     stricter than Python's `==`: `1`, `1.0` and `TRUE` (and `0.0`, `-0.0`)
-    print, type and project differently. Statements key the sources'
-    prepared-statement maps, so this is what keeps their plans apart.
+    print, type and project differently. Plans are looked up by a shape's
+    constants (`repro.sql.shape`), so this is what keeps them apart.
     """
 
     value: object

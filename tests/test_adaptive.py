@@ -118,9 +118,9 @@ def event_names(trace):
 
 class TestStatementShape:
     def shape(self, sql):
-        from repro.adaptive import statement_shape
+        from repro.adaptive import cardinality_shape
 
-        return statement_shape(parse_select(sql))
+        return cardinality_shape(parse_select(sql))
 
     def test_select_list_is_ignored(self):
         a = self.shape("SELECT id, name FROM customers WHERE id > 3")

@@ -27,6 +27,7 @@ from repro.analysis.concurrency import (
     sanitize,
     single_flight,
 )
+from repro.analysis.concurrency import interleave
 from repro.analysis.concurrency.lockorder import build_lock_graph
 from repro.analysis.diagnostics import CODES, Severity
 from repro.cache.inflight import InFlightRegistry
@@ -471,7 +472,9 @@ class TestInterleavingFuzzer:
 
 
 class TestLimiter:
-    def test_eii506_leaky_limiter_scenario(self):
+    def test_eii506_leaky_limiter_scenario(self, monkeypatch):
+        # the leak strands workers in acquire(): join them briefly, not for 20 s
+        monkeypatch.setattr(interleave, "_DEFAULT_TIMEOUT", 1.0)
         limiter = LeakyLimiter(limits={"src": 2})
         diagnostics = run_limiter_scenario(
             limiter, n_threads=8, seed=1, fail_on=(2, 5)

@@ -31,6 +31,7 @@ from repro.sql.eval import compile_filter_passes, compile_predicate
 from repro.sql.exprutil import walk
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
+from repro.sql.shape import FAMILY
 from repro.wrappers.pushability import can_push_select
 from repro.wrappers import ACMEDB, GENERIC, LEGACYSQL, QUIRK_AWARE
 
@@ -348,9 +349,25 @@ class TestPreparedStatementReuse:
 
     def test_never_repeating_traffic_stays_bounded(self):
         source = RelationalSource("s", build_demo_db())
-        for i in range(3 * PREPARED_STATEMENTS):
-            source.execute_select(parse(f"SELECT name FROM customers WHERE id = {i}"))
+        for i in range(3 * PREPARED_STATEMENTS):  # distinct *shapes*: `<` lifts nothing
+            source.execute_select(parse(f"SELECT name FROM customers WHERE id < {i}"))
         assert len(source._prepared) == PREPARED_STATEMENTS
+
+    def test_never_repeating_lookups_stay_inside_their_shape(self):
+        """Distinct ids are one shape: they turn over its bindings, and evict
+        no repeating statement - at the source or from the plan cache."""
+        engine = build_engine()
+        dashboard = "SELECT city, COUNT(*) AS n FROM customers GROUP BY city"
+        engine.query(dashboard)
+        crm = engine.catalog.sources["crm"]
+        (prepared,) = crm._prepared._entries
+        for i in range(300):
+            engine.query(f"SELECT name FROM customers WHERE id = {i}")
+        assert prepared in crm._prepared and len(crm._prepared) == 2
+        (lookups,) = set(crm._prepared._entries) - {prepared}
+        assert len(crm._prepared.get(lookups)) == FAMILY
+        assert len(engine.cache.plans) == 2
+        assert engine.query(dashboard).metrics.plan_cache_hits == 1
 
 
     def test_workers_sharing_a_source_each_get_their_own_statement_answered(self):

@@ -1,0 +1,464 @@
+"""Plan once per statement shape - and answer every binding as a fresh plan would.
+
+The plan cache and `RelationalSource` key on `repro.sql.shape`: a statement
+with the constants of its `column = c` conjuncts lifted out. The oracle here
+holds a shape-warm engine (or source) to one that never saw the shape: rows or
+error, explain text, counters, simulated seconds and estimates, to the digit.
+Work saved is *counted* (`sys.setprofile`), never timed.
+"""
+
+import datetime
+import importlib.util
+from dataclasses import replace
+import pathlib
+import sys
+import threading
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.bench import BenchConfig, build_enterprise
+from repro.bench.workload import QUERIES
+from repro.common.errors import SourceError
+from repro.federation import EngineConfig
+from repro.federation.nodes import with_in_filter
+from repro.federation.planner import FederatedPlan, FederatedPlanner
+from repro.netsim import SimClock
+from repro.sources import RelationalSource, relational
+from repro.sql.ast import BinaryOp, ColumnRef, Literal, Select
+from repro.sql.parser import parse
+from repro.sql.printer import render_literal
+from repro.sql.shape import FAMILY, _swap_slots, lift, plant
+
+from tests.conftest import build_demo_db
+from tests.test_prepare_once import answer, apply_write, write_ops
+
+_WORKLOADS = pathlib.Path(__file__).parent.parent / "benchmarks/wallclock/workloads.py"
+
+
+def _wallclock_workloads():
+    spec = importlib.util.spec_from_file_location("_wallclock_workloads", _WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _wallclock_workloads()
+LOOKUPS = workloads.LOOKUP_TEMPLATES
+FIXTURE = build_enterprise(BenchConfig(scale=1, seed=workloads.DATA_SEED))
+SURROGATE = "\ud800"
+COUNTERS = ("source_queries", "rows_shipped", "payload_bytes", "wire_bytes", "simulated_seconds")
+
+
+def connect(**config):
+    """An engine over new source objects: nothing planned, nothing prepared."""
+    return repro.connect(FIXTURE.catalog(), EngineConfig(clock=SimClock(), **config))
+
+
+def observe(engine, query):
+    """Everything a caller can tell two plans of one query apart by."""
+    try:
+        result = engine.query(query)
+    except Exception as exc:  # noqa: BLE001 - the failure is the observation
+        return type(exc), str(exc)
+    plan, summary = result.plan, result.metrics.summary()
+    return (
+        [repr(row) for row in result.relation.rows],
+        result.report().section("plan").text(),
+        [summary[name] for name in COUNTERS],  # all but `plan_cache_hits`
+        result.elapsed_seconds,
+        [fetch.est_rows for fetch in plan.fetches],
+        [bind.est_rows for bind in plan.bind_joins],
+        (plan.est_result_rows, plan.est_result_bytes, plan.assembly_site),
+    )
+
+
+def rebound(stmt: Select, values) -> Select:
+    """`stmt` with `values` in its slots (as many as it lifts)."""
+    values = iter(values)
+    return replace(stmt, where=_swap_slots(stmt.where, lambda c, l: Literal(next(values))))
+
+
+# -- what lifts ------------------------------------------------------------------
+
+
+class TestLift:
+    @pytest.mark.parametrize(
+        "where, shape, values",
+        [
+            ("id = 7", "(id = ?int)", [7]),
+            ("7 = id", "(?int = id)", [7]),
+            ("id <> -3", "(id <> ?int)", [-3]),
+            ("id = 7.5", "(id = ?float)", [7.5]),
+            ("name = 'x'", "(name = ?str)", ["x"]),
+            ("name = ''", "(name = ?str)", [""]),
+            ("d = '2005-06-14'", "(d = ?date)", [datetime.date(2005, 6, 14)]),
+            ("id = 7 AND 'a' <> c.name", "((id = ?int) AND (?str <> c.name))", [7, "a"]),
+            ("id = 9007199254740992", "(id = ?int)", [2**53]),
+            # verbatim: beyond exact floats, booleans, NULL, other operators,
+            # anything not a top-level conjunct
+            ("id = 9007199254740993", "(id = 9007199254740993)", []),
+            ("id = TRUE", "(id = TRUE)", []),
+            ("id = NULL", "(id = NULL)", []),
+            ("id < 7", "(id < 7)", []),
+            ("id BETWEEN 1 AND 7", "(id BETWEEN 1 AND 7)", []),
+            ("name LIKE 'x'", "(name LIKE 'x')", []),
+            ("id IN (7, 8)", "(id IN (7, 8))", []),
+            ("id = 7 OR id = 8", "((id = 7) OR (id = 8))", []),
+            ("NOT id = 7", "(NOT (id = 7))", []),
+            ("id + 1 = 7", "((id + 1) = 7)", []),
+            ("id = 7 AND (x = 1 OR y = 2)", "((id = ?int) AND ((x = 1) OR (y = 2)))", [7]),
+        ],
+    )
+    def test_a_top_level_equality_constant_becomes_a_typed_slot(self, where, shape, values):
+        lifted = lift(parse(f"SELECT a FROM t AS c WHERE {where}"))
+        assert lifted.shape == f"SELECT a FROM t AS c WHERE {shape}"
+        assert [literal.value for literal in lifted.values] == values
+        assert len(lifted.columns) == len(values)
+
+    def test_constants_outside_where_stay_in_the_shape(self):
+        text = (
+            "SELECT 7 AS k, SUM(x) AS s FROM t INNER JOIN u ON ((t.k = u.k) AND (u.z = 3)) "
+            "WHERE (t.k <> 4) GROUP BY t.k HAVING (SUM(x) = 5) LIMIT 7"
+        )
+        lifted = lift(parse(text))
+        assert lifted.shape == text.replace("<> 4", "<> ?int")
+        assert [literal.value for literal in lifted.values] == [4]
+
+    def test_floats_that_no_text_spells_lift_only_when_finite(self):
+        def where(value):
+            return lift(Select((), where=BinaryOp("=", ColumnRef("x"), Literal(value))))
+
+        assert where(1e300).values and where(-0.0).values
+        assert not where(float("nan")).values and not where(float("inf")).values
+        assert not where(datetime.datetime(2005, 6, 14)).values  # not a `date`, exactly
+
+    def test_a_constant_of_another_type_is_another_shape(self):
+        shapes = {
+            lift(parse(f"SELECT a FROM t WHERE id = {text}")).shape
+            for text in ("7", "7.0", "'7'", "TRUE", "NULL", "'2005-06-14'")
+        }
+        assert len(shapes) == 6
+
+    def test_an_outer_join_with_a_constant_in_on_lifts_nothing(self):
+        """The rewriter drops a WHERE conjunct equal to an ON conjunct of a
+        LEFT join: there the plan's *structure* reads the constant."""
+        text = "SELECT a FROM t LEFT JOIN u ON ((t.k = u.k) AND (u.z = 3)) WHERE (u.z = 3)"
+        assert lift(parse(text)) == (text, (), ())
+        assert lift(parse(text.replace("u.z = 3))", "u.z = t.z))"))).values
+
+    def test_a_bind_statement_is_its_own_key_and_its_keys_are_never_walked(self):
+        stmt = with_in_filter(parse("SELECT a FROM t WHERE b = 1"), ColumnRef("k"), range(200))
+        assert lift(stmt).shape is stmt and lift(stmt).values == ()
+        assert stmt.where.right.items._literals is None  # no `Literal` was made
+
+    def test_a_bind_statement_over_a_template_with_a_constant_is_prepared_once(self):
+        source = RelationalSource("s", build_demo_db())
+        template = parse("SELECT o.cust_id, o.total FROM orders o WHERE o.status = 'open'")
+        for _ in range(3):
+            source.execute_select(with_in_filter(template, ColumnRef("cust_id", "o"), [3, 4]))
+        assert source._prepared.stats.hits == 2 and source._prepared.stats.insertions == 1
+
+    def test_lifting_is_derived_once_per_statement(self):
+        stmt = parse("SELECT a FROM t WHERE id = 7")
+        assert lift(stmt) is lift(stmt)
+        assert stmt == parse("SELECT a FROM t WHERE id = 7")  # not part of the value
+        assert hash(stmt) == hash(parse("SELECT a FROM t WHERE id = 7"))
+
+    def test_planting_gives_each_slot_its_own_literal(self):
+        seven = Literal(7)  # one object in a slot, a second slot and a non-slot
+        where = BinaryOp(
+            "AND",
+            BinaryOp("AND", BinaryOp("=", ColumnRef("a"), seven), BinaryOp("=", seven, ColumnRef("b"))),
+            BinaryOp("<", ColumnRef("c"), seven),
+        )
+        stmt = Select((), where=where)
+        planted, slots = plant(stmt)
+        assert planted == stmt and len(slots) == 2 and slots[0] is not slots[1]
+        assert planted.where.left.left.right is slots[0]
+        assert planted.where.left.right.left is slots[1]
+        assert planted.where.right.right is seven and seven not in map(id, slots)
+
+
+# -- the oracle: shape-warm == never saw the shape -------------------------------
+
+INTS = st.one_of(st.integers(1, 200), st.sampled_from([0, -1, 10**6, 2**53, 2**53 + 1]))
+CONSTANTS = st.one_of(
+    INTS,
+    INTS,
+    st.sampled_from([
+        7, 7.0, "7", True, None, 7.5, -0.0, 0.0, "", "SF", "enterprise", "open", SURROGATE,
+        datetime.date(2024, 1, 1), datetime.date(1999, 12, 31),
+    ]),
+)
+TEMPLATES = list(LOOKUPS.values()) + [
+    "SELECT name FROM customers WHERE {id} = id",
+    "SELECT id, total FROM orders WHERE cust_id = {id} AND status <> {b}",
+    "SELECT id, total FROM orders WHERE cust_id = {id} AND {b} = status AND total > 500",
+    "SELECT c.name, o.total FROM customers c JOIN orders o ON c.id = o.cust_id "
+    "WHERE c.id = {id} AND o.status = {b}",
+    "SELECT c.name, t.subject FROM customers c LEFT JOIN tickets t ON t.cust_id = c.id "
+    "WHERE c.id <> {id} AND c.segment = {b}",
+    "SELECT c.name, t.subject FROM customers c LEFT JOIN tickets t ON t.cust_id = c.id "
+    "WHERE t.state = {b} AND c.id = {id}",
+    "SELECT c.name, t.subject FROM customers c LEFT JOIN tickets t "
+    "ON t.cust_id = c.id AND t.severity = 3 WHERE t.severity = {id}",
+    "SELECT c.name, cr.score FROM customers c JOIN credit cr ON cr.cust_id = c.id "
+    "WHERE c.id = {id}",
+    "SELECT cust_id, score FROM credit WHERE cust_id = {id}",
+    "SELECT status, COUNT(*) AS n FROM orders WHERE cust_id = {id} GROUP BY status "
+    "HAVING COUNT(*) > 1 ORDER BY status LIMIT 3",
+    "SELECT id FROM orders WHERE order_date = {b} AND cust_id <> {id}",
+    # one source, so the WHERE conjunct on the outer side travels in the ON
+    "SELECT o.id, p.name FROM orders o LEFT JOIN products p ON o.product_id = p.id "
+    "WHERE p.category = {b} AND o.cust_id = {id}",
+    # constants that stay in the shape, varied beside one that lifts
+    "SELECT id, total FROM orders WHERE total < {b} AND cust_id = {id}",
+    "SELECT name FROM customers WHERE id = {id} OR id = {b}",
+    "SELECT id FROM orders WHERE cust_id IN ({id}, {b}) AND status = 'open'",
+    "SELECT id FROM orders WHERE cust_id BETWEEN {id} AND {b} AND status <> 'open'",
+    "SELECT name FROM customers WHERE name LIKE {b} AND segment = 'smb'",
+]
+
+
+def texts_of(template, bindings):
+    return [
+        template.format(id=render_literal(a), b=render_literal(b)) for a, b in bindings
+    ]
+
+
+class TestShapeWarmEqualsFresh:
+    @settings(max_examples=150, deadline=None)
+    @example(LOOKUPS["point_lookup"], [(7, 0), (8, 0), (10**6, 0), (7.0, 0), ("7", 0), (9, 0)])
+    @example(LOOKUPS["customer360"], [(7, 0), (0, 0), (8, 0), (-1, 0), (7, 0)])
+    @example(TEMPLATES[7], [(7, "open"), (8, "closed"), (8, "nope"), (9, SURROGATE), (1, "")])
+    @example(TEMPLATES[12], [(3, 0), (2, 0), (3, 0)])  # the ON constant: by value
+    @example(TEMPLATES[16], [(7, datetime.date(2024, 1, 1)), (8, datetime.date(1999, 1, 1)), (8, "x")])
+    @example(TEMPLATES[17], [(7, "tools"), (8, "toys"), (8, "tools"), (9, "")])
+    @example(TEMPLATES[18], [(7, 100), (7, 900), (8, 5000), (8, "x")])  # `<`: never lifted
+    @given(
+        st.sampled_from(TEMPLATES),
+        st.lists(st.tuples(CONSTANTS, CONSTANTS), min_size=2, max_size=5),
+    )
+    def test_every_binding_is_answered_as_by_an_engine_that_never_saw_the_shape(
+        self, template, bindings
+    ):
+        warm = connect()
+        for text in texts_of(template, bindings):
+            assert observe(warm, text) == observe(connect(), text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(QUERIES)),
+        st.lists(st.lists(CONSTANTS, min_size=2, max_size=2), min_size=1, max_size=3),
+    )
+    def test_q1_to_q12_with_other_constants_in_their_slots(self, name, bindings):
+        stmt = parse(QUERIES[name])
+        slots = len(lift(stmt).values)
+        warm = connect()
+        assert observe(warm, stmt) == observe(connect(), stmt)
+        for values in bindings:
+            other = rebound(stmt, values[:slots])
+            assert observe(warm, other) == observe(connect(), other)
+
+    def test_a_constant_of_another_type_never_shares_a_plan(self):
+        warm = connect()
+        for text in ("7", "7.0", "'7'", "TRUE", "NULL"):
+            result = observe(warm, f"SELECT name FROM customers WHERE id = {text}")
+            assert result == observe(connect(), f"SELECT name FROM customers WHERE id = {text}")
+        assert len(warm.cache.plans) == 5
+
+    def test_the_feedback_cost_model_plans_per_text(self):
+        """`adaptive/signature.py` keys calibrations on the constants."""
+        warm = connect(adaptive=True)
+        for cust_id in (7, 8, 9):
+            warm.query(LOOKUPS["orders_of"].format(id=cust_id))
+        assert len(warm.cache.plans) == 3
+        assert all(len(family.value) == 1 for family in warm.cache.plans._entries.values())
+
+
+# -- what a shape hit skips, counted ---------------------------------------------
+
+
+def calls_to(functions, thunk):
+    """How often `thunk` enters each of `functions` (by code object)."""
+    codes = {function.__code__: function.__qualname__ for function in functions}
+    seen = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+class TestWorkSaved:
+    def test_a_shape_hit_plans_nothing_at_the_hub_or_at_a_source(self):
+        from repro.engine.planner import bind_select
+        from repro.engine.rewrite import optimize_logical
+        from repro.wrappers.pushability import can_push_select
+
+        skipped = [FederatedPlanner.plan, optimize_logical, bind_select, can_push_select]
+        engine = connect(parallel_workers=1)  # the profiler sees one thread
+        for name, template in LOOKUPS.items():
+            first = calls_to(skipped, lambda: engine.query(template.format(id=7)))
+            assert first["FederatedPlanner.plan"] == 1 and first["can_push_select"] >= 1
+            # Left as it was: a bind join's per-chunk statement is keyed whole,
+            # so customer360's one-key probe of `orders` is prepared per id.
+            per_key_list = int(name == "customer360")
+            for cust_id, planned in ((8, per_key_list), (9, per_key_list), (8, 0)):
+                hit = calls_to(skipped, lambda: engine.query(template.format(id=cust_id)))
+                assert hit.pop("FederatedPlanner.plan") == 0
+                assert set(hit.values()) == {planned}, (name, cust_id, hit)
+
+    def test_each_lookup_template_is_one_slot_and_a_family_of_at_most_two(self):
+        engine = connect()
+        for cust_id in range(1, 201):
+            for template in LOOKUPS.values():
+                engine.query(template.format(id=cust_id))
+        families = {shape: entry.value for shape, entry in engine.cache.plans._entries.items()}
+        assert len(families) == len(LOOKUPS)
+        assert all(shape.count("?int") == 1 and "?" not in shape.replace("?int", "") for shape in families)
+        assert all(1 <= len(family) <= 2 for family in families.values())
+        assert engine.cache.plans.stats.misses == len(LOOKUPS)
+
+    def test_which_benchmark_texts_lift_anything(self):
+        texts = QUERIES | workloads.DASHBOARD
+        lifting = {name: len(lift(parse(sql)).values) for name, sql in texts.items()}
+        assert {name: slots for name, slots in lifting.items() if slots} == {
+            "q1_point_lookup": 1,  # id = 7
+            "q2_filter_scan": 1,  # status = 'open'
+            "q7_support_risk": 1,  # t.state = 'open'
+            "q11_credit_check": 1,  # c.segment = 'enterprise'
+            "q12_customer360": 1,  # c.segment = 'enterprise'
+        }
+        shapes = [lift(parse(sql)).shape for sql in texts.values()]
+        assert len(set(shapes)) == len(shapes)  # so each is its family's one binding
+
+    def test_a_second_pass_of_the_mix_binds_nothing(self, monkeypatch):
+        engine = connect()
+        for sql in QUERIES.values():
+            engine.query(sql)
+        bound = []
+        monkeypatch.setattr(FederatedPlan, "bound_to", lambda plan, values: bound.append(plan))
+        for prepares in ("plant", "rebind_plan"):  # what a source plans or binds with
+            monkeypatch.setattr(relational, prepares, lambda *args: bound.append(args))
+        plans = calls_to([FederatedPlanner.plan], lambda: [engine.query(sql) for sql in QUERIES.values()])
+        engine.close()
+        assert not bound and plans == {"FederatedPlanner.plan": 0}
+
+
+# -- a changing source between two bindings --------------------------------------
+
+POINT = [parse(f"SELECT name FROM customers WHERE id = {i}") for i in (3, 4, 99, 4)]
+OPEN_ORDERS = [
+    parse(f"SELECT id, total FROM orders WHERE status = '{s}' AND cust_id <> {i} AND total > 200")
+    for s, i in (("open", 3), ("closed", 3), ("open", 1004), ("nope", 3))
+]
+INDEXED = [
+    # ROADMAP item 6's hole: an index on `cust_id` decides whether the typed
+    # comparison `id < 'x'` ever runs - by *value* (does the key have rows?)
+    parse(f"SELECT id FROM orders WHERE cust_id = {i} AND id < 'x'") for i in (1, 999, 2, 999)
+]
+
+
+class TestBindingsMeetAChangingSource:
+    @settings(max_examples=150, deadline=None)
+    @example(POINT, [0, 1, ("insert", 1000, 3), 2, ("recreate", 1), 3, 0])
+    @example(OPEN_ORDERS, [0, 1, ("insert", 1004, 3), 2, 3, ("delete", 3), 1, 0])
+    @example(INDEXED, [0, 1, ("index", ("orders", "cust_id"), False), 0, 1, 2, 3])
+    @example(INDEXED, [("index", ("orders", "cust_id"), True), 1, 0, 3, 2])
+    @example(POINT, [0, ("dialect", repro.wrappers.ACMEDB), 1, ("dialect", repro.wrappers.GENERIC), 2])
+    @given(
+        st.sampled_from([POINT, OPEN_ORDERS, INDEXED]),
+        st.lists(st.one_of(st.integers(0, 3), st.integers(0, 3), write_ops), max_size=25),
+    )
+    def test_a_long_lived_source_answers_each_binding_like_a_fresh_one(self, bindings, ops):
+        """Writes, `create_index`, drop + re-create and a dialect swap between
+        two bindings of one shape: rows or error, charge and logged text."""
+        db = build_demo_db()
+        veteran = RelationalSource("s", db)
+        for op in ops:
+            if not isinstance(op, int):
+                apply_write(db, veteran, op)
+                continue
+            fresh = RelationalSource("s", db, dialect=veteran.capabilities.dialect)
+            assert answer(veteran, bindings[op]) == answer(fresh, bindings[op])
+
+    def test_a_write_that_moves_the_statistics_replans_the_next_binding(self):
+        fixture = build_enterprise(BenchConfig(scale=1, seed=workloads.DATA_SEED))
+        engine = repro.connect(fixture.catalog(), EngineConfig(clock=SimClock()))
+        text = LOOKUPS["point_lookup"].format
+        engine.query(text(id=7))
+        customers = fixture.crm.table("customers")
+        customers.insert((100_001,) + tuple(customers.get(7)[1:]))  # max(id) moves
+        fresh = repro.connect(fixture.catalog(), EngineConfig(clock=SimClock()))
+        for cust_id in (8, 100_001, 500, 10**6):
+            assert observe(engine, text(id=cust_id)) == observe(fresh, text(id=cust_id))
+
+    def test_a_write_that_leaves_the_reads_alone_is_met_like_a_repeat(self):
+        """The text-keyed plan cache kept a repeated text's plan (and its
+        estimates) across writes; another binding of the shape now does too."""
+        fixture = build_enterprise(BenchConfig(scale=1, seed=workloads.DATA_SEED))
+        engine = repro.connect(fixture.catalog(), EngineConfig(clock=SimClock()))
+        text = LOOKUPS["orders_of"].format
+        before = engine.query(text(id=7))
+        orders = fixture.sales.table("orders")
+        orders.insert((10_000_001, 8) + tuple(orders.get(1)[2:]))  # no new cust_id
+        repeat, other = engine.query(text(id=7)), engine.query(text(id=8))
+        fresh = repro.connect(fixture.catalog(), EngineConfig(clock=SimClock()))
+        assert other.relation.rows == fresh.query(text(id=8)).relation.rows
+        assert repeat.plan is before.plan and other.metrics.plan_cache_hits == 1
+        assert other.plan.fetches[0].est_rows == before.plan.fetches[0].est_rows
+
+    def test_a_revoked_source_refuses_the_next_binding(self):
+        engine = connect()
+        engine.query(LOOKUPS["point_lookup"].format(id=7))
+        engine.catalog.sources["crm"].capabilities.allows_external_queries = False
+        with pytest.raises(SourceError, match="does not admit external queries"):
+            engine.query(LOOKUPS["point_lookup"].format(id=8))
+
+
+# -- one engine, many threads ----------------------------------------------------
+
+
+class TestThreads:
+    def test_eight_threads_of_mixed_bindings_answer_as_serial(self):
+        texts = [
+            template.format(id=cust_id)
+            for cust_id in (7, 8, 9, 10**6, 7, 11, 12, 8)
+            for template in LOOKUPS.values()
+        ]
+        serial = connect()
+        expected = [observe(serial, text) for text in texts]
+        serial.close()
+        shared, wrong = connect(), []
+
+        def worker(offset):
+            for step in range(len(texts)):
+                index = (offset * 5 + step) % len(texts)
+                if observe(shared, texts[index]) != expected[index]:
+                    wrong.append(texts[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            shared.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert all(len(entry.value) <= FAMILY for entry in shared.cache.plans._entries.values())
