@@ -35,6 +35,7 @@ from repro.sql.ast import (
     IsNull,
     Like,
     Literal,
+    LiteralValues,
     UnaryOp,
 )
 from repro.sql.exprutil import column_vs_literal, equi_join_sides, split_conjuncts
@@ -236,9 +237,13 @@ class CostModel:
     def slot_reads(self, stmt) -> tuple:
         """All that estimating reads of the *values* of `stmt`'s lifted constants:
         per slot, `eq_selectivity(value)` (`_comparison_selectivity` asks it) under
-        the current statistics of every table its column may belong to."""
+        the current statistics of every table its column may belong to; of a
+        bind join's keys, how many there are (`selectivity` of an IN-list)."""
         reads, lifted = [], lift(stmt)
         for column, literal in zip(lifted.columns, lifted.values):
+            if literal.__class__ is LiteralValues:
+                reads.append(len(literal))
+                continue
             qualifier = (column.qualifier or "").lower()
             for table in stmt.tables():
                 if not qualifier or table.binding.lower() == qualifier:

@@ -35,6 +35,7 @@ from repro.engine.physical import (
     IndexEqScan,
     IndexRangeScan,
     LimitOp,
+    Lowered,
     NestedLoopJoinOp,
     PhysicalOp,
     ProjectOp,
@@ -278,7 +279,7 @@ class LocalEngine:
                 return child
             predicate = conjoin(conjuncts)
         passes = compile_filter_passes(conjuncts, child.schema)
-        return FilterOp(child, compile_expr(predicate, child.schema), str(predicate), passes)
+        return FilterOp(child, Lowered(predicate, child.schema), passes=passes)
 
     def _choose_index_access(self, table, binding, conjuncts):
         """Pick an index-backed access path for one of the conjuncts."""
@@ -297,7 +298,8 @@ class LocalEngine:
                 continue
             remaining = conjuncts[:i] + conjuncts[i + 1 :]
             if op == "=":
-                return IndexEqScan(table, binding, column, value), remaining
+                literal = conjunct.left if conjunct.right is ref else conjunct.right
+                return IndexEqScan(table, binding, column, value, literal), remaining
             if isinstance(index, SortedIndex) and op in ("<", "<=", ">", ">="):
                 if op in ("<", "<="):
                     access = IndexRangeScan(
@@ -313,9 +315,9 @@ class LocalEngine:
     def _lower_join(self, plan: LogicalJoin, context=None) -> PhysicalOp:
         left = self.lower(plan.left, context)
         right = self.lower(plan.right, context)
-        description = str(plan.condition) if plan.condition is not None else "cross"
         if plan.condition is None:
-            return NestedLoopJoinOp(left, right, None, plan.kind, description)
+            return NestedLoopJoinOp(left, right, None, plan.kind, "cross")
+        condition = Lowered(plan.condition, plan.schema)
 
         left_positions: list[int] = []
         right_positions: list[int] = []
@@ -340,20 +342,11 @@ class LocalEngine:
                 residual.append(conjunct)
 
         if left_positions:
-            residual_fn = None
-            if residual:
-                residual_fn = compile_expr(conjoin(residual), plan.schema)
+            residual_fn = Lowered(conjoin(residual), plan.schema) if residual else None
             return HashJoinOp(
-                left,
-                right,
-                left_positions,
-                right_positions,
-                plan.kind,
-                residual_fn,
-                description,
+                left, right, left_positions, right_positions, plan.kind, residual_fn, condition
             )
-        condition_fn = compile_expr(plan.condition, plan.schema)
-        return NestedLoopJoinOp(left, right, condition_fn, plan.kind, description)
+        return NestedLoopJoinOp(left, right, condition, plan.kind)
 
 
 class _StatsAdapter:

@@ -296,19 +296,19 @@ class LogicalUnion(LogicalPlan):
         return f"UnionAll({len(self.inputs)})"
 
 
-def rebind_plan(plan: LogicalPlan, swap: dict) -> LogicalPlan:
-    """`plan` for other constants in its statement's slots (`swap`: see
+def rebind_plan(plan: LogicalPlan, swap: dict, found: set) -> LogicalPlan:
+    """`plan` for other constants in its statement's slots (`swap`, `found`: see
     `repro.sql.shape.rebind`). A node's predicates, component statements and
     children are rebound (not a union's inputs: no statement that lifts has
     one); only a changed node and the path above it are copied, schema and all."""
     changed = {}
     for name, old in vars(plan).items():
         if isinstance(old, LogicalPlan):
-            new = rebind_plan(old, swap)
+            new = rebind_plan(old, swap, found)
         elif old.__class__ is BinaryOp:
-            new = rebind(old, swap)
+            new = rebind(old, swap, found)
         elif old.__class__ is Select:
-            new = rebind_select(old, swap)
+            new = rebind_select(old, swap, found)
         else:
             continue
         if new is not old:

@@ -17,10 +17,15 @@ state between runs: a prepared plan is run by many threads at once.
 `run()` may return a `Batch`, whose `kinds` vouch per column for the exact
 types held: a scan's are its table's, operators that only drop, reorder, pick
 or concatenate rows pass them on, filter guards and wire sizing read them.
+
+A prepared tree serves other constants of its statement's shape `bound_to`
+them: an index scan remembers the `Literal` its key was read from, a filter
+or join the expression (`Lowered`) its passes and closure derive from.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from functools import partial
 from itertools import compress, repeat
@@ -29,7 +34,11 @@ from typing import Callable, Optional, Sequence
 
 from repro.common.relation import Batch, Relation, vouched
 from repro.common.schema import RelSchema
+from repro.sql.ast import Expr
+from repro.sql.eval import compile_expr, compile_filter_passes
+from repro.sql.exprutil import split_conjuncts
 from repro.sql.functions import make_aggregate
+from repro.sql.shape import rebind
 
 _NULL_KIND = frozenset((type(None),))
 
@@ -147,6 +156,41 @@ def run_filter_passes(passes, rows):
     return rows
 
 
+class Lowered:
+    """A row expression as an operator holds it: compiled (`fn`) and printed
+    (`str`) when first asked for - a prepared statement is re-bound per lookup,
+    answers most from an index or its passes, and is seldom explained. Threads
+    may race to derive either; an attribute only ever holds a finished one.
+    A hand-built operator wraps the callable and label it was given."""
+
+    __slots__ = ("expr", "schema", "_fn", "_text")
+
+    def __init__(self, expr: Optional[Expr], schema: Optional[RelSchema], fn=None, text=None):
+        self.expr = expr
+        self.schema = schema
+        self._fn = fn
+        self._text = text
+
+    @classmethod
+    def of(cls, given, text: str = "") -> "Lowered":
+        return given if isinstance(given, Lowered) else cls(None, None, given, text)
+
+    @property
+    def fn(self) -> Optional[Callable]:
+        if self._fn is None and self.expr is not None:
+            self._fn = compile_expr(self.expr, self.schema)
+        return self._fn
+
+    def __str__(self):
+        if self._text is None:
+            self._text = str(self.expr)
+        return self._text
+
+    def bound_to(self, swap: dict, found: set) -> "Lowered":
+        expr = rebind(self.expr, swap, found)
+        return self if expr is self.expr else Lowered(expr, self.schema)
+
+
 class PhysicalOp:
     """Base physical operator: `schema`, `run() -> list[tuple]`, children."""
 
@@ -155,6 +199,23 @@ class PhysicalOp:
     @property
     def children(self) -> tuple["PhysicalOp", ...]:
         return ()
+
+    def bound_to(self, swap: dict, found: set) -> "PhysicalOp":
+        """This tree for other constants in its statement's slots (`swap`,
+        `found`: see `repro.sql.shape.rebind`): an operator that holds a swapped
+        operand and the spine above it are copied, everything else is shared.
+        (Not a union's inputs: no statement that lifts has one.)"""
+        changed = {}
+        for name, old in vars(self).items():
+            if isinstance(old, (PhysicalOp, Lowered)):
+                new = old.bound_to(swap, found)
+                if new is not old:
+                    changed[name] = new
+        if not changed:
+            return self
+        bound = copy.copy(self)
+        vars(bound).update(changed)
+        return bound
 
     def run(self) -> list[tuple]:
         raise NotImplementedError
@@ -191,16 +252,24 @@ class SeqScan(PhysicalOp):
 class IndexEqScan(PhysicalOp):
     """Point lookup through a hash or sorted index."""
 
-    def __init__(self, table, binding: str, column: str, value):
+    def __init__(self, table, binding: str, column: str, value, literal=None):
         self.table = table
         self.binding = binding
         self.column = column
         self.value = value
+        self.literal = literal  # the `Literal` the key was read from, if one was
         self.schema = table.schema.with_qualifier(binding)
 
     def run(self):
         version = self.table.version
         return self.table.vouch(version, self.table.lookup(self.column, self.value))
+
+    def bound_to(self, swap, found):
+        literal = swap.get(id(self.literal))
+        if literal is None:
+            return self
+        found.add(id(self.literal))
+        return IndexEqScan(self.table, self.binding, self.column, literal.value, literal)
 
     def explain_label(self):
         return f"IndexEqScan({self.table.name}.{self.column} = {self.value!r})"
@@ -275,13 +344,13 @@ class RelabelOp(PhysicalOp):
 
 
 class FilterOp(PhysicalOp):
-    """Keeps the rows the compiled `predicate_fn` finds true: through `passes`
-    where the executor derived them, through the closure when a guard fails."""
+    """Keeps the rows `predicate` (a `Lowered`, or a compiled `row -> value`)
+    finds true: through `passes` where the executor derived them, through the
+    closure when a guard fails."""
 
-    def __init__(self, child: PhysicalOp, predicate_fn: Callable, description: str = "", passes=None):
+    def __init__(self, child: PhysicalOp, predicate, description: str = "", passes=None):
         self.child = child
-        self.predicate_fn = predicate_fn
-        self.description = description
+        self.predicate = Lowered.of(predicate, description)
         self.passes = passes
         self.schema = child.schema
 
@@ -289,16 +358,39 @@ class FilterOp(PhysicalOp):
     def children(self):
         return (self.child,)
 
+    @property
+    def description(self) -> str:
+        return str(self.predicate)
+
     def run(self):
         rows = self.child.run()
         kept = None if self.passes is None else run_filter_passes(self.passes, rows)
         if kept is None:
-            predicate = self.predicate_fn
+            predicate = self.predicate.fn
             kept = [row for row in rows if predicate(row)]
         return vouched(kept, getattr(rows, "kinds", None))
 
+    def bound_to(self, swap, found):
+        """The passes are what lowering derives for the new conjuncts: the
+        model's own for a conjunct left as it was, compiled for a swapped one."""
+        bound = super().bound_to(swap, found)
+        if bound.predicate is self.predicate:
+            return bound
+        old, new = split_conjuncts(self.predicate.expr), split_conjuncts(bound.predicate.expr)
+        passes = []
+        for known, before, after in zip(self.passes or repeat(None), old, new):
+            if known is None or before is not after:
+                known = compile_filter_passes([after], self.schema)
+                if known is None:
+                    passes = None
+                    break
+                (known,) = known
+            passes.append(known)
+        bound.passes = passes
+        return bound
+
     def explain_label(self):
-        return f"Filter({self.description})"
+        return f"Filter({self.predicate})"
 
 
 class ProjectOp(PhysicalOp):
@@ -336,16 +428,16 @@ class HashJoinOp(PhysicalOp):
         left_key_positions: Sequence[int],
         right_key_positions: Sequence[int],
         kind: str = "INNER",
-        residual_fn: Optional[Callable] = None,
-        description: str = "",
+        residual_fn=None,
+        description="",
     ):
         self.left = left
         self.right = right
         self.left_keys = join_keys(left_key_positions)
         self.right_keys = join_keys(right_key_positions)
         self.kind = kind
-        self.residual_fn = residual_fn
-        self.description = description
+        self.residual = Lowered.of(residual_fn)
+        self.description = description  # of the whole condition: a `str`, or a `Lowered` never run
         self.schema = left.schema.concat(right.schema)
         self.null_pad = (None,) * len(right.schema)
 
@@ -358,7 +450,7 @@ class HashJoinOp(PhysicalOp):
         left_rows = self.left.run()
         return hash_join(
             left_rows, self.left_keys(left_rows), right_rows, self.right_keys(right_rows),
-            self.kind, self.residual_fn, self.null_pad,
+            self.kind, self.residual.fn, self.null_pad,
         )
 
     def explain_label(self):
@@ -372,15 +464,14 @@ class NestedLoopJoinOp(PhysicalOp):
         self,
         left: PhysicalOp,
         right: PhysicalOp,
-        condition_fn: Optional[Callable] = None,
+        condition_fn=None,
         kind: str = "INNER",
         description: str = "",
     ):
         self.left = left
         self.right = right
-        self.condition_fn = condition_fn
+        self.condition = Lowered.of(condition_fn, description)
         self.kind = kind
-        self.description = description
         self.schema = left.schema.concat(right.schema)
 
     @property
@@ -391,7 +482,7 @@ class NestedLoopJoinOp(PhysicalOp):
         right_rows = self.right.run()
         out: list[tuple] = []
         null_pad = (None,) * len(self.right.schema)
-        condition = self.condition_fn
+        condition = self.condition.fn
         for row in self.left.run():
             matched = False
             for other in right_rows:
@@ -405,7 +496,7 @@ class NestedLoopJoinOp(PhysicalOp):
         return out
 
     def explain_label(self):
-        return f"NestedLoopJoin[{self.kind}]({self.description})"
+        return f"NestedLoopJoin[{self.kind}]({self.condition})"
 
 
 class MergeJoinOp(PhysicalOp):

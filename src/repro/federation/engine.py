@@ -502,8 +502,9 @@ class FederatedEngine:
 
         Per statement *shape* (`repro.sql.shape`) the cache holds a family of
         plans, one per distinct `CostModel.slot_reads`: the same constants get
-        the member itself, others with its reads get it re-bound, the rest is
-        planned and joins. A family is replaced whole: other threads read it.
+        the member itself, others with its reads get it re-bound (if it holds
+        every slot to swap), the rest is planned and joins. A family is
+        replaced whole: other threads read it.
         """
         key, values = canonical, ()
         if isinstance(statement, Select):
@@ -519,8 +520,9 @@ class FederatedEngine:
         if family:
             reads = self.planner.cost_model.slot_reads(statement)
             for plan in family:
-                if plan.reads == reads:
-                    return plan.bound_to(values), True
+                bound = plan.bound_to(values) if plan.reads == reads else None
+                if bound is not None:
+                    return bound, True
         plan = self.planner.plan(statement)
         self.cache.put_plan(key, (plan, *family[: FAMILY - 1]))
         return plan, False

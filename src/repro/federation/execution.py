@@ -28,10 +28,11 @@ from repro.cache import fetch_key
 from repro.common.errors import EIIError, SourceError, SourceTimeoutError
 from repro.common.relation import Relation
 from repro.engine.logical import LogicalJoin, LogicalPlan, LogicalUnion
-from repro.federation.nodes import LogicalBindJoin, LogicalFetch, with_in_filter
+from repro.federation.nodes import LogicalBindJoin, LogicalFetch
 from repro.federation.resilience import CompletenessReport, rename_statement_tables
 from repro.netsim.metrics import MetricsCollector
 from repro.sql.printer import to_sql
+from repro.sql.shape import with_in_filter
 from repro.telemetry.plane import NULL_TELEMETRY
 
 

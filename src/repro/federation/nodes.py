@@ -11,15 +11,14 @@ caller. What a *run* needs arrives at lowering time instead — `FetchOp` and
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.common.errors import PlanError
 from repro.common.schema import RelSchema
 from repro.engine.cost import PlanCost
 from repro.engine.logical import LogicalPlan
 from repro.engine.physical import PhysicalOp, hash_join, join_keys
-from repro.sql.ast import ColumnRef, Expr, InList, LiteralValues, Select, and_all
+from repro.sql.ast import ColumnRef, Expr, Select
 from repro.sql.eval import compile_expr
 from repro.sql.printer import to_sql
 
@@ -219,10 +218,3 @@ class BindJoinOp(PhysicalOp):
 
     def explain_label(self):
         return self.node.label()
-
-
-def with_in_filter(template: Select, key_ref: ColumnRef, keys: Sequence) -> Select:
-    """Return `template` with an extra `key_ref IN (keys)` conjunct."""
-    in_clause = InList(key_ref, LiteralValues(keys))
-    where = and_all([c for c in (template.where, in_clause) if c is not None])
-    return replace(template, where=where)

@@ -73,10 +73,14 @@ class FederatedPlan:
     slots: tuple = ()
     reads: tuple = ()
 
-    def bound_to(self, values: tuple) -> "FederatedPlan":
-        """This plan for other constants in its slots; what holds none is shared."""
+    def bound_to(self, values: tuple) -> "Optional[FederatedPlan]":
+        """This plan for other constants in its slots; what holds none is shared.
+        None if a slot's literal is not in the plan to swap (a rewriter copied it)."""
         slots = tuple(Literal(literal.value) for literal in values)
-        root = rebind_plan(self.root, dict(zip(map(id, self.slots), slots)))
+        found: set = set()
+        root = rebind_plan(self.root, dict(zip(map(id, self.slots), slots)), found)
+        if len(found) < len(slots):
+            return None
         fetches, bind_joins = _remote_nodes(root)
         return replace(self, root=root, fetches=fetches, bind_joins=bind_joins, slots=slots)
 

@@ -10,10 +10,9 @@ from repro.common.errors import CapabilityError
 from repro.common.relation import Relation
 from repro.common.schema import RelSchema
 from repro.engine.executor import LocalEngine
-from repro.engine.logical import LogicalPlan, rebind_plan
 from repro.engine.physical import PhysicalOp
 from repro.sources.base import DataSource, SourceCapabilities
-from repro.sql.ast import Select
+from repro.sql.ast import Literal, Select
 from repro.sql.printer import to_sql
 from repro.sql.shape import FAMILY, lift, plant
 from repro.storage.catalog import Database
@@ -34,9 +33,8 @@ class _Prepared(NamedTuple):
 
     dialect: Dialect  # the shape was checked and `text` printed under this one
     text: str  # for `query_log`
-    slots: tuple  # the literals planted in `logical` for the lifted constants
-    reads: tuple  # `CostModel.slot_reads` of them, which `cost` rests on
-    logical: LogicalPlan
+    reads: tuple  # `CostModel.slot_reads` of the lifted constants, which `cost` rests on
+    slots: tuple  # the literals `physical` holds for them
     cost: float  # the cost model's estimate
     physical: PhysicalOp
     tables: tuple  # every `Table` the plan reads ...
@@ -109,25 +107,36 @@ class RelationalSource(DataSource):
         if prepared is None or self._state(prepared.tables) != prepared.state:
             engine = self.engine
             reads = engine.cost_model.slot_reads(stmt)
-            planted, slots = plant(stmt)
-            for model in family:
-                # same reads, still current: its plan re-bound, its cost
-                if model.reads == reads and self._state(model.tables) == model.state:
-                    swap = dict(zip(map(id, model.slots), slots))
-                    logical, cost = rebind_plan(model.logical, swap), model.cost
-                    break
-            else:
+            bound = self._rebound(family, reads, values)
+            if bound is None:
+                planted, slots = plant(stmt)
                 logical = engine.logical_plan(planted)
                 cost = engine.cost_model.estimate(logical).cost
-            physical = engine.lower(logical)
-            tables = tuple(_tables_read(physical))
-            state = self._state(tables)
-            prepared = _Prepared(dialect, text, slots, reads, logical, cost, physical, tables, state)
+                physical = engine.lower(logical)
+                tables = tuple(_tables_read(physical))
+                bound = slots, cost, physical, tables, self._state(tables)
+            prepared = _Prepared(dialect, text, reads, *bound)
             others = [known for known in family if known.slots != values]
             self._prepared.put(shape, (prepared, *others[: FAMILY - 1]))
         result = prepared.physical.relation()
         self._account(metrics, prepared.cost * self.capabilities.time_per_cost_unit_s)
         return result
+
+    def _rebound(self, family: tuple, reads: tuple, values: tuple) -> Optional[tuple]:
+        """What follows `reads` in a `_Prepared`, from a member of `family` with
+        these reads that is still current: its operators bound to `values` (to
+        new literals, as `plant` makes them), its cost. None if there is none -
+        or its operators hold a *copy* of a planted literal, which no swap reaches."""
+        for model in family:
+            if model.reads == reads and self._state(model.tables) == model.state:
+                slots = tuple([
+                    Literal(value.value) if value.__class__ is Literal else value for value in values
+                ])
+                found: set = set()
+                physical = model.physical.bound_to(dict(zip(map(id, model.slots), slots)), found)
+                if len(found) == len(slots):
+                    return slots, model.cost, physical, model.tables, model.state
+        return None
 
     def _state(self, tables: tuple) -> tuple:
         """What a plan over `tables` depends on besides statement and dialect.

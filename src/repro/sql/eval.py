@@ -28,6 +28,7 @@ from repro.sql.ast import (
     IsNull,
     Like,
     Literal,
+    LiteralValues,
     Star,
     UnaryOp,
 )
@@ -409,18 +410,16 @@ def _literal_probe(items):
     identity). Otherwise - a non-literal item, a subclass, an unhashable
     value, an int beyond ±2**53 - returns None: the list keeps the loop.
     """
-    keys = []
-    has_null = False
-    for item in items:
-        if not isinstance(item, Literal):
-            return None
-        value = item.value
-        if value is None:
-            has_null = True
-        elif _is_plain(value) and value == value:
-            keys.append(value)
-        else:
-            return None
+    if items.__class__ is LiteralValues:
+        values = items.values  # a bind join's keys: read as they are, no `Literal` made
+    elif all(isinstance(item, Literal) for item in items):
+        values = [item.value for item in items]
+    else:
+        return None
+    keys = [value for value in values if value is not None]
+    if not all(_is_plain(value) and value == value for value in keys):
+        return None
+    has_null = len(keys) < len(values)
     # from the list, not the set: `1` and `1.0` collapse into one key
     has_float = any(type(key) is float for key in keys)
     return frozenset(keys), has_float, has_null

@@ -18,6 +18,7 @@ from repro.sql.ast import (
     IsNull,
     Like,
     Literal,
+    LiteralValues,
     Star,
     UnaryOp,
     and_all,
@@ -110,7 +111,10 @@ def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     if isinstance(expr, IsNull):
         return IsNull(fn(expr.operand), expr.negated)
     if isinstance(expr, InList):
-        return InList(fn(expr.operand), tuple(fn(i) for i in expr.items), expr.negated)
+        items = expr.items  # a bind join's keys (`LiteralValues`) stay whole, and the planted ones
+        if items.__class__ is not LiteralValues:
+            items = tuple(fn(i) for i in items)
+        return InList(fn(expr.operand), items, expr.negated)
     if isinstance(expr, Like):
         return Like(fn(expr.operand), fn(expr.pattern), expr.negated)
     if isinstance(expr, Between):

@@ -1,13 +1,19 @@
-"""Hand-rolled SQL lexer.
+"""SQL lexer: one lexeme pattern, read two ways.
 
-Produces a flat list of `Token`s; the parser indexes into it. Keywords are
-case-insensitive; identifiers preserve their original case. String literals
-use single quotes with `''` as the escape for a literal quote.
+`tokenize` produces the flat list of `Token`s the parser indexes into.
+Keywords are case-insensitive; identifiers preserve their original case.
+String literals use single quotes with `''` as the escape for a literal quote.
+`mask` reads only the literal lexemes - by the same two sub-patterns - and
+leaves a typed mark in place of each: texts that differ in their constants
+alone mask alike, which is how a statement of a known shape skips the parser
+(`repro.sql.shape.Template`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import datetime
+import re
+from typing import NamedTuple, Optional
 
 from repro.common.errors import ParseError
 
@@ -19,12 +25,19 @@ KEYWORDS = {
     "UPDATE", "SET", "DELETE", "UNION", "ALL", "CROSS",
 }
 
-_TWO_CHAR_OPS = ("<=", ">=", "<>", "!=", "||")
-_ONE_CHAR_OPS = "=<>+-*/%(),."
+#: The two literal lexemes. A string ends at the last quote of an odd run of
+#: quotes (`''` is an escape); a number does not start inside a word (`t1`),
+#: and `1.` followed by a non-digit is "1" then ".".
+_STRING = r"'[^']*(?:''[^']*)*'(?!')"
+_NUMBER = r"(?<!\w)\d+(?:\.\d+)?|\.\d+"
+_LITERAL = re.compile(rf"(?=['\d.])(?:({_STRING})|{_NUMBER})")  # the lookahead: a faster scan
+_LEXEME = re.compile(
+    rf"(?P<space>\s+)|(?P<word>[^\W\d]\w*)|(?P<number>{_NUMBER})|(?P<string>{_STRING})"
+    r"|(?P<comment>--[^\n]*)|(?P<op><=|>=|<>|!=|\|\||[=<>+\-*/%(),.])|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # KEYWORD | IDENT | NUMBER | STRING | OP | EOF
     value: object
     position: int
@@ -50,101 +63,72 @@ def tokenize(text: str) -> list[Token]:
     parse errors and static-analysis diagnostics can point at the source.
     """
     tokens: list[Token] = []
-    i, n = 0, len(text)
     line, line_start = 1, 0
-
-    def advance_lines(start: int, end: int) -> None:
-        """Account for newlines inside a consumed slice (strings, comments)."""
-        nonlocal line, line_start
-        idx = text.find("\n", start, end)
-        while idx >= 0:
-            line += 1
-            line_start = idx + 1
-            idx = text.find("\n", idx + 1, end)
-
-    def emit(kind: str, value, start: int) -> None:
-        tokens.append(Token(kind, value, start, line, start - line_start + 1))
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            if ch == "\n":
-                line += 1
-                line_start = i + 1
-            i += 1
-            continue
-        if text.startswith("--", i):  # line comment
-            end = text.find("\n", i)
-            i = n if end < 0 else end + 1
-            if end >= 0:
-                line += 1
-                line_start = end + 1
-            continue
-        if ch == "'":
-            start = i
-            value, i = _lex_string(text, i)
-            emit("STRING", value, start)
-            advance_lines(start, i)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            value, i = _lex_number(text, i)
-            emit("NUMBER", value, start)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            upper = word.upper()
+    for match in _LEXEME.finditer(text):
+        kind, lexeme, start = match.lastgroup, match.group(), match.start()
+        column = start - line_start + 1
+        if kind == "word":
+            if not (lexeme[0].isalpha() or lexeme[0] == "_"):  # a digit no `int()` reads
+                raise ParseError(f"unexpected character {lexeme[0]!r}", position=start, text=text)
+            upper = lexeme.upper()
             if upper in KEYWORDS:
-                emit("KEYWORD", upper, start)
+                tokens.append(Token("KEYWORD", upper, start, line, column))
             else:
-                emit("IDENT", word, start)
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            canonical = "<>" if two == "!=" else two
-            emit("OP", canonical, i)
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            emit("OP", ch, i)
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", position=i, text=text)
-    emit("EOF", None, n)
+                tokens.append(Token("IDENT", lexeme, start, line, column))
+        elif kind == "number":
+            tokens.append(Token("NUMBER", _number(lexeme), start, line, column))
+        elif kind == "op":
+            tokens.append(Token("OP", "<>" if lexeme == "!=" else lexeme, start, line, column))
+        elif kind == "string":
+            tokens.append(Token("STRING", _unquoted(lexeme), start, line, column))
+        elif kind == "bad":
+            if lexeme == "'":
+                raise ParseError("unterminated string literal", position=start, text=text)
+            raise ParseError(f"unexpected character {lexeme!r}", position=start, text=text)
+        if "\n" in lexeme:  # in white space or a string; a comment ends before its own
+            line += lexeme.count("\n")
+            line_start = start + lexeme.rfind("\n") + 1
+    tokens.append(Token("EOF", None, len(text), line, len(text) - line_start + 1))
     return tokens
 
 
-def _lex_string(text: str, start: int) -> tuple[str, int]:
-    i = start + 1
-    parts: list[str] = []
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise ParseError("unterminated string literal", position=start, text=text)
+def _number(lexeme: str):
+    return float(lexeme) if "." in lexeme else int(lexeme)
 
 
-def _lex_number(text: str, start: int):
-    i = start
-    n = len(text)
-    seen_dot = False
-    while i < n and (text[i].isdigit() or (text[i] == "." and not seen_dot)):
-        if text[i] == ".":
-            # `1.` followed by a non-digit is "1" then ".": stop before the dot.
-            if i + 1 >= n or not text[i + 1].isdigit():
-                break
-            seen_dot = True
-        i += 1
-    raw = text[start:i]
-    value = float(raw) if seen_dot else int(raw)
-    return value, i
+def _unquoted(lexeme: str) -> str:
+    return lexeme[1:-1].replace("''", "'")
+
+
+def string_value(raw: str):
+    """What a string literal stands for: one that reads as an ISO date is a DATE.
+
+    The subset has no DATE '...' syntax; comparisons against date columns
+    supply dates as plain strings, which are typed eagerly here.
+    """
+    if len(raw) == 10 and raw[4] == "-" and raw[7] == "-":
+        try:
+            return datetime.date.fromisoformat(raw)
+        except ValueError:
+            pass
+    return raw
+
+
+def mask(text: str) -> Optional[tuple]:
+    """``(masked, values)``: `text` with `?int` / `?float` / `?str` / `?date` in
+    place of each NUMBER / STRING lexeme, and what those lexemes stand for, in
+    order - one C-level pass, one call per literal. None for a text this pass
+    does not vouch it splits as `tokenize` does: a comment hides its body from
+    the lexer, and the word classes are reasoned for ASCII.
+    """
+    if "--" in text or not text.isascii():
+        return None
+    values: list = []
+
+    def mark(match):
+        lexeme = match.group()
+        value = string_value(_unquoted(lexeme)) if match.lastindex else _number(lexeme)
+        values.append(value)
+        return "?" + value.__class__.__name__
+
+    return _LITERAL.sub(mark, text), values

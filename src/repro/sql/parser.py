@@ -9,7 +9,6 @@ Entry points:
 
 from __future__ import annotations
 
-import datetime
 from typing import Optional
 
 from repro.common.errors import ParseError
@@ -36,7 +35,7 @@ from repro.sql.ast import (
     UnionSelect,
     Update,
 )
-from repro.sql.lexer import Token, tokenize
+from repro.sql.lexer import Token, string_value, tokenize
 
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
@@ -46,6 +45,9 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        #: ``id(literal) -> (token index, negated)`` of each `Literal` read off
+        #: a NUMBER / STRING token; a folded unary minus negates
+        self.origins: dict = {}
 
     # -- token plumbing -----------------------------------------------------
 
@@ -368,19 +370,22 @@ class _Parser:
         if self.accept_op("-"):
             operand = self.parse_unary()
             if isinstance(operand, Literal) and isinstance(operand.value, (int, float)):
-                return Literal(-operand.value)
+                folded = Literal(-operand.value)
+                origin = self.origins.pop(id(operand), None)
+                if origin is not None:
+                    self.origins[id(folded)] = (origin[0], not origin[1])
+                return folded
             return UnaryOp("-", operand)
         self.accept_op("+")  # unary plus is a no-op
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
         token = self.current
-        if token.kind == "NUMBER":
+        if token.kind == "NUMBER" or token.kind == "STRING":
+            literal = Literal(token.value if token.kind == "NUMBER" else string_value(token.value))
+            self.origins[id(literal)] = (self.pos, False)
             self.advance()
-            return Literal(token.value)
-        if token.kind == "STRING":
-            self.advance()
-            return self._string_literal(token.value)
+            return literal
         if token.is_keyword("TRUE"):
             self.advance()
             return Literal(True)
@@ -403,19 +408,6 @@ class _Parser:
         if token.kind == "IDENT":
             return self.parse_identifier_expr()
         self.fail("expected expression")
-
-    def _string_literal(self, raw: str) -> Literal:
-        """String literals that look like ISO dates become DATE literals.
-
-        The subset has no DATE '...' syntax; comparisons against date columns
-        supply dates as plain strings, which we type eagerly here.
-        """
-        if len(raw) == 10 and raw[4] == "-" and raw[7] == "-":
-            try:
-                return Literal(datetime.date.fromisoformat(raw))
-            except ValueError:
-                pass
-        return Literal(raw)
 
     def parse_case(self) -> CaseWhen:
         self.expect_keyword("CASE")
@@ -452,10 +444,16 @@ class _Parser:
 
 def parse(text: str):
     """Parse any supported statement."""
+    return parse_with_origins(text)[0]
+
+
+def parse_with_origins(text: str) -> tuple:
+    """``(statement, tokens, origins)``: `parse`, and what a template is learned
+    from (`repro.sql.shape.learn`) - which token each `Literal` came from."""
     parser = _Parser(text)
     statement = parser.parse_statement()
     parser.expect_eof()
-    return statement
+    return statement, parser.tokens, parser.origins
 
 
 def parse_select(text: str) -> Select:

@@ -432,7 +432,7 @@ class TestLinearSourceWork:
     ROWS = 2000
 
     def equality_work(self, key_count):
-        from repro.federation.nodes import with_in_filter
+        from repro.sql.shape import with_in_filter
         from repro.sql.ast import ColumnRef
         from repro.sql.parser import parse_select
 

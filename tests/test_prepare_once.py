@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.cache import canonical_statement, keys
 from repro.common.errors import CapabilityError, ParseError, PlanError, SourceError
 from repro.federation import EngineConfig, FederatedEngine
-from repro.federation.nodes import with_in_filter
+from repro.sql.shape import with_in_filter
 from repro.federation.resilience import ResiliencePolicy
 from repro.netsim import FaultInjector, Outage, SimClock, Transient
 from repro.sources import RelationalSource
@@ -29,9 +29,9 @@ from repro.sources.relational import PREPARED_STATEMENTS
 from repro.sql.ast import ColumnRef, InList, Literal, LiteralValues, Select
 from repro.sql.eval import compile_filter_passes, compile_predicate
 from repro.sql.exprutil import walk
-from repro.sql.parser import parse
+from repro.sql.parser import parse, parse_with_origins
 from repro.sql.printer import to_sql
-from repro.sql.shape import FAMILY
+from repro.sql.shape import FAMILY, lift
 from repro.wrappers.pushability import can_push_select
 from repro.wrappers import ACMEDB, GENERIC, LEGACYSQL, QUIRK_AWARE
 
@@ -274,20 +274,28 @@ class TestValueBackedInList:
     def test_the_prepared_map_hashes_and_compares_keys_at_c_level(self):
         """Counted, never timed: a bind statement used to cost three Python
         calls per key at the map (`Literal.__hash__` twice, `__eq__` once);
-        now what the lookup costs does not depend on how many keys there are."""
+        now it is found under its shape (a `str`) and told from the other
+        bindings of its family by one C-level compare of the key tuples - what
+        that costs does not depend on how many keys there are."""
         source = RelationalSource("s", build_demo_db())
-        calls = {}
+        calls, found = {}, []
         for count in (2, 200):
             keys = list(range(1, count + 1))
             source.execute_select(with_in_filter(BIND_TEMPLATE, BIND_KEY, keys))
             stmt = with_in_filter(BIND_TEMPLATE, BIND_KEY, keys)  # equal, not the same object
             hits = source._prepared.stats.hits
-            calls[count] = python_calls(lambda: source._prepared.get(stmt))
-            assert source._prepared.stats.hits == hits + 1
-            assert python_calls(lambda: with_in_filter(BIND_TEMPLATE, BIND_KEY, keys)) <= 12  # no `Literal` made
-        # the template's own nodes (frozen dataclasses) hash and compare at
-        # Python level, twice over (`get`, then `move_to_end`): ~40 calls
-        assert calls[2] == calls[200] <= 45
+
+            def find():
+                shape, _, values = lift(stmt)
+                return [known for known in source._prepared.get(shape) if known.slots == values]
+
+            calls[count] = python_calls(lambda: found.extend(find()))
+            assert source._prepared.stats.hits == hits + 1 and len(found) == 1
+            assert python_calls(lambda: with_in_filter(BIND_TEMPLATE, BIND_KEY, keys)) <= 20  # no `Literal` made
+            assert stmt.where.right.items._literals is None
+            found.clear()
+        assert all(key.__class__ is str for key in source._prepared._entries)  # no `Select` keys a plan
+        assert calls[2] + 1 == calls[200] <= 20  # the 200-key list is the family's second binding
 
     def test_two_executions_of_a_bind_join_share_one_prepared_statement(self, monkeypatch):
         engine = FederatedEngine(build_catalog(), EngineConfig(semijoin="force"))
@@ -525,14 +533,18 @@ class TestParsedTextMemo:
 
         parsed = []
         monkeypatch.setattr(
-            parser, "parse", lambda text: parsed.append(text) or parse(text)
+            parser, "parse_with_origins", lambda text: parsed.append(text) or parse_with_origins(text)
         )
-        text = "SELECT name FROM customers WHERE id = 31337"
+        text = "SELECT name FROM customers WHERE nickname = 31337"
         first = canonical_statement(text)
         second = canonical_statement(text)
         assert parsed == [text]
         assert second[0] is first[0] and second[1] == first[1]
-        assert first[1] == "SELECT name FROM customers WHERE (id = 31337)"
+        assert first[1] == "SELECT name FROM customers WHERE (nickname = 31337)"
+        # ... and a new text of a learned template is never parsed at all
+        other = canonical_statement(text.replace("31337", "8"))
+        assert parsed == [text]
+        assert other == (parse(text.replace("31337", "8")), first[1].replace("31337", "8"))
 
     def test_parse_error_is_raised_with_its_position_every_time(self):
         text = "SELECT name\nFROM customers WHERE"

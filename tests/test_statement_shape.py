@@ -21,15 +21,20 @@ from hypothesis import strategies as st
 import repro
 from repro.bench import BenchConfig, build_enterprise
 from repro.bench.workload import QUERIES
-from repro.common.errors import SourceError
+from repro.cache import canonical_statement, keys
+from repro.common.errors import ParseError, SourceError
+from repro.engine.executor import LocalEngine
+from repro.engine.physical import PhysicalOp
 from repro.federation import EngineConfig
-from repro.federation.nodes import with_in_filter
+from repro.sql.shape import with_in_filter
 from repro.federation.planner import FederatedPlan, FederatedPlanner
 from repro.netsim import SimClock
 from repro.sources import RelationalSource, relational
-from repro.sql.ast import BinaryOp, ColumnRef, Literal, Select
+from repro.sql import lexer, parser
+from repro.sql.ast import BinaryOp, ColumnRef, InList, Literal, Select
+from repro.sql.exprutil import transform
 from repro.sql.parser import parse
-from repro.sql.printer import render_literal
+from repro.sql.printer import render_literal, to_sql
 from repro.sql.shape import FAMILY, _swap_slots, lift, plant
 
 from tests.conftest import build_demo_db
@@ -151,8 +156,17 @@ class TestLift:
         assert lift(parse(text.replace("u.z = 3))", "u.z = t.z))"))).values
 
     def test_a_bind_statement_is_its_own_key_and_its_keys_are_never_walked(self):
-        stmt = with_in_filter(parse("SELECT a FROM t WHERE b = 1"), ColumnRef("k"), range(200))
-        assert lift(stmt).shape is stmt and lift(stmt).values == ()
+        """Its own key no longer: the template's shape and a mark, its keys the
+        one vector slot (read: how many) - known without a print or a walk."""
+        template = parse("SELECT a FROM t WHERE b = 1")
+        stmt = with_in_filter(template, ColumnRef("k"), range(200))
+        assert lift(stmt).shape == "SELECT a FROM t WHERE (b = ?int) AND k IN ?keys"
+        assert lift(stmt).values == (Literal(1), stmt.where.right.items)
+        assert lift(stmt).shape == lift(with_in_filter(template, ColumnRef("k"), [7])).shape
+        planted, slots = plant(stmt)
+        assert slots[0] is planted.where.left.right is not template.where.right
+        assert slots[1] is planted.where.right.items is stmt.where.right.items
+        assert FederatedPlanner(FIXTURE.catalog()).cost_model.slot_reads(stmt)[-1] == 200
         assert stmt.where.right.items._literals is None  # no `Literal` was made
 
     def test_a_bind_statement_over_a_template_with_a_constant_is_prepared_once(self):
@@ -280,6 +294,232 @@ class TestShapeWarmEqualsFresh:
         assert all(len(family.value) == 1 for family in warm.cache.plans._entries.values())
 
 
+# -- a bind join's keys: the one vector slot --------------------------------------
+
+BIND_KEYS = [
+    [3], list(range(1, 36)), list(range(1, 201)), list(range(1, 202)), list(range(1, 451)),
+    [], [3, 2.0, 5], [3, None, 5], [3, 2**53 + 1], [None], [4], [2.5], list(range(100, 135)),
+]
+ORDERS_OF = [
+    parse("SELECT o.cust_id, o.total FROM orders o WHERE o.total > 100"),
+    parse("SELECT o.cust_id, o.total FROM orders o WHERE o.status = 'open'"),
+    parse("SELECT o.cust_id, o.total FROM orders o WHERE o.status = 'closed'"),
+    parse("SELECT o.cust_id, o.total FROM orders o"),
+]
+
+
+class TestBindStatements:
+    @settings(max_examples=120, deadline=None)
+    @example([(0, 0), (0, 10), (0, 5), (0, 10), (0, 12)])  # one key, none, again one, another one
+    @example([(1, 1), (2, 12), (1, 6), (2, 7), (1, 8)])  # a float, a NULL, 2**53 + 1 among 35 ints
+    @example([(0, 2), (0, 3), (0, 2), (0, 4), (3, 4)])  # 200, 201, 450
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, len(BIND_KEYS) - 1)), min_size=2, max_size=6))
+    def test_a_source_answers_each_key_list_like_one_that_never_saw_the_shape(self, chunks):
+        db = build_demo_db()
+        veteran = RelationalSource("s", db)
+        for template, keys in chunks:
+            stmt = with_in_filter(ORDERS_OF[template], ColumnRef("cust_id", "o"), BIND_KEYS[keys])
+            assert answer(veteran, stmt) == answer(RelationalSource("s", db), stmt)
+
+    @pytest.mark.parametrize("counts", [(1, 35, 200, 201, 450, 0, 35, 1), (450, 201, 1, 0, 1)])
+    def test_an_engine_probes_with_each_key_list_like_one_that_never_saw_the_shape(self, counts):
+        """`invoices` probed with the ids of the first `n` orders: 1 to 3 chunks a query."""
+        text = (
+            "SELECT o.id, i.amount FROM orders o JOIN invoices i ON o.id = i.id "
+            "WHERE o.id <= {} AND i.paid <> {}"
+        )
+        warm = connect(semijoin="force")
+        assert warm.planner.plan(text.format(5, "TRUE")).bind_joins
+        for n, paid in zip(counts, ("TRUE", "FALSE") * 4):
+            assert observe(warm, text.format(n, paid)) == observe(connect(semijoin="force"), text.format(n, paid))
+
+    def test_another_key_list_of_a_known_length_plans_nothing(self):
+        source = RelationalSource("s", build_demo_db())
+        key = ColumnRef("cust_id", "o")
+        counted = [LocalEngine.logical_plan, LocalEngine.lower]
+        first = calls_to(counted, lambda: source.execute_select(with_in_filter(ORDERS_OF[1], key, range(1, 36))))
+        assert first["LocalEngine.logical_plan"] == 1
+        for template, keys in ((1, range(2, 37)), (2, range(3, 38)), (1, range(1, 36))):
+            again = calls_to(counted, lambda: source.execute_select(with_in_filter(ORDERS_OF[template], key, keys)))
+            assert again == {"LocalEngine.logical_plan": 0, "LocalEngine.lower": 0}
+        other_length = calls_to(counted, lambda: source.execute_select(with_in_filter(ORDERS_OF[1], key, range(1, 9))))
+        assert other_length["LocalEngine.logical_plan"] == 1  # its read differs: planned, and joins the family
+        assert len(source._prepared) == 1 and len(source._prepared.get(lift(with_in_filter(ORDERS_OF[1], key, [1])).shape)) == 4
+
+    def test_the_optimizer_keeps_a_key_list_whole(self):
+        """`map_children` used to rebuild an IN-list item by item: a `Literal`
+        per key, and a node that no longer *was* the planted one."""
+        from repro.engine.planner import DatabaseResolver, bind_select
+        from repro.engine.rewrite import optimize_logical
+
+        db = build_demo_db()
+        made = {}
+        for count in (2, 200):
+            stmt = with_in_filter(ORDERS_OF[1], ColumnRef("cust_id", "o"), range(count))
+            items = stmt.where.right.items
+            bound = bind_select(stmt, DatabaseResolver(db))
+            plans = []
+            made[count] = calls_to(
+                [Literal.__init__], lambda: plans.append(optimize_logical(bound, LocalEngine(db).cost_model))
+            )
+            predicates = [node.predicate for node in plans[0].walk() if hasattr(node, "predicate")]
+            assert [p.right.items for p in predicates if isinstance(p.right, InList)] == [items]
+        assert made[2] == made[200]  # the rewriter's own TRUE / FALSE: none per key
+        rebuilt = transform(stmt.where, lambda node: None)
+        assert rebuilt == stmt.where and rebuilt.right.items is items
+
+
+# -- a rewriter that copies a planted literal ------------------------------------
+
+
+class TestACopiedLiteralIsNeverServed:
+    """Re-binding swaps by identity: a plan that holds a *copy* of a planted
+    literal would answer every later binding with the model's constant. The
+    count of operands swapped tells: short of the slots, plan anew."""
+
+    def copying(self, monkeypatch, module):
+        from repro.engine import rewrite
+
+        optimize = rewrite.optimize_logical
+
+        def copy_literals(plan, *args, **kwargs):
+            plan = optimize(plan, *args, **kwargs)
+            for node in plan.walk():
+                if hasattr(node, "predicate"):
+                    node.predicate = transform(
+                        node.predicate, lambda e: Literal(e.value) if isinstance(e, Literal) else None
+                    )
+            return plan
+
+        monkeypatch.setattr(module, "optimize_logical", copy_literals)
+
+    def test_at_a_source(self, monkeypatch):
+        from repro.engine import executor
+
+        self.copying(monkeypatch, executor)
+        db = build_demo_db()
+        veteran = RelationalSource("s", db)
+        stmts = [parse(f"SELECT id, total FROM orders WHERE status = 'open' AND cust_id = {i}") for i in (3, 4, 5, 4)]
+        answers = []
+        planned = calls_to([LocalEngine.logical_plan], lambda: answers.extend(answer(veteran, stmt) for stmt in stmts))
+        assert planned == {"LocalEngine.logical_plan": 3}  # 3, 4, 5: each its own member; 4 again is one
+        monkeypatch.undo()
+        assert answers == [answer(RelationalSource("s", db), stmt) for stmt in stmts]
+        assert len({repr(outcome) for outcome, _, _ in answers}) == 3  # never the model's rows
+
+    def test_at_the_hub(self, monkeypatch):
+        from repro.federation import planner
+
+        self.copying(monkeypatch, planner)
+        warm = connect()
+        template = "SELECT c.name, t.subject FROM customers c LEFT JOIN tickets t ON t.cust_id = c.id WHERE c.id <> {} AND c.segment = 'smb'"
+        hub_answers = []
+        seen = calls_to([FederatedPlanner.plan], lambda: hub_answers.extend(observe(warm, template.format(i)) for i in (7, 8, 9, 8)))
+        assert seen == {"FederatedPlanner.plan": 3}
+        monkeypatch.undo()
+        assert hub_answers == [observe(connect(), template.format(i)) for i in (7, 8, 9, 8)]
+        assert len({repr(rows) for rows, *_ in hub_answers}) == 3
+
+
+# -- text -> statement without the parser: template path == parser path ----------
+
+SPELLINGS = [
+    "7", "8", "+5", "-5", "- -5", "-(5)", ".5", "1.", "5.0", "007", "'open'", "'it''s'", "''",
+    "'2024-01-05'", "'2024-13-01'", "'2024-1-05'", "9007199254740992", "9007199254740993",
+    "-9007199254740993", "TRUE", "NULL", "'\u00e9'", "'a\0b'", "'--'", "'unterminated", "?int", "7e",
+]
+NOISE = [
+    lambda text: text,
+    str.lower,
+    lambda text: text.replace(" ", "  \n\t "),
+    lambda text: text.replace("<>", "!=").replace(" = ", "="),
+    lambda text: text + " -- WHERE id = 5",
+    lambda text: text.replace("SELECT ", "SELECT\0", 1),
+    lambda text: text.replace("name", "n\u00e9e"),
+    lambda text: text + " LIMIT 5",
+    lambda text: text + " LIMIT 6",
+]
+
+
+def parsed(text):
+    """What the parser path makes of `text`, or the error it raises."""
+    try:
+        stmt = parse(text)
+        return stmt, to_sql(stmt), lift(stmt) if isinstance(stmt, Select) else None
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def canonical(text):
+    try:
+        stmt, printed = canonical_statement(text)
+        return stmt, printed, lift(stmt) if isinstance(stmt, Select) else None
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+class TestTemplates:
+    @settings(max_examples=300, deadline=None)
+    @example(LOOKUPS["point_lookup"], [("7", "0", 0), ("8", "0", 0), ("-5", "0", 0), ("- -5", "0", 0), ("9007199254740993", "0", 0)])
+    @example(TEMPLATES[2], [("7", "'open'", 0), ("8", "'it''s'", 0), ("8", "'2024-01-05'", 0), ("9", "'x'", 7), ("9", "'x'", 8)])
+    @example(TEMPLATES[18], [("7", "500", 0), ("8", "500", 0), ("8", "600", 0), ("9", "'2024-13-01'", 0)])
+    @example(LOOKUPS["customer360"], [("7", "0", 2), ("8", "0", 2), ("?int", "0", 0), ("7e", "0", 0)])
+    @given(
+        st.sampled_from(TEMPLATES + sorted(QUERIES.values())),
+        st.lists(
+            st.tuples(st.sampled_from(SPELLINGS), st.sampled_from(SPELLINGS), st.integers(0, len(NOISE) - 1)),
+            min_size=2, max_size=6,
+        ),
+    )
+    def test_a_text_is_read_as_the_parser_reads_it_whatever_was_learned_before(self, template, bindings):
+        """Statement, canonical text and `lift` - or the same `ParseError`."""
+        keys._PARSED.clear()
+        keys._TEMPLATES.clear()
+        for a, b, noise in bindings:
+            text = NOISE[noise](template.replace("{id}", a).replace("{b}", b))
+            assert canonical(text) == parsed(text), text
+
+    def test_a_known_spelling_meets_neither_lexer_nor_parser(self):
+        keys._TEMPLATES.clear()
+        skipped = [lexer.tokenize, parser._Parser.parse_statement]
+        for template in TEMPLATES[:15]:
+            learned = calls_to(skipped, lambda: canonical_statement(template.format(id=41, b="'open'")))
+            assert set(learned.values()) == {1}
+            if not lift(parse(template.format(id=41, b="'open'"))).values:
+                continue  # the ON constant: nothing lifts, no template
+            for a, b in ((42, "'open'"), (43, "'closed'"), (2**53, "''")):
+                text = template.format(id=a, b=b)
+                hit = calls_to(skipped, lambda: canonical_statement(text))
+                assert set(hit.values()) == {0} and canonical(text) == parsed(text), text
+
+    @pytest.mark.parametrize("other", ["total < 600 LIMIT 5", "total < 500 LIMIT 6"])
+    def test_a_verbatim_constant_that_differs_never_shares_a_template(self, other):
+        keys._TEMPLATES.clear()
+        text = "SELECT id FROM orders WHERE cust_id = {} AND total < 500 LIMIT 5"
+        canonical_statement(text.format(41))
+        counted = [parser._Parser.parse_statement]
+        again = text.replace("total < 500 LIMIT 5", other)
+        assert calls_to(counted, lambda: canonical_statement(again.format(42))) == {"_Parser.parse_statement": 1}
+        assert canonical(again.format(43)) == parsed(again.format(43))
+        # ... and each keeps its own: neither evicted the other's prototype
+        for spelling in (text, again):
+            assert calls_to(counted, lambda: canonical_statement(spelling.format(44))) == {"_Parser.parse_statement": 0}
+
+    def test_an_integer_no_slot_holds_is_parsed_and_teaches_nothing_wrong(self):
+        keys._TEMPLATES.clear()
+        text = "SELECT name FROM customers WHERE id = {} AND segment = {}"
+        for a, b in ((7, "'smb'"), (2**53 + 1, "'smb'"), (8, "'smb'"), (2**53 + 1, "'x'"), (9, "''")):
+            assert canonical(text.format(a, b)) == parsed(text.format(a, b))
+
+    def test_what_a_text_cannot_say_takes_the_parser(self):
+        for text in ("SELECT a FROM t WHERE x = 5 -- c", "SELECT a FROM t WHERE x = '\u00e9'"):
+            assert lexer.mask(text) is None
+        assert lexer.mask("SELECT 'a--b'") is None  # coarse, and safe
+        assert lexer.mask("SELECT a1, t.5 FROM t WHERE x=1.5 AND y<>'2024-02-30'") == (
+            "SELECT a1, t?float FROM t WHERE x=?float AND y<>?str", [0.5, 1.5, "2024-02-30"]
+        )
+
+
 # -- what a shape hit skips, counted ---------------------------------------------
 
 
@@ -306,18 +546,32 @@ class TestWorkSaved:
         from repro.engine.rewrite import optimize_logical
         from repro.wrappers.pushability import can_push_select
 
-        skipped = [FederatedPlanner.plan, optimize_logical, bind_select, can_push_select]
+        skipped = [
+            FederatedPlanner.plan, optimize_logical, bind_select, can_push_select,
+            parser._Parser.parse_statement, lexer.tokenize, LocalEngine.logical_plan,
+        ]
         engine = connect(parallel_workers=1)  # the profiler sees one thread
+        lowered = []  # by which engine: the hub's own assembly, once per query, is all that is left
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is LocalEngine.lower.__code__:
+                if frame.f_back.f_code is not LocalEngine.lower.__code__:
+                    lowered.append(frame.f_locals["self"])
+
         for name, template in LOOKUPS.items():
             first = calls_to(skipped, lambda: engine.query(template.format(id=7)))
             assert first["FederatedPlanner.plan"] == 1 and first["can_push_select"] >= 1
-            # Left as it was: a bind join's per-chunk statement is keyed whole,
-            # so customer360's one-key probe of `orders` is prepared per id.
-            per_key_list = int(name == "customer360")
-            for cust_id, planned in ((8, per_key_list), (9, per_key_list), (8, 0)):
+            for cust_id in (8, 9, 8):  # customer360's one-key probes of `orders` and `credit` too
                 hit = calls_to(skipped, lambda: engine.query(template.format(id=cust_id)))
-                assert hit.pop("FederatedPlanner.plan") == 0
-                assert set(hit.values()) == {planned}, (name, cust_id, hit)
+                assert set(hit.values()) == {0}, (name, cust_id, hit)
+            sys.setprofile(profile)
+            try:
+                engine.query(template.format(id=10))
+            finally:
+                sys.setprofile(None)
+        hub_only = [lowerer.db.name for lowerer in lowered]
+        assert len(lowered) >= len(LOOKUPS) and len(set(map(id, lowered))) == 1, hub_only
+        assert lowered[0] not in [getattr(s, "engine", None) for s in engine.catalog.sources.values()]
 
     def test_each_lookup_template_is_one_slot_and_a_family_of_at_most_two(self):
         engine = connect()
@@ -349,8 +603,9 @@ class TestWorkSaved:
             engine.query(sql)
         bound = []
         monkeypatch.setattr(FederatedPlan, "bound_to", lambda plan, values: bound.append(plan))
-        for prepares in ("plant", "rebind_plan"):  # what a source plans or binds with
-            monkeypatch.setattr(relational, prepares, lambda *args: bound.append(args))
+        # what a source plans or binds with
+        monkeypatch.setattr(relational, "plant", lambda *args: bound.append(args))
+        monkeypatch.setattr(PhysicalOp, "bound_to", lambda *args: bound.append(args))
         plans = calls_to([FederatedPlanner.plan], lambda: [engine.query(sql) for sql in QUERIES.values()])
         engine.close()
         assert not bound and plans == {"FederatedPlanner.plan": 0}
