@@ -37,7 +37,7 @@ def run_policy(policy_name):
     clock = Clock()
     manager = ViewManager(engine, clock=clock)
     if policy_name == "live":
-        manager.define_virtual("dash", SQL)
+        engine.catalog.define("dash", SQL)  # a name without rows: every read federates
     elif policy_name == "manual":
         manager.define_materialized("dash", SQL, RefreshPolicy.MANUAL)
     else:
@@ -51,7 +51,7 @@ def run_policy(policy_name):
     for read in range(READS):
         clock.now = read * READ_SPACING_S
         if policy_name == "live":
-            result = engine.query(SQL)
+            result = engine.query("SELECT city, open_orders FROM dash")
             live_query_cost = result.elapsed_seconds
             staleness = 0.0
         else:

@@ -15,7 +15,6 @@ the update saga with a mid-flight failure and check compensation.
 from repro.common.types import DataType as T
 from repro.eai import ProcessDefinition, ProcessEngine, Step
 from repro.federation import FederatedEngine, FederationCatalog
-from repro.mediator import GavMediator, MediatedSchema
 from repro.sources import RelationalSource
 from repro.storage import Database
 
@@ -53,15 +52,14 @@ def build_eii(hr, facilities, it):
     catalog.register_source(RelationalSource("hr", hr))
     catalog.register_source(RelationalSource("facilities", facilities))
     catalog.register_source(RelationalSource("it", it))
-    schema = MediatedSchema()
-    schema.define(
+    catalog.define(
         "employee360",
         "SELECT p.emp_id AS emp_id, p.name AS name, p.dept AS dept, "
         "o.office AS office, m.model AS model "
         "FROM people p JOIN offices o ON p.emp_id = o.emp_id "
         "JOIN machines m ON p.emp_id = m.emp_id",
     )
-    return GavMediator(schema, catalog), FederatedEngine(catalog)
+    return FederatedEngine(catalog)
 
 
 def eai_single_view(hr, facilities, it, predicate):
@@ -116,13 +114,13 @@ def hire_process(hr, facilities, it, fail_at_it: bool) -> ProcessDefinition:
 
 def test_e08_eai_vs_eii(benchmark, record_experiment):
     hr, facilities, it = build_enterprise_dbs()
-    mediator, engine = build_eii(hr, facilities, it)
+    engine = build_eii(hr, facilities, it)
 
     rows = []
     eii_artifacts = 1  # the single view definition
     eai_artifacts = 0
     for path, sql in ACCESS_PATHS.items():
-        eii_result = engine.query(mediator.expand(sql))
+        eii_result = engine.query(sql)
         eai_rows = eai_single_view(hr, facilities, it, EAI_PREDICATES[path])
         assert sorted(eii_result.relation.rows) == eai_rows
         eai_artifacts += 1  # each access path is another hand-written plan
@@ -165,4 +163,4 @@ def test_e08_eai_vs_eii(benchmark, record_experiment):
     assert [row[2] for row in rows] == [1, 1, 1, 1]
     assert [row[3] for row in rows] == [1, 2, 3, 4]
 
-    benchmark(lambda: engine.query(mediator.expand(ACCESS_PATHS["by_department"])))
+    benchmark(lambda: engine.query(ACCESS_PATHS["by_department"]))

@@ -18,7 +18,6 @@ from repro.bench import BenchConfig, build_enterprise
 from repro.common.types import DataType as T
 from repro.correlation import FieldRule, JoinIndex, LinkerConfig, RecordLinker
 from repro.federation import FederatedEngine
-from repro.mediator import GavMediator, MediatedSchema
 from repro.storage.io import relation_from_rows
 
 
@@ -28,8 +27,7 @@ def main():
     engine = FederatedEngine(catalog)
 
     # 1. The mediated view: authored once, reused by every query below.
-    schema = MediatedSchema()
-    schema.define(
+    catalog.define(
         "customer360",
         "SELECT c.id AS cust_id, c.name AS name, c.city AS city, "
         "c.segment AS segment, o.total AS order_total, o.status AS order_status, "
@@ -38,25 +36,23 @@ def main():
         "JOIN orders o ON c.id = o.cust_id "
         "JOIN credit cr ON cr.cust_id = c.id",
     )
-    mediator = GavMediator(schema, catalog)
 
     print("== the global view of one customer ==")
-    plan = mediator.expand(
+    result = engine.query(
         "SELECT v.name, v.city, v.order_total, v.order_status, v.credit_score "
         "FROM customer360 v WHERE v.cust_id = 7"
     )
-    result = engine.query(plan)
     print(result.relation.pretty())
     print(f"(component queries: {result.metrics.total_source_queries()}, "
           f"rows shipped: {result.metrics.rows_shipped})\n")
 
     print("== top enterprise accounts by revenue ==")
-    plan = mediator.expand(
+    top_accounts = engine.query(
         "SELECT v.name, SUM(v.order_total) AS revenue, MAX(v.credit_score) AS score "
         "FROM customer360 v WHERE v.segment = 'enterprise' "
         "GROUP BY v.name ORDER BY revenue DESC LIMIT 5"
     )
-    print(engine.query(plan).relation.pretty())
+    print(top_accounts.relation.pretty())
     print()
 
     # 2. Correlate the partner directory that has NO shared key with CRM.

@@ -12,7 +12,6 @@ scattered across sources.
 from repro.common.types import DataType as T
 from repro.eai import ProcessDefinition, ProcessEngine, Step
 from repro.federation import FederatedEngine, FederationCatalog
-from repro.mediator import GavMediator, MediatedSchema
 from repro.sources import RelationalSource
 from repro.storage import Database
 
@@ -75,15 +74,13 @@ def main():
     catalog.register_source(RelationalSource("facilities", facilities))
     catalog.register_source(RelationalSource("it", it))
 
-    schema = MediatedSchema()
-    schema.define(
+    catalog.define(
         "employee360",
         "SELECT p.emp_id AS emp_id, p.name AS name, p.dept AS dept, "
         "o.office AS office, m.model AS model "
         "FROM people p JOIN offices o ON p.emp_id = o.emp_id "
         "JOIN machines m ON p.emp_id = m.emp_id",
     )
-    mediator = GavMediator(schema, catalog)
     engine = FederatedEngine(catalog)
 
     print("== read side (EII): one view, any access path ==")
@@ -91,7 +88,7 @@ def main():
         ("by id", "SELECT * FROM employee360 e WHERE e.emp_id = 2"),
         ("by dept", "SELECT e.name, e.office FROM employee360 e WHERE e.dept = 'eng'"),
     ]:
-        result = engine.query(mediator.expand(sql))
+        result = engine.query(sql)
         print(f"[{label}]")
         print(result.relation.pretty())
     print()
@@ -105,11 +102,7 @@ def main():
     )
     print(f"status: {ok.status}; steps: {ok.executed}; "
           f"runs {ok.simulated_seconds/86400:.1f} simulated days")
-    print(
-        engine.query(
-            mediator.expand("SELECT * FROM employee360 e WHERE e.emp_id = 10")
-        ).relation.pretty()
-    )
+    print(engine.query("SELECT * FROM employee360 e WHERE e.emp_id = 10").relation.pretty())
     print()
 
     print("== write side: supplier outage mid-saga ==")
@@ -128,7 +121,7 @@ def main():
     print("== generated update method: UPDATE employee360 SET … ==")
     from repro.mediator import UpdateSagaGenerator
 
-    generator = UpdateSagaGenerator(schema, catalog)
+    generator = UpdateSagaGenerator(catalog)
     saga = generator.generate(
         "employee360",
         {"dept": "research", "model": "mac"},
@@ -140,11 +133,7 @@ def main():
         print(f"  - {step.name}")
     result = process_engine.run(saga)
     print(f"status: {result.status}")
-    print(
-        engine.query(
-            mediator.expand("SELECT * FROM employee360 e WHERE e.emp_id = 2")
-        ).relation.pretty()
-    )
+    print(engine.query("SELECT * FROM employee360 e WHERE e.emp_id = 2").relation.pretty())
 
 
 if __name__ == "__main__":

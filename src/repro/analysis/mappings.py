@@ -1,6 +1,6 @@
 """GAV/LAV mapping lint (EII3xx diagnostics).
 
-GAV side: every view in a `MediatedSchema` is checked for dangling table
+GAV side: every view a `FederationCatalog` defines is checked for dangling table
 references, definition cycles and computed columns that make updates
 untranslatable (the view-update problem), then its body is semantically
 analyzed like any query. LAV side: rules are checked for safety, pairwise
@@ -11,7 +11,7 @@ never use.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, error, warning
 from repro.mediator.cq import ConjunctiveQuery, Var, is_contained_in
@@ -24,15 +24,15 @@ from repro.sql.ast import ColumnRef, Select, Star
 # ---------------------------------------------------------------------------
 
 
-def lint_gav(schema, catalog) -> List[Diagnostic]:
-    """Lint every view of a `MediatedSchema` against a base resolver.
-
-    `catalog` is anything with `resolve_table` (typically a
-    `FederationCatalog`) resolving the *non*-virtual tables.
-    """
+def lint_gav(catalog, names: Optional[Iterable[str]] = None) -> List[Diagnostic]:
+    """Lint the views defined in `catalog` (a `FederationCatalog`) - all its
+    plain-SELECT definitions, or those named (a workspace's own)."""
     diags: List[Diagnostic] = []
+    defined = catalog.definitions
     views: Dict[str, Select] = {
-        name: schema.definition(name) for name in schema.names()
+        name: defined[name].statement
+        for name in sorted(defined if names is None else names)
+        if isinstance(defined[name].statement, Select)
     }
 
     cyclic = _find_cycles(views)
@@ -49,7 +49,7 @@ def lint_gav(schema, catalog) -> List[Diagnostic]:
     for name, view in views.items():
         for ref in view.tables():
             key = ref.name.lower()
-            if key in views or _resolves(catalog, ref.name):
+            if key in defined or catalog.has_table(key):
                 continue
             diags.append(
                 error(
@@ -74,37 +74,27 @@ def lint_gav(schema, catalog) -> List[Diagnostic]:
             )
 
     if not cyclic:
-        diags.extend(_semantic_check_views(schema, catalog, views))
+        diags.extend(_semantic_check_views(catalog, views))
     return diags
 
 
-def _semantic_check_views(schema, catalog, views: Dict[str, Select]) -> List[Diagnostic]:
+def _semantic_check_views(catalog, views: Dict[str, Select]) -> List[Diagnostic]:
     """Run the EII1xx semantic pass over each view body.
 
-    The GAV mediator itself is the resolver, so views over views check out
-    and column-level defects inside definitions surface with the view name
-    as the diagnostic origin.
+    The catalog resolves views and tables alike, so views over views check
+    out and column-level defects inside definitions surface with the view
+    name as the diagnostic origin.
     """
     from repro.analysis.semantic import analyze_statement
-    from repro.mediator.gav import GavMediator
 
-    mediator = GavMediator(schema, catalog)
     diags: List[Diagnostic] = []
     for name, view in views.items():
         try:
-            found = analyze_statement(view, mediator)
+            found = analyze_statement(view, catalog)
         except Exception:  # a broken sibling view can poison resolution
             continue
         diags.extend(d.with_origin(name) for d in found)
     return diags
-
-
-def _resolves(catalog, name: str) -> bool:
-    try:
-        catalog.resolve_table(name)
-    except Exception:
-        return False
-    return True
 
 
 def _find_cycles(views: Dict[str, Select]) -> Set[str]:

@@ -4,7 +4,7 @@ Mirrors the binder's checks — unknown/ambiguous names, aggregate placement,
 UNION widths — but *collects* typed diagnostics instead of raising on the
 first defect, and adds an expression type checker the binder does not have.
 The resolver is duck-typed: anything with `resolve_table(name) -> RelSchema`
-(a `Database` adapter, a `FederationCatalog`, a `GavMediator`).
+(a `Database` adapter, a `FederationCatalog` - definitions included).
 """
 
 from __future__ import annotations

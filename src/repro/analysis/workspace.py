@@ -40,35 +40,33 @@ def workspace_files(root: str) -> List[str]:
     return sorted(found)
 
 
-def lint_workspace(root: str, catalog, resolver=None) -> AnalysisReport:
+def lint_workspace(root: str, catalog) -> AnalysisReport:
     """Lint every query/mapping file under `root` against `catalog`."""
     report = AnalysisReport()
     files = workspace_files(root)
     if not files:
         return report
 
-    gav_schema = None
+    gav_views: List[str] = []
     lav_mappings: List[LavMapping] = []
     lav_workload: List[ConjunctiveQuery] = []
     lav_origin: dict = {}
 
     # Mappings first: queries may reference GAV views defined in the
-    # workspace, so the resolver must know them before the SQL pass runs.
+    # workspace, so the catalog - a fork: the live one is not touched - must
+    # know them before the SQL pass runs.
+    catalog = catalog.fork()
     for path in files:
         origin = os.path.relpath(path, root if os.path.isdir(root) else os.path.dirname(root) or ".")
         if path.endswith(".gav"):
-            gav_schema = gav_schema or _new_schema()
-            report.extend(_load_gav(path, origin, gav_schema))
+            report.extend(_load_gav(path, origin, catalog, gav_views))
         elif path.endswith(".lav"):
             report.extend(
                 _load_lav(path, origin, lav_mappings, lav_workload, lav_origin)
             )
 
-    if gav_schema is not None:
-        from repro.mediator.gav import GavMediator
-
-        resolver = GavMediator(gav_schema, resolver or catalog)
-        report.extend(lint_gav(gav_schema, catalog))
+    if gav_views:
+        report.extend(lint_gav(catalog, gav_views))
     if lav_mappings:
         for diagnostic in lint_lav(lav_mappings, lav_workload):
             # per-view findings carry the view name; point at the file instead
@@ -78,7 +76,7 @@ def lint_workspace(root: str, catalog, resolver=None) -> AnalysisReport:
                 )
             )
 
-    analyzer = QueryAnalyzer(resolver=resolver or catalog, catalog=catalog)
+    analyzer = QueryAnalyzer(catalog=catalog)
     for path in files:
         if not path.endswith(".sql"):
             continue
@@ -89,12 +87,6 @@ def lint_workspace(root: str, catalog, resolver=None) -> AnalysisReport:
             found = analyzer.analyze(statement_text)
             report.extend(d.with_origin(origin) for d in found)
     return report
-
-
-def _new_schema():
-    from repro.mediator.gav import MediatedSchema
-
-    return MediatedSchema()
 
 
 def _split_statements(content: str) -> List[str]:
@@ -115,8 +107,8 @@ def _split_statements(content: str) -> List[str]:
     return out
 
 
-def _load_gav(path: str, origin: str, schema) -> List:
-    """Parse `name = SELECT ...` lines into `schema`; report bad lines."""
+def _load_gav(path: str, origin: str, catalog, names: List[str]) -> List:
+    """Define `name = SELECT ...` lines in `catalog`; report bad lines."""
     diags: List = []
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -136,7 +128,7 @@ def _load_gav(path: str, origin: str, schema) -> List:
             continue
         name, definition = stripped.split("=", 1)
         try:
-            schema.define(name.strip(), definition.strip())
+            names.append(catalog.define(name.strip(), definition.strip()).name.lower())
         except Exception as exc:  # noqa: BLE001 - any parse failure is EII100
             diags.append(
                 error(

@@ -43,8 +43,7 @@ def canonical_statement(query) -> Tuple[object, Optional[str]]:
     cache miss costs no extra work) and a repeated text skips lexer, parser
     and printer altogether; a new text whose masked spelling was parsed
     before skips lexer and parser. SELECT ASTs are printed directly.
-    Anything else — e.g. an already-built `LogicalPlan` — passes through
-    with no key, and therefore bypasses the text-keyed cache levels.
+    Anything else has no key: no engine takes it for a query.
     """
     if isinstance(query, str):
         known = _PARSED.get(query)

@@ -238,8 +238,12 @@ class CostModel:
         """All that estimating reads of the *values* of `stmt`'s lifted constants:
         per slot, `eq_selectivity(value)` (`_comparison_selectivity` asks it) under
         the current statistics of every table its column may belong to; of a
-        bind join's keys, how many there are (`selectivity` of an IN-list)."""
+        bind join's keys, how many there are (`selectivity` of an IN-list). A
+        column of a definition is read where it comes from (the provider's
+        `base_column`); where that is not plain the read is the value itself,
+        so no two constants share a plan."""
         reads, lifted = [], lift(stmt)
+        base_column = getattr(self.stats_provider, "base_column", None)
         for column, literal in zip(lifted.columns, lifted.values):
             if literal.__class__ is LiteralValues:
                 reads.append(len(literal))
@@ -247,8 +251,12 @@ class CostModel:
             qualifier = (column.qualifier or "").lower()
             for table in stmt.tables():
                 if not qualifier or table.binding.lower() == qualifier:
-                    stats = self._table_stats(table.name)
-                    stat = stats and stats.column(column.name)
+                    base = (table.name, column.name) if base_column is None else base_column(table.name, column.name)
+                    if base is None:
+                        reads.append(literal.value)
+                        continue
+                    stats = self._table_stats(base[0])
+                    stat = stats and stats.column(base[1])
                     reads.append(stat and stat.eq_selectivity(literal.value))
         return tuple(reads)
 

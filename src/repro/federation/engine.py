@@ -301,17 +301,20 @@ class FederatedEngine:
 
     def query(
         self,
-        query: Union[str, Select, LogicalPlan],
+        query: Union[str, Select, UnionSelect],
         analyze: bool = False,
         use_views: bool = True,
     ) -> FederatedResult:
         """Plan and execute a federated query (cache- and admission-aware).
 
+        A name in FROM may be a source table or stand for a query
+        (`FederationCatalog.define`); the planner unfolds it, every stage applies.
         ``analyze=True`` traces this one query even when the engine has no
         tracer, so `FederatedResult.explain_analyze()` can render per-node
         actuals. With views enabled, a SELECT subsumed by a fresh materialized
         view is answered from the view's rows (zero network; see
-        `repro.views.answering`); ``use_views=False`` forces base federation
+        `repro.views.answering`), as is one whose FROM is such a view's name;
+        ``use_views=False`` forces base federation
         — view refresh runs this way, and differential oracles use it as the
         ground truth. A query that raises still finishes its trace, with the
         error's type on the root span.
@@ -319,15 +322,15 @@ class FederatedEngine:
         tracer = self.tracer
         if analyze and not tracer.enabled:
             tracer = Tracer(keep=1)
-        statement, canonical = self._canonicalize(query)
+        statement, canonical, stamp = self._canonicalize(query)
         trace = tracer.begin("query", sql=canonical)
         # The result level keeps its historical contract: only *textual*
         # queries are served whole from cache (now under the canonical key,
         # so reformatted spellings of one query share an entry).
-        result_key = canonical if isinstance(query, str) else None
+        result_key = stamp + canonical if isinstance(query, str) else None
         view_fallbacks: list = []
         try:
-            if self.config.validate and not isinstance(statement, LogicalPlan):
+            if self.config.validate:
                 # strict pre-flight: an infeasible query never reaches a cache
                 self._raise_unless_ok(
                     self._get_analyzer().analyze(
@@ -338,7 +341,7 @@ class FederatedEngine:
             if result is None and use_views and self._answering is not None:
                 result, view_fallbacks = self._view_result(statement)
             if result is None:
-                plan, plan_was_cached = self._plan(statement, canonical, trace)
+                plan, plan_was_cached = self._plan(statement, canonical, stamp, trace)
                 self._admit(plan)
                 result = self.execute_plan(plan, trace=trace)
                 if plan_was_cached:
@@ -353,13 +356,15 @@ class FederatedEngine:
 
     # -- query stages (each yields a FederatedResult or None) ----------------------
 
-    @staticmethod
-    def _canonicalize(query) -> tuple:
-        """``(statement, canonical SQL)``; rejects anything but a SELECT."""
+    def _canonicalize(self, query) -> tuple:
+        """``(statement, canonical SQL, stamp)``; rejects anything but a SELECT, as
+        text or parsed. What is cached of a statement naming a definition is keyed
+        under its stamp (`FederationCatalog.stamp`), empty for any other."""
         statement, canonical = canonical_statement(query)
-        if not isinstance(statement, (Select, UnionSelect, LogicalPlan)):
+        if not isinstance(statement, (Select, UnionSelect)):
             raise PlanError("federated queries must be SELECT statements")
-        return statement, canonical
+        catalog = self.catalog
+        return statement, canonical, catalog.stamp(statement) if catalog.definitions else ""
 
     def _cached_result(self, result_key) -> Optional[FederatedResult]:
         hit = self.cache.get_result(result_key)  # a None key never hits
@@ -404,11 +409,11 @@ class FederatedEngine:
         )
         return result, []
 
-    def _plan(self, statement, canonical, trace) -> tuple:
+    def _plan(self, statement, canonical, stamp, trace) -> tuple:
         """``(plan, was_cached)`` through the plan cache, verified if strict."""
         if trace is not None:
             trace.root.child("parse", category="parse", sql=canonical)
-        plan, plan_was_cached = self._plan_for(statement, canonical)
+        plan, plan_was_cached = self._plan_for(statement, canonical, stamp)
         if trace is not None:
             trace.root.child(
                 "plan", category="plan", cached=plan_was_cached,
@@ -487,7 +492,7 @@ class FederatedEngine:
         )
         tracer.finish(trace)
 
-    def prepare(self, query: Union[str, Select, LogicalPlan]) -> FederatedPlan:
+    def prepare(self, query: Union[str, Select, UnionSelect]) -> FederatedPlan:
         """Plan a query — through the plan cache — without executing it.
 
         The workload scheduler's admission control prices a queued query with
@@ -497,7 +502,7 @@ class FederatedEngine:
         plan, _ = self._plan_for(*self._canonicalize(query))
         return plan
 
-    def _plan_for(self, statement, canonical) -> "tuple[FederatedPlan, bool]":
+    def _plan_for(self, statement, canonical, stamp) -> "tuple[FederatedPlan, bool]":
         """Cached-plan lookup + (re)planning; returns (plan, was_cached).
 
         Per statement *shape* (`repro.sql.shape`) the cache holds a family of
@@ -509,10 +514,11 @@ class FederatedEngine:
         key, values = canonical, ()
         if isinstance(statement, Select):
             key, _, values = lift(statement)
-        if key is not None and self.adaptive is not None and self.adaptive.policy.feedback:
+        if self.adaptive is not None and self.adaptive.policy.feedback:
             # Calibrations are keyed on the constants, so plans are per text - and
             # per generation: the cache must not serve what feedback disowned.
             key = f"{self.adaptive.generation}: {canonical}"
+        key = stamp + key  # the catalog's generation, when a definition is named
         family = self.cache.get_plan(key) or ()
         for plan in family:
             if plan.slots == values:
@@ -567,7 +573,7 @@ class FederatedEngine:
             )
         return elapsed
 
-    def explain(self, query: Union[str, Select, LogicalPlan]) -> str:
+    def explain(self, query: Union[str, Select, UnionSelect]) -> str:
         plan = self.planner.plan(query)
         report = Report()
         report.add("plan", plan.pretty())

@@ -193,6 +193,8 @@ class FederatedPlanner:
             if not isinstance(query, (Select, UnionSelect)):
                 raise PlanError("federated queries must be SELECT statements")
             query = bind_select(query, self.catalog)
+            if self.catalog.definitions:  # a mediated name stands for its query
+                query = self.catalog.unfold(query)
         return optimize_logical(
             query, self.cost_model, join_dp_limit=self.join_dp_limit
         )

@@ -1,104 +1,25 @@
 """Global-as-view mediation: virtual tables defined over source tables.
 
-`MediatedSchema` holds view definitions (SELECT text or ASTs) over global
-federation tables — or over other mediated tables, which unfold
-recursively. `GavMediator` binds user queries against the virtual schema
-and unfolds every virtual scan into its definition plan wrapped in a
-`LogicalAlias`, producing a plan the federated planner can optimize and
-decompose as usual. Draper's §5 "views as a central metaphor" is exactly
-this machinery: factor the integration into named, reusable pieces.
+A mediated table is a name in the `FederationCatalog` that stands for a query
+over global tables - or over other mediated tables, which unfold recursively
+(`FederationCatalog.define`, `unfold`). The federated planner unfolds such
+names as it binds a statement, so `engine.query()` takes a query over the
+virtual schema as it takes any other; `expand` shows that reformulation on
+its own. Draper's §5 "views as a central metaphor" is exactly this machinery:
+factor the integration into named, reusable pieces.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from repro.common.errors import PlanError, SchemaError
-from repro.common.schema import RelSchema
-from repro.engine.logical import LogicalAlias, LogicalPlan, LogicalScan
-from repro.engine.planner import bind_select
+from repro.engine.logical import LogicalPlan
 from repro.sql.ast import Select
 from repro.sql.parser import parse_select
 
-MAX_UNFOLD_DEPTH = 16
 
-
-class MediatedSchema:
-    """A namespace of virtual table definitions."""
-
-    def __init__(self):
-        self._views: dict[str, Select] = {}
-
-    def define(self, name: str, definition: Union[str, Select]) -> None:
-        """Define (or redefine) virtual table `name`."""
-        if isinstance(definition, str):
-            definition = parse_select(definition)
-        self._views[name.lower()] = definition
-
-    def drop(self, name: str) -> None:
-        if name.lower() not in self._views:
-            raise SchemaError(f"no mediated table {name!r}")
-        del self._views[name.lower()]
-
-    def definition(self, name: str) -> Optional[Select]:
-        return self._views.get(name.lower())
-
-    def names(self) -> list[str]:
-        return sorted(self._views)
-
-    def has(self, name: str) -> bool:
-        return name.lower() in self._views
-
-
-class GavMediator:
-    """Reformulates mediated-schema queries into source-level plans.
-
-    `base_resolver` resolves non-virtual tables (typically a
-    `FederationCatalog`); the mediator itself implements the binder's
-    TableResolver protocol, so virtual and base tables can be mixed freely
-    in one query.
-    """
-
-    def __init__(self, schema: MediatedSchema, base_resolver):
-        self.schema = schema
-        self.base_resolver = base_resolver
-        self._resolving: set[str] = set()
-
-    # -- TableResolver protocol ----------------------------------------------------
-
-    def resolve_table(self, name: str) -> RelSchema:
-        definition = self.schema.definition(name)
-        if definition is None:
-            return self.base_resolver.resolve_table(name)
-        return self._definition_plan(name, depth=0).schema
-
-    # -- reformulation ---------------------------------------------------------------
-
-    def expand(self, query: Union[str, Select, LogicalPlan]) -> LogicalPlan:
-        """Bind `query` against the virtual schema and unfold every view."""
-        if isinstance(query, str):
-            query = parse_select(query)
-        if isinstance(query, Select):
-            query = bind_select(query, self)
-        return self._unfold(query, depth=0)
-
-    def _unfold(self, plan: LogicalPlan, depth: int) -> LogicalPlan:
-        if depth > MAX_UNFOLD_DEPTH:
-            raise PlanError("view definitions nest too deeply (cycle?)")
-        if isinstance(plan, LogicalScan) and self.schema.has(plan.table_name):
-            definition = self._definition_plan(plan.table_name, depth + 1)
-            return LogicalAlias(definition, plan.binding)
-        children = [self._unfold(child, depth) for child in plan.children]
-        return plan.with_children(children) if children else plan
-
-    def _definition_plan(self, name: str, depth: int) -> LogicalPlan:
-        key = name.lower()
-        if key in self._resolving:
-            raise PlanError(f"cyclic view definition involving {name!r}")
-        definition = self.schema.definition(name)
-        self._resolving.add(key)
-        try:
-            bound = bind_select(definition, self)
-            return self._unfold(bound, depth)
-        finally:
-            self._resolving.discard(key)
+def expand(catalog, query: Union[str, Select]) -> LogicalPlan:
+    """`query` bound against `catalog`'s virtual schema, every definition
+    unfolded into its own plan under a `LogicalAlias`: what the federated
+    planner goes on to optimize and decompose."""
+    return catalog.unfolding(parse_select(query) if isinstance(query, str) else query)[0]

@@ -45,8 +45,8 @@ class UpdateSagaGenerator:
     the honest limitation of view updating.
     """
 
-    def __init__(self, mediated_schema, catalog, broker=None):
-        self.schema = mediated_schema
+    def __init__(self, catalog, broker=None):
+        #: the catalog holding both the views (its definitions) and the tables
         self.catalog = catalog
         #: when given, every step (and every compensation) that mutates a
         #: source table announces the change — the same event
@@ -59,9 +59,10 @@ class UpdateSagaGenerator:
 
     def lineage_of(self, view_name: str) -> dict:
         """Map each view output column (lower) to its `_Lineage`."""
-        definition = self.schema.definition(view_name)
-        if definition is None:
+        record = self.catalog.definitions.get(view_name.lower())
+        if record is None:
             raise PlanError(f"no mediated view {view_name!r}")
+        definition = record.statement
         if not isinstance(definition, Select):
             raise PlanError("only plain SELECT views are updatable")
         binding_to_table = {
@@ -85,7 +86,7 @@ class UpdateSagaGenerator:
 
     def _key_class(self, view_name: str, key_lineage: _Lineage) -> dict:
         """binding -> column carrying the key value, via equi-join closure."""
-        definition = self.schema.definition(view_name)
+        definition = self.catalog.definitions[view_name.lower()].statement
         conjuncts = []
         if definition.where is not None:
             conjuncts.extend(split_conjuncts(definition.where))

@@ -5,7 +5,7 @@ r"""An interactive federated SQL shell over the EIIBench enterprise.
 
 Commands:
     \sources            list registered sources and their dialects
-    \tables             list federated tables
+    \tables             list federated tables and defined names (views)
     \explain <sql>      show the federated plan without executing
     \lint <sql|path>    static analysis: a query, or a workspace directory
                         of .sql/.gav/.lav files (typed EIIxxx diagnostics)
@@ -40,6 +40,7 @@ from repro.bench import BenchConfig, build_enterprise
 from repro.common.errors import EIIError
 from repro.federation import EngineConfig
 from repro.netsim import SimClock
+from repro.sql.printer import to_sql
 from repro.telemetry import TelemetryPlane
 from repro.trace import QueryScoreboard, Tracer
 
@@ -106,6 +107,11 @@ class Shell:
                 entry = self.engine.catalog.entry(table)
                 columns = ", ".join(entry.schema.names)
                 self.write(f"  {table:14} @{entry.source.name:10} ({columns})")
+            for name, record in sorted(self.engine.catalog.definitions.items()):
+                rows = "" if record.policy is None else (
+                    f" [materialized, {'dirty' if record.dirty else 'fresh'}]"
+                )
+                self.write(f"  {name:14} = {to_sql(record.statement)}{rows}")
             return True
         if command == "\\explain":
             if not argument.strip():

@@ -1,11 +1,12 @@
-"""View management: virtual views, materialized views and refresh policies.
+"""View management: materialized views and refresh policies.
 
 Draper's §5 names two features that made Nimble usable in the field and
 which "pure" EII lacks: views as the central factoring metaphor, and a
 materialized-view capability that let administrators "choose whether she
 wanted live data for a particular view or not" — a light-weight ETL
-system. `ViewManager` provides both over a federated engine, plus the
-staleness bookkeeping the advisor (E1/E5/E14) measures.
+system. A view is a name in the engine's catalog (`FederationCatalog.define`);
+`ViewManager` gives one rows and a refresh policy, plus the staleness
+bookkeeping the advisor (E1/E5/E14) measures.
 
 `repro.views.answering` closes Halevy's loop: materialized views are not
 just read explicitly, they *answer* ordinary federated SELECTs via
@@ -32,12 +33,11 @@ from repro.views.invalidation import (
     table_dependencies,
     wire_invalidation,
 )
-from repro.views.manager import MaterializedView, RefreshPolicy, ViewManager
+from repro.views.manager import RefreshPolicy, ViewManager
 
 __all__ = [
     "ChangeNotifier",
     "CompiledView",
-    "MaterializedView",
     "QueryShape",
     "RefreshPolicy",
     "ServePolicy",

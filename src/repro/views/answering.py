@@ -18,6 +18,9 @@ Matching is conservative subsumption over normalized `QueryShape`s
   (a, b) answers a query grouped by (a) via re-aggregation with the usual
   derivations — COUNT→SUM, SUM→SUM, MIN→MIN, MAX→MAX, AVG→SUM/COUNT.
 
+A SELECT whose FROM clause *is* a materialized view's name needs no match: it
+runs over the rows as written (`kind="named"`), or unfolds live like any name.
+
 Serving is staleness-aware (`ServePolicy`): a dirty or over-stale view
 falls back to base federation by default (row identity guaranteed), or —
 with ``serve_stale`` — answers anyway, annotated as stale and never
@@ -60,7 +63,7 @@ class ViewProvenance:
     """How a result was answered from a view — carried on FederatedResult."""
 
     view: str
-    kind: str  # "spj" | "exact" | "rollup"
+    kind: str  # "spj" | "exact" | "rollup" | "named" (the view is the FROM clause)
     staleness_s: float
     fresh: bool
     tables: frozenset = frozenset()  # base tables under the view (cache tags)
@@ -344,7 +347,7 @@ class ViewAnswering:
 
     Owned by `FederatedEngine`; `try_answer` is called on the query path
     (result-cache miss, before planning). Everything it knows about a view it
-    reads off the view's `MaterializedView` record; when a view refreshes is
+    reads off the view's `Definition` record; when a view refreshes is
     `ViewManager.refresh_if_due`'s decision. Thread-safe: one lock serializes
     matching, refreshes and staging. Nested engine queries issued by view
     refresh run with ``use_views=False``, so the lock is never re-entered.
@@ -366,11 +369,17 @@ class ViewAnswering:
             return None, []
         manager, catalog = self.engine.views, self.engine.catalog
         with self._lock:
+            fallbacks: list = []
+            if len(statement.from_tables) == 1 and not statement.joins:
+                # FROM is one name and it has rows: the statement runs on them as it is
+                name = statement.from_tables[0].name.lower()
+                named = catalog.definitions.get(name)
+                if named is not None and named.policy is not None:
+                    return self._serve(manager, name, named, statement, "named", fallbacks), fallbacks
             try:
                 q = compile_shape(statement, catalog)
             except EIIError:
                 return None, []
-            fallbacks: list = []
             for name in manager.materialized_names():
                 view = manager.view(name)
                 if view.compiled is None:

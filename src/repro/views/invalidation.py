@@ -5,7 +5,7 @@ should be possible to generate Notify methods automatically." This module
 does exactly that for the read side: a `ChangeNotifier` watches source
 tables (by their monotonic version counters) and announces each change on
 the EAI broker (`repro.eai.table_events`); every materialized view's table
-dependencies are derived *from its own SQL*, so views go stale the moment
+dependencies are derived *from its own definition*, so views go stale the moment
 an underlying table changes — no hand-written plumbing per view.
 """
 
@@ -16,41 +16,19 @@ from typing import Optional
 
 from repro.eai.broker import MessageBroker
 from repro.eai.table_events import publish_table_changed, subscribe_table_changes
-from repro.sql.ast import Select, UnionSelect
 from repro.sql.parser import parse
 
 
-def table_dependencies(sql, mediated_schema=None) -> set[str]:
-    """The lower-cased base-table names a SELECT (or union) references.
+def table_dependencies(sql) -> set[str]:
+    """The lower-cased names a SELECT (or union) has in FROM, as written.
 
-    `sql` is the statement's text, or the statement already parsed. When
-    `mediated_schema` (a `repro.mediator.MediatedSchema`) is given,
-    references to mediated views are expanded recursively, so a dashboard
-    over `customer360` correctly depends on the *source* tables underneath.
-    The mediated names themselves are also included (useful for logging).
+    `sql` is the statement's text, or the statement already parsed. What a
+    name that stands for a query reads underneath is the catalog's to say
+    (`FederationCatalog.unfolding`, kept on a view as `tables`).
     """
     statement = parse(sql) if isinstance(sql, str) else sql
-    selects: list[Select] = []
-    if isinstance(statement, UnionSelect):
-        selects.extend(statement.selects)
-    elif isinstance(statement, Select):
-        selects.append(statement)
-    out: set[str] = set()
-    pending: list[Select] = selects
-    seen_views: set[str] = set()
-    while pending:
-        select = pending.pop()
-        for table in select.tables():
-            name = table.name.lower()
-            out.add(name)
-            if (
-                mediated_schema is not None
-                and name not in seen_views
-                and mediated_schema.has(name)
-            ):
-                seen_views.add(name)
-                pending.append(mediated_schema.definition(name))
-    return out
+    selects = getattr(statement, "selects", (statement,))
+    return {table.name.lower() for select in selects for table in select.tables()}
 
 
 @dataclass
@@ -90,19 +68,16 @@ class ChangeNotifier:
         return changed
 
 
-def wire_invalidation(
-    manager, broker: MessageBroker, eager: bool = False, mediated_schema=None
-) -> dict:
+def wire_invalidation(manager, broker: MessageBroker, eager: bool = False) -> dict:
     """Subscribe a `ViewManager` no engine drives to table-change events.
 
     (An engine's own manager is wired by `FederatedEngine.attach_invalidation`.)
-    Dependencies come from each view's SQL — nothing is declared by hand;
-    pass `mediated_schema` so views over GAV virtual tables depend on the
-    source tables underneath. `eager=True` refreshes immediately on
-    notification; the default marks the view dirty so the next read
-    refreshes (cheaper under bursts). Returns `{view: {tables}}`.
+    Dependencies come from each view's definition — nothing is declared by
+    hand, and a view over a mediated name depends on the source tables
+    underneath. `eager=True` refreshes immediately on notification; the
+    default marks the view dirty so the next read refreshes (cheaper under
+    bursts). Returns `{view: {tables}}`.
     """
-    dependencies = manager.expand_dependencies(mediated_schema)
 
     def on_change(table: str) -> None:
         for name in manager.on_table_changed(table):
@@ -110,4 +85,4 @@ def wire_invalidation(
                 manager.refresh(name)
 
     subscribe_table_changes(broker, on_change)
-    return dependencies
+    return {name: manager.view(name).tables for name in manager.materialized_names()}

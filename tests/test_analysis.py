@@ -24,7 +24,6 @@ from repro.federation import EngineConfig, FederatedEngine
 from repro.federation.nodes import LogicalFetch
 from repro.federation.planner import FederatedPlanner
 from repro.mediator.cq import parse_cq
-from repro.mediator.gav import MediatedSchema
 from repro.mediator.lav import LavMapping
 from repro.sql.ast import BinaryOp, ColumnRef, Literal, Select, SelectItem, TableRef
 from repro.storage.catalog import Database
@@ -242,36 +241,31 @@ class TestCapabilityPass:
 
 class TestMappingLint:
     def test_eii301_view_over_unknown_table(self, catalog):
-        schema = MediatedSchema()
-        schema.define("v", "SELECT x.a FROM missing_table x")
-        diags = lint_gav(schema, catalog)
+        catalog.define("v", "SELECT x.a FROM missing_table x")
+        diags = lint_gav(catalog)
         assert "EII301" in {d.code for d in diags}
 
     def test_eii302_computed_column(self, catalog):
-        schema = MediatedSchema()
-        schema.define("v", "SELECT c.id, UPPER(c.name) AS loud FROM customers c")
-        diags = lint_gav(schema, catalog)
+        catalog.define("v", "SELECT c.id, UPPER(c.name) AS loud FROM customers c")
+        diags = lint_gav(catalog)
         assert "EII302" in {d.code for d in diags}
 
     def test_eii305_cyclic_views(self, catalog):
-        schema = MediatedSchema()
-        schema.define("a", "SELECT b.id FROM b")
-        schema.define("b", "SELECT a.id FROM a")
-        diags = lint_gav(schema, catalog)
+        catalog.define("a", "SELECT b.id FROM b")
+        catalog.define("b", "SELECT a.id FROM a")
+        diags = lint_gav(catalog)
         assert "EII305" in {d.code for d in diags}
 
     def test_gav_view_bodies_semantically_checked(self, catalog):
-        schema = MediatedSchema()
-        schema.define("v", "SELECT c.no_such_column FROM customers c")
-        diags = lint_gav(schema, catalog)
+        catalog.define("v", "SELECT c.no_such_column FROM customers c")
+        diags = lint_gav(catalog)
         found = [d for d in diags if d.code == "EII102"]
         assert found and found[0].origin == "v"
 
     def test_clean_gav_schema(self, catalog):
-        schema = MediatedSchema()
-        schema.define("v", "SELECT c.id, c.name FROM customers c")
-        schema.define("w", "SELECT v.name FROM v")
-        assert lint_gav(schema, catalog) == []
+        catalog.define("v", "SELECT c.id, c.name FROM customers c")
+        catalog.define("w", "SELECT v.name FROM v")
+        assert lint_gav(catalog) == []
 
     def test_eii306_unsafe_rule(self):
         mapping = LavMapping(parse_cq("v(X, Y) :- r(X, Z)"))

@@ -6,7 +6,6 @@ from repro.cache import CacheConfig, CacheHierarchy
 from repro.common.types import DataType as T
 from repro.eai import MessageBroker, ProcessEngine
 from repro.federation import EngineConfig, FederatedEngine, FederationCatalog
-from repro.mediator import MediatedSchema
 from repro.mediator.updates import UpdateSagaGenerator
 from repro.sources import RelationalSource
 from repro.storage import Database
@@ -188,13 +187,12 @@ class TestMediatorWritePath:
         crm.table("customers").insert_many([(1, "ada", "gold"), (2, "bo", "silver")])
         catalog = FederationCatalog()
         catalog.register_source(RelationalSource("crm", crm))
-        schema = MediatedSchema()
-        schema.define("customer360", self.VIEW_SQL)
+        catalog.define("customer360", self.VIEW_SQL)
         broker = MessageBroker()
         cache = CacheHierarchy(CacheConfig())
         engine = FederatedEngine(catalog, EngineConfig(cache=cache))
         engine.attach_invalidation(broker)
-        generator = UpdateSagaGenerator(schema, catalog, broker=broker)
+        generator = UpdateSagaGenerator(catalog, broker=broker)
         return engine, cache, generator
 
     def test_saga_write_invalidates_fetch_and_result(self):

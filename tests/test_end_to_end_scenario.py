@@ -19,7 +19,6 @@ from repro.agreements import (
 from repro.bench import BenchConfig, build_enterprise
 from repro.eai import MessageBroker
 from repro.federation import FederatedEngine
-from repro.mediator import GavMediator, MediatedSchema
 from repro.metadata import (
     ChangeImpactAnalyzer,
     ElementRef,
@@ -40,15 +39,13 @@ def world():
     fixture = build_enterprise(BenchConfig(scale=1))
     catalog = fixture.catalog(include_credit=False, include_docs=False)
     engine = FederatedEngine(catalog)
-    schema = MediatedSchema()
-    schema.define("customer360", VIEW_SQL)
-    mediator = GavMediator(schema, catalog)
-    return fixture, engine, mediator
+    catalog.define("customer360", VIEW_SQL)
+    return fixture, engine
 
 
 class TestLifecycle:
     def test_mediated_view_to_dashboard_to_invalidation(self, world):
-        fixture, engine, mediator = world
+        fixture, engine = world
 
         # 1. A dashboard definition over the mediated view.
         dash_sql = (
@@ -56,24 +53,16 @@ class TestLifecycle:
             "GROUP BY v.city"
         )
 
-        class MediatedEngine:
-            """Adapter: let the ViewManager query through the mediator."""
-
-            def query(self, sql):
-                return engine.query(mediator.expand(sql))
-
-        manager = ViewManager(MediatedEngine())
+        manager = ViewManager(engine)
         manager.define_materialized("dash", dash_sql, RefreshPolicy.MANUAL)
         baseline = {row[0]: row[1] for row in manager.read("dash").rows}
         assert baseline
 
-        # 2. Wire automatic invalidation (expanding the mediated view to its
-        #    source tables) and land a new order.
+        # 2. Wire automatic invalidation (the view depends on the source tables
+        #    under the mediated name) and land a new order.
         broker = MessageBroker()
-        dependencies = wire_invalidation(
-            manager, broker, mediated_schema=mediator.schema
-        )
-        assert "orders" in dependencies["dash"]
+        dependencies = wire_invalidation(manager, broker)
+        assert dependencies["dash"] == {"customer360", "customers", "orders"}
         notifier = ChangeNotifier(broker)
         orders = fixture.sales.table("orders")
         notifier.watch("orders", orders)
@@ -149,11 +138,9 @@ class TestLifecycle:
         assert report.total_cost == pytest.approx(5.0)
 
     def test_mediated_query_answers_match_direct_federation(self, world):
-        _, engine, mediator = world
+        _, engine = world
         mediated = engine.query(
-            mediator.expand(
-                "SELECT v.name, v.total FROM customer360 v WHERE v.total > 4000"
-            )
+            "SELECT v.name, v.total FROM customer360 v WHERE v.total > 4000"
         ).relation.sorted()
         direct = engine.query(
             "SELECT c.name, o.total FROM customers c JOIN orders o "

@@ -6,7 +6,6 @@ from repro.common.errors import PlanError
 from repro.common.types import DataType as T
 from repro.eai import ProcessEngine
 from repro.federation import FederationCatalog
-from repro.mediator import MediatedSchema
 from repro.mediator.updates import UpdateSagaGenerator
 from repro.sources import CsvSource, RelationalSource
 from repro.storage import Database
@@ -37,34 +36,33 @@ def build_world():
     catalog = FederationCatalog()
     catalog.register_source(RelationalSource("crm", crm))
     catalog.register_source(RelationalSource("sales", sales))
-    schema = MediatedSchema()
-    schema.define("customer360", VIEW_SQL)
-    return crm, sales, catalog, schema
+    catalog.define("customer360", VIEW_SQL)
+    return crm, sales, catalog
 
 
 class TestLineage:
     def test_bare_columns_have_lineage(self):
-        _, _, catalog, schema = build_world()
-        generator = UpdateSagaGenerator(schema, catalog)
+        _, _, catalog = build_world()
+        generator = UpdateSagaGenerator(catalog)
         lineage = generator.lineage_of("customer360")
         assert lineage["tier"].table == "customers"
         assert lineage["order_status"].table == "orders"
 
     def test_computed_column_excluded(self):
-        _, _, catalog, schema = build_world()
-        lineage = UpdateSagaGenerator(schema, catalog).lineage_of("customer360")
+        _, _, catalog = build_world()
+        lineage = UpdateSagaGenerator(catalog).lineage_of("customer360")
         assert "doubled" not in lineage
 
     def test_unknown_view_rejected(self):
-        _, _, catalog, schema = build_world()
+        _, _, catalog = build_world()
         with pytest.raises(PlanError):
-            UpdateSagaGenerator(schema, catalog).lineage_of("ghost")
+            UpdateSagaGenerator(catalog).lineage_of("ghost")
 
 
 class TestGeneratedSaga:
     def run_update(self, assignments, key_value=1, fail_second=False):
-        crm, sales, catalog, schema = build_world()
-        generator = UpdateSagaGenerator(schema, catalog)
+        crm, sales, catalog = build_world()
+        generator = UpdateSagaGenerator(catalog)
         saga = generator.generate("customer360", assignments, "cust_id", key_value)
         if fail_second and len(saga.steps) > 1:
             from repro.eai.process import Step
@@ -108,31 +106,31 @@ class TestGeneratedSaga:
         assert statuses == {"open"}
 
     def test_update_of_computed_column_rejected(self):
-        _, _, catalog, schema = build_world()
-        generator = UpdateSagaGenerator(schema, catalog)
+        _, _, catalog = build_world()
+        generator = UpdateSagaGenerator(catalog)
         with pytest.raises(PlanError, match="computed"):
             generator.generate("customer360", {"doubled": 4}, "cust_id", 1)
 
     def test_non_updatable_source_rejected(self):
-        crm, sales, catalog, schema = build_world()
+        crm, sales, catalog = build_world()
         sheet = CsvSource("sheet")
         sheet.add_table("flags", [("cust_id", T.INT), ("flag", T.STRING)], [(1, "x")])
         catalog.register_source(sheet)
-        schema.define(
+        catalog.define(
             "flagged",
             "SELECT f.cust_id AS cust_id, f.flag AS flag FROM flags f",
         )
-        generator = UpdateSagaGenerator(schema, catalog)
+        generator = UpdateSagaGenerator(catalog)
         with pytest.raises(PlanError, match="not updatable"):
             generator.generate("flagged", {"flag": "y"}, "cust_id", 1)
 
     def test_missing_join_key_routing_rejected(self):
-        crm, sales, catalog, schema = build_world()
-        schema.define(
+        crm, sales, catalog = build_world()
+        catalog.define(
             "cross",
             "SELECT c.id AS cid, o.status AS status FROM customers c CROSS JOIN orders o",
         )
-        generator = UpdateSagaGenerator(schema, catalog)
+        generator = UpdateSagaGenerator(catalog)
         with pytest.raises(PlanError, match="join key"):
             generator.generate("cross", {"status": "x"}, "cid", 1)
 

@@ -1,4 +1,4 @@
-"""View manager tests: virtual vs materialized, refresh policies, staleness."""
+"""View tests: names without rows vs materialized, refresh policies, staleness."""
 
 import pytest
 
@@ -30,20 +30,25 @@ OPEN_ORDERS = "SELECT id, total FROM orders WHERE status = 'open'"
 
 
 class TestVirtualViews:
+    READ = "SELECT * FROM open_orders"
+
     def test_virtual_reads_live(self):
-        manager, engine, _ = make_manager()
-        manager.define_virtual("open_orders", OPEN_ORDERS)
-        before = len(manager.read("open_orders"))
+        _, engine, _ = make_manager()
+        engine.catalog.define("open_orders", OPEN_ORDERS)
+        before = len(engine.query(self.READ).relation)
         sales = engine.catalog.sources["sales"]
         sales.db.table("orders").insert((999, 1, 5.0, "open"))
-        after = len(manager.read("open_orders"))
+        after = len(engine.query(self.READ).relation)
         assert after == before + 1
 
     def test_virtual_staleness_zero(self):
-        manager, _, _ = make_manager()
-        manager.define_virtual("open_orders", OPEN_ORDERS)
-        _, staleness = manager.read_with_staleness("open_orders")
-        assert staleness == 0.0
+        """A name without rows is never a stored answer: no provenance, no
+        staleness to report, and nothing for the manager to read."""
+        manager, engine, _ = make_manager()
+        engine.catalog.define("open_orders", OPEN_ORDERS)
+        assert engine.query(self.READ).view is None
+        with pytest.raises(SchemaError):
+            manager.read("open_orders")
 
 
 class TestMaterializedViews:
@@ -107,23 +112,30 @@ class TestMaterializedViews:
 
 class TestRegistry:
     def test_duplicate_name_rejected(self):
-        manager, _, _ = make_manager()
-        manager.define_virtual("v", OPEN_ORDERS)
+        manager, engine, _ = make_manager()
+        engine.catalog.define("v", OPEN_ORDERS)
         with pytest.raises(SchemaError):
             manager.define_materialized("v", OPEN_ORDERS)
+        manager.define_materialized("mv", OPEN_ORDERS)
+        for taken in ("mv", "orders"):  # by a view with rows, by a source table
+            with pytest.raises(SchemaError):
+                engine.catalog.define(taken, OPEN_ORDERS)
+            with pytest.raises(SchemaError):
+                manager.define_materialized(taken, OPEN_ORDERS)
 
     def test_drop(self):
-        manager, _, _ = make_manager()
-        manager.define_virtual("v", OPEN_ORDERS)
+        manager, engine, _ = make_manager()
+        engine.catalog.define("v", OPEN_ORDERS)
         manager.drop("v")
         with pytest.raises(SchemaError):
             manager.drop("v")
 
     def test_names(self):
-        manager, _, _ = make_manager()
-        manager.define_virtual("a", OPEN_ORDERS)
+        manager, engine, _ = make_manager()
+        engine.catalog.define("a", OPEN_ORDERS)
         manager.define_materialized("b", OPEN_ORDERS)
         assert manager.names() == ["a", "b"]
+        assert manager.materialized_names() == ["b"]
 
     def test_refresh_all(self):
         manager, _, _ = make_manager()
