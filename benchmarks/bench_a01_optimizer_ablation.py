@@ -3,11 +3,10 @@
 DESIGN.md calls out three load-bearing choices in the local engine that
 the whole federation inherits: predicate pushdown, cost-based join
 ordering, and index access paths. This ablation executes the same 3-table
-query with stages progressively enabled and reports estimated cost and
-real wall time per configuration.
+query with stages progressively enabled and reports estimated cost and the
+rows the configuration's operators produce (every operator's output, summed:
+the work done, counted rather than timed).
 """
-
-import time
 
 from repro.common.types import DataType as T
 from repro.engine import LocalEngine
@@ -15,6 +14,7 @@ from repro.engine.planner import bind_select
 from repro.engine.rewrite import fold_plan_constants, prune_columns, push_filters
 from repro.sql.parser import parse_select
 from repro.storage import Database
+from repro.trace import instrument_physical
 
 SQL = (
     "SELECT c.name, o.total, t.severity "
@@ -65,13 +65,19 @@ def plan_for(engine, stage: str):
     return plan  # "full"
 
 
-def test_a01_optimizer_ablation(benchmark, record_experiment):
+def operators(op):
+    yield op
+    for child in op.children:
+        yield from operators(child)
+
+
+def test_a01_optimizer_ablation(record_experiment):
     db = build_db()
     engine = LocalEngine(db, optimize=False)
 
     stages = ["naive", "pushdown", "full", "full+index"]
     rows = []
-    wall = {}
+    produced = {}
     answers = {}
     for stage in stages:
         if stage == "full+index":
@@ -81,23 +87,19 @@ def test_a01_optimizer_ablation(benchmark, record_experiment):
         else:
             logical = plan_for(engine, stage)
         estimate = engine.cost_model.estimate(logical)
-        start = time.perf_counter()
-        result = engine.lower(logical).relation()
-        wall[stage] = time.perf_counter() - start
+        root = engine.lower(logical)
+        instrument_physical(root)
+        result = root.relation()
+        produced[stage] = sum(op.actual_rows for op in operators(root))
         answers[stage] = result.sorted().rows
         rows.append(
-            (
-                stage,
-                round(estimate.cost, 0),
-                round(wall[stage] * 1000, 2),
-                len(result),
-            )
+            (stage, round(estimate.cost, 0), produced[stage], len(result))
         )
 
     record_experiment(
         "A1",
         "optimizer ablation: pushdown, join order and indexes each pay",
-        ["configuration", "estimated_cost", "wall_ms", "result_rows"],
+        ["configuration", "estimated_cost", "rows_produced", "result_rows"],
         rows,
         notes="same query, same data; 'naive' executes the bound plan as written",
     )
@@ -105,10 +107,7 @@ def test_a01_optimizer_ablation(benchmark, record_experiment):
     # All configurations agree on the answer.
     assert all(answer == answers["naive"] for answer in answers.values())
     # Shape: each added stage reduces (or at worst preserves) estimated cost,
-    # and the fully optimized plan beats naive wall time decisively.
+    # and the fully optimized plan's operators produce decisively fewer rows.
     costs = [row[1] for row in rows[:3]]
     assert costs[0] > costs[1] >= costs[2]
-    assert wall["naive"] > 3 * wall["full"]
-
-    logical = plan_for(engine, "full")
-    benchmark(lambda: engine.lower(logical).relation())
+    assert produced["naive"] > 3 * produced["full"]

@@ -28,7 +28,7 @@ def run_mix(scale: int):
     return total_seconds, total_queries, per_class
 
 
-def test_a02_mixed_workload(benchmark, record_experiment):
+def test_a02_mixed_workload(record_experiment):
     rows = []
     totals = {}
     for scale in (1, 2, 4):
@@ -60,8 +60,3 @@ def test_a02_mixed_workload(benchmark, record_experiment):
     # mix (a 4x data scale costs well under 4x the time).
     assert totals[1] < totals[2] < totals[4]
     assert totals[4] < 3.0 * totals[1]
-
-    fixture = build_enterprise(BenchConfig(scale=1))
-    engine = FederatedEngine(fixture.catalog())
-    sql = QUERIES["q1_point_lookup"]
-    benchmark(lambda: engine.query(sql))

@@ -39,7 +39,7 @@ def fill(engine):
     return total
 
 
-def test_a03_cache_hierarchy(benchmark, record_experiment):
+def test_a03_cache_hierarchy(record_experiment):
     fixture = build_enterprise(BenchConfig(scale=1, seed=42))
 
     def engine_with(**config_kwargs):
@@ -116,5 +116,3 @@ def test_a03_cache_hierarchy(benchmark, record_experiment):
     # far less than a cold start (everything else stays cached).
     assert warm_s < inval_s < cold_s
     assert 0 < inval_fetch_hits < warm_fetch_hits + 1
-
-    benchmark(lambda: warm_engine.query(QUERIES["q1_point_lookup"]))

@@ -83,7 +83,7 @@ def build_engine(fixture, resilience=None, partial_results=False,
     return FederatedEngine(catalog, EngineConfig(clock=clock, cache=cache, resilience=resilience, partial_results=partial_results))
 
 
-def test_a04_fault_tolerance(benchmark, record_experiment):
+def test_a04_fault_tolerance(record_experiment):
     fixture = build_enterprise(BenchConfig(scale=1, seed=42))
 
     healthy = FederatedEngine(fixture.catalog(include_docs=False))
@@ -179,5 +179,3 @@ def test_a04_fault_tolerance(benchmark, record_experiment):
     assert full_stats["full"] + full_stats["partial"] == total
     for stats in (naive_stats, retry_stats, full_stats):
         assert stats["silently_wrong"] == 0
-
-    benchmark(lambda: full.query(QUERIES["q4_crm_sales_join"]))

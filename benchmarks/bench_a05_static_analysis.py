@@ -94,7 +94,7 @@ def run_query(engine, sql):
     )
 
 
-def test_a05_static_analysis(benchmark, record_experiment):
+def test_a05_static_analysis(record_experiment):
     fixture = build_enterprise(BenchConfig(scale=1, seed=42))
     naive, validated = build_engines(fixture)
 
@@ -167,5 +167,3 @@ def test_a05_static_analysis(benchmark, record_experiment):
         sorted(naive.query(CONTROL).relation.rows)
         == sorted(validated.query(CONTROL).relation.rows)
     )
-
-    benchmark(lambda: validated.query(CONTROL))

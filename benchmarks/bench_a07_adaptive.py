@@ -124,7 +124,7 @@ def run_workload(engine):
     return total, results
 
 
-def test_a07_adaptive(benchmark, record_experiment):
+def test_a07_adaptive(record_experiment):
     configs = [
         ("static", None),
         ("feedback", AdaptiveContext(AdaptivePolicy(lpt=False))),
@@ -216,9 +216,6 @@ def test_a07_adaptive(benchmark, record_experiment):
     lpt_results = engines["feedback+lpt"][1]
     assert sum(r.metrics.lpt_reorders for r in lpt_results) >= 1
 
-    warm_engine = engines["feedback+lpt"][0]
-    benchmark(lambda: warm_engine.query(Q1_LOOKUP))
-
 
 if __name__ == "__main__":
-    raise SystemExit(pytest.main([__file__, "-q", "--benchmark-disable"]))
+    raise SystemExit(pytest.main([__file__, "-q"]))

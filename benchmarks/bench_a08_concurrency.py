@@ -30,7 +30,7 @@ from repro.sched import (
     WorkloadScheduler,
     make_workload,
 )
-from repro.trace.scoreboard import percentile
+from repro.telemetry.stats import percentile
 
 #: the 100-query dashboard-heavy mixed workload, bursty enough to overlap
 QUERIES = 100
@@ -64,7 +64,7 @@ def p95_wait(result, tenant):
     return percentile(waits, 0.95)
 
 
-def test_a08_concurrency(benchmark, enterprise, record_experiment):
+def test_a08_concurrency(enterprise, record_experiment):
     requests = make_workload(QUERIES, seed=SEED, mean_gap_s=MEAN_GAP_S)
     runs, rows = {}, []
     for label, make_config in CONFIGS:
@@ -159,16 +159,6 @@ def test_a08_concurrency(benchmark, enterprise, record_experiment):
     # Fairness: under WFQ the interactive tenant never queues behind batch.
     assert p95_wait(concurrent, "dashboard") <= p95_wait(concurrent, "batch") + 1e-9
 
-    # The kernel pytest-benchmark times: one full wfq+coalesce run.
-    fresh = FederatedEngine(enterprise.catalog())
-    benchmark(
-        lambda: WorkloadScheduler(
-            fresh,
-            tenants=DEFAULT_TENANTS,
-            config=SchedulerConfig(workers=8, policy="wfq", coalesce=True),
-        ).run(requests)
-    )
-
 
 if __name__ == "__main__":
-    raise SystemExit(pytest.main([__file__, "-q", "--benchmark-disable"]))
+    raise SystemExit(pytest.main([__file__, "-q"]))

@@ -136,7 +136,7 @@ CONTROLS = [
 ]
 
 
-def test_a09_concurrency_lint(benchmark, record_experiment):
+def test_a09_concurrency_lint(record_experiment):
     rows = []
     misses = []
     for defect, detector, expected, thunk in DEFECTS:
@@ -209,7 +209,3 @@ def test_a09_concurrency_lint(benchmark, record_experiment):
     assert shipped.ok and not shipped.diagnostics, shipped.render()
     for label, diagnostics in control_findings.items():
         assert diagnostics == [], (label, [d.render() for d in diagnostics])
-
-    # The static lint over the full shipped tree is the timing kernel:
-    # it is what CI pays on every push.
-    benchmark(lambda: lint_concurrency([str(SRC)]))

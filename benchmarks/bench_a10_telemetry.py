@@ -84,7 +84,7 @@ def run_scenario(fixture):
     return telemetry, engine, result
 
 
-def test_a10_telemetry(benchmark, record_experiment):
+def test_a10_telemetry(record_experiment):
     fixture = build_enterprise(BenchConfig(scale=1, seed=42))
     plane, engine, result = run_scenario(fixture)
 
@@ -175,5 +175,3 @@ def test_a10_telemetry(benchmark, record_experiment):
         },
         headline={"metric": "detect_s", "direction": "down"},
     )
-
-    benchmark(lambda: run_scenario(fixture))

@@ -70,7 +70,7 @@ def _project(relation, names):
     )
 
 
-def test_e01_eii_vs_warehouse(benchmark, enterprise, record_experiment):
+def test_e01_eii_vs_warehouse(enterprise, record_experiment):
     engine = FederatedEngine(enterprise.catalog())
     live = engine.query(QUERY)
     live_cost_s = live.elapsed_seconds
@@ -128,5 +128,3 @@ def test_e01_eii_vs_warehouse(benchmark, enterprise, record_experiment):
     # monotone: once warehouse wins it keeps winning
     first_wh = winners.index("warehouse")
     assert all(w == "warehouse" for w in winners[first_wh:])
-
-    benchmark(lambda: FederatedEngine(enterprise.catalog()).query(QUERY))

@@ -40,7 +40,7 @@ def optimized_engine(fixture) -> FederatedEngine:
     return FederatedEngine(fixture.catalog(include_credit=False, include_docs=False), EngineConfig(semijoin="auto"))
 
 
-def test_e02_naive_hub_join(benchmark, record_experiment):
+def test_e02_naive_hub_join(record_experiment):
     rows = []
     ratios = []
     for scale in (1, 2, 4):
@@ -86,7 +86,3 @@ def test_e02_naive_hub_join(benchmark, record_experiment):
     fixture = build_enterprise(BenchConfig(scale=1))
     xml_run = naive_engine(fixture).query(SQL)
     assert xml_run.metrics.wire_bytes >= 2.9 * xml_run.metrics.payload_bytes * 0.9
-
-    fixture = build_enterprise(BenchConfig(scale=1))
-    engine = optimized_engine(fixture)
-    benchmark(lambda: engine.query(SQL))

@@ -72,7 +72,7 @@ def run_policy(policy_name):
     }
 
 
-def test_e05_materialized_views(benchmark, record_experiment):
+def test_e05_materialized_views(record_experiment):
     policies = ["live", "interval(60)", "interval(600)", "manual"]
     stats = {name: run_policy(name) for name in policies}
     rows = [
@@ -100,5 +100,3 @@ def test_e05_materialized_views(benchmark, record_experiment):
     assert staleness == sorted(staleness)
     assert stats["live"]["avg_staleness"] == 0.0
     assert stats["manual"]["refreshes"] == 1
-
-    benchmark(lambda: run_policy("interval(600)"))

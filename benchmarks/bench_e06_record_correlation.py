@@ -52,7 +52,7 @@ def make_linker(blocking=True) -> RecordLinker:
     )
 
 
-def test_e06_record_correlation(benchmark, record_experiment):
+def test_e06_record_correlation(record_experiment):
     rows = []
     f1_by_dirt = {}
     for dirtiness in (0.0, 0.1, 0.25, 0.5):
@@ -95,7 +95,3 @@ def test_e06_record_correlation(benchmark, record_experiment):
     assert all(row[3] > 0.95 for row in rows)  # precision
     # Blocking cuts comparisons by at least 3x without wrecking recall.
     assert all(row[6] * 3 < row[7] for row in rows)
-
-    customers, partners, truth = relations_for(0.1)
-    index = JoinIndex.build(make_linker(), customers, partners, "id", "cid")
-    benchmark(lambda: index.join(customers, partners, "id", "cid"))

@@ -27,7 +27,7 @@ CONFIGS = [
 ]
 
 
-def test_e07_assembly_semijoin(benchmark, record_experiment):
+def test_e07_assembly_semijoin(record_experiment):
     fixture = build_enterprise(BenchConfig(scale=2))
     rows = []
     results = {}
@@ -67,6 +67,3 @@ def test_e07_assembly_semijoin(benchmark, record_experiment):
     assert wire["best-site, semijoin"] < 0.5 * wire["hub, ship-all"]
     # The chosen site co-locates with the biggest producer (sales).
     assert results["best-site, ship-all"].plan.assembly_site == "sales"
-
-    engine = FederatedEngine(fixture.catalog(include_credit=False, include_docs=False), EngineConfig(semijoin="force"))
-    benchmark(lambda: engine.query(SQL))

@@ -112,7 +112,7 @@ def hire_process(hr, facilities, it, fail_at_it: bool) -> ProcessDefinition:
     )
 
 
-def test_e08_eai_vs_eii(benchmark, record_experiment):
+def test_e08_eai_vs_eii(record_experiment):
     hr, facilities, it = build_enterprise_dbs()
     engine = build_eii(hr, facilities, it)
 
@@ -162,5 +162,3 @@ def test_e08_eai_vs_eii(benchmark, record_experiment):
     # Shape: EII artifact count stays 1 while EAI grows linearly per path.
     assert [row[2] for row in rows] == [1, 1, 1, 1]
     assert [row[3] for row in rows] == [1, 2, 3, 4]
-
-    benchmark(lambda: engine.query(ACCESS_PATHS["by_department"]))

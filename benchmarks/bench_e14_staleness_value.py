@@ -28,7 +28,7 @@ def profile(penalty: float) -> WorkloadProfile:
     )
 
 
-def test_e14_staleness_value(benchmark, record_experiment):
+def test_e14_staleness_value(record_experiment):
     advisor = PersistenceAdvisor()
     rows = []
     winners = []
@@ -65,5 +65,3 @@ def test_e14_staleness_value(benchmark, record_experiment):
     assert all(w == "eii" for w in winners[flip:])
     warehouse_intervals = [i for i, w in zip(intervals, winners) if w == "warehouse"]
     assert warehouse_intervals == sorted(warehouse_intervals, reverse=True)
-
-    benchmark(lambda: [advisor.decide(profile(p)) for p in (0.0, 1e-5, 1e-3)])

@@ -38,7 +38,7 @@ def spearman(xs, ys) -> float:
     return cov / var if var else 0.0
 
 
-def test_e15_prediction(benchmark, record_experiment):
+def test_e15_prediction(record_experiment):
     fixture = build_enterprise(BenchConfig(scale=1))
     engine = FederatedEngine(fixture.catalog())
 
@@ -84,6 +84,3 @@ def test_e15_prediction(benchmark, record_experiment):
     assert correlation > 0.6
     cheapest_predicted = min(range(len(predicted)), key=lambda i: predicted[i])
     assert measured[cheapest_predicted] <= sorted(measured)[2]
-
-    sql = queries()["q5_city_revenue"]
-    benchmark(lambda: engine.planner.plan(sql))

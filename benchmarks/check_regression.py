@@ -1,17 +1,23 @@
 """Compare fresh bench results against committed baselines.
 
-Every `bench_aNN_*.py` that passes ``metrics=`` to `record_experiment`
-writes a machine-readable ``results/aNN.json``; pristine copies of those
-live under ``benchmarks/baselines/``. This checker is what CI's
-`bench-regression` job runs after regenerating the results:
+Every `bench_*.py` hands its table to `record_experiment`
+(`benchmarks/conftest.py`), which writes the experiment's one record,
+``results/<id>.json``; pristine copies live under ``benchmarks/baselines/``.
+This checker is what CI's `bench-regression` job runs after regenerating the
+results. For every baseline and every fresh result:
 
 * a **missing** fresh result for a baselined experiment fails (the bench
-  stopped reporting — silent coverage loss);
+  stopped reporting — silent coverage loss), and so does a fresh result
+  **nobody baselined** (an experiment nothing holds to a value);
 * a **failed gate** in a fresh result fails (the bench's own acceptance
   bar, re-evaluated on today's numbers);
-* a **headline regression** fails: each JSON declares its headline
-  metric and direction (``up`` = bigger is better); a fresh value more
-  than ``--tolerance`` (default 20%) worse than baseline is a regression.
+* a **moved table** fails: the counted table (counts and simulated seconds —
+  it replays exactly) must equal the baseline's; the first differing row is
+  named. A change that means to move it re-records the baseline in the same
+  commit (``cp benchmarks/results/<id>.json benchmarks/baselines/``);
+* a **headline regression** fails: a record may declare a headline metric
+  and direction (``up`` = bigger is better); a fresh value more than
+  ``--tolerance`` (default 20%) worse than baseline is a regression.
   Improvements are reported but never fail.
 
 Usage::
@@ -50,17 +56,34 @@ def headline_delta(baseline: dict, fresh: dict) -> tuple:
     return (metric, base, new, worse)
 
 
+def table_difference(baseline: dict, fresh: dict) -> str:
+    """What moved between the two records' tables ('' when equal)."""
+    base, new = baseline.get("table"), fresh.get("table")
+    if base == new:
+        return ""
+    if not base or not new:
+        return "table missing from the " + ("baseline" if not base else "result")
+    if base["headers"] != new["headers"]:
+        return f"table headers {base['headers']} -> {new['headers']}"
+    for number, (was, now) in enumerate(zip(base["rows"], new["rows"]), start=1):
+        if was != now:
+            return f"table row {number} moved: {was} -> {now}"
+    return f"table has {len(new['rows'])} rows, baseline {len(base['rows'])}"
+
+
 def check(results_dir: pathlib.Path, baselines_dir: pathlib.Path, tolerance: float) -> int:
     failures = []
     lines = []
-    baselines = sorted(baselines_dir.glob("a*.json"))
+    baselines = sorted(path.name for path in baselines_dir.glob("*.json"))
     if not baselines:
         print(f"no baselines under {baselines_dir}", file=sys.stderr)
         return 2
-    for base_path in baselines:
-        name = base_path.name
+    for path in sorted(results_dir.glob("*.json")):
+        if path.name not in baselines:
+            failures.append(f"{path.name}: fresh result has no baseline")
+    for name in baselines:
         fresh_path = results_dir / name
-        baseline = load(base_path)
+        baseline = load(baselines_dir / name)
         if not fresh_path.exists():
             failures.append(f"{name}: no fresh result (bench stopped reporting?)")
             continue
@@ -71,8 +94,12 @@ def check(results_dir: pathlib.Path, baselines_dir: pathlib.Path, tolerance: flo
         ]
         if gate_failures:
             failures.append(f"{name}: gates failed: {', '.join(sorted(gate_failures))}")
-        metric, base, new, worse = headline_delta(baseline, fresh)
         verdict = "ok"
+        moved = table_difference(baseline, fresh)
+        if moved:
+            failures.append(f"{name}: {moved}")
+            verdict = "MOVED"
+        metric, base, new, worse = headline_delta(baseline, fresh)
         if metric and worse > tolerance:
             failures.append(
                 f"{name}: headline {metric} regressed "
@@ -81,18 +108,16 @@ def check(results_dir: pathlib.Path, baselines_dir: pathlib.Path, tolerance: flo
             verdict = "REGRESSED"
         elif metric and worse < -tolerance:
             verdict = "improved"
-        lines.append(
-            f"  {name:10s} {metric or '-':22s} "
-            f"{base:>12g} -> {new:>12g}  {verdict}"
-        )
-    print(f"bench regression check (tolerance {100.0 * tolerance:.0f}%):")
+        headline = f"{metric:22s} {base:>12g} -> {new:>12g}" if metric else ""
+        lines.append(f"  {name:10s} {headline:51s}  {verdict}")
+    print(f"bench regression check (tables equal, headlines within {100.0 * tolerance:.0f}%):")
     print("\n".join(lines))
     if failures:
         print(f"\n{len(failures)} failure(s):", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print(f"\nall {len(baselines)} baselined experiments within tolerance")
+    print(f"\nall {len(baselines)} baselined experiments equal")
     return 0
 
 

@@ -1,10 +1,11 @@
 """Shared fixtures for the experiment harness.
 
-Each `bench_eXX_*.py` regenerates one experiment from EXPERIMENTS.md: it
-computes the experiment's series, prints the result table (also appended to
-`benchmarks/results/`), asserts the claim's *shape* (who wins, direction of
-the trend, where the crossover falls) and feeds a representative kernel to
-pytest-benchmark for timing.
+Each `bench_*.py` regenerates one experiment from EXPERIMENTS.md: it computes
+the experiment's series, asserts the claim's *shape* (who wins, direction of
+the trend, where the crossover falls) and hands the table to
+`record_experiment`, which prints it and writes the experiment's one record,
+`benchmarks/results/<id>.json`. `benchmarks/check_regression.py` holds every
+record against its baseline under `benchmarks/baselines/`.
 """
 
 import json
@@ -13,6 +14,7 @@ import pathlib
 import pytest
 
 from repro.bench import BenchConfig, build_enterprise
+from repro.bench.harness import print_experiment
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -21,12 +23,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def enterprise():
     """The shared scale-1 EIIBench enterprise (read-only across benches)."""
     return build_enterprise(BenchConfig(scale=1, seed=42))
-
-
-@pytest.fixture(scope="session")
-def results_dir():
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
 
 
 def _evaluate_gate(value, op, threshold):
@@ -44,13 +40,13 @@ def _evaluate_gate(value, op, threshold):
 
 
 @pytest.fixture
-def record_experiment(results_dir):
-    """Print an experiment table and persist it under benchmarks/results/.
+def record_experiment():
+    """Print an experiment table and write its record, ``results/<id>.json``.
 
-    Alongside the human-readable ``results/<id>.txt``, benches that pass
-    ``metrics`` (a flat name → number dict) get a machine-readable
-    ``results/<id>.json`` with the same schema the regression checker
-    (`benchmarks/check_regression.py`) and CI consume:
+    Every record holds the ``claim`` and the counted ``table`` (``headers`` +
+    ``rows``; the checker requires it equal to the baseline's, so a column may
+    hold only what replays exactly: counts and simulated seconds, never a wall
+    clock). Benches that pass ``metrics`` (a flat name → number dict) add:
 
     * ``metrics`` — the headline numbers of the run;
     * ``gates`` — named pass/fail assertions ``(metric, op, threshold)``,
@@ -58,7 +54,6 @@ def record_experiment(results_dir):
     * ``headline`` — which metric regressions are judged on, and whether
       bigger is better (``direction: "up" | "down"``).
     """
-    from repro.bench.harness import print_experiment
 
     def record(
         experiment_id,
@@ -70,9 +65,12 @@ def record_experiment(results_dir):
         gates=None,
         headline=None,
     ):
-        text = print_experiment(experiment_id, claim, headers, rows, notes)
-        path = results_dir / f"{experiment_id.lower()}.txt"
-        path.write_text(text + "\n")
+        print_experiment(experiment_id, claim, headers, rows, notes)
+        payload = {
+            "name": experiment_id.lower(),
+            "claim": claim,
+            "table": {"headers": headers, "rows": rows},
+        }
         if metrics is not None:
             gate_results = {}
             for name, (metric, op, threshold) in (gates or {}).items():
@@ -84,18 +82,12 @@ def record_experiment(results_dir):
                     "threshold": threshold,
                     "pass": _evaluate_gate(value, op, threshold),
                 }
-            payload = {
-                "name": experiment_id.lower(),
-                "claim": claim,
-                "metrics": {k: metrics[k] for k in sorted(metrics)},
-                "headline": headline,
-                "gates": gate_results,
-                "pass": all(g["pass"] for g in gate_results.values()),
-            }
-            json_path = results_dir / f"{experiment_id.lower()}.json"
-            json_path.write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
-        return text
+            payload["metrics"] = dict(metrics)
+            payload["headline"] = headline
+            payload["gates"] = gate_results
+            payload["pass"] = all(g["pass"] for g in gate_results.values())
+        RESULTS_DIR.mkdir(exist_ok=True)
+        path = RESULTS_DIR / f"{payload['name']}.json"
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     return record

@@ -137,13 +137,6 @@ class FeedbackStore:
             self._entries.move_to_end(signature)
             return max(entry.per_key, 0.0)
 
-    def calibrated_payload(self, signature: str) -> Optional[float]:
-        with self._lock:
-            entry = self._entries.get(signature)
-            if entry is None:
-                return None
-            return max(entry.payload_bytes, 0.0)
-
     def entries(self) -> list:
         """Snapshot of entries, most recently used last."""
         with self._lock:

@@ -499,72 +499,6 @@ class NestedLoopJoinOp(PhysicalOp):
         return f"NestedLoopJoin[{self.kind}]({self.condition})"
 
 
-class MergeJoinOp(PhysicalOp):
-    """Sort-merge equi-join (INNER only); kept for operator-equivalence tests."""
-
-    def __init__(
-        self,
-        left: PhysicalOp,
-        right: PhysicalOp,
-        left_key_positions: Sequence[int],
-        right_key_positions: Sequence[int],
-        description: str = "",
-    ):
-        self.left = left
-        self.right = right
-        self.left_key_positions = list(left_key_positions)
-        self.right_key_positions = list(right_key_positions)
-        self.description = description
-        self.schema = left.schema.concat(right.schema)
-
-    @property
-    def children(self):
-        return (self.left, self.right)
-
-    def run(self):
-        def key_of(row, positions):
-            return tuple(row[i] for i in positions)
-
-        left_rows = sorted(
-            (row for row in self.left.run()
-             if not any(row[i] is None for i in self.left_key_positions)),
-            key=lambda row: key_of(row, self.left_key_positions),
-        )
-        right_rows = sorted(
-            (row for row in self.right.run()
-             if not any(row[i] is None for i in self.right_key_positions)),
-            key=lambda row: key_of(row, self.right_key_positions),
-        )
-        out: list[tuple] = []
-        i = j = 0
-        while i < len(left_rows) and j < len(right_rows):
-            lkey = key_of(left_rows[i], self.left_key_positions)
-            rkey = key_of(right_rows[j], self.right_key_positions)
-            if lkey < rkey:
-                i += 1
-            elif lkey > rkey:
-                j += 1
-            else:
-                j_end = j
-                while j_end < len(right_rows) and key_of(
-                    right_rows[j_end], self.right_key_positions
-                ) == rkey:
-                    j_end += 1
-                i_end = i
-                while i_end < len(left_rows) and key_of(
-                    left_rows[i_end], self.left_key_positions
-                ) == lkey:
-                    i_end += 1
-                for a in range(i, i_end):
-                    for b in range(j, j_end):
-                        out.append(left_rows[a] + right_rows[b])
-                i, j = i_end, j_end
-        return out
-
-    def explain_label(self):
-        return f"MergeJoin({self.description})"
-
-
 class HashAggregateOp(PhysicalOp):
     """Group-by hash aggregation: partition the rows by key, then fold each
     aggregate over each group, groups in order of first appearance.

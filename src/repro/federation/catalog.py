@@ -168,10 +168,6 @@ class FederationCatalog:
         for key, table in staged:
             self._replicas.setdefault(key, []).append(table)
 
-    def replicas_of(self, global_name: str) -> list:
-        """Replica `SourceTable`s registered for one global table."""
-        return list(self._replicas.get(global_name.lower(), ()))
-
     def failover_candidates(self, primary_name: str, tables) -> list:
         """Alternate sources able to answer a fetch reading `tables`.
 

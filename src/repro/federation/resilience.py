@@ -235,10 +235,6 @@ class ResilienceManager:
         with self._lock:
             return {name: b.state.value for name, b in sorted(self._breakers.items())}
 
-    def breaker_transitions(self) -> int:
-        with self._lock:
-            return sum(len(b.transitions) for b in self._breakers.values())
-
     # -- the guarded call --------------------------------------------------------
 
     def backoff_delay(self, attempt: int) -> float:

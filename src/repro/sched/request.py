@@ -163,7 +163,7 @@ class WorkloadResult:
 
     def render(self) -> str:
         """Aligned per-tenant table plus the headline workload line."""
-        from repro.trace.scoreboard import percentile
+        from repro.telemetry.stats import percentile
 
         headers = [
             "tenant",

@@ -109,7 +109,9 @@ class Shell:
                 self.write(f"  {table:14} @{entry.source.name:10} ({columns})")
             for name, record in sorted(self.engine.catalog.definitions.items()):
                 rows = "" if record.policy is None else (
-                    f" [materialized, {'dirty' if record.dirty else 'fresh'}]"
+                    f" [materialized, {'dirty' if record.dirty else 'fresh'}"
+                    + (f"; {record.unmatchable}" if record.unmatchable else "")
+                    + "]"
                 )
                 self.write(f"  {name:14} = {to_sql(record.statement)}{rows}")
             return True

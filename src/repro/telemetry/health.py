@@ -128,7 +128,6 @@ class HealthModel:
         self.policy = policy or HealthPolicy()
         self.alerts = alerts
         self.sources: dict[str, SourceHealth] = {}
-        self._scoreboard_snapshot: dict[str, tuple] = {}
 
     def _entry(self, source: str) -> SourceHealth:
         name = source.lower()
@@ -161,38 +160,6 @@ class HealthModel:
             self._entry(source).breaker_state = state
         for source in sorted(set(windows) | set(self.sources)):
             self._judge(self._entry(source), windows.get(source.lower()), now)
-
-    def observe_scoreboard(
-        self, scoreboard, now: float, breaker_states: Optional[dict] = None
-    ) -> None:
-        """Close a window straight from a `QueryScoreboard`.
-
-        Computes per-source deltas against the previous call's cumulative
-        stats, so callers that already keep a scoreboard (the shell, the
-        benches) get windowed health without separate plumbing.
-        """
-        windows: dict[str, SourceWindow] = {}
-        for name, stats in scoreboard.sources.items():
-            previous = self._scoreboard_snapshot.get(
-                name, (0, 0.0, 0, 0, 0)
-            )
-            fetches = stats.fetches - previous[0]
-            window = SourceWindow(
-                fetches=fetches,
-                failures=stats.failures - previous[2],
-                latency_sum_s=stats.seconds - previous[1],
-                cache_hits=stats.cache_hits - previous[3],
-                retries=stats.retries - previous[4],
-            )
-            self._scoreboard_snapshot[name] = (
-                stats.fetches,
-                stats.seconds,
-                stats.failures,
-                stats.cache_hits,
-                stats.retries,
-            )
-            windows[name] = window
-        self.close_window(windows, now, breaker_states=breaker_states)
 
     # -- the per-window judgment -------------------------------------------------
 

@@ -23,9 +23,10 @@ The default is `NullTracer`: tracing off costs nothing and changes
 nothing.
 """
 
+from repro.telemetry.stats import percentile
 from repro.trace.analyze import analyzed_node_seconds, explain_analyze, instrument_physical
 from repro.trace.export import trace_to_chrome, trace_to_dict, trace_to_json
-from repro.trace.scoreboard import QueryScoreboard, SourceStats, percentile
+from repro.trace.scoreboard import QueryScoreboard, SourceStats
 from repro.trace.span import Event, Span, Trace, makespan
 from repro.trace.tracer import NULL_TRACER, NullTracer, Tracer
 

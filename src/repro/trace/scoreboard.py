@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# The hardened shared implementation (empty, single-sample and clamped
-# fraction edge cases covered by direct unit tests). Re-exported here
-# because scoreboard consumers historically import it from this module.
 from repro.telemetry.stats import percentile
 
 #: Span categories that represent remote work attributable to one source.
@@ -56,17 +53,6 @@ class SourceStats:
     def failure_rate(self) -> float:
         calls = self.fetches + self.failures
         return self.failures / calls if calls else 0.0
-
-    # -- latency profile (consumed by repro.adaptive's LPT scheduler) -------------
-
-    @property
-    def mean_latency_s(self) -> float:
-        return self.seconds / self.fetches if self.fetches else 0.0
-
-    @property
-    def seconds_per_payload_byte(self) -> float:
-        """Observed simulated seconds per shipped payload byte (0 = unknown)."""
-        return self.seconds / self.payload_bytes if self.payload_bytes > 0 else 0.0
 
     def summary(self) -> dict:
         return {

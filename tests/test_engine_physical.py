@@ -9,7 +9,6 @@ from repro.engine.cost import CostModel
 from repro.engine.physical import (
     HashJoinOp,
     LimitOp,
-    MergeJoinOp,
     NestedLoopJoinOp,
     SortOp,
     ValuesOp,
@@ -33,19 +32,17 @@ row_lists = st.lists(
 @given(left=row_lists, right=row_lists)
 @settings(max_examples=120, deadline=None)
 def test_join_algorithms_agree_on_inner_equi_join(left, right):
-    """Hash, merge and nested-loop joins must produce identical bags."""
+    """Hash and nested-loop joins must produce identical bags."""
     left_op = values_op("l", left)
     right_op = values_op("r", right)
 
     hash_rows = HashJoinOp(left_op, right_op, [0], [0]).run()
-    merge_rows = MergeJoinOp(left_op, right_op, [0], [0]).run()
 
     def nl_condition(row):
         return row[0] is not None and row[2] is not None and row[0] == row[2]
 
     nl_rows = NestedLoopJoinOp(left_op, right_op, nl_condition).run()
 
-    assert sorted(map(repr, hash_rows)) == sorted(map(repr, merge_rows))
     assert sorted(map(repr, hash_rows)) == sorted(map(repr, nl_rows))
 
 

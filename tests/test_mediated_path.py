@@ -428,9 +428,12 @@ class TestShell:
         fresh = out.getvalue()
         assert "  customers      @crm" in fresh
         assert "  big_spenders   = SELECT c.name FROM customers AS c WHERE (c.id < 3)\n" in fresh
-        assert "  cities         = SELECT DISTINCT city FROM customers [materialized, fresh]\n" in fresh
+        assert (
+            "  cities         = SELECT DISTINCT city FROM customers "
+            "[materialized, fresh; DISTINCT views are not matchable]\n"
+        ) in fresh
         shell.engine.views.on_table_changed("customers")
         shell.handle("\\tables")
-        assert "[materialized, dirty]" in out.getvalue()[len(fresh):]
+        assert "[materialized, dirty; " in out.getvalue()[len(fresh):]
         shell.handle("SELECT name FROM big_spenders")
         assert "-- 2 rows; 1 component queries" in out.getvalue()
