@@ -30,7 +30,6 @@ from repro.sched import (
     WorkloadScheduler,
     make_workload,
 )
-from repro.telemetry.stats import percentile
 
 #: the 100-query dashboard-heavy mixed workload, bursty enough to overlap
 QUERIES = 100
@@ -56,12 +55,7 @@ CONFIGS = [
 
 
 def p95_wait(result, tenant):
-    waits = [
-        o.queue_wait_s
-        for o in result.by_tenant(tenant)
-        if o.dispatch_index >= 0
-    ]
-    return percentile(waits, 0.95)
+    return result.tenants[tenant].summary()["p95_wait_s"]
 
 
 def test_a08_concurrency(enterprise, record_experiment):
@@ -118,7 +112,7 @@ def test_a08_concurrency(enterprise, record_experiment):
             "serial_makespan_s": round(serial.makespan_s, 6),
             "wfq_makespan_s": round(concurrent.makespan_s, 6),
             "win": round(win, 4),
-            "coalesced_fetches": concurrent.metrics.coalesced_fetches,
+            "coalesced_fetches": concurrent.total.coalesced_fetches,
             "p95_dashboard_wait_s": round(p95_wait(concurrent, "dashboard"), 6),
             "p95_batch_wait_s": round(p95_wait(concurrent, "batch"), 6),
             "dropped": (
@@ -153,8 +147,8 @@ def test_a08_concurrency(enterprise, record_experiment):
 
     # Coalescing engaged: the dashboard-heavy mix repeats statements while
     # they are still in flight.
-    assert concurrent.metrics.coalesced_fetches >= 1
-    assert concurrent.metrics.coalesced_seconds_saved > 0
+    assert concurrent.total.coalesced_fetches >= 1
+    assert concurrent.total.coalesced_seconds_saved > 0
 
     # Fairness: under WFQ the interactive tenant never queues behind batch.
     assert p95_wait(concurrent, "dashboard") <= p95_wait(concurrent, "batch") + 1e-9

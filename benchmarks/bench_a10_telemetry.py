@@ -116,13 +116,13 @@ def test_a10_telemetry(record_experiment):
     assert plane.health.state("sales") == HEALTHY
     assert plane.alerts.first("health.sales") is None
 
-    # -- observe-only: headline counters mirrored, nothing dropped silently ------
-    assert result.metrics.alerts_fired == plane.alerts.fired_total
-    assert result.metrics.health_transitions >= 2  # down and back
+    # -- observe-only: the plane and the workload account agree, nothing dropped -
+    assert plane.health.transition_count >= 2  # down and back
     answered = sum(1 for o in result.outcomes if o.answered)
     errors = sum(1 for o in result.outcomes if not o.answered)
     assert errors > 0  # the outage was user-visible
     assert answered + errors == N_QUERIES
+    assert (result.total.queries, result.total.answered) == (N_QUERIES, answered)
 
     # -- determinism: the seeded scenario replays byte-for-byte ------------------
     plane2, _, _ = run_scenario(fixture)

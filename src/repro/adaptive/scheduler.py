@@ -1,6 +1,6 @@
 """Latency-aware prefetch scheduling (LPT).
 
-`parallel_makespan` list-schedules fetches in submission order, so a long
+`repro.trace.makespan` list-schedules fetches in submission order, so a long
 fetch submitted last can leave every worker but one idle. The scheduler
 predicts each fetch's duration — calibrated rows × per-source latency
 profile when the engine has seen the source before, capability constants

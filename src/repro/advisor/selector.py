@@ -72,12 +72,13 @@ class ViewSelector:
 
     def __init__(
         self,
-        engine=None,
+        engine,
         byte_budget: int = DEFAULT_BYTE_BUDGET,
         min_count: int = 3,
         name_prefix: str = "auto_mv_",
     ):
-        self.engine = None
+        #: the engine whose views this selector manages
+        self.engine = engine
         self.byte_budget = byte_budget
         self.min_count = min_count
         self.name_prefix = name_prefix
@@ -87,12 +88,6 @@ class ViewSelector:
         self._hits: Counter = Counter()
         self._sequence = 0
         self._in_maintain = False
-        if engine is not None:
-            self.attach(engine)
-
-    def attach(self, engine) -> None:
-        """Bind to the engine whose views this selector manages."""
-        self.engine = engine
 
     # -- observation (called by the engine on its query path) -------------------
 
@@ -120,7 +115,7 @@ class ViewSelector:
     def maintain(self) -> None:
         """Refresh dirty owned views, admit winners, retire over budget."""
         engine = self.engine
-        if engine is None or engine.views is None:
+        if engine.views is None:
             return
         with self._lock:
             if self._in_maintain:

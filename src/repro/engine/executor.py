@@ -68,19 +68,13 @@ from repro.sql.parser import parse
 class LocalEngine:
     """Cost-based SQL engine over one `repro.storage.Database`."""
 
-    def __init__(
-        self, db, optimize: bool = True, validate: bool = False, tracer=None
-    ):
+    def __init__(self, db, optimize: bool = True, validate: bool = False):
         self.db = db
         self.optimize = optimize
         #: opt-in strict mode: run static semantic analysis before binding
         #: and raise `AnalysisError` (with every defect listed) instead of
         #: failing on the binder's first complaint
         self.validate = validate
-        #: optional `repro.trace` tracer; local execution is instantaneous
-        #: on the simulated clock, so its spans are structural (plan shape,
-        #: row counts) rather than timed
-        self.tracer = tracer
         self.resolver = DatabaseResolver(db)
         self.cost_model = CostModel(_StatsAdapter(db))
 
@@ -88,19 +82,7 @@ class LocalEngine:
 
     def query(self, query: Union[str, Select, LogicalPlan]) -> Relation:
         """Run a SELECT (text, AST or logical plan) and return its result."""
-        trace = self.tracer.begin("local_query") if self.tracer is not None else None
-        if trace is None:
-            physical = self.physical_plan(query)
-            return physical.relation()
-        plan_span = trace.root.child("plan", category="plan")
-        physical = self.physical_plan(query)
-        plan_span.set(operator=physical.explain_label())
-        execute_span = trace.root.child("execute", category="execute")
-        relation = physical.relation()
-        execute_span.set(rows=len(relation))
-        trace.root.set(rows=len(relation))
-        self.tracer.finish(trace)
-        return relation
+        return self.physical_plan(query).relation()
 
     def explain(self, query: Union[str, Select, LogicalPlan]) -> str:
         """EXPLAIN: the optimized logical plan and the physical operator tree."""

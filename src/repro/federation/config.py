@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
+from repro.common.errors import PlanError
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -42,7 +44,8 @@ class EngineConfig:
     choose_assembly_site: bool = True
     #: a pre-built `FederatedPlanner` (None = construct from this config)
     planner: Optional[Any] = None
-    #: reject queries predicted to run longer than this (None = admit all)
+    #: reject queries predicted to run longer than this (None = admit all);
+    #: the workload scheduler rejects them on arrival, before they queue
     admission_budget_s: Optional[float] = None
     #: a `repro.cache.CacheHierarchy` (None = default: plan cache only)
     cache: Optional[Any] = None
@@ -60,23 +63,30 @@ class EngineConfig:
     validate: bool = False
     #: a `repro.trace.Tracer` (None = the zero-cost no-op tracer)
     tracer: Optional[Any] = None
-    #: adaptive execution: an `AdaptiveContext`, `AdaptivePolicy` or True
+    #: adaptive execution: True (a default `AdaptiveContext`) or an
+    #: `AdaptiveContext`, e.g. ``AdaptiveContext(AdaptivePolicy(lpt=False))``
     adaptive: Optional[Any] = None
-    #: per-source concurrency limiter: anything with a ``slot(source_name)``
-    #: context manager (e.g. `repro.sched.SourceLimiter`); bounds wall-clock
-    #: threads per source inside the prefetch pool
+    #: per-source concurrency limiter (`repro.sched.SourceLimiter`): bounds
+    #: wall-clock threads per source inside the prefetch pool, and the
+    #: workload scheduler's virtual fetch slots per source by the same caps
     source_limiter: Optional[Any] = None
     #: observe-only `repro.telemetry.TelemetryPlane` (or True for a default)
     telemetry: Optional[Any] = None
-    #: answering-queries-using-views: a `repro.views.ViewManager`, or True
-    #: for an engine-owned manager; None disables view answering
-    views: Optional[Any] = None
+    #: answering-queries-using-views through an engine-owned
+    #: `repro.views.ViewManager`
+    views: bool = False
     #: staleness policy for view-answered queries (None = `ServePolicy()`:
     #: serve any non-dirty view, never serve stale)
     view_policy: Optional[Any] = None
-    #: auto-materialization: a `repro.advisor.ViewSelector`, a byte budget
-    #: (int), or True for the default selector; implies ``views`` when set
-    auto_materialize: Optional[Any] = None
+    #: auto-materialization by an engine-owned `repro.advisor.ViewSelector`
+    #: (default byte budget); implies ``views``
+    auto_materialize: bool = False
+
+    def __post_init__(self):
+        for name in ("views", "auto_materialize"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise PlanError(f"{name} must be a bool, got {type(value).__name__}")
 
     def with_overrides(self, **overrides: Any) -> "EngineConfig":
         """A copy with the given fields replaced (unknown names: `TypeError`)."""

@@ -55,12 +55,6 @@ from repro.trace import (
 HUB_TIME_PER_COST_UNIT_S = 2e-6
 
 
-#: Elapsed time of durations on N parallel slots, list-scheduled in submission
-#: order like the thread pool — and the one function the trace layout uses, so
-#: a trace's elapsed time equals the engine's by construction.
-parallel_makespan = makespan
-
-
 @dataclass
 class FederatedResult:
     """A federated query's answer plus its full execution accounting."""
@@ -109,8 +103,7 @@ class FederatedResult:
         if self.replan is not None:
             report.add("replan", self.replan.describe(), self.replan.pretty())
         for name, counters in self.metrics.shown_groups():
-            if name not in ("sched", "telemetry"):  # workload-level, not a query's
-                report.add(name, counter_line(name, counters))
+            report.add(name, counter_line(name, counters))
         if self.view is not None:
             report.add("views", self.view.describe())
         report.add("elapsed", f"simulated elapsed: {self.elapsed_seconds:.4f}s")
@@ -189,8 +182,8 @@ class FederatedEngine:
         self._local = LocalEngine(self._scratch, optimize=False)
         self.tracer = NULL_TRACER
         self.set_tracer(config.tracer)
-        #: observe-only telemetry plane, read at execution time (a scheduler
-        #: may swap one in); the no-op default does no work, like `NULL_TRACER`
+        #: observe-only telemetry plane, shared by every execution and by a
+        #: workload scheduler; the no-op default does no work, like `NULL_TRACER`
         self.telemetry = resolve_telemetry(config.telemetry)
         if self.telemetry.enabled:
             if self.telemetry.clock is None:
@@ -199,57 +192,27 @@ class FederatedEngine:
                 self.telemetry.series.clock = clock
             if self.resilience is not None:
                 self.resilience.attach_telemetry(self.telemetry)
-        #: answering queries using views: a `ViewManager` (engine-owned by
-        #: default) plus the matcher; both None when views are off, keeping
-        #: the query path byte-identical to the view-less engine
-        self.views = self._resolve_views(config.views, config.auto_materialize)
-        self.view_selector = self._resolve_selector(config.auto_materialize)
-        if self.views is not None:
+        #: answering queries using views: an engine-owned `ViewManager` plus
+        #: the matcher (and the advisor, with ``auto_materialize``); all None
+        #: when views are off, keeping the query path byte-identical to the
+        #: view-less engine. Imported lazily like `repro.adaptive`: the views
+        #: package pulls in the local executor.
+        self.views = self._answering = self.view_selector = None
+        if config.views or config.auto_materialize:
             from repro.views.answering import ViewAnswering
             from repro.views.catalog import ServePolicy
-
-            self._answering = ViewAnswering(self, config.view_policy or ServePolicy())
-        else:
-            self._answering = None
-
-    def _resolve_views(self, views, auto_materialize):
-        """Accept a `ViewManager`, True, or None (implied on by the advisor).
-
-        Imported lazily like `repro.analysis`/`repro.adaptive` — the views
-        package pulls in the local executor, which this module must not
-        import at class-definition time.
-        """
-        if views is None or views is False:
-            if not auto_materialize:
-                return None
-            views = True
-        if views is True:
             from repro.views.manager import ViewManager
 
-            return ViewManager(self)
-        return views
+            self.views = ViewManager(self)
+            self._answering = ViewAnswering(self, config.view_policy or ServePolicy())
+        if config.auto_materialize:
+            from repro.advisor.selector import ViewSelector
 
-    def _resolve_selector(self, auto_materialize):
-        """Accept a `ViewSelector`, a byte budget, True, or None."""
-        if auto_materialize is None or auto_materialize is False:
-            return None
-        from repro.advisor.selector import ViewSelector
-
-        if auto_materialize is True:
-            return ViewSelector(self)
-        if isinstance(auto_materialize, (int, float)):
-            return ViewSelector(self, byte_budget=int(auto_materialize))
-        if isinstance(auto_materialize, ViewSelector):
-            auto_materialize.attach(self)
-            return auto_materialize
-        raise PlanError(
-            f"auto_materialize must be a ViewSelector, byte budget or bool, "
-            f"got {type(auto_materialize).__name__}"
-        )
+            self.view_selector = ViewSelector(self)
 
     @staticmethod
     def _resolve_adaptive(adaptive):
-        """Accept an `AdaptiveContext`, an `AdaptivePolicy`, True, or None.
+        """Accept an `AdaptiveContext`, True, or None / False.
 
         Imported lazily (like `repro.analysis`): the adaptive package
         imports federation planner/nodes at module level, so a top-level
@@ -257,17 +220,14 @@ class FederatedEngine:
         """
         if adaptive is None or adaptive is False:
             return None
-        from repro.adaptive import AdaptiveContext, AdaptivePolicy
+        from repro.adaptive import AdaptiveContext
 
-        if isinstance(adaptive, AdaptiveContext):
-            return adaptive
-        if isinstance(adaptive, AdaptivePolicy):
-            return AdaptiveContext(adaptive)
         if adaptive is True:
             return AdaptiveContext()
+        if isinstance(adaptive, AdaptiveContext):
+            return adaptive
         raise PlanError(
-            f"adaptive must be an AdaptiveContext, AdaptivePolicy or bool, "
-            f"got {type(adaptive).__name__}"
+            f"adaptive must be an AdaptiveContext or bool, got {type(adaptive).__name__}"
         )
 
     def close(self) -> None:
@@ -563,7 +523,7 @@ class FederatedEngine:
             static_fetch_seconds(fetch, fetch.est_rows, self.network, site)
             for fetch in plan.fetches
         ]
-        elapsed = parallel_makespan(fetch_predictions, self.parallel_workers)
+        elapsed = makespan(fetch_predictions, self.parallel_workers)
         elapsed += self._assembly_cost(plan.root)
         elapsed += self.network.transfer_seconds(site, "client", plan.est_result_bytes)
         for bind in plan.bind_joins:
@@ -633,7 +593,9 @@ class FederatedEngine:
     ) -> FederatedResult:
         run = Execution(self, plan, metrics, trace)
         fetch_seconds = run.prefetch(plan.fetches)
-        fetch_elapsed = parallel_makespan(fetch_seconds, self.parallel_workers)
+        # list-scheduled in submission order like the pool, by the function the
+        # trace layout uses: a trace's elapsed time equals the engine's
+        fetch_elapsed = makespan(fetch_seconds, self.parallel_workers)
 
         # Mid-query re-optimization: the prefetched relations carry actual
         # cardinalities; when they contradict the estimates badly enough,

@@ -230,7 +230,6 @@ class Execution:
             self.prefetch_span = self.execute_span.child(
                 "prefetch", category="prefetch", parallel_slots=engine.parallel_workers
             )
-        # the plane is read per execution: a scheduler may attach one later
         self.record = Recorder(metrics, self.execute_span, engine.telemetry)
 
     # -- stages --------------------------------------------------------------------

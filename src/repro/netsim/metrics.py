@@ -70,20 +70,6 @@ class MetricsCollector:
     # adaptive-execution telemetry (populated by the federated engine)
     replans: int = 0
     lpt_reorders: int = 0
-    # workload-scheduler telemetry (populated by repro.sched; these live on
-    # the workload/tenant aggregate collectors, not on per-query ones)
-    queue_wait_seconds: float = 0.0
-    coalesced_fetches: int = 0
-    coalesced_seconds_saved: float = 0.0
-    shed_queries: int = 0
-    rejected_queries: int = 0
-    deadline_misses: int = 0
-    # telemetry-plane headline counters (stamped by repro.telemetry; all
-    # zero — and therefore absent from summary() — when telemetry is off)
-    alerts_fired: int = 0
-    alerts_resolved: int = 0
-    health_transitions: int = 0
-    slo_breaches: int = 0
     # answering-queries-using-views telemetry (populated by the engine's
     # view-answering path; absent from summary() when views are off)
     view_hits: int = 0
@@ -251,13 +237,6 @@ SUMMARY_GROUPS = {
         "failovers", "degraded_fetches", "stale_cache_hits",
     ),
     "adaptive": ("replans", "lpt_reorders"),
-    "sched": (
-        "queue_wait_seconds", "coalesced_fetches", "coalesced_seconds_saved",
-        "shed_queries", "rejected_queries", "deadline_misses",
-    ),
-    "telemetry": (
-        "alerts_fired", "alerts_resolved", "health_transitions", "slo_breaches",
-    ),
     "views": ("view_hits", "view_stale_serves", "view_fallbacks"),
 }
 _FLOAT_FIELDS = frozenset(

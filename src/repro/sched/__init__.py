@@ -28,6 +28,7 @@ from repro.sched.request import (
     QueryOutcome,
     QueryRequest,
     Tenant,
+    TenantStats,
     WorkloadResult,
 )
 from repro.sched.scheduler import SchedulerConfig, WorkloadScheduler
@@ -48,6 +49,7 @@ __all__ = [
     "SchedulerConfig",
     "SourceLimiter",
     "Tenant",
+    "TenantStats",
     "WorkloadResult",
     "WorkloadScheduler",
     "make_workload",

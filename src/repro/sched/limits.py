@@ -9,9 +9,9 @@ block until a slot frees, leaving the other workers free to make progress
 against healthy sources.
 
 Wall-clock shaping only: simulated time comes from the metrics layer and
-is untouched. The workload scheduler applies the *same* per-source caps
-to its virtual timeline (see `SchedulerConfig.source_limits`), so the
-simulated account and the thread behavior agree.
+is untouched. The workload scheduler reads the engine's limiter
+(`limit_for`) and applies the *same* per-source caps to its virtual
+timeline, so the simulated account and the thread behavior agree.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A `QueryRequest` is one tenant's query with an arrival time on the
 simulated clock and an optional absolute deadline. The scheduler turns
 each request into a `QueryOutcome` — admitted or rejected, completed or
 shed, with its queue wait and service time on the virtual timeline — and
-the whole run into a `WorkloadResult` carrying aggregate and per-tenant
-`MetricsCollector`s plus the workload trace.
+the whole run into a `WorkloadResult` carrying one `TenantStats` account
+per tenant, one for the run's total, and the workload trace.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.netsim.metrics import MetricsCollector
+from repro.telemetry.stats import percentile
 
 #: Outcome statuses (the full life cycle of a request).
 OK = "ok"
@@ -97,6 +98,58 @@ class QueryOutcome:
 
 
 @dataclass
+class TenantStats:
+    """One tenant's workload account - or, as `WorkloadResult.total`, the run's.
+
+    The scheduler writes each workload fact once, where it happens, into the
+    request's tenant record and the total alike; nothing is re-derived from
+    the outcomes afterwards.
+    """
+
+    name: str
+    #: arrivals, whatever became of them
+    queries: int = 0
+    ok: int = 0
+    partial: int = 0
+    failed: int = 0
+    shed: int = 0
+    rejected: int = 0
+    deadline_misses: int = 0
+    #: queue wait of each dispatched query, in dispatch order
+    waits_s: list = field(default_factory=list)
+    service_s: float = 0.0
+    coalesced_fetches: int = 0
+    coalesced_seconds_saved: float = 0.0
+    #: counters of every execution a dispatch caused, each merged once: an
+    #: answer's own, or a failed query's partial account (`exc.metrics`). A
+    #: result-cache hit adds nothing - it re-serves an execution, with that
+    #: execution's collector.
+    metrics: MetricsCollector = field(default_factory=MetricsCollector)
+
+    @property
+    def answered(self) -> int:
+        return self.ok + self.partial
+
+    @property
+    def mean_wait_s(self) -> float:
+        return sum(self.waits_s) / len(self.waits_s) if self.waits_s else 0.0
+
+    def summary(self) -> dict:
+        return {
+            "queries": self.queries,
+            "answered": self.answered,
+            "shed": self.shed,
+            "rejected": self.rejected,
+            "failed": self.failed,
+            "mean_wait_s": self.mean_wait_s,
+            "p95_wait_s": percentile(self.waits_s, 0.95),
+            "service_s": self.service_s,
+            "deadline_misses": self.deadline_misses,
+            "coalesced_fetches": self.coalesced_fetches,
+        }
+
+
+@dataclass
 class WorkloadResult:
     """The scheduler's account of one workload run."""
 
@@ -106,10 +159,10 @@ class WorkloadResult:
     #: sum of per-query service times — what a one-at-a-time FIFO run of
     #: the same dispatch sequence would have taken end to end
     serial_s: float = 0.0
-    #: aggregate counters over every executed query, plus sched telemetry
-    metrics: MetricsCollector = field(default_factory=MetricsCollector)
-    #: per-tenant aggregates (same shape as `metrics`)
-    tenant_metrics: dict = field(default_factory=dict)
+    #: the run's account: every tenant's facts, summed as they happened
+    total: TenantStats = field(default_factory=lambda: TenantStats("total"))
+    #: tenant name -> that tenant's account
+    tenants: dict = field(default_factory=dict)
     #: the workload span tree (`repro.trace.Trace`), manually laid out on
     #: the virtual timeline; None when the scheduler ran untraced
     trace: Optional[object] = None
@@ -142,29 +195,26 @@ class WorkloadResult:
     # -- reporting ---------------------------------------------------------------
 
     def summary(self) -> dict:
-        counts = {
-            status: len(self.by_status(status))
-            for status in (OK, PARTIAL, FAILED, SHED, REJECTED)
-        }
-        waits = [o.queue_wait_s for o in self.outcomes if o.dispatch_index >= 0]
+        total = self.total
+        waits = total.waits_s
         return {
-            "queries": len(self.outcomes),
-            **counts,
+            "queries": total.queries,
+            "ok": total.ok,
+            "partial": total.partial,
+            "failed": total.failed,
+            "shed": total.shed,
+            "rejected": total.rejected,
             "makespan_s": round(self.makespan_s, 6),
             "serial_s": round(self.serial_s, 6),
             "speedup": round(self.speedup, 4),
             "max_queue_wait_s": round(max(waits), 6) if waits else 0.0,
-            "coalesced_fetches": self.metrics.coalesced_fetches,
-            "coalesced_seconds_saved": round(
-                self.metrics.coalesced_seconds_saved, 6
-            ),
-            "deadline_misses": self.metrics.deadline_misses,
+            "coalesced_fetches": total.coalesced_fetches,
+            "coalesced_seconds_saved": round(total.coalesced_seconds_saved, 6),
+            "deadline_misses": total.deadline_misses,
         }
 
     def render(self) -> str:
         """Aligned per-tenant table plus the headline workload line."""
-        from repro.telemetry.stats import percentile
-
         headers = [
             "tenant",
             "queries",
@@ -177,20 +227,20 @@ class WorkloadResult:
             "misses",
         ]
         rows = []
-        for tenant in sorted(self.tenant_metrics):
-            mine = self.by_tenant(tenant)
-            waits = [o.queue_wait_s for o in mine if o.dispatch_index >= 0]
+        for tenant, stats in sorted(self.tenants.items()):
+            s = stats.summary()
+            waited = bool(stats.waits_s)
             rows.append(
                 [
                     tenant,
-                    str(len(mine)),
-                    str(sum(1 for o in mine if o.answered)),
-                    str(len([o for o in mine if o.status == SHED])),
-                    str(len([o for o in mine if o.status == REJECTED])),
-                    f"{sum(waits) / len(waits):.4f}" if waits else "-",
-                    f"{percentile(waits, 0.95):.4f}" if waits else "-",
-                    f"{sum(o.service_s for o in mine):.4f}",
-                    str(sum(1 for o in mine if o.deadline_missed)),
+                    str(s["queries"]),
+                    str(s["answered"]),
+                    str(s["shed"]),
+                    str(s["rejected"]),
+                    f"{s['mean_wait_s']:.4f}" if waited else "-",
+                    f"{s['p95_wait_s']:.4f}" if waited else "-",
+                    f"{s['service_s']:.4f}",
+                    str(s["deadline_misses"]),
                 ]
             )
         widths = [

@@ -20,14 +20,17 @@ injection, and seeded runs replay byte-identically.
 Virtual execution model, per dispatched query:
 
 - its component fetches (from the engine's own per-fetch accounting)
-  become tasks competing for `workers` global slots, subject to
-  per-source limits; identical in-flight fetch keys coalesce;
+  become tasks competing for `workers` global slots, subject to the
+  engine's per-source limits; identical in-flight fetch keys coalesce;
 - when its last fetch lands, an assembly stage (bind joins, local
   operators, final transfer — everything the engine charged beyond the
   prefetch makespan) runs uncontended;
-- queue wait, service time and deadline outcome land in a
-  `QueryOutcome`, per-tenant counters in `MetricsCollector`s, and the
-  whole timeline in a manually-laid-out `repro.trace.Trace`.
+- the whole timeline lands in a manually-laid-out `repro.trace.Trace`.
+
+Facts recorded once: arrival, rejection, shed, dispatch, completion (with
+its deadline verdict) and coalescing each have one write site below, which
+updates the `QueryOutcome`, the tenant's and the run's `TenantStats`, and
+the engine's telemetry plane (whose no-op default does nothing).
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from typing import Optional
 
 from repro.cache import InFlightRegistry, fetch_key
 from repro.common.errors import AdmissionError, EIIError
-from repro.federation.engine import parallel_makespan
-from repro.netsim.metrics import MetricsCollector
 from repro.sched.request import (
     FAILED,
     OK,
@@ -49,16 +50,21 @@ from repro.sched.request import (
     QueryOutcome,
     QueryRequest,
     Tenant,
+    TenantStats,
     WorkloadResult,
 )
 from repro.sched.wfq import FairQueue
-from repro.telemetry.plane import resolve_telemetry
-from repro.trace.span import Trace
+from repro.trace import Trace, makespan
 
 
 @dataclass
 class SchedulerConfig:
-    """Knobs of the workload scheduler's virtual execution model."""
+    """Knobs of the workload scheduler's virtual execution model.
+
+    The admission budget and the per-source caps are the engine's own
+    (`EngineConfig.admission_budget_s`, `EngineConfig.source_limiter`), so
+    the virtual timeline applies exactly what the engine applies.
+    """
 
     #: global simulated fetch slots shared by every active query
     workers: int = 8
@@ -71,11 +77,6 @@ class SchedulerConfig:
     policy: str = "wfq"
     #: coalesce identical in-flight fetch keys across concurrent queries
     coalesce: bool = True
-    #: per-source virtual concurrency caps, e.g. ``{"crm": 2}``; a source
-    #: not listed is unlimited
-    source_limits: Optional[dict] = None
-    #: reject queries predicted to run longer than this (None = admit all)
-    admission_budget_s: Optional[float] = None
     #: build the workload `Trace` (byte-identical across seeded replays)
     trace: bool = True
 
@@ -107,15 +108,14 @@ class _Active:
 
 
 class WorkloadScheduler:
-    """Runs query workloads concurrently over one shared federated engine."""
+    """Runs query workloads concurrently over one shared federated engine,
+    observed through the engine's own telemetry plane."""
 
     def __init__(
         self,
         engine,
         tenants: Optional[dict] = None,
         config: Optional[SchedulerConfig] = None,
-        scoreboard=None,
-        telemetry=None,
     ):
         self.engine = engine
         self.config = config or SchedulerConfig()
@@ -123,27 +123,6 @@ class WorkloadScheduler:
         self.tenants = {t.name: t for t in (tenants or {}).values()} if isinstance(
             tenants, dict
         ) else {t.name: t for t in (tenants or [])}
-        #: optional `QueryScoreboard` fed one record per outcome
-        self.scoreboard = scoreboard
-        #: observe-only telemetry plane (no-op default). A plane passed
-        #: here is shared with the engine (whose fetch/query hooks feed the
-        #: same instruments); a plane already on the engine is inherited.
-        engine_telemetry = getattr(engine, "telemetry", None)
-        if telemetry is None and engine_telemetry is not None:
-            self.telemetry = engine_telemetry
-        else:
-            self.telemetry = resolve_telemetry(telemetry)
-            if self.telemetry.enabled and (
-                engine_telemetry is None or not engine_telemetry.enabled
-            ):
-                if self.telemetry.clock is None:
-                    clock = getattr(engine, "clock", None)
-                    self.telemetry.clock = clock
-                    self.telemetry.series.clock = clock
-                engine.telemetry = self.telemetry
-                resilience = getattr(engine, "resilience", None)
-                if resilience is not None:
-                    resilience.attach_telemetry(self.telemetry)
 
     # -- public ------------------------------------------------------------------
 
@@ -157,10 +136,9 @@ class _RunState:
     """One workload run's mutable state (the event loop lives here)."""
 
     def __init__(self, scheduler: WorkloadScheduler, requests: list):
-        self.scheduler = scheduler
-        self.engine = scheduler.engine
+        self.engine = engine = scheduler.engine
         self.config = scheduler.config
-        self.telemetry = scheduler.telemetry
+        self.telemetry = engine.telemetry
         self.requests = requests
         self.queue = FairQueue(
             tenants=dict(scheduler.tenants),
@@ -172,17 +150,31 @@ class _RunState:
         self.seq = 0
         self.now = 0.0
         self.free_workers = self.config.workers
-        self.source_free = {
-            name.lower(): int(limit)
-            for name, limit in (self.config.source_limits or {}).items()
-        }
+        #: free virtual slots per capped source: the caps of the engine's
+        #: `source_limiter`, which bounds its real prefetch threads too
+        self.source_free: dict[str, int] = {}
+        limiter = engine.config.source_limiter
+        for name in engine.catalog.sources if limiter is not None else ():
+            limit = limiter.limit_for(name)
+            if limit is not None:
+                self.source_free[name.lower()] = int(limit)
         self.active: dict[int, _Active] = {}
         self.active_order: list[int] = []  # dispatch order of active ids
         self.outcomes: dict[int, QueryOutcome] = {}
+        self.total = TenantStats("total")
+        self.tenants: dict[str, TenantStats] = {}
         self.dispatched = 0
         self.serial_s = 0.0
         self.makespan_s = 0.0
         self.audit: list = []
+
+    def _records(self, outcome: QueryOutcome) -> tuple:
+        """The accounts a fact about `outcome` lands in: its tenant's, the run's."""
+        name = outcome.request.tenant
+        record = self.tenants.get(name)
+        if record is None:
+            record = self.tenants[name] = TenantStats(name)
+        return record, self.total
 
     # -- event plumbing ----------------------------------------------------------
 
@@ -199,10 +191,9 @@ class _RunState:
         while self.events:
             time_s, _, kind, payload = heapq.heappop(self.events)
             self.now = max(self.now, time_s)
-            if self.telemetry.enabled:
-                # close telemetry windows up to virtual time before the
-                # event lands in the window containing `now`
-                self.telemetry.tick(self.now)
+            # close telemetry windows up to virtual time before the event
+            # lands in the window containing `now`
+            self.telemetry.tick(self.now)
             if kind == "arrive":
                 self._on_arrive(payload)
             elif kind == "fetch_done":
@@ -223,24 +214,23 @@ class _RunState:
             return None
 
     def _on_arrive(self, index: int) -> None:
-        request = self.requests[index]
         outcome = self.outcomes[index]
+        request = outcome.request
+        for record in self._records(outcome):
+            record.queries += 1
         estimate = self._estimate(request)
-        budget = self.config.admission_budget_s
+        budget = self.engine.config.admission_budget_s
         if budget is not None and estimate is not None and estimate > budget:
-            outcome.status = REJECTED
-            outcome.finish_s = self.now
-            outcome.error = str(
+            self._reject(
+                outcome,
                 AdmissionError(
                     f"query {request.label!r} predicted to take "
                     f"{estimate:.3f}s, over the {budget:.3f}s admission budget",
                     predicted_seconds=estimate,
                     queued=len(self.queue),
                     queue_depth=self.config.queue_depth,
-                )
+                ),
             )
-            if self.telemetry.enabled:
-                self.telemetry.on_outcome(outcome, now=self.now)
             return
         try:
             self.queue.push(
@@ -250,19 +240,21 @@ class _RunState:
                 token=index,
             )
         except AdmissionError as exc:
-            outcome.status = REJECTED
-            outcome.finish_s = self.now
-            outcome.error = str(exc)
-            if self.telemetry.enabled:
-                self.telemetry.on_outcome(outcome, now=self.now)
+            self._reject(outcome, exc)
             return
-        if self.telemetry.enabled:
-            self.telemetry.on_arrival(request.tenant, len(self.queue))
+        self.telemetry.on_arrival(request.tenant, len(self.queue))
+
+    def _reject(self, outcome: QueryOutcome, error: AdmissionError) -> None:
+        outcome.status = REJECTED
+        outcome.finish_s = self.now
+        outcome.error = str(error)
+        for record in self._records(outcome):
+            record.rejected += 1
+        self.telemetry.on_outcome(outcome, now=self.now)
 
     # -- dispatch (the one place real execution happens) -------------------------
 
     def _dispatch(self, index: int) -> None:
-        request = self.requests[index]
         outcome = self.outcomes[index]
         outcome.dispatch_s = self.now
         outcome.queue_wait_s = max(0.0, self.now - outcome.arrival_s)
@@ -270,31 +262,35 @@ class _RunState:
         self.dispatched += 1
         self._sync_clock()
         try:
-            result = self.engine.query(request.sql)
+            result = self.engine.query(outcome.request.sql)
         except EIIError as exc:
-            metrics = getattr(exc, "metrics", None)
-            duration = metrics.simulated_seconds if metrics is not None else 0.0
+            # what a failed query did before it died is work done: it counts
+            # in serial_s and in the accounts, like an answer's
+            executed = getattr(exc, "metrics", None)
             outcome.status = FAILED
             outcome.error = str(exc)
-            self.serial_s += duration
-            active = _Active(outcome, tasks=[], remaining=0, assembly_s=duration)
-            self._activate(index, active)
-            self._push(self.now + duration, "query_done", index)
-            return
-        outcome.result = result
-        outcome.status = PARTIAL if result.is_partial else OK
-        self.serial_s += result.elapsed_seconds
-        tasks, assembly_s = self._decompose(result)
-        active = _Active(
+            duration = executed.simulated_seconds if executed is not None else 0.0
+            tasks, assembly_s = [], duration
+        else:
+            outcome.result = result
+            outcome.status = PARTIAL if result.is_partial else OK
+            # a result-cache hit re-serves an execution, with its collector
+            executed = None if result.from_cache else result.metrics
+            duration = result.elapsed_seconds
+            tasks, assembly_s = self._decompose(result)
+        self.serial_s += duration
+        for record in self._records(outcome):
+            record.waits_s.append(outcome.queue_wait_s)
+            # ok / partial / failed: one counter field per status
+            setattr(record, outcome.status, getattr(record, outcome.status) + 1)
+            if executed is not None:
+                record.metrics.merge(executed)
+        self.active[index] = _Active(
             outcome, tasks=tasks, remaining=len(tasks), assembly_s=assembly_s
         )
-        self._activate(index, active)
+        self.active_order.append(index)
         if not tasks:
             self._push(self.now + assembly_s, "query_done", index)
-
-    def _activate(self, index: int, active: _Active) -> None:
-        self.active[index] = active
-        self.active_order.append(index)
 
     def _sync_clock(self) -> None:
         """Advance the engine's SimClock to workload virtual time, so
@@ -333,7 +329,7 @@ class _RunState:
             )
             for node, duration in zip(fetches, durations)
         ]
-        fetch_elapsed = parallel_makespan(durations, self.engine.parallel_workers)
+        fetch_elapsed = makespan(durations, self.engine.parallel_workers)
         assembly_s = max(0.0, result.elapsed_seconds - fetch_elapsed)
         return tasks, assembly_s
 
@@ -366,8 +362,7 @@ class _RunState:
                     self.inflight.attach(
                         task.key, (index, task), seconds_saved=task.duration_s
                     )
-                    active.outcome.coalesced_fetches += 1
-                    active.outcome.coalesced_seconds_saved += task.duration_s
+                    self._coalesced(active.outcome, task.duration_s)
                     continue
                 if self.free_workers <= 0:
                     continue
@@ -395,6 +390,14 @@ class _RunState:
                 startable_blocked,
             )
         )
+
+    def _coalesced(self, outcome: QueryOutcome, seconds_saved: float) -> None:
+        """A fetch rode an identical in-flight fetch instead of taking a slot."""
+        outcome.coalesced_fetches += 1
+        outcome.coalesced_seconds_saved += seconds_saved
+        for record in self._records(outcome):
+            record.coalesced_fetches += 1
+            record.coalesced_seconds_saved += seconds_saved
 
     def _source_available(self, source: str) -> bool:
         free = self.source_free.get(source)
@@ -439,11 +442,12 @@ class _RunState:
         outcome.finish_s = self.now
         outcome.service_s = max(0.0, self.now - outcome.dispatch_s)
         deadline = outcome.request.deadline_s
-        if deadline is not None and outcome.finish_s > deadline:
-            outcome.deadline_missed = True
+        outcome.deadline_missed = deadline is not None and outcome.finish_s > deadline
+        for record in self._records(outcome):
+            record.service_s += outcome.service_s
+            record.deadline_misses += outcome.deadline_missed
         self.makespan_s = max(self.makespan_s, self.now)
-        if self.telemetry.enabled:
-            self.telemetry.on_outcome(outcome, now=self.now)
+        self.telemetry.on_outcome(outcome, now=self.now)
 
     def _shed(self, index: int) -> None:
         outcome = self.outcomes[index]
@@ -461,47 +465,23 @@ class _RunState:
                 queue_wait_s=wait,
             )
         )
+        for record in self._records(outcome):
+            record.shed += 1
         self.makespan_s = max(self.makespan_s, self.now)
-        if self.telemetry.enabled:
-            self.telemetry.on_outcome(outcome, now=self.now)
+        self.telemetry.on_outcome(outcome, now=self.now)
 
     # -- finalization ------------------------------------------------------------
 
     def _finalize(self) -> WorkloadResult:
-        outcomes = [self.outcomes[i] for i in range(len(self.requests))]
+        self.telemetry.on_workload_end(self.makespan_s)
         result = WorkloadResult(
-            outcomes=outcomes,
+            outcomes=[self.outcomes[i] for i in range(len(self.requests))],
             makespan_s=self.makespan_s,
             serial_s=self.serial_s,
-            metrics=MetricsCollector(network=self.engine.network),
+            total=self.total,
+            tenants=self.tenants,
             audit=self.audit,
         )
-        for outcome in outcomes:
-            tenant_name = outcome.request.tenant
-            tenant = result.tenant_metrics.get(tenant_name)
-            if tenant is None:
-                tenant = result.tenant_metrics[tenant_name] = MetricsCollector(
-                    network=self.engine.network
-                )
-            for collector in (result.metrics, tenant):
-                if outcome.result is not None:
-                    collector.merge(outcome.result.metrics)
-                if outcome.dispatch_index >= 0:
-                    collector.queue_wait_seconds += outcome.queue_wait_s
-                collector.coalesced_fetches += outcome.coalesced_fetches
-                collector.coalesced_seconds_saved += (
-                    outcome.coalesced_seconds_saved
-                )
-                collector.shed_queries += outcome.status == SHED
-                collector.rejected_queries += outcome.status == REJECTED
-                collector.deadline_misses += outcome.deadline_missed
-            if self.scheduler.scoreboard is not None:
-                self.scheduler.scoreboard.record_outcome(outcome)
-        if self.telemetry.enabled:
-            # one last roll so the workload's final window closes, then
-            # stamp the plane's headline counters into the account
-            self.telemetry.tick(self.makespan_s + self.telemetry.series.window_s)
-            self.telemetry.stamp(result.metrics)
         if self.config.trace:
             result.trace = self._build_trace(result)
         return result
@@ -527,7 +507,7 @@ class _RunState:
         trace.root.set(
             makespan_s=round(result.makespan_s, 9),
             serial_s=round(result.serial_s, 9),
-            coalesced_fetches=result.metrics.coalesced_fetches,
+            coalesced_fetches=result.total.coalesced_fetches,
         )
         for outcome in result.outcomes:
             span = trace.root.child(

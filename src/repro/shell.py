@@ -239,16 +239,8 @@ class Shell:
         except ValueError:
             self.write("usage: \\workload [n [seed]]")
             return
-        requests = make_workload(n, seed=seed)
-        scheduler = WorkloadScheduler(
-            self.engine,
-            tenants=DEFAULT_TENANTS,
-            config=SchedulerConfig(),
-            scoreboard=self.scoreboard if self.tracing else None,
-            telemetry=self.telemetry,
-        )
-        result = scheduler.run(requests)
-        self.write(result.render())
+        scheduler = WorkloadScheduler(self.engine, DEFAULT_TENANTS, SchedulerConfig())
+        self.write(scheduler.run(make_workload(n, seed=seed)).render())
 
     def _views(self) -> None:
         """Materialized-view status plus the advisor's current ranking."""

@@ -4,9 +4,10 @@
 *observation* — the plane never changes behavior, so an engine with a
 plane attached executes byte-for-byte the same queries as one without.
 The default is `NULL_TELEMETRY` (mirroring `NullTracer`): ``enabled`` is
-False, every hook is a no-op, and the engine's one writer
+False and every hook is a no-op. The engine's one writer
 (`repro.federation.execution.Recorder`) guards on ``telemetry.enabled`` so
-the disabled path does zero extra work.
+the disabled per-fetch path does zero extra work; the workload scheduler
+calls its hooks unguarded, once per workload fact.
 
 Hooked layers and what they report:
 
@@ -15,8 +16,9 @@ Hooked layers and what they report:
   failures, breaker short-circuits; per-query status and latency;
 * `ResilienceManager`'s breakers — state transitions (which feed the
   health model directly);
-* `WorkloadScheduler` — arrivals, queue waits, sheds/rejections and the
-  per-tenant `QueryOutcome` stream that drives the SLO tracker.
+* `WorkloadScheduler` (on the engine's own plane) — arrivals, queue
+  waits, sheds/rejections, the per-tenant `QueryOutcome` stream that
+  drives the SLO tracker, and the run's end.
 
 `tick(now)` advances the aligned time-series windows on simulated time
 and, at each window close, has the health model judge every source on
@@ -67,6 +69,9 @@ class NullTelemetry:
         return None
 
     def on_outcome(self, *args, **kwargs) -> None:
+        return None
+
+    def on_workload_end(self, *args, **kwargs) -> None:
         return None
 
     def tick(self, *args, **kwargs) -> int:
@@ -270,6 +275,10 @@ class TelemetryPlane:
         self._now = max(self._now, at)
         self.slo.observe(outcome, now=at)
 
+    def on_workload_end(self, makespan_s: float) -> None:
+        """A workload run ended: one last roll, so its final window closes."""
+        self.tick(makespan_s + self.series.window_s)
+
     # -- the clockwork -----------------------------------------------------------
 
     def tick(self, now: Optional[float] = None) -> int:
@@ -288,31 +297,6 @@ class TelemetryPlane:
                 self.health.close_window(self._source_windows, boundary)
                 self._source_windows = {}
             return closed
-
-    # -- summary counters (mirrored into MetricsCollector summaries) --------------
-
-    @property
-    def alerts_fired(self) -> int:
-        return self.alerts.fired_total
-
-    @property
-    def alerts_resolved(self) -> int:
-        return self.alerts.resolved_total
-
-    @property
-    def health_transitions(self) -> int:
-        return self.health.transition_count
-
-    @property
-    def slo_breaches(self) -> int:
-        return self.slo.breaches
-
-    def stamp(self, collector) -> None:
-        """Write the plane's headline counters onto a `MetricsCollector`."""
-        collector.alerts_fired = self.alerts_fired
-        collector.alerts_resolved = self.alerts_resolved
-        collector.health_transitions = self.health_transitions
-        collector.slo_breaches = self.slo_breaches
 
     # -- exports -----------------------------------------------------------------
 

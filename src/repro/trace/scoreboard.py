@@ -70,64 +70,11 @@ class SourceStats:
         }
 
 
-@dataclass
-class TenantStats:
-    """Accumulated workload accounting for one tenant's queries."""
-
-    name: str
-    queries: int = 0
-    answered: int = 0
-    shed: int = 0
-    rejected: int = 0
-    failed: int = 0
-    deadline_misses: int = 0
-    waits_s: list = field(default_factory=list)
-    service_s: float = 0.0
-    coalesced_fetches: int = 0
-
-    def observe(self, outcome) -> None:
-        """Fold one `repro.sched.QueryOutcome` into the tenant's tallies."""
-        self.queries += 1
-        status = outcome.status
-        if outcome.answered:
-            self.answered += 1
-        elif status == "shed":
-            self.shed += 1
-        elif status == "rejected":
-            self.rejected += 1
-        elif status == "failed":
-            self.failed += 1
-        if outcome.dispatch_index >= 0:
-            self.waits_s.append(outcome.queue_wait_s)
-            self.service_s += outcome.service_s
-        self.deadline_misses += outcome.deadline_missed
-        self.coalesced_fetches += outcome.coalesced_fetches
-
-    @property
-    def mean_wait_s(self) -> float:
-        return sum(self.waits_s) / len(self.waits_s) if self.waits_s else 0.0
-
-    def summary(self) -> dict:
-        return {
-            "queries": self.queries,
-            "answered": self.answered,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "failed": self.failed,
-            "mean_wait_s": self.mean_wait_s,
-            "p95_wait_s": percentile(self.waits_s, 0.95),
-            "service_s": self.service_s,
-            "deadline_misses": self.deadline_misses,
-            "coalesced_fetches": self.coalesced_fetches,
-        }
-
-
 class QueryScoreboard:
     """Folds traces into per-source histograms across many queries."""
 
     def __init__(self):
         self.sources: dict[str, SourceStats] = {}
-        self.tenants: dict[str, TenantStats] = {}
         self.queries = 0
         self.total_seconds = 0.0
 
@@ -143,22 +90,6 @@ class QueryScoreboard:
             if stats is None:
                 stats = self.sources[source] = SourceStats(source)
             stats.observe(span)
-
-    def record_outcome(self, outcome) -> None:
-        """Fold one workload `QueryOutcome` into the per-tenant tallies.
-
-        The executed query's own trace (if any) also folds into the
-        per-source stats, so a scoreboard fed by the workload scheduler
-        answers both "which source is slow" and "which tenant is waiting".
-        """
-        tenant = outcome.request.tenant
-        stats = self.tenants.get(tenant)
-        if stats is None:
-            stats = self.tenants[tenant] = TenantStats(tenant)
-        stats.observe(outcome)
-        result = outcome.result
-        if result is not None and getattr(result, "trace", None) is not None:
-            self.record(result.trace)
 
     # -- reporting ---------------------------------------------------------------
 

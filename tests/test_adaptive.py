@@ -472,7 +472,7 @@ class TestEngineScheduling:
                 for r in results
             ]
 
-        assert run(None) == run(off)
+        assert run(None) == run(AdaptiveContext(off))
 
 
 # -- the shell command ---------------------------------------------------------

@@ -12,9 +12,9 @@ from repro.federation import (
     LogicalBindJoin,
     LogicalFetch,
 )
-from repro.federation.engine import parallel_makespan
 from repro.sources import RelationalSource
 from repro.storage import Database
+from repro.trace import makespan
 from repro.wrappers import GENERIC, QUIRK_AWARE
 
 from tests.federation_fixtures import build_catalog, build_engine
@@ -316,27 +316,27 @@ class TestEquivalenceAcrossModes:
 
 class TestParallelism:
     def test_makespan_serial(self):
-        assert parallel_makespan([1.0, 2.0, 3.0], workers=1) == 6.0
+        assert makespan([1.0, 2.0, 3.0], workers=1) == 6.0
 
     def test_makespan_fully_parallel(self):
-        assert parallel_makespan([1.0, 2.0, 3.0], workers=3) == 3.0
+        assert makespan([1.0, 2.0, 3.0], workers=3) == 3.0
 
     def test_makespan_two_workers(self):
-        assert parallel_makespan([3.0, 1.0, 1.0, 1.0], workers=2) == 3.0
+        assert makespan([3.0, 1.0, 1.0, 1.0], workers=2) == 3.0
 
     def test_makespan_empty(self):
-        assert parallel_makespan([], workers=4) == 0.0
+        assert makespan([], workers=4) == 0.0
 
     def test_makespan_more_workers_than_tasks(self):
         # Extra slots stay idle; elapsed is the longest single task.
-        assert parallel_makespan([2.0, 5.0], workers=16) == 5.0
+        assert makespan([2.0, 5.0], workers=16) == 5.0
 
     def test_makespan_single_worker_equals_sum(self):
         durations = [0.25, 1.5, 0.125, 3.0, 0.0625]
-        assert parallel_makespan(durations, workers=1) == sum(durations)
+        assert makespan(durations, workers=1) == sum(durations)
 
     def test_makespan_zero_workers_clamped_to_one(self):
-        assert parallel_makespan([1.0, 2.0], workers=0) == 3.0
+        assert makespan([1.0, 2.0], workers=0) == 3.0
 
     def test_parallel_workers_reduce_elapsed(self):
         sql = (

@@ -155,8 +155,8 @@ def test_identical_inflight_fetches_coalesce():
         QueryRequest(Q_JOIN, name="follower"),
     ]
     result = run_workload(requests, coalesce=True)
-    assert result.metrics.coalesced_fetches >= 1
-    assert result.metrics.coalesced_seconds_saved > 0
+    assert result.total.coalesced_fetches >= 1
+    assert result.total.coalesced_seconds_saved > 0
     host, follower = result.outcomes
     assert host.answered and follower.answered
     engine = build_engine()
@@ -169,13 +169,13 @@ def test_distinct_fetches_do_not_coalesce():
     result = run_workload(
         [QueryRequest(Q_CUSTOMERS), QueryRequest(Q_ORDERS)], coalesce=True
     )
-    assert result.metrics.coalesced_fetches == 0
+    assert result.total.coalesced_fetches == 0
 
 
 def test_coalescing_off_means_no_attachments():
     requests = [QueryRequest(Q_JOIN), QueryRequest(Q_JOIN)]
     result = run_workload(requests, coalesce=False)
-    assert result.metrics.coalesced_fetches == 0
+    assert result.total.coalesced_fetches == 0
     assert all(o.answered for o in result.outcomes)
 
 
@@ -205,7 +205,7 @@ def test_expired_deadlines_are_shed_not_executed():
     shed = result.by_status("shed")
     assert len(shed) == 3
     assert all("shed" in o.error and o.result is None for o in shed)
-    assert result.metrics.shed_queries == 3
+    assert result.total.shed == 3
 
 
 def test_admission_budget_rejects_expensive_queries():
@@ -213,7 +213,7 @@ def test_admission_budget_rejects_expensive_queries():
     predicted = engine.predict_elapsed(engine.prepare(Q_JOIN))
     requests = [QueryRequest(Q_JOIN), QueryRequest(Q_CUSTOMERS)]
     result = run_workload(
-        requests, engine=engine, admission_budget_s=predicted * 0.5
+        requests, engine=build_engine(admission_budget_s=predicted * 0.5)
     )
     assert result.outcomes[0].status == "rejected"
     assert "admission budget" in result.outcomes[0].error
@@ -267,7 +267,11 @@ def test_source_limiter_slot_blocks_past_limit():
 
 def test_scheduler_source_limits_bound_virtual_concurrency():
     requests = [QueryRequest(Q_JOIN, name=f"q{i}") for i in range(4)]
-    limited = run_workload(requests, source_limits={"sales": 1}, coalesce=False)
+    limited = run_workload(
+        requests,
+        engine=build_engine(source_limiter=SourceLimiter({"sales": 1})),
+        coalesce=False,
+    )
     free = run_workload(requests, coalesce=False)
     assert [o.status for o in limited.outcomes] == [
         o.status for o in free.outcomes
@@ -308,17 +312,20 @@ def sched_config(draw):
         policy=draw(st.sampled_from(["wfq", "fifo"])),
         coalesce=draw(st.booleans()),
         queue_depth=draw(st.sampled_from([None, None, 3])),
-        source_limits=draw(st.sampled_from([None, {"sales": 1}])),
     )
 
 
-@given(requests=workload(), config=sched_config())
+@given(
+    requests=workload(),
+    config=sched_config(),
+    limits=st.sampled_from([None, {"sales": 1}]),
+)
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_workload_invariants(requests, config):
+def test_workload_invariants(requests, config, limits):
     """For ANY workload and scheduler configuration: statuses partition
     the workload, dispatch indices are contiguous, the scheduler never
     idles runnable work, answered rows equal a fresh engine's, and the
@@ -330,8 +337,9 @@ def test_workload_invariants(requests, config):
     }
 
     def run():
+        limiter = SourceLimiter(limits) if limits else None
         return WorkloadScheduler(
-            build_engine(),
+            build_engine(source_limiter=limiter),
             tenants=tenants,
             config=SchedulerConfig(**config),
         ).run(requests)

@@ -20,6 +20,7 @@ from repro.netsim import ErrorRate, FaultInjector, SimClock, Transient
 from repro.sched import (
     DEFAULT_TENANTS,
     SchedulerConfig,
+    SourceLimiter,
     WorkloadScheduler,
     make_workload,
 )
@@ -60,18 +61,19 @@ def test_concurrent_rows_equal_fifo_serial_scheduler():
     answer is a pure function of the SQL, whatever the dispatch order)."""
     requests = make_workload(40, seed=SEED, mean_gap_s=0.005)
     configs = [
-        SchedulerConfig(workers=4, max_active=1, policy="fifo", coalesce=False),
-        SchedulerConfig(workers=8, policy="fifo", coalesce=True),
-        SchedulerConfig(workers=8, policy="wfq", coalesce=True),
-        SchedulerConfig(
-            workers=8, policy="wfq", coalesce=True, source_limits={"crm": 2}
+        (SchedulerConfig(workers=4, max_active=1, policy="fifo", coalesce=False), None),
+        (SchedulerConfig(workers=8, policy="fifo", coalesce=True), None),
+        (SchedulerConfig(workers=8, policy="wfq", coalesce=True), None),
+        (
+            SchedulerConfig(workers=8, policy="wfq", coalesce=True),
+            SourceLimiter({"crm": 2}),
         ),
     ]
     runs = [
         WorkloadScheduler(
-            fresh_engine(), tenants=DEFAULT_TENANTS, config=config
+            fresh_engine(source_limiter=limiter), tenants=DEFAULT_TENANTS, config=config
         ).run(requests)
-        for config in configs
+        for config, limiter in configs
     ]
     baseline = [rows_of(o) for o in runs[0].outcomes]
     for run in runs[1:]:
@@ -195,13 +197,13 @@ def test_seeded_replay_is_byte_identical():
     first, second = run_seeded(SEED), run_seeded(SEED)
     assert first.trace.to_json() == second.trace.to_json()
     assert first.summary() == second.summary()
-    assert first.metrics.summary() == second.metrics.summary()
+    assert first.total.metrics.summary() == second.total.metrics.summary()
     assert {
-        name: collector.summary()
-        for name, collector in first.tenant_metrics.items()
+        name: (record.summary(), record.metrics.summary())
+        for name, record in first.tenants.items()
     } == {
-        name: collector.summary()
-        for name, collector in second.tenant_metrics.items()
+        name: (record.summary(), record.metrics.summary())
+        for name, record in second.tenants.items()
     }
     assert first.audit == second.audit
 

@@ -127,11 +127,13 @@ class TestShell:
         assert "tenant" in text and "mean_wait_s" in text
         assert "workload: 10 queries" in text
         assert "makespan" in text
-        # outcomes folded into the session scoreboard's tenant stats
-        assert shell.scoreboard.tenants
-        assert (
-            sum(s.queries for s in shell.scoreboard.tenants.values()) == 10
-        )
+        # each outcome reported once, to the engine's own telemetry plane
+        assert shell.engine.telemetry is shell.telemetry
+        assert sum(
+            counter.value()
+            for counter in shell.telemetry.registry.instruments()
+            if counter.name == "eii_sched_outcomes_total"
+        ) == 10
 
     def test_workload_defaults_and_bad_arguments(self):
         out = io.StringIO()

@@ -362,6 +362,7 @@ class TestTelemetryPlane:
         assert NULL_TELEMETRY.enabled is False
         NULL_TELEMETRY.on_fetch("crm", seconds=1.0)
         NULL_TELEMETRY.on_outcome(outcome())
+        NULL_TELEMETRY.on_workload_end(99.0)
         assert NULL_TELEMETRY.tick(99.0) == 0
 
     def test_resolve_telemetry(self):
@@ -393,18 +394,15 @@ class TestTelemetryPlane:
         assert plane.health.state("crm") == DEGRADED
 
     def test_outcomes_drive_slo_and_stamp(self):
-        from repro.netsim.metrics import MetricsCollector
-
         plane = TelemetryPlane(
             default_slo=SloPolicy(error_budget=0.1, window=10)
         )
         plane.on_outcome(outcome(status="failed"), now=1.0)
-        assert plane.slo_breaches >= 1
-        assert plane.alerts_fired >= 1
-        collector = MetricsCollector()
-        plane.stamp(collector)
-        assert collector.alerts_fired == plane.alerts_fired
-        assert collector.summary()["alerts_fired"] == plane.alerts_fired
+        assert plane.slo.breaches >= 1
+        assert plane.alerts.fired_total >= 1
+        assert plane.registry.get(
+            "eii_sched_outcomes_total", tenant="dashboard", status="failed"
+        ).value() == 1
 
     def test_breaker_transition_feeds_health(self):
         plane = TelemetryPlane()

@@ -429,68 +429,3 @@ class TestPercentile:
     def test_nan_fraction_raises(self):
         with pytest.raises(ValueError):
             percentile([1.0, 2.0], float("nan"))
-
-
-# -- per-tenant workload accounting (TenantStats / record_outcome) --------------
-
-
-def make_outcome(status="ok", tenant="dashboard", dispatch_index=0,
-                 queue_wait_s=0.25, service_s=1.0, deadline_missed=False,
-                 coalesced_fetches=0):
-    from repro.sched import QueryOutcome, QueryRequest
-
-    return QueryOutcome(
-        request=QueryRequest(sql="SELECT 1", tenant=tenant),
-        status=status,
-        dispatch_index=dispatch_index,
-        queue_wait_s=queue_wait_s,
-        service_s=service_s,
-        deadline_missed=deadline_missed,
-        coalesced_fetches=coalesced_fetches,
-    )
-
-
-class TestTenantStats:
-    def test_answered_outcome_accumulates_waits_and_service(self):
-        from repro.trace.scoreboard import TenantStats
-
-        stats = TenantStats("dashboard")
-        stats.observe(make_outcome(queue_wait_s=0.5, service_s=2.0))
-        stats.observe(make_outcome(queue_wait_s=1.5, service_s=1.0))
-        summary = stats.summary()
-        assert summary["queries"] == 2 and summary["answered"] == 2
-        assert summary["mean_wait_s"] == pytest.approx(1.0)
-        assert summary["service_s"] == pytest.approx(3.0)
-        assert summary["shed"] == summary["rejected"] == summary["failed"] == 0
-
-    def test_shed_and_rejected_never_count_dispatch_stats(self):
-        from repro.trace.scoreboard import TenantStats
-
-        stats = TenantStats("batch")
-        stats.observe(make_outcome(status="shed", dispatch_index=-1))
-        stats.observe(make_outcome(status="rejected", dispatch_index=-1))
-        assert stats.shed == 1 and stats.rejected == 1
-        assert stats.answered == 0
-        assert stats.waits_s == [] and stats.service_s == 0.0
-        assert stats.summary()["p95_wait_s"] == 0.0  # hardened percentile
-
-    def test_failed_and_deadline_missed_are_distinct_tallies(self):
-        from repro.trace.scoreboard import TenantStats
-
-        stats = TenantStats("analytics")
-        stats.observe(make_outcome(status="failed"))
-        stats.observe(make_outcome(deadline_missed=True, coalesced_fetches=3))
-        assert stats.failed == 1
-        assert stats.deadline_misses == 1
-        assert stats.coalesced_fetches == 3
-        # the failed-but-dispatched query still contributes its wait
-        assert len(stats.waits_s) == 2
-
-    def test_record_outcome_groups_by_tenant(self):
-        scoreboard = QueryScoreboard()
-        scoreboard.record_outcome(make_outcome(tenant="dashboard"))
-        scoreboard.record_outcome(make_outcome(tenant="batch", status="shed",
-                                               dispatch_index=-1))
-        scoreboard.record_outcome(make_outcome(tenant="dashboard"))
-        assert scoreboard.tenants["dashboard"].queries == 2
-        assert scoreboard.tenants["batch"].shed == 1
