@@ -4,8 +4,8 @@ Halevy's panelists warn that a mediator is only as good as its knowledge
 of its sources' limitations — and a flat latency total cannot say *which*
 source is dragging a federated workload down. This experiment replays the
 100-query dashboard mix with tracing on while a deterministic
-`LatencySpike` slows every call to the support DBMS. The per-source
-`QueryScoreboard` aggregated from the spans must (a) attribute >=90% of
+`LatencySpike` slows every call to the support DBMS. The engine's
+per-source record (`engine.scoreboard`) must (a) attribute >=90% of
 the simulated remote seconds to the injected straggler and (b) carry
 per-source p50/p95 histograms that make the spike visible, while (c) the
 traces themselves stay internally consistent — span-summed seconds equal
@@ -19,7 +19,7 @@ from repro.bench.workload import QUERIES, QUERY_MIX
 from repro.cache import CacheConfig, CacheHierarchy
 from repro.federation import EngineConfig, FederatedEngine, ResiliencePolicy
 from repro.netsim import FaultInjector, LatencySpike, SimClock
-from repro.trace import QueryScoreboard, Tracer
+from repro.trace import Tracer
 
 SEED = 1306
 SPIKE_S = 2.0
@@ -40,9 +40,9 @@ def build_engine(fixture, tracer):
 
 def test_a06_observability(record_experiment):
     fixture = build_enterprise(BenchConfig(scale=1, seed=42))
-    scoreboard = QueryScoreboard()
-    tracer = Tracer(scoreboard=scoreboard, keep=512)
+    tracer = Tracer(keep=512)
     engine = build_engine(fixture, tracer)
+    scoreboard = engine.scoreboard
 
     total_queries = 0
     for name, weight in QUERY_MIX.items():
@@ -58,7 +58,7 @@ def test_a06_observability(record_experiment):
                 == result.metrics.payload_bytes
             ), name
 
-    assert scoreboard.queries == total_queries
+    assert tracer.finished == total_queries
     support_share = scoreboard.share("support")
     support = scoreboard.sources["support"]
     others_p95 = max(
@@ -99,7 +99,7 @@ def test_a06_observability(record_experiment):
             "support_p50_s": round(support.summary()["p50_s"], 6),
             "support_p95_s": round(support.summary()["p95_s"], 6),
             "others_p95_s": round(others_p95, 6),
-            "support_fetches": support.fetches,
+            "support_fetches": support.statements,
             "queries": total_queries,
         },
         gates={
@@ -115,4 +115,4 @@ def test_a06_observability(record_experiment):
     assert support.summary()["p50_s"] >= SPIKE_S
     assert support.summary()["p95_s"] > others_p95 * 5
     # the straggler was exercised by the mix (q7 rides on tickets)
-    assert support.fetches >= QUERY_MIX["q7_support_risk"]
+    assert support.statements >= QUERY_MIX["q7_support_risk"]

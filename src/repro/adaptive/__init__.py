@@ -7,8 +7,9 @@ Three cooperating levers close the loop between execution and planning:
   `FeedbackCostModel` on later plannings;
 - **mid-query re-optimization** (`maybe_replan`) of the assembly tree once
   prefetch has turned estimates into actuals;
-- **latency-aware prefetch scheduling** (`LatencyPredictor` + LPT
-  submission) so skewed fetch durations stop serializing the worker pool.
+- **latency-aware prefetch scheduling** (LPT submission, predicted from
+  the engine's per-source record) so skewed fetch durations stop
+  serializing the worker pool.
 
 `AdaptivePolicy`/`AdaptiveContext` are the configuration and state objects
 the `FederatedEngine` accepts via its ``adaptive=`` parameter.
@@ -18,7 +19,7 @@ from repro.adaptive.context import AdaptiveContext, AdaptivePolicy
 from repro.adaptive.costmodel import FeedbackCostModel
 from repro.adaptive.feedback import FeedbackEntry, FeedbackStore
 from repro.adaptive.reopt import ActualsCostModel, ReplanReport, maybe_replan
-from repro.adaptive.scheduler import LatencyPredictor, lpt_order
+from repro.adaptive.scheduler import lpt_order
 from repro.adaptive.signature import (
     bind_signature,
     fetch_signature,
@@ -33,7 +34,6 @@ __all__ = [
     "FeedbackCostModel",
     "FeedbackEntry",
     "FeedbackStore",
-    "LatencyPredictor",
     "ReplanReport",
     "bind_signature",
     "fetch_signature",

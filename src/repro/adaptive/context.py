@@ -2,11 +2,12 @@
 
 `AdaptivePolicy` is the configuration surface (each lever independently
 toggleable, so benchmarks can ablate: static vs. feedback vs.
-feedback+LPT); `AdaptiveContext` bundles the live state — the feedback
-store, the latency predictor — and is what the engine threads through
-planning, prefetch and re-optimization. Everything here is engine-
-independent, so one context can be shared by several engines over the
-same catalog (they then share calibrations, deliberately).
+feedback+LPT); `AdaptiveContext` holds the live state — the feedback
+store — and is what the engine threads through planning, prefetch and
+re-optimization. Everything here is engine-independent, so one context
+can be shared by several engines over the same catalog (they then share
+calibrations, deliberately; each predicts latencies from its own
+per-source record, ``engine.scoreboard``).
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.adaptive.feedback import FeedbackStore
-from repro.adaptive.scheduler import (
-    LatencyPredictor,
-    lpt_order,
-    static_fetch_seconds,
-)
+from repro.adaptive.scheduler import lpt_order, static_fetch_seconds
 from repro.adaptive.signature import bind_signature, fetch_signature
 
 
@@ -46,18 +43,13 @@ class AdaptivePolicy:
 class AdaptiveContext:
     """Live adaptive state threaded through one (or more) engines."""
 
-    def __init__(
-        self,
-        policy: Optional[AdaptivePolicy] = None,
-        scoreboard=None,
-    ):
+    def __init__(self, policy: Optional[AdaptivePolicy] = None):
         self.policy = policy or AdaptivePolicy()
         self.store = FeedbackStore(
             max_entries=self.policy.max_entries,
             smoothing=self.policy.smoothing,
             drift_ratio=self.policy.drift_ratio,
         )
-        self.predictor = LatencyPredictor(scoreboard=scoreboard)
 
     @property
     def generation(self) -> int:
@@ -66,8 +58,7 @@ class AdaptiveContext:
     # -- observation (called from fetch workers) --------------------------------------
 
     def observe(
-        self, node, rows: int, payload_bytes: float, seconds: float,
-        from_cache: bool, keys: Optional[int] = None,
+        self, node, rows: int, payload_bytes: float, keys: Optional[int] = None
     ) -> None:
         """One answered statement: a whole fetch, or one ``keys``-key bind chunk."""
         if not self.policy.feedback:
@@ -80,12 +71,11 @@ class AdaptiveContext:
         self.store.observe(
             signature, rows, payload_bytes, tags=node.depends_on, keys=keys
         )
-        if not from_cache and seconds > 0:
-            self.predictor.observe(node.source.name, seconds, payload_bytes)
 
     # -- prediction / scheduling -------------------------------------------------------
 
-    def predict_fetch_seconds(self, node, network, site: str) -> float:
+    def predict_fetch_seconds(self, node, network, site: str, sources: dict) -> float:
+        """`sources`: a snapshot of the engine's per-source record."""
         rows: Optional[float] = None
         if self.policy.feedback:
             rows = self.store.calibrated_rows(
@@ -93,15 +83,19 @@ class AdaptiveContext:
             )
         if rows is None:
             rows = max(float(node.est_rows), 0.0)
-        payload = rows * node.schema.average_row_width()
-        learned = self.predictor.predict(node.source.name, payload)
-        if learned is not None:
-            return learned
-        return static_fetch_seconds(node, rows, network, site)
+        stats = sources.get(node.source.name.lower())
+        if stats is None or not stats.answers:
+            return static_fetch_seconds(node, rows, network, site)
+        # seconds per byte the source's answers took (per answer, if bytes-free)
+        if stats.answer_bytes > 0:
+            payload = rows * node.schema.average_row_width()
+            return stats.answer_seconds / stats.answer_bytes * max(payload, 1.0)
+        return stats.answer_seconds / stats.answers
 
-    def lpt_order(self, fetches: list, network, site: str) -> list:
+    def lpt_order(self, fetches: list, network, site: str, scoreboard) -> list:
+        sources = scoreboard.snapshot()
         durations = [
-            self.predict_fetch_seconds(node, network, site) for node in fetches
+            self.predict_fetch_seconds(node, network, site, sources) for node in fetches
         ]
         return lpt_order(fetches, durations)
 

@@ -420,6 +420,7 @@ def _instrument_engine_hot_paths() -> List:
     from repro.cache.store import BoundedStore
     from repro.netsim import metrics as metrics_module
     from repro.sched.limits import SourceLimiter
+    from repro.trace.scoreboard import QueryScoreboard
 
     undos: List = []
 
@@ -427,6 +428,13 @@ def _instrument_engine_hot_paths() -> List:
         undos.append(
             instrument_method(
                 BoundedStore, method, ("_entries",), guard_attr="_lock"
+            )
+        )
+    # the engine's source record: prefetch workers write it per statement
+    for method in ("statement", "count"):
+        undos.append(
+            instrument_method(
+                QueryScoreboard, method, ("sources",), guard_attr="_lock"
             )
         )
     for method in ("begin", "attach", "begin_or_attach", "complete"):

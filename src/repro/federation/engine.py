@@ -12,7 +12,8 @@ A plan is never written to once planned — the plan cache hands one
 once: what a run needs lives in its `repro.federation.execution.Execution`,
 which prefetches the plan's component queries in parallel, serves the
 assembly-site operators lowered against it, and is the only writer of the
-three observers (`MetricsCollector`, trace spans, telemetry plane).
+four observers (`MetricsCollector`, trace spans, the engine's per-source
+record ``scoreboard``, telemetry plane).
 `attach_invalidation` subscribes the engine to an EAI broker's table-change
 events so writes evict dependent entries and dirty dependent views.
 """
@@ -45,6 +46,7 @@ from repro.storage.catalog import Database
 from repro.telemetry.plane import resolve_telemetry
 from repro.trace import (
     NULL_TRACER,
+    QueryScoreboard,
     Tracer,
     explain_analyze,
     instrument_physical,
@@ -182,6 +184,9 @@ class FederatedEngine:
         self._local = LocalEngine(self._scratch, optimize=False)
         self.tracer = NULL_TRACER
         self.set_tracer(config.tracer)
+        #: what each source was observed to do, across every query - the one
+        #: per-source record, always on; `Recorder` is its only writer
+        self.scoreboard = QueryScoreboard()
         #: observe-only telemetry plane, shared by every execution and by a
         #: workload scheduler; the no-op default does no work, like `NULL_TRACER`
         self.telemetry = resolve_telemetry(config.telemetry)
@@ -190,6 +195,8 @@ class FederatedEngine:
                 # windows roll on the engine's (usually simulated) clock
                 self.telemetry.clock = clock
                 self.telemetry.series.clock = clock
+            # source health is judged on this engine's record
+            self.telemetry.attach_scoreboard(self.scoreboard)
             if self.resilience is not None:
                 self.resilience.attach_telemetry(self.telemetry)
         #: answering queries using views: an engine-owned `ViewManager` plus

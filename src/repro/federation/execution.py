@@ -11,10 +11,11 @@ takes its one path, `Execution._fetch_statement`.
 
 Each runtime fact is recorded once, by the `Recorder` method named after it,
 which updates every observer that reads the fact — `MetricsCollector`, span,
-telemetry plane (DESIGN.md tabulates fact × observer). A recorder is bound to
-one scope: the collector being written (each prefetch worker has its own),
-the span charged for it (None when untraced) and the plane (the no-op plane
-when off), so tracer-off and telemetry-off runs do no observer work.
+the engine's per-source record (``engine.scoreboard``), telemetry plane
+(DESIGN.md tabulates fact × observer). A recorder is bound to one scope: the
+collector being written (each prefetch worker has its own), the span charged
+for it (None when untraced), the record and the plane (the no-op plane when
+off), so tracer-off and telemetry-off runs do no span or plane work.
 """
 
 from __future__ import annotations
@@ -39,16 +40,17 @@ from repro.telemetry.plane import NULL_TELEMETRY
 class Recorder:
     """Writes each runtime fact once, to every observer that reads it."""
 
-    __slots__ = ("collector", "span", "telemetry")
+    __slots__ = ("collector", "span", "telemetry", "scoreboard")
 
-    def __init__(self, collector, span=None, telemetry=NULL_TELEMETRY):
+    def __init__(self, collector, span=None, telemetry=NULL_TELEMETRY, scoreboard=None):
         self.collector = collector
         self.span = span
         self.telemetry = telemetry
+        self.scoreboard = scoreboard  # None where no source fact is written
 
     def scoped(self, collector, span=None) -> "Recorder":
         """The recorder of a narrower scope (one statement, one worker)."""
-        return Recorder(collector, span, self.telemetry)
+        return Recorder(collector, span, self.telemetry, self.scoreboard)
 
     def _event(self, name: str, **attrs) -> None:
         span = self.span
@@ -57,32 +59,50 @@ class Recorder:
 
     # -- one component statement ---------------------------------------------------
 
-    def cache_hit(self, source: str, seconds: float, size: int) -> None:
+    def cache_hit(self, seconds: float, size: int) -> None:
         collector = self.collector
         collector.fetch_cache_hits += 1
         collector.cache_seconds_saved += seconds
         collector.cache_bytes_saved += size
-        if self.telemetry.enabled:
-            self.telemetry.on_fetch(source, cache="hit")
         if self.span is not None:
             self.span.set(cache="hit")
             self._event("cache.hit", seconds_saved=seconds, bytes_saved=size)
 
-    def cache_miss(self, source: str) -> None:
+    def cache_miss(self) -> None:
         self.collector.fetch_cache_misses += 1
         if self.span is not None:
             self.span.set(cache="miss")
-        if self.telemetry.enabled:
-            self.telemetry.on_fetch(source, cache="miss")
-
-    def remote_answer(self, source: str, seconds: float, size: int) -> None:
-        # collector and span read the transfer itself (see `_attempt`)
-        if self.telemetry.enabled:
-            self.telemetry.on_fetch(source, seconds=seconds, payload_bytes=size)
 
     def remote_failure(self, source: str) -> None:
+        self.scoreboard.count(source, "failures")
         if self.telemetry.enabled:
             self.telemetry.on_fetch(source, ok=False)
+
+    def statement_finished(self, source: str, base: tuple, cache, answer) -> None:
+        """One component statement ended: what it added to the collector since
+        `base` (its seconds, rows, payload and wire bytes then) goes to its span
+        and, with its fetch-cache outcome and remote answer ``(source, seconds,
+        size)``, to the source record; outcome and answer also to the plane. The
+        collector read the answer's transfer itself (`Execution._attempt`)."""
+        collector = self.collector
+        seconds = collector.simulated_seconds - base[0]
+        rows = collector.rows_shipped - base[1]
+        payload_bytes = collector.payload_bytes - base[2]
+        wire_bytes = collector.wire_bytes - base[3]
+        span = self.span
+        if span is not None:
+            span.self_seconds = seconds
+            span.set(rows=rows, payload_bytes=payload_bytes, wire_bytes=wire_bytes)
+        self.scoreboard.statement(
+            source, seconds, rows, payload_bytes, wire_bytes, cache, answer
+        )
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            if cache is not None:
+                telemetry.on_fetch(source, cache=cache)
+            if answer is not None:
+                answered_by, answer_seconds, size = answer
+                telemetry.on_fetch(answered_by, seconds=answer_seconds, payload_bytes=size)
 
     def stale_hit(self) -> None:
         self.collector.stale_cache_hits += 1
@@ -104,12 +124,14 @@ class Recorder:
 
     def breaker_short_circuit(self, source: str) -> None:
         self.collector.breaker_short_circuits += 1
+        self.scoreboard.count(source, "short_circuits")
         if self.telemetry.enabled:
             self.telemetry.on_breaker_short_circuit(source)
         self._event("breaker.open", source=source)
 
     def source_failure(self, source: str, attempt: int, error: Exception) -> None:
         self.collector.source_failures += 1
+        self.scoreboard.count(source, "failures")
         if self.telemetry.enabled:
             self.telemetry.on_source_failure(source)
         self._event("source_failure", source=source, attempt=attempt, error=str(error))
@@ -119,6 +141,7 @@ class Recorder:
         collector.retries += 1
         collector.backoff_seconds += delay
         collector.charge_seconds(delay)
+        self.scoreboard.count(source, "retries")
         if self.telemetry.enabled:
             self.telemetry.on_retry(source, backoff_s=delay)
         self._event("retry", source=source, attempt=attempt, backoff_s=delay)
@@ -230,7 +253,9 @@ class Execution:
             self.prefetch_span = self.execute_span.child(
                 "prefetch", category="prefetch", parallel_slots=engine.parallel_workers
             )
-        self.record = Recorder(metrics, self.execute_span, engine.telemetry)
+        self.record = Recorder(
+            metrics, self.execute_span, engine.telemetry, engine.scoreboard
+        )
 
     # -- stages --------------------------------------------------------------------
 
@@ -381,28 +406,33 @@ class Execution:
         Returns the raw rows — none when a non-essential branch degraded.
         ``est_rows``, the share of the node's estimate this statement stands
         for, weighs the completeness report whichever way it ends; `record`'s
-        span is charged whatever the statement adds to `record`'s collector.
+        span and the primary's record are charged whatever the statement adds
+        to `record`'s collector.
         """
-        span, collector = record.span, record.collector
-        if span is not None:
-            span.clock_base = base_seconds = collector.simulated_seconds
-            base_rows = collector.rows_shipped
-            base_payload = collector.payload_bytes
-            base_wire = collector.wire_bytes
+        collector = record.collector
+        base = (
+            collector.simulated_seconds, collector.rows_shipped,
+            collector.payload_bytes, collector.wire_bytes,
+        )
+        if record.span is not None:
+            record.span.clock_base = base[0]
+        primary = node.source.name
+        cache = answer = None
         try:
             engine = self.engine
-            primary = node.source.name
             caching = engine.cache.fetches is not None
             key = fetch_key(primary, stmt) if caching else None
             entry = engine.cache.get_fetch(key) if caching else None
             if entry is not None:
+                cache = "hit"
                 rows, answered_by = entry.value.rows, primary  # only it is cached
                 size, seconds = entry.size_bytes, entry.cost_seconds
-                record.cache_hit(primary, seconds, size)
+                record.cache_hit(seconds, size)
                 self._note_stale_if_down(node, record)
             else:
                 if caching:
-                    record.cache_miss(primary)
+                    cache = "miss"
+                    record.cache_miss()
                 try:
                     raw, size, seconds, source_used = self._remote_fetch(
                         node, stmt, record, description
@@ -424,7 +454,7 @@ class Execution:
                         )
                     return []
                 rows, answered_by = raw.rows, source_used.name
-                record.remote_answer(answered_by, seconds, size)
+                answer = (answered_by, seconds, size)
                 # Only a primary-served fetch is cached: the entry's key and tags
                 # describe the primary, and a replica answer must not mask it.
                 if caching and source_used is node.source:
@@ -435,18 +465,10 @@ class Execution:
                 self.report.note_answered(answered_by, est_rows)
             if engine.adaptive is not None:
                 # A cache hit is still a true cardinality observation.
-                engine.adaptive.observe(
-                    node, len(rows), size, seconds, entry is not None, keys
-                )
+                engine.adaptive.observe(node, len(rows), size, keys)
             return rows
         finally:
-            if span is not None:
-                span.self_seconds = collector.simulated_seconds - base_seconds
-                span.set(
-                    rows=collector.rows_shipped - base_rows,
-                    payload_bytes=collector.payload_bytes - base_payload,
-                    wire_bytes=collector.wire_bytes - base_wire,
-                )
+            record.statement_finished(primary, base, cache, answer)
 
     def fetch(self, node: LogicalFetch, record: Optional[Recorder] = None) -> Relation:
         cached = self.local.get(id(node))
@@ -505,7 +527,9 @@ class Execution:
             # slot in submission order, so fronting the predicted stragglers
             # lowers the makespan on skewed fetch sets. Reordering before span
             # creation keeps the trace a pure function of plan + store.
-            reordered = adaptive.lpt_order(fetches, engine.network, self.site)
+            reordered = adaptive.lpt_order(
+                fetches, engine.network, self.site, engine.scoreboard
+            )
             if reordered != fetches:
                 self.record.lpt_reordered()
             fetches = reordered

@@ -42,16 +42,15 @@ from repro.federation import EngineConfig
 from repro.netsim import SimClock
 from repro.sql.printer import to_sql
 from repro.telemetry import TelemetryPlane
-from repro.trace import QueryScoreboard, Tracer
+from repro.trace import Tracer
 
 
 class Shell:
     def __init__(self, scale: int = 1, out=None, telemetry: bool = True):
         self.out = out if out is not None else sys.stdout
         fixture = build_enterprise(BenchConfig(scale=scale))
-        self.scoreboard = QueryScoreboard()
-        self.tracer = Tracer(scoreboard=self.scoreboard)
-        self.adaptive = AdaptiveContext(scoreboard=self.scoreboard)
+        self.tracer = Tracer()
+        self.adaptive = AdaptiveContext()
         # With telemetry on, the shell runs on a SimClock advanced by each
         # query's simulated elapsed time, so health/SLO windows roll on the
         # same timeline the netsim charges. Telemetry off keeps the
@@ -153,7 +152,7 @@ class Shell:
                     "tracing is off — \\trace to re-enable span collection"
                 )
                 return True
-            self.write(self.scoreboard.render())
+            self.write(self.engine.scoreboard.render(self.tracer.finished))
             return True
         if command == "\\feedback":
             if argument.strip().lower() == "clear":

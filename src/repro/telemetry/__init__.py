@@ -31,7 +31,6 @@ from repro.telemetry.health import (
     HealthModel,
     HealthPolicy,
     SourceHealth,
-    SourceWindow,
 )
 from repro.telemetry.instruments import (
     DEFAULT_LATENCY_BUCKETS,
@@ -81,7 +80,6 @@ __all__ = [
     "SloStatus",
     "SloTracker",
     "SourceHealth",
-    "SourceWindow",
     "TelemetryPlane",
     "ThresholdRule",
     "TimeSeries",

@@ -3,7 +3,8 @@
 The mediator is the one place that sees every source's behavior across
 every query — the natural interposition point for operational metadata
 about sources the enterprise does not control. `HealthModel` fuses, per
-aligned window:
+aligned window — each source's delta of the engine's per-source record
+(`repro.trace.SourceStats`) since the last close:
 
 * **latency** — the window's mean fetch latency versus the source's own
   EWMA history (z-score rule: a source is judged against *itself*, so a
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.telemetry.alerts import CRITICAL, WARNING, AlertManager
-from repro.telemetry.stats import Ewma, safe_rate
+from repro.telemetry.stats import Ewma
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -65,34 +66,6 @@ class HealthPolicy:
 
 
 @dataclass
-class SourceWindow:
-    """One source's activity inside one closed window (fed by the plane)."""
-
-    fetches: int = 0
-    failures: int = 0
-    latency_sum_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    retries: int = 0
-
-    @property
-    def touched(self) -> bool:
-        return (self.fetches + self.failures + self.cache_hits + self.cache_misses) > 0
-
-    @property
-    def mean_latency_s(self) -> float:
-        return safe_rate(self.latency_sum_s, self.fetches)
-
-    @property
-    def failure_rate(self) -> float:
-        return safe_rate(self.failures, self.fetches + self.failures)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return safe_rate(self.cache_hits, self.cache_hits + self.cache_misses)
-
-
-@dataclass
 class SourceHealth:
     """One source's current judgment plus the history that produced it."""
 
@@ -106,7 +79,6 @@ class SourceHealth:
     latency_baseline: Ewma = field(default_factory=Ewma)
     hit_rate_baseline: Ewma = field(default_factory=Ewma)
     clean_windows: int = 0
-    windows_observed: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -146,24 +118,19 @@ class HealthModel:
             # an open breaker is authoritative: don't wait for window close
             self._set_state(entry, DOWN, at_s, ("breaker_open",))
 
-    def close_window(
-        self, windows: dict, now: float, breaker_states: Optional[dict] = None
-    ) -> None:
+    def close_window(self, windows: dict, now: float) -> None:
         """Judge every known source for one closed window.
 
-        `windows` maps source name → `SourceWindow` (sources with no
-        activity may be omitted; they are judged on breaker state and
-        recovery counting only). `breaker_states` (source → state string)
-        refreshes the cached breaker view when provided.
+        `windows` maps source name → its `repro.trace.SourceStats` delta over
+        the window (sources with no activity may be omitted; they are judged
+        on breaker state and recovery counting only).
         """
-        for source, state in (breaker_states or {}).items():
-            self._entry(source).breaker_state = state
         for source in sorted(set(windows) | set(self.sources)):
             self._judge(self._entry(source), windows.get(source.lower()), now)
 
     # -- the per-window judgment -------------------------------------------------
 
-    def _judge(self, entry: SourceHealth, window: Optional[SourceWindow], now: float) -> None:
+    def _judge(self, entry: SourceHealth, window, now: float) -> None:
         policy = self.policy
         if entry.breaker_state == "open":
             self._set_state(entry, DOWN, now, ("breaker_open",))
@@ -173,7 +140,6 @@ class HealthModel:
             # an untouched window says nothing bad; count toward recovery
             self._recover(entry, now)
             return
-        entry.windows_observed += 1
         reasons = []
         failure_rate = window.failure_rate
         if failure_rate >= FAILURE_RATE_DOWN:
@@ -186,7 +152,7 @@ class HealthModel:
             reasons.append("failure_rate")
         mean_latency = window.mean_latency_s
         baseline = entry.latency_baseline
-        if window.fetches > 0 and baseline.count >= policy.min_baseline_windows:
+        if window.answers > 0 and baseline.count >= policy.min_baseline_windows:
             z = baseline.zscore(mean_latency)
             factor_breach = (
                 baseline.mean > 0
@@ -207,12 +173,10 @@ class HealthModel:
             self._set_state(entry, DEGRADED, now, tuple(reasons))
             entry.clean_windows = 0
         else:
-            self._update_baselines(entry, window, latency=window.fetches > 0)
+            self._update_baselines(entry, window, latency=window.answers > 0)
             self._recover(entry, now)
 
-    def _update_baselines(
-        self, entry: SourceHealth, window: SourceWindow, latency: bool
-    ) -> None:
+    def _update_baselines(self, entry: SourceHealth, window, latency: bool) -> None:
         """Baselines learn only from windows judged clean for that signal."""
         if latency:
             entry.latency_baseline.update(window.mean_latency_s)
@@ -250,9 +214,6 @@ class HealthModel:
     def state(self, source: str) -> str:
         entry = self.sources.get(source.lower())
         return entry.state if entry is not None else HEALTHY
-
-    def states(self) -> dict:
-        return {name: entry.state for name, entry in sorted(self.sources.items())}
 
     @property
     def transition_count(self) -> int:
@@ -308,5 +269,4 @@ __all__ = [
     "HealthModel",
     "HealthPolicy",
     "SourceHealth",
-    "SourceWindow",
 ]

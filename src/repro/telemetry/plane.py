@@ -22,8 +22,10 @@ Hooked layers and what they report:
 
 `tick(now)` advances the aligned time-series windows on simulated time
 and, at each window close, has the health model judge every source on
-that window's activity. Everything downstream of a seeded workload is
-deterministic and replayable.
+that window's activity: its change in the engine's per-source record
+(``engine.scoreboard``, handed over by `attach_scoreboard`); the fetch,
+retry and failure hooks feed only the registry. Everything downstream of
+a seeded workload is deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional
 
 from repro.telemetry.alerts import AlertManager
 from repro.telemetry.export import export_jsonl, export_prometheus, render_dashboard
-from repro.telemetry.health import HealthModel, HealthPolicy, SourceWindow
+from repro.telemetry.health import HealthModel, HealthPolicy
 from repro.telemetry.instruments import MetricsRegistry
 from repro.telemetry.slo import SloPolicy, SloTracker
 from repro.telemetry.timeseries import DEFAULT_RETENTION, DEFAULT_WINDOW_S, TimeSeries
@@ -102,8 +104,10 @@ class TelemetryPlane:
             policies=slo_policies, alerts=self.alerts, default_policy=default_slo
         )
         self.health = HealthModel(policy=health_policy, alerts=self.alerts)
-        #: per-source activity since the last window close (health input)
-        self._source_windows: dict[str, SourceWindow] = {}
+        #: the per-source record health is judged on (`attach_scoreboard`), and
+        #: its counts at the last window close
+        self.scoreboard = None
+        self._judged: dict = {}
         self._now = 0.0
         # the engine's prefetch pool reports fetches from worker threads;
         # one lock keeps counter increments exact (and therefore replayable)
@@ -114,12 +118,11 @@ class TelemetryPlane:
             return self.clock() if callable(self.clock) else self.clock.now()
         return self._now
 
-    def _window(self, source: str) -> SourceWindow:
-        name = source.lower()
-        window = self._source_windows.get(name)
-        if window is None:
-            window = self._source_windows[name] = SourceWindow()
-        return window
+    def attach_scoreboard(self, scoreboard) -> None:
+        """Judge health on `scoreboard` (an engine's `QueryScoreboard`) from now on."""
+        with self._lock:
+            self.scoreboard = scoreboard
+            self._judged = scoreboard.snapshot()
 
     # -- engine hooks ------------------------------------------------------------
 
@@ -134,18 +137,15 @@ class TelemetryPlane:
         """One component fetch's outcome (remote call or cache hit)."""
         name = source.lower()
         with self._lock:
-            window = self._window(name)
             if cache == "hit":
                 self.registry.counter(
                     "eii_cache_hits_total", "per-source fetch-cache hits", source=name
                 ).inc()
-                window.cache_hits += 1
                 return
             if cache == "miss":
                 self.registry.counter(
                     "eii_cache_misses_total", "per-source fetch-cache misses", source=name
                 ).inc()
-                window.cache_misses += 1
                 # the remote call that follows reports separately
                 return
             outcome = "ok" if ok else "error"
@@ -167,10 +167,6 @@ class TelemetryPlane:
                         "payload bytes shipped per source",
                         source=name,
                     ).inc(payload_bytes)
-                window.fetches += 1
-                window.latency_sum_s += seconds
-            else:
-                window.failures += 1
 
     def on_query(self, status: str, seconds: float = 0.0, rows: int = 0) -> None:
         with self._lock:  # one engine answers queries on many threads
@@ -204,20 +200,16 @@ class TelemetryPlane:
     # -- resilience hooks --------------------------------------------------------
 
     def on_retry(self, source: str, backoff_s: float = 0.0) -> None:
-        name = source.lower()
         with self._lock:
             self.registry.counter(
-                "eii_retries_total", "retries by source", source=name
+                "eii_retries_total", "retries by source", source=source.lower()
             ).inc()
-            self._window(name).retries += 1
 
     def on_source_failure(self, source: str) -> None:
-        name = source.lower()
         with self._lock:
             self.registry.counter(
-                "eii_source_failures_total", "failed source calls", source=name
+                "eii_source_failures_total", "failed source calls", source=source.lower()
             ).inc()
-            self._window(name).failures += 1
 
     def on_breaker_short_circuit(self, source: str) -> None:
         with self._lock:
@@ -284,8 +276,10 @@ class TelemetryPlane:
     def tick(self, now: Optional[float] = None) -> int:
         """Advance to `now`: close due windows and judge source health.
 
-        Returns the number of windows closed. Safe to call as often as
-        the caller likes — closing zero windows does nothing.
+        Every window closed by one call is judged as one: each source on its
+        record's change since the last close. Returns the number of windows
+        closed. Safe to call as often as the caller likes — closing zero
+        windows does nothing.
         """
         if now is None:
             now = self.now()
@@ -294,8 +288,13 @@ class TelemetryPlane:
             closed = self.series.roll(self._now)
             if closed:
                 boundary = self.series.closed * self.series.window_s
-                self.health.close_window(self._source_windows, boundary)
-                self._source_windows = {}
+                seen = self.scoreboard.snapshot() if self.scoreboard is not None else {}
+                judged = self._judged
+                windows = {
+                    name: stats.minus(judged.get(name)) for name, stats in seen.items()
+                }
+                self.health.close_window(windows, boundary)
+                self._judged = seen
             return closed
 
     # -- exports -----------------------------------------------------------------

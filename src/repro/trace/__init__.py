@@ -13,8 +13,9 @@ On top of the raw trees:
 
 * `explain_analyze` — an EXPLAIN ANALYZE-style rendering of the executed
   plan with per-node actuals and % of total simulated time;
-* `QueryScoreboard` — per-source latency histograms (p50/p95/max), byte
-  totals and failure/retry rates aggregated across many queries;
+* `QueryScoreboard` — the engine's per-source record (``engine.scoreboard``,
+  kept traced or not): latency history (p50/p95/max), byte totals, cache,
+  failure and retry counts across every query;
 * `Trace.to_json()` / `Trace.to_chrome()` — exporters, the latter in the
   Chrome/Perfetto trace-event format so a real trace viewer can open a
   federated query.

@@ -1,95 +1,151 @@
-"""Per-source scoreboards aggregated from many query traces.
+"""The engine's per-source record: what each source was observed to do.
 
 The paper's operational question — *which source is the straggler?* — is
-unanswerable from one flat counter bag. The scoreboard folds the fetch
-and bind-fetch spans of every recorded trace into per-source simulated
-latency histograms (p50/p95/max), byte and row totals, cache hit counts
-and failure/retry rates, so a benchmark run or an interactive session can
-pin the blame for slow federated queries on the source that earned it.
+unanswerable from one flat counter bag. Every `FederatedEngine` keeps one
+`QueryScoreboard` (``engine.scoreboard``), always on and written only by
+the `repro.federation.execution.Recorder`. Its readers only read: the
+shell's scoreboard and A6 (p50/p95, shares), the health model (each
+window's delta) and LPT prediction (seconds per answered byte).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from collections import deque
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
-from repro.telemetry.stats import percentile
+from repro.telemetry.stats import percentile, safe_rate
 
-#: Span categories that represent remote work attributable to one source.
-_REMOTE_CATEGORIES = ("fetch", "bind_fetch")
+#: Latency history kept per source (a bounded log, like a source's `query_log`).
+LATENCY_HISTORY = 1024
 
 
 @dataclass
 class SourceStats:
-    """Accumulated remote-call accounting for one source."""
+    """Accumulated accounting for one source; every field but the history counts."""
 
     name: str
-    latencies_s: list = field(default_factory=list)
+    #: component statements sent on this source's behalf (cache hits included)
+    statements: int = 0
     seconds: float = 0.0
     rows: int = 0
     payload_bytes: int = 0
     wire_bytes: int = 0
-    fetches: int = 0
     cache_hits: int = 0
-    retries: int = 0
+    cache_misses: int = 0
+    #: remote answers this source gave, and their seconds and payload bytes
+    answers: int = 0
+    answer_seconds: float = 0.0
+    answer_bytes: int = 0
     failures: int = 0
+    short_circuits: int = 0
+    retries: int = 0
+    #: the last `LATENCY_HISTORY` statements' simulated seconds
+    latencies_s: deque = field(default_factory=lambda: deque(maxlen=LATENCY_HISTORY))
 
-    def observe(self, span) -> None:
-        self.fetches += 1
-        self.latencies_s.append(span.self_seconds)
-        self.seconds += span.self_seconds
-        attrs = span.attrs
-        self.rows += int(attrs.get("rows", 0) or 0)
-        self.payload_bytes += int(attrs.get("payload_bytes", 0) or 0)
-        self.wire_bytes += int(attrs.get("wire_bytes", 0) or 0)
-        if attrs.get("cache") == "hit":
-            self.cache_hits += 1
-        for event in span.events:
-            if event.name == "retry":
-                self.retries += 1
-            elif event.name in ("source_failure", "breaker.open"):
-                self.failures += 1
+    def minus(self, earlier: Optional["SourceStats"]) -> "SourceStats":
+        """The counts gained since `earlier` (None: all of them), without history."""
+        delta = SourceStats(self.name)
+        for name in _COUNTS:
+            then = getattr(earlier, name) if earlier is not None else 0
+            setattr(delta, name, getattr(self, name) - then)
+        return delta
+
+    # -- the health model's window rates -----------------------------------------
+
+    @property
+    def touched(self) -> bool:
+        return (self.answers + self.failures + self.cache_hits + self.cache_misses) > 0
+
+    @property
+    def mean_latency_s(self) -> float:
+        return safe_rate(self.answer_seconds, self.answers)
 
     @property
     def failure_rate(self) -> float:
-        calls = self.fetches + self.failures
-        return self.failures / calls if calls else 0.0
+        return safe_rate(self.failures, self.answers + self.failures)
+
+    @property
+    def cache_hit_rate(self) -> float:
+        return safe_rate(self.cache_hits, self.cache_hits + self.cache_misses)
 
     def summary(self) -> dict:
+        latencies = self.latencies_s
         return {
-            "fetches": self.fetches,
-            "p50_s": percentile(self.latencies_s, 0.50),
-            "p95_s": percentile(self.latencies_s, 0.95),
-            "max_s": max(self.latencies_s) if self.latencies_s else 0.0,
+            "fetches": self.statements,
+            "p50_s": percentile(latencies, 0.50),
+            "p95_s": percentile(latencies, 0.95),
+            "max_s": max(latencies) if latencies else 0.0,
             "seconds": self.seconds,
             "rows": self.rows,
             "payload_bytes": self.payload_bytes,
             "wire_bytes": self.wire_bytes,
             "cache_hits": self.cache_hits,
             "retries": self.retries,
-            "failures": self.failures,
+            # a breaker's refusal is a failed call, as far as the caller saw
+            "failures": self.failures + self.short_circuits,
         }
 
 
+_COUNTS = tuple(f.name for f in fields(SourceStats) if f.name not in ("name", "latencies_s"))
+
+
 class QueryScoreboard:
-    """Folds traces into per-source histograms across many queries."""
+    """One engine's per-source record; prefetch workers write it concurrently."""
 
     def __init__(self):
         self.sources: dict[str, SourceStats] = {}
-        self.queries = 0
-        self.total_seconds = 0.0
+        self._lock = threading.Lock()
 
-    def record(self, trace) -> None:
-        """Fold one finalized trace's remote spans into the scoreboard."""
-        self.queries += 1
-        self.total_seconds += trace.work_seconds()
-        for span in trace.spans():
-            if span.category not in _REMOTE_CATEGORIES:
-                continue
-            source = str(span.attrs.get("source", "?"))
-            stats = self.sources.get(source)
-            if stats is None:
-                stats = self.sources[source] = SourceStats(source)
-            stats.observe(span)
+    def _stats(self, source: str) -> SourceStats:
+        """The source's entry (callers hold the lock); names are lowercased here."""
+        name = source.lower()
+        stats = self.sources.get(name)
+        if stats is None:
+            stats = self.sources[name] = SourceStats(name)
+        return stats
+
+    # -- writes (the `Recorder` only) --------------------------------------------------
+
+    def statement(
+        self, source: str, seconds: float, rows: int, payload_bytes: int,
+        wire_bytes: int, cache: Optional[str] = None, answer: Optional[tuple] = None,
+    ) -> None:
+        """One component statement ended. `cache` is ``"hit"`` / ``"miss"`` / None
+        (no fetch cache); `answer` is ``(source, seconds, payload_bytes)`` of the
+        remote answer it got, if any — the answering source may be a replica."""
+        with self._lock:
+            stats = self._stats(source)
+            stats.statements += 1
+            stats.seconds += seconds
+            stats.latencies_s.append(seconds)
+            stats.rows += rows
+            stats.payload_bytes += payload_bytes
+            stats.wire_bytes += wire_bytes
+            if cache == "hit":
+                stats.cache_hits += 1
+            elif cache == "miss":
+                stats.cache_misses += 1
+            if answer is not None:
+                answered_by, answer_seconds, answer_bytes = answer
+                stats = self._stats(answered_by)
+                stats.answers += 1
+                stats.answer_seconds += answer_seconds
+                stats.answer_bytes += answer_bytes
+
+    def count(self, source: str, counter: str) -> None:
+        """One failed call (``failures``), breaker refusal or retry."""
+        with self._lock:
+            stats = self._stats(source)
+            setattr(stats, counter, getattr(stats, counter) + 1)
+
+    # -- reads -------------------------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """Every source's counts as of now (copies, without history)."""
+        with self._lock:
+            return {name: stats.minus(None) for name, stats in self.sources.items()}
 
     # -- reporting ---------------------------------------------------------------
 
@@ -99,7 +155,7 @@ class QueryScoreboard:
     def share(self, source: str) -> float:
         """Fraction of all remote simulated seconds spent in `source`."""
         total = self.remote_seconds()
-        stats = self.sources.get(source.lower()) or self.sources.get(source)
+        stats = self.sources.get(source.lower())
         if stats is None or total <= 0:
             return 0.0
         return stats.seconds / total
@@ -107,26 +163,16 @@ class QueryScoreboard:
     def rows(self) -> list[tuple]:
         """Per-source table rows, slowest total first."""
         out = []
-        for stats in sorted(
-            self.sources.values(), key=lambda s: (-s.seconds, s.name)
-        ):
+        total = self.remote_seconds()
+        for stats in sorted(self.sources.values(), key=lambda s: (-s.seconds, s.name)):
             summary = stats.summary()
-            total = self.remote_seconds()
-            out.append(
-                (
-                    stats.name,
-                    summary["fetches"],
-                    round(summary["p50_s"], 6),
-                    round(summary["p95_s"], 6),
-                    round(summary["max_s"], 6),
-                    round(summary["seconds"], 6),
-                    f"{100.0 * stats.seconds / total:.1f}%" if total > 0 else "-",
-                    summary["wire_bytes"],
-                    summary["cache_hits"],
-                    summary["retries"],
-                    summary["failures"],
-                )
-            )
+            out.append((
+                stats.name,
+                summary["fetches"],
+                *(round(summary[key], 6) for key in ("p50_s", "p95_s", "max_s", "seconds")),
+                f"{100.0 * stats.seconds / total:.1f}%" if total > 0 else "-",
+                *(summary[key] for key in ("wire_bytes", "cache_hits", "retries", "failures")),
+            ))
         return out
 
     HEADERS = (
@@ -143,8 +189,9 @@ class QueryScoreboard:
         "failures",
     )
 
-    def render(self) -> str:
-        """Aligned text table of the per-source scoreboard."""
+    def render(self, queries: int) -> str:
+        """Aligned text table of the record; `queries` (a trace fact, the
+        tracer's `finished`) goes in the trailer."""
         rows = [[str(cell) for cell in row] for row in self.rows()]
         if not rows:
             return "scoreboard: no traces recorded"
@@ -161,7 +208,7 @@ class QueryScoreboard:
                 " | ".join(cell.rjust(w) for cell, w in zip(row, widths))
             )
         lines.append(
-            f"({self.queries} queries, {self.remote_seconds():.4f}s simulated "
+            f"({queries} queries, {self.remote_seconds():.4f}s simulated "
             "remote work)"
         )
         return "\n".join(lines)

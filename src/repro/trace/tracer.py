@@ -5,9 +5,10 @@ site guards on that, so tracing adds zero work and zero allocations when
 off (and, by construction, zero behavioral difference: the traced and
 untraced engines execute the same calls in the same order).
 
-A real `Tracer` hands out `Trace` objects, keeps the recent ones, records
-session-scoped events (cache invalidations happen *between* queries), and
-optionally feeds every finished trace to a `QueryScoreboard`.
+A real `Tracer` hands out `Trace` objects, keeps the recent ones, counts
+the finished ones and records session-scoped events (cache invalidations
+happen *between* queries). What each source did is not a trace fact: the
+engine's own record, ``engine.scoreboard``, holds it, traced or not.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, scoreboard=None, keep: int = DEFAULT_KEEP):
-        self.scoreboard = scoreboard
+    def __init__(self, keep: int = DEFAULT_KEEP):
         self.keep = max(1, keep)
         self.traces: list[Trace] = []
+        #: traces finished so far, however many `keep` retains
+        self.finished = 0
         self.session_events: list[tuple[str, dict]] = []
 
     def begin(self, name: str, **attrs) -> Trace:
@@ -54,12 +56,11 @@ class Tracer:
         return trace
 
     def finish(self, trace: Optional[Trace]) -> None:
-        """Finalize a trace's layout and feed the scoreboard, if any."""
+        """Finalize a trace's layout and count it."""
         if trace is None:
             return
         trace.finalize()
-        if self.scoreboard is not None:
-            self.scoreboard.record(trace)
+        self.finished += 1
 
     def session_event(self, name: str, **attrs) -> None:
         """Record a cross-query event (e.g. a cache invalidation)."""

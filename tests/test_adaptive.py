@@ -17,7 +17,6 @@ from repro.adaptive import (
     AdaptiveContext,
     AdaptivePolicy,
     FeedbackStore,
-    LatencyPredictor,
     lpt_order,
 )
 from repro.common.types import DataType as T
@@ -320,22 +319,22 @@ class TestLptScheduler:
         assert lpt_order(["a", "b"], [2.0, 2.0]) == ["a", "b"]
 
     def test_predictor_learns_seconds_per_byte(self):
-        predictor = LatencyPredictor()
-        assert predictor.predict("crm", 100.0) is None
-        predictor.observe("crm", seconds=2.0, payload_bytes=100.0)
-        assert predictor.predict("crm", 50.0) == pytest.approx(1.0)
+        policy = AdaptivePolicy(feedback=False)
+        engine = FederatedEngine(build_catalog(), EngineConfig(adaptive=AdaptiveContext(policy)))
+        node = engine.prepare("SELECT id, name FROM customers").fetches[0]
+        board, source = engine.scoreboard, node.source.name
 
-    def test_predictor_falls_back_to_scoreboard(self):
-        from repro.trace.scoreboard import QueryScoreboard, SourceStats
+        def predict():
+            return engine.adaptive.predict_fetch_seconds(
+                node, engine.network, "hub", board.snapshot()
+            )
 
-        board = QueryScoreboard()
-        stats = board.sources["sales"] = SourceStats("sales")
-        stats.fetches, stats.seconds, stats.payload_bytes = 4, 2.0, 400
-        predictor = LatencyPredictor(scoreboard=board)
-        assert predictor.predict("sales", 200.0) == pytest.approx(1.0)
-        # Own observations win over the scoreboard profile.
-        predictor.observe("sales", seconds=1.0, payload_bytes=100.0)
-        assert predictor.predict("sales", 200.0) == pytest.approx(2.0)
+        static = predict()  # capability constants before any answer
+        board.statement(source, 0.0, 5, 100, 100, cache="hit")
+        assert predict() == static  # a cache hit is no answer: nothing learned
+        board.statement(source, 2.0, 5, 100, 100, answer=(source.upper(), 2.0, 100))
+        payload = node.est_rows * node.schema.average_row_width()
+        assert predict() == pytest.approx(2.0 / 100 * payload)
 
 
 # -- engine integration: feedback round trip -----------------------------------

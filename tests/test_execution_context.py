@@ -9,7 +9,7 @@ Three properties of `repro.federation.execution`:
 * **plans are values** — executing a cached `FederatedPlan`, replans
   included, leaves every attribute of every node untouched;
 * **a failed query still finishes its trace**, with the error type on the
-  root span, so scoreboards count it.
+  root span, so the tracer counts it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.common.errors import (
 from repro.federation import EngineConfig, FederatedEngine, ResiliencePolicy
 from repro.federation.planner import FederatedPlanner
 from repro.netsim import FaultInjector, Outage, SimClock
-from repro.trace import QueryScoreboard, Tracer
+from repro.trace import Tracer
 
 from tests.test_engine_characterization import CONFIGS
 
@@ -245,39 +245,37 @@ def test_a_bind_join_converted_mid_query_stays_degradable(monkeypatch):
 
 def _failing_engines(fixture):
     clock = SimClock()
-    board = QueryScoreboard()
     over_budget = FederatedEngine(
         fixture.catalog(),
-        EngineConfig(clock=clock, tracer=Tracer(scoreboard=board), admission_budget_s=1e-9),
+        EngineConfig(clock=clock, tracer=Tracer(), admission_budget_s=1e-9),
     )
-    yield over_budget, board, AdmissionError
+    yield over_budget, AdmissionError
 
     clock = SimClock()
-    board = QueryScoreboard()
     injector = FaultInjector(seed=1, clock=clock)
     injector.script("crm", Outage(message="crm DBMS down"))
     source_down = FederatedEngine(
         fixture.catalog(wrap=injector.wrap),
-        EngineConfig(clock=clock, tracer=Tracer(scoreboard=board), telemetry=True),
+        EngineConfig(clock=clock, tracer=Tracer(), telemetry=True),
     )
-    yield source_down, board, InjectedFaultError
+    yield source_down, InjectedFaultError
 
 
 def test_a_failed_query_finishes_its_trace(fixture):
-    for engine, board, error in _failing_engines(fixture):
+    for engine, error in _failing_engines(fixture):
         with pytest.raises(error):
             engine.query(QUERIES["q4_crm_sales_join"])
         (trace,) = engine.tracer.traces
         assert trace.finalized
         assert trace.root.attrs["error"] == error.__name__
-        assert board.queries == 1
+        assert engine.tracer.finished == 1
         if engine.telemetry.enabled:
             counters = engine.telemetry.registry.snapshot()
             assert counters['eii_queries_total{status="error"}'] == 1
 
 
 def test_a_failed_direct_execution_finishes_its_own_trace(fixture):
-    engine, board, error = list(_failing_engines(fixture))[1]
+    engine, error = list(_failing_engines(fixture))[1]
     plan = engine.planner.plan(QUERIES["q4_crm_sales_join"])
     with pytest.raises(error):
         engine.execute_plan(plan)

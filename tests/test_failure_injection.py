@@ -37,6 +37,7 @@ from repro.netsim import (
 from repro.sources import RelationalSource, WebServiceSource
 from repro.storage import Database
 from repro.telemetry import TelemetryPlane
+from repro.trace import QueryScoreboard
 from repro.trace.span import Span
 
 from tests.federation_fixtures import build_catalog
@@ -256,13 +257,15 @@ class TestRunGuarded:
             return "ok"
 
         metrics, span, plane = MetricsCollector(), Span("fetch:s"), TelemetryPlane()
-        record = Recorder(metrics, span, plane)
+        board = QueryScoreboard()
+        record = Recorder(metrics, span, plane, board)
         assert manager.run_guarded("s", attempt, record) == "ok"
         assert len(attempts) == 3
         # backoff advanced the simulated clock between attempts
         assert attempts[1] > attempts[0] and attempts[2] > attempts[1]
-        # ... and every failure and retry reached all three observers once
+        # ... and every failure and retry reached all four observers once
         assert (metrics.source_failures, metrics.retries) == (2, 2)
+        assert (board.sources["s"].failures, board.sources["s"].retries) == (2, 2)
         assert metrics.backoff_seconds == metrics.simulated_seconds > 0
         assert [event.name for event in span.events] == [
             "source_failure", "retry", "source_failure", "retry",
@@ -281,7 +284,7 @@ class TestRunGuarded:
 
         metrics = MetricsCollector()
         with pytest.raises(SourceError, match="still down"):
-            manager.run_guarded("s", attempt, Recorder(metrics))
+            manager.run_guarded("s", attempt, Recorder(metrics, scoreboard=QueryScoreboard()))
         # the last attempt is not followed by a backoff
         assert (metrics.source_failures, metrics.retries) == (2, 1)
 
@@ -295,7 +298,7 @@ class TestRunGuarded:
 
         metrics = MetricsCollector()
         with pytest.raises(CapabilityError):
-            manager.run_guarded("s", attempt, Recorder(metrics))
+            manager.run_guarded("s", attempt, Recorder(metrics, scoreboard=QueryScoreboard()))
         assert len(calls) == 1
         assert (metrics.source_failures, metrics.retries) == (0, 0)
         # planner-side failure must not poison the breaker
@@ -312,8 +315,8 @@ class TestRunGuarded:
         def attempt():
             raise SourceError("down")
 
-        metrics, span = MetricsCollector(), Span("fetch:s")
-        record = Recorder(metrics, span)
+        metrics, span, board = MetricsCollector(), Span("fetch:s"), QueryScoreboard()
+        record = Recorder(metrics, span, scoreboard=board)
         for _ in range(2):
             with pytest.raises(SourceError):
                 manager.run_guarded("s", attempt, record)
@@ -321,6 +324,7 @@ class TestRunGuarded:
             manager.run_guarded("s", attempt, record)
         assert metrics.breaker_short_circuits == 1
         assert span.events[-1].name == "breaker.open"
+        assert (board.sources["s"].failures, board.sources["s"].short_circuits) == (2, 1)
 
     def test_backoff_is_deterministic_per_seed(self):
         a = ResilienceManager(ResiliencePolicy(seed=7), clock=SimClock())

@@ -75,8 +75,8 @@ class TestShell:
         text, shell = shell_output
         assert "p95_s" in text
         assert "simulated" in text and "remote work" in text
-        # every executed query (including the profiled one) was recorded
-        assert shell.scoreboard.queries >= 3
+        # every executed query (including the profiled one) was traced
+        assert shell.tracer.finished >= 3
 
     def test_profile_usage_lines(self):
         out = io.StringIO()
@@ -92,7 +92,7 @@ class TestShell:
         assert shell.engine.tracer.enabled is False
         # queries run untraced: no new traces recorded
         shell.handle("SELECT COUNT(*) AS n FROM orders")
-        assert shell.scoreboard.queries == 0
+        assert shell.tracer.finished == 0
         shell.handle("\\scoreboard")
         assert "tracing is off" in out.getvalue()
         # \profile still works while tracing is off (ephemeral tracer)

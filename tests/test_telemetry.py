@@ -25,7 +25,6 @@ from repro.telemetry import (
     MetricsRegistry,
     SloPolicy,
     SloTracker,
-    SourceWindow,
     TelemetryPlane,
     ThresholdRule,
     TimeSeries,
@@ -33,6 +32,7 @@ from repro.telemetry import (
     resolve_telemetry,
     sparkline,
 )
+from repro.trace import QueryScoreboard, SourceStats
 
 from tests.federation_fixtures import build_catalog
 
@@ -296,11 +296,11 @@ class TestSlo:
 class TestHealth:
     def test_failure_rate_thresholds(self):
         model = HealthModel(alerts=AlertManager())
-        model.close_window({"crm": SourceWindow(fetches=1, failures=3)}, 1.0)
+        model.close_window({"crm": SourceStats("crm", answers=1, failures=3)}, 1.0)
         assert model.state("crm") == DOWN
-        model.close_window({"crm": SourceWindow(fetches=2, failures=1)}, 2.0)
+        model.close_window({"crm": SourceStats("crm", answers=2, failures=1)}, 2.0)
         assert model.state("crm") == DEGRADED
-        model.close_window({"crm": SourceWindow(fetches=4)}, 3.0)
+        model.close_window({"crm": SourceStats("crm", answers=4)}, 3.0)
         assert model.state("crm") == HEALTHY
         alert = model.alerts.first("health.crm")
         assert alert is not None and not alert.firing
@@ -324,11 +324,12 @@ class TestHealth:
         model = HealthModel(policy=HealthPolicy(min_baseline_windows=2))
         for end in (1.0, 2.0, 3.0):
             model.close_window(
-                {"mainframe": SourceWindow(fetches=5, latency_sum_s=5 * 0.1)}, end
+                {"mainframe": SourceStats("mainframe", answers=5, answer_seconds=0.5)},
+                end,
             )
         assert model.state("mainframe") == HEALTHY
         model.close_window(
-            {"mainframe": SourceWindow(fetches=5, latency_sum_s=5 * 2.0)}, 4.0
+            {"mainframe": SourceStats("mainframe", answers=5, answer_seconds=5 * 2.0)}, 4.0
         )
         assert model.state("mainframe") == DEGRADED
         assert "latency" in model.sources["mainframe"].reasons
@@ -338,7 +339,7 @@ class TestHealth:
         model = HealthModel(alerts=AlertManager())
         for end in range(1, 8):
             model.close_window(
-                {"mainframe": SourceWindow(fetches=3, latency_sum_s=6.0)},
+                {"mainframe": SourceStats("mainframe", answers=3, answer_seconds=6.0)},
                 float(end),
             )
         assert model.state("mainframe") == HEALTHY
@@ -346,7 +347,7 @@ class TestHealth:
 
     def test_untouched_windows_count_toward_recovery(self):
         model = HealthModel(policy=HealthPolicy(recovery_windows=2))
-        model.close_window({"crm": SourceWindow(fetches=0, failures=4)}, 1.0)
+        model.close_window({"crm": SourceStats("crm", answers=0, failures=4)}, 1.0)
         assert model.state("crm") == DOWN
         model.close_window({}, 2.0)
         assert model.state("crm") == DOWN  # one clean window is not enough
@@ -374,10 +375,16 @@ class TestTelemetryPlane:
 
     def test_hooks_feed_registry_and_health_windows(self):
         plane = TelemetryPlane(window_s=1.0)
+        board = QueryScoreboard()
+        plane.attach_scoreboard(board)
         plane.on_fetch("crm", seconds=0.2, payload_bytes=128)
+        board.statement("crm", 0.2, 1, 128, 128, answer=("crm", 0.2, 128))
         plane.on_fetch("crm", ok=False)
+        board.count("crm", "failures")
         plane.on_fetch("crm", cache="hit")
+        board.statement("crm", 0.0, 0, 0, 0, cache="hit")
         plane.on_retry("crm")
+        board.count("crm", "retries")
         plane.on_query("ok", seconds=0.3, rows=7)
         assert plane.tick(1.0) == 1
         registry = plane.registry
@@ -390,8 +397,11 @@ class TestTelemetryPlane:
         assert registry.get("eii_cache_hits_total", source="crm").value() == 1
         assert registry.get("eii_retries_total", source="crm").value() == 1
         assert registry.get("eii_query_rows_total").value() == 7
-        # the closed window judged crm on 1 ok / 1 failed = 50% failures
+        # the closed window judged crm on its record: 1 ok / 1 failed = 50% failures
         assert plane.health.state("crm") == DEGRADED
+        # the next window is judged on what changed since: nothing, so crm recovers
+        assert plane.tick(2.0) == 1
+        assert plane.health.state("crm") == HEALTHY
 
     def test_outcomes_drive_slo_and_stamp(self):
         plane = TelemetryPlane(
@@ -419,8 +429,12 @@ class TestTelemetryPlane:
 class TestExports:
     def build_plane(self):
         plane = TelemetryPlane(window_s=1.0)
+        board = QueryScoreboard()
+        plane.attach_scoreboard(board)
         plane.on_fetch("crm", seconds=0.2, payload_bytes=64)
+        board.statement("crm", 0.2, 1, 64, 64, answer=("crm", 0.2, 64))
         plane.on_fetch("sales", ok=False)
+        board.count("sales", "failures")
         plane.on_outcome(outcome(status="failed"), now=0.5)
         plane.tick(2.0)
         return plane

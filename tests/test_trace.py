@@ -337,19 +337,19 @@ class TestNullTracerParity:
 
 class TestScoreboard:
     def test_aggregates_across_queries(self):
-        scoreboard = QueryScoreboard()
         engine, injector = traced_engine(
             ResiliencePolicy(max_attempts=3, backoff_jitter=0.0),
-            tracer=Tracer(scoreboard=scoreboard),
+            tracer=Tracer(),
         )
         injector.script("crm", Transient(1))
         for _ in range(3):
             engine.query(JOIN_Q)
         engine.query(BIND_Q)
-        assert scoreboard.queries == 4
+        scoreboard = engine.scoreboard
+        assert engine.tracer.finished == 4
         assert set(scoreboard.sources) >= {"crm", "sales"}
         crm = scoreboard.sources["crm"]
-        assert crm.fetches == 4 and crm.retries == 1
+        assert crm.statements == 4 and crm.retries == 1
         assert crm.summary()["p95_s"] >= crm.summary()["p50_s"]
         shares = [scoreboard.share(name) for name in scoreboard.sources]
         assert sum(shares) == pytest.approx(1.0)
@@ -358,16 +358,15 @@ class TestScoreboard:
         )
 
     def test_render_table(self):
-        scoreboard = QueryScoreboard()
-        engine, _ = traced_engine(tracer=Tracer(scoreboard=scoreboard))
+        engine, _ = traced_engine(tracer=Tracer())
         engine.query(JOIN_Q)
-        text = scoreboard.render()
+        text = engine.scoreboard.render(engine.tracer.finished)
         assert "source" in text and "p95_s" in text and "share" in text
         assert "crm" in text and "%" in text
         assert "1 queries" in text
 
     def test_empty_scoreboard_renders_hint(self):
-        assert "no traces" in QueryScoreboard().render()
+        assert "no traces" in QueryScoreboard().render(0)
 
 
 # -- explain sections (FederatedResult.explain) ---------------------------------

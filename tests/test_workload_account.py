@@ -145,9 +145,9 @@ class TestTenantStats:
 
 
 def test_shell_workload_adds_only_the_tracers_traces_to_the_scoreboard():
-    """The tracer folds each finished trace into the session scoreboard; the
-    workload adds nothing beside it (it used to fold every outcome's trace a
-    second time: 21 queries for 11 traces)."""
+    """The scoreboard's query count is the tracer's count of finished traces;
+    the workload adds nothing beside it (it used to fold every outcome's trace
+    a second time: 21 queries for 11 traces)."""
     shell = Shell(scale=1, out=io.StringIO())
     finished = []
     finish = shell.tracer.finish
@@ -157,10 +157,10 @@ def test_shell_workload_adds_only_the_tracers_traces_to_the_scoreboard():
         finish(trace)
 
     shell.tracer.finish = counting_finish
-    before = shell.scoreboard.queries
+    before = shell.tracer.finished
     shell.handle("\\workload 10 0")
     assert finished
-    assert shell.scoreboard.queries - before == len(finished)
+    assert shell.tracer.finished - before == len(finished)
 
 
 def test_result_cache_hits_are_not_recounted(enterprise):
