@@ -127,6 +127,7 @@ def _reconsider_bind_joins(root, cost_model, max_bind_keys: int):
                 node.source,
                 node.fetch_schema,
                 est_rows=node.est_rows,
+                est=node.est,
                 depends_on=node.depends_on,
                 tables=node.tables,
             )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.engine.logical import (
@@ -277,7 +277,7 @@ class CostModel:
         for conjunct in split_conjuncts(plan.predicate):
             selectivity *= self.selectivity(conjunct, child)
         rows = max(child.rows * selectivity, 0.0)
-        return PlanCost(rows, child.cost + child.rows * 0.2, child.column_stats)
+        return PlanCost(rows, child.cost + child.rows * 0.2, _capped(child.column_stats, rows))
 
     def _join(self, plan: LogicalJoin) -> PlanCost:
         left = self.estimate(plan.left)
@@ -391,6 +391,16 @@ class CostModel:
             if stat is not None:
                 return stat.eq_selectivity(value)
         return DEFAULT_EQ_SELECTIVITY
+
+
+def _capped(column_stats: dict, rows: float) -> dict:
+    """`column_stats` of a subtree cut to `rows`: no column holds more
+    distinct values than there are rows."""
+    ceiling = max(int(rows), 1)
+    return {
+        key: replace(stat, distinct=ceiling) if stat.distinct > ceiling else stat
+        for key, stat in column_stats.items()
+    }
 
 
 def _literal_value(expr: Expr):

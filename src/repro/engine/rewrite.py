@@ -273,10 +273,10 @@ def _push_join(plan: LogicalJoin, pending: list[Expr]) -> LogicalPlan:
 
     left = _push(plan.left, to_left)
     if plan.kind == "LEFT" and plan.condition is not None:
-        # The original ON condition of a LEFT join must stay intact.
-        to_condition = split_conjuncts(plan.condition) + [
-            c for c in to_condition if c not in split_conjuncts(plan.condition)
-        ]
+        # The original ON condition of a LEFT join must stay intact. A WHERE
+        # conjunct equal to one of its conjuncts is kept beside it: what the
+        # plan holds may not depend on the value of a constant.
+        to_condition = split_conjuncts(plan.condition) + to_condition
         right = _push(plan.right, to_right)
         rebuilt = LogicalJoin(left, right, plan.kind, conjoin(to_condition))
         return _wrap_filter(rebuilt, stuck)

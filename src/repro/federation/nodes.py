@@ -121,6 +121,7 @@ class LogicalBindJoin(LogicalPlan):
         depends_on: frozenset = frozenset(),
         tables: frozenset = frozenset(),
         required: bool = False,
+        est: Optional[PlanCost] = None,
     ):
         if kind not in ("INNER", "LEFT"):
             raise PlanError(f"bind join does not support kind {kind!r}")
@@ -142,6 +143,8 @@ class LogicalBindJoin(LogicalPlan):
         #: patterns) — mid-query re-optimization must never convert these
         #: to plain fetches
         self.required = required
+        #: full estimate of the probed template, as on `LogicalFetch`
+        self.est = est
         self.schema = left.schema.concat(fetch_schema)
 
     @property
@@ -164,6 +167,7 @@ class LogicalBindJoin(LogicalPlan):
             self.depends_on,
             self.tables,
             self.required,
+            self.est,
         )
 
     def label(self):
@@ -174,7 +178,12 @@ class LogicalBindJoin(LogicalPlan):
 
     def estimate_cost(self, cost_model) -> PlanCost:
         left = cost_model.estimate(self.left)
-        return PlanCost(max(left.rows, self.est_rows), left.cost + self.est_rows)
+        probed = self.est.column_stats if self.est is not None else {}
+        return PlanCost(
+            max(left.rows, self.est_rows),
+            left.cost + self.est_rows,
+            {**left.column_stats, **probed},
+        )
 
     def lower_physical(self, engine, execution=None) -> "BindJoinOp":
         left_physical = engine.lower(self.left, _required(execution, self))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from repro.common.errors import PlanError
-from repro.engine.cost import CostModel
+from repro.engine.cost import CostModel, PlanCost
 from repro.engine.logical import (
     LogicalAggregate,
     LogicalDistinct,
@@ -103,6 +103,13 @@ class FederatedPlan:
             elif isinstance(node, LogicalScan):
                 tags.add(node.table_name.lower())
         return frozenset(tags)
+
+
+def _distinct(est: PlanCost, key: ColumnRef) -> float:
+    """Distinct values of `key` in a subtree estimated at `est`, at most its
+    rows (its rows when the column has no statistics)."""
+    stat = est.stat_for(key)
+    return est.rows if stat is None else min(float(stat.distinct), est.rows)
 
 
 def _remote_nodes(root: LogicalPlan) -> tuple:
@@ -392,10 +399,13 @@ class FederatedPlanner:
                 )
 
         # Case 2 (optimization): both sides remote; ship keys instead of rows.
-        if self.semijoin == "off" or join.kind != "INNER":
+        # A LEFT join is driven from its preserved side: every right row that
+        # can match carries one of the left's keys.
+        if self.semijoin == "off" or join.kind not in ("INNER", "LEFT"):
             return None
         if (
-            isinstance(join.left, LogicalFetch)
+            join.kind == "INNER"
+            and isinstance(join.left, LogicalFetch)
             and isinstance(join.right, LogicalFetch)
             and join.left.est_rows > join.right.est_rows
             and PRED_IN
@@ -405,15 +415,8 @@ class FederatedPlanner:
             join = LogicalJoin(join.right, join.left, "INNER", join.condition)
         if not isinstance(join.right, LogicalFetch):
             return None
-        right: LogicalFetch = join.right
-        if PRED_IN not in right.source.capabilities.dialect.supported_predicates:
+        if PRED_IN not in join.right.source.capabilities.dialect.supported_predicates:
             return None
-        left_est = self.cost_model.estimate(join.left).rows
-        if self.semijoin == "auto":
-            if left_est > self.max_bind_keys:
-                return None
-            if right.est_rows <= left_est * 1.5:
-                return None  # not enough reduction to pay per-chunk overhead
         return self._build_bind_join(join, required=False)
 
     def _build_bind_join(
@@ -449,20 +452,23 @@ class FederatedPlanner:
                 )
             return None
         left_key, right_key = equi_pair
+        probed = self.cost_model.estimate(right)
+        if not required and self.semijoin == "auto":
+            # Bind when the keys are few enough to ship and cut the right
+            # side's key domain by more than 1.5x (the per-chunk overhead).
+            keys = _distinct(self.cost_model.estimate(join.left), left_key)
+            if keys > self.max_bind_keys or keys * 1.5 >= _distinct(probed, right_key):
+                return None
 
         if isinstance(right, LogicalFetch):
             template = right.stmt
             source = right.source
-            fetch_schema = right.schema
-            est = right.est_rows
             depends_on = right.depends_on
             tables = right.tables
         else:
             info = self._analyze(right)
             source = self.catalog.sources[info.single_source]
             template = plan_to_select(right, self.catalog)
-            fetch_schema = right.schema
-            est = self.cost_model.estimate(right).rows
             depends_on = self._dependencies_of(right)
             tables = self._global_tables_of(right)
         # For binding-pattern tables the probe must target the bound column.
@@ -479,16 +485,17 @@ class FederatedPlanner:
             left=join.left,
             template=template,
             source=source,
-            fetch_schema=fetch_schema,
+            fetch_schema=right.schema,
             left_key=left_key,
             right_key=probe_ref,
             kind=join.kind,
             residual=conjoin(residual),
             max_inlist=self.max_inlist,
-            est_rows=est,
+            est_rows=probed.rows,
             depends_on=depends_on,
             tables=tables,
             required=required,
+            est=probed,
         )
 
     # -- validation -----------------------------------------------------------------

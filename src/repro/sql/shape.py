@@ -24,7 +24,7 @@ from dataclasses import replace
 from typing import NamedTuple, Optional
 
 from repro.sql.ast import BinaryOp, ColumnRef, Expr, InList, Literal, LiteralValues, Select
-from repro.sql.exprutil import column_vs_literal, walk
+from repro.sql.exprutil import column_vs_literal
 from repro.sql.lexer import string_value
 from repro.sql.printer import to_sql
 
@@ -92,13 +92,7 @@ def _lift(stmt: Select) -> Lifted:
         # prints `?int`: a name no lexer yields, so no column collides with it
         return ColumnRef("?" + literal.value.__class__.__name__)
 
-    # The rewriter drops a WHERE conjunct that *equals* an ON conjunct of an
-    # outer join: with a constant there, the plan's structure reads values.
-    if not any(
-        join.kind == "LEFT" and any(node.__class__ is Literal for node in walk(join.condition))
-        for join in stmt.joins
-    ):
-        where = _swap_slots(where, slot)
+    where = _swap_slots(where, slot)
     return Lifted(to_sql(replace(stmt, where=where) if slots else stmt), *zip(*slots))
 
 

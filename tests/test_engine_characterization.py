@@ -9,6 +9,11 @@ epilogue paths were folded into one, so replaying it proves a refactor of
 that first generation, by design: `faulty/pass0/q6_region_rollup` now lists
 `crm_standby`, not `crm`, under `sources_answered` — its bind-join chunks
 were served by the replica (the completeness fix that rode with the fold).
+The bind-join gate counted in distinct keys re-planned q4, q5, q6, q9 and q12
+(the explain, summary, elapsed and trace entries of those keys, and q8's
+fetch-cache hits under `cached`); q5 and q9 add their float sums in another
+order, so their row digests moved in the last bits while their rows
+compared to 9 significant digits did not.
 
 Regenerate (only when behaviour is meant to change) with:
 

@@ -1358,7 +1358,7 @@ def test_every_filter_of_the_benchmark_traffic_runs_its_passes(monkeypatch):
     with repro.connect(fixture.catalog(), EngineConfig(clock=SimClock())) as engine:
         for sql in benchmark_statements():
             engine.query(sql)
-    assert len(ran) >= 14, sorted(ran)  # distinct predicates, source side and hub
+    assert len(ran) >= 13, sorted(ran)  # distinct predicates, source side and hub
     assert ran["((i.paid = FALSE) AND (i.amount > 2000))"] == 2  # q8: the bool-literal row
 
 
