@@ -16,7 +16,7 @@ through all three detectors of `repro.analysis.concurrency`:
   leaks via the limiter drain audit (EII506), single-writer violations
   on the coordinator's MetricsCollector (EII507);
 * **interleaving fuzzer** — seeded schedules through the single-flight
-  protocol and the engine prefetch pool, diffed against the serial
+  protocol and threads sharing one engine, diffed against the serial
   oracle: divergence (EII505) and leaks (EII506).
 
 Claims asserted: every seeded defect is detected with its expected code

@@ -7,8 +7,9 @@ the sum of fetches.
 
 Method: a five-source fan-out query (crm + sales + support + finance +
 marketing). Sweep the worker count; simulated elapsed time is computed by
-list-scheduling the measured per-fetch durations, exactly mirroring the
-thread pool. Speedup rises with workers and saturates at the fetch count.
+list-scheduling the measured per-fetch durations over that many simulated
+slots (the fetches themselves run one after another on the caller's
+thread). Speedup rises with workers and saturates at the fetch count.
 """
 
 from repro.bench import BenchConfig, build_enterprise

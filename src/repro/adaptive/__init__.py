@@ -9,7 +9,7 @@ Three cooperating levers close the loop between execution and planning:
   prefetch has turned estimates into actuals;
 - **latency-aware prefetch scheduling** (LPT submission, predicted from
   the engine's per-source record) so skewed fetch durations stop
-  serializing the worker pool.
+  serializing the simulated worker slots.
 
 `AdaptivePolicy`/`AdaptiveContext` are the configuration and state objects
 the `FederatedEngine` accepts via its ``adaptive=`` parameter.

@@ -12,7 +12,7 @@ Three detectors over the `EII5xx` diagnostic family, one currency
   hot paths: lockset races (EII504), slot leaks (EII506), single-writer
   violations (EII507);
 * **deterministic interleaving fuzzer** (`interleave`) — seeded schedule
-  perturbation of the prefetch pool and the in-flight registry, diffed
+  perturbation of threads sharing one engine and of the in-flight registry, diffed
   against a serial oracle: divergence (EII505), leaks (EII506).
 
 `lint_concurrency(paths)` is the workspace entry point the
@@ -28,7 +28,7 @@ from repro.analysis.diagnostics import AnalysisReport
 
 from repro.analysis.concurrency.interleave import (
     InterleaveSchedule,
-    fuzz_prefetch,
+    fuzz_shared_engine,
     run_coalescing_scenario,
     run_limiter_scenario,
     single_flight,
@@ -47,7 +47,7 @@ __all__ = [
     "RaceSanitizer",
     "build_lock_graph",
     "collect_sources",
-    "fuzz_prefetch",
+    "fuzz_shared_engine",
     "instrument_method",
     "lint_concurrency",
     "lint_lock_order",

@@ -13,11 +13,11 @@ interleavings are perturbed on purpose:
 * `run_limiter_scenario` — K threads pour through `SourceLimiter.slot`,
   optionally failing mid-slot; the observed peak must respect the cap
   and every slot must drain, else **EII506**.
-* `fuzz_prefetch` — a whole `FederatedEngine.query` with the prefetch
-  pool's fetches gated: each worker blocks at the top of
-  `Execution.fetch` until a seeded controller releases it, forcing
-  fetch completion orders the pool would rarely produce. Rows and the
-  metrics summary must be identical to an unperturbed run (**EII505**).
+* `fuzz_shared_engine` — N caller threads run the same SQL on *one*
+  `FederatedEngine`, each blocking at the top of every `Execution.fetch`
+  until the seeded schedule releases it, so their queries interleave
+  fetch by fetch. Every caller's rows, metrics summary and simulated
+  elapsed time must equal a serial run's (**EII505**).
 
 The scheduler is cooperative and name-based: worker threads `register`,
 block at `point()`s, and `finish()` before any external wait, so the
@@ -349,138 +349,117 @@ def run_limiter_scenario(
 
 
 # ---------------------------------------------------------------------------
-# Scenario: gated prefetch pool
+# Scenario: caller threads sharing one engine
 # ---------------------------------------------------------------------------
 
 
-class _PrefetchGate:
-    """Blocks pool fetches on arrival; a controller releases them seeded."""
-
-    def __init__(self, seed: int, timeout: float = _DEFAULT_TIMEOUT):
-        self._cond = threading.Condition()
-        self._rng = random.Random(seed)
-        self._waiting: dict = {}  # ticket -> released?
-        self._next_ticket = 0
-        self._done = False
-        self._timeout = timeout
-        self.history: List[int] = []
-
-    def arrive_and_wait(self) -> None:
-        with self._cond:
-            ticket = self._next_ticket
-            self._next_ticket += 1
-            self._waiting[ticket] = False
-            self._cond.notify_all()
-            deadline = time.monotonic() + self._timeout
-            while not self._waiting[ticket] and not self._done:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return  # watchdog: never wedge the pool
-                self._cond.wait(min(remaining, 0.25))
-
-    def run_controller(self) -> None:
-        while True:
-            with self._cond:
-                while not self._done and not any(
-                    not released for released in self._waiting.values()
-                ):
-                    self._cond.wait(0.25)
-                if self._done:
-                    return
-                # brief grace so concurrent arrivals can join the draw —
-                # more arrivals, more adversarial orderings to pick from
-                self._cond.wait(0.01)
-                pending = [t for t, released in self._waiting.items() if not released]
-                if not pending:
-                    continue
-                chosen = self._rng.choice(sorted(pending))
-                self._waiting[chosen] = True
-                self.history.append(chosen)
-                self._cond.notify_all()
-
-    def close(self) -> None:
-        with self._cond:
-            self._done = True
-            for ticket in self._waiting:
-                self._waiting[ticket] = True
-            self._cond.notify_all()
-
-
-def _observe(engine, sql: str) -> tuple:
-    """Run `sql` on a throwaway engine and stop its prefetch workers."""
-    with engine:
-        result = engine.query(sql)
+def _observe(result) -> tuple:
     rows = sorted(tuple(row) for row in result.relation.rows)
-    return rows, tuple(sorted(result.metrics.summary().items())), result.elapsed_seconds
+    return rows, result.metrics.summary(), result.elapsed_seconds
 
 
-def fuzz_prefetch(
+def _race(engine, sql: str, n_threads: int, schedule, timeout: float) -> dict:
+    """`n_threads` callers of ``engine.query(sql)``, each stopped by `schedule`
+    on arrival and at every `Execution.fetch`; caller -> observation, or the
+    exception it raised (absent: it never returned)."""
+    from repro.federation.execution import Execution
+
+    fetch = Execution.fetch
+    observed: dict = {}
+
+    def gated_fetch(run, node, *args, **kwargs):
+        schedule.point(threading.current_thread().name, "fetch")
+        return fetch(run, node, *args, **kwargs)
+
+    def caller(i: int) -> None:
+        name = f"caller-{i}"
+        try:
+            schedule.point(name, "arrive")
+            observed[i] = _observe(engine.query(sql))
+        except Exception as exc:  # noqa: BLE001 — diffed, not crashed
+            observed[i] = exc
+        finally:
+            schedule.finish(name)
+
+    # daemons: a wedged caller must fail the diff, not hang interpreter exit
+    threads = [
+        threading.Thread(target=caller, args=(i,), name=f"caller-{i}", daemon=True)
+        for i in range(n_threads)
+    ]
+    for thread in threads:
+        schedule.register(thread.name)
+    Execution.fetch = gated_fetch
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        Execution.fetch = fetch
+    return observed
+
+
+def fuzz_shared_engine(
     engine_factory: Callable[[], object],
     sql: str,
+    n_threads: int = 4,
     seeds: Sequence[int] = (0, 1, 2, 3),
     timeout: float = _DEFAULT_TIMEOUT,
 ) -> List[Diagnostic]:
-    """Perturb the prefetch pool's fetch order across `seeds`; diff runs.
+    """Run `sql` from `n_threads` threads on one engine per seed; diff each.
 
-    `engine_factory` must build a fresh, equivalently-configured engine
-    per call (shared state across runs would confound the differential).
-    Every perturbed run's rows, metrics summary and simulated elapsed
-    time must match the unperturbed oracle run; mismatches are EII505.
+    The seed's `InterleaveSchedule` lets one caller run at a time, from one
+    `Execution.fetch` to its next, so the callers' queries interleave fetch
+    by fetch in a replayable order. `engine_factory` builds a fresh engine
+    per call; each serves `sql` once before the race, so no answer depends
+    on which caller planned first. Every caller's rows, metrics summary and
+    simulated elapsed time must equal the serial run's (EII505).
     """
-    from repro.federation.execution import Execution
-
-    oracle = _observe(engine_factory(), sql)
+    serial = engine_factory()
+    serial.query(sql)
+    oracle = _observe(serial.query(sql))
     diagnostics: List[Diagnostic] = []
-
     for seed in seeds:
-        gate = _PrefetchGate(seed, timeout)
-        original_fetch = Execution.fetch
-
-        def gated_fetch(self, node, *args, _gate=gate, _orig=original_fetch, **kwargs):
-            _gate.arrive_and_wait()
-            return _orig(self, node, *args, **kwargs)
-
-        controller = threading.Thread(target=gate.run_controller, daemon=True)
-        Execution.fetch = gated_fetch
-        controller.start()
-        try:
-            observed = _observe(engine_factory(), sql)
-        finally:
-            Execution.fetch = original_fetch
-            gate.close()
-            controller.join(timeout)
-
+        engine = engine_factory()
+        engine.query(sql)
+        schedule = InterleaveSchedule(seed, timeout)
+        observed = _race(engine, sql, n_threads, schedule, timeout)
         origin = f"interleave[seed={seed}]"
-        if observed[0] != oracle[0]:
+        hint = f"release history: {schedule.history}"
+        if schedule.aborted:
             diagnostics.append(
                 error(
                     "EII505",
-                    f"rows diverged from the serial oracle under release "
-                    f"order {gate.history}",
+                    "schedule aborted: a caller wedged outside the scheduler "
+                    "(possible deadlock under this interleaving)",
+                    hint=hint,
                     origin=origin,
                 )
             )
-        if observed[1] != oracle[1]:
-            delta = {
-                key: (dict(oracle[1]).get(key), dict(observed[1]).get(key))
-                for key in set(dict(oracle[1])) | set(dict(observed[1]))
-                if dict(oracle[1]).get(key) != dict(observed[1]).get(key)
-            }
-            diagnostics.append(
-                error(
-                    "EII505",
-                    f"metrics summary diverged from the serial oracle: "
-                    f"{delta}",
-                    hint="simulated accounting must be schedule-independent",
-                    origin=origin,
+        for i in range(n_threads):
+            got = observed.get(i)
+            if not isinstance(got, tuple):
+                outcome = "never returned" if got is None else f"raised {got!r}"
+                diagnostics.append(
+                    error(
+                        "EII505",
+                        f"caller-{i} {outcome} where the serial run answers",
+                        hint=hint,
+                        origin=origin,
+                    )
                 )
-            )
-        if abs(observed[2] - oracle[2]) > 1e-9:
-            diagnostics.append(
-                error(
-                    "EII505",
-                    f"simulated elapsed {observed[2]} != oracle {oracle[2]}",
-                    origin=origin,
-                )
-            )
+                continue
+            for what, mine, expected in zip(
+                ("rows", "metrics summary", "simulated elapsed"), got, oracle
+            ):
+                if mine != expected:
+                    diagnostics.append(
+                        error(
+                            "EII505",
+                            f"caller-{i}'s {what} diverged from the serial run: "
+                            f"{mine!r} != {expected!r}",
+                            hint=hint,
+                            origin=origin,
+                        )
+                    )
     return diagnostics

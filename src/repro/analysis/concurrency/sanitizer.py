@@ -18,8 +18,8 @@ engine's concurrent hot paths are instrumented:
 * Pure lockset checking false-positives on fork/join hand-offs (the
   coordinator reads worker state after `join`, holding nothing). A
   coarse happens-before *fence* fixes that: `Thread.join` and a
-  `concurrent.futures.wait` that leaves no future unfinished (how the
-  engine's coordinator joins a query's tasks on its long-lived pool) bump
+  `concurrent.futures.wait` that leaves no future unfinished (how a
+  coordinator joins its tasks on a long-lived executor) bump
   a global epoch, and a shadow entry last touched in an older epoch resets
   to exclusive-in-the-current-thread — ordering has been established, no
   lock required.
@@ -430,7 +430,7 @@ def _instrument_engine_hot_paths() -> List:
                 BoundedStore, method, ("_entries",), guard_attr="_lock"
             )
         )
-    # the engine's source record: prefetch workers write it per statement
+    # the engine's source record: every caller thread writes it per statement
     for method in ("statement", "count"):
         undos.append(
             instrument_method(
@@ -479,7 +479,7 @@ def _instrument_engine_hot_paths() -> List:
     )
     undos.append(lambda: setattr(metrics_module, "_OWNER_VIOLATION_HOOK", hooked))
 
-    # happens-before fences on the two join points the engine uses
+    # happens-before fences on the two fork-join points: threads, executors
     original_join = threading.Thread.join
 
     @wraps(original_join)

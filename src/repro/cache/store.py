@@ -15,8 +15,8 @@ Entries carry *tags* (lower-cased table names); `invalidate_tag` evicts
 every entry that depends on a changed table, which is how writes through
 the mediator/EAI path keep the cache from serving stale reads.
 
-The store is thread-safe: the federated engine's prefetch pool probes and
-fills the fetch-level store concurrently.
+The store is thread-safe: threads sharing one federated engine probe and
+fill the fetch-level store concurrently.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ class EngineConfig:
     """Construction-time configuration of one `FederatedEngine`.
 
     Every field has a working default, so ``EngineConfig()`` describes the
-    plain engine: four prefetch workers, cost-based semijoins, assembly-site
+    plain engine: four simulated fetch slots, cost-based semijoins, assembly-site
     selection on, plan caching on, everything else (resilience, adaptive
     execution, tracing, telemetry, views) off.
     """
@@ -35,7 +35,8 @@ class EngineConfig:
     #: simulated network model shared by planner and executor
     #: (None = a fresh default `repro.netsim.NetworkModel`)
     network: Optional[Any] = None
-    #: size of the parallel component-fetch pool
+    #: simulated fetch slots that `makespan`, `predict_elapsed` and
+    #: `repro.sched` overlap component queries over (they run on the caller)
     parallel_workers: int = 4
     #: join-key shipping between remote inputs: "auto" (cost-based),
     #: "force" (whenever legal) or "off"
@@ -67,7 +68,7 @@ class EngineConfig:
     #: `AdaptiveContext`, e.g. ``AdaptiveContext(AdaptivePolicy(lpt=False))``
     adaptive: Optional[Any] = None
     #: per-source concurrency limiter (`repro.sched.SourceLimiter`): bounds
-    #: wall-clock threads per source inside the prefetch pool, and the
+    #: the caller threads inside one source's round trips at once, and the
     #: workload scheduler's virtual fetch slots per source by the same caps
     source_limiter: Optional[Any] = None
     #: observe-only `repro.telemetry.TelemetryPlane` (or True for a default)

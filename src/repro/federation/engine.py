@@ -1,4 +1,4 @@
-"""Federated execution: parallel component fetches + assembly-site evaluation.
+"""Federated execution: component fetches + assembly-site evaluation.
 
 Plan = value, execution = context, facts recorded once. `FederatedEngine.query()`
 is a straight line of stages, each yielding a `FederatedResult` or passing:
@@ -10,8 +10,9 @@ advisor feed); a query that raises reports its end the same way, as an error.
 A plan is never written to once planned — the plan cache hands one
 `FederatedPlan` to every caller — so one engine may answer many threads at
 once: what a run needs lives in its `repro.federation.execution.Execution`,
-which prefetches the plan's component queries in parallel, serves the
-assembly-site operators lowered against it, and is the only writer of the
+which runs the plan's component queries on the calling thread (their
+parallelism is simulated: `makespan` over ``parallel_workers`` slots), serves
+the assembly-site operators lowered against it, and is the only writer of the
 four observers (`MetricsCollector`, trace spans, the engine's per-source
 record ``scoreboard``, telemetry plane).
 `attach_invalidation` subscribes the engine to an EAI broker's table-change
@@ -20,9 +21,7 @@ events so writes evict dependent entries and dirty dependent views.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -176,10 +175,6 @@ class FederatedEngine:
         else:
             self.resilience = ResilienceManager(resilience, clock=clock)
         self._analyzer = None
-        #: the prefetch pool: started by the first multi-fetch query, kept
-        #: until `close()` (idle workers also exit once the engine is garbage)
-        self._pool: Optional[futures.ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         self._scratch = Database("assembly")
         self._local = LocalEngine(self._scratch, optimize=False)
         self.tracer = NULL_TRACER
@@ -236,28 +231,6 @@ class FederatedEngine:
         raise PlanError(
             f"adaptive must be an AdaptiveContext or bool, got {type(adaptive).__name__}"
         )
-
-    def close(self) -> None:
-        """Stop the prefetch workers (a later query starts new ones)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "FederatedEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _prefetch_pool(self) -> futures.ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = futures.ThreadPoolExecutor(
-                    max_workers=self.parallel_workers,
-                    thread_name_prefix="eii-prefetch",
-                )
-            return self._pool
 
     def set_tracer(self, tracer) -> None:
         """Attach a `Tracer` (or None for the zero-cost no-op default)."""
@@ -520,7 +493,8 @@ class FederatedEngine:
 
         Sums per-fetch predictions (source overhead + estimated execution +
         estimated transfer to the assembly site), list-schedules them over
-        the worker pool, and adds assembly compute plus the final transfer.
+        the simulated worker slots, and adds assembly compute plus the final
+        transfer.
         """
         # lazy like every adaptive import: that package imports this one
         from repro.adaptive.scheduler import static_fetch_seconds
@@ -600,8 +574,8 @@ class FederatedEngine:
     ) -> FederatedResult:
         run = Execution(self, plan, metrics, trace)
         fetch_seconds = run.prefetch(plan.fetches)
-        # list-scheduled in submission order like the pool, by the function the
-        # trace layout uses: a trace's elapsed time equals the engine's
+        # simulated slots, list-scheduled in submission order by the function
+        # the trace layout uses: a trace's elapsed time equals the engine's
         fetch_elapsed = makespan(fetch_seconds, self.parallel_workers)
 
         # Mid-query re-optimization: the prefetched relations carry actual

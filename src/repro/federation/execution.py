@@ -13,14 +13,13 @@ Each runtime fact is recorded once, by the `Recorder` method named after it,
 which updates every observer that reads the fact — `MetricsCollector`, span,
 the engine's per-source record (``engine.scoreboard``), telemetry plane
 (DESIGN.md tabulates fact × observer). A recorder is bound to one scope: the
-collector being written (each prefetch worker has its own), the span charged
+collector being written (each prefetched fetch has its own), the span charged
 for it (None when untraced), the record and the plane (the no-op plane when
 off), so tracer-off and telemetry-off runs do no span or plane work.
 """
 
 from __future__ import annotations
 
-from concurrent import futures
 from contextlib import nullcontext
 from itertools import chain
 from typing import Optional
@@ -349,9 +348,9 @@ class Execution:
         Returns ``(relation, payload_bytes, cost_seconds, source_used)``;
         raises the last candidate's error when every access path is exhausted.
         """
-        # The per-source limiter (when attached) bounds how many pool workers
+        # The per-source limiter (when attached) bounds how many caller threads
         # may sit inside one source's round trips, so a slow source queues its
-        # own callers instead of the whole pool. Simulated time is unaffected.
+        # own callers instead of every thread. Simulated time is unaffected.
         limiter = self.engine.config.source_limiter
         collector = record.collector
         with limiter.slot(node.source.name) if limiter is not None else nullcontext():
@@ -511,12 +510,13 @@ class Execution:
         return Relation.adopt(node.fetch_schema, rows)
 
     def prefetch(self, fetches: list) -> list:
-        """Run component queries concurrently; returns per-fetch sim seconds.
+        """Run the plan's component queries; returns per-fetch sim seconds.
 
-        Failure discipline: when any fetch fails, not-yet-started tasks are
-        cancelled, in-flight tasks are joined, every completed task's metrics
-        are merged, and the *first failure in submission order* is raised — a
-        multi-fetch failure is deterministic and leaves no work running.
+        They run on the calling thread, in submission order, each on its own
+        collector: their parallelism is simulated — `makespan` list-schedules
+        the returned seconds over ``parallel_workers`` slots — so no thread
+        would buy simulated time. The first failure stops the loop; every
+        started fetch's collector is merged, then that error is raised.
         """
         if not fetches:
             return []
@@ -534,51 +534,18 @@ class Execution:
                 self.record.lpt_reordered()
             fetches = reordered
 
-        # Spans are created here, in submission order (a deterministic trace
-        # whatever the completion order); each worker only touches its own.
+        # Every planned fetch gets its span up front, failed query or not.
         spans = [
             self._statement_span(self.prefetch_span, "fetch", node, node.stmt)
             for node in fetches
         ]
-
-        def run_one(node: LogicalFetch, span=None):
-            local = MetricsCollector(network=engine.network)
-            error = None
-            try:
-                self.fetch(node, self.record.scoped(local, span))
-            except Exception as exc:  # noqa: BLE001 - re-raised in order below
-                error = exc
-            return local, error
-
-        outcomes: list = []
-        if engine.parallel_workers == 1 or len(fetches) == 1:
+        collectors: list = []
+        try:
             for node, span in zip(fetches, spans):
-                outcome = run_one(node, span)
-                outcomes.append(outcome)
-                if outcome[1] is not None:
-                    break  # serial mode: fail fast, later fetches never start
-        else:
-            pool = engine._prefetch_pool()
-            tasks = [
-                pool.submit(run_one, node, span) for node, span in zip(fetches, spans)
-            ]
-            pending = set(tasks)
-            while pending:
-                done, pending = futures.wait(
-                    pending, return_when=futures.FIRST_COMPLETED
-                )
-                if any(task.result()[1] is not None for task in done):
-                    for task in pending:
-                        task.cancel()
-                    # join every in-flight task; a cancelled one counts as
-                    # done once a worker has discarded it
-                    futures.wait(pending)
-                    break
-            outcomes = [task.result() for task in tasks if not task.cancelled()]
-
-        for local, _ in outcomes:
-            self.metrics.merge(local)
-        for _, error in outcomes:
-            if error is not None:
-                raise error
-        return [local.simulated_seconds for local, _ in outcomes]
+                local = MetricsCollector(network=engine.network)
+                collectors.append(local)
+                self.fetch(node, self.record.scoped(local, span))
+        finally:
+            for local in collectors:
+                self.metrics.merge(local)
+        return [local.simulated_seconds for local in collectors]

@@ -77,7 +77,7 @@ class ResiliencePolicy:
 class CircuitBreaker:
     """Closed/open/half-open breaker for one source, on an injected clock.
 
-    Thread-safe; the engine's prefetch pool consults breakers concurrently.
+    Thread-safe; threads sharing one engine consult breakers concurrently.
     `transitions` records ``(at_s, from_state, to_state)`` triples.
     """
 

@@ -156,7 +156,7 @@ class FaultRecord:
 class FaultInjector:
     """Scripts per-source failure modes over a seeded RNG + simulated clock.
 
-    Thread-safe: the federated engine's prefetch pool drives wrapped
+    Thread-safe: threads sharing one federated engine drive wrapped
     sources concurrently. Determinism under concurrency comes from the
     per-source call counters — a given (source, call_index) pair always
     sees the same RNG draw for rate rules scripted on that source, because

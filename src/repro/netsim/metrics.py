@@ -9,8 +9,8 @@ collector so EXPLAIN output and benchmarks see one coherent account.
 
 A `MetricsCollector` is **single-writer** by contract: it is not locked,
 so exactly one thread may mutate it. The federated engine honors this by
-giving each pool worker its own collector and merging on the coordinator
-after the pool drains. `bind_owner()` turns the contract into a checked
+giving each query its own collectors, written and merged on the thread that
+runs the query. `bind_owner()` turns the contract into a checked
 assertion (debug-only; zero cost when unbound), and the race sanitizer
 (`repro.analysis.concurrency.sanitizer`) binds it automatically, turning
 a cross-thread write into an EII507 diagnostic instead of silent loss.

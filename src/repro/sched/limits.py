@@ -1,12 +1,12 @@
-"""Per-source concurrency limits for the engine's real thread pool.
+"""Per-source concurrency limits: caller threads and simulated slots.
 
-The federated engine's prefetch pool happily points every worker at the
-same source; when that source is the slow one, the whole pool stalls
-behind it. A `SourceLimiter` attached to the engine
-(``FederatedEngine(..., source_limiter=...)``) caps how many pool threads
-may be inside any one source's round trips at a time — surplus callers
-block until a slot frees, leaving the other workers free to make progress
-against healthy sources.
+Threads sharing one federated engine run their queries' component fetches
+on themselves, so every one of them may be inside the same source at once.
+A `SourceLimiter` attached to the engine
+(``EngineConfig(source_limiter=...)``) caps how many caller threads may be
+inside any one source's round trips at a time — surplus callers block until
+a slot frees, leaving the other threads free to make progress against
+healthy sources.
 
 Wall-clock shaping only: simulated time comes from the metrics layer and
 is untouched. The workload scheduler reads the engine's limiter
@@ -25,7 +25,7 @@ class SourceLimiter:
     """Named counting semaphores with peak-concurrency instrumentation.
 
     Every instrumentation counter (`_in_flight`, `peak`, `acquired`,
-    `released`) is read and written only under `_guard` — pool threads hit
+    `released`) is read and written only under `_guard` — caller threads hit
     these paths concurrently, and an unguarded `dict[name] += 1` is a
     lost-update race the concurrency lint (EII502) would rightly flag.
     """

@@ -78,7 +78,7 @@ class RelationalSource(DataSource):
         #: `QUERY_LOG_LENGTH`: it is not a count of round-trips.
         self.query_log: deque[str] = deque(maxlen=QUERY_LOG_LENGTH)
         #: statement shape (`repro.sql.shape`) -> its `_Prepared` bindings, a
-        #: tuple replaced whole: prefetch workers read it while one writes
+        #: tuple replaced whole: other threads read it while one writes
         self._prepared = BoundedStore("prepared", max_entries=PREPARED_STATEMENTS)
 
     def table_names(self) -> list[str]:

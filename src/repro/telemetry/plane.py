@@ -109,7 +109,7 @@ class TelemetryPlane:
         self.scoreboard = None
         self._judged: dict = {}
         self._now = 0.0
-        # the engine's prefetch pool reports fetches from worker threads;
+        # threads sharing one engine report fetches concurrently;
         # one lock keeps counter increments exact (and therefore replayable)
         self._lock = threading.Lock()
 

@@ -92,7 +92,7 @@ _COUNTS = tuple(f.name for f in fields(SourceStats) if f.name not in ("name", "l
 
 
 class QueryScoreboard:
-    """One engine's per-source record; prefetch workers write it concurrently."""
+    """One engine's per-source record; its caller threads write it concurrently."""
 
     def __init__(self):
         self.sources: dict[str, SourceStats] = {}

@@ -9,8 +9,8 @@ same seed and fault schedule serializes byte-for-byte identically.
 
 Spans carry their own work in `self_seconds`; a span's `total_seconds()`
 adds its children laid out either serially (the default) or list-scheduled
-over `parallel_slots` worker lanes — the same scheduling policy the
-engine's prefetch pool uses, so the root span's extent equals the query's
+over `parallel_slots` worker lanes — the same `makespan` the engine
+charges its prefetches by, so the root span's extent equals the query's
 `elapsed_seconds`. Point-in-time `Event`s (``cache.stale_hit``, ``retry``,
 ``breaker.open``, ``degraded``) hang off spans at offsets on the same
 simulated timeline.

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.concurrency import (
     InterleaveSchedule,
-    fuzz_prefetch,
+    fuzz_shared_engine,
     instrument_method,
     lint_concurrency,
     lint_lock_order,
@@ -322,7 +322,7 @@ class TestRaceSanitizer:
             undo()
 
     def test_futures_wait_fences_a_pool_that_outlives_the_query(self):
-        # the engine's prefetch pool is never shut down between queries: the
+        # a long-lived executor is never shut down between batches: the
         # coordinator's join is `futures.wait` leaving nothing unfinished
         undo = instrument_method(RacyCounter, "increment", ("value",))
         pool = ThreadPoolExecutor(max_workers=2)
@@ -454,16 +454,25 @@ class TestInterleavingFuzzer:
         histories = {tuple(run(seed)) for seed in range(8)}
         assert len(histories) > 1  # the seed genuinely perturbs the order
 
-    def test_fuzz_prefetch_engine_matches_serial_oracle(self):
+    def test_threads_sharing_an_engine_match_the_serial_oracle(self, monkeypatch):
         from tests.federation_fixtures import build_engine
 
-        diagnostics = fuzz_prefetch(
+        histories = []
+
+        class Recorded(InterleaveSchedule):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                histories.append(self.history)
+
+        monkeypatch.setattr(interleave, "InterleaveSchedule", Recorded)
+        diagnostics = fuzz_shared_engine(
             lambda: build_engine(parallel_workers=4),
             "SELECT c.name, o.total FROM customers c "
             "JOIN orders o ON c.id = o.cust_id WHERE o.total > 100",
-            seeds=(0, 1),
+            seeds=(0, 1, 2),
         )
         assert diagnostics == [], [d.render() for d in diagnostics]
+        assert len({tuple(history) for history in histories}) > 1  # the seed perturbs the order
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +593,23 @@ class TestMetricsOwnership:
         assert left.owner_thread is threading.current_thread()
 
     def test_engine_worker_collectors_clean_under_sanitizer(self):
-        # the engine's merge-on-coordinator discipline: per-worker local
-        # collectors, folded in after the pool drains — zero EII507
+        # each query's collectors are written and merged on its caller's
+        # thread, so threads sharing one engine write none of another's
         from tests.federation_fixtures import build_engine
 
+        sql = "SELECT c.name, o.total FROM customers c JOIN orders o ON c.id = o.cust_id"
         with sanitize() as sanitizer:
             engine = build_engine(parallel_workers=4)
-            result = engine.query(
-                "SELECT c.name, o.total FROM customers c "
-                "JOIN orders o ON c.id = o.cust_id"
-            )
-            assert len(result.relation.rows) > 0
+            answers = []
+            threads = [
+                threading.Thread(target=lambda: answers.append(engine.query(sql)))
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert len(answers) == 4 and all(len(a.relation.rows) > 0 for a in answers)
         assert sanitizer.report.ok, sanitizer.report.render()
 
 

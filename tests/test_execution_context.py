@@ -108,10 +108,10 @@ def test_threaded_answers_equal_the_serial_reference(fixture, build, queries, co
     # fetch) cache and an answer does not depend on who got there first -
     # except `cold`: the threads meet an engine that has planned and unfolded
     # nothing (eight at once used to trip the mediator's cycle guard).
-    with build(fixture) as serial:
-        for sql in queries.values():
-            serial.query(sql)
-        reference = {name: _answer(serial.query(sql), cold) for name, sql in queries.items()}
+    serial = build(fixture)
+    for sql in queries.values():
+        serial.query(sql)
+    reference = {name: _answer(serial.query(sql), cold) for name, sql in queries.items()}
 
     names = list(queries)
     differing: list = []
@@ -129,17 +129,17 @@ def test_threaded_answers_equal_the_serial_reference(fixture, build, queries, co
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    shared = build(fixture)
     try:
-        with build(fixture) as shared:
-            for sql in () if cold else queries.values():
-                shared.query(sql)
-            threads = [
-                threading.Thread(target=client, args=(k,)) for k in range(THREADS)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        for sql in () if cold else queries.values():
+            shared.query(sql)
+        threads = [
+            threading.Thread(target=client, args=(k,)) for k in range(THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     finally:
         sys.setswitchinterval(interval)
     total = THREADS * PASSES * len(names)
@@ -186,23 +186,22 @@ def test_executing_a_cached_plan_never_writes_to_it(fixture, config_name):
     engine, _ = CONFIGS[config_name](fixture)
     max_bind_keys = engine.planner.max_bind_keys
     replans = 0
-    with engine:
-        for name, sql in QUERIES.items():
-            engine.planner.max_bind_keys = max_bind_keys
-            plan = engine.prepare(sql)  # the plan the cache will hand out
-            before = _snapshot(plan)
-            for execution in range(2):
-                if execution == 1 and engine.adaptive is not None:
-                    # force the second run through mid-query re-optimization:
-                    # any drift replans, every optional bind join is converted
-                    engine.adaptive.policy.replan_threshold = 1.0
-                    engine.planner.max_bind_keys = 0
-                try:
-                    result = engine.execute_plan(plan)
-                    replans += result.replan is not None
-                except EIIError:
-                    pass  # the faulty config fails its inner joins on purpose
-            assert _changes(before, _snapshot(plan)) == [], name
+    for name, sql in QUERIES.items():
+        engine.planner.max_bind_keys = max_bind_keys
+        plan = engine.prepare(sql)  # the plan the cache will hand out
+        before = _snapshot(plan)
+        for execution in range(2):
+            if execution == 1 and engine.adaptive is not None:
+                # force the second run through mid-query re-optimization:
+                # any drift replans, every optional bind join is converted
+                engine.adaptive.policy.replan_threshold = 1.0
+                engine.planner.max_bind_keys = 0
+            try:
+                result = engine.execute_plan(plan)
+                replans += result.replan is not None
+            except EIIError:
+                pass  # the faulty config fails its inner joins on purpose
+        assert _changes(before, _snapshot(plan)) == [], name
     if engine.adaptive is not None:
         assert replans > 0, "the forced replan never fired"
 

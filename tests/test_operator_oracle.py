@@ -974,14 +974,14 @@ def test_an_answer_from_the_fetch_cache_survives_edits_to_an_earlier_result():
         "JOIN orders o ON c.id = o.cust_id GROUP BY c.city ORDER BY c.city"
     )
     projection = "SELECT name, id FROM customers"
-    with build_engine(cache=CacheHierarchy(CacheConfig(result_enabled=False))) as engine:
-        for text in (sql, projection):
-            expected = list(engine.query(text).relation.rows)
-            again = engine.query(text)
-            assert again.metrics.fetch_cache_hits and again.relation.rows == expected
-            again.relation.rows.reverse()
-            again.relation.rows.append(("edited",))
-            assert engine.query(text).relation.rows == expected
+    engine = build_engine(cache=CacheHierarchy(CacheConfig(result_enabled=False)))
+    for text in (sql, projection):
+        expected = list(engine.query(text).relation.rows)
+        again = engine.query(text)
+        assert again.metrics.fetch_cache_hits and again.relation.rows == expected
+        again.relation.rows.reverse()
+        again.relation.rows.append(("edited",))
+        assert engine.query(text).relation.rows == expected
 
 
 def test_project_op_takes_the_kernel_the_executor_picked():
@@ -1293,26 +1293,26 @@ def test_an_answer_is_the_callers_list_and_no_one_elses(monkeypatch):
     fetch = Execution.fetch
     monkeypatch.setattr(Execution, "fetch", lambda run, node, record=None: fetched.append(fetch(run, node, record)) or fetched[-1])
     for cache in (None, CacheHierarchy(CacheConfig(result_enabled=False))):
-        with build_engine(cache=cache) as engine:
-            heaps = {
-                (source.name, name): list(source.db.table(name)._heap)
-                for source in engine.catalog.sources.values() if hasattr(source, "db")
-                for name in source.db.table_names()
-            }
-            for text in texts:
-                expected = list(engine.query(text).relation.rows)
-                del fetched[:]
-                again = engine.query(text)
-                assert again.relation.rows == expected
-                memo = [(relation, list(relation.rows)) for relation in fetched]
-                assert memo and all(again.relation.rows is not relation.rows for relation, _ in memo)
-                again.relation.rows.reverse()
-                again.relation.rows.append(("edited",))
-                del again.relation.rows[0]
-                assert all(relation.rows == rows for relation, rows in memo)
-                assert engine.query(text).relation.rows == expected
-            for (source, name), heap in heaps.items():
-                assert engine.catalog.sources[source].db.table(name)._heap == heap
+        engine = build_engine(cache=cache)
+        heaps = {
+            (source.name, name): list(source.db.table(name)._heap)
+            for source in engine.catalog.sources.values() if hasattr(source, "db")
+            for name in source.db.table_names()
+        }
+        for text in texts:
+            expected = list(engine.query(text).relation.rows)
+            del fetched[:]
+            again = engine.query(text)
+            assert again.relation.rows == expected
+            memo = [(relation, list(relation.rows)) for relation in fetched]
+            assert memo and all(again.relation.rows is not relation.rows for relation, _ in memo)
+            again.relation.rows.reverse()
+            again.relation.rows.append(("edited",))
+            del again.relation.rows[0]
+            assert all(relation.rows == rows for relation, rows in memo)
+            assert engine.query(text).relation.rows == expected
+        for (source, name), heap in heaps.items():
+            assert engine.catalog.sources[source].db.table(name)._heap == heap
 
 
 # --- the real traffic ---------------------------------------------------------
@@ -1355,9 +1355,9 @@ def test_every_filter_of_the_benchmark_traffic_runs_its_passes(monkeypatch):
 
     monkeypatch.setattr(FilterOp, "run", watched)
     fixture = build_enterprise(BenchConfig(scale=1, seed=42))
-    with repro.connect(fixture.catalog(), EngineConfig(clock=SimClock())) as engine:
-        for sql in benchmark_statements():
-            engine.query(sql)
+    engine = repro.connect(fixture.catalog(), EngineConfig(clock=SimClock()))
+    for sql in benchmark_statements():
+        engine.query(sql)
     assert len(ran) >= 13, sorted(ran)  # distinct predicates, source side and hub
     assert ran["((i.paid = FALSE) AND (i.amount > 2000))"] == 2  # q8: the bool-literal row
 
@@ -1404,13 +1404,13 @@ def test_the_benchmark_traffic_is_vouched_at_the_wire_and_guarded_from_the_memo(
     monkeypatch.setattr(FilterOp, "run", guarded)
     derived = derivations(monkeypatch)
     fixture = build_enterprise(BenchConfig(scale=1, seed=42))
-    with repro.connect(fixture.catalog(), EngineConfig(clock=SimClock())) as engine:
-        statements = benchmark_statements()
-        for sql in statements:
-            engine.query(sql)
-        first, first_guards = len(derived), len(guards)
-        for sql in statements:
-            engine.query(sql)
+    engine = repro.connect(fixture.catalog(), EngineConfig(clock=SimClock()))
+    statements = benchmark_statements()
+    for sql in statements:
+        engine.query(sql)
+    first, first_guards = len(derived), len(guards)
+    for sql in statements:
+        engine.query(sql)
     assert len(derived) == first and len(set(derived)) == first  # each once, none again
     assert len(guards) == 2 * first_guards >= 24 and all(guards)
     unvouched = [rows for rows, kinds in shipped if kinds is None]
@@ -1425,20 +1425,17 @@ def test_an_announced_write_re_derives_each_touched_column_once(monkeypatch):
     workloads = wall_workloads()
     workload = workloads.DashboardRW(1)
     stack = workload.build()
-    try:
-        texts = sorted({step.sql for step in workload.steps(0) if step.sql is not None})
+    texts = sorted({step.sql for step in workload.steps(0) if step.sql is not None})
+    for sql in texts:
+        stack.engine.query(sql)
+    derived = derivations(monkeypatch)
+    for sql in texts:
+        stack.engine.query(sql)
+    assert derived == []  # warm: result cache or memo, nothing swept
+    stack.write("orders")
+    for _ in range(2):
         for sql in texts:
             stack.engine.query(sql)
-        derived = derivations(monkeypatch)
-        for sql in texts:
-            stack.engine.query(sql)
-        assert derived == []  # warm: result cache or memo, nothing swept
-        stack.write("orders")
-        for _ in range(2):
-            for sql in texts:
-                stack.engine.query(sql)
-    finally:
-        stack.engine.close()
     assert {table for table, _ in derived} == {"orders"}
     assert len(derived) == len(set(derived))  # exactly once each
     columns = {key for _, key in derived if key != "stats"}

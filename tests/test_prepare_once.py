@@ -1,15 +1,14 @@
 """Prepare once, run many — and never run anything stale.
 
-Three places stopped re-deriving a repeated statement: a `RelationalSource`
-keeps prepared statements, `canonical_statement` keeps parsed texts, the
-engine keeps its prefetch pool. The tests here hold each of them to the
+Two places stopped re-deriving a repeated statement: a `RelationalSource`
+keeps prepared statements, `canonical_statement` keeps parsed texts; and no
+query starts a thread. The tests here hold each of them to the
 behaviour of the code that derived everything on every call: a differential
 property for the prepared statements, and one test per check that must stay
 per-call (it fails if the check is cached away).
 """
 
 import datetime
-import gc
 import sys
 import threading
 import time
@@ -304,10 +303,9 @@ class TestValueBackedInList:
         planned = []
         plan = probed.engine.logical_plan
         monkeypatch.setattr(probed.engine, "logical_plan", lambda stmt: planned.append(stmt) or plan(stmt))
-        with engine:
-            first = engine.query(sql)
-            hits = probed._prepared.stats.hits
-            again = engine.query(sql)
+        first = engine.query(sql)
+        hits = probed._prepared.stats.hits
+        again = engine.query(sql)
         assert again.relation.rows == first.relation.rows and len(first.relation) == 40
         assert len(planned) == 1 and probed._prepared.stats.hits == hits + 1
         (in_list,) = [node for node in walk(planned[0].where) if isinstance(node, InList)]
@@ -415,8 +413,8 @@ class TestPreparedStatementReuse:
 
 class TestDerivedMemosUnderWorkers:
     def test_workers_deriving_one_tables_memos_all_size_and_vouch_soundly(self):
-        """Kinds and statistics memos are written by whichever prefetch worker
-        asks first; a round of writes lands between rounds of reads (a table
+        """Kinds and statistics memos are written by whichever thread asks
+        first; a round of writes lands between rounds of reads (a table
         has no lock of its own). More threads than cores, short switch
         interval: a vouch derived for one version and used for another would
         mis-size the NULL row or hide its type from the guard."""
@@ -581,75 +579,28 @@ class TestParsedTextMemo:
         assert len(keys._PARSED) == keys._PARSED.max_entries
 
 
-# -- the engine's one prefetch pool -----------------------------------------------
+# -- component queries run on the caller's thread -----------------------------------
 
 
-def settle(baseline, seconds=5.0):
-    """Wait for exiting workers; returns the thread count reached."""
-    deadline = time.monotonic() + seconds
-    while threading.active_count() > baseline and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return threading.active_count()
-
-
-class TestPrefetchPool:
-    def test_workers_are_bounded_reused_and_released_on_close(self):
+class TestCallerThread:
+    def test_multi_fetch_queries_start_no_thread(self):
         baseline = threading.active_count()
-        engine = build_engine(parallel_workers=3)
-        expected = engine.query(JOIN_Q).relation.rows
-        peak = 0
+        engine = build_engine(parallel_workers=4)
+        first = engine.query(JOIN_Q)
+        assert len(first.plan.fetches) > 1
         for _ in range(200):
-            assert engine.query(JOIN_Q).relation.rows == expected
-            peak = max(peak, threading.active_count())
-        assert baseline < peak <= baseline + 3
-        engine.close()
-        assert threading.active_count() == baseline
-        # a closed engine still answers; it starts workers again
-        assert engine.query(JOIN_Q).relation.rows == expected
-        engine.close()
+            assert engine.query(JOIN_Q).relation.rows == first.relation.rows
         assert threading.active_count() == baseline
 
-    def test_single_fetch_queries_start_no_thread(self):
-        baseline = threading.active_count()
-        engine = build_engine(parallel_workers=4)
-        for _ in range(5):
-            engine.query(POINT_Q)
-        assert engine._pool is None
-        assert threading.active_count() == baseline
-        engine.close()  # nothing to stop
-
-    def test_serial_engine_starts_no_thread(self):
-        baseline = threading.active_count()
-        engine = build_engine(parallel_workers=1)
-        engine.query(JOIN_Q)
-        assert engine._pool is None and threading.active_count() == baseline
-
-    def test_context_manager_closes(self):
-        baseline = threading.active_count()
-        with build_engine(parallel_workers=4) as engine:
-            engine.query(JOIN_Q)
-            assert threading.active_count() > baseline
-        assert threading.active_count() == baseline
-
-    def test_a_collected_engine_releases_its_workers(self):
-        baseline = threading.active_count()
-        engine = build_engine(parallel_workers=4)
-        engine.query(JOIN_Q)
-        assert threading.active_count() > baseline
-        del engine
-        gc.collect()
-        assert settle(baseline) == baseline
-
-    def test_failed_query_leaves_the_pool_usable(self):
+    def test_a_failed_query_leaves_the_engine_usable(self):
         clock = SimClock()
         injector = FaultInjector(seed=1, clock=clock)
         engine = FederatedEngine(
             build_catalog(injector=injector),
             EngineConfig(parallel_workers=4, clock=clock),
         )
-        with engine:
-            expected = engine.query(JOIN_Q).relation.rows
-            injector.script("crm", Transient(1))
-            with pytest.raises(SourceError, match="crm"):
-                engine.query(JOIN_Q)
-            assert engine.query(JOIN_Q).relation.rows == expected
+        expected = engine.query(JOIN_Q).relation.rows
+        injector.script("crm", Transient(1))
+        with pytest.raises(SourceError, match="crm"):
+            engine.query(JOIN_Q)
+        assert engine.query(JOIN_Q).relation.rows == expected

@@ -279,7 +279,8 @@ class TestPartialResults:
 
 
 class TestPrefetchFailureDiscipline:
-    """One failing prefetch must not leak tasks or drop sibling metrics."""
+    """Fetches run in order on the caller; the first failure stops them, every
+    started fetch's metrics are kept, and that error is raised."""
 
     def query_failing_once(self, workers):
         clock = SimClock()
@@ -307,6 +308,27 @@ class TestPrefetchFailureDiscipline:
         # crm died, but the sales fetch that completed in parallel must
         # still be accounted (the pre-fix engine dropped all collectors)
         assert injector.calls("sales") <= 1  # never started twice
+
+    def test_a_failed_first_fetch_starts_no_later_one(self):
+        """Four simulated slots, the first fetch's source down: the second
+        fetch never starts, whatever the run, and the error carries the
+        failed round trip."""
+        errors = []
+        for _ in range(3):
+            clock = SimClock()
+            injector = FaultInjector(seed=1, clock=clock)
+            engine = FederatedEngine(
+                build_catalog(injector=injector), EngineConfig(parallel_workers=4, clock=clock)
+            )
+            assert [f.source.name for f in engine.planner.plan(JOIN_Q).fetches] == ["sales", "crm"]
+            injector.script("sales", Outage())
+            with pytest.raises(InjectedFaultError, match="sales") as err:
+                engine.query(JOIN_Q)
+            assert injector.calls("crm") == 0
+            assert err.value.metrics.source_queries == {"sales": 1}
+            assert err.value.metrics.simulated_seconds > 0
+            errors.append(str(err.value))
+        assert len(set(errors)) == 1
 
     def test_sibling_metrics_merged_when_failure_is_not_first(self):
         """Serial prefetch, failure in the SECOND fetch: the first fetch's

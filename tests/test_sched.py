@@ -2,6 +2,7 @@
 weighted-fair queueing, admission control, coalescing, per-source limits,
 and the fairness / work-conservation / determinism properties."""
 
+import sys
 import threading
 
 import pytest
@@ -223,19 +224,39 @@ def test_admission_budget_rejects_expensive_queries():
 
 
 def test_source_limiter_caps_real_thread_concurrency():
-    """With a one-slot limit on sales, the engine's prefetch pool never
-    has two threads inside sales at once — and rows are unchanged."""
+    """Eight threads share one engine with a one-slot limit on sales: never
+    two of them inside sales at once, every slot released, rows unchanged."""
     limiter = SourceLimiter({"sales": 1})
     limited = build_engine(parallel_workers=4, source_limiter=limiter)
-    baseline = build_engine(parallel_workers=4)
     sql = (
         "SELECT a.id, b.id FROM orders a "
         "JOIN orders b ON a.id = b.cust_id WHERE a.total > 10"
     )
-    assert limited.query(sql).relation.sorted().rows == (
-        baseline.query(sql).relation.sorted().rows
-    )
-    assert limiter.peak.get("sales", 0) <= 1
+    reference = build_engine(parallel_workers=4).query(sql)
+    expected = reference.relation.sorted().rows
+    wrong, passes = [], 10
+    barrier = threading.Barrier(8)
+
+    def caller():
+        barrier.wait(timeout=10)
+        for _ in range(passes):
+            if limited.query(sql).relation.sorted().rows != expected:
+                wrong.append(1)
+
+    threads = [threading.Thread(target=caller) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert limiter.peak["sales"] <= 1 and limiter.drained()
+    assert limiter.acquired["sales"] == 8 * passes * reference.metrics.source_queries["sales"]
     assert limiter.limit_for("SALES") == 1
     assert limiter.limit_for("crm") is None
 

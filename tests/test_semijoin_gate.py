@@ -128,8 +128,8 @@ def test_a_left_join_is_never_mirrored():
 
 
 def explain(name: str) -> str:
-    with repro.connect(FIXTURE.catalog(), EngineConfig(clock=SimClock())) as pinned:
-        return pinned.explain(QUERIES[name])
+    pinned = repro.connect(FIXTURE.catalog(), EngineConfig(clock=SimClock()))
+    return pinned.explain(QUERIES[name])
 
 
 def test_orders_is_fetched_plainly_where_every_customer_id_would_be_shipped():
@@ -187,10 +187,10 @@ def test_a_failed_probe_of_a_left_bind_join_pads_its_rows():
     injector = FaultInjector(seed=1, clock=clock)
     injector.script("support", Outage())
     catalog = FIXTURE.catalog(include_credit=False, include_docs=False, wrap=injector.wrap)
-    with repro.connect(catalog, EngineConfig(clock=clock, partial_results=True)) as faulty:
-        [bound] = faulty.planner.plan(sql).bind_joins
-        assert isinstance(bound, LogicalBindJoin) and bound.kind == "LEFT"
-        result = faulty.query(sql)
+    faulty = repro.connect(catalog, EngineConfig(clock=clock, partial_results=True))
+    [bound] = faulty.planner.plan(sql).bind_joins
+    assert isinstance(bound, LogicalBindJoin) and bound.kind == "LEFT"
+    result = faulty.query(sql)
     customers = REFERENCE.query(
         "SELECT c.id, c.name FROM customers c WHERE c.segment = 'enterprise'"
     ).sorted().rows

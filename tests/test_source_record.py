@@ -312,8 +312,6 @@ def test_threads_sharing_an_engine_leave_the_serial_totals(fixture):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    shared.close()
-    serial.close()
     assert _totals(shared.scoreboard) == _totals(serial.scoreboard)
     answered = sum(stats.answers for stats in shared.scoreboard.sources.values())
     assert answered == sum(

@@ -620,7 +620,6 @@ class TestWorkSaved:
         monkeypatch.setattr(relational, "plant", lambda *args: bound.append(args))
         monkeypatch.setattr(PhysicalOp, "bound_to", lambda *args: bound.append(args))
         plans = calls_to([FederatedPlanner.plan], lambda: [engine.query(sql) for sql in QUERIES.values()])
-        engine.close()
         assert not bound and plans == {"FederatedPlanner.plan": 0}
 
 
@@ -707,7 +706,6 @@ class TestThreads:
         ]
         serial = connect()
         expected = [observe(serial, text) for text in texts]
-        serial.close()
         shared, wrong = connect(), []
 
         def worker(offset):
@@ -726,7 +724,6 @@ class TestThreads:
                 thread.join(60)
         finally:
             sys.setswitchinterval(interval)
-            shared.close()
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
         assert all(len(entry.value) <= FAMILY for entry in shared.cache.plans._entries.values())
