@@ -190,8 +190,10 @@ class FederatedEngine:
                 # windows roll on the engine's (usually simulated) clock
                 self.telemetry.clock = clock
                 self.telemetry.series.clock = clock
-            # source health is judged on this engine's record
-            self.telemetry.attach_scoreboard(self.scoreboard)
+            # per-source instruments and health are read from this engine's record
+            self.telemetry.attach_scoreboard(
+                self.scoreboard, managed=self.resilience is not None
+            )
             if self.resilience is not None:
                 self.resilience.attach_telemetry(self.telemetry)
         #: answering queries using views: an engine-owned `ViewManager` plus

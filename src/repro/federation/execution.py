@@ -10,12 +10,13 @@ every statement sent to a source — a whole fetch or one bind-join chunk —
 takes its one path, `Execution._fetch_statement`.
 
 Each runtime fact is recorded once, by the `Recorder` method named after it,
-which updates every observer that reads the fact — `MetricsCollector`, span,
+which updates every observer that keeps the fact — `MetricsCollector`, span,
 the engine's per-source record (``engine.scoreboard``), telemetry plane
-(DESIGN.md tabulates fact × observer). A recorder is bound to one scope: the
-collector being written (each prefetched fetch has its own), the span charged
-for it (None when untraced), the record and the plane (the no-op plane when
-off), so tracer-off and telemetry-off runs do no span or plane work.
+(DESIGN.md tabulates fact × observer; the plane reads source facts from the
+record). A recorder is bound to one scope: the collector being written (each
+prefetched fetch has its own), the span charged for it (None when untraced),
+the record and the plane (the no-op plane when off), so tracer-off and
+telemetry-off runs do no span or plane work.
 """
 
 from __future__ import annotations
@@ -74,15 +75,13 @@ class Recorder:
 
     def remote_failure(self, source: str) -> None:
         self.scoreboard.count(source, "failures")
-        if self.telemetry.enabled:
-            self.telemetry.on_fetch(source, ok=False)
 
     def statement_finished(self, source: str, base: tuple, cache, answer) -> None:
         """One component statement ended: what it added to the collector since
         `base` (its seconds, rows, payload and wire bytes then) goes to its span
         and, with its fetch-cache outcome and remote answer ``(source, seconds,
-        size)``, to the source record; outcome and answer also to the plane. The
-        collector read the answer's transfer itself (`Execution._attempt`)."""
+        size)``, to the source record. The collector read the answer's transfer
+        itself (`Execution._attempt`)."""
         collector = self.collector
         seconds = collector.simulated_seconds - base[0]
         rows = collector.rows_shipped - base[1]
@@ -95,13 +94,6 @@ class Recorder:
         self.scoreboard.statement(
             source, seconds, rows, payload_bytes, wire_bytes, cache, answer
         )
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            if cache is not None:
-                telemetry.on_fetch(source, cache=cache)
-            if answer is not None:
-                answered_by, answer_seconds, size = answer
-                telemetry.on_fetch(answered_by, seconds=answer_seconds, payload_bytes=size)
 
     def stale_hit(self) -> None:
         self.collector.stale_cache_hits += 1
@@ -124,15 +116,11 @@ class Recorder:
     def breaker_short_circuit(self, source: str) -> None:
         self.collector.breaker_short_circuits += 1
         self.scoreboard.count(source, "short_circuits")
-        if self.telemetry.enabled:
-            self.telemetry.on_breaker_short_circuit(source)
         self._event("breaker.open", source=source)
 
     def source_failure(self, source: str, attempt: int, error: Exception) -> None:
         self.collector.source_failures += 1
         self.scoreboard.count(source, "failures")
-        if self.telemetry.enabled:
-            self.telemetry.on_source_failure(source)
         self._event("source_failure", source=source, attempt=attempt, error=str(error))
 
     def retry(self, source: str, attempt: int, delay: float) -> None:
@@ -141,8 +129,6 @@ class Recorder:
         collector.backoff_seconds += delay
         collector.charge_seconds(delay)
         self.scoreboard.count(source, "retries")
-        if self.telemetry.enabled:
-            self.telemetry.on_retry(source, backoff_s=delay)
         self._event("retry", source=source, attempt=attempt, backoff_s=delay)
 
     # -- one execution, one query --------------------------------------------------

@@ -194,8 +194,9 @@ class ResilienceManager:
     def attach_telemetry(self, telemetry) -> None:
         """Feed breaker transitions to `telemetry`, retrofitting existing breakers.
 
-        Everything else a guarded call does reaches the plane through the
-        `Recorder` passed to `run_guarded`.
+        Everything else a guarded call does goes to the `Recorder` passed to
+        `run_guarded`, which writes it to the engine's per-source record; the
+        plane reads it there.
         """
         self._listener = listener = telemetry.on_breaker_transition
         with self._lock:

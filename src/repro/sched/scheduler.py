@@ -151,7 +151,7 @@ class _RunState:
         self.now = 0.0
         self.free_workers = self.config.workers
         #: free virtual slots per capped source: the caps of the engine's
-        #: `source_limiter`, which bounds its real prefetch threads too
+        #: `source_limiter`, which bounds its real caller threads too
         self.source_free: dict[str, int] = {}
         limiter = engine.config.source_limiter
         for name in engine.catalog.sources if limiter is not None else ():
@@ -197,7 +197,7 @@ class _RunState:
             if kind == "arrive":
                 self._on_arrive(payload)
             elif kind == "fetch_done":
-                self._on_fetch_done(*payload)
+                self._fetch_done(*payload)
             elif kind == "query_done":
                 self._on_query_done(payload)
             self._refill()
@@ -416,7 +416,7 @@ class _RunState:
 
     # -- completions -------------------------------------------------------------
 
-    def _on_fetch_done(self, index: int, task_id: int) -> None:
+    def _fetch_done(self, index: int, task_id: int) -> None:
         active = self.active[index]
         task = next(t for t in active.tasks if id(t) == task_id)
         self.free_workers += 1

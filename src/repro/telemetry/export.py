@@ -129,6 +129,10 @@ def sparkline(values: Iterable[float], width: int = 32) -> str:
     return "".join(out)
 
 
+#: a failed call's two families: reported by a resilience manager, or not
+_FAILURE_KEYS = ("eii_source_failures_total", 'eii_fetches_total{outcome="error"')
+
+
 def render_dashboard(plane) -> str:
     """One terminal panel: headline counters, health, SLOs, alerts."""
     lines = ["== telemetry =="]
@@ -151,7 +155,7 @@ def render_dashboard(plane) -> str:
         sum(
             delta if isinstance(delta, (int, float)) else 0
             for key, delta in window.deltas.items()
-            if key.startswith("eii_source_failures_total")
+            if key.startswith(_FAILURE_KEYS)
         )
         for window in windows
     ]

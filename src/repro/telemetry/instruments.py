@@ -17,6 +17,7 @@ construction, never by accident of insertion order.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from typing import Iterable, Optional, Tuple
 
@@ -200,12 +201,37 @@ class Histogram(Instrument):
             "p95": round(self.quantile(0.95), 9),
         }
 
+    def copy(self) -> "Histogram":
+        twin = copy.copy(self)
+        twin._bucket_counts = list(self._bucket_counts)
+        return twin
+
+
+def counter_at(name: str, value: float, description: str = "", **labels) -> MonotonicCounter:
+    """A counter standing at `value`, as a read-time source reports one."""
+    counter = MonotonicCounter(name, _labels(labels), description)
+    counter.inc(value)
+    return counter
+
 
 class MetricsRegistry:
-    """The single home of every instrument in one telemetry plane."""
+    """The single home of every instrument in one telemetry plane: those written
+    here, and those a collector (the Prometheus client's custom-collector
+    pattern) computes from a record kept elsewhere when read."""
 
     def __init__(self):
         self._instruments: dict[tuple, Instrument] = {}
+        self._collectors: list = []
+
+    def register_collector(self, collect) -> None:
+        """Every read below also sees `collect()`'s instruments, computed then."""
+        self._collectors.append(collect)
+
+    def _all(self) -> dict:
+        merged = dict(self._instruments)
+        for collect in self._collectors:
+            merged.update((instrument.key, instrument) for instrument in collect())
+        return merged
 
     def _get(self, cls, name: str, labels: dict, description: str, **kwargs):
         key = (name, _labels(labels))
@@ -239,7 +265,8 @@ class MetricsRegistry:
 
     def instruments(self) -> list:
         """Every instrument, sorted by (name, labels) for stable exports."""
-        return [self._instruments[key] for key in sorted(self._instruments)]
+        instruments = self._all()
+        return [instruments[key] for key in sorted(instruments)]
 
     def families(self) -> list:
         """Instruments grouped by metric name (Prometheus families)."""
@@ -249,7 +276,7 @@ class MetricsRegistry:
         return sorted(out.items())
 
     def get(self, name: str, **labels) -> Optional[Instrument]:
-        return self._instruments.get((name, _labels(labels)))
+        return self._all().get((name, _labels(labels)))
 
     def snapshot(self) -> dict:
         """Flat ``{"name{labels}": value}`` map of every instrument."""
@@ -259,7 +286,7 @@ class MetricsRegistry:
         }
 
     def __len__(self) -> int:
-        return len(self._instruments)
+        return len(self._all())
 
 
 __all__ = [
@@ -269,4 +296,5 @@ __all__ = [
     "Instrument",
     "MetricsRegistry",
     "MonotonicCounter",
+    "counter_at",
 ]

@@ -5,15 +5,17 @@
 plane attached executes byte-for-byte the same queries as one without.
 The default is `NULL_TELEMETRY` (mirroring `NullTracer`): ``enabled`` is
 False and every hook is a no-op. The engine's one writer
-(`repro.federation.execution.Recorder`) guards on ``telemetry.enabled`` so
-the disabled per-fetch path does zero extra work; the workload scheduler
-calls its hooks unguarded, once per workload fact.
+(`repro.federation.execution.Recorder`) guards on ``telemetry.enabled``;
+the workload scheduler calls its hooks unguarded, once per workload fact.
 
-Hooked layers and what they report:
+What reaches the plane, and how:
 
-* `FederatedEngine`, through the `Recorder` of each execution — per-source
-  fetch outcomes, latencies, bytes, cache hits/misses, retries, source
-  failures, breaker short-circuits; per-query status and latency;
+* `FederatedEngine`, through the `Recorder` of each execution — per-query
+  status and latency, view-answering outcomes;
+* the engine's per-source record (``engine.scoreboard``, `attach_scoreboard`)
+  — *read*, never written: the registry's per-source instruments (fetch
+  outcomes, latencies, bytes, cache hits/misses, retries, source failures,
+  breaker short-circuits) are computed from it whenever the registry is read;
 * `ResilienceManager`'s breakers — state transitions (which feed the
   health model directly);
 * `WorkloadScheduler` (on the engine's own plane) — arrivals, queue
@@ -22,10 +24,9 @@ Hooked layers and what they report:
 
 `tick(now)` advances the aligned time-series windows on simulated time
 and, at each window close, has the health model judge every source on
-that window's activity: its change in the engine's per-source record
-(``engine.scoreboard``, handed over by `attach_scoreboard`); the fetch,
-retry and failure hooks feed only the registry. Everything downstream of
-a seeded workload is deterministic and replayable.
+that window's activity: its change in the record. A plane reads one
+record, the last one attached. Everything downstream of a seeded workload
+is deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -36,9 +37,28 @@ from typing import Optional
 from repro.telemetry.alerts import AlertManager
 from repro.telemetry.export import export_jsonl, export_prometheus, render_dashboard
 from repro.telemetry.health import HealthModel, HealthPolicy
-from repro.telemetry.instruments import MetricsRegistry
+from repro.telemetry.instruments import MetricsRegistry, counter_at
 from repro.telemetry.slo import SloPolicy, SloTracker
 from repro.telemetry.timeseries import DEFAULT_RETENTION, DEFAULT_WINDOW_S, TimeSeries
+
+_FETCHES = "component fetches by source and outcome"
+
+#: the per-source counters read from the record: (metric, help, the record's
+#: count, extra labels)
+_SOURCE_COUNTERS = (
+    ("eii_fetches_total", _FETCHES, "answers", {"outcome": "ok"}),
+    ("eii_fetch_payload_bytes_total", "payload bytes shipped per source", "answer_bytes", {}),
+    ("eii_cache_hits_total", "per-source fetch-cache hits", "cache_hits", {}),
+    ("eii_cache_misses_total", "per-source fetch-cache misses", "cache_misses", {}),
+    ("eii_retries_total", "retries by source", "retries", {}),
+    ("eii_breaker_short_circuits_total", "calls rejected by an open breaker", "short_circuits", {}),
+)
+
+#: a failed call's counter, by whether a resilience manager reported it
+_FAILURES = {
+    False: ("eii_fetches_total", _FETCHES, "failures", {"outcome": "error"}),
+    True: ("eii_source_failures_total", "failed source calls", "failures", {}),
+}
 
 
 class NullTelemetry:
@@ -46,35 +66,11 @@ class NullTelemetry:
 
     enabled = False
 
-    def on_fetch(self, *args, **kwargs) -> None:
+    def _ignore(self, *args, **kwargs) -> None:
         return None
 
-    def on_query(self, *args, **kwargs) -> None:
-        return None
-
-    def on_view(self, *args, **kwargs) -> None:
-        return None
-
-    def on_retry(self, *args, **kwargs) -> None:
-        return None
-
-    def on_source_failure(self, *args, **kwargs) -> None:
-        return None
-
-    def on_breaker_short_circuit(self, *args, **kwargs) -> None:
-        return None
-
-    def on_breaker_transition(self, *args, **kwargs) -> None:
-        return None
-
-    def on_arrival(self, *args, **kwargs) -> None:
-        return None
-
-    def on_outcome(self, *args, **kwargs) -> None:
-        return None
-
-    def on_workload_end(self, *args, **kwargs) -> None:
-        return None
+    on_query = on_view = on_breaker_transition = _ignore
+    on_arrival = on_outcome = on_workload_end = _ignore
 
     def tick(self, *args, **kwargs) -> int:
         return 0
@@ -104,12 +100,14 @@ class TelemetryPlane:
             policies=slo_policies, alerts=self.alerts, default_policy=default_slo
         )
         self.health = HealthModel(policy=health_policy, alerts=self.alerts)
-        #: the per-source record health is judged on (`attach_scoreboard`), and
-        #: its counts at the last window close
+        #: the per-source record read (`attach_scoreboard`), whether a manager
+        #: reports its failures, and its counts at the last window close
         self.scoreboard = None
+        self._managed = False
         self._judged: dict = {}
+        self.registry.register_collector(self._source_instruments)
         self._now = 0.0
-        # threads sharing one engine report fetches concurrently;
+        # threads sharing one engine report queries concurrently;
         # one lock keeps counter increments exact (and therefore replayable)
         self._lock = threading.Lock()
 
@@ -118,55 +116,33 @@ class TelemetryPlane:
             return self.clock() if callable(self.clock) else self.clock.now()
         return self._now
 
-    def attach_scoreboard(self, scoreboard) -> None:
-        """Judge health on `scoreboard` (an engine's `QueryScoreboard`) from now on."""
+    def attach_scoreboard(self, scoreboard, managed: bool = False) -> None:
+        """Read the per-source instruments and health from `scoreboard` (an
+        engine's `QueryScoreboard`) from now on; `managed`: a resilience manager
+        reports its failed calls (``eii_source_failures_total``)."""
         with self._lock:
             self.scoreboard = scoreboard
+            self._managed = managed
             self._judged = scoreboard.snapshot()
 
-    # -- engine hooks ------------------------------------------------------------
+    def _source_instruments(self) -> list:
+        """The per-source instruments as the record stands: each counter once
+        above zero, the latency histogram once the source answered."""
+        scoreboard = self.scoreboard
+        if scoreboard is None:
+            return []
+        counters = (*_SOURCE_COUNTERS, _FAILURES[self._managed])
+        out = []
+        for name, stats in scoreboard.snapshot().items():
+            for metric, description, count, labels in counters:
+                value = getattr(stats, count)
+                if value:
+                    out.append(counter_at(metric, value, description, source=name, **labels))
+            if stats.answers:
+                out.append(stats.answer_latency)
+        return out
 
-    def on_fetch(
-        self,
-        source: str,
-        seconds: float = 0.0,
-        payload_bytes: int = 0,
-        cache: str = "",
-        ok: bool = True,
-    ) -> None:
-        """One component fetch's outcome (remote call or cache hit)."""
-        name = source.lower()
-        with self._lock:
-            if cache == "hit":
-                self.registry.counter(
-                    "eii_cache_hits_total", "per-source fetch-cache hits", source=name
-                ).inc()
-                return
-            if cache == "miss":
-                self.registry.counter(
-                    "eii_cache_misses_total", "per-source fetch-cache misses", source=name
-                ).inc()
-                # the remote call that follows reports separately
-                return
-            outcome = "ok" if ok else "error"
-            self.registry.counter(
-                "eii_fetches_total",
-                "component fetches by source and outcome",
-                source=name,
-                outcome=outcome,
-            ).inc()
-            if ok:
-                self.registry.histogram(
-                    "eii_fetch_latency_seconds",
-                    "simulated per-fetch latency",
-                    source=name,
-                ).observe(seconds)
-                if payload_bytes:
-                    self.registry.counter(
-                        "eii_fetch_payload_bytes_total",
-                        "payload bytes shipped per source",
-                        source=name,
-                    ).inc(payload_bytes)
+    # -- engine hooks ------------------------------------------------------------
 
     def on_query(self, status: str, seconds: float = 0.0, rows: int = 0) -> None:
         with self._lock:  # one engine answers queries on many threads
@@ -198,26 +174,6 @@ class TelemetryPlane:
                 ).observe(staleness_s)
 
     # -- resilience hooks --------------------------------------------------------
-
-    def on_retry(self, source: str, backoff_s: float = 0.0) -> None:
-        with self._lock:
-            self.registry.counter(
-                "eii_retries_total", "retries by source", source=source.lower()
-            ).inc()
-
-    def on_source_failure(self, source: str) -> None:
-        with self._lock:
-            self.registry.counter(
-                "eii_source_failures_total", "failed source calls", source=source.lower()
-            ).inc()
-
-    def on_breaker_short_circuit(self, source: str) -> None:
-        with self._lock:
-            self.registry.counter(
-                "eii_breaker_short_circuits_total",
-                "calls rejected by an open breaker",
-                source=source.lower(),
-            ).inc()
 
     def on_breaker_transition(
         self, source: str, from_state: str, to_state: str, at_s: float

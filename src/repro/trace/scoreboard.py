@@ -4,8 +4,9 @@ The paper's operational question — *which source is the straggler?* — is
 unanswerable from one flat counter bag. Every `FederatedEngine` keeps one
 `QueryScoreboard` (``engine.scoreboard``), always on and written only by
 the `repro.federation.execution.Recorder`. Its readers only read: the
-shell's scoreboard and A6 (p50/p95, shares), the health model (each
-window's delta) and LPT prediction (seconds per answered byte).
+shell's scoreboard and A6 (p50/p95, shares), the telemetry plane (its
+per-source instruments, and each window's delta for the health model) and
+LPT prediction (seconds per answered byte).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from repro.telemetry.instruments import Histogram
 from repro.telemetry.stats import percentile, safe_rate
 
 #: Latency history kept per source (a bounded log, like a source's `query_log`).
@@ -23,7 +25,7 @@ LATENCY_HISTORY = 1024
 
 @dataclass
 class SourceStats:
-    """Accumulated accounting for one source; every field but the history counts."""
+    """Accumulated accounting for one source; every field but the histories counts."""
 
     name: str
     #: component statements sent on this source's behalf (cache hits included)
@@ -43,9 +45,16 @@ class SourceStats:
     retries: int = 0
     #: the last `LATENCY_HISTORY` statements' simulated seconds
     latencies_s: deque = field(default_factory=lambda: deque(maxlen=LATENCY_HISTORY))
+    #: the same answers' seconds, bucketed: the histogram the plane exports
+    answer_latency: Histogram = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.answer_latency = Histogram(
+            "eii_fetch_latency_seconds", (("source", self.name),), "simulated per-fetch latency"
+        )
 
     def minus(self, earlier: Optional["SourceStats"]) -> "SourceStats":
-        """The counts gained since `earlier` (None: all of them), without history."""
+        """The counts gained since `earlier` (None: all of them), without histories."""
         delta = SourceStats(self.name)
         for name in _COUNTS:
             then = getattr(earlier, name) if earlier is not None else 0
@@ -88,7 +97,8 @@ class SourceStats:
         }
 
 
-_COUNTS = tuple(f.name for f in fields(SourceStats) if f.name not in ("name", "latencies_s"))
+#: the counted fields: every int or float one (annotations are strings here)
+_COUNTS = tuple(f.name for f in fields(SourceStats) if f.type in ("int", "float"))
 
 
 class QueryScoreboard:
@@ -133,6 +143,7 @@ class QueryScoreboard:
                 stats.answers += 1
                 stats.answer_seconds += answer_seconds
                 stats.answer_bytes += answer_bytes
+                stats.answer_latency.observe(answer_seconds)
 
     def count(self, source: str, counter: str) -> None:
         """One failed call (``failures``), breaker refusal or retry."""
@@ -143,37 +154,48 @@ class QueryScoreboard:
     # -- reads -------------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Every source's counts as of now (copies, without history)."""
+        """Every source's counts and answer histogram as of now (copies, without
+        the latency history)."""
         with self._lock:
-            return {name: stats.minus(None) for name, stats in self.sources.items()}
+            out = {name: stats.minus(None) for name, stats in self.sources.items()}
+            for name, stats in self.sources.items():
+                out[name].answer_latency = stats.answer_latency.copy()
+            return out
 
-    # -- reporting ---------------------------------------------------------------
+    # -- reporting (under the lock: caller threads add sources as they go) -------
+
+    def _remote_seconds(self) -> float:
+        return sum(stats.seconds for stats in self.sources.values())
 
     def remote_seconds(self) -> float:
-        return sum(stats.seconds for stats in self.sources.values())
+        with self._lock:
+            return self._remote_seconds()
 
     def share(self, source: str) -> float:
         """Fraction of all remote simulated seconds spent in `source`."""
-        total = self.remote_seconds()
-        stats = self.sources.get(source.lower())
-        if stats is None or total <= 0:
-            return 0.0
-        return stats.seconds / total
+        with self._lock:
+            total = self._remote_seconds()
+            stats = self.sources.get(source.lower())
+            if stats is None or total <= 0:
+                return 0.0
+            return stats.seconds / total
 
     def rows(self) -> list[tuple]:
         """Per-source table rows, slowest total first."""
-        out = []
-        total = self.remote_seconds()
-        for stats in sorted(self.sources.values(), key=lambda s: (-s.seconds, s.name)):
-            summary = stats.summary()
-            out.append((
-                stats.name,
+        with self._lock:
+            total = self._remote_seconds()
+            ordered = sorted(self.sources.values(), key=lambda s: (-s.seconds, s.name))
+            summaries = [(stats.name, stats.summary()) for stats in ordered]
+        return [
+            (
+                name,
                 summary["fetches"],
                 *(round(summary[key], 6) for key in ("p50_s", "p95_s", "max_s", "seconds")),
-                f"{100.0 * stats.seconds / total:.1f}%" if total > 0 else "-",
+                f"{100.0 * summary['seconds'] / total:.1f}%" if total > 0 else "-",
                 *(summary[key] for key in ("wire_bytes", "cache_hits", "retries", "failures")),
-            ))
-        return out
+            )
+            for name, summary in summaries
+        ]
 
     HEADERS = (
         "source",

@@ -258,6 +258,7 @@ class TestRunGuarded:
 
         metrics, span, plane = MetricsCollector(), Span("fetch:s"), TelemetryPlane()
         board = QueryScoreboard()
+        plane.attach_scoreboard(board, managed=True)  # the plane reads the record
         record = Recorder(metrics, span, plane, board)
         assert manager.run_guarded("s", attempt, record) == "ok"
         assert len(attempts) == 3

@@ -1,14 +1,16 @@
 """The engine's per-source record: one write site per source fact.
 
 `engine.scoreboard` is written by the `Recorder` alone and read by the
-shell's ``\\scoreboard``, the health model and the LPT latency prediction.
+shell's ``\\scoreboard``, the telemetry plane, its health model and the LPT
+latency prediction.
 Three regressions it fixes, then two oracles that hold the bodies it
 replaced as their references:
 
 * the span fold - `SourceStats.observe` over every finished fetch span, which
   fed the tracer's scoreboard;
 * the plane's window accumulation - `SourceWindow` counts bumped in the
-  telemetry hooks, which fed the health model;
+  telemetry hooks, which fed the health model (bumped here where the
+  `Recorder` called those hooks);
 
 over Q1-Q12 x {no fault, `Transient` with retries, `Outage` with and without a
 resilience manager, `LatencySpike`}, failover off. Counts match exactly,
@@ -30,6 +32,7 @@ from repro.bench.workload import QUERIES
 from repro.cache import CacheConfig, CacheHierarchy
 from repro.common.errors import EIIError, InjectedFaultError
 from repro.federation import EngineConfig, FederatedEngine, ResiliencePolicy
+from repro.federation.execution import Recorder
 from repro.netsim import FaultInjector, LatencySpike, Outage, SimClock, Transient
 from repro.telemetry import TelemetryPlane
 from repro.trace import Tracer
@@ -104,6 +107,37 @@ def test_latency_history_is_bounded():
     assert crm.summary()["max_s"] == float(LATENCY_HISTORY + 99)
 
 
+def test_reports_read_while_threads_add_sources():
+    """`rows()` / `share()` / `remote_seconds()` iterated the record unlocked while
+    caller threads added sources: "dictionary changed size during iteration"."""
+    board = QueryScoreboard()
+    for index in range(500):
+        board.statement(f"s{index}", 0.001, 1, 10, 12)
+    errors: list = []
+
+    def writer():
+        for index in range(500, 4000):
+            board.statement(f"s{index}", 0.001, 1, 10, 12, answer=(f"s{index}", 0.001, 10))
+
+    thread = threading.Thread(target=writer)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread.start()
+    try:
+        while thread.is_alive():
+            try:
+                board.rows()
+                board.share("s0")
+                board.remote_seconds()
+            except RuntimeError as exc:
+                errors.append(exc)
+    finally:
+        thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(board.rows()) == 4000
+
+
 # -- the replaced bodies, kept as references ---------------------------------------------
 
 
@@ -150,8 +184,9 @@ WINDOW_FIELDS = {
 
 
 class WindowedPlane(TelemetryPlane):
-    """A plane that also keeps the replaced per-source windows, bumped in its
-    hooks, and pairs each close's old windows with the health model's input."""
+    """A plane that also keeps the replaced per-source windows, bumped where its
+    old hooks were called, and pairs each close's old windows with the health
+    model's input."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -166,30 +201,38 @@ class WindowedPlane(TelemetryPlane):
 
         self.health.close_window = close_window
 
-    def _bump(self, source: str, **deltas) -> None:
+    def bump(self, source: str, **deltas) -> None:
         with self._lock:
             window = self.old.setdefault(source.lower(), dict.fromkeys(WINDOW_FIELDS, 0))
             for name, delta in deltas.items():
                 window[name] += delta
 
-    def on_fetch(self, source, seconds=0.0, payload_bytes=0, cache="", ok=True):
-        super().on_fetch(source, seconds, payload_bytes, cache, ok)
-        if cache == "hit":
-            self._bump(source, cache_hits=1)
-        elif cache == "miss":
-            self._bump(source, cache_misses=1)
-        elif ok:
-            self._bump(source, fetches=1, latency_sum_s=seconds)
-        else:
-            self._bump(source, failures=1)
 
-    def on_retry(self, source, backoff_s=0.0):
-        super().on_retry(source, backoff_s)
-        self._bump(source, retries=1)
+def bump_old_windows(monkeypatch):
+    """Wrap the `Recorder` methods that called the old hooks: each bumps its
+    plane's old windows as the hook did, then records as it does now."""
 
-    def on_source_failure(self, source):
-        super().on_source_failure(source)
-        self._bump(source, failures=1)
+    def wrap(method, bumps):
+        original = getattr(Recorder, method)
+
+        def wrapped(self, *args):
+            if isinstance(self.telemetry, WindowedPlane):
+                for source, deltas in bumps(*args):
+                    self.telemetry.bump(source, **deltas)
+            original(self, *args)
+
+        monkeypatch.setattr(Recorder, method, wrapped)
+
+    def statement(source, base, cache, answer):
+        if cache is not None:
+            yield source, {"cache_hits" if cache == "hit" else "cache_misses": 1}
+        if answer is not None:
+            yield answer[0], {"fetches": 1, "latency_sum_s": answer[1]}
+
+    wrap("statement_finished", statement)
+    wrap("remote_failure", lambda source: [(source, {"failures": 1})])
+    wrap("source_failure", lambda source, attempt, error: [(source, {"failures": 1})])
+    wrap("retry", lambda source, attempt, delay: [(source, {"retries": 1})])
 
 
 # -- oracles ---------------------------------------------------------------------------------
@@ -259,7 +302,8 @@ def test_record_equals_the_span_fold(fixture, scenario):
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_each_health_input_equals_the_old_window(fixture, scenario):
+def test_each_health_input_equals_the_old_window(fixture, scenario, monkeypatch):
+    bump_old_windows(monkeypatch)
     _, plane = run_scenario(fixture, scenario)
     assert len(plane.closes) > 5
     for old, new in plane.closes:

@@ -361,7 +361,7 @@ class TestHealth:
 class TestTelemetryPlane:
     def test_null_telemetry_is_inert(self):
         assert NULL_TELEMETRY.enabled is False
-        NULL_TELEMETRY.on_fetch("crm", seconds=1.0)
+        NULL_TELEMETRY.on_query("ok", seconds=1.0)
         NULL_TELEMETRY.on_outcome(outcome())
         NULL_TELEMETRY.on_workload_end(99.0)
         assert NULL_TELEMETRY.tick(99.0) == 0
@@ -377,13 +377,9 @@ class TestTelemetryPlane:
         plane = TelemetryPlane(window_s=1.0)
         board = QueryScoreboard()
         plane.attach_scoreboard(board)
-        plane.on_fetch("crm", seconds=0.2, payload_bytes=128)
         board.statement("crm", 0.2, 1, 128, 128, answer=("crm", 0.2, 128))
-        plane.on_fetch("crm", ok=False)
         board.count("crm", "failures")
-        plane.on_fetch("crm", cache="hit")
         board.statement("crm", 0.0, 0, 0, 0, cache="hit")
-        plane.on_retry("crm")
         board.count("crm", "retries")
         plane.on_query("ok", seconds=0.3, rows=7)
         assert plane.tick(1.0) == 1
@@ -431,9 +427,7 @@ class TestExports:
         plane = TelemetryPlane(window_s=1.0)
         board = QueryScoreboard()
         plane.attach_scoreboard(board)
-        plane.on_fetch("crm", seconds=0.2, payload_bytes=64)
         board.statement("crm", 0.2, 1, 64, 64, answer=("crm", 0.2, 64))
-        plane.on_fetch("sales", ok=False)
         board.count("sales", "failures")
         plane.on_outcome(outcome(status="failed"), now=0.5)
         plane.tick(2.0)
@@ -521,8 +515,32 @@ class TestEngineIntegration:
         registry = engine.telemetry.registry
         cached = registry.get("eii_queries_total", status="cached")
         assert cached is not None and cached.value() == 1
-        hits = registry.get("eii_cache_hits_total", source="crm")
-        assert hits is None or hits.value() >= 0  # fetch-level optional here
+        # the result cache answered the repeat: the fetch cache missed once, never hit
+        crm = engine.scoreboard.sources["crm"]
+        assert (crm.cache_hits, crm.cache_misses) == (0, 1)
+        assert registry.get("eii_cache_hits_total", source="crm") is None
+        assert registry.get("eii_cache_misses_total", source="crm").value() == crm.cache_misses
+
+    def test_unmanaged_failures_show_on_the_dashboard(self):
+        """Without a resilience manager a failed call is
+        ``eii_fetches_total{outcome="error"}``; the failures sparkline summed
+        only ``eii_source_failures_total`` and stayed away."""
+        from repro.common.errors import EIIError
+
+        clock = SimClock()
+        injector = FaultInjector(seed=1, clock=clock)
+        injector.script("crm", Outage())
+        plane = TelemetryPlane(window_s=0.5)
+        engine = FederatedEngine(build_catalog(injector=injector), EngineConfig(
+            clock=clock, parallel_workers=1, telemetry=plane
+        ))
+        for _ in range(3):
+            with pytest.raises(EIIError):
+                engine.query(JOIN_Q)
+            clock.advance(0.5)
+        plane.tick(clock())
+        assert plane.registry.get("eii_fetches_total", source="crm", outcome="error")
+        assert "failures/window: [" in plane.render_dashboard()
 
     def test_breaker_outage_flows_to_health(self):
         clock = SimClock()
