@@ -15,9 +15,9 @@ through all three detectors of `repro.analysis.concurrency`:
   happens-before fence on join/shutdown: lockset races (EII504), slot
   leaks via the limiter drain audit (EII506), single-writer violations
   on the coordinator's MetricsCollector (EII507);
-* **interleaving fuzzer** — seeded schedules through the single-flight
-  protocol and threads sharing one engine, diffed against the serial
-  oracle: divergence (EII505) and leaks (EII506).
+* **interleaving fuzzer** — seeded schedules over caller threads sharing
+  one engine, diffed against the serial oracle (EII505), and over
+  threads pouring through a source limiter (EII506).
 
 Claims asserted: every seeded defect is detected with its expected code
 (zero false negatives across the corpus); the shipped `src/repro` tree
@@ -30,10 +30,10 @@ limiter leak — are all distinctly represented.
 import pathlib
 
 from repro.analysis.concurrency import (
+    fuzz_shared_engine,
     instrument_method,
     lint_concurrency,
     lint_shared_state,
-    run_coalescing_scenario,
     run_limiter_scenario,
     sanitize,
 )
@@ -64,10 +64,17 @@ def detect_eii504():
 
 
 def detect_eii505():
-    from tests.concurrency_corpus.dynamic_bugs import LossyRegistry
+    from tests.concurrency_corpus.dynamic_bugs import SHARED_ENGINE_SQL, run_state_engine
 
-    return run_coalescing_scenario(
-        lambda: b"payload", n_threads=4, seed=3, registry=LossyRegistry()
+    return fuzz_shared_engine(run_state_engine, SHARED_ENGINE_SQL, seeds=(3,))
+
+
+def clean_shared_engine():
+    from tests.concurrency_corpus.dynamic_bugs import SHARED_ENGINE_SQL
+    from tests.federation_fixtures import build_engine
+
+    return fuzz_shared_engine(
+        lambda: build_engine(parallel_workers=4), SHARED_ENGINE_SQL, seeds=range(5)
     )
 
 
@@ -116,16 +123,7 @@ DEFECTS = [
 
 #: negative controls: the disciplined equivalents must stay silent
 CONTROLS = [
-    (
-        "clean coalescing (seeds 0-4)",
-        lambda: [
-            d
-            for seed in range(5)
-            for d in run_coalescing_scenario(
-                lambda: b"payload", n_threads=4, seed=seed
-            )
-        ],
-    ),
+    ("clean shared engine (seeds 0-4)", clean_shared_engine),
     (
         "clean limiter + failures",
         lambda: run_limiter_scenario(

@@ -12,7 +12,7 @@ results. For every baseline and every fresh result:
 * a **failed gate** in a fresh result fails (the bench's own acceptance
   bar, re-evaluated on today's numbers);
 * a **moved table** fails: the counted table (counts and simulated seconds —
-  it replays exactly) must equal the baseline's; the first differing row is
+  it replays exactly) must equal the baseline's; every differing row is
   named. A change that means to move it re-records the baseline in the same
   commit (``cp benchmarks/results/<id>.json benchmarks/baselines/``);
 * a **headline regression** fails: a record may declare a headline metric
@@ -56,19 +56,23 @@ def headline_delta(baseline: dict, fresh: dict) -> tuple:
     return (metric, base, new, worse)
 
 
-def table_difference(baseline: dict, fresh: dict) -> str:
-    """What moved between the two records' tables ('' when equal)."""
+def table_difference(baseline: dict, fresh: dict) -> list:
+    """What moved between the two records' tables, one line each ([] when equal)."""
     base, new = baseline.get("table"), fresh.get("table")
     if base == new:
-        return ""
+        return []
     if not base or not new:
-        return "table missing from the " + ("baseline" if not base else "result")
+        return ["table missing from the " + ("baseline" if not base else "result")]
     if base["headers"] != new["headers"]:
-        return f"table headers {base['headers']} -> {new['headers']}"
-    for number, (was, now) in enumerate(zip(base["rows"], new["rows"]), start=1):
-        if was != now:
-            return f"table row {number} moved: {was} -> {now}"
-    return f"table has {len(new['rows'])} rows, baseline {len(base['rows'])}"
+        return [f"table headers {base['headers']} -> {new['headers']}"]
+    moved = [
+        f"table row {number} moved: {was} -> {now}"
+        for number, (was, now) in enumerate(zip(base["rows"], new["rows"]), start=1)
+        if was != now
+    ]
+    if len(base["rows"]) != len(new["rows"]):
+        moved.append(f"table has {len(new['rows'])} rows, baseline {len(base['rows'])}")
+    return moved
 
 
 def check(results_dir: pathlib.Path, baselines_dir: pathlib.Path, tolerance: float) -> int:
@@ -97,7 +101,7 @@ def check(results_dir: pathlib.Path, baselines_dir: pathlib.Path, tolerance: flo
         verdict = "ok"
         moved = table_difference(baseline, fresh)
         if moved:
-            failures.append(f"{name}: {moved}")
+            failures.extend(f"{name}: {line}" for line in moved)
             verdict = "MOVED"
         metric, base, new, worse = headline_delta(baseline, fresh)
         if metric and worse > tolerance:

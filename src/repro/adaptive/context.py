@@ -55,7 +55,7 @@ class AdaptiveContext:
     def generation(self) -> int:
         return self.store.generation
 
-    # -- observation (called from fetch workers) --------------------------------------
+    # -- observation (on the query's caller thread, once per answered statement) ------
 
     def observe(
         self, node, rows: int, payload_bytes: float, keys: Optional[int] = None

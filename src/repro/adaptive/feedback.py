@@ -44,10 +44,10 @@ class FeedbackEntry:
 class FeedbackStore:
     """Bounded, invalidation-aware store of calibrated cardinalities.
 
-    Thread-safe: fetches observe from worker threads. Note that two
-    concurrent observations of the *same* signature land in clock order,
-    so replay determinism additionally requires deterministic submission
-    order (the engine runs its property tests with one worker).
+    Thread-safe: threads sharing one engine observe from their own
+    queries. One query's observations land in its fetches' submission
+    order, on its caller's thread; only two callers observing the *same*
+    signature at once land in the order they take the lock.
     """
 
     def __init__(

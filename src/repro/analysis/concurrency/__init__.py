@@ -1,4 +1,4 @@
-"""Concurrency correctness toolkit: the engine audits its own threading.
+"""Concurrency correctness toolkit: audits the threads sharing one engine.
 
 Three detectors over the `EII5xx` diagnostic family, one currency
 (`Diagnostic`/`AnalysisReport`), three very different vantage points:
@@ -12,8 +12,14 @@ Three detectors over the `EII5xx` diagnostic family, one currency
   hot paths: lockset races (EII504), slot leaks (EII506), single-writer
   violations (EII507);
 * **deterministic interleaving fuzzer** (`interleave`) — seeded schedule
-  perturbation of threads sharing one engine and of the in-flight registry, diffed
-  against a serial oracle: divergence (EII505), leaks (EII506).
+  perturbation of caller threads sharing one engine, diffed against a
+  serial oracle (EII505), and of threads pouring through a source
+  limiter, audited for leaks (EII506).
+
+A query starts no thread of its own: the threads these tools watch are
+the callers sharing one `FederatedEngine`, and what they share is the
+engine's plan and fetch caches, its per-source record and its
+`SourceLimiter`.
 
 `lint_concurrency(paths)` is the workspace entry point the
 `python -m repro.analysis.concurrency` CLI wraps.
@@ -29,9 +35,7 @@ from repro.analysis.diagnostics import AnalysisReport
 from repro.analysis.concurrency.interleave import (
     InterleaveSchedule,
     fuzz_shared_engine,
-    run_coalescing_scenario,
     run_limiter_scenario,
-    single_flight,
 )
 from repro.analysis.concurrency.lockorder import build_lock_graph, lint_lock_order
 from repro.analysis.concurrency.sanitizer import (
@@ -52,10 +56,8 @@ __all__ = [
     "lint_concurrency",
     "lint_lock_order",
     "lint_shared_state",
-    "run_coalescing_scenario",
     "run_limiter_scenario",
     "sanitize",
-    "single_flight",
 ]
 
 

@@ -1,15 +1,8 @@
 """Deterministic interleaving fuzzer (EII505/EII506): adversarial schedules.
 
-Three differential scenarios, all judged against a serial oracle — the
-same discipline as `test_sched_oracle.py`, but over *real* threads whose
-interleavings are perturbed on purpose:
+Two scenarios over *real* threads whose interleavings are perturbed on
+purpose:
 
-* `run_coalescing_scenario` — N threads race `InFlightRegistry
-  .begin_or_attach` for one key. An `InterleaveSchedule` staggers their
-  arrivals in a seeded order (host-flight loser, late attach after the
-  host completed, …); every caller must still observe exactly the cold
-  fetch's bytes, and with `force_coalesce=True` the upstream must be hit
-  exactly once. Divergence is **EII505**.
 * `run_limiter_scenario` — K threads pour through `SourceLimiter.slot`,
   optionally failing mid-slot; the observed peak must respect the cap
   and every slot must drain, else **EII506**.
@@ -17,7 +10,8 @@ interleavings are perturbed on purpose:
   `FederatedEngine`, each blocking at the top of every `Execution.fetch`
   until the seeded schedule releases it, so their queries interleave
   fetch by fetch. Every caller's rows, metrics summary and simulated
-  elapsed time must equal a serial run's (**EII505**).
+  elapsed time must equal a serial run's (**EII505**) — the differential
+  discipline of `test_sched_oracle.py`.
 
 The scheduler is cooperative and name-based: worker threads `register`,
 block at `point()`s, and `finish()` before any external wait, so the
@@ -43,11 +37,11 @@ class InterleaveSchedule:
 
     Participants `register(name)` before starting, block at
     `point(name, label)` while running, and `finish(name)` when they stop
-    taking schedule points (including just before an external wait such
-    as `Flight.wait` — a thread blocked outside the scheduler must not
-    count as schedulable). Whenever every live participant is blocked,
-    one is released, chosen by the seeded RNG; `history` records the
-    release order so a failing seed replays exactly.
+    taking schedule points (including just before an external wait — a
+    thread blocked outside the scheduler must not count as schedulable).
+    Whenever every live participant is blocked, one is released, chosen
+    by the seeded RNG; `history` records the release order so a failing
+    seed replays exactly.
     """
 
     def __init__(self, seed: int, timeout: float = _DEFAULT_TIMEOUT):
@@ -100,176 +94,6 @@ class InterleaveSchedule:
             self.history.append(chosen)
             del self._blocked[chosen]
             self._cond.notify_all()
-
-
-# ---------------------------------------------------------------------------
-# Scenario: single-flight coalescing
-# ---------------------------------------------------------------------------
-
-
-def single_flight(
-    registry,
-    key: tuple,
-    token,
-    fetch: Callable[[], object],
-    schedule: Optional[InterleaveSchedule] = None,
-    name: str = "",
-):
-    """One caller's side of the host-or-follower protocol.
-
-    Returns `(value, was_host)`. The host runs `fetch` and publishes via
-    `registry.finish`; followers block on the flight. With a `schedule`,
-    arrival and host-fetch are schedule points so the seed controls who
-    hosts and who loses the race.
-    """
-    if schedule is not None:
-        schedule.point(name, "arrive")
-    flight, is_host = registry.begin_or_attach(key, token)
-    if is_host:
-        if schedule is not None:
-            schedule.point(name, "fetch")
-        try:
-            value = fetch()
-        except BaseException as exc:
-            if schedule is not None:
-                schedule.finish(name)
-            registry.finish(key, None, error=exc)
-            raise
-        if schedule is not None:
-            schedule.finish(name)
-        registry.finish(key, value)
-        return value, True
-    if schedule is not None:
-        schedule.finish(name)  # about to wait outside the scheduler
-    return flight.wait(timeout=_DEFAULT_TIMEOUT), False
-
-
-def run_coalescing_scenario(
-    fetch: Callable[[], object],
-    n_threads: int = 4,
-    seed: int = 0,
-    registry=None,
-    force_coalesce: bool = False,
-) -> List[Diagnostic]:
-    """Race `n_threads` callers for one flight key; diff against cold fetch.
-
-    `fetch` must be pure (same bytes every call). Returns EII505/EII506
-    diagnostics; an empty list means the interleaving was harmless.
-    `force_coalesce=True` pins the worst-case ordering — every follower
-    attached before the host touches upstream — and then also requires
-    exactly one upstream call.
-    """
-    from repro.cache.inflight import InFlightRegistry
-
-    if registry is None:
-        registry = InFlightRegistry()
-    oracle = fetch()
-    upstream_calls = [0]
-    call_guard = threading.Lock()
-    all_arrived = threading.Event()
-
-    def counted_fetch():
-        with call_guard:
-            upstream_calls[0] += 1
-        if force_coalesce:
-            # the host stalls upstream until every rival has attached —
-            # the adversarial ordering where coalescing must carry all
-            all_arrived.wait(_DEFAULT_TIMEOUT)
-        return fetch()
-
-    schedule = None if force_coalesce else InterleaveSchedule(seed)
-    key = ("src", "stmt", seed)
-    results: dict = {}
-    errors: dict = {}
-
-    def caller(i: int) -> None:
-        name = f"caller-{i}"
-        try:
-            value, _was_host = single_flight(
-                registry, key, name, counted_fetch, schedule, name
-            )
-            results[i] = value
-        except BaseException as exc:  # noqa: BLE001 — diffed, not crashed
-            errors[i] = exc
-
-    # daemons: a buggy registry can strand followers forever, and a wedged
-    # scenario thread must fail the diff, not hang interpreter shutdown
-    threads = [
-        threading.Thread(target=caller, args=(i,), name=f"caller-{i}", daemon=True)
-        for i in range(n_threads)
-    ]
-    if schedule is not None:
-        for thread in threads:
-            schedule.register(thread.name)
-    for thread in threads:
-        thread.start()
-    if force_coalesce:
-        # wait for all callers to be past begin_or_attach (host included)
-        deadline = time.monotonic() + _DEFAULT_TIMEOUT
-        while time.monotonic() < deadline:
-            if len(registry) == 0 or (
-                registry.get(key) is not None
-                and len(registry.get(key).attached) == n_threads - 1
-            ):
-                break
-            time.sleep(0.005)
-        all_arrived.set()
-    for thread in threads:
-        thread.join(_DEFAULT_TIMEOUT)
-
-    diagnostics: List[Diagnostic] = []
-    origin = f"interleave[seed={seed}]"
-    if schedule is not None and schedule.aborted:
-        diagnostics.append(
-            error(
-                "EII505",
-                "schedule aborted: a participant wedged outside the "
-                "scheduler (possible deadlock under this interleaving)",
-                hint=f"release history: {schedule.history}",
-                origin=origin,
-            )
-        )
-    for i, exc in sorted(errors.items()):
-        diagnostics.append(
-            error(
-                "EII505",
-                f"caller-{i} raised {type(exc).__name__}: {exc} where the "
-                "serial oracle succeeds",
-                origin=origin,
-            )
-        )
-    for i, value in sorted(results.items()):
-        if value != oracle:
-            diagnostics.append(
-                error(
-                    "EII505",
-                    f"caller-{i} observed {value!r}, serial oracle says "
-                    f"{oracle!r}",
-                    hint="a follower was resolved with something other "
-                    "than the host's fetched value",
-                    origin=origin,
-                )
-            )
-    if force_coalesce and not diagnostics and upstream_calls[0] != 1:
-        diagnostics.append(
-            error(
-                "EII505",
-                f"{upstream_calls[0]} upstream fetches for one key with "
-                "every caller attached before the host fetched (expected "
-                "exactly 1)",
-                origin=origin,
-            )
-        )
-    if len(registry) != 0:
-        diagnostics.append(
-            error(
-                "EII506",
-                f"{len(registry)} flight(s) still registered after every "
-                "caller returned",
-                origin=origin,
-            )
-        )
-    return diagnostics
 
 
 # ---------------------------------------------------------------------------

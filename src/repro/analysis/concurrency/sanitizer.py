@@ -6,8 +6,8 @@ engine's concurrent hot paths are instrumented:
 * `threading.Lock` / `RLock` / `Semaphore` / `BoundedSemaphore` are
   swapped for tracked wrappers, so the sanitizer always knows which locks
   the current thread holds.
-* The cache store, in-flight registry and source limiter have their
-  mutating methods wrapped to report shadow-table *accesses* — the
+* The cache store, the per-source record and the source limiter have
+  their mutating methods wrapped to report shadow-table *accesses* — the
   classic Eraser lockset discipline: every shared variable starts
   `virgin`, becomes `exclusive` to its first thread, then `shared` /
   `shared-modified` once a second thread touches it; from then on its
@@ -416,7 +416,6 @@ def _patch(owner, name: str, replacement):
 
 def _instrument_engine_hot_paths() -> List:
     """Wrap the known concurrent mutators; returns the undo list."""
-    from repro.cache.inflight import InFlightRegistry
     from repro.cache.store import BoundedStore
     from repro.netsim import metrics as metrics_module
     from repro.sched.limits import SourceLimiter
@@ -435,12 +434,6 @@ def _instrument_engine_hot_paths() -> List:
         undos.append(
             instrument_method(
                 QueryScoreboard, method, ("sources",), guard_attr="_lock"
-            )
-        )
-    for method in ("begin", "attach", "begin_or_attach", "complete"):
-        undos.append(
-            instrument_method(
-                InFlightRegistry, method, ("_flights",), guard_attr="_lock"
             )
         )
 

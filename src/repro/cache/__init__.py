@@ -8,7 +8,6 @@ table-tag invalidation driven by mediator/EAI write events.
 """
 
 from repro.cache.hierarchy import CacheConfig, CacheHierarchy
-from repro.cache.inflight import Flight, InFlightRegistry, InFlightStats
 from repro.cache.keys import canonical_statement, fetch_key
 from repro.cache.store import BoundedStore, CacheEntry, CacheStats
 
@@ -18,9 +17,6 @@ __all__ = [
     "CacheEntry",
     "CacheHierarchy",
     "CacheStats",
-    "Flight",
-    "InFlightRegistry",
-    "InFlightStats",
     "canonical_statement",
     "fetch_key",
 ]

@@ -4,10 +4,9 @@ The mediator in the paper's §5 serves *workloads*, not single queries:
 many tenants' dashboards, reports and batch jobs share one integration
 layer and its per-source capacity. This package adds that layer —
 weighted-fair queueing across tenants (`repro.sched.wfq`), per-source
-concurrency limits (`repro.sched.limits`), in-flight fetch coalescing
-(`repro.cache.InFlightRegistry`), deadline-based load shedding, and the
-`WorkloadScheduler` event loop tying them together on the simulated
-clock.
+concurrency limits (`repro.sched.limits`), in-flight fetch coalescing,
+deadline-based load shedding, and the `WorkloadScheduler` event loop tying
+them together on the simulated clock.
 
 Design invariant (what the differential oracle tests): concurrency is
 purely a virtual-time account. Every admitted query's rows come from one

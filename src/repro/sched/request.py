@@ -164,7 +164,7 @@ class WorkloadResult:
     #: tenant name -> that tenant's account
     tenants: dict = field(default_factory=dict)
     #: the workload span tree (`repro.trace.Trace`), manually laid out on
-    #: the virtual timeline; None when the scheduler ran untraced
+    #: the virtual timeline once the run ends
     trace: Optional[object] = None
     #: work-conservation audit: one `(time, free_workers, queued, active,
     #: startable_pending)` snapshot per scheduling round; a non-zero last

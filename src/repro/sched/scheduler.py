@@ -4,8 +4,8 @@
 `FederatedEngine` on the simulated clock: a discrete-event loop advances
 virtual time through arrivals, fetch completions and query completions,
 while weighted-fair queueing (`repro.sched.wfq`), per-source concurrency
-limits, in-flight fetch coalescing (`repro.cache.InFlightRegistry`) and
-deadline-based load shedding decide who runs when.
+limits, in-flight fetch coalescing (`_RunState.flights`) and deadline-based
+load shedding decide who runs when.
 
 Correctness by construction: the *answer* to each admitted query comes
 from one real `engine.query()` call issued at its virtual dispatch time,
@@ -39,7 +39,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cache import InFlightRegistry, fetch_key
+from repro.cache import fetch_key
 from repro.common.errors import AdmissionError, EIIError
 from repro.sched.request import (
     FAILED,
@@ -77,8 +77,6 @@ class SchedulerConfig:
     policy: str = "wfq"
     #: coalesce identical in-flight fetch keys across concurrent queries
     coalesce: bool = True
-    #: build the workload `Trace` (byte-identical across seeded replays)
-    trace: bool = True
 
     def __post_init__(self):
         self.workers = max(int(self.workers), 1)
@@ -145,7 +143,10 @@ class _RunState:
             depth=self.config.queue_depth,
             policy=self.config.policy,
         )
-        self.inflight = InFlightRegistry()
+        #: fetch key -> the `(query index, task)` tokens attached to its
+        #: running fetch; a key is here exactly while its fetch runs, so a
+        #: task only ever rides a fetch of its own statement
+        self.flights: dict[tuple, list] = {}
         self.events: list = []  # heap of (time, seq, kind, payload)
         self.seq = 0
         self.now = 0.0
@@ -357,11 +358,9 @@ class _RunState:
             for task in active.tasks:
                 if task.state != "pending":
                     continue
-                if self.config.coalesce and self.inflight.get(task.key) is not None:
+                if self.config.coalesce and task.key in self.flights:
                     task.state = "attached"
-                    self.inflight.attach(
-                        task.key, (index, task), seconds_saved=task.duration_s
-                    )
+                    self._attach(task.key, (index, task))
                     self._coalesced(active.outcome, task.duration_s)
                     continue
                 if self.free_workers <= 0:
@@ -399,6 +398,11 @@ class _RunState:
             record.coalesced_fetches += 1
             record.coalesced_seconds_saved += seconds_saved
 
+    def _attach(self, key: tuple, token) -> None:
+        """Ride the running fetch for exactly `key`; a `KeyError` when none
+        runs, so a task is never completed by another statement's fetch."""
+        self.flights[key].append(token)
+
     def _source_available(self, source: str) -> bool:
         free = self.source_free.get(source)
         return free is None or free > 0
@@ -409,9 +413,8 @@ class _RunState:
         if task.source in self.source_free:
             self.source_free[task.source] -= 1
         if self.config.coalesce:
-            self.inflight.begin(
-                task.key, done_at=self.now + task.duration_s, seconds=task.duration_s
-            )
+            assert task.key not in self.flights, f"{task.key!r} already in flight"
+            self.flights[task.key] = []
         self._push(self.now + task.duration_s, "fetch_done", (index, id(task)))
 
     # -- completions -------------------------------------------------------------
@@ -424,8 +427,7 @@ class _RunState:
             self.source_free[task.source] += 1
         finished = [(index, task)]
         if self.config.coalesce:
-            flight = self.inflight.complete(task.key)
-            finished.extend(flight.attached)
+            finished.extend(self.flights.pop(task.key))
         for query_index, done_task in finished:
             done_task.state = "done"
             follower = self.active[query_index]
@@ -482,8 +484,7 @@ class _RunState:
             tenants=self.tenants,
             audit=self.audit,
         )
-        if self.config.trace:
-            result.trace = self._build_trace(result)
+        result.trace = self._build_trace(result)
         return result
 
     def _build_trace(self, result: WorkloadResult) -> Trace:

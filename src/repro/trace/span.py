@@ -96,11 +96,6 @@ class Span:
         self.children.append(span)
         return span
 
-    def adopt(self, span: "Span") -> "Span":
-        """Attach an externally-built span (e.g. from a worker thread)."""
-        self.children.append(span)
-        return span
-
     def set(self, **attrs) -> "Span":
         self.attrs.update(attrs)
         return self

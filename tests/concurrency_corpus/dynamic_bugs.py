@@ -7,9 +7,10 @@ preemption:
 
 * `RacyCounter` — no lock at all; two threads instrumented via
   `instrument_method` produce an empty lockset intersection (EII504).
-* `LossyRegistry` — an `InFlightRegistry` whose `finish` resolves the
-  followers with `None` instead of the host's value; every follower in a
-  coalescing scenario observes a wrong result (EII505).
+* `RunStateEngine` — a `FederatedEngine` that keeps the running query's
+  collector on the engine itself, across the run's `Execution.fetch`
+  calls; a caller starting in between takes it over, so callers sharing
+  the engine report each other's metrics (EII505).
 * `LeakyLimiter` — a `SourceLimiter` whose slot forgets `try/finally`;
   any exception inside the slot strands the semaphore (EII506).
 * `rogue_metrics_write` — a worker thread charging the coordinator's
@@ -21,8 +22,9 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
-from repro.cache.inflight import InFlightRegistry
+from repro.federation import EngineConfig, FederatedEngine
 from repro.sched.limits import SourceLimiter
+from tests.federation_fixtures import build_catalog
 
 
 class RacyCounter:
@@ -58,13 +60,25 @@ def race_increments(counter: RacyCounter, n_threads: int = 2, rounds: int = 100)
         thread.join(10)
 
 
-class LossyRegistry(InFlightRegistry):
-    """Resolves followers with a stale None instead of the host's value."""
+class RunStateEngine(FederatedEngine):
+    """Hands each answer the collector of whichever run started last."""
 
-    def finish(self, key, value=None, error=None):
-        flight = self.complete(key)
-        flight.resolve(None, error)  # bug: drops the fetched value
-        return flight
+    def _execute_plan(self, plan, metrics, trace=None):
+        self.running = metrics  # bug: per-run state on the shared engine
+        result = super()._execute_plan(plan, metrics, trace)
+        result.metrics = self.running
+        return result
+
+
+#: a two-fetch join over the federation fixture: callers interleave between fetches
+SHARED_ENGINE_SQL = (
+    "SELECT c.name, o.total FROM customers c "
+    "JOIN orders o ON c.id = o.cust_id WHERE o.total > 100"
+)
+
+
+def run_state_engine() -> RunStateEngine:
+    return RunStateEngine(build_catalog(), EngineConfig(parallel_workers=4))
 
 
 class LeakyLimiter(SourceLimiter):

@@ -5,8 +5,8 @@ seven EII5xx codes has at least one unit test that makes its detector
 fire on a seeded bug, plus negative controls showing the shipped tree's
 disciplined idioms (RLock reentrancy, merge-on-coordinator, guarded
 check-then-act) do NOT fire. The real-thread regression tests for
-`SourceLimiter` and `InFlightRegistry` live here too — they are what the
-toolkit exists to keep honest.
+`SourceLimiter` and for caller threads sharing one engine live here too —
+they are what the toolkit exists to keep honest.
 """
 
 import threading
@@ -22,24 +22,23 @@ from repro.analysis.concurrency import (
     lint_concurrency,
     lint_lock_order,
     lint_shared_state,
-    run_coalescing_scenario,
     run_limiter_scenario,
     sanitize,
-    single_flight,
 )
 from repro.analysis.concurrency import interleave
 from repro.analysis.concurrency.lockorder import build_lock_graph
 from repro.analysis.diagnostics import CODES, Severity
-from repro.cache.inflight import InFlightRegistry
 from repro.netsim.metrics import MetricsCollector
 from repro.sched.limits import SourceLimiter
 
 from tests.concurrency_corpus.dynamic_bugs import (
+    SHARED_ENGINE_SQL,
     LeakyLimiter,
-    LossyRegistry,
     RacyCounter,
     race_increments,
+    run_state_engine,
 )
+from tests.federation_fixtures import build_engine
 
 # these tests seed bugs and open their own sanitize() windows
 pytestmark = pytest.mark.race_sanitize_exempt
@@ -367,24 +366,18 @@ class TestRaceSanitizer:
                     pass
 
     def test_engine_hot_paths_clean_under_sanitizer(self):
-        # the shipped BoundedStore/InFlightRegistry/SourceLimiter discipline
-        # must produce zero findings when genuinely hammered
+        # the shipped BoundedStore/SourceLimiter discipline must produce
+        # zero findings when genuinely hammered
         from repro.cache.store import BoundedStore
 
         with sanitize() as sanitizer:
             store = BoundedStore("hammer", max_entries=64)
-            registry = InFlightRegistry()
             limiter = SourceLimiter(limits={"src": 4})
 
             def worker(i):
                 with limiter.slot("src"):
                     store.put(("k", i % 8), i, size_bytes=8)
                     store.get(("k", i % 8))
-                    flight, is_host = registry.begin_or_attach(("f", i % 4), i)
-                    if is_host:
-                        registry.finish(("f", i % 4), i)
-                    else:
-                        flight.wait(5)
 
             threads = [
                 threading.Thread(target=worker, args=(i,)) for i in range(16)
@@ -403,40 +396,21 @@ class TestRaceSanitizer:
 
 
 class TestInterleavingFuzzer:
-    def test_eii505_lossy_registry_diverges(self):
-        diagnostics = run_coalescing_scenario(
-            lambda: b"payload", n_threads=4, seed=3, registry=LossyRegistry()
-        )
-        assert "EII505" in codes_of(diagnostics)
-
-    def test_coalescing_clean_across_seeds(self):
-        for seed in range(6):
-            diagnostics = run_coalescing_scenario(
-                lambda: b"payload", n_threads=4, seed=seed
-            )
-            assert diagnostics == [], [d.render() for d in diagnostics]
-
-    def test_forced_coalesce_single_upstream_fetch(self):
-        calls = []
-        diagnostics = run_coalescing_scenario(
-            lambda: calls.append(1) or b"bytes",
-            n_threads=6,
-            seed=0,
-            force_coalesce=True,
-        )
-        assert diagnostics == [], [d.render() for d in diagnostics]
-        # oracle call + exactly one coalesced upstream call
-        assert len(calls) == 2
+    def test_eii505_run_state_on_the_engine_diverges(self):
+        # invisible serially; the fixed seed lets a second caller start
+        # between the first one's fetches
+        diagnostics = fuzz_shared_engine(run_state_engine, SHARED_ENGINE_SQL, seeds=(3,))
+        assert codes_of(diagnostics) == ["EII505"]
+        assert any("metrics summary" in d.message for d in diagnostics)
 
     def test_schedule_deterministic_replay(self):
         def run(seed):
             schedule = InterleaveSchedule(seed)
-            registry = InFlightRegistry()
 
             def caller(name):
-                single_flight(
-                    registry, ("k",), name, lambda: b"v", schedule, name
-                )
+                for label in ("arrive", "fetch", "fetch"):
+                    schedule.point(name, label)
+                schedule.finish(name)
 
             threads = [
                 threading.Thread(target=caller, args=(f"t{i}",), name=f"t{i}")
@@ -455,8 +429,6 @@ class TestInterleavingFuzzer:
         assert len(histories) > 1  # the seed genuinely perturbs the order
 
     def test_threads_sharing_an_engine_match_the_serial_oracle(self, monkeypatch):
-        from tests.federation_fixtures import build_engine
-
         histories = []
 
         class Recorded(InterleaveSchedule):
@@ -466,10 +438,7 @@ class TestInterleavingFuzzer:
 
         monkeypatch.setattr(interleave, "InterleaveSchedule", Recorded)
         diagnostics = fuzz_shared_engine(
-            lambda: build_engine(parallel_workers=4),
-            "SELECT c.name, o.total FROM customers c "
-            "JOIN orders o ON c.id = o.cust_id WHERE o.total > 100",
-            seeds=(0, 1, 2),
+            lambda: build_engine(parallel_workers=4), SHARED_ENGINE_SQL, seeds=(0, 1, 2)
         )
         assert diagnostics == [], [d.render() for d in diagnostics]
         assert len({tuple(history) for history in histories}) > 1  # the seed perturbs the order
@@ -595,8 +564,6 @@ class TestMetricsOwnership:
     def test_engine_worker_collectors_clean_under_sanitizer(self):
         # each query's collectors are written and merged on its caller's
         # thread, so threads sharing one engine write none of another's
-        from tests.federation_fixtures import build_engine
-
         sql = "SELECT c.name, o.total FROM customers c JOIN orders o ON c.id = o.cust_id"
         with sanitize() as sanitizer:
             engine = build_engine(parallel_workers=4)
@@ -611,78 +578,6 @@ class TestMetricsOwnership:
                 thread.join(timeout=30)
             assert len(answers) == 4 and all(len(a.relation.rows) > 0 for a in answers)
         assert sanitizer.report.ok, sanitizer.report.render()
-
-
-# ---------------------------------------------------------------------------
-# InFlightRegistry under real threads (satellite)
-# ---------------------------------------------------------------------------
-
-
-class TestInFlightRegistryThreads:
-    def test_begin_or_attach_exactly_one_host(self):
-        registry = InFlightRegistry()
-        outcomes = []
-        barrier = threading.Barrier(8)
-
-        def racer(i):
-            barrier.wait(10)
-            flight, is_host = registry.begin_or_attach(("key",), i)
-            outcomes.append(is_host)
-            if is_host:
-                registry.finish(("key",), b"value")
-            else:
-                flight.wait(10)
-
-        threads = [
-            threading.Thread(target=racer, args=(i,)) for i in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10)
-        assert sum(outcomes) >= 1  # at least one host per generation
-        assert len(registry) == 0
-
-    def test_followers_observe_host_bytes(self):
-        registry = InFlightRegistry()
-        payload = b"cold-fetch-bytes"
-        diagnostics = run_coalescing_scenario(
-            lambda: payload, n_threads=8, seed=11, registry=registry
-        )
-        assert diagnostics == [], [d.render() for d in diagnostics]
-
-    def test_host_error_propagates_to_followers(self):
-        registry = InFlightRegistry()
-        flight, is_host = registry.begin_or_attach(("k",), "host")
-        assert is_host
-        follower, attached_host = registry.begin_or_attach(("k",), "follower")
-        assert not attached_host
-        registry.finish(("k",), None, error=RuntimeError("upstream down"))
-        with pytest.raises(RuntimeError, match="upstream down"):
-            follower.wait(5)
-
-    def test_attach_after_completion_becomes_new_host(self):
-        registry = InFlightRegistry()
-        flight, _ = registry.begin_or_attach(("k",), "first")
-        registry.finish(("k",), b"one")
-        second, is_host = registry.begin_or_attach(("k",), "second")
-        assert is_host  # eviction-during-attach: the key is free again
-        registry.finish(("k",), b"two")
-        assert second.wait(1) == b"two"
-
-    def test_virtual_time_protocol_unchanged(self):
-        # the workload scheduler's single-threaded begin/attach/complete
-        registry = InFlightRegistry()
-        flight = registry.begin(("k",), done_at=4.0, seconds=2.0)
-        registry.attach(("k",), "q1", seconds_saved=2.0)
-        with pytest.raises(KeyError):
-            registry.attach(("other",), "q2")
-        done = registry.complete(("k",))
-        assert done is flight
-        assert done.attached == ["q1"]
-        assert registry.stats.started == 1
-        assert registry.stats.coalesced == 1
-        assert registry.stats.seconds_saved == 2.0
 
 
 # ---------------------------------------------------------------------------

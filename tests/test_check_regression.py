@@ -67,6 +67,16 @@ def test_one_changed_cell_fails_and_names_experiment_and_row(run):
     assert "a3.json" not in err
 
 
+def test_every_changed_row_is_named_not_only_the_first(run):
+    moved = copy.deepcopy(A3)
+    moved["table"]["rows"][0][1] = 7.0
+    moved["table"]["rows"][1][1] = 2.0
+    code, err = run([A3], [moved])
+    assert code == 1
+    assert "a3.json: table row 1 moved: ['cold', 7.5] -> ['cold', 7.0]" in err
+    assert "a3.json: table row 2 moved: ['warm', 1.0] -> ['warm', 2.0]" in err
+
+
 def test_a_dropped_row_and_a_renamed_column_fail(run):
     shorter = copy.deepcopy(E7)
     del shorter["table"]["rows"][1]

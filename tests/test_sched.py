@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tests.federation_fixtures import build_engine
-from repro.cache import InFlightRegistry
 from repro.common.errors import AdmissionError
 from repro.sched import (
     FairQueue,
@@ -20,6 +19,7 @@ from repro.sched import (
     Tenant,
     WorkloadScheduler,
 )
+from repro.sched.scheduler import _RunState
 
 # -- FairQueue -----------------------------------------------------------------
 
@@ -78,49 +78,6 @@ def test_tenant_needs_positive_weight():
         Tenant("broken", weight=0.0)
 
 
-# -- InFlightRegistry key safety -----------------------------------------------
-
-
-def test_inflight_registry_lifecycle():
-    registry = InFlightRegistry()
-    key = ("crm", "SELECT id FROM customers")
-    registry.begin(key, done_at=1.0, seconds=1.0)
-    with pytest.raises(KeyError):
-        registry.begin(key, done_at=2.0, seconds=1.0)  # already flying
-    registry.attach(key, "follower", seconds_saved=0.5)
-    flight = registry.complete(key)
-    assert flight.attached == ["follower"]
-    assert registry.get(key) is None
-    assert registry.stats.coalesced == 1
-    assert registry.stats.seconds_saved == pytest.approx(0.5)
-
-
-@given(
-    keys=st.lists(
-        st.tuples(st.sampled_from(["crm", "sales"]), st.sampled_from("abcd")),
-        min_size=1,
-        max_size=12,
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_inflight_attach_never_crosses_keys(keys):
-    """A follower can only ever attach to a flight with its own key."""
-    registry = InFlightRegistry()
-    for key in keys:
-        flight = registry.get(key)
-        if flight is None:
-            registry.begin(key, done_at=1.0, seconds=1.0)
-        else:
-            registry.attach(key, key, seconds_saved=0.1)
-            assert flight.key == key  # the host serves the same statement
-    for key in set(keys):
-        if registry.get(key) is not None:
-            for token in registry.complete(key).attached:
-                assert token == key
-    with pytest.raises(KeyError):
-        registry.attach(("crm", "zz"), "nobody", seconds_saved=0.0)
-
-
 # -- coalescing through the scheduler ------------------------------------------
 
 #: fixture-schema queries (see federation_fixtures.build_catalog)
@@ -145,6 +102,41 @@ def run_workload(requests, engine=None, **config_kwargs):
     engine = engine or build_engine()
     config = SchedulerConfig(**config_kwargs)
     return WorkloadScheduler(engine, config=config).run(requests)
+
+
+# -- in-flight key safety ------------------------------------------------------
+
+
+def test_attach_to_a_key_not_in_flight_raises():
+    state = _RunState(WorkloadScheduler(build_engine()), [])
+    key = ("crm", "SELECT id FROM customers")
+    with pytest.raises(KeyError):
+        state._attach(key, "follower")
+    state.flights[key] = []  # what starting its fetch does
+    state._attach(key, "follower")
+    assert state.flights[key] == ["follower"]
+
+
+@given(requests=st.lists(st.sampled_from(QUERY_POOL), min_size=2, max_size=8))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_inflight_attach_never_crosses_keys(requests):
+    """A fetch completes only tasks of its own statement: every attached
+    token's task key equals its host's key."""
+    rides = []
+    fetch_done = _RunState._fetch_done
+
+    def watched(state, index, task_id):
+        host = next(t for t in state.active[index].tasks if id(t) == task_id)
+        rides.extend((host.key, task.key) for _, task in state.flights[host.key])
+        fetch_done(state, index, task_id)
+
+    _RunState._fetch_done = watched  # not monkeypatch: hypothesis reruns the body
+    try:
+        result = run_workload([QueryRequest(sql) for sql in requests], coalesce=True)
+    finally:
+        _RunState._fetch_done = fetch_done
+    assert len(rides) == result.total.coalesced_fetches
+    assert all(host == task for host, task in rides)
 
 
 def test_identical_inflight_fetches_coalesce():
@@ -411,12 +403,6 @@ def test_unplannable_sql_fails_without_killing_the_workload():
     bad, good = result.outcomes
     assert bad.status == "failed" and bad.error
     assert good.answered
-
-
-def test_untraced_run_skips_the_workload_trace():
-    result = run_workload([QueryRequest(Q_CUSTOMERS)], trace=False)
-    assert result.trace is None
-    assert result.outcomes[0].answered
 
 
 def test_workload_trace_layout_is_explicit():
