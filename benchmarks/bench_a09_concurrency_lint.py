@@ -38,7 +38,7 @@ from repro.analysis.concurrency import (
     sanitize,
 )
 from repro.analysis.concurrency.lockorder import lint_lock_order
-from repro.sched.limits import SourceLimiter
+from repro.federation.limits import SourceLimiter
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"

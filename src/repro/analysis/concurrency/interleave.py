@@ -115,7 +115,7 @@ def run_limiter_scenario(
     must still release. Returns EII506 diagnostics (empty = clean).
     """
     rng = random.Random(seed)
-    limit = limiter.limit_for(source)
+    limit = limiter.limits.get(source.lower())
     start = threading.Barrier(n_threads)
 
     def worker(i: int) -> None:

@@ -418,7 +418,7 @@ def _instrument_engine_hot_paths() -> List:
     """Wrap the known concurrent mutators; returns the undo list."""
     from repro.cache.store import BoundedStore
     from repro.netsim import metrics as metrics_module
-    from repro.sched.limits import SourceLimiter
+    from repro.federation.limits import SourceLimiter
     from repro.trace.scoreboard import QueryScoreboard
 
     undos: List = []

@@ -28,8 +28,11 @@ class EngineConfig:
 
     Every field has a working default, so ``EngineConfig()`` describes the
     plain engine: four simulated fetch slots, cost-based semijoins, assembly-site
-    selection on, plan caching on, everything else (resilience, adaptive
-    execution, tracing, telemetry, views) off.
+    selection on, plan caching on, no per-source caps, everything else
+    (resilience, adaptive execution, tracing, telemetry, views) off.
+
+    The caps are a value, not a live object: configs with the same caps are
+    equal and hash alike, and every engine built from one owns its limiter.
     """
 
     #: simulated network model shared by planner and executor
@@ -67,10 +70,10 @@ class EngineConfig:
     #: adaptive execution: True (a default `AdaptiveContext`) or an
     #: `AdaptiveContext`, e.g. ``AdaptiveContext(AdaptivePolicy(lpt=False))``
     adaptive: Optional[Any] = None
-    #: per-source concurrency limiter (`repro.sched.SourceLimiter`): bounds
-    #: the caller threads inside one source's round trips at once, and the
-    #: workload scheduler's virtual fetch slots per source by the same caps
-    source_limiter: Optional[Any] = None
+    #: per-source concurrency caps, ``(source, cap)`` pairs (kept lowercased
+    #: and sorted): the engine's own `SourceLimiter` bounds the caller threads
+    #: inside one source's round trips, `repro.sched` its virtual fetch slots
+    source_limits: tuple = ()
     #: observe-only `repro.telemetry.TelemetryPlane` (or True for a default)
     telemetry: Optional[Any] = None
     #: answering-queries-using-views through an engine-owned
@@ -88,6 +91,21 @@ class EngineConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise PlanError(f"{name} must be a bool, got {type(value).__name__}")
+        # caps come from outside the program: checked here, once
+        try:
+            limits = [(source.lower(), cap) for source, cap in self.source_limits]
+        except (AttributeError, TypeError, ValueError):
+            raise PlanError("source_limits must be (source name, cap) pairs") from None
+        limits.sort(key=lambda pair: pair[0])
+        for index, (source, cap) in enumerate(limits):
+            if type(cap) is not int or cap < 1:
+                raise PlanError(
+                    f"source_limits: the cap of {source!r} must be a positive int, "
+                    f"got {cap!r}"
+                )
+            if index and limits[index - 1][0] == source:
+                raise PlanError(f"source_limits: {source!r} is named twice")
+        object.__setattr__(self, "source_limits", tuple(limits))
 
     def with_overrides(self, **overrides: Any) -> "EngineConfig":
         """A copy with the given fields replaced (unknown names: `TypeError`)."""

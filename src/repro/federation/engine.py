@@ -34,6 +34,7 @@ from repro.engine.logical import LogicalPlan
 from repro.federation.catalog import FederationCatalog
 from repro.federation.config import EngineConfig
 from repro.federation.execution import Execution, Recorder
+from repro.federation.limits import SourceLimiter
 from repro.federation.planner import FederatedPlan, FederatedPlanner
 from repro.federation.report import Report, counter_line
 from repro.federation.resilience import CompletenessReport, ResilienceManager
@@ -63,7 +64,9 @@ class FederatedResult:
     relation: Relation
     plan: FederatedPlan
     metrics: MetricsCollector
-    fetch_seconds: list = field(default_factory=list)
+    #: ``(LogicalFetch, simulated seconds)`` per component fetch, in the
+    #: submission order `makespan` charged (LPT's, on an adaptive engine)
+    fetch_timings: list = field(default_factory=list)
     elapsed_seconds: float = 0.0  # simulated wall clock (parallelism-aware)
     from_cache: bool = False
     #: which sources answered / were skipped / were served stale (engines
@@ -174,6 +177,10 @@ class FederatedEngine:
             self.resilience = resilience
         else:
             self.resilience = ResilienceManager(resilience, clock=clock)
+        #: this engine's own bound on the caller threads inside one source's
+        #: round trips, built from ``config.source_limits`` (None = no caps)
+        limits = dict(config.source_limits)
+        self.source_limiter = SourceLimiter(limits) if limits else None
         self._analyzer = None
         self._scratch = Database("assembly")
         self._local = LocalEngine(self._scratch, optimize=False)
@@ -313,7 +320,7 @@ class FederatedEngine:
         if hit is None:
             return None
         return FederatedResult(
-            hit.relation, hit.plan, hit.metrics, hit.fetch_seconds,
+            hit.relation, hit.plan, hit.metrics, hit.fetch_timings,
             elapsed_seconds=0.0, from_cache=True, completeness=hit.completeness,
         )
 
@@ -346,7 +353,7 @@ class FederatedEngine:
             est_result_bytes=payload_bytes,
         )
         result = FederatedResult(
-            answer.relation, plan, metrics, fetch_seconds=[],
+            answer.relation, plan, metrics, fetch_timings=[],
             elapsed_seconds=scan_seconds + transfer_seconds, view=view,
         )
         return result, []
@@ -575,10 +582,10 @@ class FederatedEngine:
         self, plan: FederatedPlan, metrics: MetricsCollector, trace=None
     ) -> FederatedResult:
         run = Execution(self, plan, metrics, trace)
-        fetch_seconds = run.prefetch(plan.fetches)
+        fetch_timings = run.prefetch(plan.fetches)
         # simulated slots, list-scheduled in submission order by the function
         # the trace layout uses: a trace's elapsed time equals the engine's
-        fetch_elapsed = makespan(fetch_seconds, self.parallel_workers)
+        fetch_elapsed = makespan([s for _, s in fetch_timings], self.parallel_workers)
 
         # Mid-query re-optimization: the prefetched relations carry actual
         # cardinalities; when they contradict the estimates badly enough,
@@ -617,7 +624,7 @@ class FederatedEngine:
             relation.rows = vouched(Batch(rows), getattr(rows, "kinds", None))
         elapsed = fetch_elapsed + serial_tail + assembly_seconds + final_transfer
         result = FederatedResult(
-            relation, plan, metrics, fetch_seconds, elapsed,
+            relation, plan, metrics, fetch_timings, elapsed,
             completeness=run.report, replan=replan_report,
         )
         if self.resilience is not None:

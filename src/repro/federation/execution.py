@@ -334,10 +334,10 @@ class Execution:
         Returns ``(relation, payload_bytes, cost_seconds, source_used)``;
         raises the last candidate's error when every access path is exhausted.
         """
-        # The per-source limiter (when attached) bounds how many caller threads
+        # The engine's limiter (None without caps) bounds how many caller threads
         # may sit inside one source's round trips, so a slow source queues its
         # own callers instead of every thread. Simulated time is unaffected.
-        limiter = self.engine.config.source_limiter
+        limiter = self.engine.source_limiter
         collector = record.collector
         with limiter.slot(node.source.name) if limiter is not None else nullcontext():
             manager = self.engine.resilience
@@ -496,7 +496,8 @@ class Execution:
         return Relation.adopt(node.fetch_schema, rows)
 
     def prefetch(self, fetches: list) -> list:
-        """Run the plan's component queries; returns per-fetch sim seconds.
+        """Run the plan's component queries; returns ``(node, sim seconds)``
+        per fetch, in the order they ran.
 
         They run on the calling thread, in submission order, each on its own
         collector: their parallelism is simulated — `makespan` list-schedules
@@ -534,4 +535,4 @@ class Execution:
         finally:
             for local in collectors:
                 self.metrics.merge(local)
-        return [local.simulated_seconds for local in collectors]
+        return [(node, c.simulated_seconds) for node, c in zip(fetches, collectors)]

@@ -3,10 +3,12 @@
 The mediator in the paper's §5 serves *workloads*, not single queries:
 many tenants' dashboards, reports and batch jobs share one integration
 layer and its per-source capacity. This package adds that layer —
-weighted-fair queueing across tenants (`repro.sched.wfq`), per-source
-concurrency limits (`repro.sched.limits`), in-flight fetch coalescing,
-deadline-based load shedding, and the `WorkloadScheduler` event loop tying
-them together on the simulated clock.
+weighted-fair queueing across tenants (`repro.sched.wfq`), the engine's
+per-source caps (`EngineConfig.source_limits`) as virtual slots, in-flight
+fetch coalescing, deadline-based load shedding, and the `WorkloadScheduler`
+event loop tying them together on the simulated clock. It is a pure
+simulator: no thread primitive lives here; the one real-thread limiter is
+the engine's own (`repro.federation.limits`).
 
 Design invariant (what the differential oracle tests): concurrency is
 purely a virtual-time account. Every admitted query's rows come from one
@@ -16,7 +18,6 @@ without fault injection — while the makespan, queue waits, and
 coalescing savings describe the concurrent timeline.
 """
 
-from repro.sched.limits import SourceLimiter
 from repro.sched.request import (
     ANSWERED,
     FAILED,
@@ -46,7 +47,6 @@ __all__ = [
     "REJECTED",
     "SHED",
     "SchedulerConfig",
-    "SourceLimiter",
     "Tenant",
     "TenantStats",
     "WorkloadResult",

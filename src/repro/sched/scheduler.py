@@ -62,7 +62,7 @@ class SchedulerConfig:
     """Knobs of the workload scheduler's virtual execution model.
 
     The admission budget and the per-source caps are the engine's own
-    (`EngineConfig.admission_budget_s`, `EngineConfig.source_limiter`), so
+    (`EngineConfig.admission_budget_s`, `EngineConfig.source_limits`), so
     the virtual timeline applies exactly what the engine applies.
     """
 
@@ -151,14 +151,9 @@ class _RunState:
         self.seq = 0
         self.now = 0.0
         self.free_workers = self.config.workers
-        #: free virtual slots per capped source: the caps of the engine's
-        #: `source_limiter`, which bounds its real caller threads too
-        self.source_free: dict[str, int] = {}
-        limiter = engine.config.source_limiter
-        for name in engine.catalog.sources if limiter is not None else ():
-            limit = limiter.limit_for(name)
-            if limit is not None:
-                self.source_free[name.lower()] = int(limit)
+        #: free virtual slots per capped source: the engine's
+        #: `source_limits`, which bound its real caller threads too
+        self.source_free: dict[str, int] = dict(engine.config.source_limits)
         self.active: dict[int, _Active] = {}
         self.active_order: list[int] = []  # dispatch order of active ids
         self.outcomes: dict[int, QueryOutcome] = {}
@@ -307,20 +302,10 @@ class _RunState:
     def _decompose(self, result) -> "tuple[list, float]":
         """Split one executed query into fetch tasks + an assembly stage.
 
-        Falls back to a single opaque stage when per-fetch durations can't
-        be paired with plan nodes (whole-result cache hits, or an adaptive
-        engine whose LPT pass reordered submissions).
+        Each task is a fetch paired with the seconds it took, in the order the
+        engine submitted them; a whole-result cache hit is one opaque stage.
         """
-        fetches = result.plan.fetches if result.plan is not None else []
-        durations = result.fetch_seconds
-        adaptive = getattr(self.engine, "adaptive", None)
-        reordered = adaptive is not None and adaptive.policy.lpt
-        if (
-            result.from_cache
-            or not fetches
-            or reordered
-            or len(durations) != len(fetches)
-        ):
+        if result.from_cache:
             return [], result.elapsed_seconds
         tasks = [
             _FetchTask(
@@ -328,9 +313,11 @@ class _RunState:
                 source=node.source.name.lower(),
                 duration_s=duration,
             )
-            for node, duration in zip(fetches, durations)
+            for node, duration in result.fetch_timings
         ]
-        fetch_elapsed = makespan(durations, self.engine.parallel_workers)
+        fetch_elapsed = makespan(
+            [task.duration_s for task in tasks], self.engine.parallel_workers
+        )
         assembly_s = max(0.0, result.elapsed_seconds - fetch_elapsed)
         return tasks, assembly_s
 

@@ -23,7 +23,7 @@ import threading
 from contextlib import contextmanager
 
 from repro.federation import EngineConfig, FederatedEngine
-from repro.sched.limits import SourceLimiter
+from repro.federation.limits import SourceLimiter
 from tests.federation_fixtures import build_catalog
 
 

@@ -29,7 +29,7 @@ from repro.analysis.concurrency import interleave
 from repro.analysis.concurrency.lockorder import build_lock_graph
 from repro.analysis.diagnostics import CODES, Severity
 from repro.netsim.metrics import MetricsCollector
-from repro.sched.limits import SourceLimiter
+from repro.federation.limits import SourceLimiter
 
 from tests.concurrency_corpus.dynamic_bugs import (
     SHARED_ENGINE_SQL,
@@ -495,10 +495,9 @@ class TestLimiter:
         assert snapshot["released"]["src"] == threads * rounds
         assert snapshot["in_flight"]["src"] == 0
         assert limiter.drained()
-        assert limiter.in_flight("src") == 0
 
     def test_unlimited_source_needs_no_bookkeeping(self):
-        limiter = SourceLimiter()
+        limiter = SourceLimiter({"src": 1})
         with limiter.slot("anything"):
             pass
         assert limiter.drained()

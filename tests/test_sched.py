@@ -9,15 +9,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.federation_fixtures import build_engine
-from repro.common.errors import AdmissionError
+from tests.federation_fixtures import build_catalog, build_engine
+from repro.adaptive import AdaptiveContext, AdaptivePolicy
+from repro.bench import BenchConfig, build_enterprise
+from repro.common.errors import AdmissionError, PlanError
+from repro.federation import EngineConfig, FederatedEngine
+from repro.federation.limits import SourceLimiter
 from repro.sched import (
+    DEFAULT_TENANTS,
     FairQueue,
     QueryRequest,
     SchedulerConfig,
-    SourceLimiter,
     Tenant,
     WorkloadScheduler,
+    make_workload,
 )
 from repro.sched.scheduler import _RunState
 
@@ -218,8 +223,8 @@ def test_admission_budget_rejects_expensive_queries():
 def test_source_limiter_caps_real_thread_concurrency():
     """Eight threads share one engine with a one-slot limit on sales: never
     two of them inside sales at once, every slot released, rows unchanged."""
-    limiter = SourceLimiter({"sales": 1})
-    limited = build_engine(parallel_workers=4, source_limiter=limiter)
+    limited = build_engine(parallel_workers=4, source_limits=(("Sales", 1),))
+    limiter = limited.source_limiter
     sql = (
         "SELECT a.id, b.id FROM orders a "
         "JOIN orders b ON a.id = b.cust_id WHERE a.total > 10"
@@ -249,8 +254,50 @@ def test_source_limiter_caps_real_thread_concurrency():
     assert not wrong
     assert limiter.peak["sales"] <= 1 and limiter.drained()
     assert limiter.acquired["sales"] == 8 * passes * reference.metrics.source_queries["sales"]
-    assert limiter.limit_for("SALES") == 1
-    assert limiter.limit_for("crm") is None
+    assert limiter.limits == {"sales": 1} and "crm" not in limiter.acquired
+    assert build_engine().source_limiter is None
+
+
+def test_engines_from_one_config_count_separately():
+    """The caps are a value: each engine built from it owns its limiter."""
+    config = EngineConfig(source_limits=(("sales", 1),))
+    first = FederatedEngine(build_catalog(), config)
+    second = FederatedEngine(build_catalog(), config)
+    assert first.source_limiter is not second.source_limiter
+    first.query(Q_JOIN)
+    first.query(Q_JOIN)
+    second.query(Q_JOIN)
+    assert first.source_limiter.acquired["sales"] == 2
+    assert second.source_limiter.acquired["sales"] == 1
+
+
+def test_source_limits_are_normalised_into_a_value():
+    config = EngineConfig(source_limits=[("Sales", 1), ("CRM", 2)])
+    assert config.source_limits == (("crm", 2), ("sales", 1))
+    assert config == EngineConfig(source_limits=(("crm", 2), ("SALES", 1)))
+    assert hash(EngineConfig(source_limits=(("crm", 2),))) == hash(
+        EngineConfig(source_limits=(("Crm", 2),))
+    )
+    assert config.with_overrides(parallel_workers=2).source_limits == config.source_limits
+
+
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        ((("crm", 0),), "positive int"),
+        ((("crm", -1),), "positive int"),
+        ((("crm", 1.5),), "positive int"),
+        ((("crm", "2"),), "positive int"),
+        ((("crm", True),), "positive int"),
+        ((("crm", 1), ("CRM", 2)), "named twice"),
+        ((("crm", 1, 2),), "pairs"),
+        (((3, 1),), "pairs"),
+        ({"crm": 2}, "pairs"),
+    ],
+)
+def test_source_limits_reject_bad_input(limits, message):
+    with pytest.raises(PlanError, match=message):
+        EngineConfig(source_limits=limits)
 
 
 def test_source_limiter_slot_blocks_past_limit():
@@ -282,7 +329,7 @@ def test_scheduler_source_limits_bound_virtual_concurrency():
     requests = [QueryRequest(Q_JOIN, name=f"q{i}") for i in range(4)]
     limited = run_workload(
         requests,
-        engine=build_engine(source_limiter=SourceLimiter({"sales": 1})),
+        engine=build_engine(source_limits=(("sales", 1),)),
         coalesce=False,
     )
     free = run_workload(requests, coalesce=False)
@@ -290,6 +337,28 @@ def test_scheduler_source_limits_bound_virtual_concurrency():
         o.status for o in free.outcomes
     ]
     assert limited.makespan_s >= free.makespan_s  # a cap can only slow you
+
+
+def test_an_lpt_engine_workload_coalesces_and_obeys_caps():
+    """LPT submits a query's fetches longest-predicted-first; the workload
+    still pairs each duration with the fetch it timed, so an LPT engine's
+    queries coalesce and queue on capped sources like a static engine's."""
+
+    def run(requests, config, **kwargs):
+        fixture = build_enterprise(BenchConfig(scale=1, seed=42))
+        adaptive = AdaptiveContext(AdaptivePolicy(lpt=True))
+        engine = FederatedEngine(
+            fixture.catalog(), EngineConfig(adaptive=adaptive, **kwargs)
+        )
+        return WorkloadScheduler(engine, DEFAULT_TENANTS, config).run(requests)
+
+    coalescing = run(make_workload(40, seed=7, mean_gap_s=0.005), SchedulerConfig())
+    assert coalescing.total.coalesced_fetches > 0
+    dense = make_workload(40, seed=7, mean_gap_s=0.001)
+    config = SchedulerConfig(workers=8, coalesce=False)
+    free = run(dense, config)
+    capped = run(dense, config, source_limits=(("crm", 1), ("sales", 1)))
+    assert capped.makespan_s > free.makespan_s
 
 
 # -- workload-level properties -------------------------------------------------
@@ -331,7 +400,7 @@ def sched_config(draw):
 @given(
     requests=workload(),
     config=sched_config(),
-    limits=st.sampled_from([None, {"sales": 1}]),
+    limits=st.sampled_from([(), (("sales", 1),)]),
 )
 @settings(
     max_examples=25,
@@ -350,9 +419,8 @@ def test_workload_invariants(requests, config, limits):
     }
 
     def run():
-        limiter = SourceLimiter(limits) if limits else None
         return WorkloadScheduler(
-            build_engine(source_limiter=limiter),
+            build_engine(source_limits=limits),
             tenants=tenants,
             config=SchedulerConfig(**config),
         ).run(requests)

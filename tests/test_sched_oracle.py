@@ -20,7 +20,6 @@ from repro.netsim import ErrorRate, FaultInjector, SimClock, Transient
 from repro.sched import (
     DEFAULT_TENANTS,
     SchedulerConfig,
-    SourceLimiter,
     WorkloadScheduler,
     make_workload,
 )
@@ -61,19 +60,16 @@ def test_concurrent_rows_equal_fifo_serial_scheduler():
     answer is a pure function of the SQL, whatever the dispatch order)."""
     requests = make_workload(40, seed=SEED, mean_gap_s=0.005)
     configs = [
-        (SchedulerConfig(workers=4, max_active=1, policy="fifo", coalesce=False), None),
-        (SchedulerConfig(workers=8, policy="fifo", coalesce=True), None),
-        (SchedulerConfig(workers=8, policy="wfq", coalesce=True), None),
-        (
-            SchedulerConfig(workers=8, policy="wfq", coalesce=True),
-            SourceLimiter({"crm": 2}),
-        ),
+        (SchedulerConfig(workers=4, max_active=1, policy="fifo", coalesce=False), ()),
+        (SchedulerConfig(workers=8, policy="fifo", coalesce=True), ()),
+        (SchedulerConfig(workers=8, policy="wfq", coalesce=True), ()),
+        (SchedulerConfig(workers=8, policy="wfq", coalesce=True), (("crm", 2),)),
     ]
     runs = [
         WorkloadScheduler(
-            fresh_engine(source_limiter=limiter), tenants=DEFAULT_TENANTS, config=config
+            fresh_engine(source_limits=limits), tenants=DEFAULT_TENANTS, config=config
         ).run(requests)
-        for config, limiter in configs
+        for config, limits in configs
     ]
     baseline = [rows_of(o) for o in runs[0].outcomes]
     for run in runs[1:]:
