@@ -29,6 +29,7 @@ from repro.engine.logical import (
     LogicalUnion,
 )
 from repro.sql.ast import (
+    Between,
     BinaryOp,
     CaseWhen,
     ColumnRef,
@@ -51,7 +52,7 @@ from repro.sql.exprutil import (
     substitute_columns,
     transform,
 )
-from repro.sql.functions import is_aggregate_name
+from repro.sql.functions import is_aggregate_name, propagates_null
 
 _EMPTY_SCHEMA = RelSchema([])
 
@@ -236,13 +237,29 @@ def _push(plan: LogicalPlan, pending: list[Expr]) -> LogicalPlan:
 def _push_join(plan: LogicalJoin, pending: list[Expr]) -> LogicalPlan:
     left_quals = _plan_qualifiers(plan.left)
     right_quals = _plan_qualifiers(plan.right)
+    if plan.kind == "LEFT":
+        # A WHERE conjunct reading the null-supplying side filters padded rows
+        # too, so it may not move into ON. One that is never TRUE on a padded
+        # row makes the join INNER; any other stays above the join.
+        def padded(ref: ColumnRef) -> bool:
+            if ref.qualifier is None:
+                return plan.right.schema.has(ref.name) and not plan.left.schema.has(ref.name)
+            return ref.qualifier.lower() in right_quals
+
+        reads_right = [c for c in pending if any(map(padded, column_refs(c)))]
+        if any(_rejects_nulls(conjunct, padded) for conjunct in reads_right):
+            inner = LogicalJoin(plan.left, plan.right, "INNER", plan.condition)
+            return _push_join(inner, pending)
+        left = _push(plan.left, [c for c in pending if c not in reads_right])
+        right = _push(plan.right, [])
+        return _wrap_filter(LogicalJoin(left, right, "LEFT", plan.condition), reads_right)
+
     to_left: list[Expr] = []
     to_right: list[Expr] = []
     to_condition: list[Expr] = []
     stuck: list[Expr] = []
-
     candidates = list(pending)
-    if plan.kind == "INNER" and plan.condition is not None:
+    if plan.condition is not None:
         candidates += split_conjuncts(plan.condition)
 
     for conjunct in candidates:
@@ -252,39 +269,52 @@ def _push_join(plan: LogicalJoin, pending: list[Expr]) -> LogicalPlan:
             side = _side_of_unqualified(conjunct, plan)
             if side == "left":
                 to_left.append(conjunct)
-            elif side == "right" and plan.kind == "INNER":
-                to_right.append(conjunct)
             elif side == "right":
-                to_condition.append(conjunct)
+                to_right.append(conjunct)
             else:
                 stuck.append(conjunct)
-            continue
-        if quals <= left_quals:
+        elif quals <= left_quals:
             to_left.append(conjunct)
         elif quals <= right_quals:
-            if plan.kind == "INNER":
-                to_right.append(conjunct)
-            else:
-                # Right-side predicates on a LEFT join filter padded rows if
-                # applied above, but narrow the join if merged into ON.
-                to_condition.append(conjunct)
+            to_right.append(conjunct)
         else:
             to_condition.append(conjunct)
 
     left = _push(plan.left, to_left)
-    if plan.kind == "LEFT" and plan.condition is not None:
-        # The original ON condition of a LEFT join must stay intact. A WHERE
-        # conjunct equal to one of its conjuncts is kept beside it: what the
-        # plan holds may not depend on the value of a constant.
-        to_condition = split_conjuncts(plan.condition) + to_condition
-        right = _push(plan.right, to_right)
-        rebuilt = LogicalJoin(left, right, plan.kind, conjoin(to_condition))
-        return _wrap_filter(rebuilt, stuck)
-
     right = _push(plan.right, to_right)
-    condition = conjoin(to_condition)
-    rebuilt = LogicalJoin(left, right, plan.kind, condition)
+    rebuilt = LogicalJoin(left, right, plan.kind, conjoin(to_condition))
     return _wrap_filter(rebuilt, stuck)
+
+
+def _rejects_nulls(expr: Expr, padded) -> bool:
+    """Whether `expr` is never TRUE on a row whose `padded` columns are NULL
+    (`padded`: ColumnRef -> bool)."""
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        return _rejects_nulls(expr.left, padded) or _rejects_nulls(expr.right, padded)
+    if isinstance(expr, BinaryOp) and expr.op == "OR":
+        return _rejects_nulls(expr.left, padded) and _rejects_nulls(expr.right, padded)
+    return _null_when_padded(expr, padded)
+
+
+def _null_when_padded(expr: Expr, padded) -> bool:
+    """Whether `expr` is NULL whenever its `padded` columns are: SQL's
+    NULL-in, NULL-out operators and functions (not AND / OR, IS NULL, CASE,
+    COALESCE)."""
+    if isinstance(expr, ColumnRef):
+        return padded(expr)
+    if isinstance(expr, BinaryOp):
+        return expr.op not in ("AND", "OR") and (
+            _null_when_padded(expr.left, padded) or _null_when_padded(expr.right, padded)
+        )
+    if isinstance(expr, UnaryOp):
+        return _null_when_padded(expr.operand, padded)
+    if isinstance(expr, Like):
+        return _null_when_padded(expr.operand, padded) or _null_when_padded(expr.pattern, padded)
+    if isinstance(expr, (InList, Between)):
+        return _null_when_padded(expr.operand, padded)
+    if isinstance(expr, FuncCall) and propagates_null(expr.name):
+        return any(_null_when_padded(arg, padded) for arg in expr.args)
+    return False
 
 
 def _side_of_unqualified(conjunct: Expr, plan: LogicalJoin) -> Optional[str]:

@@ -1,12 +1,13 @@
 """Federated planning: decomposition, pushdown maximization, bind joins,
-assembly-site selection.
+assembly-site selection, eager aggregation.
 
 The planner consumes an already-optimized logical plan whose scans reference
 global table names and produces a `FederatedPlan`: the same tree with every
 maximal single-source pushable subtree replaced by a `LogicalFetch`
 (component query), joins against binding-pattern sources converted to
 `LogicalBindJoin`, and an assembly site chosen to minimize simulated
-transfer cost.
+transfer cost; then one input of a hub join under a GROUP BY is
+pre-aggregated by its join key where that ships fewer rows.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.common.errors import PlanError
 from repro.engine.cost import CostModel, PlanCost
 from repro.engine.logical import (
     LogicalAggregate,
+    LogicalAlias,
     LogicalDistinct,
     LogicalFilter,
     LogicalJoin,
@@ -34,24 +36,31 @@ from repro.federation.catalog import FederationCatalog
 from repro.federation.nodes import DEFAULT_MAX_INLIST, LogicalBindJoin, LogicalFetch
 from repro.netsim.network import NetworkModel
 from repro.sql.ast import (
+    BinaryOp,
     ColumnRef,
     Expr,
+    FuncCall,
     InList,
     JoinClause,
     Literal,
     OrderItem,
     Select,
     SelectItem,
+    Star,
     TableRef,
     UnionSelect,
 )
 from repro.sql.exprutil import (
+    column_refs,
     column_vs_literal,
     conjoin,
     equi_join_sides,
     split_conjuncts,
     substitute_columns,
+    transform,
+    walk,
 )
+from repro.sql.functions import is_aggregate_name
 from repro.sql.parser import parse
 from repro.sql.shape import plant
 from repro.wrappers.dialects import PRED_IN
@@ -185,12 +194,20 @@ class FederatedPlanner:
         # re-requested by pushability analysis, bind-join costing and the
         # final plan estimate.
         with self.cost_model.memo_scope():
-            root = self._cut(logical)
+            subtrees: dict = {}
+            root = self._cut(logical, subtrees)
+            # Pre-aggregation shrinks what a fetch ships, not where the plan
+            # assembles: the site is chosen for the plan as cut (a grouped
+            # fetch still reads its whole input at the source).
+            est = self.cost_model.estimate(root)
+            site = self._choose_site(
+                _remote_nodes(root)[0], int(est.rows * root.schema.average_row_width())
+            )
+            root = self._eager(root, subtrees)
             self._check_access_paths(root)
             fetches, bind_joins = _remote_nodes(root)
             est = self.cost_model.estimate(root)
         est_bytes = int(est.rows * root.schema.average_row_width())
-        site = self._choose_site(fetches, est_bytes)
         return FederatedPlan(root, fetches, bind_joins, site, est.rows, est_bytes, slots, reads)
 
     def logical_plan(self, query: Union[str, Select, LogicalPlan]) -> LogicalPlan:
@@ -281,15 +298,18 @@ class FederatedPlanner:
 
     # -- cutting ---------------------------------------------------------------------
 
-    def _cut(self, node: LogicalPlan) -> LogicalPlan:
+    def _cut(self, node: LogicalPlan, subtrees: dict) -> LogicalPlan:
+        """`node` with every maximal single-source pushable subtree a fetch
+        (`subtrees` gets each: ``id(fetch) -> subtree``) and its joins
+        against remote inputs bind joins where required or paying."""
         info = self._analyze(node)
         if info.pushable and info.single_source is not None and not info.unbound:
-            return self._make_fetch(node, info.single_source)
+            return self._make_fetch(node, info.single_source, subtrees)
         if isinstance(node, LogicalFilter):
-            split = self._cut_filter_partially(node)
+            split = self._cut_filter_partially(node, subtrees)
             if split is not None:
                 return split
-        children = [self._cut(child) for child in node.children]
+        children = [self._cut(child, subtrees) for child in node.children]
         rebuilt = node.with_children(children) if children else node
         if isinstance(rebuilt, LogicalJoin):
             converted = self._try_bind_join(rebuilt)
@@ -297,7 +317,9 @@ class FederatedPlanner:
                 return converted
         return rebuilt
 
-    def _cut_filter_partially(self, node: LogicalFilter) -> Optional[LogicalPlan]:
+    def _cut_filter_partially(
+        self, node: LogicalFilter, subtrees: dict
+    ) -> Optional[LogicalPlan]:
         """Push the pushable conjuncts of a mixed filter, keep the rest local.
 
         This is the partial-pushdown behavior a quirk-aware wrapper enables
@@ -324,14 +346,16 @@ class FederatedPlanner:
         if not pushable or not stuck or remaining_unbound:
             return None
         inner = LogicalFilter(node.child, conjoin(pushable))
-        fetch = self._make_fetch(inner, source_name)
+        fetch = self._make_fetch(inner, source_name, subtrees)
         return LogicalFilter(fetch, conjoin(stuck))
 
-    def _make_fetch(self, subtree: LogicalPlan, source_name: str) -> LogicalFetch:
+    def _make_fetch(
+        self, subtree: LogicalPlan, source_name: str, subtrees: dict
+    ) -> LogicalFetch:
         stmt = plan_to_select(subtree, self.catalog)
         est = self.cost_model.estimate(subtree)
         source = self.catalog.sources[source_name]
-        return LogicalFetch(
+        fetch = LogicalFetch(
             stmt,
             source,
             subtree.schema,
@@ -340,6 +364,8 @@ class FederatedPlanner:
             depends_on=self._dependencies_of(subtree),
             tables=self._global_tables_of(subtree),
         )
+        subtrees[id(fetch)] = subtree
+        return fetch
 
     def _dependencies_of(self, subtree: LogicalPlan) -> frozenset:
         """Cache-invalidation tags for a pushable subtree.
@@ -497,6 +523,99 @@ class FederatedPlanner:
             required=required,
             est=probed,
         )
+
+    # -- eager aggregation -----------------------------------------------------------
+
+    def _eager(self, node: LogicalPlan, subtrees: dict) -> LogicalPlan:
+        """The cut plan `node` with each GROUP BY over a hub join
+        pre-aggregating one join input by its join key, where that is sound
+        and pays most. It runs after `_cut`, so it sees only joins that stay
+        joins: a bind join's probed side is a template, not an input."""
+        children = node.children
+        rebuilt = [self._eager(child, subtrees) for child in children]
+        if any(new is not old for new, old in zip(rebuilt, children)):
+            node = node.with_children(rebuilt)
+        if isinstance(node, LogicalAggregate):
+            best = None
+            for x, join, padded in _join_inputs(node.child):
+                candidate = self._pre_aggregate(node, x, join, padded, subtrees)
+                if candidate is not None and (best is None or candidate[0] > best[0]):
+                    best = candidate
+            if best is not None:
+                return best[1]
+        return node
+
+    def _pre_aggregate(
+        self,
+        agg: LogicalAggregate,
+        x: LogicalPlan,
+        join: LogicalPlan,
+        padded: bool,
+        subtrees: dict,
+    ) -> Optional[tuple]:
+        """``(rows saved, plan)``: `agg` with its join input `x` grouped by the
+        columns the plan reads of it outside its aggregates (`_decompose`);
+        None when unsound or when the estimate says fewer rows would not
+        enter `join`. A fetch's partial runs in it when its source can
+        aggregate (`_cut` of the grouped subtree), else at the hub."""
+        qualifiers = {(column.qualifier or "").lower() for column in x.schema}
+        if len(qualifiers) != 1 or "" in qualifiers:
+            return None
+        binding = x.schema[0].qualifier
+
+        def mine(ref: ColumnRef) -> bool:
+            if ref.qualifier is None:
+                return x.schema.has(ref.name)
+            return ref.qualifier.lower() == binding.lower()
+
+        decomposed = _decompose(agg, mine, binding, padded)
+        keyed = any(mine(a) != mine(b) for a, b in _join_keys(join))
+        if decomposed is None or not keyed:
+            return None
+        partials, finals = decomposed
+        read = {
+            ref.name.lower()
+            for expr in [*_region_exprs(agg.child, x), *agg.group_exprs]
+            for ref in column_refs(expr)
+            if mine(ref)
+        }
+        groups = [column for column in x.schema if column.name.lower() in read]
+        if any(column.name.startswith("_p") for column in groups):
+            return None  # a partial's name would shadow it
+        subtree = subtrees.get(id(x)) if isinstance(x, LogicalFetch) else None
+        pre: LogicalPlan = LogicalAggregate(
+            x if subtree is None else subtree,
+            [ColumnRef(column.name, column.qualifier) for column in groups],
+            [column.name for column in groups],
+            list(partials),
+            [ref.name for ref in partials.values()],
+        )
+        if subtree is not None:
+            pre = self._cut(pre, subtrees)
+        saved = self.cost_model.estimate(x).rows - self.cost_model.estimate(pre).rows
+        if saved <= 0:
+            return None
+        grouped = LogicalAlias(pre, binding)
+        child = _replace_input(agg.child, x, grouped)
+        if all(_aggregate_calls(final) == [final] for final in finals):
+            return saved, LogicalAggregate(
+                child, agg.group_exprs, agg.group_names, finals, agg.agg_names
+            )
+        # some final is an expression over aggregates: fold them, then project
+        calls: dict = {}
+        for final in finals:
+            for call in _aggregate_calls(final):
+                calls.setdefault(call, ColumnRef(f"_m{len(calls)}"))
+        folded = LogicalAggregate(
+            child, agg.group_exprs, agg.group_names, list(calls),
+            [ref.name for ref in calls.values()],
+        )
+        items = [SelectItem(ColumnRef(name)) for name in agg.group_names]
+        items += [
+            SelectItem(transform(final, calls.get), name)
+            for final, name in zip(finals, agg.agg_names)
+        ]
+        return saved, LogicalProject(folded, items)
 
     # -- validation -----------------------------------------------------------------
 
@@ -671,6 +790,132 @@ def _collect_from(node: LogicalPlan, catalog: FederationCatalog):
         clause = JoinClause(TableRef(local, right.binding), "LEFT", node.condition)
         return left_tables, left_joins + [clause], left_where
     raise PlanError(f"cannot convert {node.label()} into a component query")
+
+
+def _decompose(agg: LogicalAggregate, mine, binding: str, padded: bool) -> Optional[tuple]:
+    """``(partials, finals)`` for pre-aggregating the join input whose columns
+    `mine` tells: the partial calls over it (-> their column under
+    `binding`), and per aggregate of `agg` the expression that folds them.
+    None when an aggregate does not decompose.
+
+    A partial row stands for its group's rows, which join alike. So `SUM`,
+    `MIN` and `MAX` of the input fold their partials; `COUNT(e)` and `AVG(e)`
+    sum partial counts; `COUNT(*)` sums partial row counts, where a padded
+    row (`padded`: the input is null-supplying) counts 1. Aggregates of other
+    inputs may not see the multiplicity: `MIN`, `MAX` and `DISTINCT` ones
+    stand, any other blocks, as does a `DISTINCT` aggregate of the input."""
+    partials: dict = {}
+
+    def partial(call: FuncCall) -> ColumnRef:
+        return partials.setdefault(call, ColumnRef(f"_p{len(partials)}", binding))
+
+    def summed(call: FuncCall) -> FuncCall:
+        return FuncCall("SUM", (partial(call),))
+
+    finals: list = []
+    for call in agg.aggregates:
+        name = call.name.upper()
+        refs = [ref for arg in call.args for ref in column_refs(arg)]
+        if refs and all(map(mine, refs)):
+            if call.distinct or name not in ("SUM", "COUNT", "MIN", "MAX", "AVG"):
+                return None
+            if name == "COUNT":
+                finals.append(FuncCall("COALESCE", (summed(call), Literal(0))))
+            elif name == "AVG":
+                sums = summed(FuncCall("SUM", call.args))
+                finals.append(BinaryOp("/", sums, summed(FuncCall("COUNT", call.args))))
+            else:
+                finals.append(FuncCall(name, (partial(call),)))
+        elif any(map(mine, refs)):
+            return None
+        elif name == "COUNT" and not call.distinct and isinstance(call.args[0], Star):
+            rows = partial(FuncCall("COUNT", (Star(),)))
+            weight = FuncCall("COALESCE", (rows, Literal(1))) if padded else rows
+            total = FuncCall("SUM", (weight,))
+            finals.append(total if agg.group_exprs else FuncCall("COALESCE", (total, Literal(0))))
+        elif not (call.distinct or name in ("MIN", "MAX")):
+            return None
+        else:
+            finals.append(call)
+    return (partials, finals) if partials else None
+
+
+def _in_region(node: LogicalPlan) -> bool:
+    """Whether `node` belongs to a join region: a join (a bind join's one
+    input is its left: its probed side is a template), or a filter or
+    narrowing project over one."""
+    if isinstance(node, (LogicalJoin, LogicalBindJoin)):
+        return True
+    if isinstance(node, LogicalFilter) or (
+        isinstance(node, LogicalProject)
+        and all(isinstance(item.expr, ColumnRef) and item.alias is None for item in node.items)
+    ):
+        return _in_region(node.child)
+    return False
+
+
+def _join_inputs(node: LogicalPlan, padded: bool = False):
+    """``(input, join, padded)`` per input of the join region at `node`;
+    `padded` when the input is null-supplying (under a LEFT join's right)."""
+    if isinstance(node, (LogicalJoin, LogicalBindJoin)):
+        for child, nulls in zip(node.children, (padded, padded or node.kind == "LEFT")):
+            if _in_region(child):
+                yield from _join_inputs(child, nulls)
+            else:
+                yield child, node, nulls
+    elif _in_region(node):
+        yield from _join_inputs(node.child, padded)
+
+
+def _region_exprs(node: LogicalPlan, x: LogicalPlan):
+    """The join conditions and filter predicates of the region at `node`,
+    outside its input `x`."""
+    if node is x or not _in_region(node):
+        return
+    if isinstance(node, LogicalJoin) and node.condition is not None:
+        yield node.condition
+    if isinstance(node, LogicalBindJoin):
+        yield node.left_key
+        if node.residual is not None:
+            yield node.residual
+    if isinstance(node, LogicalFilter):
+        yield node.predicate
+    for child in node.children:
+        yield from _region_exprs(child, x)
+
+
+def _replace_input(node: LogicalPlan, x: LogicalPlan, new: LogicalPlan) -> LogicalPlan:
+    """The region at `node` reading `new` for its input `x`; a project that
+    passed columns of `x` through passes `new`'s."""
+    if node is x:
+        return new
+    if not _in_region(node):
+        return node
+    children = [_replace_input(child, x, new) for child in node.children]
+    if isinstance(node, LogicalProject):
+        items = [
+            item for item in node.items
+            if not x.schema.has(item.expr.name, item.expr.qualifier)
+        ]
+        if len(items) < len(node.items):
+            items += [SelectItem(ColumnRef(column.name, column.qualifier)) for column in new.schema]
+        return LogicalProject(children[0], items)
+    return node.with_children(children)
+
+
+def _join_keys(join: LogicalPlan) -> list:
+    """The ``(a, b)`` column pairs `join` equates."""
+    if isinstance(join, LogicalBindJoin):
+        return [(join.left_key, join.right_key)]
+    sides = map(equi_join_sides, split_conjuncts(join.condition))
+    return [pair for pair in sides if pair is not None]
+
+
+def _aggregate_calls(expr: Expr) -> list:
+    return [
+        node for node in walk(expr)
+        if isinstance(node, FuncCall) and is_aggregate_name(node.name)
+    ]
 
 
 def _peel_filters(plan: LogicalPlan):

@@ -135,6 +135,12 @@ SCALAR_FUNCTIONS = {
 }
 
 
+def propagates_null(name: str) -> bool:
+    """Whether scalar function `name` yields NULL for any NULL argument."""
+    name = name.upper()
+    return name in SCALAR_FUNCTIONS and name not in _NULL_TOLERANT
+
+
 def call_scalar(name: str, args: list):
     """Invoke a scalar function with SQL NULL propagation."""
     func = SCALAR_FUNCTIONS.get(name)

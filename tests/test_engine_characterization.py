@@ -13,7 +13,11 @@ The bind-join gate counted in distinct keys re-planned q4, q5, q6, q9 and q12
 (the explain, summary, elapsed and trace entries of those keys, and q8's
 fetch-cache hits under `cached`); q5 and q9 add their float sums in another
 order, so their row digests moved in the last bits while their rows
-compared to 9 significant digits did not.
+compared to 9 significant digits did not. Eager aggregation re-planned q5,
+q6, q9 and q12 under all four configurations (their explain, summary,
+elapsed and trace entries; `faulty` q12's estimated missing fraction); q5,
+q9 and q12 sum per-customer partials, so their row digests moved in the
+last bits again (not `faulty` q12's, nor q6's).
 
 Regenerate (only when behaviour is meant to change) with:
 

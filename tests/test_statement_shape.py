@@ -149,9 +149,10 @@ class TestLift:
         assert len(shapes) == 6
 
     def test_an_outer_join_with_a_constant_in_on_lifts_its_where_constant(self):
-        """The rewriter keeps a WHERE conjunct equal to an ON conjunct of a
-        LEFT join beside it, so the plan's structure reads no constant: texts
-        differing in the WHERE constant are one shape, and one plan serves both."""
+        """A WHERE conjunct on the null-supplying side that rejects NULLs makes
+        the LEFT join INNER whatever its constant, so the plan's structure reads
+        no constant: texts differing in the WHERE constant are one shape, and
+        one plan serves both."""
         template = (
             "SELECT c.id, t.id FROM customers c LEFT JOIN tickets t "
             "ON ((t.cust_id = c.id) AND (t.severity = 3)) WHERE (t.severity = {})"
@@ -164,9 +165,9 @@ class TestLift:
         planned = calls_to([FederatedPlanner.plan], lambda: answers.extend(observe(warm, text) for text in texts))
         assert planned == {"FederatedPlanner.plan": 1}
         assert answers == [observe(connect(), text) for text in texts]
-        # as before the shape lifted it: rows padded where ON found no severity-3 ticket
-        assert [len(rows) for rows, *_ in answers] == [215, 200]
-        assert sum("None" in row for row in answers[1][0]) == 200
+        # the WHERE drops padded rows: SQL's answer (stdlib sqlite3 agrees)
+        assert [len(rows) for rows, *_ in answers] == [76, 0]
+        assert not any("None" in row for row in answers[0][0])
 
     def test_a_bind_statement_is_its_own_key_and_its_keys_are_never_walked(self):
         """Its own key no longer: the template's shape and a mark, its keys the
