@@ -13,17 +13,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.diagnostics import Diagnostic, error, info, span_of, warning
-from repro.sql.ast import (
-    BinaryOp,
-    ColumnRef,
-    Expr,
-    InList,
-    Literal,
-    Select,
-    UnionSelect,
-)
+from repro.sql.ast import BinaryOp, ColumnRef, Expr, Select, UnionSelect
 from repro.sql.exprutil import column_refs, split_conjuncts
 from repro.sql.printer import expr_to_sql
+from repro.wrappers.pushability import binding_supplier, unsupported_reasons
 
 
 def analyze_capabilities(stmt, catalog, text: Optional[str] = None) -> List[Diagnostic]:
@@ -92,24 +85,14 @@ def _check_binding_patterns(
             bound.add(binding)
 
     # fixpoint: an equi-join from a bound table can feed the required column
-    joins = [_equi_join(c, entries) for c in conjuncts]
-    joins = [j for j in joins if j is not None]
+    feeds = _feeds(stmt, entries)
     changed = True
     while changed:
         changed = False
-        for binding, column in required.items():
-            if binding in bound:
-                continue
-            for (left_binding, left_col), (right_binding, right_col) in joins:
-                other = None
-                if left_binding == binding and left_col == column:
-                    other = right_binding
-                elif right_binding == binding and right_col == column:
-                    other = left_binding
-                if other is not None and other in bound:
-                    bound.add(binding)
-                    changed = True
-                    break
+        for binding, column, other in feeds:
+            if binding not in bound and required.get(binding) == column and other in bound:
+                bound.add(binding)
+                changed = True
 
     diags: List[Diagnostic] = []
     for binding in sorted(set(required) - bound):
@@ -134,27 +117,33 @@ def _check_binding_patterns(
 def _binds_directly(
     conjunct: Expr, binding: str, column: str, entries: Dict[str, object]
 ) -> bool:
-    """True for `col = literal` / `col IN (literals)` on the required column."""
-    if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
-        sides = (conjunct.left, conjunct.right)
-        for ref, other in (sides, sides[::-1]):
-            if (
-                isinstance(ref, ColumnRef)
-                and isinstance(other, Literal)
-                and _owner(ref, entries) == binding
-                and ref.name.lower() == column
-            ):
-                return True
-        return False
-    if isinstance(conjunct, InList) and not conjunct.negated:
-        ref = conjunct.operand
-        return (
-            isinstance(ref, ColumnRef)
-            and all(isinstance(item, Literal) for item in conjunct.items)
-            and _owner(ref, entries) == binding
-            and ref.name.lower() == column
-        )
-    return False
+    """True for a binding supplier (`binding_supplier`) on the required column."""
+    supplied = binding_supplier(conjunct)
+    return (
+        supplied is not None
+        and supplied[0].name.lower() == column
+        and _owner(supplied[0], entries) == binding
+    )
+
+
+def _feeds(stmt: Select, entries: Dict[str, object]) -> list:
+    """``(binding, column, other)`` per equi-join by which a bound `other`
+    feeds keys to `binding.column`. A LEFT join feeds its own, null-supplying
+    table only: the planner binds it from the preserved side, never back."""
+    predicates: list = [(stmt.where, None)]
+    for join in stmt.joins:
+        null_supplying = join.table.binding.lower() if join.kind == "LEFT" else None
+        predicates.append((join.condition, null_supplying))
+    feeds: list = []
+    for predicate, only in predicates:
+        for conjunct in split_conjuncts(predicate):
+            pair = _equi_join(conjunct, entries)
+            if pair is None:
+                continue
+            for (binding, column), (other, _) in (pair, pair[::-1]):
+                if only in (None, binding):
+                    feeds.append((binding, column, other))
+    return feeds
 
 
 def _equi_join(conjunct: Expr, entries: Dict[str, object]):
@@ -197,8 +186,6 @@ def _owner(ref: ColumnRef, entries: Dict[str, object]) -> Optional[str]:
 def _check_pushability(
     entries: Dict[str, object], conjuncts: List[Expr], text
 ) -> List[Diagnostic]:
-    from repro.wrappers.pushability import unsupported_reasons
-
     diags: List[Diagnostic] = []
     for conjunct in conjuncts:
         owners = {

@@ -11,13 +11,15 @@ where dropping a branch cannot fabricate wrong answers.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.analysis.diagnostics import Diagnostic, error, warning
 from repro.federation.nodes import LogicalBindJoin, LogicalFetch
-from repro.sql.ast import BinaryOp, ColumnRef, Expr, InList, Literal, Select, Star
+from repro.sql.ast import Expr
 from repro.sql.exprutil import column_refs, split_conjuncts
 from repro.sql.printer import to_sql
+from repro.sql.shape import with_in_filter
+from repro.wrappers.pushability import statement_reasons
 
 
 def verify_plan(plan, degradable=None) -> List[Diagnostic]:
@@ -91,7 +93,7 @@ def _check_bookkeeping(plan, walked_fetches, walked_binds) -> List[Diagnostic]:
 
 
 def _check_fetch_capabilities(node: LogicalFetch) -> List[Diagnostic]:
-    reasons = _capability_reasons(node.stmt, node.source)
+    reasons = statement_reasons(node.stmt, node.source.capabilities)
     if not reasons:
         return []
     return [
@@ -105,99 +107,20 @@ def _check_fetch_capabilities(node: LogicalFetch) -> List[Diagnostic]:
 
 
 def _check_bind_capabilities(node: LogicalBindJoin) -> List[Diagnostic]:
-    diags: List[Diagnostic] = []
-    reasons = _capability_reasons(node.template, node.source)
-    if reasons:
-        diags.append(
-            error(
-                "EII401",
-                f"bind-join template {to_sql(node.template)} exceeds the "
-                f"capabilities of source {node.source.name!r}",
-                hint="; ".join(reasons),
-            )
+    """What a bind join sends is its template with `right_key IN (keys)`."""
+    chunk = with_in_filter(node.template, node.right_key, ())
+    reasons = statement_reasons(chunk, node.source.capabilities)
+    if not reasons:
+        return []
+    return [
+        error(
+            "EII401",
+            f"bind-join template {to_sql(node.template)} probed on "
+            f"{node.right_key} exceeds the capabilities of source "
+            f"{node.source.name!r}",
+            hint="; ".join(reasons),
         )
-    required = _required_binding(node.template, node.source)
-    if required is not None and node.right_key.name.lower() != required:
-        diags.append(
-            error(
-                "EII401",
-                f"bind join probes {node.source.name!r} on "
-                f"{node.right_key.name!r} but the source demands a binding "
-                f"on {required!r}",
-                hint="the source would reject every component query",
-            )
-        )
-    return diags
-
-
-def _required_binding(stmt: Select, source) -> Optional[str]:
-    for ref in stmt.tables():
-        required = source.capabilities.required_binding(ref.name)
-        if required is not None:
-            return required
-    return None
-
-
-def _capability_reasons(stmt: Select, source) -> List[str]:
-    """Why `stmt` cannot run at `source`; binding-supplier conjuncts exempt.
-
-    A fetch against a binding-pattern source legitimately carries
-    `col = literal` / `col IN (...)` on the required column even when the
-    dialect (e.g. scan-only web services) supports no predicates at all —
-    the wrapper consumes those conjuncts as call parameters.
-    """
-    from repro.wrappers.pushability import unsupported_reasons
-
-    dialect = source.capabilities.dialect
-    reasons: List[str] = []
-    if len(stmt.tables()) > 1 and not dialect.supports_join:
-        reasons.append(f"{dialect}: join pushdown not supported")
-    if (stmt.group_by or stmt.having is not None) and not dialect.supports_aggregate:
-        reasons.append(f"{dialect}: aggregate pushdown not supported")
-    if (stmt.order_by or stmt.limit is not None) and not dialect.supports_sort_limit:
-        reasons.append(f"{dialect}: sort/limit pushdown not supported")
-
-    required = _required_binding(stmt, source)
-    exprs: List[Expr] = []
-    for item in stmt.items:
-        exprs.append(item.expr)
-    for conjunct in split_conjuncts(stmt.where):
-        if required is not None and _supplies_binding(conjunct, required):
-            continue
-        exprs.append(conjunct)
-    exprs.extend(stmt.group_by)
-    if stmt.having is not None:
-        exprs.append(stmt.having)
-    exprs.extend(order.expr for order in stmt.order_by)
-    for join in stmt.joins:
-        if join.condition is not None:
-            exprs.append(join.condition)
-    for expr in exprs:
-        if isinstance(expr, (Star, ColumnRef)):
-            continue
-        reasons.extend(unsupported_reasons(expr, dialect))
-    return reasons
-
-
-def _supplies_binding(conjunct: Expr, required: str) -> bool:
-    """`col = literal` or `col IN (literals)` on the required column."""
-    if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
-        sides = (conjunct.left, conjunct.right)
-        for ref, other in (sides, sides[::-1]):
-            if (
-                isinstance(ref, ColumnRef)
-                and isinstance(other, Literal)
-                and ref.name.lower() == required
-            ):
-                return True
-        return False
-    if isinstance(conjunct, InList) and not conjunct.negated:
-        return (
-            isinstance(conjunct.operand, ColumnRef)
-            and conjunct.operand.name.lower() == required
-            and all(isinstance(item, Literal) for item in conjunct.items)
-        )
-    return False
+    ]
 
 
 # ---------------------------------------------------------------------------

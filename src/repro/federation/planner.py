@@ -52,7 +52,6 @@ from repro.sql.ast import (
 )
 from repro.sql.exprutil import (
     column_refs,
-    column_vs_literal,
     conjoin,
     equi_join_sides,
     split_conjuncts,
@@ -63,8 +62,7 @@ from repro.sql.exprutil import (
 from repro.sql.functions import is_aggregate_name
 from repro.sql.parser import parse
 from repro.sql.shape import plant
-from repro.wrappers.dialects import PRED_IN
-from repro.wrappers.pushability import can_push_expr
+from repro.wrappers.pushability import binding_supplier, statement_reasons
 
 
 @dataclass
@@ -225,9 +223,6 @@ class FederatedPlanner:
 
     # -- pushability analysis -----------------------------------------------------
 
-    def _dialect_of(self, source_name: str):
-        return self.catalog.sources[source_name].capabilities.dialect
-
     def _analyze(self, node: LogicalPlan) -> _Info:
         if isinstance(node, LogicalScan):
             entry = self.catalog.entry(node.table_name)
@@ -249,52 +244,21 @@ class FederatedPlanner:
         if not children_pushable or single is None:
             return _Info(sources, False, unbound)
 
-        dialect = self._dialect_of(single)
-
+        source = self.catalog.sources[single]
         if isinstance(node, LogicalFilter):
             remaining_unbound = dict(unbound)
-            ok = True
+            others = []
             for conjunct in split_conjuncts(node.predicate):
                 binding = _binding_satisfied(conjunct, remaining_unbound)
                 if binding is not None:
                     del remaining_unbound[binding]
-                    continue
-                if not can_push_expr(conjunct, dialect):
-                    ok = False
+                else:
+                    others.append(conjunct)
+            ok = not others or _fits(source, Select((), where=conjoin(others)))
             return _Info(sources, ok, remaining_unbound)
 
-        if isinstance(node, LogicalProject):
-            if dialect.fidelity == "scan_only":
-                ok = all(isinstance(item.expr, ColumnRef) for item in node.items)
-            else:
-                ok = all(can_push_expr(item.expr, dialect) for item in node.items)
-            return _Info(sources, ok, unbound)
-
-        if isinstance(node, LogicalJoin):
-            ok = dialect.supports_join and (
-                node.condition is None or can_push_expr(node.condition, dialect)
-            )
-            return _Info(sources, ok, unbound)
-
-        if isinstance(node, LogicalAggregate):
-            ok = dialect.supports_aggregate
-            ok = ok and all(can_push_expr(e, dialect) for e in node.group_exprs)
-            ok = ok and all(can_push_expr(a, dialect) for a in node.aggregates)
-            return _Info(sources, ok, unbound)
-
-        if isinstance(node, LogicalSort):
-            ok = dialect.supports_sort_limit and all(
-                can_push_expr(item.expr, dialect) for item in node.order_items
-            )
-            return _Info(sources, ok, unbound)
-
-        if isinstance(node, LogicalLimit):
-            return _Info(sources, dialect.supports_sort_limit, unbound)
-
-        if isinstance(node, LogicalDistinct):
-            return _Info(sources, dialect.supports_aggregate, unbound)
-
-        return _Info(sources, False, unbound)  # a union, or a node unknown here
+        clause = _clause(node)  # None: a union, or a node unknown here
+        return _Info(sources, clause is not None and _fits(source, clause), unbound)
 
     # -- cutting ---------------------------------------------------------------------
 
@@ -330,7 +294,7 @@ class FederatedPlanner:
         source_name = child_info.single_source
         if not child_info.pushable or source_name is None:
             return None
-        dialect = self._dialect_of(source_name)
+        source = self.catalog.sources[source_name]
         remaining_unbound = dict(child_info.unbound)
         pushable: list[Expr] = []
         stuck: list[Expr] = []
@@ -339,7 +303,7 @@ class FederatedPlanner:
             if binding is not None:
                 del remaining_unbound[binding]
                 pushable.append(conjunct)
-            elif can_push_expr(conjunct, dialect):
+            elif _fits(source, Select((), where=conjunct)):
                 pushable.append(conjunct)
             else:
                 stuck.append(conjunct)
@@ -434,14 +398,13 @@ class FederatedPlanner:
             and isinstance(join.left, LogicalFetch)
             and isinstance(join.right, LogicalFetch)
             and join.left.est_rows > join.right.est_rows
-            and PRED_IN
-            in join.left.source.capabilities.dialect.supported_predicates
+            and _fits(join.left.source, _PROBE)
         ):
             # Drive the probe from the smaller side: mirror the join.
             join = LogicalJoin(join.right, join.left, "INNER", join.condition)
         if not isinstance(join.right, LogicalFetch):
             return None
-        if PRED_IN not in join.right.source.capabilities.dialect.supported_predicates:
+        if not _fits(join.right.source, _PROBE):
             return None
         return self._build_bind_join(join, required=False)
 
@@ -942,18 +905,42 @@ def _peel_filters(plan: LogicalPlan):
 
 def _binding_satisfied(conjunct: Expr, unbound: dict) -> Optional[str]:
     """If `conjunct` supplies literal keys for an unbound scan, return its binding."""
-    found = column_vs_literal(conjunct)
-    if found is not None and found[1] == "=":
-        binding = (found[0].qualifier or "").lower()
-        if unbound.get(binding, object()) == found[0].name.lower():
+    supplied = binding_supplier(conjunct)
+    if supplied is not None:
+        column = supplied[0]
+        binding = (column.qualifier or "").lower()
+        if unbound.get(binding, object()) == column.name.lower():
             return binding
-    if (
-        isinstance(conjunct, InList)
-        and not conjunct.negated
-        and isinstance(conjunct.operand, ColumnRef)
-        and all(isinstance(item, Literal) for item in conjunct.items)
-    ):
-        binding = (conjunct.operand.qualifier or "").lower()
-        if unbound.get(binding, object()) == conjunct.operand.name.lower():
-            return binding
+    return None
+
+
+def _fits(source, clause: Select) -> bool:
+    """Whether the capability contract lets `source` be sent a component
+    statement holding `clause`."""
+    return not statement_reasons(clause, source.capabilities)
+
+
+#: the `key IN (...)` a bind join adds to the statement it probes with
+_PROBE = Select((), where=InList(ColumnRef("key"), ()))
+#: a table of no name, named twice by a join's clause: the contract counts tables
+_OTHER = TableRef("")
+
+
+def _clause(node: LogicalPlan) -> Optional[Select]:
+    """What `node` adds to the component statement of its pushed children,
+    as a statement the capability contract reads; None for a node no
+    component statement holds."""
+    if isinstance(node, LogicalProject):
+        return Select(tuple(node.items))
+    if isinstance(node, LogicalJoin):
+        return Select((), (_OTHER, _OTHER), where=node.condition)
+    if isinstance(node, LogicalAggregate):
+        items = tuple(SelectItem(call) for call in node.aggregates)
+        return Select(items, group_by=tuple(node.group_exprs))
+    if isinstance(node, LogicalSort):
+        return Select((), order_by=tuple(node.order_items))
+    if isinstance(node, LogicalLimit):
+        return Select((), limit=node.limit)
+    if isinstance(node, LogicalDistinct):
+        return Select((), distinct=True)
     return None

@@ -10,7 +10,7 @@ from repro.common.relation import Relation
 from repro.common.schema import Column, RelSchema
 from repro.common.types import DataType, coerce_value
 from repro.sources.base import SCAN_ONLY, DataSource, SourceCapabilities
-from repro.sql.ast import ColumnRef, Select, Star
+from repro.sql.ast import Select
 from repro.storage.stats import TableStats
 from repro.storage.table import Table
 
@@ -271,25 +271,15 @@ class DocumentSource(DataSource):
 
     def execute_select(self, stmt: Select, metrics=None) -> Relation:
         self._check_access()
-        if len(stmt.tables()) != 1 or stmt.where is not None or stmt.group_by:
-            raise CapabilityError(f"{self.name!r} is scan-only")
+        self._check_fits(stmt)
         table_ref = stmt.from_tables[0]
         relation = self._materialize(table_ref.name)
-        schema = relation.schema.with_qualifier(table_ref.binding)
-        positions: list[int] = []
-        for item in stmt.items:
-            if isinstance(item.expr, Star):
-                positions.extend(range(len(schema)))
-            elif isinstance(item.expr, ColumnRef):
-                positions.append(schema.index_of(item.expr.name, item.expr.qualifier))
-            else:
-                raise CapabilityError(f"{self.name!r} cannot compute {item.expr}")
-        rows = [tuple(row[i] for i in positions) for row in relation.rows]
+        result = self._projected(stmt, relation.schema.with_qualifier(table_ref.binding), relation.rows)
         self._account(
             metrics,
             self.store.document_count() * self.capabilities.time_per_cost_unit_s,
         )
-        return Relation(schema.project(positions), rows)
+        return result
 
     def _materialize(self, table: str) -> Relation:
         entry = self._views.get(table.lower())

@@ -5,13 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.common.errors import SourceError
+from repro.common.errors import CapabilityError, SourceError
 from repro.common.relation import Relation
 from repro.common.schema import RelSchema
 from repro.netsim.network import WireFormat
-from repro.sql.ast import Select
+from repro.sql.ast import Select, Star
+from repro.sql.printer import to_sql
 from repro.storage.stats import TableStats
 from repro.wrappers.dialects import Dialect
+from repro.wrappers.pushability import statement_reasons
 
 #: A pseudo-dialect for sources that can only be scanned in full.
 SCAN_ONLY = Dialect(
@@ -108,6 +110,27 @@ class DataSource:
             raise SourceError(
                 f"source {self.name!r} does not admit external queries"
             )
+
+    def _check_fits(self, stmt: Select) -> None:
+        """Raise `CapabilityError` unless the capability contract lets
+        `stmt` be sent here (`statement_reasons`)."""
+        reasons = statement_reasons(stmt, self.capabilities)
+        if reasons:
+            raise CapabilityError(
+                f"source {self.name!r} cannot run: {to_sql(stmt)} ({'; '.join(reasons)})"
+            )
+
+    @staticmethod
+    def _projected(stmt: Select, schema: RelSchema, rows) -> Relation:
+        """The columns `stmt` selects of `rows` (over `schema`): what a source
+        with no predicates is sent selects bare columns and `*` only."""
+        positions: list[int] = []
+        for item in stmt.items:
+            if isinstance(item.expr, Star):
+                positions.extend(range(len(schema)))
+            else:
+                positions.append(schema.index_of(item.expr.name, item.expr.qualifier))
+        return Relation(schema.project(positions), [tuple(row[i] for i in positions) for row in rows])
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"

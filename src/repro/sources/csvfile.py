@@ -8,7 +8,7 @@ from repro.common.errors import CapabilityError
 from repro.common.relation import Relation
 from repro.common.schema import RelSchema
 from repro.sources.base import SCAN_ONLY, DataSource, SourceCapabilities
-from repro.sql.ast import ColumnRef, Select, Star
+from repro.sql.ast import Select
 from repro.storage.io import load_csv
 from repro.storage.stats import TableStats
 from repro.storage.table import Table
@@ -52,35 +52,15 @@ class CsvSource(DataSource):
 
     def execute_select(self, stmt: Select, metrics=None) -> Relation:
         self._check_access()
-        if (
-            len(stmt.tables()) != 1
-            or stmt.where is not None
-            or stmt.group_by
-            or stmt.having is not None
-            or stmt.order_by
-            or stmt.limit is not None
-            or stmt.distinct
-        ):
-            raise CapabilityError(f"{self.name!r} is scan-only")
-        table = self._table(stmt.from_tables[0].name)
-        binding = stmt.from_tables[0].binding
+        self._check_fits(stmt)
+        table_ref = stmt.from_tables[0]
+        table = self._table(table_ref.name)
         rows = list(table.rows())
-        schema = table.schema.with_qualifier(binding)
-
-        positions: list[int] = []
-        for item in stmt.items:
-            if isinstance(item.expr, Star):
-                positions.extend(range(len(schema)))
-            elif isinstance(item.expr, ColumnRef):
-                positions.append(schema.index_of(item.expr.name, item.expr.qualifier))
-            else:
-                raise CapabilityError(f"{self.name!r} cannot compute {item.expr}")
-        out_schema = schema.project(positions)
-        out_rows = [tuple(row[i] for i in positions) for row in rows]
+        result = self._projected(stmt, table.schema.with_qualifier(table_ref.binding), rows)
         # Scanning a file costs time proportional to the full file, not the
         # projected width — that is the point of scan-only sources.
         self._account(metrics, len(rows) * self.capabilities.time_per_cost_unit_s)
-        return Relation(out_schema, out_rows)
+        return result
 
     def _table(self, name: str) -> Table:
         table = self._tables.get(name.lower())

@@ -6,7 +6,6 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from repro.cache.store import BoundedStore
-from repro.common.errors import CapabilityError
 from repro.common.relation import Relation
 from repro.common.schema import RelSchema
 from repro.engine.executor import LocalEngine
@@ -18,7 +17,6 @@ from repro.sql.shape import FAMILY, lift, plant
 from repro.storage.catalog import Database
 from repro.storage.stats import TableStats
 from repro.wrappers.dialects import Dialect, QUIRK_AWARE
-from repro.wrappers.pushability import can_push_select
 
 #: Statements `RelationalSource.query_log` keeps; older ones are dropped.
 QUERY_LOG_LENGTH = 256
@@ -97,10 +95,8 @@ class RelationalSource(DataSource):
         family = self._prepared.get(shape) or ()
         if family and family[0].dialect is not dialect:
             family = ()
-        if not family and not can_push_select(stmt, dialect):  # reads no constant
-            raise CapabilityError(
-                f"source {self.name!r} ({dialect}) cannot run: {to_sql(stmt)}"
-            )
+        if not family:  # the contract reads no constant: a shape was checked once
+            self._check_fits(stmt)
         prepared = next((known for known in family if known.slots == values), None)
         text = to_sql(stmt, dialect.print_options) if prepared is None else prepared.text
         self.query_log.append(text)

@@ -8,10 +8,11 @@ from repro.common.errors import CapabilityError
 from repro.common.relation import Relation
 from repro.common.schema import RelSchema
 from repro.sources.base import SCAN_ONLY, DataSource, SourceCapabilities
-from repro.sql.ast import BinaryOp, ColumnRef, InList, Literal, Select, Star
+from repro.sql.ast import Select
 from repro.sql.exprutil import split_conjuncts
 from repro.storage.stats import TableStats
 from repro.storage.table import Table
+from repro.wrappers.pushability import binding_supplier
 
 
 class WebServiceSource(DataSource):
@@ -23,7 +24,8 @@ class WebServiceSource(DataSource):
     with a bind join: collect keys from another source first, then probe.
 
     A component query must be `SELECT cols FROM t WHERE key = v` or
-    `... WHERE key IN (v1, …)`; anything else raises `CapabilityError`.
+    `... WHERE key IN (v1, …)` (ANDed, their keys intersect); anything else
+    raises `CapabilityError` (`repro.wrappers.pushability.statement_reasons`).
     """
 
     def __init__(
@@ -68,80 +70,28 @@ class WebServiceSource(DataSource):
 
     def execute_select(self, stmt: Select, metrics=None) -> Relation:
         self._check_access()
-        if len(stmt.tables()) != 1:
-            raise CapabilityError(f"{self.name!r} serves a single operation")
+        self._check_fits(stmt)
         table_ref = stmt.from_tables[0]
         self._check_table(table_ref.name)
-        keys = self._extract_keys(stmt)
-        if keys is None:
-            raise CapabilityError(
-                f"{self.name!r} requires an equality or IN binding on "
-                f"{self.bound_column!r}"
-            )
-        schema = self._backing.schema.with_qualifier(table_ref.binding)
+        # the contract let through suppliers of the bound column only: their
+        # key sets intersect, each distinct key once, in order of first mention
+        keys: Optional[dict] = None
+        for conjunct in split_conjuncts(stmt.where):
+            _, values = binding_supplier(conjunct)
+            if keys is None:
+                keys = dict.fromkeys(values)
+            else:
+                wanted = set(values)
+                keys = {key: None for key in keys if key in wanted}
         rows: list[tuple] = []
-        for key in keys:
+        for key in keys or ():
             rows.extend(self.lookup(key))
             # Every distinct key is one service invocation.
             self._account(metrics, 0.0)
-        positions = self._projection(stmt, schema)
-        out_rows = [tuple(row[i] for i in positions) for row in rows]
-        return Relation(schema.project(positions), out_rows)
+        return self._projected(stmt, self._backing.schema.with_qualifier(table_ref.binding), rows)
 
     # -- internals --------------------------------------------------------------
 
     def _check_table(self, name: str) -> None:
         if name.lower() != self.table_name.lower():
             raise CapabilityError(f"{self.name!r} has no table {name!r}")
-
-    def _extract_keys(self, stmt: Select):
-        """Pull bound-column key values from the WHERE clause."""
-        if stmt.where is None:
-            return None
-        keys: list = []
-        found = False
-        for conjunct in split_conjuncts(stmt.where):
-            if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
-                sides = (conjunct.left, conjunct.right)
-                for a, b in (sides, sides[::-1]):
-                    if (
-                        isinstance(a, ColumnRef)
-                        and a.name.lower() == self.bound_column.lower()
-                        and isinstance(b, Literal)
-                    ):
-                        keys.append(b.value)
-                        found = True
-            elif (
-                isinstance(conjunct, InList)
-                and not conjunct.negated
-                and isinstance(conjunct.operand, ColumnRef)
-                and conjunct.operand.name.lower() == self.bound_column.lower()
-                and all(isinstance(item, Literal) for item in conjunct.items)
-            ):
-                keys.extend(item.value for item in conjunct.items)
-                found = True
-            else:
-                raise CapabilityError(
-                    f"{self.name!r} cannot evaluate predicate {conjunct}"
-                )
-        if not found:
-            return None
-        # de-duplicate, preserving order
-        seen = set()
-        unique = []
-        for key in keys:
-            if key not in seen:
-                seen.add(key)
-                unique.append(key)
-        return unique
-
-    def _projection(self, stmt: Select, schema: RelSchema) -> list[int]:
-        positions: list[int] = []
-        for item in stmt.items:
-            if isinstance(item.expr, Star):
-                positions.extend(range(len(schema)))
-            elif isinstance(item.expr, ColumnRef):
-                positions.append(schema.index_of(item.expr.name, item.expr.qualifier))
-            else:
-                raise CapabilityError(f"{self.name!r} cannot compute {item.expr}")
-        return positions

@@ -1,4 +1,11 @@
-"""Pushability analysis: can an expression / component query run at a source?"""
+"""The capability contract: what a source may be sent.
+
+`statement_reasons` is the one decision whether a component statement fits
+a source: the federated planner, strict mode's EII401 and every source's
+`execute_select` read it. `binding_supplier` is the one matcher of the
+conjuncts that hand a binding-pattern source its keys: the contract, the
+planner and EII201/EII203 read it.
+"""
 
 from __future__ import annotations
 
@@ -15,10 +22,12 @@ from repro.sql.ast import (
     IsNull,
     Like,
     Literal,
+    LiteralValues,
     Select,
     Star,
     UnaryOp,
 )
+from repro.sql.exprutil import column_vs_literal, split_conjuncts
 from repro.sql.functions import is_aggregate_name
 from repro.wrappers.dialects import (
     Dialect,
@@ -36,15 +45,10 @@ _ARITH_OPS = ("+", "-", "*", "/", "%", "||")
 
 
 def unsupported_reasons(expr: Expr, dialect: Dialect) -> list[str]:
-    """Why `expr` cannot be pushed to `dialect`; empty list means pushable."""
+    """Why `dialect` cannot evaluate `expr`; empty list means it can."""
     reasons: list[str] = []
     _walk(expr, dialect, reasons)
     return reasons
-
-
-def can_push_expr(expr: Expr, dialect: Dialect) -> bool:
-    """True if the source behind `dialect` can evaluate `expr` itself."""
-    return not unsupported_reasons(expr, dialect)
 
 
 def _walk(expr: Expr, dialect: Dialect, reasons: list[str]) -> None:
@@ -115,22 +119,79 @@ def _walk(expr: Expr, dialect: Dialect, reasons: list[str]) -> None:
     reasons.append(f"{dialect}: expression {type(expr).__name__} unknown")
 
 
-def can_push_select(stmt: Select, dialect: Dialect) -> bool:
-    """True if an entire component SELECT can run at the source."""
-    if len(stmt.tables()) > 1 and not dialect.supports_join:
-        return False
-    if (stmt.group_by or stmt.having is not None) and not dialect.supports_aggregate:
-        return False
+def binding_supplier(conjunct: Expr) -> Optional[tuple]:
+    """``(column, keys)`` when `conjunct` is `col = v`, `v = col` or
+    `col IN (v, ...)` over literals; None otherwise."""
+    if isinstance(conjunct, InList):
+        column, items = conjunct.operand, conjunct.items
+        if conjunct.negated or not isinstance(column, ColumnRef):
+            return None
+        if isinstance(items, LiteralValues):  # a bind join's keys, never walked
+            return column, items.values
+        values = [item.value for item in items if isinstance(item, Literal)]
+        return (column, tuple(values)) if len(values) == len(items) else None
+    found = column_vs_literal(conjunct)
+    if found is not None and found[1] == "=":
+        return found[0], (found[2],)
+    return None
+
+
+def statement_reasons(stmt: Select, capabilities) -> list[str]:
+    """Why `stmt` may not be sent to a source declaring `capabilities` (a
+    `SourceCapabilities`); empty when it may.
+
+    A conjunct supplying a table's required binding is a call parameter,
+    exempt from every other check. A dialect with no predicates is sent bare
+    columns and binding suppliers only.
+    """
+    dialect = capabilities.dialect
+    reasons: list[str] = []
+    tables = stmt.tables()
+    if len(tables) > 1 and not dialect.supports_join:
+        reasons.append(f"{dialect}: join pushdown not supported")
+    if (stmt.group_by or stmt.having is not None or stmt.distinct) and not dialect.supports_aggregate:
+        reasons.append(f"{dialect}: aggregate/DISTINCT pushdown not supported")
     if (stmt.order_by or stmt.limit is not None) and not dialect.supports_sort_limit:
-        return False
-    exprs: list[Expr] = [item.expr for item in stmt.items]
-    if stmt.where is not None:
-        exprs.append(stmt.where)
-    exprs.extend(stmt.group_by)
+        reasons.append(f"{dialect}: sort/limit pushdown not supported")
+    required: dict[str, str] = {}  # table binding -> the column it needs keys for
+    if capabilities.binding_patterns:
+        for ref in tables:
+            column = capabilities.required_binding(ref.name)
+            if column is not None:
+                required[ref.binding.lower()] = column
+    scan_only = not dialect.supported_predicates
+    exprs: list[Expr] = []
+    for item in stmt.items:
+        if isinstance(item.expr, (ColumnRef, Star)):
+            continue
+        if scan_only:
+            reasons.append(f"{dialect}: computed column {item.expr} not supported")
+        else:
+            exprs.append(item.expr)
+    bound: set[str] = set()
+    for conjunct in split_conjuncts(stmt.where):
+        supplied = binding_supplier(conjunct) if required else None
+        if supplied is not None:
+            name, qualifier = supplied[0].name.lower(), supplied[0].qualifier
+            supplies = [
+                binding for binding, column in required.items()
+                if column == name and (qualifier is None or qualifier.lower() == binding)
+            ]
+            if supplies:
+                bound.update(supplies)
+                continue
+        if scan_only:
+            reasons.append(f"{dialect}: predicate {conjunct} not supported")
+        else:
+            exprs.append(conjunct)
+    exprs += stmt.group_by
     if stmt.having is not None:
         exprs.append(stmt.having)
-    exprs.extend(order.expr for order in stmt.order_by)
-    for join in stmt.joins:
-        if join.condition is not None:
-            exprs.append(join.condition)
-    return all(can_push_expr(expr, dialect) for expr in exprs)
+    exprs += [order.expr for order in stmt.order_by]
+    exprs += [join.condition for join in stmt.joins if join.condition is not None]
+    for expr in exprs:
+        _walk(expr, dialect, reasons)
+    for binding, column in required.items():
+        if binding not in bound:
+            reasons.append(f"table {binding!r} requires a binding on {column!r}")
+    return reasons

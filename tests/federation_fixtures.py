@@ -3,8 +3,9 @@
 from repro.common.types import DataType as T
 from repro.federation import EngineConfig, FederatedEngine, FederationCatalog
 from repro.sources import CsvSource, RelationalSource, WebServiceSource
+from repro.sql.shape import with_in_filter
 from repro.storage import Database
-from repro.wrappers import QUIRK_AWARE
+from repro.wrappers import QUIRK_AWARE, statement_reasons
 
 
 def build_catalog(
@@ -108,3 +109,15 @@ def build_catalog(
 
 def build_engine(**kwargs) -> FederatedEngine:
     return FederatedEngine(build_catalog(), EngineConfig(**kwargs))
+
+
+def unfit(plan) -> list:
+    """``(statement, reasons)`` per statement `plan` would send that its
+    source's capability contract refuses: a fetch's, or a bind join's chunk."""
+    sent = [(fetch.stmt, fetch.source) for fetch in plan.fetches]
+    sent += [
+        (with_in_filter(bind.template, bind.right_key, [1]), bind.source)
+        for bind in plan.bind_joins
+    ]
+    found = [(stmt, statement_reasons(stmt, source.capabilities)) for stmt, source in sent]
+    return [(str(stmt), reasons) for stmt, reasons in found if reasons]

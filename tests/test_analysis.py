@@ -343,6 +343,17 @@ class TestPlanInvariants:
         )
         assert not any(d.code == "EII401" for d in verify_plan(plan))
 
+    def test_eii401_bind_join_probing_another_column(self, catalog):
+        plan = self.plan(
+            catalog,
+            "SELECT c.name, cr.score FROM customers c, credit cr "
+            "WHERE c.id = cr.cust_id",
+        )
+        (bind,) = plan.bind_joins
+        bind.right_key = ColumnRef("score", bind.right_key.qualifier)
+        hints = [d.hint for d in verify_plan(plan) if d.code == "EII401"]
+        assert hints and "requires a binding on 'cust_id'" in hints[0]
+
     def test_eii402_cartesian_product(self, catalog):
         plan = self.plan(
             catalog, "SELECT c.name, o.total FROM customers c, orders o"
@@ -394,6 +405,27 @@ class TestEngineIntegration:
         assert exc.value.metrics.payload_bytes == 0
         assert exc.value.metrics.rows_shipped == 0
         assert exc.value.metrics.source_queries == {}
+
+    def test_a_left_join_binds_only_its_null_supplying_side(self):
+        """As the planner does: a LEFT join binds its right side from its
+        left, never back, so this order has no access path (EII201)."""
+        from repro.bench import BenchConfig, build_enterprise
+
+        fixture = build_enterprise(BenchConfig(scale=1, seed=42))
+        engine = FederatedEngine(fixture.catalog(), EngineConfig(validate=True))
+        with pytest.raises(AnalysisError) as exc:
+            engine.query(
+                "SELECT cr.score, c.name FROM credit cr "
+                "LEFT JOIN customers c ON cr.cust_id = c.id"
+            )
+        assert exc.value.report.has("EII201")
+        assert exc.value.metrics.payload_bytes == 0
+        assert exc.value.metrics.source_queries == {}
+        answered = engine.query(
+            "SELECT cr.score, c.name FROM customers c "
+            "LEFT JOIN credit cr ON cr.cust_id = c.id"
+        )
+        assert len(answered.relation) == 200
 
     def test_unknown_column_rejected_before_planning(self, catalog):
         engine = FederatedEngine(catalog, EngineConfig(validate=True))

@@ -167,6 +167,20 @@ class TestDialectDrivenPlanning:
         result = engine.execute_plan(plan)
         assert len(result.relation) == 8
 
+    @pytest.mark.parametrize("where, ids", [("active", [1, 3]), ("NOT active", [2])])
+    def test_a_scan_only_source_is_sent_no_predicate(self, where, ids):
+        """A bare boolean column is a predicate too: it stays at the hub."""
+        from repro.sources import CsvSource
+
+        files = CsvSource("files")
+        files.add_table("flags", [("id", T.INT), ("active", T.BOOL)], [(1, True), (2, False), (3, True)])
+        catalog = FederationCatalog()
+        catalog.register_source(files)
+        engine = FederatedEngine(catalog)
+        sql = f"SELECT id FROM flags WHERE {where}"
+        assert sorted(engine.query(sql).relation.column_values("id")) == ids
+        assert [fetch.stmt.where for fetch in engine.planner.plan(sql).fetches] == [None]
+
 
 class TestBindJoins:
     def test_webservice_requires_bind_join(self):

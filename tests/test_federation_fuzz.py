@@ -17,6 +17,7 @@ from repro.engine import LocalEngine
 from repro.federation import EngineConfig, FederatedEngine
 from repro.storage import Database
 from repro.wrappers import CONSERVATIVE, GENERIC, QUIRK_AWARE
+from tests.federation_fixtures import unfit
 from tests.sqlite_reference import row_mismatch
 
 FIXTURE = build_enterprise(BenchConfig(scale=1, seed=11))
@@ -177,7 +178,9 @@ def test_federated_equals_colocated(sql, config, dialects):
         include_docs=False,
     )
     engine = FederatedEngine(catalog, EngineConfig(**config))
-    assert same_rows(engine.query(sql).relation, BASELINE.query(sql)), sql
+    result = engine.query(sql)
+    assert same_rows(result.relation, BASELINE.query(sql)), sql
+    assert unfit(result.plan) == [], sql
 
 
 @given(sql=random_query(), limit=st.integers(min_value=1, max_value=15))

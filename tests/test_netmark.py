@@ -201,6 +201,17 @@ class TestDocumentSource:
                 parse_select("SELECT * FROM doc_index WHERE cust_id = 7")
             )
 
+    @pytest.mark.parametrize("tail", [
+        "LIMIT 1", "ORDER BY cust_id", "HAVING COUNT(*) > 0",
+    ])
+    def test_rejects_what_it_would_ignore(self, tail):
+        with pytest.raises(CapabilityError):
+            self.make_source().execute_select(parse_select(f"SELECT * FROM doc_index {tail}"))
+
+    def test_rejects_distinct(self):
+        with pytest.raises(CapabilityError):
+            self.make_source().execute_select(parse_select("SELECT DISTINCT cust_id FROM doc_index"))
+
     def test_exploded_view_federates(self):
         """Exploded order lines join against a relational product catalog."""
         from repro.common.types import DataType

@@ -23,7 +23,7 @@ from repro.federation import EngineConfig, FederatedEngine
 from repro.sql.shape import with_in_filter
 from repro.federation.resilience import ResiliencePolicy
 from repro.netsim import FaultInjector, Outage, SimClock, Transient
-from repro.sources import RelationalSource
+from repro.sources import RelationalSource, SourceCapabilities
 from repro.sources.relational import PREPARED_STATEMENTS
 from repro.sql.ast import ColumnRef, InList, Literal, LiteralValues, Select
 from repro.sql.eval import compile_filter_passes, compile_predicate
@@ -31,7 +31,7 @@ from repro.sql.exprutil import walk
 from repro.sql.parser import parse, parse_with_origins
 from repro.sql.printer import to_sql
 from repro.sql.shape import FAMILY, lift
-from repro.wrappers.pushability import can_push_select
+from repro.wrappers.pushability import binding_supplier, statement_reasons
 from repro.wrappers import ACMEDB, GENERIC, LEGACYSQL, QUIRK_AWARE
 
 from tests.conftest import build_demo_db
@@ -248,7 +248,8 @@ class TestValueBackedInList:
         assert leaves[0] == leaves[1] and len(leaves[0]) == len(keys) + 1
         assert to_sql(valued) == to_sql(noded) and str(valued.where) == str(noded.where)
         for dialect in DIALECTS:
-            assert can_push_select(valued, dialect) == can_push_select(noded, dialect)
+            capabilities = SourceCapabilities(dialect)
+            assert statement_reasons(valued, capabilities) == statement_reasons(noded, capabilities)
             assert to_sql(valued, dialect.print_options) == to_sql(noded, dialect.print_options)
         db = build_demo_db()
         assert answer(RelationalSource("s", db), valued) == answer(RelationalSource("s", db), noded)
@@ -266,7 +267,7 @@ class TestValueBackedInList:
         template = parse("SELECT cust_id, score FROM credit")
         valued = with_in_filter(template, ColumnRef("cust_id"), [3, 5, 3, 99])
         noded = Select(valued.items, valued.from_tables, where=InList(ColumnRef("cust_id"), tuple(map(Literal, [3, 5, 3, 99]))))
-        assert credit._extract_keys(valued) == credit._extract_keys(noded) == [3, 5, 99]
+        assert binding_supplier(valued.where) == binding_supplier(noded.where) == (ColumnRef("cust_id"), (3, 5, 3, 99))
         assert credit.execute_select(valued).rows == credit.execute_select(noded).rows == [(3, 603), (5, 605)]
 
     @pytest.mark.race_sanitize_exempt  # the sanitizer's lock wrappers are Python calls too

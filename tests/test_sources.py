@@ -10,7 +10,7 @@ from repro.sources.base import SCAN_ONLY
 from repro.sources.relational import QUERY_LOG_LENGTH
 from repro.sql.parser import parse_select
 from repro.storage import Database
-from repro.wrappers import CONSERVATIVE, GENERIC
+from repro.wrappers import CONSERVATIVE, GENERIC, QUIRK_AWARE
 
 
 def make_relational(dialect=CONSERVATIVE):
@@ -31,6 +31,12 @@ class TestRelationalSource:
         source = make_relational(dialect=GENERIC)
         with pytest.raises(CapabilityError):
             source.execute_select(parse_select("SELECT id FROM t WHERE name LIKE 'r%'"))
+
+    def test_rejects_distinct_without_aggregate_support(self):
+        """DISTINCT needs aggregate support, as the planner has it."""
+        with pytest.raises(CapabilityError, match="DISTINCT"):
+            make_relational().execute_select(parse_select("SELECT DISTINCT name FROM t"))
+        assert len(make_relational(QUIRK_AWARE).execute_select(parse_select("SELECT DISTINCT name FROM t"))) == 5
 
     def test_metrics_accounting(self):
         source = make_relational()
@@ -136,6 +142,14 @@ class TestWebServiceSource:
             parse_select("SELECT * FROM credit WHERE cust_id IN (1, 1, 1)"), metrics
         )
         assert metrics.source_queries["svc"] == 1
+
+    def test_anded_bindings_intersect(self):
+        metrics = MetricsCollector()
+        source = self.make()
+        assert len(source.execute_select(parse_select("SELECT * FROM credit WHERE cust_id = 1 AND cust_id = 2"), metrics)) == 0
+        assert "svc" not in metrics.source_queries  # no key left: no call
+        both = parse_select("SELECT score FROM credit WHERE cust_id IN (2, 1) AND cust_id IN (1, 2, 3)")
+        assert source.execute_select(both, metrics).rows == [(650,), (655,), (700,)]
 
     def test_rejects_other_predicates(self):
         with pytest.raises(CapabilityError):

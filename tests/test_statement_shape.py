@@ -38,6 +38,7 @@ from repro.sql.printer import render_literal, to_sql
 from repro.sql.shape import FAMILY, _swap_slots, lift, plant
 
 from tests.conftest import build_demo_db
+from tests.federation_fixtures import unfit
 from tests.test_prepare_once import answer, apply_write, write_ops
 
 _WORKLOADS = pathlib.Path(__file__).parent.parent / "benchmarks/wallclock/workloads.py"
@@ -554,14 +555,22 @@ def calls_to(functions, thunk):
     return seen
 
 
+class TestSourcesAcceptWhatIsSent:
+    def test_every_fetch_and_bind_chunk_fits_its_source(self):
+        engine = connect()
+        for sql in [*QUERIES.values(), *(template.format(id=7) for template in LOOKUPS.values())]:
+            result = engine.query(sql)
+            assert result.plan.fetches and unfit(result.plan) == [], sql
+
+
 class TestWorkSaved:
     def test_a_shape_hit_plans_nothing_at_the_hub_or_at_a_source(self):
         from repro.engine.planner import bind_select
         from repro.engine.rewrite import optimize_logical
-        from repro.wrappers.pushability import can_push_select
+        from repro.sources.base import DataSource
 
         skipped = [
-            FederatedPlanner.plan, optimize_logical, bind_select, can_push_select,
+            FederatedPlanner.plan, optimize_logical, bind_select,
             parser._Parser.parse_statement, lexer.tokenize, LocalEngine.logical_plan,
         ]
         engine = connect(parallel_workers=1)  # the profiler sees one thread
@@ -572,11 +581,33 @@ class TestWorkSaved:
                 if frame.f_back.f_code is not LocalEngine.lower.__code__:
                     lowered.append(frame.f_locals["self"])
 
+        codes = {function.__code__: function.__qualname__ for function in skipped}
+
+        def checks(thunk):
+            """How often `thunk` enters each of `skipped`, and how often a
+            relational source checks a statement (a scan-only one checks every call)."""
+            seen = dict.fromkeys([*codes.values(), "relational checks"], 0)
+
+            def count(frame, event, arg):
+                if event != "call":
+                    return
+                if frame.f_code in codes:
+                    seen[codes[frame.f_code]] += 1
+                elif frame.f_code is DataSource._check_fits.__code__:
+                    seen["relational checks"] += isinstance(frame.f_locals["self"], RelationalSource)
+
+            sys.setprofile(count)
+            try:
+                thunk()
+            finally:
+                sys.setprofile(None)
+            return seen
+
         for name, template in LOOKUPS.items():
-            first = calls_to(skipped, lambda: engine.query(template.format(id=7)))
-            assert first["FederatedPlanner.plan"] == 1 and first["can_push_select"] >= 1
+            first = checks(lambda: engine.query(template.format(id=7)))
+            assert first["FederatedPlanner.plan"] == 1 and first["relational checks"] >= 1
             for cust_id in (8, 9, 8):  # customer360's one-key probes of `orders` and `credit` too
-                hit = calls_to(skipped, lambda: engine.query(template.format(id=cust_id)))
+                hit = checks(lambda: engine.query(template.format(id=cust_id)))
                 assert set(hit.values()) == {0}, (name, cust_id, hit)
             sys.setprofile(profile)
             try:
