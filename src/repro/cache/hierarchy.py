@@ -81,9 +81,6 @@ class CacheHierarchy:
             if c.result_enabled
             else None
         )
-        #: optional `repro.trace` tracer — invalidations happen *between*
-        #: queries, so they are recorded as session events, not spans
-        self.tracer = None
 
     # -- plan level --------------------------------------------------------------
 
@@ -147,13 +144,6 @@ class CacheHierarchy:
             counts["fetch"] = self.fetches.invalidate_tag(table)
         if self.results is not None:
             counts["result"] = self.results.invalidate_tag(table)
-        if self.tracer is not None:
-            self.tracer.session_event(
-                "cache.invalidate",
-                table=table,
-                fetch=counts["fetch"],
-                result=counts["result"],
-            )
         return counts
 
     def attach(self, broker) -> None:

@@ -15,8 +15,9 @@ parallelism is simulated: `makespan` over ``parallel_workers`` slots), serves
 the assembly-site operators lowered against it, and is the only writer of the
 four observers (`MetricsCollector`, trace spans, the engine's per-source
 record ``scoreboard``, telemetry plane).
-`attach_invalidation` subscribes the engine to an EAI broker's table-change
-events so writes evict dependent entries and dirty dependent views.
+`attach_invalidation` subscribes `invalidate_table`, the engine's one
+invalidation entry point, to an EAI broker's table-change events so writes
+evict dependent entries and dirty dependent views.
 """
 
 from __future__ import annotations
@@ -244,7 +245,6 @@ class FederatedEngine:
     def set_tracer(self, tracer) -> None:
         """Attach a `Tracer` (or None for the zero-cost no-op default)."""
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.cache.tracer = self.tracer if self.tracer.enabled else None
 
     # -- public -----------------------------------------------------------------
 
@@ -483,19 +483,24 @@ class FederatedEngine:
         return plan, False
 
     def attach_invalidation(self, broker) -> None:
-        """Hear the broker's table-change events — one subscription, fanned out
-        to the cache hierarchy, the adaptive calibrations and the views."""
+        """Hear the broker's table-change events, with `invalidate_table`."""
+        subscribe_table_changes(broker, self.invalidate_table)
 
-        def on_change(table: str) -> None:
-            self.cache.invalidate_table(table)
-            if self.adaptive is not None:
-                # Calibrations describe table contents, so they expire with them.
-                self.adaptive.store.invalidate_table(table)
-            if self.views is not None:
-                # Looked up per event: covers views defined after attachment.
-                self.views.on_table_changed(table)
-
-        subscribe_table_changes(broker, on_change)
+    def invalidate_table(self, table: str) -> None:
+        """`table` changed: the one entry point, fanned out to the cache
+        hierarchy, the adaptive calibrations, the views and (a session
+        event: it falls between queries) this engine's tracer."""
+        counts = self.cache.invalidate_table(table)
+        self.tracer.session_event(
+            "cache.invalidate", table=table,
+            fetch=counts["fetch"], result=counts["result"],
+        )
+        if self.adaptive is not None:
+            # Calibrations describe table contents, so they expire with them.
+            self.adaptive.store.invalidate_table(table)
+        if self.views is not None:
+            # Looked up per event: covers views defined after attachment.
+            self.views.on_table_changed(table)
 
     def predict_elapsed(self, plan: FederatedPlan) -> float:
         """Pre-execution prediction of simulated elapsed seconds.

@@ -40,13 +40,14 @@ from repro.telemetry.plane import NULL_TELEMETRY
 class Recorder:
     """Writes each runtime fact once, to every observer that reads it."""
 
-    __slots__ = ("collector", "span", "telemetry", "scoreboard")
+    __slots__ = ("collector", "span", "telemetry", "scoreboard", "base")
 
     def __init__(self, collector, span=None, telemetry=NULL_TELEMETRY, scoreboard=None):
         self.collector = collector
         self.span = span
         self.telemetry = telemetry
         self.scoreboard = scoreboard  # None where no source fact is written
+        self.base = 0.0  # the collector's seconds when `span` began: events sit past it
 
     def scoped(self, collector, span=None) -> "Recorder":
         """The recorder of a narrower scope (one statement, one worker)."""
@@ -55,7 +56,7 @@ class Recorder:
     def _event(self, name: str, **attrs) -> None:
         span = self.span
         if span is not None:
-            span.event(name, span.offset_from(self.collector), **attrs)
+            span.event(name, self.collector.simulated_seconds - self.base, **attrs)
 
     # -- one component statement ---------------------------------------------------
 
@@ -64,24 +65,20 @@ class Recorder:
         collector.fetch_cache_hits += 1
         collector.cache_seconds_saved += seconds
         collector.cache_bytes_saved += size
-        if self.span is not None:
-            self.span.set(cache="hit")
-            self._event("cache.hit", seconds_saved=seconds, bytes_saved=size)
+        self._event("cache.hit", seconds_saved=seconds, bytes_saved=size)
 
     def cache_miss(self) -> None:
         self.collector.fetch_cache_misses += 1
-        if self.span is not None:
-            self.span.set(cache="miss")
 
     def remote_failure(self, source: str) -> None:
         self.scoreboard.count(source, "failures")
 
     def statement_finished(self, source: str, base: tuple, cache, answer) -> None:
         """One component statement ended: what it added to the collector since
-        `base` (its seconds, rows, payload and wire bytes then) goes to its span
-        and, with its fetch-cache outcome and remote answer ``(source, seconds,
-        size)``, to the source record. The collector read the answer's transfer
-        itself (`Execution._attempt`)."""
+        `base` (its seconds, rows, payload and wire bytes then) and its
+        fetch-cache outcome (None with no fetch cache) go to its span and, with
+        its remote answer ``(source, seconds, size)``, to the source record. The
+        collector read the answer's transfer itself (`Execution._attempt`)."""
         collector = self.collector
         seconds = collector.simulated_seconds - base[0]
         rows = collector.rows_shipped - base[1]
@@ -91,6 +88,8 @@ class Recorder:
         if span is not None:
             span.self_seconds = seconds
             span.set(rows=rows, payload_bytes=payload_bytes, wire_bytes=wire_bytes)
+            if cache is not None:
+                span.attrs["cache"] = cache
         self.scoreboard.statement(
             source, seconds, rows, payload_bytes, wire_bytes, cache, answer
         )
@@ -265,13 +264,11 @@ class Execution:
             payload_bytes=shipped.payload_bytes, wire_bytes=shipped.wire_bytes,
         ).self_seconds = transfer_seconds
 
-    def _statement_span(self, parent, category: str, node, sql, **attrs):
-        """A child span for one component statement (None when not tracing)."""
-        if parent is None:
-            return None
+    def _statement_span(self, parent, category: str, node, sql: str, **attrs):
+        """A child span of `parent` for one component statement, printed `sql`."""
         span = parent.child(
             f"{category}:{node.source.name}", category=category,
-            source=node.source.name, **attrs, sql=to_sql(sql),
+            source=node.source.name, **attrs, sql=sql,
         )
         tag = self.tags.get(id(node))
         if tag is not None:
@@ -400,7 +397,7 @@ class Execution:
             collector.payload_bytes, collector.wire_bytes,
         )
         if record.span is not None:
-            record.span.clock_base = base[0]
+            record.base = base[0]
         primary = node.source.name
         cache = answer = None
         try:
@@ -473,13 +470,15 @@ class Execution:
         return result
 
     def bind_fetch(self, node: LogicalBindJoin, keys: list) -> Relation:
+        parent = self.assembly_span
+        # every chunk's span shows the template, printed once per bind join
+        sql = None if parent is None else to_sql(node.template)
         chunks = []
         for chunk_index, start in enumerate(range(0, len(keys), node.max_inlist)):
             chunk = keys[start : start + node.max_inlist]
             stmt = with_in_filter(node.template, node.right_key, chunk)
-            span = self._statement_span(
-                self.assembly_span, "bind_fetch", node, node.template,
-                chunk=chunk_index, keys=len(chunk),
+            span = None if parent is None else self._statement_span(
+                parent, "bind_fetch", node, sql, chunk=chunk_index, keys=len(chunk),
             )
             chunks.append(
                 self._fetch_statement(
@@ -522,8 +521,10 @@ class Execution:
             fetches = reordered
 
         # Every planned fetch gets its span up front, failed query or not.
+        parent = self.prefetch_span
         spans = [
-            self._statement_span(self.prefetch_span, "fetch", node, node.stmt)
+            None if parent is None
+            else self._statement_span(parent, "fetch", node, to_sql(node.stmt))
             for node in fetches
         ]
         collectors: list = []

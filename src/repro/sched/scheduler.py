@@ -477,11 +477,11 @@ class _RunState:
     def _build_trace(self, result: WorkloadResult) -> Trace:
         """Lay the workload out as a span tree on the virtual timeline.
 
-        The layout is explicit (each span's `start_s`/`lane` is assigned
-        here, and `finalize()` is bypassed) because the schedule — not
-        serial or list-scheduled composition — determined the starts. The
-        root's `makespan_s`/`serial_s` attrs carry the run-level timings;
-        its summed extent is the workload's total turnaround.
+        `finalize()` computes every span's extent; the schedule, not serial
+        or list-scheduled composition, then places each query span (and its
+        queue wait and service) where it ran. The root's
+        `makespan_s`/`serial_s` attrs carry the run-level timings; its
+        summed extent is the workload's total turnaround.
         """
         config = self.config
         trace = Trace(
@@ -497,6 +497,7 @@ class _RunState:
             serial_s=round(result.serial_s, 9),
             coalesced_fetches=result.total.coalesced_fetches,
         )
+        placed: list = []  # (span, start_s, lane) as the schedule ran it
         for outcome in result.outcomes:
             span = trace.root.child(
                 f"query:{outcome.request.label}",
@@ -505,9 +506,9 @@ class _RunState:
                 status=outcome.status,
                 dispatch_index=outcome.dispatch_index,
             )
-            span.start_s = outcome.arrival_s
-            if outcome.dispatch_index >= 0:
-                span.lane = 1 + outcome.dispatch_index % config.workers
+            dispatched = outcome.dispatch_index >= 0
+            lane = 1 + outcome.dispatch_index % config.workers if dispatched else 0
+            placed.append((span, outcome.arrival_s, lane))
             if outcome.coalesced_fetches:
                 span.set(
                     coalesced_fetches=outcome.coalesced_fetches,
@@ -520,19 +521,19 @@ class _RunState:
                 continue
             queued = span.child("queued", category="sched.wait")
             queued.self_seconds = outcome.queue_wait_s
-            queued.start_s = outcome.arrival_s
-            queued.lane = span.lane
+            placed.append((queued, outcome.arrival_s, lane))
             service = span.child("service", category="sched.service")
             service.self_seconds = outcome.service_s
-            service.start_s = outcome.dispatch_s
-            service.lane = span.lane
+            placed.append((service, outcome.dispatch_s, lane))
             if outcome.deadline_missed:
                 span.event(
                     "sched.deadline_missed",
                     max(0.0, outcome.finish_s - outcome.arrival_s),
                     deadline_s=outcome.request.deadline_s,
                 )
-        trace.finalized = True  # explicit layout: do not re-run finalize()
+        trace.finalize()
+        for span, start, lane in placed:
+            span.start_s, span.lane = start, lane
         return trace
 
 

@@ -7,7 +7,8 @@ parse → plan → parallel per-source fetches → retries/backoff → assembly
 → final transfer — on *simulated* time, with structured attributes
 (pushed-down SQL, rows/bytes, cache hit/miss, breaker state) and
 point-in-time `Event`s (``retry``, ``breaker.open``, ``cache.stale_hit``,
-``degraded``).
+``degraded``). Spans hold facts only; `Trace.finalize()` lays a finished
+tree out in one pass, with the one list scheduler `makespan` is.
 
 On top of the raw trees:
 

@@ -30,19 +30,16 @@ def instrument_physical(root) -> None:
     Instance-attribute shadowing: the wrapped callable is stored on the
     operator instance, so parents invoking ``self.child.run()`` hit it
     without any change to the operator classes. Used only when tracing is
-    on, so the untraced hot path stays untouched.
+    on, so the untraced hot path stays untouched. A tree is lowered fresh
+    for each execution, so it is wrapped once.
     """
     for op in _walk_ops(root):
-        if getattr(op, "_trace_wrapped", False):
-            continue
-
         def wrapped(original=op.run, op=op):
             rows = original()
             op.actual_rows = len(rows)
             return rows
 
         op.run = wrapped
-        op._trace_wrapped = True
 
 
 def _spans_by_tag(trace) -> dict:

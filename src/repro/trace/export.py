@@ -9,6 +9,7 @@ output, which the determinism tests rely on.
 ``chrome://tracing`` and https://ui.perfetto.dev: complete (``"X"``)
 events for spans, instant (``"i"``) events for span events, with the
 layout's lane as the thread id so parallel fetches render side by side.
+Both read the layout `Trace.finalize()` wrote; neither recomputes it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def span_to_dict(span: Span) -> dict:
         "name": span.name,
         "category": span.category,
         "start_s": round(span.start_s, _ROUND),
-        "seconds": round(span.total_seconds(), _ROUND),
+        "seconds": round(span.seconds, _ROUND),
         "self_seconds": round(span.self_seconds, _ROUND),
         "attrs": {str(key): _clean(val) for key, val in span.attrs.items()},
         "events": [
@@ -88,7 +89,7 @@ def trace_to_chrome(trace: Trace) -> str:
                 "cat": span.category,
                 "ph": "X",
                 "ts": start_us,
-                "dur": round(span.total_seconds() * 1e6, 3),
+                "dur": round(span.seconds * 1e6, 3),
                 "pid": 1,
                 "tid": span.lane,
                 "args": {str(k): _clean(v) for k, v in span.attrs.items()},

@@ -7,30 +7,39 @@ local operators) → final transfer. Every duration is *simulated* seconds
 never wall time, so a trace is deterministic: the same query under the
 same seed and fault schedule serializes byte-for-byte identically.
 
-Spans carry their own work in `self_seconds`; a span's `total_seconds()`
-adds its children laid out either serially (the default) or list-scheduled
-over `parallel_slots` worker lanes — the same `makespan` the engine
-charges its prefetches by, so the root span's extent equals the query's
-`elapsed_seconds`. Point-in-time `Event`s (``cache.stale_hit``, ``retry``,
-``breaker.open``, ``degraded``) hang off spans at offsets on the same
-simulated timeline.
+A span records facts: its own work in `self_seconds`, its attributes and
+its `Event`s (``cache.stale_hit``, ``retry``, ``breaker.open``,
+``degraded``) at offsets from its start. `Trace.finalize()` lays the tree
+out in one pass, writing each span's `start_s`, `lane` and extent
+`seconds`: children run serially, or over `parallel_slots` lanes by
+`list_schedule` — which `makespan`, the engine's charge for its
+prefetches, is too, so the root's extent is the query's `elapsed_seconds`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
+
+
+def list_schedule(items: list, workers: int, place: Callable) -> float:
+    """List-schedule `items`, in order, over `workers` slots; returns the makespan.
+
+    Each item goes to the slot that frees first: ``place(item, offset, slot)``
+    is told where it starts and returns how long it runs.
+    """
+    if not items:
+        return 0.0
+    slots = [0.0] * max(1, min(workers, len(items)))
+    for item in items:
+        slot = min(range(len(slots)), key=slots.__getitem__)
+        slots[slot] += place(item, slots[slot], slot)
+    return max(slots)
 
 
 def makespan(durations: list, workers: int) -> float:
     """List-scheduled elapsed time of `durations` over `workers` slots."""
-    if not durations:
-        return 0.0
-    slots = [0.0] * max(1, min(workers, len(durations)))
-    for duration in durations:
-        slot = min(range(len(slots)), key=lambda i: slots[i])
-        slots[slot] += duration
-    return max(slots)
+    return list_schedule(durations, workers, lambda duration, offset, slot: duration)
 
 
 @dataclass
@@ -47,9 +56,8 @@ class Span:
 
     `self_seconds` is the span's own simulated work; children add theirs
     on top (serially, or in parallel lanes when `parallel_slots` is set).
-    `clock_base` is scratch state for event offsets: callers record their
-    collector's `simulated_seconds` here on entry, so later events can be
-    placed at ``collector.simulated_seconds - clock_base``.
+    `start_s`, `lane` and `seconds` (the extent: children first, own work
+    after) are the layout, written by `Trace.finalize()`.
     """
 
     __slots__ = (
@@ -62,7 +70,7 @@ class Span:
         "parallel_slots",
         "start_s",
         "lane",
-        "clock_base",
+        "seconds",
     )
 
     def __init__(
@@ -81,7 +89,7 @@ class Span:
         self.parallel_slots = parallel_slots
         self.start_s = 0.0
         self.lane = 0
-        self.clock_base = 0.0
+        self.seconds = 0.0
 
     # -- construction ------------------------------------------------------------
 
@@ -105,21 +113,7 @@ class Span:
         self.events.append(event)
         return event
 
-    def offset_from(self, collector) -> float:
-        """Event offset for "now" per a collector's simulated clock."""
-        return max(0.0, collector.simulated_seconds - self.clock_base)
-
     # -- timing ------------------------------------------------------------------
-
-    def children_seconds(self) -> float:
-        totals = [child.total_seconds() for child in self.children]
-        if self.parallel_slots:
-            return makespan(totals, self.parallel_slots)
-        return sum(totals)
-
-    def total_seconds(self) -> float:
-        """The span's extent: children first, own work after."""
-        return self.children_seconds() + self.self_seconds
 
     def work_seconds(self) -> float:
         """Sum of `self_seconds` over this subtree (parallelism-blind)."""
@@ -144,16 +138,31 @@ class Span:
     def __repr__(self):
         return (
             f"Span({self.name!r}, start={self.start_s:.6f}, "
-            f"total={self.total_seconds():.6f}, children={len(self.children)})"
+            f"total={self.seconds:.6f}, children={len(self.children)})"
         )
+
+
+def _place(span: Span, start: float, lane: int) -> float:
+    """Lay `span`'s subtree out from `start` on `lane`; returns its extent."""
+    span.start_s = start
+    span.lane = lane
+    seconds = span.self_seconds
+    if span.children:
+        seconds += list_schedule(
+            span.children,
+            span.parallel_slots or 1,
+            lambda child, offset, slot: _place(child, start + offset, lane + slot),
+        )
+    span.seconds = seconds
+    return seconds
 
 
 class Trace:
     """The span tree for one query, plus exporters.
 
     `finalize()` lays the tree out on the simulated timeline (assigning
-    `start_s` and a display `lane` to every span); exporters and the
-    scoreboard expect a finalized trace.
+    every span its `start_s`, display `lane` and extent `seconds`);
+    exporters and `elapsed_seconds()` read a finalized trace.
     """
 
     def __init__(self, name: str, **attrs):
@@ -163,24 +172,9 @@ class Trace:
     # -- layout ------------------------------------------------------------------
 
     def finalize(self) -> "Trace":
-        self._layout(self.root, 0.0, 0)
+        _place(self.root, 0.0, 0)
         self.finalized = True
         return self
-
-    def _layout(self, span: Span, start: float, lane: int) -> None:
-        span.start_s = start
-        span.lane = lane
-        if span.parallel_slots and span.children:
-            slots = [start] * max(1, min(span.parallel_slots, len(span.children)))
-            for child in span.children:
-                slot = min(range(len(slots)), key=lambda i: slots[i])
-                self._layout(child, slots[slot], lane + slot)
-                slots[slot] += child.total_seconds()
-        else:
-            cursor = start
-            for child in span.children:
-                self._layout(child, cursor, lane)
-                cursor += child.total_seconds()
 
     # -- accessors ---------------------------------------------------------------
 
@@ -194,7 +188,7 @@ class Trace:
         return self.root.find_all(prefix)
 
     def elapsed_seconds(self) -> float:
-        return self.root.total_seconds()
+        return self.root.seconds
 
     def work_seconds(self) -> float:
         return self.root.work_seconds()
@@ -235,7 +229,7 @@ class Trace:
         def walk(span: Span, depth: int) -> None:
             lines.append(
                 "  " * depth
-                + f"{span.name} [{span.start_s:.6f}s +{span.total_seconds():.6f}s]"
+                + f"{span.name} [{span.start_s:.6f}s +{span.seconds:.6f}s]"
             )
             for event in span.events:
                 lines.append(

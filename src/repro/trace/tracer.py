@@ -6,18 +6,20 @@ off (and, by construction, zero behavioral difference: the traced and
 untraced engines execute the same calls in the same order).
 
 A real `Tracer` hands out `Trace` objects, keeps the recent ones, counts
-the finished ones and records session-scoped events (cache invalidations
-happen *between* queries). What each source did is not a trace fact: the
-engine's own record, ``engine.scoreboard``, holds it, traced or not.
+the finished ones and keeps recent session-scoped events (cache
+invalidations happen *between* queries). What each source did is not a
+trace fact: the engine's own record, ``engine.scoreboard``, holds it,
+traced or not.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from repro.trace.span import Trace
 
-#: Bound on retained traces; an interactive session must not grow forever.
+#: Bound on retained traces and session events: a session must not grow forever.
 DEFAULT_KEEP = 256
 
 
@@ -43,16 +45,14 @@ class Tracer:
 
     def __init__(self, keep: int = DEFAULT_KEEP):
         self.keep = max(1, keep)
-        self.traces: list[Trace] = []
+        self.traces: deque[Trace] = deque(maxlen=self.keep)
         #: traces finished so far, however many `keep` retains
         self.finished = 0
-        self.session_events: list[tuple[str, dict]] = []
+        self.session_events: deque[tuple[str, dict]] = deque(maxlen=self.keep)
 
     def begin(self, name: str, **attrs) -> Trace:
         trace = Trace(name, **attrs)
         self.traces.append(trace)
-        if len(self.traces) > self.keep:
-            del self.traces[: len(self.traces) - self.keep]
         return trace
 
     def finish(self, trace: Optional[Trace]) -> None:

@@ -62,14 +62,16 @@ class TestSpanMechanics:
         assert percentile(values, 0.95) == 4.0
 
     def test_totals_serial_vs_parallel(self):
-        root = Span("root", parallel_slots=2)
+        trace = Trace("root")
+        root = trace.root
+        root.parallel_slots = 2
         for seconds in (3.0, 1.0, 1.0):
             child = root.child("c")
             child.self_seconds = seconds
         assert root.work_seconds() == pytest.approx(5.0)
-        assert root.total_seconds() == pytest.approx(3.0)
+        assert trace.finalize().elapsed_seconds() == pytest.approx(3.0)
         root.parallel_slots = None
-        assert root.total_seconds() == pytest.approx(5.0)
+        assert trace.finalize().elapsed_seconds() == pytest.approx(5.0)
 
     def test_layout_assigns_lanes_and_starts(self):
         trace = Trace("query")
@@ -187,11 +189,40 @@ class TestEndToEndTrace:
                 CacheConfig(fetch_enabled=True, result_enabled=False), clock=clock
             ), tracer=tracer))
         engine.query(JOIN_Q)
-        engine.cache.invalidate_table("orders")
+        engine.invalidate_table("orders")
         assert any(
             name == "cache.invalidate" and attrs["table"] == "orders"
             for name, attrs in tracer.session_events
         )
+
+    def test_engines_sharing_a_cache_each_record_their_own_invalidations(self):
+        from repro.cache import CacheConfig, CacheHierarchy
+        from repro.eai import MessageBroker
+        from repro.eai.table_events import publish_table_changed
+
+        clock = SimClock()
+        cache = CacheHierarchy(
+            CacheConfig(fetch_enabled=True, result_enabled=False), clock=clock
+        )
+        tracer = Tracer()
+        traced = FederatedEngine(
+            build_catalog(), EngineConfig(clock=clock, cache=cache, tracer=tracer)
+        )
+        # built last, untraced: it must not silence the first engine's tracer
+        FederatedEngine(build_catalog(), EngineConfig(clock=clock, cache=cache))
+        traced.query(JOIN_Q)
+        broker = MessageBroker()
+        traced.attach_invalidation(broker)
+        publish_table_changed(broker, "orders", 2)
+        assert list(tracer.session_events) == [
+            ("cache.invalidate", {"table": "orders", "fetch": 1, "result": 0})
+        ]
+
+    def test_session_events_are_capped_like_traces(self):
+        tracer = Tracer(keep=2)
+        for table in ("a", "b", "c"):
+            tracer.session_event("cache.invalidate", table=table)
+        assert [attrs["table"] for _, attrs in tracer.session_events] == ["b", "c"]
 
     def test_breaker_and_stale_events(self):
         from repro.cache import CacheConfig, CacheHierarchy
