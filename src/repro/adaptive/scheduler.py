@@ -6,9 +6,9 @@ predicts each fetch's duration — calibrated rows × the seconds per byte
 the engine's per-source record (``engine.scoreboard``) holds for the
 source's answers so far, capability constants before the first — and
 submits the longest-predicted fetches first (the classical LPT
-heuristic, within 4/3 of the optimal makespan). Reordering happens
-*before* span creation, so traces remain deterministic: submission order is
-a pure function of the plan and the store, never of thread completion.
+heuristic, within 4/3 of the optimal makespan). Submission order is a
+pure function of the plan and the store, never of thread completion, so the
+trace built from it is deterministic.
 """
 
 from __future__ import annotations

@@ -4,17 +4,18 @@ Plan = value, execution = context, facts recorded once. `FederatedEngine.query()
 is a straight line of stages, each yielding a `FederatedResult` or passing:
 canonicalize (+ strict-mode pre-flight) → result cache → view answering →
 plan (plan cache, strict verification) → admission → execute. Every answer,
-whichever stage produced it, leaves through the one `_publish` epilogue
-(result-cache admission, the query's end reported to span and telemetry,
-advisor feed); a query that raises reports its end the same way, as an error.
+whichever stage produced it, leaves through one epilogue (result-cache
+admission, the query's end reported to telemetry and traced, advisor feed);
+a query that raises reports its end the same way, as an error.
 A plan is never written to once planned — the plan cache hands one
 `FederatedPlan` to every caller — so one engine may answer many threads at
 once: what a run needs lives in its `repro.federation.execution.Execution`,
 which runs the plan's component queries on the calling thread (their
 parallelism is simulated: `makespan` over ``parallel_workers`` slots), serves
 the assembly-site operators lowered against it, and is the only writer of the
-four observers (`MetricsCollector`, trace spans, the engine's per-source
-record ``scoreboard``, telemetry plane).
+observers (`MetricsCollector`, the engine's per-source record ``scoreboard``,
+telemetry plane). No span is written on the way: a traced query's tree is
+built from the execution's record when it ends (`_trace`).
 `attach_invalidation` subscribes `invalidate_table`, the engine's one
 invalidation entry point, to an EAI broker's table-change events so writes
 evict dependent entries and dirty dependent views.
@@ -53,6 +54,7 @@ from repro.trace import (
     instrument_physical,
     makespan,
 )
+from repro.trace.build import query_trace
 
 #: Simulated seconds per local cost unit at the assembly site.
 HUB_TIME_PER_COST_UNIT_S = 2e-6
@@ -272,12 +274,12 @@ class FederatedEngine:
         if analyze and not tracer.enabled:
             tracer = Tracer(keep=1)
         statement, canonical, stamp = self._canonicalize(query)
-        trace = tracer.begin("query", sql=canonical)
         # The result level keeps its historical contract: only *textual*
         # queries are served whole from cache (now under the canonical key,
         # so reformatted spellings of one query share an entry).
         result_key = stamp + canonical if isinstance(query, str) else None
         view_fallbacks: list = []
+        planned = run = None  # what the query's trace is built from, however it ends
         try:
             if self.config.validate:
                 # strict pre-flight: an infeasible query never reaches a cache
@@ -290,18 +292,42 @@ class FederatedEngine:
             if result is None and use_views and self._answering is not None:
                 result, view_fallbacks = self._view_result(statement)
             if result is None:
-                plan, plan_was_cached = self._plan(statement, canonical, stamp, trace)
+                planned = ()  # planning raised: the trace shows the parse alone
+                plan, plan_was_cached = planned = self._plan_for(statement, canonical, stamp)
+                if self.config.validate:
+                    self._raise_unless_ok(self._get_analyzer().verify(plan))
                 self._admit(plan)
-                result = self.execute_plan(plan, trace=trace)
+                run = Execution(self, plan, MetricsCollector(network=self.network))
+                result = self._execute_plan(run, tracer.enabled)
                 if plan_was_cached:
                     result.metrics.plan_cache_hits += 1
         except Exception as exc:
-            self._finish(tracer, trace, "error", error=type(exc).__name__)
+            attrs = {"sql": canonical, "error": type(exc).__name__}
+            self._finish(tracer, "error", attrs, planned, run)
             raise
-        return self._publish(
-            result, trace, tracer, result_key, view_fallbacks,
-            advisor_key=canonical if use_views else None,
-        )
+        self._admit_result(result, result_key)
+        if view_fallbacks:
+            Recorder(result.metrics, self.telemetry).view_fallbacks(view_fallbacks)
+        if tracer.enabled or self.telemetry.enabled:
+            attrs = {"sql": canonical, "rows": len(result.relation)}
+            if result.from_cache:
+                status, attrs["result_cache"] = "cached", "hit"
+            else:
+                status = "partial" if result.is_partial else "ok"
+                attrs["elapsed_s"] = result.elapsed_seconds
+                view = result.view
+                attrs.update(
+                    {"partial": result.is_partial} if view is None
+                    else {"view": view.view, "view_fresh": view.fresh}
+                )
+            result.trace = self._finish(tracer, status, attrs, planned, run)
+        if self.view_selector is not None and use_views:
+            if result.view is not None:
+                self.view_selector.observe_hit(result.view.view)
+            elif not result.from_cache:
+                self.view_selector.observe(canonical, result)
+                self.view_selector.maintain()
+        return result
 
     # -- query stages (each yields a FederatedResult or None) ----------------------
 
@@ -337,7 +363,7 @@ class FederatedEngine:
             return None, fallbacks
         view = answer.provenance
         metrics = MetricsCollector(network=self.network)
-        Recorder(metrics, None, self.telemetry).view_served(
+        Recorder(metrics, self.telemetry).view_served(
             view.view, view.fresh, view.staleness_s
         )
         scan_seconds = answer.rows_scanned * HUB_TIME_PER_COST_UNIT_S
@@ -358,21 +384,6 @@ class FederatedEngine:
         )
         return result, []
 
-    def _plan(self, statement, canonical, stamp, trace) -> tuple:
-        """``(plan, was_cached)`` through the plan cache, verified if strict."""
-        if trace is not None:
-            trace.root.child("parse", category="parse", sql=canonical)
-        plan, plan_was_cached = self._plan_for(statement, canonical, stamp)
-        if trace is not None:
-            trace.root.child(
-                "plan", category="plan", cached=plan_was_cached,
-                assembly_site=plan.assembly_site,
-                fetches=len(plan.fetches), bind_joins=len(plan.bind_joins),
-            )
-        if self.config.validate:
-            self._raise_unless_ok(self._get_analyzer().verify(plan))
-        return plan, plan_was_cached
-
     def _admit(self, plan: FederatedPlan) -> None:
         budget = self.config.admission_budget_s
         if budget is None:
@@ -385,11 +396,7 @@ class FederatedEngine:
                 predicted_seconds=predicted,
             )
 
-    def _publish(
-        self, result, trace, tracer, result_key, view_fallbacks, advisor_key
-    ) -> FederatedResult:
-        """The one epilogue of `query()`, whichever stage answered: admit to the
-        result cache, report the query's end, then feed the advisor."""
+    def _admit_result(self, result, result_key) -> None:
         view = result.view
         # Never re-admit a hit, serve a partial answer later as if it were
         # whole, or a stale view serve as if it were live. Tags (the plan's
@@ -410,36 +417,19 @@ class FederatedEngine:
                 size_bytes=result.payload_bytes,
                 cost_seconds=result.elapsed_seconds,
             )
-        if view_fallbacks:
-            record = Recorder(result.metrics, None, self.telemetry)
-            record.view_fallbacks(view_fallbacks)
-        if trace is not None or self.telemetry.enabled:
-            rows = len(result.relation)
-            if result.from_cache:
-                self._finish(tracer, trace, "cached", rows, result_cache="hit")
-            else:
-                self._finish(
-                    tracer, trace, "partial" if result.is_partial else "ok",
-                    rows, result.elapsed_seconds,
-                    **{"partial": result.is_partial} if view is None
-                    else {"view": view.view, "view_fresh": view.fresh},
-                )
-            result.trace = trace
-        if self.view_selector is not None and advisor_key is not None:
-            if view is not None:
-                self.view_selector.observe_hit(view.view)
-            elif not result.from_cache:
-                self.view_selector.observe(advisor_key, result)
-                self.view_selector.maintain()
-        return result
 
-    def _finish(self, tracer, trace, status, rows=None, seconds=None, **attrs) -> None:
-        """A query ended, answered or failed: its one report to span and telemetry."""
-        root = trace.root if trace is not None else None
-        Recorder(None, root, self.telemetry).query_finished(
-            status, self.clock, rows, seconds, **attrs
+    def _finish(self, tracer, status, attrs, planned=None, run=None):
+        """A query ended, answered or failed: its one report to telemetry, then its trace."""
+        Recorder(None, self.telemetry).query_finished(
+            status, self.clock, attrs.get("rows"), attrs.get("elapsed_s")
         )
-        tracer.finish(trace)
+        return self._trace(tracer, "query", attrs, planned, run)
+
+    @staticmethod
+    def _trace(tracer, name, attrs, planned=None, run=None):
+        """A finished query's tree, built and laid out if traced: `query()` and a
+        direct `execute_plan()` both end here."""
+        return tracer.finish(query_trace(name, attrs, planned, run)) if tracer.enabled else None
 
     def prepare(self, query: Union[str, Select, UnionSelect]) -> FederatedPlan:
         """Plan a query — through the plan cache — without executing it.
@@ -561,83 +551,76 @@ class FederatedEngine:
         if not report.ok:
             raise AnalysisError(report, metrics=MetricsCollector(network=self.network))
 
-    def execute_plan(self, plan: FederatedPlan, trace=None) -> FederatedResult:
-        # direct execute_plan() callers still get traced
-        owns_trace = trace is None and self.tracer.enabled
-        if owns_trace:
-            trace = self.tracer.begin("execute_plan")
-        metrics = MetricsCollector(network=self.network)
+    def execute_plan(self, plan: FederatedPlan) -> FederatedResult:
+        """Run a plan as it is: no cache, view or admission stage."""
+        tracer, run = self.tracer, Execution(self, plan, MetricsCollector(network=self.network))
         try:
-            result = self._execute_plan(plan, metrics, trace)
+            result = self._execute_plan(run, tracer.enabled)
+        except Exception as exc:
+            self._trace(tracer, "execute_plan", {"error": type(exc).__name__}, run=run)
+            raise
+        attrs = {"rows": len(result.relation), "elapsed_s": result.elapsed_seconds}
+        result.trace = self._trace(tracer, "execute_plan", attrs, run=run)
+        return result
+
+    def _execute_plan(self, run: Execution, traced: bool) -> FederatedResult:
+        try:
+            plan, metrics = run.plan, run.metrics
+            fetch_timings = run.prefetch(plan.fetches)
+            # simulated slots, list-scheduled in submission order by the function
+            # the trace layout uses: a trace's elapsed time equals the engine's
+            fetch_elapsed = makespan([s for _, s in fetch_timings], self.parallel_workers)
+
+            # Mid-query re-optimization: the prefetched relations carry actual
+            # cardinalities; when they contradict the estimates badly enough,
+            # rebuild the assembly tree above the (identity-preserved,
+            # already-materialized) fetches before lowering it.
+            replan_report = None
+            if self.adaptive is not None and self.adaptive.policy.replan:
+                from repro.adaptive import maybe_replan
+
+                replan_report = maybe_replan(
+                    plan, run, self.planner, self.adaptive.policy.replan_threshold
+                )
+                if replan_report is not None:
+                    run.replanned(replan_report)
+
+            after_fetch_work = metrics.simulated_seconds
+            physical = self._local.lower(run.root, run)
+            if traced:
+                instrument_physical(physical)
+            relation = physical.relation()
+            # Bind joins and any late fetches executed serially during assembly.
+            serial_tail = metrics.simulated_seconds - after_fetch_work
+
+            assembly_seconds = self._assembly_cost(run.root)
+            metrics.charge_seconds(assembly_seconds)
+            final_transfer = metrics.record_transfer(
+                plan.assembly_site, "client", rows=len(relation),
+                payload_bytes=relation.size_bytes(), description="final result to client",
+            )
+            run.assembled = (assembly_seconds, final_transfer)
+            # The answer's list is the caller's: not the result memo's (maybe a
+            # fetch-cache entry's too), which a pass-through root - q1's - hands up.
+            rows = relation.rows
+            if any(rows is fetched.rows for fetched in run.local.values()):
+                relation.rows = vouched(Batch(rows), getattr(rows, "kinds", None))
+            elapsed = fetch_elapsed + serial_tail + assembly_seconds + final_transfer
+            result = FederatedResult(
+                relation, plan, metrics, fetch_timings, elapsed,
+                completeness=run.report, replan=replan_report,
+            )
+            if self.resilience is not None:
+                result.breaker_states = self.resilience.breaker_states()
+            if traced:
+                result.physical = physical
+            return result
         except EIIError as exc:
             # Attach the partial accounting so callers (benchmarks, tests)
             # can observe how many bytes a failed query shipped before dying.
             if getattr(exc, "metrics", None) is None:
-                exc.metrics = metrics
-            if owns_trace:
-                trace.root.set(error=type(exc).__name__)
-                self.tracer.finish(trace)
+                exc.metrics = run.metrics
             raise
-        if owns_trace:
-            trace.root.set(rows=len(result.relation), elapsed_s=result.elapsed_seconds)
-            self.tracer.finish(trace)
-        return result
-
-    def _execute_plan(
-        self, plan: FederatedPlan, metrics: MetricsCollector, trace=None
-    ) -> FederatedResult:
-        run = Execution(self, plan, metrics, trace)
-        fetch_timings = run.prefetch(plan.fetches)
-        # simulated slots, list-scheduled in submission order by the function
-        # the trace layout uses: a trace's elapsed time equals the engine's
-        fetch_elapsed = makespan([s for _, s in fetch_timings], self.parallel_workers)
-
-        # Mid-query re-optimization: the prefetched relations carry actual
-        # cardinalities; when they contradict the estimates badly enough,
-        # rebuild the assembly tree above the (identity-preserved,
-        # already-materialized) fetches before lowering it.
-        replan_report = None
-        if self.adaptive is not None and self.adaptive.policy.replan:
-            from repro.adaptive import maybe_replan
-
-            replan_report = maybe_replan(
-                plan, run, self.planner, self.adaptive.policy.replan_threshold
-            )
-            if replan_report is not None:
-                run.replanned(replan_report)
-
-        after_fetch_work = metrics.simulated_seconds
-        run.begin_assembly()
-        physical = self._local.lower(run.root, run)
-        if trace is not None:
-            instrument_physical(physical)
-        relation = physical.relation()
-        # Bind joins and any late fetches executed serially during assembly.
-        serial_tail = metrics.simulated_seconds - after_fetch_work
-
-        assembly_seconds = self._assembly_cost(run.root)
-        metrics.charge_seconds(assembly_seconds)
-        final_transfer = metrics.record_transfer(
-            plan.assembly_site, "client", rows=len(relation),
-            payload_bytes=relation.size_bytes(), description="final result to client",
-        )
-        run.end_assembly(assembly_seconds, final_transfer)
-        # The answer's list is the caller's: not the result memo's (maybe a
-        # fetch-cache entry's too), which a pass-through root - q1's - hands up.
-        rows = relation.rows
-        if any(rows is fetched.rows for fetched in run.local.values()):
-            relation.rows = vouched(Batch(rows), getattr(rows, "kinds", None))
-        elapsed = fetch_elapsed + serial_tail + assembly_seconds + final_transfer
-        result = FederatedResult(
-            relation, plan, metrics, fetch_timings, elapsed,
-            completeness=run.report, replan=replan_report,
-        )
-        if self.resilience is not None:
-            result.breaker_states = self.resilience.breaker_states()
-        if trace is not None:
-            result.trace = trace
-            result.physical = physical
-        return result
 
     # -- internals ----------------------------------------------------------------
 

@@ -3,20 +3,21 @@
 A `FederatedPlan` is a value — the plan cache hands the same object to every
 caller, on every thread — so nothing after planning assigns to a plan node.
 What one run of one plan needs lives in an `Execution`: collector, assembly
-site, per-node result memo, completeness report, the spans and node tags of
-a traced run, the branches that may degrade under `partial_results`. It is
+site, per-node result memo, completeness report, the branches that may
+degrade under `partial_results`, and the record of what it did. It is
 handed to `FetchOp` / `BindJoinOp` when the assembly plan is lowered, and
 every statement sent to a source — a whole fetch or one bind-join chunk —
 takes its one path, `Execution._fetch_statement`.
 
 Each runtime fact is recorded once, by the `Recorder` method named after it,
-which updates every observer that keeps the fact — `MetricsCollector`, span,
-the engine's per-source record (``engine.scoreboard``), telemetry plane
+which updates every observer that keeps the fact — `MetricsCollector`, the
+engine's per-source record (``engine.scoreboard``), telemetry plane
 (DESIGN.md tabulates fact × observer; the plane reads source facts from the
 record). A recorder is bound to one scope: the collector being written (each
-prefetched fetch has its own), the span charged for it (None when untraced),
-the record and the plane (the no-op plane when off), so tracer-off and
-telemetry-off runs do no span or plane work.
+prefetched fetch has its own), the record and the plane (the no-op plane
+when off). Scoped to one statement it is that statement's record, kept by
+the `Execution`; a query's span tree is built from the records when it ends
+(`repro.trace.build`), so the query path writes no span.
 """
 
 from __future__ import annotations
@@ -32,31 +33,40 @@ from repro.engine.logical import LogicalJoin, LogicalPlan, LogicalUnion
 from repro.federation.nodes import LogicalBindJoin, LogicalFetch
 from repro.federation.resilience import CompletenessReport, rename_statement_tables
 from repro.netsim.metrics import MetricsCollector
-from repro.sql.printer import to_sql
 from repro.sql.shape import with_in_filter
 from repro.telemetry.plane import NULL_TELEMETRY
+from repro.trace.span import Event
 
 
 class Recorder:
-    """Writes each runtime fact once, to every observer that reads it."""
+    """Writes each runtime fact once, to every observer that reads it; scoped to
+    one statement (its plan `node`, and a bind join's `chunk` and `keys`), it
+    keeps what it wrote as that statement's record, which the trace reads."""
 
-    __slots__ = ("collector", "span", "telemetry", "scoreboard", "base")
+    __slots__ = (
+        "collector", "telemetry", "scoreboard", "base", "events", "node", "chunk",
+        "keys", "seconds", "rows", "payload_bytes", "wire_bytes", "cache",
+        "failover_to", "was_degraded",
+    )
 
-    def __init__(self, collector, span=None, telemetry=NULL_TELEMETRY, scoreboard=None):
+    def __init__(
+        self, collector, telemetry=NULL_TELEMETRY, scoreboard=None,
+        node=None, chunk=None, keys=None,
+    ):
         self.collector = collector
-        self.span = span
         self.telemetry = telemetry
         self.scoreboard = scoreboard  # None where no source fact is written
-        self.base = 0.0  # the collector's seconds when `span` began: events sit past it
+        self.base = 0.0  # the collector's seconds when the statement began
+        self.events: list = []
+        self.node, self.chunk, self.keys = node, chunk, keys
+        self.failover_to, self.was_degraded = None, False
 
-    def scoped(self, collector, span=None) -> "Recorder":
-        """The recorder of a narrower scope (one statement, one worker)."""
-        return Recorder(collector, span, self.telemetry, self.scoreboard)
+    def scoped(self, collector, node, chunk=None, keys=None) -> "Recorder":
+        """The recorder, and record, of one statement of `node`."""
+        return Recorder(collector, self.telemetry, self.scoreboard, node, chunk, keys)
 
     def _event(self, name: str, **attrs) -> None:
-        span = self.span
-        if span is not None:
-            span.event(name, self.collector.simulated_seconds - self.base, **attrs)
+        self.events.append(Event(name, self.collector.simulated_seconds - self.base, attrs))
 
     # -- one component statement ---------------------------------------------------
 
@@ -76,20 +86,15 @@ class Recorder:
     def statement_finished(self, source: str, base: tuple, cache, answer) -> None:
         """One component statement ended: what it added to the collector since
         `base` (its seconds, rows, payload and wire bytes then) and its
-        fetch-cache outcome (None with no fetch cache) go to its span and, with
-        its remote answer ``(source, seconds, size)``, to the source record. The
-        collector read the answer's transfer itself (`Execution._attempt`)."""
+        fetch-cache outcome (None with no fetch cache) are its record and, with
+        its remote answer ``(source, seconds, size)``, go to the source record.
+        The collector read the answer's transfer itself (`Execution._attempt`)."""
         collector = self.collector
-        seconds = collector.simulated_seconds - base[0]
-        rows = collector.rows_shipped - base[1]
-        payload_bytes = collector.payload_bytes - base[2]
-        wire_bytes = collector.wire_bytes - base[3]
-        span = self.span
-        if span is not None:
-            span.self_seconds = seconds
-            span.set(rows=rows, payload_bytes=payload_bytes, wire_bytes=wire_bytes)
-            if cache is not None:
-                span.attrs["cache"] = cache
+        self.seconds = seconds = collector.simulated_seconds - base[0]
+        self.rows = rows = collector.rows_shipped - base[1]
+        self.payload_bytes = payload_bytes = collector.payload_bytes - base[2]
+        self.wire_bytes = wire_bytes = collector.wire_bytes - base[3]
+        self.cache = cache
         self.scoreboard.statement(
             source, seconds, rows, payload_bytes, wire_bytes, cache, answer
         )
@@ -100,15 +105,13 @@ class Recorder:
 
     def degraded(self, kind: str, error: Exception) -> None:
         self.collector.degraded_fetches += 1
-        if self.span is not None:
-            self.span.set(degraded=True)
-            self._event("degraded", kind=kind, error=str(error))
+        self.was_degraded = True
+        self._event("degraded", kind=kind, error=str(error))
 
     def failover(self, source: str) -> None:
         self.collector.failovers += 1
-        if self.span is not None:
-            self.span.set(failover_to=source)
-            self._event("failover", source=source)
+        self.failover_to = source
+        self._event("failover", source=source)
 
     # -- the guarded call (`ResilienceManager.run_guarded`) ------------------------
 
@@ -158,16 +161,7 @@ class Recorder:
             for view in views:
                 self.telemetry.on_view(view, "fallback")
 
-    def query_finished(self, status, clock, rows=None, seconds=None, **attrs) -> None:
-        span = self.span
-        if span is not None:
-            if rows is not None:
-                attrs["rows"] = rows
-            if seconds is not None:
-                attrs["elapsed_s"] = seconds
-            span.set(**attrs)
-            if status == "cached":
-                span.event("cache.result_hit")
+    def query_finished(self, status, clock, rows=None, seconds=None) -> None:
         if self.telemetry.enabled:
             self.telemetry.on_query(status, seconds=seconds or 0.0, rows=rows or 0)
             self.telemetry.tick(clock())
@@ -213,8 +207,9 @@ class Execution:
     *cross-query* fetch store keyed by `(source, canonical SQL)`.
     """
 
-    def __init__(self, engine, plan, metrics: MetricsCollector, trace=None):
+    def __init__(self, engine, plan, metrics: MetricsCollector):
         self.engine = engine
+        self.plan = plan
         self.metrics = metrics
         self.site = plan.assembly_site
         self.local: dict[int, Relation] = {}
@@ -225,55 +220,20 @@ class Execution:
             if engine.config.partial_results or engine.resilience is not None
             else None
         )
-        #: deterministic node tags tie spans (and EXPLAIN ANALYZE rows) to plan
-        #: nodes; an id()-based key would leak allocation order into the export
-        self.tags: dict[int, str] = {}
-        #: bind-join chunk spans attach to the assembly span
-        self.execute_span = self.prefetch_span = self.assembly_span = None
-        if trace is not None:
-            self.execute_span = trace.root.child("execute", category="execute")
-            for kind, nodes in (("fetch", plan.fetches), ("bind", plan.bind_joins)):
-                self.tags.update((id(n), f"{kind}[{i}]") for i, n in enumerate(nodes))
-            self.prefetch_span = self.execute_span.child(
-                "prefetch", category="prefetch", parallel_slots=engine.parallel_workers
-            )
-        self.record = Recorder(
-            metrics, self.execute_span, engine.telemetry, engine.scoreboard
-        )
-
-    # -- stages --------------------------------------------------------------------
+        self.record = Recorder(metrics, engine.telemetry, engine.scoreboard)
+        # What the trace build reads, traced or not: each statement's record in
+        # the order they ran, the fetches `prefetch` submitted, how many
+        # statements it ran (None until it returned) and, once the answer
+        # shipped, ``(assembly seconds, final-transfer seconds)``.
+        self.statements: list[Recorder] = []
+        self.planned: list = []
+        self.prefetched: Optional[int] = None
+        self.assembled: Optional[tuple] = None
 
     def replanned(self, report) -> None:
         """Mid-query re-optimization rebuilt the assembly tree above the fetches."""
         self.root = report.root
         self.record.replanned(report)
-
-    def begin_assembly(self) -> None:
-        if self.execute_span is not None:
-            self.assembly_span = self.execute_span.child(
-                "assembly", category="assembly", site=self.site
-            )
-
-    def end_assembly(self, assembly_seconds: float, transfer_seconds: float) -> None:
-        if self.execute_span is None:
-            return
-        self.assembly_span.self_seconds = assembly_seconds
-        shipped = self.metrics.transfers[-1]  # the final result to the client
-        self.execute_span.child(
-            "final_transfer", category="transfer", rows=shipped.rows,
-            payload_bytes=shipped.payload_bytes, wire_bytes=shipped.wire_bytes,
-        ).self_seconds = transfer_seconds
-
-    def _statement_span(self, parent, category: str, node, sql: str, **attrs):
-        """A child span of `parent` for one component statement, printed `sql`."""
-        span = parent.child(
-            f"{category}:{node.source.name}", category=category,
-            source=node.source.name, **attrs, sql=sql,
-        )
-        tag = self.tags.get(id(node))
-        if tag is not None:
-            span.set(node=tag)
-        return span
 
     # -- the guarded remote call -------------------------------------------------
 
@@ -379,25 +339,24 @@ class Execution:
     # -- fetch / bind-fetch ------------------------------------------------------
 
     def _fetch_statement(
-        self, node, stmt, record: Recorder, description, kind, est_rows, keys=None
+        self, node, stmt, record: Recorder, description, kind, est_rows
     ) -> list:
         """Answer one component statement, from the fetch cache or remotely.
 
         The only path a statement takes to a source: `fetch` sends a node's
-        whole statement, `bind_fetch` one IN-list chunk of ``keys`` keys.
+        whole statement, `bind_fetch` one IN-list chunk of ``record.keys`` keys.
         Returns the raw rows — none when a non-essential branch degraded.
         ``est_rows``, the share of the node's estimate this statement stands
-        for, weighs the completeness report whichever way it ends; `record`'s
-        span and the primary's record are charged whatever the statement adds
-        to `record`'s collector.
+        for, weighs the completeness report whichever way it ends; `record`
+        and the primary's record are charged whatever the statement adds to
+        `record`'s collector, and `record` joins the execution's statements.
         """
         collector = record.collector
         base = (
             collector.simulated_seconds, collector.rows_shipped,
             collector.payload_bytes, collector.wire_bytes,
         )
-        if record.span is not None:
-            record.base = base[0]
+        record.base = base[0]
         primary = node.source.name
         cache = answer = None
         try:
@@ -447,19 +406,20 @@ class Execution:
                 self.report.note_answered(answered_by, est_rows)
             if engine.adaptive is not None:
                 # A cache hit is still a true cardinality observation.
-                engine.adaptive.observe(node, len(rows), size, keys)
+                engine.adaptive.observe(node, len(rows), size, record.keys)
             return rows
         finally:
             record.statement_finished(primary, base, cache, answer)
+            self.statements.append(record)
 
-    def fetch(self, node: LogicalFetch, record: Optional[Recorder] = None) -> Relation:
+    def fetch(self, node: LogicalFetch, collector=None) -> Relation:
         cached = self.local.get(id(node))
         if cached is not None:
             return cached
         rows = self._fetch_statement(
             node, node.stmt,
             # a fetch nobody prefetched runs serially, on the execution's collector
-            record if record is not None else self.record.scoped(self.metrics),
+            self.record.scoped(self.metrics if collector is None else collector, node),
             f"fetch from {node.source.name}", "fetch", node.est_rows,
         )
         # Relabel positionally: the residual plan resolves against the
@@ -470,24 +430,18 @@ class Execution:
         return result
 
     def bind_fetch(self, node: LogicalBindJoin, keys: list) -> Relation:
-        parent = self.assembly_span
-        # every chunk's span shows the template, printed once per bind join
-        sql = None if parent is None else to_sql(node.template)
         chunks = []
         for chunk_index, start in enumerate(range(0, len(keys), node.max_inlist)):
             chunk = keys[start : start + node.max_inlist]
             stmt = with_in_filter(node.template, node.right_key, chunk)
-            span = None if parent is None else self._statement_span(
-                parent, "bind_fetch", node, sql, chunk=chunk_index, keys=len(chunk),
-            )
             chunks.append(
                 self._fetch_statement(
-                    node, stmt, self.record.scoped(self.metrics, span),
+                    node, stmt,
+                    self.record.scoped(self.metrics, node, chunk_index, len(chunk)),
                     f"bind fetch from {node.source.name} ({len(chunk)} keys)",
                     "bind_chunk",
                     # the node's estimate, split by this chunk's key share
                     node.est_rows * (len(chunk) / len(keys)),
-                    keys=len(chunk),
                 )
             )
         # one chunk's rows are shared like a fetch's, vouch and all; several vouch nothing
@@ -504,36 +458,27 @@ class Execution:
         would buy simulated time. The first failure stops the loop; every
         started fetch's collector is merged, then that error is raised.
         """
-        if not fetches:
-            return []
         engine = self.engine
         adaptive = engine.adaptive
         if adaptive is not None and adaptive.policy.lpt and len(fetches) > 1:
             # Longest-predicted-first submission: list scheduling charges each
             # slot in submission order, so fronting the predicted stragglers
-            # lowers the makespan on skewed fetch sets. Reordering before span
-            # creation keeps the trace a pure function of plan + store.
+            # lowers the makespan on skewed fetch sets.
             reordered = adaptive.lpt_order(
                 fetches, engine.network, self.site, engine.scoreboard
             )
             if reordered != fetches:
                 self.record.lpt_reordered()
             fetches = reordered
-
-        # Every planned fetch gets its span up front, failed query or not.
-        parent = self.prefetch_span
-        spans = [
-            None if parent is None
-            else self._statement_span(parent, "fetch", node, to_sql(node.stmt))
-            for node in fetches
-        ]
+        self.planned = fetches
         collectors: list = []
         try:
-            for node, span in zip(fetches, spans):
+            for node in fetches:
                 local = MetricsCollector(network=engine.network)
                 collectors.append(local)
-                self.fetch(node, self.record.scoped(local, span))
+                self.fetch(node, local)
         finally:
             for local in collectors:
                 self.metrics.merge(local)
+        self.prefetched = len(self.statements)
         return [(node, c.simulated_seconds) for node, c in zip(fetches, collectors)]

@@ -86,8 +86,6 @@ class FetchOp(PhysicalOp):
         self.node = node
         self.execution = execution
         self.schema = node.schema
-        #: the node's tag in this execution's trace (None when untraced)
-        self.trace_tag = execution.tags.get(id(node))
 
     def run(self):
         return self.execution.fetch(self.node).rows
@@ -198,7 +196,6 @@ class BindJoinOp(PhysicalOp):
         self.left = left
         self.execution = execution
         self.schema = node.schema
-        self.trace_tag = execution.tags.get(id(node))
         self._left_keys = join_keys(
             [left.schema.index_of(node.left_key.name, node.left_key.qualifier)]
         )

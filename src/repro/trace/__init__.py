@@ -2,13 +2,13 @@
 
 The mediator is the one place every byte and every decision passes
 through; this package is where it observes them. A `Tracer` attached to a
-`FederatedEngine` records a deterministic tree of `Span`s per query —
-parse → plan → parallel per-source fetches → retries/backoff → assembly
-→ final transfer — on *simulated* time, with structured attributes
-(pushed-down SQL, rows/bytes, cache hit/miss, breaker state) and
-point-in-time `Event`s (``retry``, ``breaker.open``, ``cache.stale_hit``,
-``degraded``). Spans hold facts only; `Trace.finalize()` lays a finished
-tree out in one pass, with the one list scheduler `makespan` is.
+`FederatedEngine` gets a deterministic tree of `Span`s per query — parse →
+plan → parallel per-source fetches → retries/backoff → assembly → final
+transfer — on *simulated* time, with structured attributes (pushed-down
+SQL, rows/bytes, cache hit/miss, breaker state) and point-in-time `Event`s
+(``retry``, ``breaker.open``, ``cache.stale_hit``, ``degraded``), built
+once from the query's record when it ends (`build.query_trace`) and laid
+out in one pass by `Trace.finalize()`, with the list scheduler `makespan` is.
 
 On top of the raw trees:
 
@@ -21,8 +21,8 @@ On top of the raw trees:
   Chrome/Perfetto trace-event format so a real trace viewer can open a
   federated query.
 
-The default is `NullTracer`: tracing off costs nothing and changes
-nothing.
+The default is `NullTracer`: with tracing off no tree is built, and the
+query path is the same either way.
 """
 
 from repro.telemetry.stats import percentile

@@ -3,10 +3,11 @@
 Rendering is driven by the *physical* operator tree the assembly site
 actually ran, with per-operator actual row counts (captured by
 `instrument_physical`) and, for remote operators, the simulated seconds,
-bytes, cache and resilience annotations recorded on their spans. The
-per-node seconds plus the assembly and final-transfer lines sum (±ε) to
-the query's `MetricsCollector.simulated_seconds` — the whole account, cut
-by plan node instead of poured into one counter.
+bytes, cache and resilience annotations on their spans
+(`Trace.node_spans`, kept by the trace build). The per-node seconds
+plus the assembly and final-transfer lines sum (±ε) to the query's
+`MetricsCollector.simulated_seconds` — the whole account, cut by plan node
+instead of poured into one counter.
 
 Everything here duck-types the federation layer (`op.node`, `span.attrs`)
 instead of importing it, because `repro.federation.engine` imports this
@@ -42,17 +43,6 @@ def instrument_physical(root) -> None:
         op.run = wrapped
 
 
-def _spans_by_tag(trace) -> dict:
-    tagged: dict = {}
-    if trace is None:
-        return tagged
-    for span in trace.spans():
-        tag = span.attrs.get("node")
-        if tag is not None:
-            tagged.setdefault(tag, []).append(span)
-    return tagged
-
-
 def _fetch_annotations(spans) -> str:
     seconds = sum(span.self_seconds for span in spans)
     rows = sum(int(span.attrs.get("rows", 0) or 0) for span in spans)
@@ -82,10 +72,6 @@ def _fetch_annotations(spans) -> str:
     )
 
 
-def _node_seconds(spans) -> float:
-    return sum(span.self_seconds for span in spans)
-
-
 def explain_analyze(result) -> str:
     """Render the EXPLAIN ANALYZE text for an executed `FederatedResult`."""
     if result.from_cache:
@@ -100,7 +86,6 @@ def explain_analyze(result) -> str:
         )
     trace = result.trace
     total_work = result.metrics.simulated_seconds
-    tagged = _spans_by_tag(trace)
 
     def pct(seconds: float) -> str:
         if total_work <= 0:
@@ -119,11 +104,11 @@ def explain_analyze(result) -> str:
         label = op.explain_label()
         annotations = []
         rows = getattr(op, "actual_rows", None)
-        tag = getattr(op, "trace_tag", None)
-        spans = tagged.get(tag, []) if tag is not None else []
+        spans = trace.node_spans.get(id(getattr(op, "node", None)))
         if spans:
             annotations.append(_fetch_annotations(spans))
-            annotations.append(f"({pct(_node_seconds(spans))} of work)")
+            seconds = sum(span.self_seconds for span in spans)
+            annotations.append(f"({pct(seconds)} of work)")
         elif rows is not None:
             annotations.append(f"rows={rows} seconds=0.000000000")
         tail = ("  [" + " ".join(annotations) + "]") if annotations else ""
@@ -155,7 +140,7 @@ def analyzed_node_seconds(result) -> Optional[float]:
         return None
     trace = result.trace
     total = sum(
-        span.self_seconds for spans in _spans_by_tag(trace).values() for span in spans
+        span.self_seconds for spans in trace.node_spans.values() for span in spans
     )
     for name in ("assembly", "final_transfer"):
         span = trace.find(name)

@@ -58,8 +58,6 @@ def span_to_dict(span: Span) -> dict:
 
 
 def trace_to_dict(trace: Trace) -> dict:
-    if not trace.finalized:
-        trace.finalize()
     return {
         "name": trace.root.name,
         "elapsed_seconds": round(trace.elapsed_seconds(), _ROUND),
@@ -78,8 +76,6 @@ def trace_to_json(trace: Trace, indent: Optional[int] = None) -> str:
 
 def trace_to_chrome(trace: Trace) -> str:
     """Serialize to the Chrome/Perfetto trace-event JSON format."""
-    if not trace.finalized:
-        trace.finalize()
     events: list[dict] = []
     for span in trace.spans():
         start_us = round(span.start_s * 1e6, 3)

@@ -168,6 +168,8 @@ class Trace:
     def __init__(self, name: str, **attrs):
         self.root = Span(name, category="query", **attrs)
         self.finalized = False
+        #: plan node ``id()`` -> its statement spans, in tree order (a query's)
+        self.node_spans: dict[int, list] = {}
 
     # -- layout ------------------------------------------------------------------
 

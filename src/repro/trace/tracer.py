@@ -1,15 +1,14 @@
-"""Tracers: the on/off switch for span collection.
+"""Tracers: the on/off switch for span trees.
 
-The engine's default is `NullTracer` — `begin()` returns None, every call
-site guards on that, so tracing adds zero work and zero allocations when
-off (and, by construction, zero behavioral difference: the traced and
-untraced engines execute the same calls in the same order).
+The engine's default is `NullTracer`: no tree is built, and the query path
+is the same either way (it writes no span; a finished query's tree is built
+from its execution's record, `repro.trace.build`, only for a real tracer).
 
-A real `Tracer` hands out `Trace` objects, keeps the recent ones, counts
-the finished ones and keeps recent session-scoped events (cache
-invalidations happen *between* queries). What each source did is not a
-trace fact: the engine's own record, ``engine.scoreboard``, holds it,
-traced or not.
+A real `Tracer` lays each finished tree out (`finish`), then lists and
+counts it — so `last` and `traces` never hand out a trace still being
+written — and keeps recent session-scoped events (cache invalidations
+happen *between* queries). What each source did is not a trace fact: the
+engine's own record, ``engine.scoreboard``, holds it, traced or not.
 """
 
 from __future__ import annotations
@@ -28,12 +27,6 @@ class NullTracer:
 
     enabled = False
 
-    def begin(self, name: str, **attrs) -> None:
-        return None
-
-    def finish(self, trace) -> None:
-        return None
-
     def session_event(self, name: str, **attrs) -> None:
         return None
 
@@ -50,17 +43,12 @@ class Tracer:
         self.finished = 0
         self.session_events: deque[tuple[str, dict]] = deque(maxlen=self.keep)
 
-    def begin(self, name: str, **attrs) -> Trace:
-        trace = Trace(name, **attrs)
-        self.traces.append(trace)
-        return trace
-
-    def finish(self, trace: Optional[Trace]) -> None:
-        """Finalize a trace's layout and count it."""
-        if trace is None:
-            return
+    def finish(self, trace: Trace) -> Trace:
+        """Lay a finished query's tree out, then list and count it."""
         trace.finalize()
+        self.traces.append(trace)
         self.finished += 1
+        return trace
 
     def session_event(self, name: str, **attrs) -> None:
         """Record a cross-query event (e.g. a cache invalidation)."""

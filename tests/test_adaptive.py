@@ -33,7 +33,7 @@ from repro.sources import RelationalSource
 from repro.sql.ast import ColumnRef, SelectItem
 from repro.sql.parser import parse_select
 from repro.storage import Database
-from repro.trace import Tracer
+from repro.trace import Tracer, analyzed_node_seconds
 
 from tests.conftest import build_demo_db
 from tests.federation_fixtures import build_catalog
@@ -405,7 +405,7 @@ class TestMidQueryReplan:
     def test_replan_converts_oversized_bind_join(self):
         catalog = build_skewed_catalog(big_factor=0.01)
         planner = FederatedPlanner(catalog, max_bind_keys=50)
-        engine = FederatedEngine(catalog, EngineConfig(planner=planner, adaptive=AdaptiveContext(AdaptivePolicy(lpt=False)), parallel_workers=1))
+        engine = FederatedEngine(catalog, EngineConfig(planner=planner, adaptive=AdaptiveContext(AdaptivePolicy(lpt=False)), parallel_workers=1, tracer=Tracer()))
         # The mediator believes orders_big has ~5 rows, so it drives a bind
         # join off it; the actual 500 driver rows exceed max_bind_keys and
         # must be demoted to a plain fetch + hash join mid-query.
@@ -417,6 +417,14 @@ class TestMidQueryReplan:
         assert result.replan is not None
         assert result.replan.converted_bind_joins == 1
         assert "bind join(s) -> hash join" in result.replan.describe()
+        # The converted fetch runs during assembly; its span is in the trace,
+        # so the trace accounts for every simulated second and byte it cost.
+        trace, metrics = result.trace, result.metrics
+        assert trace.elapsed_seconds() == pytest.approx(result.elapsed_seconds, rel=1e-12)
+        assert analyzed_node_seconds(result) == pytest.approx(
+            metrics.simulated_seconds, rel=1e-12
+        )
+        assert trace.sum_attr("payload_bytes") == metrics.payload_bytes
         oracle = FederatedEngine(build_skewed_catalog(big_factor=1.0)).query(sql)
         assert result.relation.sorted().rows == oracle.relation.sorted().rows
 

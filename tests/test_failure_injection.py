@@ -38,7 +38,6 @@ from repro.sources import RelationalSource, WebServiceSource
 from repro.storage import Database
 from repro.telemetry import TelemetryPlane
 from repro.trace import QueryScoreboard
-from repro.trace.span import Span
 
 from tests.federation_fixtures import build_catalog
 
@@ -256,10 +255,10 @@ class TestRunGuarded:
                 raise SourceError("flap")
             return "ok"
 
-        metrics, span, plane = MetricsCollector(), Span("fetch:s"), TelemetryPlane()
+        metrics, plane = MetricsCollector(), TelemetryPlane()
         board = QueryScoreboard()
         plane.attach_scoreboard(board, managed=True)  # the plane reads the record
-        record = Recorder(metrics, span, plane, board)
+        record = Recorder(metrics, plane, board)
         assert manager.run_guarded("s", attempt, record) == "ok"
         assert len(attempts) == 3
         # backoff advanced the simulated clock between attempts
@@ -268,11 +267,11 @@ class TestRunGuarded:
         assert (metrics.source_failures, metrics.retries) == (2, 2)
         assert (board.sources["s"].failures, board.sources["s"].retries) == (2, 2)
         assert metrics.backoff_seconds == metrics.simulated_seconds > 0
-        assert [event.name for event in span.events] == [
+        assert [event.name for event in record.events] == [
             "source_failure", "retry", "source_failure", "retry",
         ]
-        assert span.events[1].attrs["attempt"] == 1
-        assert span.events[3].offset_s == pytest.approx(metrics.backoff_seconds)
+        assert record.events[1].attrs["attempt"] == 1
+        assert record.events[3].offset_s == pytest.approx(metrics.backoff_seconds)
         counters = plane.registry.snapshot()
         assert counters['eii_source_failures_total{source="s"}'] == 2
         assert counters['eii_retries_total{source="s"}'] == 2
@@ -316,15 +315,15 @@ class TestRunGuarded:
         def attempt():
             raise SourceError("down")
 
-        metrics, span, board = MetricsCollector(), Span("fetch:s"), QueryScoreboard()
-        record = Recorder(metrics, span, scoreboard=board)
+        metrics, board = MetricsCollector(), QueryScoreboard()
+        record = Recorder(metrics, scoreboard=board)
         for _ in range(2):
             with pytest.raises(SourceError):
                 manager.run_guarded("s", attempt, record)
         with pytest.raises(CircuitOpenError, match="'s'"):
             manager.run_guarded("s", attempt, record)
         assert metrics.breaker_short_circuits == 1
-        assert span.events[-1].name == "breaker.open"
+        assert record.events[-1].name == "breaker.open"
         assert (board.sources["s"].failures, board.sources["s"].short_circuits) == (2, 1)
 
     def test_backoff_is_deterministic_per_seed(self):

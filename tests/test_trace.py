@@ -224,6 +224,26 @@ class TestEndToEndTrace:
             tracer.session_event("cache.invalidate", table=table)
         assert [attrs["table"] for _, attrs in tracer.session_events] == ["b", "c"]
 
+    def test_a_query_sees_only_finished_traces(self):
+        """A trace is listed when its query finishes: a source reading
+        `engine.tracer.last` mid-query sees the previous query's trace,
+        finalized, never the one still being written."""
+        engine, _ = traced_engine(tracer=Tracer())
+        first = engine.query(JOIN_Q).trace
+        source = engine.catalog.source_of("customers")
+        execute, seen = source.execute_select, []
+
+        def reading(stmt, collector):
+            seen.append(engine.tracer.last)
+            return execute(stmt, collector)
+
+        source.execute_select = reading
+        second = engine.query(JOIN_Q).trace
+        assert seen and all(trace is first for trace in seen)
+        assert first.finalized
+        assert list(engine.tracer.traces) == [first, second]
+        assert engine.tracer.finished == 2
+
     def test_breaker_and_stale_events(self):
         from repro.cache import CacheConfig, CacheHierarchy
         from repro.common.errors import EIIError
@@ -357,9 +377,7 @@ class TestNullTracerParity:
         assert untraced.elapsed_seconds == pytest.approx(traced.elapsed_seconds)
 
     def test_null_tracer_is_inert(self):
-        assert NULL_TRACER.begin("anything", attr=1) is None
         assert NULL_TRACER.enabled is False
-        NULL_TRACER.finish(None)
         NULL_TRACER.session_event("noop")
 
 
