@@ -2,12 +2,13 @@
 
 Pass-based analysis producing typed diagnostics with stable codes:
 
-- EII1xx  SQL semantic analysis (`semantic.analyze_statement`)
+- EII1xx  SQL semantic analysis (`semantic.analyze_statement`: a query's
+          are the binder's, `repro.engine.planner`; DML is checked here)
 - EII2xx  capability / binding-pattern feasibility (`capability.analyze_capabilities`)
 - EII3xx  GAV/LAV mapping lint (`mappings.lint_gav` / `mappings.lint_lav`)
 - EII4xx  plan invariant verification (`invariants.verify_plan`)
 
-`QueryAnalyzer` is the facade engines use under `validate=True`;
+`QueryAnalyzer` is the facade the federated engine uses under `validate=True`;
 `lint_workspace` powers `python -m repro.analysis` and the shell's `\\lint`.
 """
 

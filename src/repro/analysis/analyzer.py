@@ -1,10 +1,12 @@
 """QueryAnalyzer: the one-stop facade over all analysis passes.
 
-`analyze()` runs syntax (EII100), semantics (EII1xx) and — when a
-federation catalog is available — capability feasibility (EII2xx) over a
-query. `verify()` runs the EII4xx invariant checks over a planned
-`FederatedPlan`. Engines call both around planning when constructed with
-`validate=True`; the CLI and the shell's `\\lint` call `analyze` directly.
+`analyze()` runs syntax (EII100), semantics (EII1xx: for a query, the
+diagnostics of the binder's one pass, so the engine raises exactly the
+first of its errors) and — when a federation catalog is available —
+capability feasibility (EII2xx) over a query. `verify()` runs the EII4xx
+invariant checks over a planned `FederatedPlan`. The federated engine calls
+both around planning when constructed with `validate=True`; the CLI and the
+shell's `\\lint` call `analyze` directly.
 """
 
 from __future__ import annotations

@@ -4,9 +4,15 @@ Every error raised by the package derives from `EIIError` so callers can
 catch integration failures without also swallowing programming errors.
 """
 
+from typing import Optional
+
 
 class EIIError(Exception):
     """Base class for all errors raised by the repro package."""
+
+    #: the diagnostic code (`repro.common.diagnostics.CODES`) of the defect the
+    #: binder raised this for, such as "EII104"; None where nothing was bound
+    code: Optional[str] = None
 
 
 class ParseError(EIIError):

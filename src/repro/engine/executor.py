@@ -8,7 +8,7 @@ rather than re-implementing their work at the mediator.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.common.errors import PlanError
 from repro.common.relation import Relation
@@ -46,7 +46,7 @@ from repro.engine.physical import (
     eval_columns,
     pick_columns,
 )
-from repro.engine.planner import DatabaseResolver, bind_select
+from repro.engine.planner import DatabaseResolver, bind, bind_select
 from repro.engine.rewrite import optimize_logical
 from repro.sql.ast import (
     BinaryOp,
@@ -71,9 +71,9 @@ class LocalEngine:
     def __init__(self, db, optimize: bool = True, validate: bool = False):
         self.db = db
         self.optimize = optimize
-        #: opt-in strict mode: run static semantic analysis before binding
-        #: and raise `AnalysisError` (with every defect listed) instead of
-        #: failing on the binder's first complaint
+        #: opt-in strict mode: refuse a statement with `AnalysisError`, listing
+        #: every defect its bind (for DML, the analyzer) found, instead of
+        #: raising the binder's first error
         self.validate = validate
         self.resolver = DatabaseResolver(db)
         self.cost_model = CostModel(_StatsAdapter(db))
@@ -97,7 +97,9 @@ class LocalEngine:
         if isinstance(statement, str):
             statement = parse(statement)
         if self.validate:
-            self._validate_statement(statement)
+            from repro.analysis.semantic import analyze_statement
+
+            _refuse(analyze_statement(statement, self.resolver))
         if isinstance(statement, Insert):
             return self._insert(statement)
         if isinstance(statement, Update):
@@ -115,21 +117,13 @@ class LocalEngine:
             query = statement
         if isinstance(query, (Select, UnionSelect)):
             if self.validate:
-                self._validate_statement(query, text)
-            query = bind_select(query, self.resolver)
+                query, diagnostics = bind(query, self.resolver, text)
+                _refuse(diagnostics)
+            else:
+                query = bind_select(query, self.resolver)
         if self.optimize:
             query = optimize_logical(query, self.cost_model)
         return query
-
-    def _validate_statement(self, statement, text: Optional[str] = None) -> None:
-        """Strict mode: collect every semantic defect, then raise typed."""
-        # lazy import: repro.analysis pulls in federation plan nodes
-        from repro.analysis import AnalysisError, AnalysisReport, analyze_statement
-
-        report = AnalysisReport()
-        report.extend(analyze_statement(statement, self.resolver, text))
-        if not report.ok:
-            raise AnalysisError(report)
 
     def physical_plan(self, query: Union[str, Select, LogicalPlan]) -> PhysicalOp:
         return self.lower(self.logical_plan(query))
@@ -339,6 +333,15 @@ class _StatsAdapter:
 
     def table_stats(self, table_name: str):
         return self.db.stats_for(table_name)
+
+
+def _refuse(diagnostics) -> None:
+    """Strict mode: raise `AnalysisError` listing every finding, if one is an error."""
+    from repro.analysis import AnalysisError, AnalysisReport  # it imports federation nodes
+
+    report = AnalysisReport(list(diagnostics))
+    if not report.ok:
+        raise AnalysisError(report)
 
 
 def _value_reader(expr, schema):

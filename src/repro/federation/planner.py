@@ -629,13 +629,18 @@ def plan_to_select(plan: LogicalPlan, catalog: FederationCatalog) -> Select:
     """Convert a pushable subtree back into a SELECT over local table names.
 
     Only the SQL-shaped stacks our own optimizer emits are supported:
-    Limit? Sort? Distinct? Project? (Filter(Aggregate))? Aggregate? Filter*
-    over a join tree of scans (narrowing bare-column projects are skipped).
+    Project? Limit? Sort? Distinct? Project? (Filter(Aggregate))? Aggregate?
+    Filter* over a join tree of scans (narrowing bare-column projects are
+    skipped). A Project over Limit or Sort is the binder's trim of hidden
+    sort columns: they become ORDER BY expressions.
     """
     node = plan
     limit = None
     order_items: tuple = ()
     distinct = False
+    shown = None
+    if isinstance(node, LogicalProject) and isinstance(node.child, (LogicalLimit, LogicalSort)):
+        shown, node = len(node.items), node.child
 
     if isinstance(node, LogicalLimit):
         limit = node.limit
@@ -705,6 +710,13 @@ def plan_to_select(plan: LogicalPlan, catalog: FederationCatalog) -> Select:
             SelectItem(ColumnRef(column.name, column.qualifier))
             for column in plan.schema
         )
+    if shown is not None:
+        hidden = {("", item.output_name.lower()): item.expr for item in items[shown:]}
+        order_items = tuple(
+            OrderItem(substitute_columns(item.expr, hidden), item.ascending)
+            for item in order_items
+        )
+        items = items[:shown]
 
     return Select(
         items=tuple(items),

@@ -15,22 +15,39 @@ The semantic gaps, each normalised once here:
   engine's is;
 - a column holding a float on either side is compared at `REL_TOL`: SQL
   leaves the order of a summation unspecified, and sqlite's is its own.
-  Everything else is compared exactly, rows as multisets.
+  Everything else is compared exactly, rows as multisets;
+- where the engine refuses a statement as mistyped (EII104) and sqlite
+  answers it by type affinity, the refusal is the agreement
+  (`AFFINITY_GAPS`, read by `mismatch`): SUM or AVG over text (sqlite sums
+  text as 0), a string ordered against a number (sqlite orders every number
+  before every string) and a condition that is not a bool (sqlite takes a
+  number's truth, and a string as the number it starts with).
 """
 
 from __future__ import annotations
 
 import datetime
 import math
+import re
 import sqlite3
 from collections import defaultdict
 
+from repro.common.errors import TypeMismatchError
 from repro.common.types import DataType
 from repro.sql.parser import parse, parse_select
 from repro.sql.printer import PrintOptions, to_sql
 
 #: relative tolerance of a float column
 REL_TOL = 1e-9
+
+#: The EII104 refusals sqlite answers by type affinity, by the refusal's text.
+AFFINITY_GAPS = {
+    "SUM or AVG over text": re.compile(r"^(SUM|AVG) over non-numeric argument .* \(string\)"),
+    "a string ordered against a number": re.compile(
+        r"^cannot compare (string to (int|float)|(int|float) to string) in .*(<|>|BETWEEN)"
+    ),
+    "a condition that is not a bool": re.compile(r"has type \w+, expected bool"),
+}
 
 _SQLITE_TYPES = {
     DataType.INT: "INTEGER",
@@ -76,6 +93,25 @@ class SqliteReference:
 
     def query(self, sql: str) -> list:
         return self.db.execute(to_sql(parse(sql), _PRINT)).fetchall()
+
+
+def affinity_gap(exc: Exception):
+    """The `AFFINITY_GAPS` name of an engine refusal, or None."""
+    if getattr(exc, "code", None) != "EII104":
+        return None
+    return next((name for name, text in AFFINITY_GAPS.items() if text.search(str(exc))), None)
+
+
+def mismatch(engine, reference: SqliteReference, sql: str):
+    """None when a federated `engine` answers `sql` with sqlite's rows, or
+    refuses it where sqlite answers by type affinity; else how they differ."""
+    try:
+        rows = engine.query(sql).relation.rows
+    except TypeMismatchError as exc:
+        if affinity_gap(exc) is None:
+            raise
+        return None
+    return row_mismatch(rows, reference.query(sql))
 
 
 def row_mismatch(rows: list, reference: list):

@@ -195,7 +195,7 @@ def test_order_limit_determinism(sql, limit):
         engine = FederatedEngine(catalog)
         federated = engine.query(ordered).relation
         local = BASELINE.query(ordered)
-    except Exception as exc:  # ORDER BY column not projected, etc.
+    except Exception as exc:
         from repro.common.errors import EIIError
 
         assert isinstance(exc, EIIError), exc

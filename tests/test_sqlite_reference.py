@@ -8,9 +8,16 @@ import pytest
 
 from repro.bench import BenchConfig, build_enterprise
 from repro.bench.workload import QUERIES
+from repro.common.errors import TypeMismatchError
 from repro.federation import FederatedEngine
 
-from tests.sqlite_reference import REL_TOL, SqliteReference, row_mismatch
+from tests.sqlite_reference import (
+    REL_TOL,
+    SqliteReference,
+    affinity_gap,
+    mismatch,
+    row_mismatch,
+)
 
 #: a WHERE conjunct on the null-supplying side of a LEFT join: it drops the
 #: padded rows, so SQL answers 76 rows at scale 1 (215 when it moved into ON)
@@ -85,3 +92,49 @@ def test_the_comparison_is_exact_but_for_floats():
     assert row_mismatch([(1, "a"), (1, "a")], [(1, "a"), (2, "a")]) is not None
     assert row_mismatch([(True, None)], [(1, None)]) is None
     assert row_mismatch([(True,)], [(0,)]) is not None
+
+
+#: statements in each of `AFFINITY_GAPS`: the engine refuses them as
+#: mistyped (EII104), sqlite answers them by type affinity
+GAP_STATEMENTS = {
+    "SUM or AVG over text": [
+        "SELECT SUM(name) FROM customers",
+        "SELECT segment, AVG(city) AS a FROM customers GROUP BY segment",
+    ],
+    "a string ordered against a number": [
+        "SELECT id FROM customers WHERE name > 3",
+        "SELECT id FROM customers WHERE id BETWEEN 'a' AND 'z'",
+    ],
+    "a condition that is not a bool": [
+        "SELECT id FROM customers WHERE id",
+        "SELECT id FROM customers WHERE NOT name",
+    ],
+}
+
+
+@pytest.mark.parametrize("gap", sorted(GAP_STATEMENTS))
+def test_an_affinity_gap_is_a_refusal_not_a_row_mismatch(stack, gap):
+    _, engine, reference = stack
+    for sql in GAP_STATEMENTS[gap]:
+        with pytest.raises(TypeMismatchError) as caught:
+            engine.query(sql)
+        assert caught.value.code == "EII104" and affinity_gap(caught.value) == gap, sql
+        reference.query(sql)  # sqlite answers it, by affinity
+        assert mismatch(engine, reference, sql) is None, sql
+
+
+def test_what_sqlite_answers_in_each_gap(stack):
+    scale, _, reference = stack
+    customers = reference.query("SELECT COUNT(*) FROM customers")[0][0]
+    assert reference.query("SELECT SUM(name) FROM customers") == [(0.0,)]
+    assert len(reference.query("SELECT id FROM customers WHERE name > 3")) == customers
+    assert len(reference.query("SELECT id FROM customers WHERE NOT name")) == customers
+
+
+def test_a_refusal_outside_the_gaps_is_still_a_mismatch(stack):
+    _, engine, reference = stack
+    with pytest.raises(TypeMismatchError):
+        mismatch(engine, reference, "SELECT UPPER(id) FROM customers")
+    # `=` across types is only warned about: both answer no row
+    assert mismatch(engine, reference, "SELECT id FROM customers WHERE name = 3") is None
+    assert engine.query("SELECT id FROM customers WHERE name = 3").relation.rows == []
