@@ -1,10 +1,10 @@
 """The mediator's three-level cache hierarchy.
 
-Level 1 — **plan cache**: statement shape (`repro.sql.shape`) → a small
-family of `FederatedPlan`s. A repeated shape skips reformulation,
-optimization and decomposition entirely. Of the data a plan depends only on
-what the cost model read of its lookup constants, which every other binding
-of the shape is held to before it is served; writes do not evict plans.
+Level 1 — **plan cache**: statement shape (`repro.sql.shape`) → the
+`Family` of its `FederatedPlan`s, as a source keeps its prepared statements.
+A repeated shape skips reformulation, optimization and decomposition. Of the
+data a plan depends only on what the cost model read of its lookup constants,
+which a re-bound member is held to (`Family.find`); writes evict no plan.
 
 Level 2 — **fetch cache**: `(source, canonical pushed-down SQL)` → fetched
 relation. Shared by all executions of all queries, so concurrent and

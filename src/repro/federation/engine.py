@@ -43,7 +43,7 @@ from repro.federation.resilience import CompletenessReport, ResilienceManager
 from repro.netsim.metrics import MetricsCollector
 from repro.netsim.network import NetworkModel
 from repro.sql.ast import Select, UnionSelect
-from repro.sql.shape import FAMILY, lift
+from repro.sql.shape import Family, lift
 from repro.storage.catalog import Database
 from repro.telemetry.plane import resolve_telemetry
 from repro.trace import (
@@ -444,11 +444,9 @@ class FederatedEngine:
     def _plan_for(self, statement, canonical, stamp) -> "tuple[FederatedPlan, bool]":
         """Cached-plan lookup + (re)planning; returns (plan, was_cached).
 
-        Per statement *shape* (`repro.sql.shape`) the cache holds a family of
-        plans, one per distinct `CostModel.slot_reads`: the same constants get
-        the member itself, others with its reads get it re-bound (if it holds
-        every slot to swap), the rest is planned and joins. A family is
-        replaced whole: other threads read it.
+        Plans are kept in a `repro.sql.shape.Family` per statement shape, so
+        what is fresh lies in the key: the catalog's generation and, under
+        feedback, the calibrations'.
         """
         key, values = canonical, ()
         if isinstance(statement, Select):
@@ -458,19 +456,13 @@ class FederatedEngine:
             # per generation: the cache must not serve what feedback disowned.
             key = f"{self.adaptive.generation}: {canonical}"
         key = stamp + key  # the catalog's generation, when a definition is named
-        family = self.cache.get_plan(key) or ()
-        for plan in family:
-            if plan.slots == values:
-                return plan, True
-        if family:
-            reads = self.planner.cost_model.slot_reads(statement)
-            for plan in family:
-                bound = plan.bound_to(values) if plan.reads == reads else None
-                if bound is not None:
-                    return bound, True
-        plan = self.planner.plan(statement)
-        self.cache.put_plan(key, (plan, *family[: FAMILY - 1]))
-        return plan, False
+        family = self.cache.get_plan(key) or Family()
+        found = family.find(values, lambda: self.planner.cost_model.slot_reads(statement))
+        plan = self.planner.plan(statement) if found is None else found
+        kept = family.add(plan)
+        if kept is not family:  # planned or re-bound
+            self.cache.put_plan(key, kept)
+        return plan, found is not None
 
     def attach_invalidation(self, broker) -> None:
         """Hear the broker's table-change events, with `invalidate_table`."""

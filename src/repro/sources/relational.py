@@ -13,7 +13,7 @@ from repro.engine.physical import PhysicalOp
 from repro.sources.base import DataSource, SourceCapabilities
 from repro.sql.ast import Literal, Select
 from repro.sql.printer import to_sql
-from repro.sql.shape import FAMILY, lift, plant
+from repro.sql.shape import Family, lift, plant
 from repro.storage.catalog import Database
 from repro.storage.stats import TableStats
 from repro.wrappers.dialects import Dialect, QUIRK_AWARE
@@ -21,7 +21,7 @@ from repro.wrappers.dialects import Dialect, QUIRK_AWARE
 #: Statements `RelationalSource.query_log` keeps; older ones are dropped.
 QUERY_LOG_LENGTH = 256
 
-#: Statement shapes a source keeps prepared (LRU), `FAMILY` bindings of each:
+#: Statement shapes a source keeps prepared (LRU), a `Family` each:
 #: never-repeating traffic must neither grow the process nor evict the rest.
 PREPARED_STATEMENTS = 32
 
@@ -29,22 +29,20 @@ PREPARED_STATEMENTS = 32
 class _Prepared(NamedTuple):
     """One binding of a shape, ready to run again - and the model for others."""
 
-    dialect: Dialect  # the shape was checked and `text` printed under this one
-    text: str  # for `query_log`
+    text: str  # for `query_log`, in the dialect; "" until printed for a re-bound one
     reads: tuple  # `CostModel.slot_reads` of the lifted constants, which `cost` rests on
     slots: tuple  # the literals `physical` holds for them
     cost: float  # the cost model's estimate
     physical: PhysicalOp
-    tables: tuple  # every `Table` the plan reads ...
-    state: tuple  # ... and `_state` of them when it was prepared
 
-
-def _tables_read(op: PhysicalOp) -> list:
-    table = getattr(op, "table", None)
-    found = [] if table is None else [table]
-    for child in op.children:
-        found.extend(_tables_read(child))
-    return found
+    def bound_to(self, values: tuple) -> "Optional[_Prepared]":
+        """This binding's operators for `values` (new literals, as `plant` makes
+        them), its cost kept. None if they hold a *copy* of a planted literal,
+        which no swap reaches."""
+        slots = tuple([Literal(value.value) if value.__class__ is Literal else value for value in values])
+        found: set = set()
+        physical = self.physical.bound_to(dict(zip(map(id, self.slots), slots)), found)
+        return self._replace(text="", slots=slots, physical=physical) if len(found) == len(slots) else None
 
 
 class RelationalSource(DataSource):
@@ -75,8 +73,8 @@ class RelationalSource(DataSource):
         #: Useful in tests and EXPLAIN output. Bounded, so `len()` stops at
         #: `QUERY_LOG_LENGTH`: it is not a count of round-trips.
         self.query_log: deque[str] = deque(maxlen=QUERY_LOG_LENGTH)
-        #: statement shape (`repro.sql.shape`) -> its `_Prepared` bindings, a
-        #: tuple replaced whole: other threads read it while one writes
+        #: statement shape (`repro.sql.shape`) -> the `Family` of its
+        #: `_Prepared` bindings, stamped with `_state` of the tables they read
         self._prepared = BoundedStore("prepared", max_entries=PREPARED_STATEMENTS)
 
     def table_names(self) -> list[str]:
@@ -90,64 +88,45 @@ class RelationalSource(DataSource):
 
     def execute_select(self, stmt: Select, metrics=None) -> Relation:
         self._check_access()
-        dialect = self.capabilities.dialect
         shape, _, values = lift(stmt)
-        family = self._prepared.get(shape) or ()
-        if family and family[0].dialect is not dialect:
-            family = ()
-        if not family:  # the contract reads no constant: a shape was checked once
-            self._check_fits(stmt)
-        prepared = next((known for known in family if known.slots == values), None)
-        text = to_sql(stmt, dialect.print_options) if prepared is None else prepared.text
+        state = self._state(stmt)
+        family = self._prepared.get(shape)
+        if family is None or family.stamp != state:
+            self._check_fits(stmt)  # the contract reads no constant: a shape was checked once
+            family = Family(stamp=state)
+        engine = self.engine
+        prepared = family.find(values, lambda: engine.cost_model.slot_reads(stmt))
+        text = (prepared and prepared.text) or to_sql(stmt, self.capabilities.dialect.print_options)
         self.query_log.append(text)
-        if prepared is None or self._state(prepared.tables) != prepared.state:
-            engine = self.engine
-            reads = engine.cost_model.slot_reads(stmt)
-            bound = self._rebound(family, reads, values)
-            if bound is None:
-                planted, slots = plant(stmt)
-                logical = engine.logical_plan(planted)
-                cost = engine.cost_model.estimate(logical).cost
-                physical = engine.lower(logical)
-                tables = tuple(_tables_read(physical))
-                bound = slots, cost, physical, tables, self._state(tables)
-            prepared = _Prepared(dialect, text, reads, *bound)
-            others = [known for known in family if known.slots != values]
-            self._prepared.put(shape, (prepared, *others[: FAMILY - 1]))
+        if prepared is None:
+            planted, slots = plant(stmt)
+            logical = engine.logical_plan(planted)
+            cost = engine.cost_model.estimate(logical).cost
+            prepared = _Prepared(text, engine.cost_model.slot_reads(stmt), slots, cost, engine.lower(logical))
+        elif not prepared.text:
+            prepared = prepared._replace(text=text)
+        kept = family.add(prepared)
+        if kept is not family:  # planned or re-bound
+            self._prepared.put(shape, kept)
         result = prepared.physical.relation()
         self._account(metrics, prepared.cost * self.capabilities.time_per_cost_unit_s)
         return result
 
-    def _rebound(self, family: tuple, reads: tuple, values: tuple) -> Optional[tuple]:
-        """What follows `reads` in a `_Prepared`, from a member of `family` with
-        these reads that is still current: its operators bound to `values` (to
-        new literals, as `plant` makes them), its cost. None if there is none -
-        or its operators hold a *copy* of a planted literal, which no swap reaches."""
-        for model in family:
-            if model.reads == reads and self._state(model.tables) == model.state:
-                slots = tuple([
-                    Literal(value.value) if value.__class__ is Literal else value for value in values
-                ])
-                found: set = set()
-                physical = model.physical.bound_to(dict(zip(map(id, model.slots), slots)), found)
-                if len(found) == len(slots):
-                    return slots, model.cost, physical, model.tables, model.state
-        return None
+    def _state(self, stmt: Select) -> tuple:
+        """What the plans of `stmt`'s shape depend on besides the shape: the
+        family they are kept in is stamped with it, and replaced whole when
+        it moved.
 
-    def _state(self, tables: tuple) -> tuple:
-        """What a plan over `tables` depends on besides statement and dialect.
-
-        Each is still the database's table of that name (drop + re-create
-        makes a new one), its `version` (every write bumps it; statistics,
-        so join order and cost, are cached by it) and its indexed columns
-        (`create_index` changes the access path and leaves `version` alone).
+        The dialect (the shape was checked and its texts printed under it),
+        and per table the statement reads: the database's `Table` of that
+        name (drop + re-create makes a new one; a dropped one is left out),
+        its `version` (every write bumps it; statistics, so join order and
+        cost, are cached by it) and its indexed columns (`create_index`
+        changes the access path and leaves `version` alone). None of these
+        comes back, so a stale family is never current again.
         """
         db = self.db
-        return tuple(
-            (
-                db.has_table(table.name) and db.table(table.name) is table,
-                table.version,
-                table.indexed_columns(),
-            )
-            for table in tables
-        )
+        tables = [db.table(ref.name) for ref in stmt.tables() if db.has_table(ref.name)]
+        return (self.capabilities.dialect, *[
+            (table, table.version, table.indexed_columns()) for table in tables
+        ])

@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import replace
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Generic, NamedTuple, Optional, Protocol, TypeVar
 
 from repro.sql.ast import BinaryOp, ColumnRef, Expr, InList, Literal, LiteralValues, Select
 from repro.sql.exprutil import column_vs_literal
 from repro.sql.lexer import string_value
 from repro.sql.printer import to_sql
 
-#: Plans kept per shape, newest first: the hub's differ in their reads (two for
-#: a key column), a source's in their constants - lookups turn over these.
+#: Members a `Family` keeps: a shape's distinct reads (two for a key column)
+#: and the latest constants besides - never-repeating lookups turn these over.
 FAMILY = 8
 
 
@@ -175,6 +175,60 @@ def rebind_select(stmt: Select, swap: dict, found: set) -> Select:
         values = tuple([swap.get(id(value), value) for value in known.values])
         vars(bound)["lifted"] = Lifted(known.shape, known.columns, values)
     return bound
+
+
+# -- the plans kept per shape -----------------------------------------------------
+
+M = TypeVar("M", bound="Member")
+
+
+class Member(Protocol):
+    """A plan prepared for the constants in `slots`, estimated under `reads`
+    (`CostModel.slot_reads`): a `FederatedPlan`, a source's prepared statement."""
+
+    @property
+    def slots(self) -> tuple: ...
+
+    @property
+    def reads(self) -> tuple: ...
+
+    def bound_to(self: M, values: tuple) -> Optional[M]:
+        """This plan for `values`, estimates kept; None if a slot is not found."""
+        ...
+
+
+@dataclass(frozen=True)
+class Family(Generic[M]):
+    """What is kept of one shape, newest first: a store replaces it whole,
+    so a reader never sees one change. `stamp` is what its keeper checks it
+    against (a source: its dialect and tables); None where the key says it."""
+
+    members: tuple = ()
+    stamp: object = None
+
+    def find(self, values: tuple, reads: Callable[[], tuple]) -> Optional[M]:
+        """The member holding these constants, else the first with equal reads
+        re-bound to them (`reads()` is called once, and only then), else None:
+        plan them. A member that holds a copy of a slot does not re-bind."""
+        for member in self.members:
+            if member.slots == values:
+                return member
+        wanted = reads() if self.members else None
+        bound = (member.bound_to(values) for member in self.members if member.reads == wanted)
+        return next((member for member in bound if member is not None), None)
+
+    def add(self, member: M) -> "Family[M]":
+        """This family with `member` newest, itself if it holds `member`: what
+        `find` returned, or a plan for constants no member has (`find`
+        compared them all). Over `FAMILY`, the oldest member whose reads
+        another shares goes (else the oldest): each distinct reads keeps a model."""
+        if any([known is member for known in self.members]):
+            return self
+        members = [member, *self.members]
+        if len(members) > FAMILY:
+            reads = [known.reads for known in members]
+            del members[next((n for n in range(FAMILY, 0, -1) if reads.count(reads[n]) > 1), -1)]
+        return Family(tuple(members), self.stamp)
 
 
 # -- text -> statement without the parser -----------------------------------------

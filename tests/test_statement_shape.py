@@ -11,8 +11,10 @@ import datetime
 import importlib.util
 from dataclasses import replace
 import pathlib
+import random
 import sys
 import threading
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +37,7 @@ from repro.sql.ast import BinaryOp, ColumnRef, InList, Literal, Select
 from repro.sql.exprutil import transform
 from repro.sql.parser import parse
 from repro.sql.printer import render_literal, to_sql
-from repro.sql.shape import FAMILY, _swap_slots, lift, plant
+from repro.sql.shape import FAMILY, Family, _swap_slots, lift, plant
 
 from tests.conftest import build_demo_db
 from tests.federation_fixtures import unfit
@@ -306,7 +308,7 @@ class TestShapeWarmEqualsFresh:
         for cust_id in (7, 8, 9):
             warm.query(LOOKUPS["orders_of"].format(id=cust_id))
         assert len(warm.cache.plans) == 3
-        assert all(len(family.value) == 1 for family in warm.cache.plans._entries.values())
+        assert all(len(family.value.members) == 1 for family in warm.cache.plans._entries.values())
 
 
 # -- a bind join's keys: the one vector slot --------------------------------------
@@ -359,7 +361,7 @@ class TestBindStatements:
             assert again == {"LocalEngine.logical_plan": 0, "LocalEngine.lower": 0}
         other_length = calls_to(counted, lambda: source.execute_select(with_in_filter(ORDERS_OF[1], key, range(1, 9))))
         assert other_length["LocalEngine.logical_plan"] == 1  # its read differs: planned, and joins the family
-        assert len(source._prepared) == 1 and len(source._prepared.get(lift(with_in_filter(ORDERS_OF[1], key, [1])).shape)) == 4
+        assert len(source._prepared) == 1 and len(source._prepared.get(lift(with_in_filter(ORDERS_OF[1], key, [1])).shape).members) == 4
 
     def test_the_optimizer_keeps_a_key_list_whole(self):
         """`map_children` used to rebuild an IN-list item by item: a `Literal`
@@ -574,6 +576,10 @@ class TestWorkSaved:
             parser._Parser.parse_statement, lexer.tokenize, LocalEngine.logical_plan,
         ]
         engine = connect(parallel_workers=1)  # the profiler sees one thread
+        # a cold start: a text another test parsed, whose template was since
+        # evicted by other spellings, would be parsed again on its first hit
+        keys._PARSED.clear()
+        keys._TEMPLATES.clear()
         lowered = []  # by which engine: the hub's own assembly, once per query, is all that is left
 
         def profile(frame, event, arg):
@@ -619,6 +625,8 @@ class TestWorkSaved:
         assert lowered[0] not in [getattr(s, "engine", None) for s in engine.catalog.sources.values()]
 
     def test_each_lookup_template_is_one_slot_and_a_family_of_at_most_two(self):
+        """At most two distinct reads a family (an id in or out of its column's
+        range); the latest ids besides, `FAMILY` members at most."""
         engine = connect()
         for cust_id in range(1, 201):
             for template in LOOKUPS.values():
@@ -626,8 +634,55 @@ class TestWorkSaved:
         families = {shape: entry.value for shape, entry in engine.cache.plans._entries.items()}
         assert len(families) == len(LOOKUPS)
         assert all(shape.count("?int") == 1 and "?" not in shape.replace("?int", "") for shape in families)
-        assert all(1 <= len(family) <= 2 for family in families.values())
+        assert all(1 <= len({member.reads for member in family.members}) <= 2 for family in families.values())
+        assert all(len(family.members) <= FAMILY for family in families.values())
         assert engine.cache.plans.stats.misses == len(LOOKUPS)
+
+    def test_a_second_pass_of_the_lookups_plans_nothing_at_the_hub_or_at_a_source(self):
+        """Counted, never timed: six lookup templates over 200 ids in one
+        shuffled order, twice. The first pass plans once per distinct (shape,
+        reads) at each site, the second nowhere: a source that evicted the one
+        member of a read (an id out of its column's range) would plan it again."""
+        engine = connect()
+        ids = list(range(1, 201))
+        random.Random(102).shuffle(ids)
+        texts = [template.format(id=cust_id) for cust_id in ids for template in LOOKUPS.values()]
+        sources = {id(source.engine) for source in engine.catalog.sources.values() if isinstance(source, RelationalSource)}
+        kinds = set()  # per site: each (shape, reads) a statement was met with
+
+        def plans():
+            made = {"hub": 0, "sources": 0}
+
+            def profile(frame, event, arg):
+                if event != "call":
+                    return
+                code, local = frame.f_code, frame.f_locals
+                if code is FederatedPlanner.plan.__code__:
+                    made["hub"] += 1
+                elif code is LocalEngine.logical_plan.__code__ and id(local["self"]) in sources:
+                    made["sources"] += 1
+                elif code is engine._plan_for.__code__:
+                    statement = local["statement"]
+                    kinds.add(("hub", lift(statement).shape, engine.planner.cost_model.slot_reads(statement)))
+                elif code is RelationalSource.execute_select.__code__:
+                    source, stmt = local["self"], local["stmt"]
+                    kinds.add((source.name, lift(stmt).shape, source.engine.cost_model.slot_reads(stmt)))
+
+            sys.setprofile(profile)
+            try:
+                for text in texts:
+                    engine.query(text)
+            finally:
+                sys.setprofile(None)
+            return made
+
+        first = plans()
+        assert first == {
+            "hub": sum(site == "hub" for site, *_ in kinds),
+            "sources": sum(site != "hub" for site, *_ in kinds),
+        }
+        assert first["hub"] > len(LOOKUPS) and first["sources"] > len(LOOKUPS)  # some shape has two reads
+        assert plans() == {"hub": 0, "sources": 0}
 
     def test_which_benchmark_texts_lift_anything(self):
         texts = QUERIES | workloads.DASHBOARD
@@ -653,6 +708,87 @@ class TestWorkSaved:
         monkeypatch.setattr(PhysicalOp, "bound_to", lambda *args: bound.append(args))
         plans = calls_to([FederatedPlanner.plan], lambda: [engine.query(sql) for sql in QUERIES.values()])
         assert not bound and plans == {"FederatedPlanner.plan": 0}
+
+
+# -- one family of plans, at the hub and at each source ------------------------
+
+
+class Plan(NamedTuple):
+    """A `Family` member and no more: `bound_to` fails where it holds a copy."""
+
+    slots: tuple
+    reads: tuple
+    copied: bool = False
+
+    def bound_to(self, values):
+        return None if self.copied else Plan(values, self.reads)
+
+
+def unread():
+    raise AssertionError("an exact hit reads nothing")
+
+
+CUSTOMER_CHANGES = {
+    "write": lambda db, source: db.table("customers").insert((99, "late", "SF", "smb")),
+    "create_index": lambda db, source: db.table("customers").create_index("city"),
+    "drop and re-create": lambda db, source: apply_write(db, source, ("recreate", 0)),
+    "dialect swap": lambda db, source: setattr(source.capabilities, "dialect", repro.wrappers.ACMEDB),
+}
+
+
+class TestFamily:
+    def test_an_exact_hit_never_reads(self):
+        model = Plan((Literal(7),), (0.005,))
+        family = Family().add(model).add(Plan((Literal(8),), (0.0,)))
+        assert family.find((Literal(7),), unread) is model
+        assert family.find((Literal(7.0),), lambda: (0.005,)) == Plan((Literal(7.0),), (0.005,))
+
+    def test_a_member_holding_a_copy_falls_through_to_the_next_of_its_reads_then_to_planning(self):
+        reads = []
+        copied = Plan((Literal(1),), (0.005,), copied=True)
+        family = Family().add(Plan((Literal(2),), (0.005,))).add(Plan((Literal(3),), (0.0,))).add(copied)
+        assert family.find((Literal(4),), lambda: reads.append(1) or (0.005,)) == Plan((Literal(4),), (0.005,))
+        assert reads == [1]  # once, for all members
+        assert Family().add(copied).find((Literal(4),), lambda: (0.005,)) is None
+
+    def test_a_full_family_keeps_the_only_member_of_a_distinct_reads(self):
+        out_of_range = Plan((Literal(0),), (0.0,))
+        family = Family().add(out_of_range)
+        for cust_id in range(1, FAMILY + 3):
+            family = family.add(Plan((Literal(cust_id),), (0.005,)))
+        assert len(family.members) == FAMILY and family.members[-1] is out_of_range
+        assert [member.slots[0].value for member in family.members[:-1]] == list(range(FAMILY + 2, 3, -1))
+        distinct = Family()
+        for n in range(FAMILY + 1):
+            distinct = distinct.add(Plan((Literal(n),), (n,)))
+        assert [member.reads for member in distinct.members] == [(n,) for n in range(FAMILY, 0, -1)]
+
+    def test_what_find_returned_leaves_it_as_it_is_and_a_binding_is_kept_newest(self):
+        model = Plan((Literal(7),), (0.005,))
+        family = Family().add(model)
+        assert family.add(family.find((Literal(7),), unread)) is family
+        bound = family.find((Literal(8),), lambda: (0.005,))
+        assert family.add(bound).members == (bound, model)
+
+    @pytest.mark.parametrize("change", sorted(CUSTOMER_CHANGES))
+    def test_a_source_family_is_replaced_whole_when_what_it_was_planned_under_moved(self, change):
+        db = build_demo_db()
+        source = RelationalSource("s", db)
+        point = [parse(f"SELECT name FROM customers WHERE id = {i}") for i in (3, 4)]
+        for stmt in point:
+            source.execute_select(stmt)
+        shape = lift(point[0]).shape
+        kept = source._prepared.get(shape)
+        assert len(kept.members) == 2
+        db.table("orders").delete_where(lambda row: row[0] == 1)  # another table's write
+        source.execute_select(point[0])
+        assert source._prepared.get(shape) is kept
+        CUSTOMER_CHANGES[change](db, source)
+        planned = calls_to([LocalEngine.logical_plan], lambda: source.execute_select(point[1]))
+        assert planned == {"LocalEngine.logical_plan": 1}  # its own member was stale
+        replaced = source._prepared.get(shape)
+        assert replaced is not kept and len(replaced.members) == 1
+        assert calls_to([LocalEngine.logical_plan], lambda: source.execute_select(point[0])) == {"LocalEngine.logical_plan": 0}
 
 
 # -- a changing source between two bindings --------------------------------------
@@ -758,4 +894,4 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
-        assert all(len(entry.value) <= FAMILY for entry in shared.cache.plans._entries.values())
+        assert all(len(entry.value.members) <= FAMILY for entry in shared.cache.plans._entries.values())
