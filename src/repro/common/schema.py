@@ -22,6 +22,12 @@ class Column:
     dtype: DataType = DataType.ANY
     qualifier: Optional[str] = None
 
+    def __post_init__(self):
+        if not isinstance(self.dtype, DataType):  # "INT" would fail only at the first insert
+            raise SchemaError(
+                f"column {self.name!r}: type {self.dtype!r} is not a DataType"
+            )
+
     @property
     def qualified_name(self) -> str:
         if self.qualifier:

@@ -8,10 +8,11 @@ rather than re-implementing their work at the mediator.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import NamedTuple, Union
 
 from repro.common.errors import PlanError
 from repro.common.relation import Relation
+from repro.common.schema import RelSchema
 from repro.common.types import PYTHON_TYPES
 from repro.engine.cost import CostModel
 from repro.engine.logical import (
@@ -179,67 +180,93 @@ class LocalEngine:
 
         ``context`` is handed untouched to extension nodes' `lower_physical`
         hooks: the federated engine passes the state of one execution.
+        The answer's rows are built here, at the root: the plain-column
+        picks below it were read through (see `_lower`).
+        """
+        op, pick = self._lower(plan, context)
+        return _built(op, pick, plan.schema)
+
+    def _lower(self, plan: LogicalPlan, context) -> tuple:
+        """``(op, pick)``: `plan`'s rows are `op`'s when `pick` is None, else
+        the columns of `op`'s rows at `pick.positions`.
+
+        A plain-column `Project` builds no operator: it becomes (or narrows)
+        the pick, and the consumer above reads `op`'s rows through it
+        (`_Through`). Filter, sort and limit pass a pick up; an aggregate or
+        a join ends it; a union, a DISTINCT, an extension node's input and
+        the root build it (`_built`).
         """
         if isinstance(plan, LogicalScan):
-            return SeqScan(self.db.table(plan.table_name), plan.binding)
+            return SeqScan(self.db.table(plan.table_name), plan.binding), None
 
         if isinstance(plan, LogicalFilter):
             return self._lower_filter(plan, context)
 
         if isinstance(plan, LogicalProject):
-            child = self.lower(plan.child, context)
-            to_tuples = _tuple_kernel([item.expr for item in plan.items], child.schema)
+            child, pick = self._lower(plan.child, context)
+            view = _view(pick, plan.child.schema)
+            exprs = [item.expr for item in plan.items]
             description = ", ".join(str(item) for item in plan.items)
-            return ProjectOp(child, to_tuples, plan.schema, description)
+            if not all(isinstance(expr, ColumnRef) for expr in exprs):
+                to_tuples = eval_columns([compile_expr(expr, view) for expr in exprs])
+                return ProjectOp(child, to_tuples, plan.schema, description), None
+            pick = _Pick(tuple(view.index_of(expr.name, expr.qualifier) for expr in exprs), description)
+            if _relabels(child, pick):  # settled where it stands: the tree keeps its shape
+                return RelabelOp(child, plan.schema, f"Project({description})"), None
+            return child, pick
 
         if isinstance(plan, LogicalJoin):
             return self._lower_join(plan, context)
 
         if isinstance(plan, LogicalAggregate):
-            child = self.lower(plan.child, context)
+            child, pick = self._lower(plan.child, context)
+            view = _view(pick, plan.child.schema)
             keys = plan.group_exprs
             group_keys = None  # a global aggregate
             if len(keys) == 1 and isinstance(keys[0], ColumnRef):
-                group_keys = _value_reader(keys[0], child.schema)  # its position
+                group_keys = _value_reader(keys[0], view)  # its position
             elif keys:
-                group_keys = _tuple_kernel(keys, child.schema)
+                group_keys = _tuple_kernel(keys, view)
             agg_specs = []
             for call in plan.aggregates:
                 if len(call.args) != 1:
                     raise PlanError(f"aggregate {call.name} takes exactly one argument")
                 (arg,) = call.args
-                reader = None if isinstance(arg, Star) else _value_reader(arg, child.schema)
+                reader = None if isinstance(arg, Star) else _value_reader(arg, view)
                 agg_specs.append((call.name, call.distinct, reader))
-            return HashAggregateOp(child, group_keys, agg_specs, plan.schema, plan.label())
+            return HashAggregateOp(child, group_keys, agg_specs, plan.schema, plan.label()), None
 
         if isinstance(plan, LogicalSort):
-            child = self.lower(plan.child, context)
-            key_fns = [
-                compile_expr(item.expr, child.schema) for item in plan.order_items
-            ]
+            child, pick = self._lower(plan.child, context)
+            view = _view(pick, plan.child.schema)
+            key_fns = [compile_expr(item.expr, view) for item in plan.order_items]
             ascendings = [item.ascending for item in plan.order_items]
             description = ", ".join(str(item) for item in plan.order_items)
-            return SortOp(child, key_fns, ascendings, description)
+            return SortOp(child, key_fns, ascendings, description), pick
 
         if isinstance(plan, LogicalLimit):
-            return LimitOp(self.lower(plan.child, context), plan.limit)
+            child, pick = self._lower(plan.child, context)
+            return LimitOp(child, plan.limit), pick
 
         if isinstance(plan, LogicalDistinct):
-            return DistinctOp(self.lower(plan.child, context))
+            return DistinctOp(self.lower(plan.child, context)), None
 
         if isinstance(plan, LogicalUnion):
-            return UnionAllOp([self.lower(child, context) for child in plan.inputs])
+            return UnionAllOp([self.lower(child, context) for child in plan.inputs]), None
 
         if isinstance(plan, LogicalAlias):
-            return RelabelOp(self.lower(plan.child, context), plan.schema, plan.label())
+            child, pick = self._lower(plan.child, context)
+            if pick is not None:  # renamed by the schema the pick is read under
+                return child, pick
+            return RelabelOp(child, plan.schema, plan.label()), None
 
         # Extension nodes (federation) lower themselves.
         lowerer = getattr(plan, "lower_physical", None)
         if lowerer is not None:
-            return lowerer(self, context)
+            return lowerer(self, context), None
         raise PlanError(f"cannot lower {type(plan).__name__}")
 
-    def _lower_filter(self, plan: LogicalFilter, context=None) -> PhysicalOp:
+    def _lower_filter(self, plan: LogicalFilter, context) -> tuple:
         """Lower Filter(Scan) through an index when one matches a conjunct."""
         predicate = plan.predicate
         conjuncts = split_conjuncts(predicate)
@@ -248,14 +275,15 @@ class LocalEngine:
             table = self.db.table(plan.child.table_name)
             chosen = self._choose_index_access(table, plan.child.binding, conjuncts)
         if chosen is None:
-            child = self.lower(plan.child, context)
+            child, pick = self._lower(plan.child, context)
         else:
-            child, conjuncts = chosen
+            (child, conjuncts), pick = chosen, None
             if not conjuncts:
-                return child
+                return child, None
             predicate = conjoin(conjuncts)
-        passes = compile_filter_passes(conjuncts, child.schema)
-        return FilterOp(child, Lowered(predicate, child.schema), passes=passes)
+        view = _view(pick, plan.child.schema)
+        passes = compile_filter_passes(conjuncts, view)
+        return FilterOp(child, Lowered(predicate, view), passes=passes), pick
 
     def _choose_index_access(self, table, binding, conjuncts):
         """Pick an index-backed access path for one of the conjuncts."""
@@ -288,12 +316,23 @@ class LocalEngine:
                 return access, remaining
         return None
 
-    def _lower_join(self, plan: LogicalJoin, context=None) -> PhysicalOp:
-        left = self.lower(plan.left, context)
-        right = self.lower(plan.right, context)
+    def _lower_join(self, plan: LogicalJoin, context) -> tuple:
+        """A join reads both inputs through their picks and emits `row +
+        other` of the rows it was handed; its pick, when an input had one,
+        is where the join's columns sit in those."""
+        left, left_pick = self._lower(plan.left, context)
+        right, right_pick = self._lower(plan.right, context)
+        left_view, right_view = _view(left_pick, plan.left.schema), _view(right_pick, plan.right.schema)
+        view, pick = plan.schema, None
+        if left_pick is not None or right_pick is not None:
+            width = len(left.schema)
+            lefts = range(width) if left_pick is None else left_pick.positions
+            rights = range(len(right.schema)) if right_pick is None else right_pick.positions
+            positions = (*lefts, *[width + position for position in rights])
+            view = _Through(plan.schema, positions)
+            pick = _Pick(positions, ", ".join(plan.schema.qualified_names))
         if plan.condition is None:
-            return NestedLoopJoinOp(left, right, None, plan.kind, "cross")
-        condition = Lowered(plan.condition, plan.schema)
+            return NestedLoopJoinOp(left, right, None, plan.kind, "cross"), pick
 
         left_positions: list[int] = []
         right_positions: list[int] = []
@@ -306,23 +345,20 @@ class LocalEngine:
                 for first, second in ((a, b), (b, a)):
                     if plan.left.schema.has(first.name, first.qualifier) and \
                             plan.right.schema.has(second.name, second.qualifier):
-                        left_positions.append(
-                            plan.left.schema.index_of(first.name, first.qualifier)
-                        )
-                        right_positions.append(
-                            plan.right.schema.index_of(second.name, second.qualifier)
-                        )
+                        left_positions.append(left_view.index_of(first.name, first.qualifier))
+                        right_positions.append(right_view.index_of(second.name, second.qualifier))
                         placed = True
                         break
             if not placed:
                 residual.append(conjunct)
 
         if left_positions:
-            residual_fn = Lowered(conjoin(residual), plan.schema) if residual else None
+            residual_fn = Lowered(conjoin(residual), view) if residual else None
+            condition = Lowered(plan.condition, plan.schema)  # printed, never run
             return HashJoinOp(
                 left, right, left_positions, right_positions, plan.kind, residual_fn, condition
-            )
-        return NestedLoopJoinOp(left, right, condition, plan.kind)
+            ), pick
+        return NestedLoopJoinOp(left, right, Lowered(plan.condition, view), plan.kind), pick
 
 
 class _StatsAdapter:
@@ -342,6 +378,56 @@ def _refuse(diagnostics) -> None:
     report = AnalysisReport(list(diagnostics))
     if not report.ok:
         raise AnalysisError(report)
+
+
+class _Pick(NamedTuple):
+    """Where a plain-column `Project`'s columns sit in the rows of the
+    operator below it; built only where rows leave a tree (`_built`)."""
+
+    positions: tuple
+    label: str  # the `Project`'s items, as EXPLAIN shows them once built
+
+
+class _Through:
+    """A node's columns read through a pick: a name resolves against the
+    node's own `schema`, never against the wider rows' (a fused join of two
+    scans holds `o.id` and `p.id` side by side), and its position is then
+    carried through `positions`. The expression compilers need only
+    `index_of`, so a kernel compiled against this reads the wider rows."""
+
+    __slots__ = ("schema", "positions")
+
+    def __init__(self, schema: RelSchema, positions: tuple):
+        self.schema = schema
+        self.positions = positions
+
+    def index_of(self, name: str, qualifier=None) -> int:
+        return self.positions[self.schema.index_of(name, qualifier)]
+
+
+def _view(pick, schema: RelSchema):
+    """What a consumer compiles against to read the node of `schema`
+    through `pick` (None: the node's rows are the operator's)."""
+    return schema if pick is None else _Through(schema, pick.positions)
+
+
+def _relabels(op: PhysicalOp, pick) -> bool:
+    """Whether `pick` keeps every column of a list `op` built, so building
+    it is a relabel: never over a scan's, a fetch's or a `ValuesOp`'s list,
+    which belongs to someone else."""
+    return op.fresh and pick.positions == tuple(range(len(op.schema)))
+
+
+def _built(op: PhysicalOp, pick, schema: RelSchema) -> PhysicalOp:
+    """The node of `schema`, lowered to ``(op, pick)``, as an operator whose
+    rows are its own: a relabel (`_relabels`), else a `ProjectOp` building
+    the picked columns."""
+    if pick is None:
+        return op
+    positions, label = pick
+    if _relabels(op, pick):
+        return RelabelOp(op, schema, f"Project({label})")
+    return ProjectOp(op, pick_columns(positions), schema, label)
 
 
 def _value_reader(expr, schema):

@@ -14,9 +14,20 @@ equi-join). A kernel never mutates or returns the list a child handed it -
 a `FetchOp`'s rows belong to the execution's result memo - and holds no
 state between runs: a prepared plan is run by many threads at once.
 
+Tuples are built where rows leave a tree, not at every `Project`. Lowering
+turns a plain-column `Project` into the positions it would pick, and the
+consumer reads the child's rows through them: an aggregate's keys and
+arguments, a join's keys and residual, a filter's or a sort's expressions.
+A join of such inputs emits `row + other` of the wider rows. A pick is
+built once, by a `ProjectOp`: at the root (what a source ships, what the
+hub returns), or as the input of a DISTINCT, a union or a bind join, which
+need the rows themselves. A pick keeping every column of a list its
+operator built (`fresh`) is a `RelabelOp`.
+
 `run()` may return a `Batch`, whose `kinds` vouch per column for the exact
 types held: a scan's are its table's, operators that only drop, reorder, pick
 or concatenate rows pass them on, filter guards and wire sizing read them.
+A reader through a pick reads the child's vouch at the picked position.
 
 A prepared tree serves other constants of its statement's shape `bound_to`
 them: an index scan remembers the `Literal` its key was read from, a filter
@@ -195,6 +206,9 @@ class PhysicalOp:
     """Base physical operator: `schema`, `run() -> list[tuple]`, children."""
 
     schema: RelSchema
+    #: whether `run()` returns a list it built in that run (a scan's, a
+    #: fetch's or a `ValuesOp`'s belongs to someone else)
+    fresh = False
 
     @property
     def children(self) -> tuple["PhysicalOp", ...]:
@@ -336,6 +350,10 @@ class RelabelOp(PhysicalOp):
     def children(self):
         return (self.child,)
 
+    @property
+    def fresh(self):
+        return self.child.fresh
+
     def run(self):
         return self.child.run()
 
@@ -347,6 +365,8 @@ class FilterOp(PhysicalOp):
     """Keeps the rows `predicate` (a `Lowered`, or a compiled `row -> value`)
     finds true: through `passes` where the executor derived them, through the
     closure when a guard fails."""
+
+    fresh = True
 
     def __init__(self, child: PhysicalOp, predicate, description: str = "", passes=None):
         self.child = child
@@ -380,7 +400,7 @@ class FilterOp(PhysicalOp):
         passes = []
         for known, before, after in zip(self.passes or repeat(None), old, new):
             if known is None or before is not after:
-                known = compile_filter_passes([after], self.schema)
+                known = compile_filter_passes([after], bound.predicate.schema)
                 if known is None:
                     passes = None
                     break
@@ -394,7 +414,12 @@ class FilterOp(PhysicalOp):
 
 
 class ProjectOp(PhysicalOp):
-    """`to_tuples` is `pick_columns(...)` or `eval_columns(...)`."""
+    """Builds its rows' tuples: `to_tuples` is `pick_columns(...)` or
+    `eval_columns(...)`. Lowering makes one of plain columns only where rows
+    leave a tree, or as the input of a DISTINCT, a union or a bind join;
+    any other consumer reads the pick's columns where they sit."""
+
+    fresh = True
 
     def __init__(self, child: PhysicalOp, to_tuples: Callable, schema: RelSchema, description: str = ""):
         self.child = child
@@ -420,6 +445,8 @@ class HashJoinOp(PhysicalOp):
     (compiled against the concatenated schema) filters matches; for LEFT
     joins, unmatched probe rows are padded with NULLs.
     """
+
+    fresh = True
 
     def __init__(
         self,
@@ -459,6 +486,8 @@ class HashJoinOp(PhysicalOp):
 
 class NestedLoopJoinOp(PhysicalOp):
     """Fallback join for non-equi or missing conditions."""
+
+    fresh = True
 
     def __init__(
         self,
@@ -510,7 +539,13 @@ class HashAggregateOp(PhysicalOp):
     column, anything else is a compiled `row -> value`. Values reach the
     `Aggregate` classes one by one, in row order: float SUM/AVG stay the
     left fold they were (never `sum()`, which 3.12 compensates).
+
+    Positions and compiled readers address the child's rows as they are: a
+    plain-column `Project` below is never built, its columns are read where
+    they sit in the rows under it (a scan's, say).
     """
+
+    fresh = True
 
     def __init__(
         self,
@@ -581,6 +616,8 @@ def _nulls_low(fn: Callable) -> Callable:
 class SortOp(PhysicalOp):
     """Multi-key sort. ASC places NULLs first, DESC places them last."""
 
+    fresh = True
+
     def __init__(self, child: PhysicalOp, key_fns: Sequence[Callable], ascendings: Sequence[bool], description: str = ""):
         self.child = child
         self.schema = child.schema
@@ -608,6 +645,8 @@ class SortOp(PhysicalOp):
 
 
 class LimitOp(PhysicalOp):
+    fresh = True
+
     def __init__(self, child: PhysicalOp, limit: int):
         self.child = child
         self.limit = limit
@@ -626,6 +665,8 @@ class LimitOp(PhysicalOp):
 
 
 class DistinctOp(PhysicalOp):
+    fresh = True
+
     def __init__(self, child: PhysicalOp):
         self.child = child
         self.schema = child.schema
@@ -641,6 +682,8 @@ class DistinctOp(PhysicalOp):
 
 
 class UnionAllOp(PhysicalOp):
+    fresh = True
+
     def __init__(self, inputs: Sequence[PhysicalOp]):
         self.inputs = list(inputs)
         self.schema = self.inputs[0].schema

@@ -218,6 +218,35 @@ def test_the_raised_error_keeps_the_engine_s_type():
             ENGINE.query(sql)
 
 
+def test_an_index_does_not_decide_whether_a_mistyped_conjunct_raises():
+    """With an index on `k`, `k = 1 AND id < 'x'` could once answer from the
+    index where the scan raised. The binder refuses it (EII104) before an
+    access path is chosen: the same error with no index, a hash index on
+    `k`, or a sorted one answering a range conjunct."""
+    raised = {}
+    for index in (None, "hash", "sorted"):
+        db = Database("indexed")
+        table = db.create_table("t", [("id", DataType.INT), ("k", DataType.INT)])
+        for i in range(20):
+            table.insert((i, i % 3))
+        if index is not None:
+            table.create_index("k", sorted=index == "sorted")
+        engine = LocalEngine(db)
+        for sql, access in (
+            ("SELECT id FROM t WHERE k = 1 AND id < 'x'", "IndexEqScan"),
+            ("SELECT id FROM t WHERE k >= 1 AND id < 'x'", "IndexRangeScan"),
+        ):
+            well_typed = sql.replace("'x'", "5")
+            uses_index = access in engine.explain(well_typed)
+            assert uses_index == (index == "sorted" or index == "hash" and access == "IndexEqScan")
+            with pytest.raises(TypeMismatchError) as caught:
+                engine.query(sql)
+            raised[index, sql] = (caught.value.code, str(caught.value))
+    assert {code for code, _ in raised.values()} == {"EII104"}
+    for sql in {sql for _, sql in raised}:
+        assert len({raised[index, sql] for index in (None, "hash", "sorted")}) == 1, sql
+
+
 # -- generated statements ------------------------------------------------------
 
 FUZZ_CATALOG = FUZZ_FIXTURE.catalog(include_credit=False, include_docs=False)

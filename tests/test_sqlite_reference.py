@@ -50,6 +50,30 @@ EAGER_SHAPES = [
 ]
 
 
+#: statements a source answers whole, whose plain-column projections
+#: lowering reads through instead of building: a join under an aggregate,
+#: a self-join (equal column names on both sides, read by position), a
+#: LEFT join whose residual reads both pruned inputs, a GROUP BY on an
+#: expression (a compiled reader), and DISTINCT / ORDER BY over renaming
+#: projections (a hidden sort column trimmed above a LIMIT)
+FUSED_SHAPES = [
+    "SELECT p.category, COUNT(*) AS n, SUM(o.total) AS revenue, MAX(o.quantity) AS most "
+    "FROM orders o JOIN products p ON p.id = o.product_id WHERE o.status = 'open' "
+    "GROUP BY p.category",
+    "SELECT a.id, b.id, a.name, b.city FROM customers a JOIN customers b "
+    "ON a.city = b.city AND a.id < b.id WHERE a.segment = 'smb' AND b.segment = 'enterprise'",
+    "SELECT a.city, COUNT(*) AS pairs, MAX(b.id) AS top FROM customers a "
+    "JOIN customers b ON a.city = b.city GROUP BY a.city",
+    "SELECT p.id, p.name, o.id, o.quantity FROM products p LEFT JOIN orders o "
+    "ON o.product_id = p.id AND o.quantity > 4 AND o.total < p.price * 5",
+    "SELECT o.quantity + 1 AS q, COUNT(*) AS n, SUM(o.total) AS revenue FROM orders o "
+    "GROUP BY o.quantity + 1",
+    "SELECT DISTINCT o.status AS s FROM orders o WHERE o.total > 100 ORDER BY s",
+    "SELECT o.status AS s, o.id AS n FROM orders o WHERE o.total > 100 "
+    "ORDER BY o.total DESC, n LIMIT 20",
+]
+
+
 @pytest.fixture(scope="module", params=[1, 4, 16], ids=["scale1", "scale4", "scale16"])
 def stack(request):
     fixture = build_enterprise(BenchConfig(scale=request.param, seed=42))
@@ -83,6 +107,13 @@ def test_pre_aggregated_shapes_agree_with_sqlite(stack, sql):
     plan = engine.planner.plan(sql)
     assert any(fetch.stmt.group_by for fetch in plan.fetches), plan.pretty()
     assert "Alias(" in plan.pretty()
+
+
+@pytest.mark.parametrize("sql", FUSED_SHAPES, ids=range(len(FUSED_SHAPES)))
+def test_fused_projections_agree_with_sqlite(stack, sql):
+    _, engine, reference = stack
+    check(engine, reference, sql)
+    assert len(engine.planner.plan(sql).fetches) == 1  # answered whole by one source
 
 
 def test_the_comparison_is_exact_but_for_floats():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import IntegrityError, SchemaError, TransactionError
+from repro.common.schema import Column
 from repro.common.types import DataType
 from repro.storage import Database, HashIndex, SortedIndex, Table, TableStats
 
@@ -207,6 +208,16 @@ class TestDatabase:
         db = self.make_db()
         with pytest.raises(SchemaError):
             db.create_table("people", COLUMNS)
+
+    def test_a_type_that_is_not_a_data_type_is_refused_when_the_table_is_made(self):
+        """It used to be taken, and the first insert raised an untyped
+        `AttributeError` from `coerce_value`'s error path."""
+        db = Database()
+        with pytest.raises(SchemaError, match="column 'age'.*'INT'"):
+            db.create_table("t", [("id", DataType.INT), ("age", "INT")])
+        assert not db.has_table("t")
+        with pytest.raises(SchemaError, match="column 'name'"):
+            Column("name", str)
 
     def test_missing_table(self):
         with pytest.raises(SchemaError):
