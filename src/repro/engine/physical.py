@@ -9,10 +9,11 @@ that follow the same protocol.
 The hot operators run *kernels*: the executor picks, once per lowering and
 from the logical node alone, the cheapest loop that gives the row-at-a-time
 answer (`pick_columns` when every expression is a plain column, a partition
-by key before aggregates are folded, one hash build/probe shared by every
-equi-join). A kernel never mutates or returns the list a child handed it -
-a `FetchOp`'s rows belong to the execution's result memo - and holds no
-state between runs: a prepared plan is run by many threads at once.
+by key and then one C-level fold per group and aggregate, one hash
+build/probe shared by every equi-join). A kernel never mutates or returns
+the list a child handed it - a `FetchOp`'s rows belong to the execution's
+result memo - and holds no state between runs: a prepared plan is run by
+many threads at once.
 
 Tuples are built where rows leave a tree, not at every `Project`. Lowering
 turns a plain-column `Project` into the positions it would pick, and the
@@ -26,7 +27,8 @@ operator built (`fresh`) is a `RelabelOp`.
 
 `run()` may return a `Batch`, whose `kinds` vouch per column for the exact
 types held: a scan's are its table's, operators that only drop, reorder, pick
-or concatenate rows pass them on, filter guards and wire sizing read them.
+or concatenate rows pass them on, filter guards and wire sizing read them, and
+an aggregate skips the NULL test of a column vouched to hold no NULL.
 A reader through a pick reads the child's vouch at the picked position.
 
 A prepared tree serves other constants of its statement's shape `bound_to`
@@ -48,7 +50,7 @@ from repro.common.schema import RelSchema
 from repro.sql.ast import Expr
 from repro.sql.eval import compile_expr, compile_filter_passes
 from repro.sql.exprutil import split_conjuncts
-from repro.sql.functions import make_aggregate
+from repro.sql.functions import AGGREGATE_FUNCTIONS
 from repro.sql.shape import rebind
 
 _NULL_KIND = frozenset((type(None),))
@@ -536,9 +538,16 @@ class HashAggregateOp(PhysicalOp):
     plain column grouped by, or else the `rows -> list[tuple]` kernel of the
     key expressions. `agg_specs` is a list of `(name, distinct, arg)`: `arg`
     None means COUNT(*) semantics (every row counts), an int reads that
-    column, anything else is a compiled `row -> value`. Values reach the
-    `Aggregate` classes one by one, in row order: float SUM/AVG stay the
-    left fold they were (never `sum()`, which 3.12 compensates).
+    column, anything else is a compiled `row -> value`. Each spec is resolved
+    here, once, to `(fold, distinct, arg)`, its fold the name's in
+    `AGGREGATE_FUNCTIONS`.
+
+    A run reads each group's argument column once, as a list (`map` of an
+    `itemgetter`, or of the compiled argument), drops its NULLs with one
+    comprehension - skipped for a column the rows vouch holds no NULL - and
+    keeps first appearances under DISTINCT (`dict.fromkeys`); the fold then
+    sweeps the list in C, in row order. COUNT(*), or COUNT of a column
+    vouched NULL-free, is the group's length.
 
     Positions and compiled readers address the child's rows as they are: a
     plain-column `Project` below is never built, its columns are read where
@@ -557,7 +566,9 @@ class HashAggregateOp(PhysicalOp):
     ):
         self.child = child
         self.group_keys = group_keys
-        self.agg_specs = list(agg_specs)
+        self.folds = [
+            (AGGREGATE_FUNCTIONS[name.upper()], distinct, arg) for name, distinct, arg in agg_specs
+        ]
         self.schema = schema
         self.description = description
 
@@ -579,28 +590,47 @@ class HashAggregateOp(PhysicalOp):
         else:
             for key, row in zip(by(rows), rows):
                 groups[key].append(row)
+        kinds = getattr(rows, "kinds", None)
+        folds = [_fold_of(fold, distinct, arg, kinds) for fold, distinct, arg in self.folds]
         out = []
         for key, members in groups.items():
             results = []
-            for name, distinct, arg in self.agg_specs:
-                if arg is None and not distinct and name.upper() == "COUNT":
+            for fold, distinct, read, nullable in folds:
+                if fold is None:
                     results.append(len(members))
                     continue
-                agg = make_aggregate(name, distinct)
-                if arg is None:
-                    values = repeat(1, len(members))
-                elif isinstance(arg, int):
-                    values = [row[arg] for row in members]
+                if read is None:  # `*`: a 1 per row
+                    values = [1] * len(members)
+                elif nullable:
+                    values = [value for value in map(read, members) if value is not None]
                 else:
-                    values = map(arg, members)
-                for value in values:
-                    agg.add(value)
-                results.append(agg.finish())
+                    values = list(map(read, members))
+                if distinct:
+                    values = list(dict.fromkeys(values))
+                results.append(fold(values))
             out.append(((key,) if bare_key else key) + tuple(results))
         return out
 
     def explain_label(self):
         return f"HashAggregate({self.description})"
+
+
+def _fold_of(fold, distinct, arg, kinds):
+    """`(fold, distinct, read, nullable)` of one aggregate over rows vouching
+    `kinds`: `read` None for `*`, `nullable` whether the values read may hold
+    a NULL - False only for a column whose vouch excludes it. A missing or
+    stale vouch is no evidence. `fold` None: the group's length answers."""
+    nullable = arg is not None
+    read = arg
+    if isinstance(arg, int):
+        read = itemgetter(arg)
+        vouch = None if kinds is None else kinds[arg]
+        if callable(vouch):  # a table column's, resolved on demand
+            vouch = vouch()
+        nullable = vouch is None or type(None) in vouch
+    if fold is len and not distinct and not nullable:
+        fold = None
+    return fold, distinct, read, nullable
 
 
 def _nulls_low(fn: Callable) -> Callable:

@@ -1,8 +1,10 @@
 """Scalar and aggregate function registries.
 
 Wrappers consult `SCALAR_FUNCTIONS`/`AGGREGATE_FUNCTIONS` membership when
-deciding whether an expression can be pushed to a source dialect; the local
-engine uses the implementations directly.
+deciding whether an expression can be pushed to a source dialect. The local
+engine calls a scalar per row through `call_scalar`, and an aggregate's fold
+once per group: `AGGREGATE_FUNCTIONS` maps each name to the function folding
+a group's non-NULL values, read as one list (`HashAggregateOp`).
 
 Scalar functions follow SQL NULL semantics: any NULL argument yields NULL,
 except COALESCE / IFNULL which exist to handle NULLs.
@@ -12,6 +14,9 @@ from __future__ import annotations
 
 import datetime
 import math
+from functools import reduce
+from operator import add, iadd
+from typing import Any, Callable
 
 from repro.common.errors import TypeMismatchError
 
@@ -110,7 +115,7 @@ def _sign(x):
     return 0
 
 
-SCALAR_FUNCTIONS = {
+SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "UPPER": _upper,
     "LOWER": _lower,
     "LENGTH": _length,
@@ -157,123 +162,38 @@ def call_scalar(name: str, args: list):
 # ---------------------------------------------------------------------------
 # Aggregates
 # ---------------------------------------------------------------------------
+#
+# A fold takes a group's non-NULL argument values, in row order (distinct
+# ones, first appearances, under DISTINCT), as one list, and answers for the
+# group: NULL over none, or 0 for COUNT. Each is one C-level sweep. Float
+# SUM and AVG stay a left fold: never `sum()` or `fsum`, which 3.12 and
+# `math` compensate.
 
 
-class Aggregate:
-    """Incremental aggregate: add values one at a time, then finish().
-
-    NULLs are skipped per SQL semantics (except COUNT(*) which is handled by
-    the engine feeding a non-NULL marker).
-    """
-
-    def add(self, value) -> None:
-        raise NotImplementedError
-
-    def finish(self):
-        raise NotImplementedError
+def _sum(values):
+    return reduce(add, values) if values else None
 
 
-class CountAgg(Aggregate):
-    def __init__(self):
-        self.count = 0
-
-    def add(self, value):
-        if value is not None:
-            self.count += 1
-
-    def finish(self):
-        return self.count
+def _avg(values):
+    return reduce(iadd, values, 0.0) / len(values) if values else None
 
 
-class SumAgg(Aggregate):
-    def __init__(self):
-        self.total = None
-
-    def add(self, value):
-        if value is None:
-            return
-        self.total = value if self.total is None else self.total + value
-
-    def finish(self):
-        return self.total
+def _min(values):
+    return min(values) if values else None  # keeps the first of equal values
 
 
-class AvgAgg(Aggregate):
-    def __init__(self):
-        self.total = 0.0
-        self.count = 0
-
-    def add(self, value):
-        if value is None:
-            return
-        self.total += value
-        self.count += 1
-
-    def finish(self):
-        return self.total / self.count if self.count else None
+def _max(values):
+    return max(values) if values else None
 
 
-class MinAgg(Aggregate):
-    def __init__(self):
-        self.best = None
-
-    def add(self, value):
-        if value is None:
-            return
-        if self.best is None or value < self.best:
-            self.best = value
-
-    def finish(self):
-        return self.best
-
-
-class MaxAgg(Aggregate):
-    def __init__(self):
-        self.best = None
-
-    def add(self, value):
-        if value is None:
-            return
-        if self.best is None or value > self.best:
-            self.best = value
-
-    def finish(self):
-        return self.best
-
-
-class DistinctAgg(Aggregate):
-    """Wraps another aggregate, feeding it each distinct value once."""
-
-    def __init__(self, inner: Aggregate):
-        self.inner = inner
-        self.seen: set = set()
-
-    def add(self, value):
-        if value is None or value in self.seen:
-            return
-        self.seen.add(value)
-        self.inner.add(value)
-
-    def finish(self):
-        return self.inner.finish()
-
-
-AGGREGATE_FUNCTIONS = {
-    "COUNT": CountAgg,
-    "SUM": SumAgg,
-    "AVG": AvgAgg,
-    "MIN": MinAgg,
-    "MAX": MaxAgg,
+AGGREGATE_FUNCTIONS: dict[str, Callable[[list], Any]] = {
+    "COUNT": len,
+    "SUM": _sum,
+    "AVG": _avg,
+    "MIN": _min,
+    "MAX": _max,
 }
 
 
 def is_aggregate_name(name: str) -> bool:
     return name.upper() in AGGREGATE_FUNCTIONS
-
-
-def make_aggregate(name: str, distinct: bool = False) -> Aggregate:
-    cls = AGGREGATE_FUNCTIONS.get(name.upper())
-    if cls is None:
-        raise TypeMismatchError(f"unknown aggregate {name!r}")
-    agg = cls()
-    return DistinctAgg(agg) if distinct else agg

@@ -27,9 +27,10 @@ KEYWORDS = {
 
 #: The two literal lexemes. A string ends at the last quote of an odd run of
 #: quotes (`''` is an escape); a number does not start inside a word (`t1`),
-#: and `1.` followed by a non-digit is "1" then ".".
+#: `1.` followed by a non-digit is "1" then ".", and an exponent needs its
+#: digits (`1e5`, `1e-05`; `1e` is "1" then "e").
 _STRING = r"'[^']*(?:''[^']*)*'(?!')"
-_NUMBER = r"(?<!\w)\d+(?:\.\d+)?|\.\d+"
+_NUMBER = r"(?:(?<!\w)\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
 _LITERAL = re.compile(rf"(?=['\d.])(?:({_STRING})|{_NUMBER})")  # the lookahead: a faster scan
 _LEXEME = re.compile(
     rf"(?P<space>\s+)|(?P<word>[^\W\d]\w*)|(?P<number>{_NUMBER})|(?P<string>{_STRING})"
@@ -76,7 +77,10 @@ def tokenize(text: str) -> list[Token]:
             else:
                 tokens.append(Token("IDENT", lexeme, start, line, column))
         elif kind == "number":
-            tokens.append(Token("NUMBER", _number(lexeme), start, line, column))
+            value = _number(lexeme)
+            if value == _INF:
+                raise ParseError(f"number {lexeme} is out of range", position=start, text=text)
+            tokens.append(Token("NUMBER", value, start, line, column))
         elif kind == "op":
             tokens.append(Token("OP", "<>" if lexeme == "!=" else lexeme, start, line, column))
         elif kind == "string":
@@ -92,8 +96,13 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+_INF = float("inf")
+
+
 def _number(lexeme: str):
-    return float(lexeme) if "." in lexeme else int(lexeme)
+    """An INT for digits alone, else a FLOAT - inf for one beyond a float's
+    range (`1e400`), which neither `tokenize` nor `mask` takes."""
+    return int(lexeme) if lexeme.isdigit() else float(lexeme)
 
 
 def _unquoted(lexeme: str) -> str:
@@ -119,7 +128,8 @@ def mask(text: str) -> Optional[tuple]:
     place of each NUMBER / STRING lexeme, and what those lexemes stand for, in
     order - one C-level pass, one call per literal. None for a text this pass
     does not vouch it splits as `tokenize` does: a comment hides its body from
-    the lexer, and the word classes are reasoned for ASCII.
+    the lexer, and the word classes are reasoned for ASCII; and for a number
+    out of a float's range, which `tokenize` refuses.
     """
     if "--" in text or not text.isascii():
         return None
@@ -131,4 +141,5 @@ def mask(text: str) -> Optional[tuple]:
         values.append(value)
         return "?" + value.__class__.__name__
 
-    return _LITERAL.sub(mark, text), values
+    masked = _LITERAL.sub(mark, text)
+    return None if _INF in values else (masked, values)

@@ -5,10 +5,11 @@ import datetime
 import pytest
 
 from repro.common.errors import PlanError, TypeMismatchError
-from repro.common.schema import RelSchema
+from repro.common.schema import Column, RelSchema
 from repro.common.types import DataType
 from repro.sql import compile_expr, compile_predicate, parse_expression
-from repro.sql.functions import call_scalar, make_aggregate
+from repro.engine.physical import HashAggregateOp, ValuesOp
+from repro.sql.functions import AGGREGATE_FUNCTIONS, call_scalar
 
 SCHEMA = RelSchema.of(
     ("t.a", DataType.INT),
@@ -209,11 +210,16 @@ class TestFunctions:
 
 
 class TestAggregates:
+    """The folds of `AGGREGATE_FUNCTIONS`, fed as `HashAggregateOp` feeds them:
+    one group's column, its NULLs dropped and, under DISTINCT, its repeats."""
+
     def feed(self, name, values, distinct=False):
-        agg = make_aggregate(name, distinct)
-        for value in values:
-            agg.add(value)
-        return agg.finish()
+        column = ValuesOp(RelSchema([Column("v", DataType.ANY)]), [(value,) for value in values])
+        schema = RelSchema([Column("a", DataType.ANY)])
+        op = HashAggregateOp(column, None, [(name, distinct, 0)], schema)
+        assert op.folds[0][0] is AGGREGATE_FUNCTIONS[name]
+        ((answer,),) = op.run()
+        return answer
 
     def test_count_skips_nulls(self):
         assert self.feed("COUNT", [1, None, 2]) == 2

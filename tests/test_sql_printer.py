@@ -2,9 +2,11 @@
 
 import datetime
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import ParseError
 from repro.sql import parse, parse_expression, to_sql
 from repro.sql.ast import (
     Between,
@@ -23,6 +25,7 @@ from repro.sql.ast import (
     UnaryOp,
     UnionSelect,
 )
+from repro.sql.lexer import mask
 from repro.sql.printer import PrintOptions, expr_to_sql
 
 
@@ -52,6 +55,22 @@ class TestStatementPrinting:
         assert "'it''s'" in to_sql(stmt)
 
 
+class TestNumberLiterals:
+    def test_an_exponent_reads_as_a_float(self):
+        stmt = parse("SELECT 1.5e3 AS x, 2E-2 AS y, .5e+1 AS z FROM t")
+        assert [item.expr for item in stmt.items] == [Literal(1500.0), Literal(0.02), Literal(5.0)]
+
+    def test_a_float_printed_with_an_exponent_parses_back(self):
+        stmt = parse("SELECT id FROM orders WHERE total > 0.00001")
+        assert "1e-05" in to_sql(stmt) and parse(to_sql(stmt)) == stmt
+
+    def test_a_number_beyond_a_float_is_refused(self):
+        for text in ("SELECT 1e400 AS x FROM t", "SELECT id FROM t WHERE x > -1.5E309"):
+            with pytest.raises(ParseError, match="out of range"):
+                parse(text)
+            assert mask(text) is None
+
+
 class TestDialectOptions:
     def test_function_rename(self):
         options = PrintOptions(function_names={"SUBSTR": "SUBSTRING"})
@@ -74,6 +93,9 @@ _columns = st.sampled_from(
 )
 _literals = st.one_of(
     st.integers(min_value=-1000, max_value=1000).map(Literal),
+    # finite floats: `repr` prints some with an exponent (1e-05, 1e+16, 5e-324)
+    st.floats(allow_nan=False, allow_infinity=False).map(Literal),
+    st.sampled_from([1e-05, 1e16, 5e-324, -2.5e-07, 1.5e300]).map(Literal),
     st.booleans().map(Literal),
     st.just(Literal(None)),
     st.text(alphabet="abc'% _", min_size=0, max_size=6).map(Literal),
