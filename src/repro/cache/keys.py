@@ -69,4 +69,4 @@ def canonical_statement(query) -> Tuple[object, Optional[str]]:
 
 def fetch_key(source_name: str, stmt) -> Tuple[str, str]:
     """Key for one component fetch: `(source, canonical pushed-down SQL)`."""
-    return (source_name, to_sql(stmt))
+    return (source_name, stmt.text)

@@ -12,8 +12,8 @@ from repro.common.types import rows_size
 class Batch(list):
     """Rows, plus what their producer vouches: `kinds` is None or, per column,
     None, a frozenset of at least every exact `type(value)` the column holds,
-    or a callable yielding either (a table column's kinds, swept on demand).
-    It describes the rows as built: whoever edits the list drops it."""
+    or a callable yielding either (a table column's kinds, swept on demand):
+    read it with `repro.common.types.column_vouches`. It describes the rows as built: whoever edits the list drops it."""
 
     kinds = None
 

@@ -159,6 +159,20 @@ def row_size(row) -> int:
     return sum(map(value_size, row))
 
 
+def column_vouches(kinds, positions) -> list:
+    """What `kinds` (a `repro.common.relation.Batch`'s, or None) vouches of
+    each column at `positions`: None (nothing) or a frozenset holding at least
+    every exact type in it. A table column's entry is a call, which sweeps the
+    column the first time it is asked for."""
+    if kinds is None:
+        return [None] * len(positions)
+    out = []
+    for position in positions:
+        vouch = kinds[position]
+        out.append(vouch() if callable(vouch) else vouch)
+    return out
+
+
 def rows_size(rows) -> int:
     """`sum(map(row_size, rows))` for equal-width rows with no call per value:
     per column, fixed widths times the count of each exact type, strings as
@@ -173,11 +187,10 @@ def rows_size(rows) -> int:
     if kinds is None:
         columns = zip(zip(*rows), repeat(None))
     else:
-        columns = zip([map(itemgetter(at), rows) for at in range(len(kinds))], kinds)
+        positions = range(len(kinds))
+        columns = zip([map(itemgetter(at), rows) for at in positions], column_vouches(kinds, positions))
     try:
         for column, vouch in columns:
-            if callable(vouch):  # a table column's kinds, swept when first called for
-                vouch = vouch()
             if vouch is None or len(vouch) > 1:
                 column = tuple(column)
                 vouch = set(map(type, column))

@@ -9,6 +9,7 @@ cost unit is "one row touched"; operators add their classical multipliers.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -90,15 +91,18 @@ class CostModel:
 
     def __init__(self, stats_provider=None):
         self.stats_provider = stats_provider
-        #: id(plan) -> (plan, PlanCost) while inside a `memo_scope`; holding
-        #: the plan itself keeps it alive, so a recycled id cannot alias a
-        #: discarded candidate's entry
-        self._memo: Optional[dict] = None
+        #: `.memo`: id(plan) -> (plan, PlanCost) while the thread is inside a
+        #: `memo_scope`; holding the plan itself keeps it alive, so a recycled
+        #: id cannot alias a discarded candidate's entry. Each thread's own: a
+        #: model is shared (an engine's planner, a source's `LocalEngine`), and
+        #: one thread's pass must not serve another estimates made under
+        #: other statistics or calibrations.
+        self._scope = threading.local()
 
     # -- public ------------------------------------------------------------------
 
     def estimate(self, plan: LogicalPlan) -> PlanCost:
-        memo = self._memo
+        memo = getattr(self._scope, "memo", None)
         if memo is not None:
             cached = memo.get(id(plan))
             if cached is not None and cached[0] is plan:
@@ -116,16 +120,17 @@ class CostModel:
         containing them — exponentially often on larger join sets. Scoping
         the memo to a pass (rather than caching forever) keeps estimates
         correct across statistics changes; re-entrant, the outermost scope
-        owns the table.
+        owns the table. The table is the calling thread's alone.
         """
-        if self._memo is not None:
+        scope = self._scope
+        if getattr(scope, "memo", None) is not None:
             yield self
             return
-        self._memo = {}
+        scope.memo = {}
         try:
             yield self
         finally:
-            self._memo = None
+            scope.memo = None
 
     def _estimate_node(self, plan: LogicalPlan) -> PlanCost:
         if isinstance(plan, LogicalScan):

@@ -1,14 +1,19 @@
 """Logical relational algebra.
 
 Nodes carry their output `RelSchema` so rewrites can be validated locally.
-Plans are trees of immutable-by-convention nodes; rewrites construct new
-nodes via each node's `with_children`.
+A plan is a value: every node is a frozen dataclass, so assigning to one
+after construction raises `dataclasses.FrozenInstanceError` and the plan
+cache can hand one tree to every caller thread. Rewrites build new nodes via
+`with_children` (or `dataclasses.replace`); a node derives its `schema` once,
+in `__post_init__`. Nodes compare and hash by identity (`eq=False`): the
+execution's per-node memo and the trace key them by node.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import ClassVar, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError
 from repro.common.schema import Column, RelSchema
@@ -16,20 +21,29 @@ from repro.common.types import DataType
 from repro.sql.ast import BinaryOp, ColumnRef, Expr, FuncCall, OrderItem, Select, SelectItem
 from repro.sql.shape import rebind, rebind_select
 
+#: how a node sets what it derives: a frozen dataclass refuses `self.x = ...`
+_set = object.__setattr__
+
 
 class LogicalPlan:
-    """Base class: every node has `children`, `schema` and `with_children`."""
+    """Base class: every node has `children`, `schema` and `with_children`,
+    the first and last read from `child_fields`, the names of the fields that
+    hold the node's inputs."""
 
     schema: RelSchema
+    child_fields: ClassVar[Tuple[str, ...]] = ()
 
     @property
     def children(self) -> tuple["LogicalPlan", ...]:
-        return ()
+        return tuple([getattr(self, name) for name in self.child_fields])
 
     def with_children(self, children: Sequence["LogicalPlan"]) -> "LogicalPlan":
-        if children:
-            raise PlanError(f"{type(self).__name__} takes no children")
-        return self
+        names = self.child_fields
+        if len(children) != len(names):
+            raise PlanError(f"{type(self).__name__} takes {len(names)} children, not {len(children)}")
+        if not names:
+            return self
+        return replace(self, **dict(zip(names, children)))  # type: ignore[type-var]
 
     def label(self) -> str:
         return type(self).__name__.replace("Logical", "")
@@ -46,13 +60,16 @@ class LogicalPlan:
             yield from child.walk()
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalScan(LogicalPlan):
     """Scan of a named base table under a binding (alias)."""
 
-    def __init__(self, table_name: str, binding: str, schema: RelSchema):
-        self.table_name = table_name
-        self.binding = binding
-        self.schema = schema.with_qualifier(binding)
+    table_name: str
+    binding: str
+    schema: RelSchema
+
+    def __post_init__(self):
+        _set(self, "schema", self.schema.with_qualifier(self.binding))
 
     def label(self):
         if self.binding != self.table_name:
@@ -60,24 +77,20 @@ class LogicalScan(LogicalPlan):
         return f"Scan({self.table_name})"
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalFilter(LogicalPlan):
-    def __init__(self, child: LogicalPlan, predicate: Expr):
-        self.child = child
-        self.predicate = predicate
-        self.schema = child.schema
+    child: LogicalPlan
+    predicate: Expr
+    child_fields = ("child",)
 
-    @property
-    def children(self):
-        return (self.child,)
-
-    def with_children(self, children):
-        (child,) = children
-        return LogicalFilter(child, self.predicate)
+    def __post_init__(self):
+        _set(self, "schema", self.child.schema)
 
     def label(self):
         return f"Filter({self.predicate})"
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalProject(LogicalPlan):
     """Projection with computed expressions and output aliases.
 
@@ -87,16 +100,19 @@ class LogicalProject(LogicalPlan):
     optimizer does not rely on projected types).
     """
 
-    def __init__(self, child: LogicalPlan, items: Sequence[SelectItem]):
-        self.child = child
-        self.items = tuple(items)
+    child: LogicalPlan
+    items: Sequence[SelectItem]
+    child_fields = ("child",)
+
+    def __post_init__(self):
+        _set(self, "items", tuple(self.items))
         columns = []
         for item in self.items:
             dtype = DataType.ANY
             qualifier = None
             if isinstance(item.expr, ColumnRef):
                 try:
-                    dtype = child.schema.column(
+                    dtype = self.child.schema.column(
                         item.expr.name, item.expr.qualifier
                     ).dtype
                 except Exception:  # unresolved here; binder validates upstream
@@ -106,51 +122,33 @@ class LogicalProject(LogicalPlan):
                     # over a join does not produce colliding output names.
                     qualifier = item.expr.qualifier
             columns.append(Column(item.output_name, dtype, qualifier))
-        self.schema = RelSchema(columns)
-
-    @property
-    def children(self):
-        return (self.child,)
-
-    def with_children(self, children):
-        (child,) = children
-        return LogicalProject(child, self.items)
+        _set(self, "schema", RelSchema(columns))
 
     def label(self):
         return f"Project({', '.join(str(item) for item in self.items)})"
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalJoin(LogicalPlan):
     """Inner or left join; `condition` of None means cross join."""
 
-    def __init__(
-        self,
-        left: LogicalPlan,
-        right: LogicalPlan,
-        kind: str = "INNER",
-        condition: Optional[Expr] = None,
-    ):
-        if kind not in ("INNER", "LEFT"):
-            raise PlanError(f"unsupported join kind {kind!r}")
-        self.left = left
-        self.right = right
-        self.kind = kind
-        self.condition = condition
-        self.schema = left.schema.concat(right.schema)
+    left: LogicalPlan
+    right: LogicalPlan
+    kind: str = "INNER"
+    condition: Optional[Expr] = None
+    child_fields = ("left", "right")
 
-    @property
-    def children(self):
-        return (self.left, self.right)
-
-    def with_children(self, children):
-        left, right = children
-        return LogicalJoin(left, right, self.kind, self.condition)
+    def __post_init__(self):
+        if self.kind not in ("INNER", "LEFT"):
+            raise PlanError(f"unsupported join kind {self.kind!r}")
+        _set(self, "schema", self.left.schema.concat(self.right.schema))
 
     def label(self):
         on = f" ON {self.condition}" if self.condition is not None else ""
         return f"{self.kind.title()}Join{on}"
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalAggregate(LogicalPlan):
     """Hash aggregation.
 
@@ -159,36 +157,22 @@ class LogicalAggregate(LogicalPlan):
     binder rewrites post-aggregation expressions to reference these names.
     """
 
-    def __init__(
-        self,
-        child: LogicalPlan,
-        group_exprs: Sequence[Expr],
-        group_names: Sequence[str],
-        aggregates: Sequence[FuncCall],
-        agg_names: Sequence[str],
-    ):
-        if len(group_exprs) != len(group_names):
+    child: LogicalPlan
+    group_exprs: Sequence[Expr]
+    group_names: Sequence[str]
+    aggregates: Sequence[FuncCall]
+    agg_names: Sequence[str]
+    child_fields = ("child",)
+
+    def __post_init__(self):
+        if len(self.group_exprs) != len(self.group_names):
             raise PlanError("group expr/name arity mismatch")
-        if len(aggregates) != len(agg_names):
+        if len(self.aggregates) != len(self.agg_names):
             raise PlanError("aggregate expr/name arity mismatch")
-        self.child = child
-        self.group_exprs = tuple(group_exprs)
-        self.group_names = tuple(group_names)
-        self.aggregates = tuple(aggregates)
-        self.agg_names = tuple(agg_names)
-        columns = [Column(name, DataType.ANY) for name in group_names]
-        columns += [Column(name, DataType.ANY) for name in agg_names]
-        self.schema = RelSchema(columns)
-
-    @property
-    def children(self):
-        return (self.child,)
-
-    def with_children(self, children):
-        (child,) = children
-        return LogicalAggregate(
-            child, self.group_exprs, self.group_names, self.aggregates, self.agg_names
-        )
+        for name in ("group_exprs", "group_names", "aggregates", "agg_names"):
+            _set(self, name, tuple(getattr(self, name)))
+        names = self.group_names + self.agg_names
+        _set(self, "schema", RelSchema(Column(name, DataType.ANY) for name in names))
 
     def label(self):
         groups = ", ".join(str(g) for g in self.group_exprs)
@@ -196,56 +180,43 @@ class LogicalAggregate(LogicalPlan):
         return f"Aggregate(by [{groups}] compute [{aggs}])"
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalSort(LogicalPlan):
-    def __init__(self, child: LogicalPlan, order_items: Sequence[OrderItem]):
-        self.child = child
-        self.order_items = tuple(order_items)
-        self.schema = child.schema
+    child: LogicalPlan
+    order_items: Sequence[OrderItem]
+    child_fields = ("child",)
 
-    @property
-    def children(self):
-        return (self.child,)
-
-    def with_children(self, children):
-        (child,) = children
-        return LogicalSort(child, self.order_items)
+    def __post_init__(self):
+        _set(self, "order_items", tuple(self.order_items))
+        _set(self, "schema", self.child.schema)
 
     def label(self):
         return f"Sort({', '.join(str(item) for item in self.order_items)})"
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalLimit(LogicalPlan):
-    def __init__(self, child: LogicalPlan, limit: int):
-        self.child = child
-        self.limit = limit
-        self.schema = child.schema
+    child: LogicalPlan
+    limit: int
+    child_fields = ("child",)
 
-    @property
-    def children(self):
-        return (self.child,)
-
-    def with_children(self, children):
-        (child,) = children
-        return LogicalLimit(child, self.limit)
+    def __post_init__(self):
+        _set(self, "schema", self.child.schema)
 
     def label(self):
         return f"Limit({self.limit})"
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalDistinct(LogicalPlan):
-    def __init__(self, child: LogicalPlan):
-        self.child = child
-        self.schema = child.schema
+    child: LogicalPlan
+    child_fields = ("child",)
 
-    @property
-    def children(self):
-        return (self.child,)
-
-    def with_children(self, children):
-        (child,) = children
-        return LogicalDistinct(child)
+    def __post_init__(self):
+        _set(self, "schema", self.child.schema)
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalAlias(LogicalPlan):
     """Expose a subplan's output under a new table binding.
 
@@ -254,36 +225,31 @@ class LogicalAlias(LogicalPlan):
     column with `b`. Execution is a free relabel.
     """
 
-    def __init__(self, child: LogicalPlan, binding: str):
-        self.child = child
-        self.binding = binding
-        self.schema = RelSchema(
-            Column(column.name, column.dtype, binding) for column in child.schema
-        )
+    child: LogicalPlan
+    binding: str
+    child_fields = ("child",)
 
-    @property
-    def children(self):
-        return (self.child,)
-
-    def with_children(self, children):
-        (child,) = children
-        return LogicalAlias(child, self.binding)
+    def __post_init__(self):
+        _set(self, "schema", self.child.schema.with_qualifier(self.binding))
 
     def label(self):
         return f"Alias({self.binding})"
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalUnion(LogicalPlan):
     """Bag UNION ALL of schema-compatible children (width must match)."""
 
-    def __init__(self, inputs: Sequence[LogicalPlan]):
-        if not inputs:
+    inputs: Sequence[LogicalPlan]
+
+    def __post_init__(self):
+        if not self.inputs:
             raise PlanError("union of zero inputs")
-        widths = {len(child.schema) for child in inputs}
+        widths = {len(child.schema) for child in self.inputs}
         if len(widths) != 1:
             raise PlanError(f"union inputs have differing widths {widths}")
-        self.inputs = tuple(inputs)
-        self.schema = inputs[0].schema
+        _set(self, "inputs", tuple(self.inputs))
+        _set(self, "schema", self.inputs[0].schema)
 
     @property
     def children(self):
@@ -300,9 +266,11 @@ def rebind_plan(plan: LogicalPlan, swap: dict, found: set) -> LogicalPlan:
     """`plan` for other constants in its statement's slots (`swap`, `found`: see
     `repro.sql.shape.rebind`). A node's predicates, component statements and
     children are rebound (not a union's inputs: no statement that lifts has
-    one); only a changed node and the path above it are copied, schema and all."""
-    changed = {}
+    one); only a changed node and the path above it are copied, schema and all:
+    a rebind swaps constants only, so nothing the node derived changes."""
+    changed: dict = {}
     for name, old in vars(plan).items():
+        new: object
         if isinstance(old, LogicalPlan):
             new = rebind_plan(old, swap, found)
         elif old.__class__ is BinaryOp:

@@ -47,6 +47,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.common.relation import Batch, Relation, vouched
 from repro.common.schema import RelSchema
+from repro.common.types import column_vouches
 from repro.sql.ast import Expr
 from repro.sql.eval import compile_expr, compile_filter_passes
 from repro.sql.exprutil import split_conjuncts
@@ -135,8 +136,8 @@ def _joined_kinds(left_rows, right_rows, null_pad, left_outer):
         return None
     left, right = left or (None,) * len(left_rows[0]), right or null_pad
     if left_outer:
-        right = [vouch() if callable(vouch) else vouch for vouch in right]
-        right = tuple([None if vouch is None else vouch | _NULL_KIND for vouch in right])
+        vouches = column_vouches(right, range(len(right)))
+        right = tuple([None if vouch is None else vouch | _NULL_KIND for vouch in vouches])
     return left + right
 
 
@@ -152,9 +153,7 @@ def run_filter_passes(passes, rows):
     kinds = getattr(rows, "kinds", None)
     found = []
     for position, admits, _, _ in passes:
-        vouch = None if kinds is None else kinds[position]
-        if callable(vouch):  # a table column's, resolved on demand
-            vouch = vouch()
+        (vouch,) = column_vouches(kinds, (position,))
         if vouch is None or not vouch <= admits:
             vouch = set(map(type, map(itemgetter(position), rows)))
             if not vouch <= admits:
@@ -624,9 +623,7 @@ def _fold_of(fold, distinct, arg, kinds):
     read = arg
     if isinstance(arg, int):
         read = itemgetter(arg)
-        vouch = None if kinds is None else kinds[arg]
-        if callable(vouch):  # a table column's, resolved on demand
-            vouch = vouch()
+        (vouch,) = column_vouches(kinds, (arg,))
         nullable = vouch is None or type(None) in vouch
     if fold is len and not distinct and not nullable:
         fold = None

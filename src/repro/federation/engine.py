@@ -374,7 +374,7 @@ class FederatedEngine:
             description=f"view answer from {view.view}",
         )
         plan = FederatedPlan(
-            root=answer.plan, fetches=[], bind_joins=[], assembly_site="hub",
+            root=answer.plan, fetches=(), bind_joins=(), assembly_site="hub",
             est_result_rows=float(len(answer.relation)),
             est_result_bytes=payload_bytes,
         )

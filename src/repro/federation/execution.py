@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from itertools import chain
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.cache import fetch_key
 from repro.common.errors import EIIError, SourceError, SourceTimeoutError
@@ -226,7 +226,7 @@ class Execution:
         # statements it ran (None until it returned) and, once the answer
         # shipped, ``(assembly seconds, final-transfer seconds)``.
         self.statements: list[Recorder] = []
-        self.planned: list = []
+        self.planned: Sequence = ()
         self.prefetched: Optional[int] = None
         self.assembled: Optional[tuple] = None
 
@@ -448,7 +448,7 @@ class Execution:
         rows = chunks[0] if len(chunks) == 1 else list(chain.from_iterable(chunks))
         return Relation.adopt(node.fetch_schema, rows)
 
-    def prefetch(self, fetches: list) -> list:
+    def prefetch(self, fetches: Sequence) -> list:
         """Run the plan's component queries; returns ``(node, sim seconds)``
         per fetch, in the order they ran.
 
@@ -467,7 +467,7 @@ class Execution:
             reordered = adaptive.lpt_order(
                 fetches, engine.network, self.site, engine.scoreboard
             )
-            if reordered != fetches:
+            if reordered != list(fetches):
                 self.record.lpt_reordered()
             fetches = reordered
         self.planned = fetches

@@ -2,16 +2,18 @@
 
 Both are logical-plan extension nodes that plug into the shared optimizer
 and executor through the `estimate_cost` / `lower_physical` hooks. A node is
-a value: the planner (or mid-query re-optimization) builds it and nothing
-assigns to it afterwards, because the plan cache hands one plan to every
-caller. What a *run* needs arrives at lowering time instead — `FetchOp` and
+a value: the planner (or mid-query re-optimization) builds it, and it is a
+frozen dataclass like every logical node, so an assignment to it raises -
+the plan cache hands one plan to every caller. What a *run* needs arrives
+at lowering time instead — `FetchOp` and
 `BindJoinOp` are built per execution and hold that execution's context
 (`repro.federation.execution.Execution`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.common.errors import PlanError
 from repro.common.schema import RelSchema
@@ -20,13 +22,13 @@ from repro.engine.logical import LogicalPlan
 from repro.engine.physical import PhysicalOp, hash_join, join_keys
 from repro.sql.ast import ColumnRef, Expr, Select
 from repro.sql.eval import compile_expr
-from repro.sql.printer import to_sql
 
 #: Maximum literals in one generated IN-list; longer key sets are chunked
 #: into multiple component queries.
 DEFAULT_MAX_INLIST = 200
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalFetch(LogicalPlan):
     """A component query executed at one source, shipped to the assembly site.
 
@@ -35,32 +37,22 @@ class LogicalFetch(LogicalPlan):
     above it keeps resolving; remote results are re-labeled positionally.
     """
 
-    def __init__(
-        self,
-        stmt: Select,
-        source,
-        schema: RelSchema,
-        est_rows: float = 1000.0,
-        est: Optional[PlanCost] = None,
-        depends_on: frozenset = frozenset(),
-        tables: frozenset = frozenset(),
-    ):
-        self.stmt = stmt
-        self.source = source
-        self.schema = schema
-        self.est_rows = est_rows
-        #: full estimate of the replaced subtree (keeps column statistics so
-        #: joins above the fetch stay well-estimated at the assembly site)
-        self.est = est
-        #: lower-cased global+local names of the tables this fetch reads;
-        #: cache entries built from it are tagged with these for invalidation
-        self.depends_on = depends_on
-        #: lower-cased *global* names only — what replica failover needs to
-        #: find alternate sources and rewrite the statement against them
-        self.tables = tables
+    stmt: Select
+    source: Any
+    schema: RelSchema
+    est_rows: float = 1000.0
+    #: full estimate of the replaced subtree (keeps column statistics so
+    #: joins above the fetch stay well-estimated at the assembly site)
+    est: Optional[PlanCost] = None
+    #: lower-cased global+local names of the tables this fetch reads;
+    #: cache entries built from it are tagged with these for invalidation
+    depends_on: frozenset = frozenset()
+    #: lower-cased *global* names only — what replica failover needs to
+    #: find alternate sources and rewrite the statement against them
+    tables: frozenset = frozenset()
 
     def label(self):
-        return f"Fetch[{self.source.name}]({to_sql(self.stmt)})"
+        return f"Fetch[{self.source.name}]({self.stmt.text})"
 
     def estimate_cost(self, cost_model) -> PlanCost:
         if self.est is not None:
@@ -94,6 +86,7 @@ class FetchOp(PhysicalOp):
         return self.node.label()
 
 
+@dataclass(frozen=True, eq=False)
 class LogicalBindJoin(LogicalPlan):
     """Join where the right side is fetched per batch of left-side keys.
 
@@ -104,74 +97,37 @@ class LogicalBindJoin(LogicalPlan):
     access path for binding-pattern (web-service) sources.
     """
 
-    def __init__(
-        self,
-        left: LogicalPlan,
-        template: Select,
-        source,
-        fetch_schema: RelSchema,
-        left_key: ColumnRef,
-        right_key: ColumnRef,
-        kind: str = "INNER",
-        residual: Optional[Expr] = None,
-        max_inlist: int = DEFAULT_MAX_INLIST,
-        est_rows: float = 1000.0,
-        depends_on: frozenset = frozenset(),
-        tables: frozenset = frozenset(),
-        required: bool = False,
-        est: Optional[PlanCost] = None,
-    ):
-        if kind not in ("INNER", "LEFT"):
-            raise PlanError(f"bind join does not support kind {kind!r}")
-        self.left = left
-        self.template = template
-        self.source = source
-        self.fetch_schema = fetch_schema
-        self.left_key = left_key
-        self.right_key = right_key
-        self.kind = kind
-        self.residual = residual
-        self.max_inlist = max_inlist
-        self.est_rows = est_rows
-        #: table names (lower-cased) the probed side reads, for invalidation
-        self.depends_on = depends_on
-        #: lower-cased global names of the probed tables (replica failover)
-        self.tables = tables
-        #: True when key-driven lookup is the *only* access path (binding
-        #: patterns) — mid-query re-optimization must never convert these
-        #: to plain fetches
-        self.required = required
-        #: full estimate of the probed template, as on `LogicalFetch`
-        self.est = est
-        self.schema = left.schema.concat(fetch_schema)
+    left: LogicalPlan
+    template: Select
+    source: Any
+    fetch_schema: RelSchema
+    left_key: ColumnRef
+    right_key: ColumnRef
+    kind: str = "INNER"
+    residual: Optional[Expr] = None
+    max_inlist: int = DEFAULT_MAX_INLIST
+    est_rows: float = 1000.0
+    #: table names (lower-cased) the probed side reads, for invalidation
+    depends_on: frozenset = frozenset()
+    #: lower-cased global names of the probed tables (replica failover)
+    tables: frozenset = frozenset()
+    #: True when key-driven lookup is the *only* access path (binding
+    #: patterns) — mid-query re-optimization must never convert these
+    #: to plain fetches
+    required: bool = False
+    #: full estimate of the probed template, as on `LogicalFetch`
+    est: Optional[PlanCost] = None
+    child_fields = ("left",)
 
-    @property
-    def children(self):
-        return (self.left,)
-
-    def with_children(self, children):
-        (left,) = children
-        return LogicalBindJoin(
-            left,
-            self.template,
-            self.source,
-            self.fetch_schema,
-            self.left_key,
-            self.right_key,
-            self.kind,
-            self.residual,
-            self.max_inlist,
-            self.est_rows,
-            self.depends_on,
-            self.tables,
-            self.required,
-            self.est,
-        )
+    def __post_init__(self):
+        if self.kind not in ("INNER", "LEFT"):
+            raise PlanError(f"bind join does not support kind {self.kind!r}")
+        object.__setattr__(self, "schema", self.left.schema.concat(self.fetch_schema))
 
     def label(self):
         return (
             f"BindJoin[{self.source.name}]({self.left_key} -> {self.right_key}: "
-            f"{to_sql(self.template)})"
+            f"{self.template.text})"
         )
 
     def estimate_cost(self, cost_model) -> PlanCost:

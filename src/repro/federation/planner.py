@@ -65,13 +65,14 @@ from repro.sql.shape import plant
 from repro.wrappers.pushability import binding_supplier, statement_reasons
 
 
-@dataclass
+@dataclass(frozen=True)
 class FederatedPlan:
-    """Output of federated planning, ready for the federated executor."""
+    """Output of federated planning, ready for the federated executor: a
+    value, like its nodes, since the plan cache hands it to every caller."""
 
     root: LogicalPlan
-    fetches: list
-    bind_joins: list
+    fetches: tuple
+    bind_joins: tuple
     assembly_site: str
     est_result_rows: float = 0.0
     est_result_bytes: int = 0
@@ -123,8 +124,8 @@ def _remote_nodes(root: LogicalPlan) -> tuple:
     """``(fetches, bind joins)`` of a cut plan, in walk order."""
     nodes = list(root.walk())
     return (
-        [node for node in nodes if isinstance(node, LogicalFetch)],
-        [node for node in nodes if isinstance(node, LogicalBindJoin)],
+        tuple([node for node in nodes if isinstance(node, LogicalFetch)]),
+        tuple([node for node in nodes if isinstance(node, LogicalBindJoin)]),
     )
 
 

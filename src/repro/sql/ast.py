@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 
@@ -293,10 +294,17 @@ class Select:
         """All table references, FROM-list and JOIN clauses alike."""
         return list(self.from_tables) + [join.table for join in self.joins]
 
-    def __str__(self):
+    @cached_property
+    def text(self) -> str:
+        """The canonical SQL text (`repro.sql.printer.to_sql`), printed once and
+        kept on the statement: it is immutable, and a rebound or re-written
+        statement is a new one (`dataclasses.replace`) that prints its own."""
         from repro.sql.printer import to_sql
 
         return to_sql(self)
+
+    def __str__(self):
+        return self.text
 
 
 @dataclass(frozen=True)

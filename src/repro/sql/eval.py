@@ -33,7 +33,7 @@ from repro.sql.ast import (
     UnaryOp,
 )
 from repro.sql.exprutil import SWAPPED_COMPARISONS, column_vs_literal
-from repro.sql.functions import call_scalar, is_aggregate_name
+from repro.sql.functions import call_scalar, is_aggregate_name, remainder
 
 _COMPARATORS = {
     "=": operator.eq,
@@ -48,7 +48,7 @@ _ARITHMETIC = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "%": operator.mod,
+    "%": remainder,
 }
 
 #: Ints up to this magnitude convert to float without rounding, so Python's

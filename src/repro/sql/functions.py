@@ -95,8 +95,15 @@ def _ifnull(value, default):
     return default if value is None else value
 
 
-def _mod(a, b):
-    return a % b
+def remainder(a, b):
+    """SQL's `a % b` (and MOD): the truncated remainder, which takes the
+    dividend's sign (`-7 % 2` is -1); NULL for a zero divisor, as `/` gives."""
+    if b == 0:
+        return None
+    if isinstance(a, float) or isinstance(b, float):
+        return math.nan if math.isinf(a) else math.fmod(a, b)  # fmod refuses an infinite dividend
+    magnitude = abs(a) % abs(b)
+    return -magnitude if a < 0 else magnitude
 
 
 def _power(a, b):
@@ -133,7 +140,7 @@ SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "DAY": _day,
     "COALESCE": _coalesce,
     "IFNULL": _ifnull,
-    "MOD": _mod,
+    "MOD": remainder,
     "POWER": _power,
     "SQRT": _sqrt,
     "SIGN": _sign,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from itertools import count
 
-from repro.sql.printer import to_sql
 from repro.trace.span import Trace
 
 
@@ -50,18 +49,17 @@ def _execute(trace: Trace, run) -> None:
     plan, tags = run.plan, {}
     tags.update((id(node), f"fetch[{i}]") for i, node in enumerate(plan.fetches))
     tags.update((id(node), f"bind[{i}]") for i, node in enumerate(plan.bind_joins))
-    late, printed = count(len(plan.fetches)), {}  # a template prints once per node
+    late = count(len(plan.fetches))
 
     def statement(parent, node, record=None) -> None:
         bind = record is not None and record.chunk is not None
         attrs = {"chunk": record.chunk, "keys": record.keys} if bind else {}
-        if id(node) not in printed:
-            printed[id(node)] = to_sql(node.template if bind else node.stmt)
         if id(node) not in tags:
             tags[id(node)] = f"fetch[{next(late)}]"
         category, source = ("bind_fetch" if bind else "fetch"), node.source.name
         span = parent.child(
-            f"{category}:{source}", category, source=source, sql=printed[id(node)],
+            f"{category}:{source}", category, source=source,
+            sql=(node.template if bind else node.stmt).text,
             node=tags[id(node)], **attrs,
         )
         trace.node_spans.setdefault(id(node), []).append(span)

@@ -1,7 +1,10 @@
 """Reusable multi-source federation fixture (the smoke-test enterprise)."""
 
+from dataclasses import replace
+
 from repro.common.types import DataType as T
 from repro.federation import EngineConfig, FederatedEngine, FederationCatalog
+from repro.federation.nodes import LogicalBindJoin, LogicalFetch
 from repro.sources import CsvSource, RelationalSource, WebServiceSource
 from repro.sql.shape import with_in_filter
 from repro.storage import Database
@@ -121,3 +124,21 @@ def unfit(plan) -> list:
     ]
     found = [(stmt, statement_reasons(stmt, source.capabilities)) for stmt, source in sent]
     return [(str(stmt), reasons) for stmt, reasons in found if reasons]
+
+
+def altered(plan, node, **changes):
+    """`plan` with its `node` rebuilt with `changes` (`dataclasses.replace`),
+    in the tree and in the fetch and bind-join lists. A plan is a value: a
+    test that wants a faulty one builds it."""
+    new = replace(node, **changes)
+
+    def swap(at):
+        return new if at is node else at.with_children([swap(child) for child in at.children])
+
+    root = swap(plan.root)
+    walked = list(root.walk())
+    return replace(
+        plan, root=root,
+        fetches=tuple(at for at in walked if isinstance(at, LogicalFetch)),
+        bind_joins=tuple(at for at in walked if isinstance(at, LogicalBindJoin)),
+    )

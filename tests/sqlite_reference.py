@@ -41,6 +41,9 @@ from repro.sql.printer import PrintOptions, to_sql
 REL_TOL = 1e-9
 
 #: The EII104 refusals sqlite answers by type affinity, by the refusal's text.
+#: Not a refusal, and left out of every compared statement: sqlite casts a
+#: float operand of `%` to INTEGER (`7.5 % 2` is 1), where the engine keeps
+#: the float's remainder (`math.fmod`: 1.5).
 AFFINITY_GAPS = {
     "SUM or AVG over text": re.compile(r"^(SUM|AVG) over non-numeric argument .* \(string\)"),
     "a string ordered against a number": re.compile(

@@ -1,8 +1,10 @@
 """Static analysis subsystem: every diagnostic code, engine integration."""
 
+from dataclasses import replace
+
 import pytest
 
-from tests.federation_fixtures import build_catalog
+from tests.federation_fixtures import altered, build_catalog
 from repro.analysis import (
     CODES,
     AnalysisError,
@@ -325,11 +327,11 @@ class TestPlanInvariants:
         plan = self.plan(catalog, "SELECT r.region FROM regions r")
         fetch = plan.fetches[0]
         # smuggle an unpushable predicate into the scan-only component query
-        fetch.stmt = Select(
+        plan = altered(plan, fetch, stmt=Select(
             items=fetch.stmt.items,
             from_tables=fetch.stmt.from_tables,
             where=BinaryOp("=", ColumnRef("region", "r"), Literal("West")),
-        )
+        ))
         diags = verify_plan(plan)
         assert "EII401" in {d.code for d in diags}
 
@@ -350,7 +352,7 @@ class TestPlanInvariants:
             "WHERE c.id = cr.cust_id",
         )
         (bind,) = plan.bind_joins
-        bind.right_key = ColumnRef("score", bind.right_key.qualifier)
+        plan = altered(plan, bind, right_key=ColumnRef("score", bind.right_key.qualifier))
         hints = [d.hint for d in verify_plan(plan) if d.code == "EII401"]
         assert hints and "requires a binding on 'cust_id'" in hints[0]
 
@@ -371,13 +373,13 @@ class TestPlanInvariants:
             plan.fetches[0].source,
             plan.fetches[0].schema,
         )
-        plan.fetches.append(orphan)
+        plan = replace(plan, fetches=plan.fetches + (orphan,))
         diags = verify_plan(plan)
         assert "EII403" in {d.code for d in diags}
 
     def test_eii404_missing_dependency_tags(self, catalog):
         plan = self.plan(catalog, "SELECT r.region FROM regions r")
-        plan.fetches[0].tables = frozenset()
+        plan = altered(plan, plan.fetches[0], tables=frozenset())
         diags = verify_plan(plan)
         assert "EII404" in {d.code for d in diags}
 

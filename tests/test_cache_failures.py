@@ -19,7 +19,7 @@ from repro.common.errors import InjectedFaultError, SourceError
 from repro.federation import EngineConfig, FederatedEngine, ResiliencePolicy
 from repro.netsim import FaultInjector, Outage, SimClock, Transient
 
-from tests.federation_fixtures import build_catalog
+from tests.federation_fixtures import altered, build_catalog
 
 CUSTOMERS_Q = "SELECT c.id, c.name FROM customers c"
 OTHER_CRM_Q = "SELECT c.city FROM customers c WHERE c.id = 1"
@@ -150,8 +150,8 @@ class TestBindJoinChunkIsolation:
     def chunked_plan(self, engine, max_inlist=3):
         plan = engine.planner.plan(BIND_Q)
         assert plan.bind_joins, "expected a bind join against the web service"
-        for bind in plan.bind_joins:
-            bind.max_inlist = max_inlist  # 8 keys -> 3 component calls
+        for at in range(len(plan.bind_joins)):  # 8 keys -> 3 component calls
+            plan = altered(plan, plan.bind_joins[at], max_inlist=max_inlist)
         return plan
 
     def test_failed_chunk_fails_query_but_poisons_nothing(self):

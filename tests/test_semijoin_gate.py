@@ -110,8 +110,8 @@ def test_the_examples_exercise_both_outcomes():
     inner = "SELECT c.id, o.id FROM customers c JOIN orders o ON o.cust_id = c.id"
     [bound] = ENGINES["auto"].planner.plan(left).bind_joins
     assert bound.kind == "LEFT" and bound.source.name == "support"
-    assert ENGINES["auto"].planner.plan(inner).bind_joins == []
-    assert ENGINES["off"].planner.plan(left).bind_joins == []
+    assert ENGINES["auto"].planner.plan(inner).bind_joins == ()
+    assert ENGINES["off"].planner.plan(left).bind_joins == ()
     assert all(ENGINES["force"].planner.plan(sql).bind_joins for sql in (left, inner))
 
 

@@ -74,6 +74,16 @@ FUSED_SHAPES = [
 ]
 
 
+#: `%` over int pairs with negative dividends, negative divisors and zero
+#: divisors, in the select list and in a filter: the remainder takes the
+#: dividend's sign, and a zero divisor gives NULL (as `/` does)
+REMAINDERS = (
+    "SELECT o.id, (o.id - 500) % 7 AS a, (o.id - 500) % -7 AS b, "
+    "o.quantity % (o.quantity - 4) AS c, (5 - o.quantity) % (o.id % 5 - 2) AS d, "
+    "o.id % 0 AS z FROM orders o WHERE (o.id - 500) % (o.quantity - 5) <> 1"
+)
+
+
 @pytest.fixture(scope="module", params=[1, 4, 16], ids=["scale1", "scale4", "scale16"])
 def stack(request):
     fixture = build_enterprise(BenchConfig(scale=request.param, seed=42))
@@ -114,6 +124,14 @@ def test_fused_projections_agree_with_sqlite(stack, sql):
     _, engine, reference = stack
     check(engine, reference, sql)
     assert len(engine.planner.plan(sql).fetches) == 1  # answered whole by one source
+
+
+def test_a_remainder_takes_the_dividends_sign_and_zero_divides_to_null(stack):
+    _, engine, reference = stack
+    rows = check(engine, reference, REMAINDERS)
+    assert {row[5] for row in rows} == {None}
+    assert min(row[1] for row in rows) < 0 < max(row[2] for row in rows)
+    assert any(row[3] is None for row in rows) and any(row[4] is None for row in rows)
 
 
 def test_the_comparison_is_exact_but_for_floats():

@@ -399,14 +399,16 @@ class TestACopiedLiteralIsNeverServed:
 
         optimize = rewrite.optimize_logical
 
+        def copied(node):
+            node = node.with_children([copied(child) for child in node.children])
+            if hasattr(node, "predicate"):
+                node = replace(node, predicate=transform(
+                    node.predicate, lambda e: Literal(e.value) if isinstance(e, Literal) else None
+                ))
+            return node
+
         def copy_literals(plan, *args, **kwargs):
-            plan = optimize(plan, *args, **kwargs)
-            for node in plan.walk():
-                if hasattr(node, "predicate"):
-                    node.predicate = transform(
-                        node.predicate, lambda e: Literal(e.value) if isinstance(e, Literal) else None
-                    )
-            return plan
+            return copied(optimize(plan, *args, **kwargs))
 
         monkeypatch.setattr(module, "optimize_logical", copy_literals)
 
