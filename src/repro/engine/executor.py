@@ -48,7 +48,7 @@ from repro.engine.physical import (
     pick_columns,
 )
 from repro.engine.planner import DatabaseResolver, bind, bind_select
-from repro.engine.rewrite import optimize_logical
+from repro.engine.rewrite import eager_aggregate, optimize_logical
 from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
@@ -123,7 +123,7 @@ class LocalEngine:
             else:
                 query = bind_select(query, self.resolver)
         if self.optimize:
-            query = optimize_logical(query, self.cost_model)
+            query = eager_aggregate(optimize_logical(query, self.cost_model), self.cost_model)
         return query
 
     def physical_plan(self, query: Union[str, Select, LogicalPlan]) -> PhysicalOp:

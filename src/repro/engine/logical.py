@@ -32,6 +32,9 @@ class LogicalPlan:
 
     schema: RelSchema
     child_fields: ClassVar[Tuple[str, ...]] = ()
+    #: whether the node joins its children on a `condition`: a join region
+    #: (`repro.engine.rewrite.eager_aggregate`) runs through it
+    joins: ClassVar[bool] = False
 
     @property
     def children(self) -> tuple["LogicalPlan", ...]:
@@ -137,6 +140,7 @@ class LogicalJoin(LogicalPlan):
     kind: str = "INNER"
     condition: Optional[Expr] = None
     child_fields = ("left", "right")
+    joins = True
 
     def __post_init__(self):
         if self.kind not in ("INNER", "LEFT"):

@@ -8,11 +8,14 @@ Three classical rules, applied in order by `optimize_logical`:
 
 Join ordering (`repro.engine.joinorder`) runs between 2 and 3 so that it
 sees filters already attached to the right inputs.
+
+A fourth, `eager_aggregate`, runs after them at two sites: `LocalEngine`
+(so at every source) and the federated planner, once fetches are cut.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.common.schema import RelSchema
 from repro.engine.logical import (
@@ -31,12 +34,10 @@ from repro.engine.logical import (
 from repro.sql.ast import (
     Between,
     BinaryOp,
-    CaseWhen,
     ColumnRef,
     Expr,
     FuncCall,
     InList,
-    IsNull,
     Like,
     Literal,
     SelectItem,
@@ -47,10 +48,12 @@ from repro.sql.eval import compile_expr
 from repro.sql.exprutil import (
     column_refs,
     conjoin,
+    equi_join_sides,
     referenced_qualifiers,
     split_conjuncts,
     substitute_columns,
     transform,
+    walk,
 )
 from repro.sql.functions import is_aggregate_name, propagates_null
 
@@ -445,6 +448,222 @@ def _keep_columns(scan: LogicalScan, required: set):
     if len(keep) == len(scan.schema):
         return None
     return keep
+
+
+# ---------------------------------------------------------------------------
+# Eager aggregation
+# ---------------------------------------------------------------------------
+
+#: how a partial is built for a join input: ``place(x, group)``, where
+#: `group(child)` is the partial aggregate over a child standing for `x`
+Place = Callable[[LogicalPlan, Callable[[LogicalPlan], LogicalPlan]], LogicalPlan]
+
+
+def _group_in_place(x: LogicalPlan, group) -> LogicalPlan:
+    return group(x)
+
+
+def eager_aggregate(plan: LogicalPlan, cost_model, place: Place = _group_in_place) -> LogicalPlan:
+    """`plan` with each GROUP BY over a join pre-aggregating one join input
+    by its join key, where that is sound and pays most (Yan & Larson, "Eager
+    Aggregation and Lazy Aggregation", VLDB 1995); `plan` itself, no node
+    built, where nothing moves. `place` builds the partial (the federated
+    planner folds it into a fetch). Run it where every join stays a join
+    (at the hub: after `_cut`): a bind join's probed side is a template,
+    not an input."""
+    children = plan.children
+    rebuilt = [eager_aggregate(child, cost_model, place) for child in children]
+    if any(new is not old for new, old in zip(rebuilt, children)):
+        plan = plan.with_children(rebuilt)
+    if isinstance(plan, LogicalAggregate):
+        best = None
+        for x, join, padded in _join_inputs(plan.child):
+            candidate = _pre_aggregate(plan, x, join, padded, cost_model, place)
+            if candidate is not None and (best is None or candidate[0] > best[0]):
+                best = candidate
+        if best is not None:
+            return best[1]
+    return plan
+
+
+def _pre_aggregate(
+    agg: LogicalAggregate, x: LogicalPlan, join: LogicalPlan, padded: bool, cost_model, place: Place
+) -> Optional[tuple]:
+    """``(rows saved, plan)``: `agg` with its join input `x` grouped by the
+    columns the plan reads of it outside its aggregates (`_decompose`);
+    None when unsound or when the estimate says fewer rows would not enter
+    `join`."""
+    qualifiers = {(column.qualifier or "").lower() for column in x.schema}
+    if len(qualifiers) != 1 or "" in qualifiers:
+        return None
+    binding = x.schema[0].qualifier
+
+    def mine(ref: ColumnRef) -> bool:
+        if ref.qualifier is None:
+            return x.schema.has(ref.name)
+        return ref.qualifier.lower() == binding.lower()
+
+    decomposed = _decompose(agg, mine, binding, padded)
+    keyed = any(mine(a) != mine(b) for a, b in _join_keys(join))
+    if decomposed is None or not keyed:
+        return None
+    partials, finals = decomposed
+    read = {
+        ref.name.lower()
+        for expr in [*_region_exprs(agg.child, x), *agg.group_exprs]
+        for ref in column_refs(expr)
+        if mine(ref)
+    }
+    groups = [column for column in x.schema if column.name.lower() in read]
+    if any(column.name.startswith("_p") for column in groups):
+        return None  # a partial's name would shadow it
+
+    def group(child: LogicalPlan) -> LogicalPlan:
+        return LogicalAggregate(
+            child,
+            [ColumnRef(column.name, column.qualifier) for column in groups],
+            [column.name for column in groups],
+            list(partials),
+            [ref.name for ref in partials.values()],
+        )
+
+    pre = place(x, group)
+    saved = cost_model.estimate(x).rows - cost_model.estimate(pre).rows
+    if saved <= 0:
+        return None
+    child = _replace_input(agg.child, x, LogicalAlias(pre, binding))
+    if all(_aggregate_calls(final) == [final] for final in finals):
+        return saved, LogicalAggregate(child, agg.group_exprs, agg.group_names, finals, agg.agg_names)
+    # some final is an expression over aggregates: fold them, then project
+    calls: dict = {}
+    for final in finals:
+        for call in _aggregate_calls(final):
+            calls.setdefault(call, ColumnRef(f"_m{len(calls)}"))
+    folded = LogicalAggregate(
+        child, agg.group_exprs, agg.group_names, list(calls), [ref.name for ref in calls.values()]
+    )
+    items = [SelectItem(ColumnRef(name)) for name in agg.group_names]
+    items += [SelectItem(transform(final, calls.get), name) for final, name in zip(finals, agg.agg_names)]
+    return saved, LogicalProject(folded, items)
+
+
+def _decompose(agg: LogicalAggregate, mine, binding: str, padded: bool) -> Optional[tuple]:
+    """``(partials, finals)`` for pre-aggregating the join input whose columns
+    `mine` tells: the partial calls over it (-> their column under
+    `binding`), and per aggregate of `agg` the expression that folds them.
+    None when an aggregate does not decompose.
+
+    A partial row stands for its group's rows, which join alike. So `SUM`,
+    `MIN` and `MAX` of the input fold their partials; `COUNT(e)` and `AVG(e)`
+    sum partial counts; `COUNT(*)` sums partial row counts, where a padded
+    row (`padded`: the input is null-supplying) counts 1. Aggregates of other
+    inputs may not see the multiplicity: `MIN`, `MAX` and `DISTINCT` ones
+    stand, any other blocks, as does a `DISTINCT` aggregate of the input."""
+    partials: dict = {}
+
+    def partial(call: FuncCall) -> ColumnRef:
+        return partials.setdefault(call, ColumnRef(f"_p{len(partials)}", binding))
+
+    def summed(call: FuncCall) -> FuncCall:
+        return FuncCall("SUM", (partial(call),))
+
+    finals: list = []
+    for call in agg.aggregates:
+        name = call.name.upper()
+        refs = [ref for arg in call.args for ref in column_refs(arg)]
+        if refs and all(map(mine, refs)):
+            if call.distinct or name not in ("SUM", "COUNT", "MIN", "MAX", "AVG"):
+                return None
+            if name == "COUNT":
+                finals.append(FuncCall("COALESCE", (summed(call), Literal(0))))
+            elif name == "AVG":
+                sums = summed(FuncCall("SUM", call.args))
+                finals.append(BinaryOp("/", sums, summed(FuncCall("COUNT", call.args))))
+            else:
+                finals.append(FuncCall(name, (partial(call),)))
+        elif any(map(mine, refs)):
+            return None
+        elif name == "COUNT" and not call.distinct and isinstance(call.args[0], Star):
+            rows = partial(FuncCall("COUNT", (Star(),)))
+            weight = FuncCall("COALESCE", (rows, Literal(1))) if padded else rows
+            total = FuncCall("SUM", (weight,))
+            finals.append(total if agg.group_exprs else FuncCall("COALESCE", (total, Literal(0))))
+        elif not (call.distinct or name in ("MIN", "MAX")):
+            return None
+        else:
+            finals.append(call)
+    return (partials, finals) if partials else None
+
+
+def _in_region(node: LogicalPlan) -> bool:
+    """Whether `node` belongs to a join region: a join, or a filter or
+    narrowing project over one."""
+    if node.joins:
+        return True
+    if isinstance(node, LogicalFilter) or (
+        isinstance(node, LogicalProject)
+        and all(isinstance(item.expr, ColumnRef) and item.alias is None for item in node.items)
+    ):
+        return _in_region(node.child)
+    return False
+
+
+def _join_inputs(node: LogicalPlan, padded: bool = False):
+    """``(input, join, padded)`` per input of the join region at `node`;
+    `padded` when the input is null-supplying (under a LEFT join's right)."""
+    if node.joins:
+        for child, nulls in zip(node.children, (padded, padded or node.kind == "LEFT")):
+            if _in_region(child):
+                yield from _join_inputs(child, nulls)
+            else:
+                yield child, node, nulls
+    elif _in_region(node):
+        yield from _join_inputs(node.child, padded)
+
+
+def _region_exprs(node: LogicalPlan, x: LogicalPlan):
+    """The join conditions and filter predicates of the region at `node`,
+    outside its input `x`."""
+    if node is x or not _in_region(node):
+        return
+    if node.joins and node.condition is not None:
+        yield node.condition
+    if isinstance(node, LogicalFilter):
+        yield node.predicate
+    for child in node.children:
+        yield from _region_exprs(child, x)
+
+
+def _replace_input(node: LogicalPlan, x: LogicalPlan, new: LogicalPlan) -> LogicalPlan:
+    """The region at `node` reading `new` for its input `x`; a project that
+    passed columns of `x` through passes `new`'s."""
+    if node is x:
+        return new
+    if not _in_region(node):
+        return node
+    children = [_replace_input(child, x, new) for child in node.children]
+    if isinstance(node, LogicalProject):
+        items = [
+            item for item in node.items
+            if not x.schema.has(item.expr.name, item.expr.qualifier)
+        ]
+        if len(items) < len(node.items):
+            items += [SelectItem(ColumnRef(column.name, column.qualifier)) for column in new.schema]
+        return LogicalProject(children[0], items)
+    return node.with_children(children)
+
+
+def _join_keys(join: LogicalPlan) -> list:
+    """The ``(a, b)`` column pairs `join` equates."""
+    sides = map(equi_join_sides, split_conjuncts(join.condition))
+    return [pair for pair in sides if pair is not None]
+
+
+def _aggregate_calls(expr: Expr) -> list:
+    return [
+        node for node in walk(expr)
+        if isinstance(node, FuncCall) and is_aggregate_name(node.name)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.common.schema import RelSchema
 from repro.engine.cost import PlanCost
 from repro.engine.logical import LogicalPlan
 from repro.engine.physical import PhysicalOp, hash_join, join_keys
-from repro.sql.ast import ColumnRef, Expr, Select
+from repro.sql.ast import BinaryOp, ColumnRef, Expr, Select
 from repro.sql.eval import compile_expr
 
 #: Maximum literals in one generated IN-list; longer key sets are chunked
@@ -118,11 +118,18 @@ class LogicalBindJoin(LogicalPlan):
     #: full estimate of the probed template, as on `LogicalFetch`
     est: Optional[PlanCost] = None
     child_fields = ("left",)
+    joins = True
 
     def __post_init__(self):
         if self.kind not in ("INNER", "LEFT"):
             raise PlanError(f"bind join does not support kind {self.kind!r}")
         object.__setattr__(self, "schema", self.left.schema.concat(self.fetch_schema))
+
+    @property
+    def condition(self) -> Expr:
+        """What the join checks: its keys equal, and its residual."""
+        keys = BinaryOp("=", self.left_key, self.right_key)
+        return keys if self.residual is None else BinaryOp("AND", keys, self.residual)
 
     def label(self):
         return (

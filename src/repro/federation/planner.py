@@ -19,7 +19,6 @@ from repro.common.errors import PlanError
 from repro.engine.cost import CostModel, PlanCost
 from repro.engine.logical import (
     LogicalAggregate,
-    LogicalAlias,
     LogicalDistinct,
     LogicalFilter,
     LogicalJoin,
@@ -31,35 +30,28 @@ from repro.engine.logical import (
     rebind_plan,
 )
 from repro.engine.planner import bind_select
-from repro.engine.rewrite import optimize_logical
+from repro.engine.rewrite import eager_aggregate, optimize_logical
 from repro.federation.catalog import FederationCatalog
 from repro.federation.nodes import DEFAULT_MAX_INLIST, LogicalBindJoin, LogicalFetch
 from repro.netsim.network import NetworkModel
 from repro.sql.ast import (
-    BinaryOp,
     ColumnRef,
     Expr,
-    FuncCall,
     InList,
     JoinClause,
     Literal,
     OrderItem,
     Select,
     SelectItem,
-    Star,
     TableRef,
     UnionSelect,
 )
 from repro.sql.exprutil import (
-    column_refs,
     conjoin,
     equi_join_sides,
     split_conjuncts,
     substitute_columns,
-    transform,
-    walk,
 )
-from repro.sql.functions import is_aggregate_name
 from repro.sql.parser import parse
 from repro.sql.shape import plant
 from repro.wrappers.pushability import binding_supplier, statement_reasons
@@ -202,7 +194,8 @@ class FederatedPlanner:
             site = self._choose_site(
                 _remote_nodes(root)[0], int(est.rows * root.schema.average_row_width())
             )
-            root = self._eager(root, subtrees)
+            # After `_cut`, so the rule sees only joins that stay joins.
+            root = eager_aggregate(root, self.cost_model, lambda x, group: self._place(x, group, subtrees))
             self._check_access_paths(root)
             fetches, bind_joins = _remote_nodes(root)
             est = self.cost_model.estimate(root)
@@ -490,96 +483,12 @@ class FederatedPlanner:
 
     # -- eager aggregation -----------------------------------------------------------
 
-    def _eager(self, node: LogicalPlan, subtrees: dict) -> LogicalPlan:
-        """The cut plan `node` with each GROUP BY over a hub join
-        pre-aggregating one join input by its join key, where that is sound
-        and pays most. It runs after `_cut`, so it sees only joins that stay
-        joins: a bind join's probed side is a template, not an input."""
-        children = node.children
-        rebuilt = [self._eager(child, subtrees) for child in children]
-        if any(new is not old for new, old in zip(rebuilt, children)):
-            node = node.with_children(rebuilt)
-        if isinstance(node, LogicalAggregate):
-            best = None
-            for x, join, padded in _join_inputs(node.child):
-                candidate = self._pre_aggregate(node, x, join, padded, subtrees)
-                if candidate is not None and (best is None or candidate[0] > best[0]):
-                    best = candidate
-            if best is not None:
-                return best[1]
-        return node
-
-    def _pre_aggregate(
-        self,
-        agg: LogicalAggregate,
-        x: LogicalPlan,
-        join: LogicalPlan,
-        padded: bool,
-        subtrees: dict,
-    ) -> Optional[tuple]:
-        """``(rows saved, plan)``: `agg` with its join input `x` grouped by the
-        columns the plan reads of it outside its aggregates (`_decompose`);
-        None when unsound or when the estimate says fewer rows would not
-        enter `join`. A fetch's partial runs in it when its source can
-        aggregate (`_cut` of the grouped subtree), else at the hub."""
-        qualifiers = {(column.qualifier or "").lower() for column in x.schema}
-        if len(qualifiers) != 1 or "" in qualifiers:
-            return None
-        binding = x.schema[0].qualifier
-
-        def mine(ref: ColumnRef) -> bool:
-            if ref.qualifier is None:
-                return x.schema.has(ref.name)
-            return ref.qualifier.lower() == binding.lower()
-
-        decomposed = _decompose(agg, mine, binding, padded)
-        keyed = any(mine(a) != mine(b) for a, b in _join_keys(join))
-        if decomposed is None or not keyed:
-            return None
-        partials, finals = decomposed
-        read = {
-            ref.name.lower()
-            for expr in [*_region_exprs(agg.child, x), *agg.group_exprs]
-            for ref in column_refs(expr)
-            if mine(ref)
-        }
-        groups = [column for column in x.schema if column.name.lower() in read]
-        if any(column.name.startswith("_p") for column in groups):
-            return None  # a partial's name would shadow it
+    def _place(self, x: LogicalPlan, group, subtrees: dict) -> LogicalPlan:
+        """The partial `group` makes for join input `x`: a fetch's runs in it
+        when its source can aggregate (`_cut` of the grouped subtree the
+        fetch replaced), anything else's at the hub."""
         subtree = subtrees.get(id(x)) if isinstance(x, LogicalFetch) else None
-        pre: LogicalPlan = LogicalAggregate(
-            x if subtree is None else subtree,
-            [ColumnRef(column.name, column.qualifier) for column in groups],
-            [column.name for column in groups],
-            list(partials),
-            [ref.name for ref in partials.values()],
-        )
-        if subtree is not None:
-            pre = self._cut(pre, subtrees)
-        saved = self.cost_model.estimate(x).rows - self.cost_model.estimate(pre).rows
-        if saved <= 0:
-            return None
-        grouped = LogicalAlias(pre, binding)
-        child = _replace_input(agg.child, x, grouped)
-        if all(_aggregate_calls(final) == [final] for final in finals):
-            return saved, LogicalAggregate(
-                child, agg.group_exprs, agg.group_names, finals, agg.agg_names
-            )
-        # some final is an expression over aggregates: fold them, then project
-        calls: dict = {}
-        for final in finals:
-            for call in _aggregate_calls(final):
-                calls.setdefault(call, ColumnRef(f"_m{len(calls)}"))
-        folded = LogicalAggregate(
-            child, agg.group_exprs, agg.group_names, list(calls),
-            [ref.name for ref in calls.values()],
-        )
-        items = [SelectItem(ColumnRef(name)) for name in agg.group_names]
-        items += [
-            SelectItem(transform(final, calls.get), name)
-            for final, name in zip(finals, agg.agg_names)
-        ]
-        return saved, LogicalProject(folded, items)
+        return group(x) if subtree is None else self._cut(group(subtree), subtrees)
 
     # -- validation -----------------------------------------------------------------
 
@@ -766,132 +675,6 @@ def _collect_from(node: LogicalPlan, catalog: FederationCatalog):
         clause = JoinClause(TableRef(local, right.binding), "LEFT", node.condition)
         return left_tables, left_joins + [clause], left_where
     raise PlanError(f"cannot convert {node.label()} into a component query")
-
-
-def _decompose(agg: LogicalAggregate, mine, binding: str, padded: bool) -> Optional[tuple]:
-    """``(partials, finals)`` for pre-aggregating the join input whose columns
-    `mine` tells: the partial calls over it (-> their column under
-    `binding`), and per aggregate of `agg` the expression that folds them.
-    None when an aggregate does not decompose.
-
-    A partial row stands for its group's rows, which join alike. So `SUM`,
-    `MIN` and `MAX` of the input fold their partials; `COUNT(e)` and `AVG(e)`
-    sum partial counts; `COUNT(*)` sums partial row counts, where a padded
-    row (`padded`: the input is null-supplying) counts 1. Aggregates of other
-    inputs may not see the multiplicity: `MIN`, `MAX` and `DISTINCT` ones
-    stand, any other blocks, as does a `DISTINCT` aggregate of the input."""
-    partials: dict = {}
-
-    def partial(call: FuncCall) -> ColumnRef:
-        return partials.setdefault(call, ColumnRef(f"_p{len(partials)}", binding))
-
-    def summed(call: FuncCall) -> FuncCall:
-        return FuncCall("SUM", (partial(call),))
-
-    finals: list = []
-    for call in agg.aggregates:
-        name = call.name.upper()
-        refs = [ref for arg in call.args for ref in column_refs(arg)]
-        if refs and all(map(mine, refs)):
-            if call.distinct or name not in ("SUM", "COUNT", "MIN", "MAX", "AVG"):
-                return None
-            if name == "COUNT":
-                finals.append(FuncCall("COALESCE", (summed(call), Literal(0))))
-            elif name == "AVG":
-                sums = summed(FuncCall("SUM", call.args))
-                finals.append(BinaryOp("/", sums, summed(FuncCall("COUNT", call.args))))
-            else:
-                finals.append(FuncCall(name, (partial(call),)))
-        elif any(map(mine, refs)):
-            return None
-        elif name == "COUNT" and not call.distinct and isinstance(call.args[0], Star):
-            rows = partial(FuncCall("COUNT", (Star(),)))
-            weight = FuncCall("COALESCE", (rows, Literal(1))) if padded else rows
-            total = FuncCall("SUM", (weight,))
-            finals.append(total if agg.group_exprs else FuncCall("COALESCE", (total, Literal(0))))
-        elif not (call.distinct or name in ("MIN", "MAX")):
-            return None
-        else:
-            finals.append(call)
-    return (partials, finals) if partials else None
-
-
-def _in_region(node: LogicalPlan) -> bool:
-    """Whether `node` belongs to a join region: a join (a bind join's one
-    input is its left: its probed side is a template), or a filter or
-    narrowing project over one."""
-    if isinstance(node, (LogicalJoin, LogicalBindJoin)):
-        return True
-    if isinstance(node, LogicalFilter) or (
-        isinstance(node, LogicalProject)
-        and all(isinstance(item.expr, ColumnRef) and item.alias is None for item in node.items)
-    ):
-        return _in_region(node.child)
-    return False
-
-
-def _join_inputs(node: LogicalPlan, padded: bool = False):
-    """``(input, join, padded)`` per input of the join region at `node`;
-    `padded` when the input is null-supplying (under a LEFT join's right)."""
-    if isinstance(node, (LogicalJoin, LogicalBindJoin)):
-        for child, nulls in zip(node.children, (padded, padded or node.kind == "LEFT")):
-            if _in_region(child):
-                yield from _join_inputs(child, nulls)
-            else:
-                yield child, node, nulls
-    elif _in_region(node):
-        yield from _join_inputs(node.child, padded)
-
-
-def _region_exprs(node: LogicalPlan, x: LogicalPlan):
-    """The join conditions and filter predicates of the region at `node`,
-    outside its input `x`."""
-    if node is x or not _in_region(node):
-        return
-    if isinstance(node, LogicalJoin) and node.condition is not None:
-        yield node.condition
-    if isinstance(node, LogicalBindJoin):
-        yield node.left_key
-        if node.residual is not None:
-            yield node.residual
-    if isinstance(node, LogicalFilter):
-        yield node.predicate
-    for child in node.children:
-        yield from _region_exprs(child, x)
-
-
-def _replace_input(node: LogicalPlan, x: LogicalPlan, new: LogicalPlan) -> LogicalPlan:
-    """The region at `node` reading `new` for its input `x`; a project that
-    passed columns of `x` through passes `new`'s."""
-    if node is x:
-        return new
-    if not _in_region(node):
-        return node
-    children = [_replace_input(child, x, new) for child in node.children]
-    if isinstance(node, LogicalProject):
-        items = [
-            item for item in node.items
-            if not x.schema.has(item.expr.name, item.expr.qualifier)
-        ]
-        if len(items) < len(node.items):
-            items += [SelectItem(ColumnRef(column.name, column.qualifier)) for column in new.schema]
-        return LogicalProject(children[0], items)
-    return node.with_children(children)
-
-
-def _join_keys(join: LogicalPlan) -> list:
-    """The ``(a, b)`` column pairs `join` equates."""
-    if isinstance(join, LogicalBindJoin):
-        return [(join.left_key, join.right_key)]
-    sides = map(equi_join_sides, split_conjuncts(join.condition))
-    return [pair for pair in sides if pair is not None]
-
-
-def _aggregate_calls(expr: Expr) -> list:
-    return [
-        node for node in walk(expr)
-        if isinstance(node, FuncCall) and is_aggregate_name(node.name)
-    ]
 
 
 def _peel_filters(plan: LogicalPlan):

@@ -22,6 +22,15 @@ The semantic gaps, each normalised once here:
   text as 0), a string ordered against a number (sqlite orders every number
   before every string) and a condition that is not a bool (sqlite takes a
   number's truth, and a string as the number it starts with).
+
+Two operators differ and are left out of every compared statement, each
+pinned by a test: sqlite casts a float operand of `%` to INTEGER (`7.5 % 2`
+is 1, the engine's `math.fmod` 1.5), and sqlite truncates `INT / INT` toward
+zero (`7 / 2` is 3 and `-7 / 2` is -3, the engine's `/` is true division:
+3.5 and -3.5). True division is what makes eager aggregation's `AVG(e)` ->
+`SUM(partial sum) / SUM(partial count)` exact for an INT column. NULLs sort
+first ascending and last descending in both, so ORDER BY needs no
+normalisation.
 """
 
 from __future__ import annotations
@@ -41,9 +50,6 @@ from repro.sql.printer import PrintOptions, to_sql
 REL_TOL = 1e-9
 
 #: The EII104 refusals sqlite answers by type affinity, by the refusal's text.
-#: Not a refusal, and left out of every compared statement: sqlite casts a
-#: float operand of `%` to INTEGER (`7.5 % 2` is 1), where the engine keeps
-#: the float's remainder (`math.fmod`: 1.5).
 AFFINITY_GAPS = {
     "SUM or AVG over text": re.compile(r"^(SUM|AVG) over non-numeric argument .* \(string\)"),
     "a string ordered against a number": re.compile(

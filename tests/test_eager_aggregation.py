@@ -1,21 +1,31 @@
-"""Eager aggregation: `FederatedPlanner` pre-aggregates a join input by its
-join key before a cross-source join.
+"""Eager aggregation: one rule (`repro.engine.rewrite.eager_aggregate`)
+pre-aggregates a join input by its join key, at the hub before a
+cross-source join and at a source under its own GROUP BY.
 
-Counts, not timings: what ships, what reaches the hub aggregate, and which
-plans move. The reference for "unchanged" is the planner with the rewrite
-step as the identity (the plan it replaced); rows are held against stdlib
-`sqlite3` (`tests/sqlite_reference.py`).
+Counts, not timings: what ships, what reaches an aggregate, and which plans
+move. The reference for "unchanged" is the planner with the hub's rule as
+the identity (the plan it replaced); rows are held against stdlib `sqlite3`
+(`tests/sqlite_reference.py`).
 """
+
+import sys
+from unittest import mock
 
 import pytest
 
 from repro.bench import BenchConfig, build_enterprise
 from repro.bench.workload import QUERIES
-from repro.engine.logical import LogicalAggregate
+from repro.engine import rewrite
+from repro.engine.logical import LogicalAggregate, LogicalPlan
 from repro.engine.physical import HashAggregateOp
+from repro.engine.planner import bind_select
+from repro.engine.rewrite import eager_aggregate, optimize_logical
 from repro.federation import EngineConfig, FederatedEngine, FederatedPlanner
+from repro.federation import planner as federated_planner
 from repro.sql.ast import FuncCall, Literal
 from repro.sql.exprutil import transform
+from repro.sql.parser import parse
+from repro.trace.analyze import instrument_physical
 from repro.wrappers.dialects import CONSERVATIVE
 from tests.sqlite_reference import SqliteReference, row_mismatch
 
@@ -57,9 +67,16 @@ def fixture():
 
 
 def replaced_planner(catalog) -> FederatedPlanner:
-    """The planner without eager aggregation: the one it replaced."""
+    """The planner without eager aggregation at the hub: the one it replaced.
+    While it plans, the hub's rule is the identity (sources keep theirs)."""
     planner = FederatedPlanner(catalog)
-    planner._eager = lambda node, subtrees: node
+    plan = planner.plan
+
+    def without_the_rule(query):
+        with mock.patch.object(federated_planner, "eager_aggregate", lambda node, *args: node):
+            return plan(query)
+
+    planner.plan = without_the_rule
     return planner
 
 
@@ -67,9 +84,10 @@ def replaced_plan(catalog, sql):
     return replaced_planner(catalog).plan(sql)
 
 
-def hub_aggregate_input(result) -> int:
-    """Rows the hub's topmost hash aggregate folded (an analyzed run)."""
-    ops, stack = [], [result.physical]
+def aggregate_input(physical) -> int:
+    """Rows the topmost hash aggregate of an instrumented, run tree folded
+    (an analyzed run's `result.physical`, say)."""
+    ops, stack = [], [physical]
     while stack:
         op = stack.pop()
         ops.append(op)
@@ -84,7 +102,7 @@ def test_q12_ships_per_customer_partials_from_sales(scaled):
     (sales,) = [fetch for fetch in result.plan.fetches if fetch.source.name == "sales"]
     assert [str(expr) for expr in sales.stmt.group_by] == ["o.cust_id"]
     assert result.metrics.rows_shipped <= {1: 150, 4: 450}[scale]
-    assert hub_aggregate_input(result) == {1: 20, 4: 48}[scale]
+    assert aggregate_input(result.physical) == {1: 20, 4: 48}[scale]
 
 
 def test_the_same_input_gives_byte_identical_rows(fixture):
@@ -167,10 +185,10 @@ def test_dropping_the_padded_row_coalesce_is_caught(fixture, monkeypatch):
     assert "COALESCE(o._p0, 1)" in right.plan.pretty()
     assert row_mismatch(right.relation.rows, reference.query(PADDED_COUNT)) is None
 
-    pre_aggregate = FederatedPlanner._pre_aggregate
+    pre_aggregate = rewrite._pre_aggregate
 
-    def mutated(self, *args):
-        found = pre_aggregate(self, *args)
+    def mutated(*args):
+        found = pre_aggregate(*args)
         if found is None:
             return None
 
@@ -186,7 +204,63 @@ def test_dropping_the_padded_row_coalesce_is_caught(fixture, monkeypatch):
             plan.child, plan.group_exprs, plan.group_names, calls, plan.agg_names
         )
 
-    monkeypatch.setattr(FederatedPlanner, "_pre_aggregate", mutated)
+    monkeypatch.setattr(rewrite, "_pre_aggregate", mutated)
     wrong = FederatedEngine(fixture.catalog()).query(PADDED_COUNT)
     assert "COALESCE(o._p0, 1)" not in wrong.plan.pretty()
     assert row_mismatch(wrong.relation.rows, reference.query(PADDED_COUNT)) is not None
+
+
+# -- the same rule at a source ---------------------------------------------------
+
+
+def test_q10s_source_aggregate_folds_one_row_per_ordered_product():
+    """q10's sales fetch groups orders by product before the join: its top
+    aggregate folds a row per product with an order, not a row per order."""
+    fixture = build_enterprise(BenchConfig(scale=4, seed=42))
+    plan = FederatedEngine(fixture.catalog()).planner.plan(QUERIES["q10_product_mix"])
+    (fetch,) = plan.fetches
+    assert "GROUP BY" in fetch.stmt.text and "Alias(" not in plan.pretty()  # the hub's plan: as before
+    physical = fetch.source.engine.physical_plan(fetch.stmt)
+    instrument_physical(physical)
+    physical.relation()
+    orders = fixture.sales.table("orders")
+    product = orders.schema.index_of("product_id")
+    products = fixture.sales.table("products")
+    products = {row[products.schema.index_of("id")] for row in products.rows()}
+    ordered = {row[product] for row in orders.rows()} & products
+    assert aggregate_input(physical) == len(ordered) < len(list(orders.rows()))
+
+
+def logical_nodes_built(thunk) -> int:
+    """How many logical plan nodes `thunk` constructs (`sys.setprofile`)."""
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code.co_name == "__init__":
+            built += isinstance(frame.f_locals.get("self"), LogicalPlan)
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+@pytest.mark.parametrize(
+    "sql, fires",
+    [
+        ("SELECT o.status, COUNT(*) AS n, SUM(o.total) AS revenue FROM orders o GROUP BY o.status", False),
+        ("SELECT o.id, p.name FROM orders o JOIN products p ON p.id = o.product_id WHERE o.id < 9", False),
+        ("SELECT p.category, COUNT(DISTINCT o.status) AS n FROM products p "
+         "JOIN orders o ON p.id = o.product_id GROUP BY p.category", False),
+        (QUERIES["q10_product_mix"], True),
+    ],
+    ids=["no_join", "no_aggregate", "not_decomposable", "q10"],
+)
+def test_where_nothing_moves_the_rule_builds_nothing(fixture, sql, fires):
+    engine = fixture.catalog().sources["sales"].engine
+    plan = optimize_logical(bind_select(parse(sql), engine.resolver), engine.cost_model)
+    assert bool(logical_nodes_built(lambda: eager_aggregate(plan, engine.cost_model))) == fires
+    assert (eager_aggregate(plan, engine.cost_model) is plan) != fires

@@ -1,6 +1,7 @@
 """Optimizer unit tests plus the central equivalence property:
 the optimized plan must return exactly the rows of the unoptimized one."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,6 +136,17 @@ class TestJoinOrdering:
         assert sorted(result.column_values("id")) == [1, 2, 3]
 
 
+#: joins under an aggregate the eager-aggregation rule rewrites: INNER, LEFT
+#: (the null-supplying side grouped) and without GROUP BY
+EAGER = [
+    "SELECT c.city, COUNT(*) AS n, SUM(o.total) AS s, AVG(o.total) AS a, MIN(o.total) AS lo "
+    "FROM customers c JOIN orders o ON c.id = o.cust_id WHERE o.status = 'open' GROUP BY c.city",
+    "SELECT c.segment, COUNT(*) AS n, COUNT(t.id) AS tickets, AVG(t.severity) AS mean "
+    "FROM customers c LEFT JOIN tickets t ON t.cust_id = c.id GROUP BY c.segment",
+    "SELECT COUNT(*) AS n, SUM(o.total) AS s, MAX(c.id) AS top FROM customers c "
+    "JOIN orders o ON c.id = o.cust_id WHERE c.segment = 'smb'",
+]
+
 QUERIES = [
     "SELECT c.name, o.total FROM customers c JOIN orders o ON c.id = o.cust_id "
     "WHERE o.total > 150 AND c.city = 'SF'",
@@ -149,6 +161,7 @@ QUERIES = [
     "SELECT o.status, SUM(o.total) AS s FROM orders o GROUP BY o.status ORDER BY s DESC",
     "SELECT c.name FROM customers c WHERE c.id NOT IN (1, 2) AND c.name LIKE 'cust%' LIMIT 7",
     "SELECT o.cust_id, COUNT(DISTINCT o.status) FROM orders o GROUP BY o.cust_id",
+    *EAGER,
 ]
 
 
@@ -160,6 +173,15 @@ def test_optimized_plan_equivalent_to_naive(sql):
     optimized = LocalEngine(db, optimize=True).query(sql).sorted()
     naive = LocalEngine(db, optimize=False).query(sql).sorted()
     assert optimized.rows == naive.rows
+
+
+@pytest.mark.parametrize("sql", EAGER, ids=["inner", "left", "global"])
+def test_the_eager_shapes_pre_aggregate_a_join_input(sql):
+    db = build_demo_db()
+    optimized, naive = LocalEngine(db), LocalEngine(db, optimize=False)
+    assert "Alias(" in optimized.logical_plan(sql).pretty()
+    assert "Alias(" not in naive.logical_plan(sql).pretty()
+    assert optimized.query(sql).sorted().rows == naive.query(sql).sorted().rows
 
 
 @given(

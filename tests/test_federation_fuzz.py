@@ -4,8 +4,10 @@ The central correctness property of an EII engine: for ANY query, the
 federated answer must equal the answer a single database co-locating all
 tables would give. Hypothesis generates random queries over the EIIBench
 schema (filters, joins, aggregates, order/limit, unions) and random
-planner configurations; we compare the federated result against a
-co-located `LocalEngine` baseline row-for-row (`same_rows`).
+planner configurations. The federated result is held row-for-row
+(`same_rows`) against stdlib `sqlite3` over the same tables (`REFERENCE`),
+which shares no rewrite with the engine, and - where the property is that
+the hub answers as one source would - against a co-located `LocalEngine`.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from repro.federation import EngineConfig, FederatedEngine
 from repro.storage import Database
 from repro.wrappers import CONSERVATIVE, GENERIC, QUIRK_AWARE
 from tests.federation_fixtures import unfit
-from tests.sqlite_reference import row_mismatch
+from tests.sqlite_reference import SqliteReference, row_mismatch
 
 FIXTURE = build_enterprise(BenchConfig(scale=1, seed=11))
 
@@ -47,13 +49,16 @@ def colocated_db() -> Database:
     return db
 
 
+#: one database holding every table: the hub must order and cut a LIMIT as it does
 BASELINE = LocalEngine(colocated_db())
+REFERENCE = SqliteReference(FIXTURE)
 
 
-def same_rows(federated, local) -> bool:
-    """Multiset equality, exact but for float columns (`REL_TOL`): the planner
-    may pre-aggregate a join input, and SQL leaves summation order open."""
-    return row_mismatch(federated.rows, local.rows) is None
+def same_rows(federated, sql: str) -> bool:
+    """Whether `federated` holds sqlite's answer to `sql`: multiset equality,
+    exact but for float columns (`REL_TOL`): the planner may pre-aggregate a
+    join input, and SQL leaves summation order open."""
+    return row_mismatch(federated.rows, REFERENCE.query(sql)) is None
 
 # -- query generation ---------------------------------------------------------
 
@@ -179,7 +184,7 @@ def test_federated_equals_colocated(sql, config, dialects):
     )
     engine = FederatedEngine(catalog, EngineConfig(**config))
     result = engine.query(sql)
-    assert same_rows(result.relation, BASELINE.query(sql)), sql
+    assert same_rows(result.relation, sql), sql
     assert unfit(result.plan) == [], sql
 
 
@@ -298,7 +303,6 @@ def test_chaos_never_silently_wrong(sql, schedule, seed, partial):
             breaker_cooldown_s=5.0,
             seed=seed,
         ), partial_results=partial))
-    oracle = BASELINE.query(sql)
     try:
         result = engine.query(sql)
     except EIIError:
@@ -310,7 +314,7 @@ def test_chaos_never_silently_wrong(sql, schedule, seed, partial):
         assert 0.0 < result.completeness.missing_fraction() <= 1.0
         return
     # outcome (a): any answer NOT flagged partial must be exactly right
-    assert same_rows(result.relation, oracle), sql
+    assert same_rows(result.relation, sql), sql
 
 
 @given(sql=random_query(), seed=st.integers(min_value=0, max_value=7))
@@ -415,16 +419,15 @@ def test_adaptive_execution_matches_static(sql, config):
     config = dict(config, parallel_workers=1)
     catalog = FIXTURE.catalog(include_credit=False, include_docs=False)
     adaptive = FederatedEngine(catalog, EngineConfig(adaptive=True, **config))
-    oracle = BASELINE.query(sql)
     for _ in range(2):  # the second run plans from calibrations
-        assert same_rows(adaptive.query(sql).relation, oracle), sql
+        assert same_rows(adaptive.query(sql).relation, sql), sql
 
 
 # -- workload fuzzing: the concurrent scheduler never changes answers ----------
 #
 # The sched contract, fuzzed: for ANY list of random queries and ANY
 # scheduler configuration, every answered outcome of a concurrent workload
-# run equals the co-located baseline's answer for that query.
+# run equals the reference answer for that query.
 
 from repro.sched import (  # noqa: E402
     QueryRequest,
@@ -460,8 +463,7 @@ def test_concurrent_workload_equals_colocated(sqls, workers, policy, coalesce):
     assert all(o.answered for o in result.outcomes)
     assert all(row[-1] == 0 for row in result.audit)
     for outcome in result.outcomes:
-        local = BASELINE.query(outcome.request.sql)
-        assert same_rows(outcome.result.relation, local), outcome.request.sql
+        assert same_rows(outcome.result.relation, outcome.request.sql), outcome.request.sql
 
 
 @given(sql=random_query(), schedule=fault_schedule(), seed=st.integers(0, 7))

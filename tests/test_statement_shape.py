@@ -394,10 +394,10 @@ class TestACopiedLiteralIsNeverServed:
     literal would answer every later binding with the model's constant. The
     count of operands swapped tells: short of the slots, plan anew."""
 
-    def copying(self, monkeypatch, module):
+    def copying(self, monkeypatch, module, rule="optimize_logical"):
         from repro.engine import rewrite
 
-        optimize = rewrite.optimize_logical
+        optimize = getattr(rewrite, rule)
 
         def copied(node):
             node = node.with_children([copied(child) for child in node.children])
@@ -410,7 +410,7 @@ class TestACopiedLiteralIsNeverServed:
         def copy_literals(plan, *args, **kwargs):
             return copied(optimize(plan, *args, **kwargs))
 
-        monkeypatch.setattr(module, "optimize_logical", copy_literals)
+        monkeypatch.setattr(module, rule, copy_literals)
 
     def test_at_a_source(self, monkeypatch):
         from repro.engine import executor
@@ -425,6 +425,31 @@ class TestACopiedLiteralIsNeverServed:
         monkeypatch.undo()
         assert answers == [answer(RelationalSource("s", db), stmt) for stmt in stmts]
         assert len({repr(outcome) for outcome, _, _ in answers}) == 3  # never the model's rows
+
+    def test_under_a_pre_aggregated_join_at_a_source(self, monkeypatch):
+        """The literal sits in the filter of the join input the source groups:
+        a second constant re-binds from its family, and a plan holding a copy
+        of the literal is planned anew, never served."""
+        from repro.engine import executor
+
+        db = build_demo_db()
+        template = (
+            "SELECT c.city, COUNT(*) AS n, SUM(o.total) AS revenue FROM customers c "
+            "JOIN orders o ON c.id = o.cust_id WHERE o.status = '{}' GROUP BY c.city"
+        )
+        stmts = [parse(template.format(status)) for status in ("open", "closed")]
+        assert "Alias(o)" in LocalEngine(db).logical_plan(stmts[0]).pretty()
+        fresh = [answer(RelationalSource("s", db), stmt) for stmt in stmts]
+        assert fresh[0][0] != fresh[1][0]
+        for copy, plans in ((False, 1), (True, 2)):
+            if copy:
+                self.copying(monkeypatch, executor, "eager_aggregate")
+            veteran = RelationalSource("s", db)
+            answers = []
+            planned = calls_to([LocalEngine.logical_plan], lambda: answers.extend(answer(veteran, stmt) for stmt in stmts))
+            assert planned == {"LocalEngine.logical_plan": plans}
+            monkeypatch.undo()
+            assert answers == fresh
 
     def test_at_the_hub(self, monkeypatch):
         from repro.federation import planner

@@ -7,8 +7,10 @@ final-transfer seconds, and `repro.trace.build.query_trace` builds the
 span tree from them (plus the parse/plan facts) when the query ends.
 
 The digests below were recorded from the engine this replaced, which
-wrote each span while the query ran. Every scenario's `to_json()`,
-`to_chrome()` and `explain_analyze()` must still hash to them:
+wrote each span while the query ran; a scenario running Q10 was re-recorded
+once the sales source pre-aggregated Q10's orders, which only its fetch
+seconds moved. Every scenario's `to_json()`, `to_chrome()` and
+`explain_analyze()` must still hash to them:
 
 * Q1–Q12 at scale 1 × {healthy (fetch cache on, two passes), transient
   faults, partial results} × ``parallel_workers`` ∈ {1, 2, 4};
@@ -42,46 +44,46 @@ from repro.trace.span import Span
 #: sha256 of each scenario's exports, recorded from the span-writing engine
 DIGESTS = {
     "failing": (
-        "dd06824d2462414eb2c2ea247f395ab1757aa13236a8e65c133a7506e363ef25"
+        "d9355f1258dbc5dff3f0dd7a88119e6416adaa2d8e6f73b317df1c8caee4f84b"
     ),
     "healthy-w1": (
-        "779841228bd5378fe14abc5823c4092c8f8e2551eab2a44b691e8183e903cc47"
+        "b4caabd5d3c821cf1686330e02870556cee549718762a72969fe3bfd9fc978a0"
     ),
     "healthy-w2": (
-        "45c4eec109e3f8e601d84fea0f46b6824ee74bdd543d061f77a24e89770d556c"
+        "ca08348a8041c97e2c17b70a4bc658c12d1852d358843abdaaeecf97d174df3e"
     ),
     "healthy-w4": (
-        "45c4eec109e3f8e601d84fea0f46b6824ee74bdd543d061f77a24e89770d556c"
+        "ca08348a8041c97e2c17b70a4bc658c12d1852d358843abdaaeecf97d174df3e"
     ),
     "lpt-adaptive": (
-        "ab9e045e67e249c7611713c739a07bead99055aa0bb279bb829731e4d4deaa00"
+        "5eb2f1042da5dd1692587d24d21a8557ecef46ad05bd8a2fcc131f80cb980c1f"
     ),
     "partial-w1": (
-        "4bc7df6ff81aa54468495c7f9796d57b7107a0057cf581d925760d870e752455"
+        "f5bcab3398421d726e85ed998b6a1a31998cd7485d64d365b10d5739b1dbaf64"
     ),
     "partial-w2": (
-        "e2f953442f0d1121031aea148766e979eacbb6492e34bd15440133c84a556fd4"
+        "01b8ece4fcb889d17796ed8fac20e76e1b4cd76f81dafd8b7c4c25ecf4701484"
     ),
     "partial-w4": (
-        "5b6246166b764bd1984156c7c83fe5e49937ff394168bc341fa22ffca04be6b7"
+        "06d17555dd8553f15262cc22f1031ee36cd11140dbaac14be59792167d52fa10"
     ),
     "refused-at-planning": (
         "9c7688eba23623fb48543a279644fc9da8e0556b927e9257a2df6e5e30edb0a5"
     ),
     "result-cache": (
-        "2c8708443283853fe8aa305a2c9bed5a7f209f31b00e6e306b13e4da94240fdf"
+        "de16c82296cd9f3538a28d7ed8e24c03a8e140fe40a3a20a0b1eaf7ab40ffce8"
     ),
     "strict": (
-        "c0ff82fd3b30a46dceaf3b4895d87f71f110db16ad233db4d3b8b9a9d7875aa3"
+        "25dde7bff6c8fd1fadf24e3730327cee0b5e6a36bd40f297a34d0d27a7732f45"
     ),
     "transient-w1": (
-        "7edbab191ca81ac1aec6ce135a3c83475965923c9dfa5fee332225c3e5d87a65"
+        "2e5bc0cf335df9096dd0c2d092ba4ced68c37985a0099a592214b40bbcafe542"
     ),
     "transient-w2": (
-        "1f165ff647e54b09f9fbb7ecc62b807726363795cacb2f9f89cffd24679942da"
+        "cc46d3e8a6ca51dfc6502ea0def799e05889ceade4d358267573c87824d5b284"
     ),
     "transient-w4": (
-        "254462539dc28a0490d1fd3ca9c02628ba4a79b1435859551a24ae4ad7f1daa8"
+        "0f877556346cc93ed3e0cd0ff094e65062ae09f55e6af6bc92ca408abc4f06ed"
     ),
     "workload-seed7": (
         "613d6d0646c5624b0caa436fe009dd54d3a236450f55825b1435d5b03f2d1d15"
