@@ -159,49 +159,43 @@ def row_size(row) -> int:
     return sum(map(value_size, row))
 
 
-def column_vouches(kinds, positions) -> list:
-    """What `kinds` (a `repro.common.relation.Batch`'s, or None) vouches of
-    each column at `positions`: None (nothing) or a frozenset holding at least
-    every exact type in it. A table column's entry is a call, which sweeps the
-    column the first time it is asked for."""
-    if kinds is None:
-        return [None] * len(positions)
-    out = []
-    for position in positions:
-        vouch = kinds[position]
-        out.append(vouch() if callable(vouch) else vouch)
-    return out
-
-
 def rows_size(rows) -> int:
-    """`sum(map(row_size, rows))` for equal-width rows with no call per value:
-    per column, fixed widths times the count of each exact type, strings as
-    framing plus the UTF-8 length of their concatenation. A column vouched
-    (`repro.common.relation.Batch.kinds`) to hold one type is not swept for
-    its types - any part of it still is of that type - nor, at a fixed width,
-    read. Anything else (a subclass such as `datetime.datetime`, an unsupported
-    value, a string UTF-8 cannot encode) hands every row to `row_size`.
-    """
-    total = 0
+    """`sum(map(row_size, rows))` for equal-width rows with no call per
+    value: `columns_size` of their columns, read through `itemgetter`s when
+    the rows carry a vouch (`repro.common.relation.Batch.kinds`) and
+    transposed whole when they do not."""
     kinds = getattr(rows, "kinds", None)
     if kinds is None:
-        columns = zip(zip(*rows), repeat(None))
+        columns: list = list(zip(*rows))
     else:
-        positions = range(len(kinds))
-        columns = zip([map(itemgetter(at), rows) for at in positions], column_vouches(kinds, positions))
+        columns = [map(itemgetter(at), rows) for at in range(len(kinds))]
+    return columns_size(columns, kinds, len(rows), rows)
+
+
+def columns_size(columns, kinds, count: int, rows) -> int:
+    """`sum(map(row_size, rows))` of `count` rows held as `columns`, priced
+    per column: fixed widths times the count of each exact type, strings as
+    framing plus the UTF-8 length of their concatenation. A column `kinds`
+    vouches to hold one type is not swept for its types - any part of it
+    still is of that type - nor, at a fixed width, read. Anything else (a
+    subclass such as `datetime.datetime`, an unsupported value, a string
+    UTF-8 cannot encode) hands every row of `rows` to `row_size`.
+    """
+    total = 0
     try:
-        for column, vouch in columns:
-            if vouch is None or len(vouch) > 1:
+        for at, column in enumerate(columns):
+            vouch = None if kinds is None else kinds[at]
+            if vouch.__class__ is not frozenset or len(vouch) > 1:
                 column = tuple(column)
                 vouch = set(map(type, column))
             kind_of = list(map(type, column)) if len(vouch) > 1 else None
             for kind in vouch:
-                count = len(rows) if kind_of is None else kind_of.count(kind)
+                counted = count if kind_of is None else kind_of.count(kind)
                 if kind is str:
                     strings = column if kind_of is None else compress(column, map(is_, kind_of, repeat(str)))
-                    total += VALUE_OVERHEAD_BYTES * count + len("".join(strings).encode("utf-8"))
+                    total += VALUE_OVERHEAD_BYTES * counted + len("".join(strings).encode("utf-8"))
                 else:
-                    total += _SIZE_BY_EXACT_TYPE[kind] * count
+                    total += _SIZE_BY_EXACT_TYPE[kind] * counted
     except (KeyError, UnicodeEncodeError):  # a type, or a string, the table cannot price
         return sum(map(row_size, rows))
     return total

@@ -62,7 +62,7 @@ from repro.sql.ast import (
     Update,
 )
 from repro.sql.eval import compile_expr, compile_filter_passes, compile_predicate, exact_under
-from repro.sql.exprutil import column_vs_literal, conjoin, equi_join_sides, split_conjuncts
+from repro.sql.exprutil import column_vs_literal, conjoin, contains_aggregate, equi_join_sides, split_conjuncts
 from repro.sql.parser import parse
 
 
@@ -116,6 +116,7 @@ class LocalEngine:
             if not isinstance(statement, (Select, UnionSelect)):
                 raise PlanError("query() only runs SELECT; use execute() for DML")
             query = statement
+        regroups = not isinstance(query, (Select, UnionSelect)) or _groups_a_join(query)
         if isinstance(query, (Select, UnionSelect)):
             if self.validate:
                 query, diagnostics = bind(query, self.resolver, text)
@@ -123,7 +124,9 @@ class LocalEngine:
             else:
                 query = bind_select(query, self.resolver)
         if self.optimize:
-            query = eager_aggregate(optimize_logical(query, self.cost_model), self.cost_model)
+            query = optimize_logical(query, self.cost_model)
+            if regroups:
+                query = eager_aggregate(query, self.cost_model)
         return query
 
     def physical_plan(self, query: Union[str, Select, LogicalPlan]) -> PhysicalOp:
@@ -444,6 +447,17 @@ def _tuple_kernel(exprs, schema):
     if all(isinstance(expr, ColumnRef) for expr in exprs):
         return pick_columns([_value_reader(expr, schema) for expr in exprs])
     return eval_columns([compile_expr(expr, schema) for expr in exprs])
+
+
+def _groups_a_join(stmt: Union[Select, UnionSelect]) -> bool:
+    """Whether `stmt` aggregates over a join, the one shape eager aggregation
+    rewrites: its FROM names tables only, so it joins iff it names two."""
+    if isinstance(stmt, UnionSelect):
+        return any(map(_groups_a_join, stmt.selects))
+    if len(stmt.tables()) < 2:
+        return False
+    exprs = [item.expr for item in stmt.items] + [order.expr for order in stmt.order_by]
+    return bool(stmt.group_by) or stmt.having is not None or any(map(contains_aggregate, exprs))
 
 
 def _const(expr: Expr):

@@ -1,6 +1,7 @@
 """Physical operators.
 
-Operators materialize their output as a list of tuples via `run()`. Each
+Operators hand out their rows via `run()`: a list of tuples, or `Columns`
+that build them when read as rows. Each
 carries its output schema and an `explain_label` for EXPLAIN trees. The
 executor (`repro.engine.executor`) lowers logical plans to these operators;
 the federation layer adds its own operators (bind joins, remote fetches)
@@ -25,11 +26,14 @@ hub returns), or as the input of a DISTINCT, a union or a bind join, which
 need the rows themselves. A pick keeping every column of a list its
 operator built (`fresh`) is a `RelabelOp`.
 
-`run()` may return a `Batch`, whose `kinds` vouch per column for the exact
-types held: a scan's are its table's, operators that only drop, reorder, pick
-or concatenate rows pass them on, filter guards and wire sizing read them, and
-an aggregate skips the NULL test of a column vouched to hold no NULL.
-A reader through a pick reads the child's vouch at the picked position.
+A `Batch`'s `kinds` vouch per column for the exact types held: a scan's are
+its table's `Mirror`, operators that only drop, reorder, pick or concatenate
+rows pass them on, filter guards and wire sizing read them, and an aggregate
+skips the NULL test of a column vouched to hold no NULL. Its `columns` hold
+the same rows column-major: a full scan's are the mirror, a filter's passes
+read theirs there and keep a `Selection`, and a pick gathers the shipped
+ones into `Columns`, which `Relation` keeps until `rows` is first read.
+Index scans, joins, aggregates, sorts, DISTINCT and unions read rows.
 
 A prepared tree serves other constants of its statement's shape `bound_to`
 them: an index scan remembers the `Literal` its key was read from, a filter
@@ -45,21 +49,23 @@ from itertools import compress, repeat
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from repro.common.relation import Batch, Relation, vouched
+from repro.common.relation import Batch, Columns, Gathered, Relation, vouched
 from repro.common.schema import RelSchema
-from repro.common.types import column_vouches
 from repro.sql.ast import Expr
 from repro.sql.eval import compile_expr, compile_filter_passes
 from repro.sql.exprutil import split_conjuncts
 from repro.sql.functions import AGGREGATE_FUNCTIONS
 from repro.sql.shape import rebind
+from repro.storage.table import Mirror
 
 _NULL_KIND = frozenset((type(None),))
 
 
-def pick_columns(positions: Sequence[int]) -> Callable[[list], list]:
+def pick_columns(positions: Sequence[int]) -> Callable:
     """`rows -> Batch` of the values at `positions`, vouched as `rows` were;
-    no call per row."""
+    no call per row. Over rows holding their `columns` it hands out
+    `Columns`: the picked columns gathered, or - over a few rows whose
+    columns are `Transposed` - the pick itself, made when first read."""
     if len(positions) == 1:
         (position,) = positions  # itemgetter(i) would yield bare values
         pick = lambda rows, get=itemgetter(position): zip(map(get, rows))  # noqa: E731
@@ -67,10 +73,20 @@ def pick_columns(positions: Sequence[int]) -> Callable[[list], list]:
         pick = partial(map, itemgetter(*positions))
 
     def kernel(rows):
-        out = Batch(pick(rows))
         kinds = getattr(rows, "kinds", None)
         if kinds is not None:
-            out.kinds = tuple([kinds[position] for position in positions])
+            kinds = tuple([kinds[position] for position in positions])
+        held = getattr(rows, "columns", None)
+        if type(held) is Transposed:  # a few rows at hand: picked when first read
+            at = held.positions
+            picked = Transposed(held.rows, positions if at is None else [at[position] for position in positions])
+            return Columns(picked, kinds, len(rows), rows, pick)
+        if held is not None:
+            values = [held.column(position) for position in positions]
+            if None not in values:
+                return Columns(Gathered(values), kinds, len(rows))
+        out = Batch(pick(rows))
+        out.kinds = kinds
         return out
 
     return kernel
@@ -81,12 +97,19 @@ def eval_columns(fns: Sequence[Callable]) -> Callable[[list], list]:
     return lambda rows: [tuple([fn(row) for fn in fns]) for row in rows]
 
 
-def join_keys(positions: Sequence[int]) -> Callable[[list], list]:
-    """`rows -> keys` for `hash_join`: a bare value for one column, a tuple
-    for several, None wherever a key part is NULL."""
+def join_keys(positions: Sequence[int]) -> Callable[[list], Sequence]:
+    """`rows -> keys` for `hash_join`: a bare value for one column - the
+    column itself where the rows hold it - a tuple for several, None
+    wherever a key part is NULL."""
     if len(positions) == 1:
         (position,) = positions
-        return lambda rows: [row[position] for row in rows]
+
+        def keys(rows):
+            held = getattr(rows, "columns", None)
+            column = None if held is None else held.column(position)
+            return [row[position] for row in rows] if column is None else column
+
+        return keys
     pick = itemgetter(*positions)
     return lambda rows: [None if None in key else key for key in map(pick, rows)]
 
@@ -134,38 +157,107 @@ def _joined_kinds(left_rows, right_rows, null_pad, left_outer):
     left, right = getattr(left_rows, "kinds", None), getattr(right_rows, "kinds", None)
     if left is None and right is None or not left_rows:
         return None
-    left, right = left or (None,) * len(left_rows[0]), right or null_pad
+    left = (None,) * len(left_rows[0]) if left is None else tuple(left)
+    right = null_pad if right is None else tuple(right)
     if left_outer:
-        vouches = column_vouches(right, range(len(right)))
-        right = tuple([None if vouch is None else vouch | _NULL_KIND for vouch in vouches])
+        right = tuple([vouch | _NULL_KIND if vouch.__class__ is frozenset else None for vouch in right])
     return left + right
 
 
 def run_filter_passes(passes, rows):
     """The rows every pass (`repro.sql.eval.compile_filter_passes`) keeps, in
-    order, as a new list - or None when a column holds a type its pass is not
-    exact for. Every guard covers *all* of `rows` before any pass runs: a row
-    an earlier pass drops (its conjunct NULL, say) still reaches the later
-    conjuncts of the closure, and may raise there. The rows' vouch answers a
-    guard it satisfies; one it fails is no evidence (it may name types these
-    rows lack), so the column is swept.
+    order, vouched as `rows` were - or None when a column holds a type its
+    pass is not exact for. Every guard covers *all* of `rows` before any
+    pass runs: a row an earlier pass drops (its conjunct NULL, say) still
+    reaches the later conjuncts of the closure, and may raise there. The
+    rows' vouch answers a guard it satisfies; one it fails is no evidence
+    (it may name types these rows lack), so the column is swept. An int
+    literal meets a float-only column as a float: exact (`exact_under`),
+    and the cheaper comparison.
+
+    The first pass over rows holding their columns (a scan's) reads its
+    column there. If it is the only pass and keeps most rows, the answer is
+    `Columns` holding a `Selection` of the columns by its mask, the rows
+    gathered only if read. Else the kept rows are taken, the other passes
+    test them, and they hold their columns `Transposed`.
     """
     kinds = getattr(rows, "kinds", None)
-    found = []
-    for position, admits, _, _ in passes:
-        (vouch,) = column_vouches(kinds, (position,))
-        if vouch is None or not vouch <= admits:
-            vouch = set(map(type, map(itemgetter(position), rows)))
+    held = getattr(rows, "columns", None)
+    tested = []
+    for position, admits, test, operand in passes:
+        column = None if held is None else held.column(position)
+        if column is None:
+            held = None
+        vouch = None if kinds is None else kinds[position]
+        if vouch.__class__ is not frozenset or not vouch <= admits:
+            if column is None:
+                column = list(map(itemgetter(position), rows))
+            vouch = set(map(type, column))
             if not vouch <= admits:
                 return None
-        found.append(vouch)
-    for vouch, (position, _, test, operand) in zip(found, passes):
-        if type(None) in vouch:
-            rows = [row for row in rows if row[position] is not None and test(operand, row[position])]
-        else:
-            column = map(itemgetter(position), rows)
-            rows = list(compress(rows, map(test, repeat(operand), column)))
-    return rows
+        if operand.__class__ is int and vouch <= _FLOATS:
+            operand = float(operand)
+        tested.append((type(None) in vouch, column, position, test, operand))
+    kept = rows
+    if held is not None:
+        (nullable, column, _, test, operand), tested = tested[0], tested[1:]
+        verdicts = _verdicts(nullable, test, operand, column)
+        if not tested:
+            mask = list(verdicts)
+            count = mask.count(True)
+            if 2 * count >= len(mask):
+                take = partial(compress, selectors=mask)
+                base = rows.rows() if type(rows) is Columns else rows
+                return Columns(Selection(held, take), kinds, count, base, take)
+            verdicts = mask
+        kept = list(compress(rows, verdicts))
+    for nullable, _, position, test, operand in tested:
+        kept = list(compress(kept, _verdicts(nullable, test, operand, map(itemgetter(position), kept))))
+    out = Batch(kept)
+    out.kinds = kinds
+    if held is not None:
+        out.columns = Transposed(kept, None)
+    return out
+
+
+_FLOATS = frozenset((float, type(None)))
+
+
+def _verdicts(nullable: bool, test: Callable, operand, column):
+    """Whether each value of `column` passes `test(operand, value)`; a NULL never does."""
+    if nullable:
+        return [value is not None and test(operand, value) for value in column]
+    return map(test, repeat(operand), column)
+
+
+class Selection:
+    """The columns of some of the rows held as `held` (a `Batch.columns`):
+    `take` yields their values off each held column."""
+
+    __slots__ = ("held", "take")
+
+    def __init__(self, held, take: Callable):
+        self.held = held
+        self.take = take
+
+    def column(self, position: int) -> Optional[list]:
+        values = self.held.column(position)
+        return None if values is None else list(self.take(values))
+
+
+class Transposed:
+    """The columns of a list of rows - those at `positions`, or all (None) -
+    each gathered off them when asked for."""
+
+    __slots__ = ("rows", "positions")
+
+    def __init__(self, rows: list, positions: Optional[Sequence[int]]):
+        self.rows = rows
+        self.positions = positions
+
+    def column(self, position: int) -> list:
+        at = position if self.positions is None else self.positions[position]
+        return list(map(itemgetter(at), self.rows))
 
 
 class Lowered:
@@ -257,8 +349,14 @@ class SeqScan(PhysicalOp):
         self.schema = table.schema.with_qualifier(binding)
 
     def run(self):
-        version = self.table.version  # read before the rows, compared after
-        return self.table.vouch(version, self.table.live_rows())
+        """The live rows, holding the table's `Mirror` as their columns and
+        kinds - none if a write landed while they were read."""
+        table = self.table
+        version = table.version  # read before the rows, compared after
+        rows = table.live_rows()
+        if table.version == version:
+            rows.kinds = rows.columns = Mirror(table, version)
+        return rows
 
     def explain_label(self):
         return f"SeqScan({self.table.name} AS {self.binding})"
@@ -388,8 +486,8 @@ class FilterOp(PhysicalOp):
         kept = None if self.passes is None else run_filter_passes(self.passes, rows)
         if kept is None:
             predicate = self.predicate.fn
-            kept = [row for row in rows if predicate(row)]
-        return vouched(kept, getattr(rows, "kinds", None))
+            kept = vouched([row for row in rows if predicate(row)], getattr(rows, "kinds", None))
+        return kept
 
     def bound_to(self, swap, found):
         """The passes are what lowering derives for the new conjuncts: the
@@ -623,8 +721,8 @@ def _fold_of(fold, distinct, arg, kinds):
     read = arg
     if isinstance(arg, int):
         read = itemgetter(arg)
-        (vouch,) = column_vouches(kinds, (arg,))
-        nullable = vouch is None or type(None) in vouch
+        vouch = None if kinds is None else kinds[arg]
+        nullable = vouch.__class__ is not frozenset or type(None) in vouch
     if fold is len and not distinct and not nullable:
         fold = None
     return fold, distinct, read, nullable

@@ -226,7 +226,8 @@ class Binder:
                     "use WHERE for row-level filters", "HAVING",
                 )
                 self.condition(_unalias(stmt.having, items, scope), scope, "HAVING")
-            keys = [(order.expr, _unalias(order.expr, items)) for order in stmt.order_by]
+            orders = [_output_named(order.expr, items, scope) for order in stmt.order_by]
+            keys = [(expr, _unalias(expr, items)) for expr in orders]
             for _, resolved in keys:
                 self.type_of(resolved, scope, "ORDER BY")
         return self._project(stmt, plan, items, keys)
@@ -361,12 +362,17 @@ class Binder:
         any other is sorted on as a hidden column, trimmed off on top."""
         project = LogicalProject(plan, items)
         output = project.schema
-        named = {item.expr: item.output_name for item in items}
+        # a term naming a select expression sorts on that output column; by
+        # its bare name unless another output column shares it
+        named = {}
+        for item, column in zip(items, output):
+            name = column.name
+            named[item.expr] = ColumnRef(name) if output.has(name) else ColumnRef(name, column.qualifier)
         hidden: list[SelectItem] = []
         order: list[OrderItem] = []
         for item, (expr, resolved) in zip(stmt.order_by, keys):
             if expr in named:
-                expr = ColumnRef(named[expr])
+                expr = named[expr]
             elif not _within(expr, output) and _within(resolved, plan.schema):
                 if stmt.distinct:
                     self._unsortable(
@@ -570,6 +576,16 @@ def _wrong(found: Optional[DataType], *wanted: DataType) -> TypeGuard[DataType]:
 def _within(expr: Expr, schema: RelSchema) -> bool:
     """Whether every column `expr` reads resolves in `schema`."""
     return all(schema.has(ref.name, ref.qualifier) for ref in column_refs(expr))
+
+
+def _output_named(expr: Expr, items: Sequence[SelectItem], scope: RelSchema) -> Expr:
+    """The select expression of the one output column a bare ORDER BY name
+    names, where the FROM clause cannot resolve it (two tables hold it):
+    ORDER BY reads the output first. Else `expr` itself."""
+    if not isinstance(expr, ColumnRef) or expr.qualifier is not None or scope.has(expr.name):
+        return expr
+    named = [item.expr for item in items if item.output_name.lower() == expr.name.lower()]
+    return named[0] if len(named) == 1 else expr
 
 
 def _unalias(expr: Expr, items: Sequence[SelectItem], scope: Optional[RelSchema] = None) -> Expr:

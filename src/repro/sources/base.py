@@ -8,6 +8,7 @@ from typing import Dict, Optional
 from repro.common.errors import CapabilityError, SourceError
 from repro.common.relation import Relation
 from repro.common.schema import RelSchema
+from repro.engine.physical import pick_columns
 from repro.netsim.network import WireFormat
 from repro.sql.ast import Select, Star
 from repro.sql.printer import to_sql
@@ -121,16 +122,17 @@ class DataSource:
             )
 
     @staticmethod
-    def _projected(stmt: Select, schema: RelSchema, rows) -> Relation:
-        """The columns `stmt` selects of `rows` (over `schema`): what a source
-        with no predicates is sent selects bare columns and `*` only."""
+    def _projected(stmt: Select, schema: RelSchema, rows: list) -> Relation:
+        """The columns `stmt` selects of `rows` (over `schema`), gathered as a
+        relational source's pick gathers them: what a source with no
+        predicates is sent selects bare columns and `*` only."""
         positions: list[int] = []
         for item in stmt.items:
             if isinstance(item.expr, Star):
                 positions.extend(range(len(schema)))
             else:
                 positions.append(schema.index_of(item.expr.name, item.expr.qualifier))
-        return Relation(schema.project(positions), [tuple(row[i] for i in positions) for row in rows])
+        return Relation.adopt(schema.project(positions), pick_columns(positions)(rows))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"

@@ -7,6 +7,7 @@ from typing import Optional, Sequence
 from repro.common.errors import CapabilityError
 from repro.common.relation import Relation
 from repro.common.schema import RelSchema
+from repro.engine.physical import SeqScan
 from repro.sources.base import SCAN_ONLY, DataSource, SourceCapabilities
 from repro.sql.ast import Select
 from repro.storage.io import load_csv
@@ -55,7 +56,7 @@ class CsvSource(DataSource):
         self._check_fits(stmt)
         table_ref = stmt.from_tables[0]
         table = self._table(table_ref.name)
-        rows = list(table.rows())
+        rows = SeqScan(table, table_ref.binding).run()  # holding the table's columns
         result = self._projected(stmt, table.schema.with_qualifier(table_ref.binding), rows)
         # Scanning a file costs time proportional to the full file, not the
         # projected width — that is the point of scan-only sources.

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import compress, repeat
 from operator import is_not, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.common.errors import IntegrityError, SchemaError
-from repro.common.relation import Batch, Relation
+from repro.common.relation import Batch, Relation, vouched
 from repro.common.schema import Column, RelSchema
 from repro.common.types import coerce_value
 from repro.storage.index import HashIndex, SortedIndex
@@ -45,7 +44,6 @@ class Table:
         self._indexes: dict[str, object] = {}
         self.version = 0  # bumped on every mutation; used for staleness tracking
         self._derived: tuple = (0, {})  # what `derived` keeps for `version`
-        self._positions = range(len(schema))
 
     # -- construction helpers -------------------------------------------------
 
@@ -84,7 +82,7 @@ class Table:
 
     def derived(self, key, derive: Callable):
         """`derive()`, kept until a write moves `version`: the one memo of what
-        is computed from the whole heap (statistics, column kinds)."""
+        is computed from the whole heap (statistics, the mirror's columns)."""
         version = self.version
         memo = self._derived
         if memo[0] != version:
@@ -97,24 +95,20 @@ class Table:
         return self.derived("stats", lambda: TableStats.collect(self.schema, self.live_rows()))
 
     def vouch(self, version: int, rows: list) -> list:
-        """`rows` - live ones, read no earlier than `version` - vouching per
-        column `column_kinds` (uncalled), unless a write moved `version` since."""
+        """`rows` - live ones, read no earlier than `version` - vouched by
+        the table's `Mirror` at `version`, unless a write moved it since."""
         if self.version != version:
             return rows
-        if type(rows) is not Batch:  # `vouched`, inlined: a scan stays three frames deep
-            rows = Batch(rows)
-        rows.kinds = tuple(map(partial, repeat(self.column_kinds), self._positions, repeat(version)))
-        return rows
+        return vouched(rows, Mirror(self, version))
 
-    def column_kinds(self, position: int, version: Optional[int] = None) -> Optional[frozenset]:
-        """The exact `type(value)`s column `position` holds, swept from the
-        live rows when first asked for - at `version` (a scan's), None once
-        the table has moved on from it."""
-        if version is None:
-            version = self.version
-        column = itemgetter(position)
-        kinds = self.derived(position, lambda: frozenset(map(type, map(column, self.live_rows()))))
-        return kinds if self.version == version else None
+    def column_at(self, position: int, version: int) -> Optional[tuple]:
+        """`(values, kinds)` of column `position` of the live rows - its
+        values in heap order and the exact types among them - gathered when
+        first asked for at `version`; None once a write moved past it."""
+        if self.version != version:
+            return None
+        column = self.derived(position, lambda: _gathered(self.live_rows(), position))
+        return column if self.version == version else None
 
     def scan(self) -> Relation:
         """Materialize all live rows as a Relation qualified by table name."""
@@ -296,3 +290,38 @@ class Table:
         for index in self._indexes.values():
             position = self.schema.index_of(index.column)
             index.insert(row[position], rid)
+
+
+def _gathered(rows: list, position: int) -> tuple:
+    values = list(map(itemgetter(position), rows))
+    return values, frozenset(map(type, values))
+
+
+class Mirror:
+    """A table's live rows at one `version`, column-major: `column(p)` is
+    column `p`'s values in heap order, `self[p]` the exact types among them
+    - so a full scan hands its rows out with a mirror as both their
+    `columns` and their `kinds`, an index scan as their `kinds` only. Each
+    column is gathered from the heap when first asked for, once per version
+    (`Table.column_at`); both answers are None once a write moved the table
+    past `version`."""
+
+    __slots__ = ("table", "version")
+
+    def __init__(self, table: Table, version: int):
+        self.table = table
+        self.version = version
+
+    def __len__(self) -> int:
+        return len(self.table.schema)
+
+    def __getitem__(self, position: int) -> Optional[frozenset]:
+        column = self.table.column_at(position, self.version)
+        return None if column is None else column[1]
+
+    def __iter__(self) -> Iterator[Optional[frozenset]]:
+        return map(self.__getitem__, range(len(self)))
+
+    def column(self, position: int) -> Optional[list]:
+        column = self.table.column_at(position, self.version)
+        return None if column is None else column[0]

@@ -440,7 +440,7 @@ class TestDerivedMemosUnderWorkers:
                     if relation.size_bytes() != sum(map(row_size, relation.rows)):
                         wrong.append(("size", stmt))
                     for position, vouch in enumerate(relation.rows.kinds):
-                        if not {type(row[position]) for row in relation.rows} <= vouch():
+                        if not {type(row[position]) for row in relation.rows} <= vouch:
                             wrong.append(("vouch", stmt, position))
                     db.stats_for("orders")
                 barrier.wait()

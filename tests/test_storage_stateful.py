@@ -25,6 +25,7 @@ from repro.common.errors import IntegrityError
 from repro.common.types import DataType as T
 from repro.engine.physical import IndexEqScan, SeqScan
 from repro.storage import Database, Table
+from repro.storage.table import Mirror
 
 KEYS = st.integers(min_value=0, max_value=30)
 VALUES = st.sampled_from(["a", "b", "c", "d"])
@@ -122,12 +123,16 @@ ANYTHING = st.sampled_from([None, 1, 2.5, "x", True, DAY])
 WIDTH = 4
 
 
+def mirror(table):
+    return Mirror(table, table.version)
+
+
 def kinds_of(rows, position):
     return {type(row[position]) for row in rows}
 
 
 class KindsMachine(RuleBasedStateMachine):
-    """`column_kinds` / `stats` are read at arbitrary points (so a memo exists
+    """`Mirror` kinds / `stats` are read at arbitrary points (so a memo exists
     to go stale), scans are kept with their vouch across later writes."""
 
     def __init__(self):
@@ -175,7 +180,7 @@ class KindsMachine(RuleBasedStateMachine):
 
     @rule(position=st.integers(0, WIDTH - 1))
     def read(self, position):
-        assert self.table.column_kinds(position) == kinds_of(self.table.live_rows(), position)
+        assert mirror(self.table)[position] == kinds_of(self.table.live_rows(), position)
         assert self.table.stats().row_count == len(self.table)
 
     @rule(n=NUMBERS, resolve=st.booleans())
@@ -183,7 +188,7 @@ class KindsMachine(RuleBasedStateMachine):
         for op in (SeqScan(self.table, "t"), IndexEqScan(self.table, "t", "n", n)):
             rows = op.run()
             if resolve:
-                assert all(vouch() == kinds_of(self.table.live_rows(), p) for p, vouch in enumerate(rows.kinds))
+                assert all(vouch == kinds_of(self.table.live_rows(), p) for p, vouch in enumerate(rows.kinds))
             self.scans.append(rows)
 
     @invariant()
@@ -191,8 +196,9 @@ class KindsMachine(RuleBasedStateMachine):
         live = self.table.live_rows()
         assert len(SeqScan(self.table, "t").run().kinds) == WIDTH
         for position in range(WIDTH):
-            assert self.table.column_kinds(position) == kinds_of(live, position)
-        assert self.table.column_kinds(0) is self.table.column_kinds(0)  # kept, not swept again
+            assert mirror(self.table)[position] == kinds_of(live, position)
+            assert mirror(self.table).column(position) == [row[position] for row in live]
+        assert mirror(self.table)[0] is mirror(self.table)[0]  # kept, not swept again
         stats = self.table.stats()
         assert stats is self.table.stats() is self.db.stats_for("t")
         assert stats.row_count == len(live) == len(self.table)
@@ -201,7 +207,6 @@ class KindsMachine(RuleBasedStateMachine):
     def an_old_scan_never_vouches_for_less_than_it_holds(self):
         for rows in self.scans:
             for position, vouch in enumerate(rows.kinds):
-                vouch = vouch()
                 assert vouch is None or kinds_of(rows, position) <= vouch
 
 
