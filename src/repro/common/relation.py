@@ -124,6 +124,13 @@ class Relation:
     def rows(self, rows: list) -> None:
         self._rows, self._columns = rows, None
 
+    @property
+    def batch(self):
+        """What the relation holds, as an operator hands it on: the `Columns`
+        it adopted (their rows built or not), else its rows."""
+        columns = self._columns
+        return self._rows if columns is None else columns
+
     def __len__(self):
         rows = self._rows
         return len(self._columns if rows is None else rows)  # type: ignore[arg-type]

@@ -322,7 +322,8 @@ class LocalEngine:
     def _lower_join(self, plan: LogicalJoin, context) -> tuple:
         """A join reads both inputs through their picks and emits `row +
         other` of the rows it was handed; its pick, when an input had one,
-        is where the join's columns sit in those."""
+        is where the join's columns sit in those. A pick that is built over
+        it is the join's to emit (`_built`): it gathers those columns alone."""
         left, left_pick = self._lower(plan.left, context)
         right, right_pick = self._lower(plan.right, context)
         left_view, right_view = _view(left_pick, plan.left.schema), _view(right_pick, plan.right.schema)
@@ -423,13 +424,17 @@ def _relabels(op: PhysicalOp, pick) -> bool:
 
 def _built(op: PhysicalOp, pick, schema: RelSchema) -> PhysicalOp:
     """The node of `schema`, lowered to ``(op, pick)``, as an operator whose
-    rows are its own: a relabel (`_relabels`), else a `ProjectOp` building
-    the picked columns."""
+    rows are its own: a relabel (`_relabels`); a join emitting only the
+    picked columns (`HashJoinOp.emitting`), relabelled so that EXPLAIN
+    still shows the `Project`; else a `ProjectOp` building them."""
     if pick is None:
         return op
     positions, label = pick
     if _relabels(op, pick):
         return RelabelOp(op, schema, f"Project({label})")
+    emitting = getattr(op, "emitting", None)
+    if emitting is not None:
+        return RelabelOp(emitting(positions, schema), schema, f"Project({label})")
     return ProjectOp(op, pick_columns(positions), schema, label)
 
 

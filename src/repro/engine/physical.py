@@ -20,20 +20,24 @@ Tuples are built where rows leave a tree, not at every `Project`. Lowering
 turns a plain-column `Project` into the positions it would pick, and the
 consumer reads the child's rows through them: an aggregate's keys and
 arguments, a join's keys and residual, a filter's or a sort's expressions.
-A join of such inputs emits `row + other` of the wider rows. A pick is
-built once, by a `ProjectOp`: at the root (what a source ships, what the
-hub returns), or as the input of a DISTINCT, a union or a bind join, which
-need the rows themselves. A pick keeping every column of a list its
-operator built (`fresh`) is a `RelabelOp`.
+A pick is built once: at the root (what a source ships, what the hub
+returns), or as the input of a DISTINCT, a union or a bind join. Over a
+hash or bind join the join builds it (`HashJoinOp.emitting`): its probe
+matches row positions, and each picked column is gathered once, into
+`Columns`. A join whose consumer reads rows - an aggregate, a sort, a
+join above - emits `row + other` from the same probe. Any other pick is a
+`ProjectOp`, or a `RelabelOp` where it keeps every column of a list its
+operator built (`fresh`).
 
 A `Batch`'s `kinds` vouch per column for the exact types held: a scan's are
 its table's `Mirror`, operators that only drop, reorder, pick or concatenate
 rows pass them on, filter guards and wire sizing read them, and an aggregate
 skips the NULL test of a column vouched to hold no NULL. Its `columns` hold
 the same rows column-major: a full scan's are the mirror, a filter's passes
-read theirs there and keep a `Selection`, and a pick gathers the shipped
-ones into `Columns`, which `Relation` keeps until `rows` is first read.
-Index scans, joins, aggregates, sorts, DISTINCT and unions read rows.
+read theirs there and keep a `Selection`, a pick gathers the shipped ones
+into `Columns`, which `Relation` keeps until `rows` is first read, and a
+fetch hands them on unbuilt. A join reads its keys and picked columns
+there; index scans, aggregates, sorts, DISTINCT and unions read rows.
 
 A prepared tree serves other constants of its statement's shape `bound_to`
 them: an index scan remembers the `Literal` its key was read from, a filter
@@ -45,8 +49,8 @@ from __future__ import annotations
 import copy
 from collections import defaultdict
 from functools import partial
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter
 from typing import Callable, Optional, Sequence
 
 from repro.common.relation import Batch, Columns, Gathered, Relation, vouched
@@ -111,57 +115,143 @@ def join_keys(positions: Sequence[int]) -> Callable[[list], Sequence]:
 
         return keys
     pick = itemgetter(*positions)
-    return lambda rows: [None if None in key else key for key in map(pick, rows)]
+
+    def keys(rows):
+        held = getattr(rows, "columns", None)
+        columns = None if held is None else [held.column(position) for position in positions]
+        parts = map(pick, rows) if columns is None or None in columns else zip(*columns)
+        return [None if None in key else key for key in parts]
+
+    return keys
 
 
-def hash_join(left_rows, left_keys, right_rows, right_keys, kind, residual, null_pad):
+def hash_join(left_rows, left_keys, right_rows, right_keys, kind, residual, widths, pick=None):
     """Build on the right rows, probe with the left, in left-row order.
 
     A None key (see `join_keys`) is never built, so it never matches: NULL
-    does not equi-join. `residual` filters the concatenated rows; a LEFT
-    join pads a probe row nothing survived for with `null_pad`.
+    does not equi-join. `residual` tests each candidate pair as its
+    concatenated row; a LEFT join pads a probe row nothing survived for
+    with NULLs. `widths` are the two sides' widths.
+
+    With no `pick` the answer is each match concatenated, `row + other`.
+    With `pick` - positions into that concatenated row - the same probe
+    matches row positions instead of rows, and the answer is `Columns` of
+    the picked columns, in pick order, each gathered by the matched
+    positions (`_gathered`): no joined row is built.
     """
     left_outer = kind == "LEFT"
-    kinds = _joined_kinds(left_rows, right_rows, null_pad, left_outer)
-    unique = dict(zip(right_keys, right_rows))
-    if residual is None and len(unique) == len(right_rows) and None not in unique:
-        # every build key distinct and not NULL: one row, or none, per probe
-        others = map(unique.get, left_keys, repeat(null_pad if left_outer else None))
-        return vouched([row + other for row, other in zip(left_rows, others) if other is not None], kinds)
-    table: dict = defaultdict(list)
-    for key, row in zip(right_keys, right_rows):
-        if key is not None:
-            table[key].append(row)
-    find = table.get  # a defaultdict's get() adds nothing
-    if residual is None:
-        pads = (null_pad,) if left_outer else ()
-        out = [row + other for key, row in zip(left_keys, left_rows) for other in find(key, pads)]
+    null_pad = (None,) * widths[1]
+    at = range(sum(widths)) if pick is None else pick
+    kinds = _joined_kinds(left_rows, right_rows, widths[0], left_outer, at)
+    if pick is None:
+        test = residual and (lambda row, other: residual(row + other))
+        single, found = _probe(left_keys, left_rows, right_keys, right_rows, null_pad if left_outer else None, test)
+        if single:
+            out = [row + other for row, other in zip(left_rows, found) if other is not None]
+        else:
+            out = [row + other for row, matches in zip(left_rows, found) for other in matches]
         return vouched(out, kinds)
-    out: list[tuple] = []
-    emit = out.append
-    for key, row in zip(left_keys, left_rows):
-        matched = False
-        for other in find(key, ()):
-            combined = row + other
-            if residual(combined):
-                emit(combined)
-                matched = True
-        if left_outer and not matched:
-            emit(row + null_pad)
-    return vouched(out, kinds)
+    build = len(right_rows)  # a LEFT join's pad: the NULL row after the last
+    test = residual and (lambda probe, other: residual(left_rows[probe] + right_rows[other]))
+    probes = range(len(left_rows))
+    single, found = _probe(left_keys, probes, right_keys, range(build), build if left_outer else None, test)
+    if single:
+        others = list(found)
+        if not left_outer and None in others:  # a probe row nothing matched
+            matched = list(map(is_not, others, repeat(None)))
+            probes, others = list(compress(probes, matched)), list(compress(others, matched))
+    else:  # the probe rows that matched, each once per match
+        found = list(found)
+        probes, found = list(compress(probes, found)), list(compress(found, found))
+        others = list(chain.from_iterable(found))
+        if len(others) != len(probes):
+            probes = [probe for probe, matches in zip(probes, found) for _ in matches]
+    width = widths[0]
+    lefts = iter(_gathered(left_rows, [p for p in pick if p < width], probes, False))
+    rights = iter(_gathered(right_rows, [p - width for p in pick if p >= width], others, left_outer))
+    columns = [next(lefts) if position < width else next(rights) for position in pick]
+    return Columns(Gathered(columns), kinds, len(probes))
 
 
-def _joined_kinds(left_rows, right_rows, null_pad, left_outer):
-    """What a join of the two vouches: their vouches side by side (a None per
-    column of a side with none), the right one's NULL-able too under LEFT."""
+def _probe(left_keys, probes, right_keys, builds, pad, test) -> tuple:
+    """What each probe item matches, in probe order: `probes` and `builds`
+    stand for the two sides' rows - the rows themselves, or their
+    positions. `(True, others)` where every build key is distinct and there
+    is no `test`: per probe item its one match, else `pad` (None for an
+    INNER join, which drops the item). Otherwise `(False, found)`: per probe
+    item the sequence of its matches `test(probe, other)` accepts, and
+    `(pad,)` under LEFT where there is none."""
+    unique = dict(zip(right_keys, builds))
+    if test is None and len(unique) == len(builds) and None not in unique:
+        # every build key distinct and not NULL: one match, or none, per probe
+        return True, map(unique.get, left_keys, repeat(pad))
+    table: dict = defaultdict(list)
+    for key, build in zip(right_keys, builds):
+        if key is not None:
+            table[key].append(build)
+    find = table.get  # a defaultdict's get() adds nothing
+    pads = () if pad is None else (pad,)
+    if test is None:
+        return False, map(find, left_keys, repeat(pads))
+    return False, [
+        [other for other in find(key, ()) if test(probe, other)] or pads
+        for key, probe in zip(left_keys, probes)
+    ]
+
+
+def _gathered(rows, at: Sequence[int], positions, padded: bool) -> list:
+    """The columns at `at` of the rows of `rows` at `positions` (every row,
+    in order, as a `range`), each gathered once: off the columns `rows`
+    hold where it holds them, else off the rows - the wider rows a
+    `Transposed` reads, never the narrow ones built from them. `padded`: a
+    LEFT join's NULL row is the row at position `len(rows)`."""
+    if not at:
+        return []
+    held = getattr(rows, "columns", None)
+    if type(held) is Transposed:
+        rows, at, held = held.rows, at if held.positions is None else [held.positions[p] for p in at], None
+    columns = None if held is None else list(map(held.column, at))
+    take = None if type(positions) is range else _taker(positions)
+    if columns is None or None in columns:
+        rows = rows.rows() if type(rows) is Columns else rows
+        if padded:
+            rows = [*rows, (None,) * (max(at) + 1)]
+        if take is not None:
+            rows = take(rows)
+        return [list(map(itemgetter(position), rows)) for position in at]
+    if padded:
+        columns = [[*column, None] for column in columns]
+    if take is None:
+        return columns
+    return [take(column) for column in columns]
+
+
+def _taker(positions: Sequence[int]) -> Callable:
+    """`values -> the values at positions`, in one C-level call for several."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return lambda values, at=positions[0]: [values[at]]
+    return lambda values: []
+
+
+def _joined_kinds(left_rows, right_rows, width: int, left_outer: bool, at):
+    """What a join of the two vouches for its columns at `at` (positions
+    into the joined row, the left's `width` wide): each side's vouch (None
+    for a side with none), the right one's NULL-able too under LEFT."""
     left, right = getattr(left_rows, "kinds", None), getattr(right_rows, "kinds", None)
     if left is None and right is None or not left_rows:
         return None
-    left = (None,) * len(left_rows[0]) if left is None else tuple(left)
-    right = null_pad if right is None else tuple(right)
-    if left_outer:
-        right = tuple([vouch | _NULL_KIND if vouch.__class__ is frozenset else None for vouch in right])
-    return left + right
+    kinds: list = []
+    for position in at:
+        if position < width:
+            kinds.append(None if left is None else left[position])
+            continue
+        vouch = None if right is None else right[position - width]
+        if left_outer:
+            vouch = vouch | _NULL_KIND if vouch.__class__ is frozenset else None
+        kinds.append(vouch)
+    return tuple(kinds)
 
 
 def run_filter_passes(passes, rows):
@@ -542,10 +632,13 @@ class HashJoinOp(PhysicalOp):
 
     Builds on the right input, probes with the left. A residual predicate
     (compiled against the concatenated schema) filters matches; for LEFT
-    joins, unmatched probe rows are padded with NULLs.
+    joins, unmatched probe rows are padded with NULLs. Under a plain-column
+    pick it emits only the picked columns (`emitting`, `pick`).
     """
 
     fresh = True
+    #: positions of the joined row this join hands out, as `Columns` (None: every row whole)
+    pick: Optional[tuple] = None
 
     def __init__(
         self,
@@ -565,18 +658,26 @@ class HashJoinOp(PhysicalOp):
         self.residual = Lowered.of(residual_fn)
         self.description = description  # of the whole condition: a `str`, or a `Lowered` never run
         self.schema = left.schema.concat(right.schema)
-        self.null_pad = (None,) * len(right.schema)
+        self.widths = (len(left.schema), len(right.schema))
 
     @property
     def children(self):
         return (self.left, self.right)
+
+    def emitting(self, positions: Sequence[int], schema: RelSchema) -> "HashJoinOp":
+        """This join, handing out only the columns at `positions` of its
+        joined rows, as `Columns` of `schema`. Narrowed in place: lowering
+        asks it of a join it has just built, before any tree holds it (the
+        hub lowers once per query, so a copy would be paid per query)."""
+        self.pick, self.schema = tuple(positions), schema
+        return self
 
     def run(self):
         right_rows = self.right.run()
         left_rows = self.left.run()
         return hash_join(
             left_rows, self.left_keys(left_rows), right_rows, self.right_keys(right_rows),
-            self.kind, self.residual.fn, self.null_pad,
+            self.kind, self.residual.fn, self.widths, self.pick,
         )
 
     def explain_label(self):

@@ -594,8 +594,10 @@ class FederatedEngine:
             run.assembled = (assembly_seconds, final_transfer)
             # The answer's list is the caller's: not the result memo's (maybe a
             # fetch-cache entry's too), which a pass-through root - q1's - hands up.
+            # The batches are compared: reading a fetch's rows would build them.
+            held = relation.batch
             rows = relation.rows
-            if any(rows is fetched.rows for fetched in run.local.values()):
+            if any(held is fetched.batch for fetched in run.local.values()):
                 relation.rows = vouched(Batch(rows), getattr(rows, "kinds", None))
             elapsed = fetch_elapsed + serial_tail + assembly_seconds + final_transfer
             result = FederatedResult(

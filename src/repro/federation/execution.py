@@ -345,7 +345,8 @@ class Execution:
 
         The only path a statement takes to a source: `fetch` sends a node's
         whole statement, `bind_fetch` one IN-list chunk of ``record.keys`` keys.
-        Returns the raw rows — none when a non-essential branch degraded.
+        Returns the answer's batch (`Relation.batch`: `Columns` a source shipped
+        stay unbuilt) — no rows when a non-essential branch degraded.
         ``est_rows``, the share of the node's estimate this statement stands
         for, weighs the completeness report whichever way it ends; `record`
         and the primary's record are charged whatever the statement adds to
@@ -366,7 +367,7 @@ class Execution:
             entry = engine.cache.get_fetch(key) if caching else None
             if entry is not None:
                 cache = "hit"
-                rows, answered_by = entry.value.rows, primary  # only it is cached
+                rows, answered_by = entry.value.batch, primary  # only it is cached
                 size, seconds = entry.size_bytes, entry.cost_seconds
                 record.cache_hit(seconds, size)
                 self._note_stale_if_down(node, record)
@@ -394,7 +395,7 @@ class Execution:
                             primary, node.tables, exc, est_rows, kind
                         )
                     return []
-                rows, answered_by = raw.rows, source_used.name
+                rows, answered_by = raw.batch, source_used.name
                 answer = (answered_by, seconds, size)
                 # Only a primary-served fetch is cached: the entry's key and tags
                 # describe the primary, and a replica answer must not mask it.
@@ -423,8 +424,8 @@ class Execution:
             f"fetch from {node.source.name}", "fetch", node.est_rows,
         )
         # Relabel positionally: the residual plan resolves against the
-        # schema of the subtree the fetch replaced; the rows, maybe a cache
-        # entry's, are shared with their vouch, not copied.
+        # schema of the subtree the fetch replaced; the batch, maybe a cache
+        # entry's, is shared with its vouch - `Columns` unbuilt - not copied.
         result = Relation.adopt(node.schema, rows)
         self.local[id(node)] = result
         return result

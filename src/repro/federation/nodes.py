@@ -72,7 +72,8 @@ def _required(execution, node):
 
 
 class FetchOp(PhysicalOp):
-    """Physical side of LogicalFetch: returns (possibly prefetched) rows."""
+    """Physical side of LogicalFetch: hands out the (possibly prefetched)
+    relation's batch as it holds it - `Columns` stay unbuilt."""
 
     def __init__(self, node: LogicalFetch, execution):
         self.node = node
@@ -80,7 +81,7 @@ class FetchOp(PhysicalOp):
         self.schema = node.schema
 
     def run(self):
-        return self.execution.fetch(self.node).rows
+        return self.execution.fetch(self.node).batch
 
     def explain_label(self):
         return self.node.label()
@@ -152,7 +153,11 @@ class LogicalBindJoin(LogicalPlan):
 
 
 class BindJoinOp(PhysicalOp):
-    """Physical bind join: probe the remote source with collected keys."""
+    """Physical bind join: probe the remote source with collected keys.
+    Under a plain-column pick it emits only the picked columns, as a hash
+    join does (`HashJoinOp.emitting`)."""
+
+    pick: Optional[tuple] = None
 
     def __init__(self, node: LogicalBindJoin, left: PhysicalOp, execution):
         self.node = node
@@ -165,7 +170,7 @@ class BindJoinOp(PhysicalOp):
         self._right_keys = join_keys(
             [node.fetch_schema.index_of(node.right_key.name, node.right_key.qualifier)]
         )
-        self._null_pad = (None,) * len(node.fetch_schema)
+        self._widths = (len(left.schema), len(node.fetch_schema))
         self._residual_fn = None
         if node.residual is not None:
             self._residual_fn = compile_expr(node.residual, node.schema)
@@ -174,15 +179,20 @@ class BindJoinOp(PhysicalOp):
     def children(self):
         return (self.left,)
 
+    def emitting(self, positions, schema: RelSchema) -> "BindJoinOp":
+        """As `HashJoinOp.emitting`: only the columns at `positions`, as `Columns`."""
+        self.pick, self.schema = tuple(positions), schema
+        return self
+
     def run(self):
         left_rows = self.left.run()
         left_keys = self._left_keys(left_rows)
         # the distinct non-NULL keys, in order of first appearance
         keys = [key for key in dict.fromkeys(left_keys) if key is not None]
-        fetched = self.execution.bind_fetch(self.node, keys).rows
+        fetched = self.execution.bind_fetch(self.node, keys).batch
         return hash_join(
             left_rows, left_keys, fetched, self._right_keys(fetched),
-            self.node.kind, self._residual_fn, self._null_pad,
+            self.node.kind, self._residual_fn, self._widths, self.pick,
         )
 
     def explain_label(self):

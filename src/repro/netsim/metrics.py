@@ -1,7 +1,7 @@
 """Metrics collection for federated execution.
 
 Every remote interaction of the federation layer funnels through
-`MetricsCollector.record_transfer` / `record_source_query`, which is what
+`MetricsCollector.record_transfer` / `record_source_query(_queries)`, which
 the benchmark harness reads to report bytes shipped, rows moved, per-source
 query counts and simulated elapsed time. The cache hierarchy reports its
 per-query telemetry (plan/fetch hits, work saved) through the same
@@ -21,6 +21,9 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Callable, Optional
 
 from repro.netsim.network import NetworkModel, WireFormat
@@ -135,6 +138,15 @@ class MetricsCollector:
         self._check_owner()
         self.source_queries[source] += 1
         self.simulated_seconds += seconds
+
+    def record_source_queries(self, source: str, seconds: float, count: int) -> None:
+        """`count` component queries against `source`, each charging `seconds`:
+        what `count` calls of `record_source_query` record, to the bit (the
+        seconds are added one at a time, in order, not multiplied)."""
+        self._check_owner()
+        if count:
+            self.source_queries[source] += count
+            self.simulated_seconds = reduce(add, repeat(seconds, count), self.simulated_seconds)
 
     def charge_seconds(self, seconds: float) -> None:
         """Charge local (assembly-site) processing time."""

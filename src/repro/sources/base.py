@@ -99,12 +99,16 @@ class DataSource:
         """
         raise NotImplementedError
 
-    def _account(self, metrics, execution_seconds: float) -> None:
-        if metrics is not None:
-            metrics.record_source_query(
-                self.name,
-                self.capabilities.per_query_overhead_s + execution_seconds,
-            )
+    def _account(self, metrics, execution_seconds: float, count: int = 1) -> None:
+        """Record `count` component queries, each taking `execution_seconds`
+        past the per-query overhead."""
+        if metrics is None:
+            return
+        seconds = self.capabilities.per_query_overhead_s + execution_seconds
+        if count == 1:
+            metrics.record_source_query(self.name, seconds)
+        else:
+            metrics.record_source_queries(self.name, seconds, count)
 
     def _check_access(self) -> None:
         if not self.capabilities.allows_external_queries:

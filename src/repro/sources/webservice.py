@@ -83,11 +83,12 @@ class WebServiceSource(DataSource):
             else:
                 wanted = set(values)
                 keys = {key: None for key in keys if key in wanted}
-        rows: list[tuple] = []
-        for key in keys or ():
-            rows.extend(self.lookup(key))
-            # Every distinct key is one service invocation.
-            self._account(metrics, 0.0)
+        keys = keys or {}
+        if self._handler is None:
+            rows = self._backing.lookup_each(self.bound_column, keys)
+        else:
+            rows = [row for key in keys for row in self.lookup(key)]
+        self._account(metrics, 0.0, len(keys))  # every distinct key is one service invocation
         return self._projected(stmt, self._backing.schema.with_qualifier(table_ref.binding), rows)
 
     # -- internals --------------------------------------------------------------

@@ -248,6 +248,15 @@ class Table:
         position = self.schema.index_of(column)
         return [row for row in self.rows() if row[position] == value]
 
+    def lookup_each(self, column: str, values) -> list[tuple]:
+        """`lookup(column, value)` of each of `values`, concatenated in order:
+        one comprehension over the index buckets where `column` has one."""
+        index = self._indexes.get(column)
+        if index is None:
+            return [row for value in values for row in self.lookup(column, value)]
+        heap, find = self._heap, index.lookup
+        return [heap[rid] for value in values for rid in find(value)]
+
     # -- internals ------------------------------------------------------------
 
     def _coerce_row(self, row: Sequence) -> tuple:
