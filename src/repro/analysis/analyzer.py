@@ -18,7 +18,7 @@ from repro.analysis.diagnostics import AnalysisReport, error, span_at
 from repro.analysis.invariants import verify_plan
 from repro.analysis.semantic import analyze_statement
 from repro.common.errors import ParseError
-from repro.sql.ast import Select, UnionSelect
+from repro.sql.ast import Select, UnionSelect, binding
 from repro.sql.parser import parse
 
 
@@ -68,8 +68,10 @@ class QueryAnalyzer:
             report.extend(analyze_capabilities(statement, self.catalog, text))
         return report
 
-    def verify(self, plan) -> AnalysisReport:
-        """Post-planning invariant verification of a `FederatedPlan`."""
+    def verify(self, plan, values: tuple) -> AnalysisReport:
+        """Post-planning invariant verification of a `FederatedPlan`, its
+        texts showing `values`, the constants of the statement it runs for."""
         report = AnalysisReport()
-        report.extend(verify_plan(plan))
+        with binding(values):
+            report.extend(verify_plan(plan))
         return report

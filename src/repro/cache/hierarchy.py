@@ -4,10 +4,10 @@ Level 1 — **plan cache**: statement shape (`repro.sql.shape`) → the
 `Family` of its `FederatedPlan`s, as a source keeps its prepared statements.
 A repeated shape skips reformulation, optimization and decomposition. Of the
 data a plan depends only on what the cost model read of its lookup constants,
-which a re-bound member is held to (`Family.find`); writes evict no plan.
+which a member serves only equal (`Family.find`); writes evict no plan.
 
-Level 2 — **fetch cache**: `(source, canonical pushed-down SQL)` → fetched
-relation. Shared by all executions of all queries, so concurrent and
+Level 2 — **fetch cache**: `(source, shape, constants)` of the pushed-down
+statement (`repro.cache.fetch_key`) → fetched relation. Shared by all executions of all queries, so concurrent and
 repeated federated queries reuse component fetches and bind-join chunks
 instead of re-hitting sources — the round-trips Bitton's §3 identifies as
 the dominant cost.

@@ -17,7 +17,7 @@ from repro.sql import parser
 from repro.sql.ast import Select, UnionSelect
 from repro.sql.lexer import mask
 from repro.sql.printer import to_sql
-from repro.sql.shape import instantiate, learn
+from repro.sql.shape import instantiate, learn, lift, unbind
 
 #: query text -> `(statement, canonical SQL)`, SELECTs only (LRU). The AST
 #: is frozen, so one parse - and the shape lifted from it - can be handed to
@@ -67,6 +67,10 @@ def canonical_statement(query) -> Tuple[object, Optional[str]]:
     return query, None
 
 
-def fetch_key(source_name: str, stmt) -> Tuple[str, str]:
-    """Key for one component fetch: `(source, canonical pushed-down SQL)`."""
-    return (source_name, stmt.text)
+def fetch_key(source_name: str, stmt) -> tuple:
+    """Key for one component fetch, a `Select` or a `Bound` statement:
+    `(source, shape, constants)` - what its canonical text spells, unprinted.
+    A slot's type is in the shape (`?int`, `?float`) and constants compare
+    by exact type and value (`Literal`), so `1`, `1.0` and `-0.0` never share one."""
+    stmt, values = unbind(stmt)
+    return (source_name, lift(stmt).shape, values)

@@ -35,7 +35,7 @@ class Column:
         return self.name
 
     def with_qualifier(self, qualifier: Optional[str]) -> "Column":
-        return replace(self, qualifier=qualifier)
+        return Column(self.name, self.dtype, qualifier)
 
     def matches(self, name: str, qualifier: Optional[str] = None) -> bool:
         if self.name.lower() != name.lower():

@@ -37,7 +37,9 @@ from repro.sql.ast import (
     Like,
     Literal,
     LiteralValues,
+    Param,
     UnaryOp,
+    bound_values,
 )
 from repro.sql.exprutil import column_vs_literal, equi_join_sides, split_conjuncts
 from repro.sql.shape import lift
@@ -218,7 +220,10 @@ class CostModel:
             return (1.0 - fraction) if expr.negated else fraction
         if isinstance(expr, InList):
             base = self._eq_selectivity_of(expr.operand, None, context)
-            sel = min(base * len(expr.items), 1.0)
+            items = expr.items
+            if items.__class__ is Param:  # a prepared bind join's keys
+                items = bound_values()[items.index]
+            sel = min(base * len(items), 1.0)
             return (1.0 - sel) if expr.negated else sel
         if isinstance(expr, Like):
             sel = DEFAULT_LIKE_SELECTIVITY
@@ -239,17 +244,18 @@ class CostModel:
             return (1.0 - sel) if expr.negated else sel
         return DEFAULT_RANGE_SELECTIVITY
 
-    def slot_reads(self, stmt) -> tuple:
-        """All that estimating reads of the *values* of `stmt`'s lifted constants:
-        per slot, `eq_selectivity(value)` (`_comparison_selectivity` asks it) under
-        the current statistics of every table its column may belong to; of a
-        bind join's keys, how many there are (`selectivity` of an IN-list). A
+    def slot_reads(self, stmt, values: Optional[tuple] = None) -> tuple:
+        """All that estimating reads of the *values* of `stmt`'s lifted constants
+        (`values`, one per slot, where `stmt`'s slots hold `Param`s): per slot,
+        `eq_selectivity(value)` (`_comparison_selectivity` asks it) under the
+        current statistics of every table its column may belong to; of a bind
+        join's keys, how many there are (`selectivity` of an IN-list). A
         column of a definition is read where it comes from (the provider's
         `base_column`); where that is not plain the read is the value itself,
         so no two constants share a plan."""
         reads, lifted = [], lift(stmt)
         base_column = getattr(self.stats_provider, "base_column", None)
-        for column, literal in zip(lifted.columns, lifted.values):
+        for column, literal in zip(lifted.columns, lifted.values if values is None else values):
             if literal.__class__ is LiteralValues:
                 reads.append(len(literal))
                 continue
@@ -371,7 +377,11 @@ class CostModel:
         return float(stat.distinct) if stat is not None else DEFAULT_NDV
 
     def _comparison_selectivity(self, expr: BinaryOp, context: PlanCost) -> float:
+        """The one place planning reads a slot's value - a `Param`'s is the one
+        bound (`repro.sql.ast.binding`) - and `slot_reads` reads the same."""
         column, op, value = column_vs_literal(expr) or (None, expr.op, None)
+        if value.__class__ is Param:
+            value = bound_values()[value.index].value
         if column is None:
             if equi_join_sides(expr) is not None:
                 left_ndv = self._ndv(expr.left, context)

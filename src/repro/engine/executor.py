@@ -64,6 +64,7 @@ from repro.sql.ast import (
 from repro.sql.eval import compile_expr, compile_filter_passes, compile_predicate, exact_under
 from repro.sql.exprutil import column_vs_literal, conjoin, contains_aggregate, equi_join_sides, split_conjuncts
 from repro.sql.parser import parse
+from repro.sql.shape import Bound, resolved
 
 
 class LocalEngine:
@@ -109,8 +110,11 @@ class LocalEngine:
             return self._delete(statement)
         raise PlanError(f"execute() cannot run {type(statement).__name__}")
 
-    def logical_plan(self, query: Union[str, Select, LogicalPlan]) -> LogicalPlan:
+    def logical_plan(self, query: Union[str, Select, Bound, LogicalPlan]) -> LogicalPlan:
+        """The optimized plan of `query`; a `Bound` statement's is its constants'."""
         text = query if isinstance(query, str) else None
+        if isinstance(query, Bound):
+            query = resolved(query.stmt, query.values)
         if isinstance(query, str):
             statement = parse(query)
             if not isinstance(statement, (Select, UnionSelect)):
@@ -305,8 +309,7 @@ class LocalEngine:
                 continue
             remaining = conjuncts[:i] + conjuncts[i + 1 :]
             if op == "=":
-                literal = conjunct.left if conjunct.right is ref else conjunct.right
-                return IndexEqScan(table, binding, column, value, literal), remaining
+                return IndexEqScan(table, binding, column, value), remaining
             if isinstance(index, SortedIndex) and op in ("<", "<=", ">", ">="):
                 if op in ("<", "<="):
                     access = IndexRangeScan(

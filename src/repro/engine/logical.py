@@ -11,15 +11,13 @@ execution's per-node memo and the trace key them by node.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError
 from repro.common.schema import Column, RelSchema
 from repro.common.types import DataType
-from repro.sql.ast import BinaryOp, ColumnRef, Expr, FuncCall, OrderItem, Select, SelectItem
-from repro.sql.shape import rebind, rebind_select
+from repro.sql.ast import ColumnRef, Expr, FuncCall, OrderItem, SelectItem
 
 #: how a node sets what it derives: a frozen dataclass refuses `self.x = ...`
 _set = object.__setattr__
@@ -264,29 +262,3 @@ class LogicalUnion(LogicalPlan):
 
     def label(self):
         return f"UnionAll({len(self.inputs)})"
-
-
-def rebind_plan(plan: LogicalPlan, swap: dict, found: set) -> LogicalPlan:
-    """`plan` for other constants in its statement's slots (`swap`, `found`: see
-    `repro.sql.shape.rebind`). A node's predicates, component statements and
-    children are rebound (not a union's inputs: no statement that lifts has
-    one); only a changed node and the path above it are copied, schema and all:
-    a rebind swaps constants only, so nothing the node derived changes."""
-    changed: dict = {}
-    for name, old in vars(plan).items():
-        new: object
-        if isinstance(old, LogicalPlan):
-            new = rebind_plan(old, swap, found)
-        elif old.__class__ is BinaryOp:
-            new = rebind(old, swap, found)
-        elif old.__class__ is Select:
-            new = rebind_select(old, swap, found)
-        else:
-            continue
-        if new is not old:
-            changed[name] = new
-    if not changed:
-        return plan
-    bound = copy.copy(plan)
-    vars(bound).update(changed)
-    return bound

@@ -39,14 +39,16 @@ into `Columns`, which `Relation` keeps until `rows` is first read, and a
 fetch hands them on unbuilt. A join reads its keys and picked columns
 there; index scans, aggregates, sorts, DISTINCT and unions read rows.
 
-A prepared tree serves other constants of its statement's shape `bound_to`
-them: an index scan remembers the `Literal` its key was read from, a filter
-or join the expression (`Lowered`) its passes and closure derive from.
+A tree holds no constant of its statement's slots: where one is compared
+it holds the `Param`, and a run reads the values bound for it on its thread
+(`repro.sql.ast.binding`). An index scan reads its key there, a filter pass
+its operand, and a closure reading a slot is compiled for the run's values
+(`Lowered.fn_for`), so one prepared tree serves every statement of its
+shape, on any thread.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import defaultdict
 from functools import partial
 from itertools import chain, compress, repeat
@@ -55,11 +57,10 @@ from typing import Callable, Optional, Sequence
 
 from repro.common.relation import Batch, Columns, Gathered, Relation, vouched
 from repro.common.schema import RelSchema
-from repro.sql.ast import Expr
-from repro.sql.eval import compile_expr, compile_filter_passes
-from repro.sql.exprutil import split_conjuncts
+from repro.sql.ast import Expr, LiteralValues, Param, bound_values
+from repro.sql.eval import compile_expr, in_pass
+from repro.sql.exprutil import walk, with_values
 from repro.sql.functions import AGGREGATE_FUNCTIONS
-from repro.sql.shape import rebind
 from repro.storage.table import Mirror
 
 _NULL_KIND = frozenset((type(None),))
@@ -263,7 +264,8 @@ def run_filter_passes(passes, rows):
     rows' vouch answers a guard it satisfies; one it fails is no evidence
     (it may name types these rows lack), so the column is swept. An int
     literal meets a float-only column as a float: exact (`exact_under`),
-    and the cheaper comparison.
+    and the cheaper comparison. A `Param` operand is the constant bound to
+    it (a bind join's keys: their pass, if they have one).
 
     The first pass over rows holding their columns (a scan's) reads its
     column there. If it is the only pass and keeps most rows, the answer is
@@ -275,6 +277,15 @@ def run_filter_passes(passes, rows):
     held = getattr(rows, "columns", None)
     tested = []
     for position, admits, test, operand in passes:
+        if operand.__class__ is Param:
+            operand = bound_values()[operand.index]
+            if operand.__class__ is LiteralValues:
+                keyed = in_pass(operand)
+                if keyed is None:
+                    return None
+                admits, operand = keyed
+            else:
+                operand = operand.value
         column = None if held is None else held.column(position)
         if column is None:
             held = None
@@ -352,22 +363,32 @@ class Transposed:
 
 class Lowered:
     """A row expression as an operator holds it: compiled (`fn`) and printed
-    (`str`) when first asked for - a prepared statement is re-bound per lookup,
-    answers most from an index or its passes, and is seldom explained. Threads
-    may race to derive either; an attribute only ever holds a finished one.
-    A hand-built operator wraps the callable and label it was given."""
+    (`str`) when first asked for - a prepared statement answers most from an
+    index or its passes, and is seldom explained. One that reads a slot (holds
+    a `Param`) is compiled per run, for the values bound (`fn_for`), and
+    printed as they are then. Threads may race to derive either; an attribute
+    only ever holds a finished one. A hand-built operator wraps the callable
+    and label it was given."""
 
-    __slots__ = ("expr", "schema", "_fn", "_text")
+    __slots__ = ("expr", "schema", "_fn", "_text", "_slotted")
 
     def __init__(self, expr: Optional[Expr], schema: Optional[RelSchema], fn=None, text=None):
         self.expr = expr
         self.schema = schema
         self._fn = fn
         self._text = text
+        self._slotted = None
 
     @classmethod
     def of(cls, given, text: str = "") -> "Lowered":
         return given if isinstance(given, Lowered) else cls(None, None, given, text)
+
+    @property
+    def slotted(self) -> bool:
+        """Whether the expression reads a slot of its statement."""
+        if self._slotted is None:
+            self._slotted = self.expr is not None and any(node.__class__ is Param for node in walk(self.expr))
+        return self._slotted
 
     @property
     def fn(self) -> Optional[Callable]:
@@ -375,14 +396,18 @@ class Lowered:
             self._fn = compile_expr(self.expr, self.schema)
         return self._fn
 
+    def fn_for(self) -> Optional[Callable]:
+        """The compiled expression for this run: for the values bound now."""
+        if self._fn is None and self.slotted:
+            return compile_expr(with_values(self.expr, bound_values()), self.schema)
+        return self.fn
+
     def __str__(self):
         if self._text is None:
+            if self.slotted:
+                return str(self.expr)
             self._text = str(self.expr)
         return self._text
-
-    def bound_to(self, swap: dict, found: set) -> "Lowered":
-        expr = rebind(self.expr, swap, found)
-        return self if expr is self.expr else Lowered(expr, self.schema)
 
 
 class PhysicalOp:
@@ -396,23 +421,6 @@ class PhysicalOp:
     @property
     def children(self) -> tuple["PhysicalOp", ...]:
         return ()
-
-    def bound_to(self, swap: dict, found: set) -> "PhysicalOp":
-        """This tree for other constants in its statement's slots (`swap`,
-        `found`: see `repro.sql.shape.rebind`): an operator that holds a swapped
-        operand and the spine above it are copied, everything else is shared.
-        (Not a union's inputs: no statement that lifts has one.)"""
-        changed = {}
-        for name, old in vars(self).items():
-            if isinstance(old, (PhysicalOp, Lowered)):
-                new = old.bound_to(swap, found)
-                if new is not old:
-                    changed[name] = new
-        if not changed:
-            return self
-        bound = copy.copy(self)
-        vars(bound).update(changed)
-        return bound
 
     def run(self) -> list[tuple]:
         raise NotImplementedError
@@ -453,26 +461,22 @@ class SeqScan(PhysicalOp):
 
 
 class IndexEqScan(PhysicalOp):
-    """Point lookup through a hash or sorted index."""
+    """Point lookup through a hash or sorted index: of `value`, or of the
+    run's constant where `value` is a `Param`."""
 
-    def __init__(self, table, binding: str, column: str, value, literal=None):
+    def __init__(self, table, binding: str, column: str, value):
         self.table = table
         self.binding = binding
         self.column = column
         self.value = value
-        self.literal = literal  # the `Literal` the key was read from, if one was
         self.schema = table.schema.with_qualifier(binding)
 
     def run(self):
+        value = self.value
+        if value.__class__ is Param:
+            value = bound_values()[value.index].value
         version = self.table.version
-        return self.table.vouch(version, self.table.lookup(self.column, self.value))
-
-    def bound_to(self, swap, found):
-        literal = swap.get(id(self.literal))
-        if literal is None:
-            return self
-        found.add(id(self.literal))
-        return IndexEqScan(self.table, self.binding, self.column, literal.value, literal)
+        return self.table.vouch(version, self.table.lookup(self.column, value))
 
     def explain_label(self):
         return f"IndexEqScan({self.table.name}.{self.column} = {self.value!r})"
@@ -575,28 +579,9 @@ class FilterOp(PhysicalOp):
         rows = self.child.run()
         kept = None if self.passes is None else run_filter_passes(self.passes, rows)
         if kept is None:
-            predicate = self.predicate.fn
+            predicate = self.predicate.fn_for()
             kept = vouched([row for row in rows if predicate(row)], getattr(rows, "kinds", None))
         return kept
-
-    def bound_to(self, swap, found):
-        """The passes are what lowering derives for the new conjuncts: the
-        model's own for a conjunct left as it was, compiled for a swapped one."""
-        bound = super().bound_to(swap, found)
-        if bound.predicate is self.predicate:
-            return bound
-        old, new = split_conjuncts(self.predicate.expr), split_conjuncts(bound.predicate.expr)
-        passes = []
-        for known, before, after in zip(self.passes or repeat(None), old, new):
-            if known is None or before is not after:
-                known = compile_filter_passes([after], bound.predicate.schema)
-                if known is None:
-                    passes = None
-                    break
-                (known,) = known
-            passes.append(known)
-        bound.passes = passes
-        return bound
 
     def explain_label(self):
         return f"Filter({self.predicate})"
@@ -677,7 +662,7 @@ class HashJoinOp(PhysicalOp):
         left_rows = self.left.run()
         return hash_join(
             left_rows, self.left_keys(left_rows), right_rows, self.right_keys(right_rows),
-            self.kind, self.residual.fn, self.widths, self.pick,
+            self.kind, self.residual.fn_for(), self.widths, self.pick,
         )
 
     def explain_label(self):
@@ -711,7 +696,7 @@ class NestedLoopJoinOp(PhysicalOp):
         right_rows = self.right.run()
         out: list[tuple] = []
         null_pad = (None,) * len(self.right.schema)
-        condition = self.condition.fn
+        condition = self.condition.fn_for()
         for row in self.left.run():
             matched = False
             for other in right_rows:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, TypeGuard
 from repro.common.diagnostics import RAISES, Diagnostic, Severity, error, span_of, warning
 from repro.common.errors import EIIError, SchemaError
 from repro.common.schema import RelSchema
-from repro.common.types import DataType, infer_type
+from repro.common.types import PYTHON_TYPES, DataType, infer_type
 from repro.engine.logical import (
     LogicalAggregate,
     LogicalDistinct,
@@ -52,6 +52,7 @@ from repro.sql.ast import (
     Like,
     Literal,
     OrderItem,
+    Param,
     Select,
     SelectItem,
     Star,
@@ -63,6 +64,8 @@ from repro.sql.functions import SCALAR_FUNCTIONS, is_aggregate_name
 from repro.sql.printer import expr_to_sql
 
 _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+#: the type of a `Param` of each class a lifted constant may have
+_PARAM_TYPES = {py_type: data_type for data_type, py_type in PYTHON_TYPES.items()}
 _ARITHMETIC = ("+", "-", "*", "/", "%")
 _NUMERIC = (DataType.INT, DataType.FLOAT)
 _TYPES_HINT = "check column types with \\tables or the catalog schema"
@@ -430,6 +433,8 @@ class Binder:
                 return infer_type(expr.value)
             except EIIError:
                 return None
+        if expr.__class__ is Param:  # a slot's class is in its statement's shape
+            return _PARAM_TYPES.get(expr.kind)
         if isinstance(expr, ColumnRef):
             return self._column(expr, scope, context)
         if isinstance(expr, BinaryOp):
@@ -450,7 +455,8 @@ class Binder:
             return DataType.BOOL
         if isinstance(expr, InList):
             operand = self.type_of(expr.operand, scope, context)
-            for item in expr.items:
+            # a prepared bind join's keys (a `Param`) are the join's to type
+            for item in () if expr.items.__class__ is Param else expr.items:
                 self._compare(operand, self.type_of(item, scope, context), expr, warn=True)
             return DataType.BOOL
         if isinstance(expr, Like):

@@ -24,7 +24,7 @@ evict dependent entries and dirty dependent views.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from repro.cache import CacheConfig, CacheHierarchy, canonical_statement
@@ -42,7 +42,7 @@ from repro.federation.report import Report, counter_line
 from repro.federation.resilience import CompletenessReport, ResilienceManager
 from repro.netsim.metrics import MetricsCollector
 from repro.netsim.network import NetworkModel
-from repro.sql.ast import Select, UnionSelect
+from repro.sql.ast import Select, UnionSelect, binding
 from repro.sql.shape import Family, lift
 from repro.storage.catalog import Database
 from repro.telemetry.plane import resolve_telemetry
@@ -88,6 +88,8 @@ class FederatedResult:
     #: view provenance (`repro.views.ViewProvenance`) when this result was
     #: answered from a materialized view instead of federating
     view: Optional[object] = None
+    #: the constants `plan` ran with (its `Param`s'), which its texts show
+    values: tuple = ()
 
     @property
     def is_partial(self) -> bool:
@@ -106,24 +108,25 @@ class FederatedResult:
         (documented in `repro.federation.report`) instead of string-scraping.
         """
         report = Report()
-        report.add("plan", self.plan.pretty())
-        if self.replan is not None:
-            report.add("replan", self.replan.describe(), self.replan.pretty())
-        for name, counters in self.metrics.shown_groups():
-            report.add(name, counter_line(name, counters))
-        if self.view is not None:
-            report.add("views", self.view.describe())
-        report.add("elapsed", f"simulated elapsed: {self.elapsed_seconds:.4f}s")
-        if self.breaker_states:
-            states = sorted(self.breaker_states.items())
-            report.add(
-                "breakers", "breakers: " + ", ".join(f"{n}={s}" for n, s in states)
-            )
-        if self.completeness is not None:
-            prefix = "completeness: PARTIAL — " if self.is_partial else "completeness: "
-            report.add("completeness", prefix + self.completeness.describe())
-        if analyze:
-            report.add("analyze", explain_analyze(self))
+        with binding(self.values):  # its texts show the constants it ran with
+            report.add("plan", self.plan.shown())
+            if self.replan is not None:
+                report.add("replan", self.replan.describe(), self.replan.pretty())
+            for name, counters in self.metrics.shown_groups():
+                report.add(name, counter_line(name, counters))
+            if self.view is not None:
+                report.add("views", self.view.describe())
+            report.add("elapsed", f"simulated elapsed: {self.elapsed_seconds:.4f}s")
+            if self.breaker_states:
+                states = sorted(self.breaker_states.items())
+                report.add(
+                    "breakers", "breakers: " + ", ".join(f"{n}={s}" for n, s in states)
+                )
+            if self.completeness is not None:
+                prefix = "completeness: PARTIAL — " if self.is_partial else "completeness: "
+                report.add("completeness", prefix + self.completeness.describe())
+            if analyze:
+                report.add("analyze", explain_analyze(self))
         return report
 
     def explain(self) -> str:
@@ -293,11 +296,12 @@ class FederatedEngine:
                 result, view_fallbacks = self._view_result(statement)
             if result is None:
                 planned = ()  # planning raised: the trace shows the parse alone
-                plan, plan_was_cached = planned = self._plan_for(statement, canonical, stamp)
+                plan, plan_was_cached, values = self._plan_for(statement, canonical, stamp)
+                planned = plan, plan_was_cached
                 if self.config.validate:
-                    self._raise_unless_ok(self._get_analyzer().verify(plan))
+                    self._raise_unless_ok(self._get_analyzer().verify(plan, values))
                 self._admit(plan)
-                run = Execution(self, plan, MetricsCollector(network=self.network))
+                run = Execution(self, plan, MetricsCollector(network=self.network), values)
                 result = self._execute_plan(run, tracer.enabled)
                 if plan_was_cached:
                     result.metrics.plan_cache_hits += 1
@@ -348,6 +352,7 @@ class FederatedEngine:
         return FederatedResult(
             hit.relation, hit.plan, hit.metrics, hit.fetch_timings,
             elapsed_seconds=0.0, from_cache=True, completeness=hit.completeness,
+            values=hit.values,
         )
 
     def _view_result(self, statement) -> tuple:
@@ -436,13 +441,15 @@ class FederatedEngine:
 
         The workload scheduler's admission control prices a queued query with
         this and `predict_elapsed` before any byte is shipped; the plan lands
-        in the cache, so a later `query()` reuses it.
+        in the cache, so a later `query()` reuses it. It holds this statement's
+        constants as its `values`, which `execute_plan` runs it with.
         """
-        plan, _ = self._plan_for(*self._canonicalize(query))
-        return plan
+        plan, _, values = self._plan_for(*self._canonicalize(query))
+        return plan if plan.values == values else replace(plan, values=values)
 
-    def _plan_for(self, statement, canonical, stamp) -> "tuple[FederatedPlan, bool]":
-        """Cached-plan lookup + (re)planning; returns (plan, was_cached).
+    def _plan_for(self, statement, canonical, stamp) -> "tuple[FederatedPlan, bool, tuple]":
+        """Cached-plan lookup + planning; returns (plan, was_cached, values):
+        the plan runs with `values`, the statement's constants.
 
         Plans are kept in a `repro.sql.shape.Family` per statement shape, so
         what is fresh lies in the key: the catalog's generation and, under
@@ -460,9 +467,9 @@ class FederatedEngine:
         found = family.find(values, lambda: self.planner.cost_model.slot_reads(statement))
         plan = self.planner.plan(statement) if found is None else found
         kept = family.add(plan)
-        if kept is not family:  # planned or re-bound
+        if kept is not family:  # planned
             self.cache.put_plan(key, kept)
-        return plan, found is not None
+        return plan, found is not None, values
 
     def attach_invalidation(self, broker) -> None:
         """Hear the broker's table-change events, with `invalidate_table`."""
@@ -501,7 +508,8 @@ class FederatedEngine:
             for fetch in plan.fetches
         ]
         elapsed = makespan(fetch_predictions, self.parallel_workers)
-        elapsed += self._assembly_cost(plan.root)
+        with binding(plan.values):
+            elapsed += self._assembly_cost(plan, plan.root)
         elapsed += self.network.transfer_seconds(site, "client", plan.est_result_bytes)
         for bind in plan.bind_joins:
             caps = bind.source.capabilities
@@ -519,7 +527,7 @@ class FederatedEngine:
             analysis = self._get_analyzer().analyze(
                 statement, query if isinstance(query, str) else None
             )
-            analysis.extend(self._get_analyzer().verify(plan).diagnostics)
+            analysis.extend(self._get_analyzer().verify(plan, plan.values).diagnostics)
         except EIIError:
             analysis = None
         if analysis is not None and len(analysis):
@@ -545,7 +553,7 @@ class FederatedEngine:
 
     def execute_plan(self, plan: FederatedPlan) -> FederatedResult:
         """Run a plan as it is: no cache, view or admission stage."""
-        tracer, run = self.tracer, Execution(self, plan, MetricsCollector(network=self.network))
+        tracer, run = self.tracer, Execution(self, plan, MetricsCollector(network=self.network), plan.values)
         try:
             result = self._execute_plan(run, tracer.enabled)
         except Exception as exc:
@@ -556,6 +564,10 @@ class FederatedEngine:
         return result
 
     def _execute_plan(self, run: Execution, traced: bool) -> FederatedResult:
+        with binding(run.values):  # what its `Param`s stand for, estimated or printed
+            return self._run(run, traced)
+
+    def _run(self, run: Execution, traced: bool) -> FederatedResult:
         try:
             plan, metrics = run.plan, run.metrics
             fetch_timings = run.prefetch(plan.fetches)
@@ -585,7 +597,7 @@ class FederatedEngine:
             # Bind joins and any late fetches executed serially during assembly.
             serial_tail = metrics.simulated_seconds - after_fetch_work
 
-            assembly_seconds = self._assembly_cost(run.root)
+            assembly_seconds = self._assembly_cost(plan, run.root)
             metrics.charge_seconds(assembly_seconds)
             final_transfer = metrics.record_transfer(
                 plan.assembly_site, "client", rows=len(relation),
@@ -602,7 +614,7 @@ class FederatedEngine:
             elapsed = fetch_elapsed + serial_tail + assembly_seconds + final_transfer
             result = FederatedResult(
                 relation, plan, metrics, fetch_timings, elapsed,
-                completeness=run.report, replan=replan_report,
+                completeness=run.report, replan=replan_report, values=run.values,
             )
             if self.resilience is not None:
                 result.breaker_states = self.resilience.breaker_states()
@@ -618,6 +630,11 @@ class FederatedEngine:
 
     # -- internals ----------------------------------------------------------------
 
-    def _assembly_cost(self, root: LogicalPlan) -> float:
-        estimate = self.planner.cost_model.estimate(root)
-        return estimate.cost * HUB_TIME_PER_COST_UNIT_S
+    def _assembly_cost(self, plan: FederatedPlan, root: LogicalPlan) -> float:
+        """Simulated seconds of `root`: the plan's estimate holds for every values
+        tuple it serves (equal reads), but not for a root re-optimized in flight
+        or under feedback, whose calibrations move under one plan."""
+        cost = plan.est_cost
+        if cost is None or root is not plan.root or (self.adaptive is not None and self.adaptive.policy.feedback):
+            cost = self.planner.cost_model.estimate(root).cost
+        return cost * HUB_TIME_PER_COST_UNIT_S

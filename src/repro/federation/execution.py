@@ -33,7 +33,7 @@ from repro.engine.logical import LogicalJoin, LogicalPlan, LogicalUnion
 from repro.federation.nodes import LogicalBindJoin, LogicalFetch
 from repro.federation.resilience import CompletenessReport, rename_statement_tables
 from repro.netsim.metrics import MetricsCollector
-from repro.sql.shape import with_in_filter
+from repro.sql.shape import Bound, params_in, with_in_filter
 from repro.telemetry.plane import NULL_TELEMETRY
 from repro.trace.span import Event
 
@@ -204,13 +204,15 @@ class Execution:
 
     `local` memoizes per-plan-node results within this execution (a node
     referenced twice runs once); the engine's cache hierarchy is the
-    *cross-query* fetch store keyed by `(source, canonical SQL)`.
+    *cross-query* fetch store keyed by `(source, shape, constants)` (`fetch_key`).
     """
 
-    def __init__(self, engine, plan, metrics: MetricsCollector):
+    def __init__(self, engine, plan, metrics: MetricsCollector, values: tuple):
         self.engine = engine
         self.plan = plan
         self.metrics = metrics
+        #: the constants this run's `Param`s stand for: its statement's
+        self.values = values
         self.site = plan.assembly_site
         self.local: dict[int, Relation] = {}
         #: the assembly tree being run (mid-query re-optimization swaps it)
@@ -283,7 +285,10 @@ class Execution:
                 catalog.entry(name).local_name.lower(): mapping[name]
                 for name in node.tables
             }
-            yield source, rename_statement_tables(stmt, rename)
+            if isinstance(stmt, Bound):
+                yield source, Bound(rename_statement_tables(stmt.stmt, rename), stmt.values)
+            else:
+                yield source, rename_statement_tables(stmt, rename)
 
     def _remote_fetch(self, node, stmt, record: Recorder, description):
         """Execute `stmt` with retries/breaker/failover per the policy.
@@ -360,6 +365,8 @@ class Execution:
         record.base = base[0]
         primary = node.source.name
         cache = answer = None
+        if params_in(stmt):  # sent with the constants its `Param`s stand for
+            stmt = Bound(stmt, self.values)
         try:
             engine = self.engine
             caching = engine.cache.fetches is not None

@@ -19,9 +19,9 @@ from repro.common.errors import PlanError
 from repro.common.schema import RelSchema
 from repro.engine.cost import PlanCost
 from repro.engine.logical import LogicalPlan
-from repro.engine.physical import PhysicalOp, hash_join, join_keys
+from repro.engine.physical import Lowered, PhysicalOp, hash_join, join_keys
 from repro.sql.ast import BinaryOp, ColumnRef, Expr, Select
-from repro.sql.eval import compile_expr
+from repro.sql.shape import shown
 
 #: Maximum literals in one generated IN-list; longer key sets are chunked
 #: into multiple component queries.
@@ -52,7 +52,7 @@ class LogicalFetch(LogicalPlan):
     tables: frozenset = frozenset()
 
     def label(self):
-        return f"Fetch[{self.source.name}]({self.stmt.text})"
+        return f"Fetch[{self.source.name}]({shown(self.stmt)})"
 
     def estimate_cost(self, cost_model) -> PlanCost:
         if self.est is not None:
@@ -135,7 +135,7 @@ class LogicalBindJoin(LogicalPlan):
     def label(self):
         return (
             f"BindJoin[{self.source.name}]({self.left_key} -> {self.right_key}: "
-            f"{self.template.text})"
+            f"{shown(self.template)})"
         )
 
     def estimate_cost(self, cost_model) -> PlanCost:
@@ -171,9 +171,7 @@ class BindJoinOp(PhysicalOp):
             [node.fetch_schema.index_of(node.right_key.name, node.right_key.qualifier)]
         )
         self._widths = (len(left.schema), len(node.fetch_schema))
-        self._residual_fn = None
-        if node.residual is not None:
-            self._residual_fn = compile_expr(node.residual, node.schema)
+        self._residual = Lowered(node.residual, node.schema)
 
     @property
     def children(self):
@@ -192,7 +190,7 @@ class BindJoinOp(PhysicalOp):
         fetched = self.execution.bind_fetch(self.node, keys).batch
         return hash_join(
             left_rows, left_keys, fetched, self._right_keys(fetched),
-            self.node.kind, self._residual_fn, self._widths, self.pick,
+            self.node.kind, self._residual.fn_for(), self._widths, self.pick,
         )
 
     def explain_label(self):

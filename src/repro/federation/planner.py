@@ -12,7 +12,7 @@ pre-aggregated by its join key where that ships fewer rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.common.errors import PlanError
@@ -27,7 +27,6 @@ from repro.engine.logical import (
     LogicalProject,
     LogicalScan,
     LogicalSort,
-    rebind_plan,
 )
 from repro.engine.planner import bind_select
 from repro.engine.rewrite import eager_aggregate, optimize_logical
@@ -39,12 +38,12 @@ from repro.sql.ast import (
     Expr,
     InList,
     JoinClause,
-    Literal,
     OrderItem,
     Select,
     SelectItem,
     TableRef,
     UnionSelect,
+    binding,
 )
 from repro.sql.exprutil import (
     conjoin,
@@ -53,7 +52,7 @@ from repro.sql.exprutil import (
     substitute_columns,
 )
 from repro.sql.parser import parse
-from repro.sql.shape import plant
+from repro.sql.shape import lift, plant
 from repro.wrappers.pushability import binding_supplier, statement_reasons
 
 
@@ -68,26 +67,26 @@ class FederatedPlan:
     assembly_site: str
     est_result_rows: float = 0.0
     est_result_bytes: int = 0
-    #: the literals planted in this plan for its statement's lifted constants
-    #: (`repro.sql.shape`), and the `CostModel.slot_reads` it was estimated under
-    slots: tuple = ()
+    #: the constants of the statement it is the plan of, one per `Param` in it
+    #: (`repro.sql.shape.plant`): what `pretty` shows and `execute_plan` runs
+    #: with. The plan cache's shared plan holds its planning statement's; a
+    #: query runs it with its own, and `FederatedEngine.prepare` gives each
+    #: statement a plan holding its own.
+    values: tuple = ()
+    #: the `CostModel.slot_reads` of `values`: the plan serves every values tuple
+    #: of equal reads, estimates and all
     reads: tuple = ()
-
-    def bound_to(self, values: tuple) -> "Optional[FederatedPlan]":
-        """This plan for other constants in its slots; what holds none is shared.
-        None if a slot's literal is not in the plan to swap (a rewriter copied it)."""
-        slots = tuple(Literal(literal.value) for literal in values)
-        found: set = set()
-        root = rebind_plan(self.root, dict(zip(map(id, self.slots), slots)), found)
-        if len(found) < len(slots):
-            return None
-        fetches, bind_joins = _remote_nodes(root)
-        return replace(self, root=root, fetches=fetches, bind_joins=bind_joins, slots=slots)
+    #: the estimated cost of `root`, the assembly work (None: not estimated)
+    est_cost: Optional[float] = None
 
     def pretty(self) -> str:
-        lines = [f"assembly site: {self.assembly_site}"]
-        lines.append(self.root.pretty())
-        return "\n".join(lines)
+        """The plan, each `Param` shown as its constant in `values`."""
+        with binding(self.values):
+            return self.shown()
+
+    def shown(self) -> str:
+        """The plan, each `Param` shown as the constant bound to it now."""
+        return f"assembly site: {self.assembly_site}\n{self.root.pretty()}"
 
     def table_dependencies(self) -> frozenset:
         """Lower-cased names of every source table this plan reads.
@@ -174,17 +173,21 @@ class FederatedPlanner:
     # -- public ----------------------------------------------------------------
 
     def plan(self, query: Union[str, Select, LogicalPlan]) -> FederatedPlan:
+        """The plan of `query`; a SELECT's is prepared (`plant`): it holds a
+        `Param` in each slot, and serves every statement of its shape and reads."""
         if isinstance(query, str):
             query = parse(query)
-        slots = reads = ()
+        values = reads = ()
         if isinstance(query, Select):
             reads = self.cost_model.slot_reads(query)
-            query, slots = plant(query)
-        logical = self.logical_plan(query)
+            values = lift(query).values
+            query = plant(query)
+        # Estimating reads the constants (`CostModel._comparison_selectivity`).
         # One memo scope for the whole cutting pass: subtree estimates are
         # re-requested by pushability analysis, bind-join costing and the
         # final plan estimate.
-        with self.cost_model.memo_scope():
+        with binding(values), self.cost_model.memo_scope():
+            logical = self.logical_plan(query)
             subtrees: dict = {}
             root = self._cut(logical, subtrees)
             # Pre-aggregation shrinks what a fetch ships, not where the plan
@@ -200,7 +203,7 @@ class FederatedPlanner:
             fetches, bind_joins = _remote_nodes(root)
             est = self.cost_model.estimate(root)
         est_bytes = int(est.rows * root.schema.average_row_width())
-        return FederatedPlan(root, fetches, bind_joins, site, est.rows, est_bytes, slots, reads)
+        return FederatedPlan(root, fetches, bind_joins, site, est.rows, est_bytes, values, reads, est.cost)
 
     def logical_plan(self, query: Union[str, Select, LogicalPlan]) -> LogicalPlan:
         if isinstance(query, str):

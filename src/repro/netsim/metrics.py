@@ -173,22 +173,36 @@ class MetricsCollector:
             cls._kinds = kinds = tuple(found)
         return kinds
 
+    @classmethod
+    def _merged(cls) -> tuple:
+        """``(lists, counters, numbers)``: `merge()`'s field names by kind, once per class."""
+        merged = cls.__dict__.get("_merging")
+        if merged is None:
+            kinds = cls._counter_kinds()
+            lists, counters = ([name for name, kind in kinds if kind is k] for k in (list, Counter))
+            numbers = [name for name, kind in kinds if kind is not list and kind is not Counter]
+            cls._merging = merged = (lists, counters, numbers)
+        return merged
+
     def merge(self, other: "MetricsCollector") -> None:
         """Fold another collector's counters into this one.
 
         Field-generic on purpose: lists extend, Counters update, numeric
-        counters add, and the network model is left alone — so a counter
-        added to this dataclass is merged automatically instead of being
-        silently dropped by a hand-copied field list.
+        counters add (``self.x + other.x``), and the network model is left
+        alone — so a counter added to this dataclass is merged automatically
+        instead of being silently dropped by a hand-copied field list.
         """
         self._check_owner()
-        for name, kind in self._counter_kinds():
-            if kind is list:
-                getattr(self, name).extend(getattr(other, name))
-            elif kind is Counter:
-                getattr(self, name).update(getattr(other, name))
-            else:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
+        lists, counters, numbers = self._merged()
+        mine, theirs = vars(self), vars(other)
+        for name in lists:
+            mine[name].extend(theirs[name])
+        for name in counters:
+            counts = mine[name]
+            for key, count in theirs[name].items():
+                counts[key] += count
+        for name in numbers:
+            mine[name] += theirs[name]
 
     def reset(self) -> None:
         """Zero every counter, field-generically (like `merge()`).

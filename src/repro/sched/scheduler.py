@@ -54,6 +54,7 @@ from repro.sched.request import (
     WorkloadResult,
 )
 from repro.sched.wfq import FairQueue
+from repro.sql.shape import Bound
 from repro.trace import Trace, makespan
 
 
@@ -309,7 +310,7 @@ class _RunState:
             return [], result.elapsed_seconds
         tasks = [
             _FetchTask(
-                key=fetch_key(node.source.name, node.stmt),
+                key=fetch_key(node.source.name, Bound(node.stmt, result.values)),  # its constants
                 source=node.source.name.lower(),
                 duration_s=duration,
             )

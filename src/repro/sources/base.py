@@ -11,7 +11,6 @@ from repro.common.schema import RelSchema
 from repro.engine.physical import pick_columns
 from repro.netsim.network import WireFormat
 from repro.sql.ast import Select, Star
-from repro.sql.printer import to_sql
 from repro.storage.stats import TableStats
 from repro.wrappers.dialects import Dialect
 from repro.wrappers.pushability import statement_reasons
@@ -92,7 +91,9 @@ class DataSource:
     # -- execution ----------------------------------------------------------------
 
     def execute_select(self, stmt: Select, metrics=None) -> Relation:
-        """Run a component query. Raises CapabilityError if unsupported.
+        """Run a component query: a `Select`, or a prepared plan's statement
+        and its values (`repro.sql.shape.Bound`, which reads as the statement
+        it stands for). Raises CapabilityError if unsupported.
 
         Implementations must call `self._account(metrics, seconds)` so that
         per-source query counts and simulated execution time are recorded.
@@ -122,7 +123,7 @@ class DataSource:
         reasons = statement_reasons(stmt, self.capabilities)
         if reasons:
             raise CapabilityError(
-                f"source {self.name!r} cannot run: {to_sql(stmt)} ({'; '.join(reasons)})"
+                f"source {self.name!r} cannot run: {stmt} ({'; '.join(reasons)})"
             )
 
     @staticmethod

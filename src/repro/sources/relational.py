@@ -11,9 +11,9 @@ from repro.common.schema import RelSchema
 from repro.engine.executor import LocalEngine
 from repro.engine.physical import PhysicalOp
 from repro.sources.base import DataSource, SourceCapabilities
-from repro.sql.ast import Literal, Select
+from repro.sql.ast import Select, binding
 from repro.sql.printer import to_sql
-from repro.sql.shape import Family, lift, plant
+from repro.sql.shape import Family, lift, plant, unbind
 from repro.storage.catalog import Database
 from repro.storage.stats import TableStats
 from repro.wrappers.dialects import Dialect, QUIRK_AWARE
@@ -27,22 +27,15 @@ PREPARED_STATEMENTS = 32
 
 
 class _Prepared(NamedTuple):
-    """One binding of a shape, ready to run again - and the model for others."""
+    """A shape's prepared statement, as kept for one values tuple: the plan
+    (planted, so it serves every values tuple of equal reads) and the text
+    those values printed as."""
 
-    text: str  # for `query_log`, in the dialect; "" until printed for a re-bound one
-    reads: tuple  # `CostModel.slot_reads` of the lifted constants, which `cost` rests on
-    slots: tuple  # the literals `physical` holds for them
+    values: tuple  # the constants of the statement it is kept for
+    text: str  # that statement, in the dialect: for `query_log`
+    reads: tuple  # `CostModel.slot_reads` of the planted plan's constants, which `cost` rests on
     cost: float  # the cost model's estimate
     physical: PhysicalOp
-
-    def bound_to(self, values: tuple) -> "Optional[_Prepared]":
-        """This binding's operators for `values` (new literals, as `plant` makes
-        them), its cost kept. None if they hold a *copy* of a planted literal,
-        which no swap reaches."""
-        slots = tuple([Literal(value.value) if value.__class__ is Literal else value for value in values])
-        found: set = set()
-        physical = self.physical.bound_to(dict(zip(map(id, self.slots), slots)), found)
-        return self._replace(text="", slots=slots, physical=physical) if len(found) == len(slots) else None
 
 
 class RelationalSource(DataSource):
@@ -88,27 +81,33 @@ class RelationalSource(DataSource):
 
     def execute_select(self, stmt: Select, metrics=None) -> Relation:
         self._check_access()
-        shape, _, values = lift(stmt)
+        received, (stmt, values) = stmt, unbind(stmt)
+        shape = lift(stmt).shape
         state = self._state(stmt)
         family = self._prepared.get(shape)
         if family is None or family.stamp != state:
-            self._check_fits(stmt)  # the contract reads no constant: a shape was checked once
+            self._check_fits(received)  # the contract reads no constant: a shape was checked once
             family = Family(stamp=state)
         engine = self.engine
-        prepared = family.find(values, lambda: engine.cost_model.slot_reads(stmt))
-        text = (prepared and prepared.text) or to_sql(stmt, self.capabilities.dialect.print_options)
+        prepared = family.find(values, lambda: engine.cost_model.slot_reads(stmt, values))
+        if prepared is not None and prepared.values == values:
+            text = prepared.text
+        else:
+            with binding(received.values if received is not stmt else None):
+                text = to_sql(stmt, self.capabilities.dialect.print_options)
         self.query_log.append(text)
-        if prepared is None:
-            planted, slots = plant(stmt)
-            logical = engine.logical_plan(planted)
-            cost = engine.cost_model.estimate(logical).cost
-            prepared = _Prepared(text, engine.cost_model.slot_reads(stmt), slots, cost, engine.lower(logical))
-        elif not prepared.text:
-            prepared = prepared._replace(text=text)
-        kept = family.add(prepared)
-        if kept is not family:  # planned or re-bound
-            self._prepared.put(shape, kept)
-        result = prepared.physical.relation()
+        with binding(values):  # what the planted statement's `Param`s stand for, planned and run
+            if prepared is None:
+                logical = engine.logical_plan(plant(stmt))
+                cost = engine.cost_model.estimate(logical).cost
+                reads = engine.cost_model.slot_reads(stmt, values)
+                prepared = _Prepared(values, text, reads, cost, engine.lower(logical))
+            elif prepared.text is not text:
+                prepared = prepared._replace(values=values, text=text)
+            kept = family.add(prepared)
+            if kept is not family:  # planned, or kept for new values
+                self._prepared.put(shape, kept)
+            result = prepared.physical.relation()
         self._account(metrics, prepared.cost * self.capabilities.time_per_cost_unit_s)
         return result
 

@@ -10,6 +10,7 @@ from repro.common.schema import RelSchema
 from repro.sources.base import SCAN_ONLY, DataSource, SourceCapabilities
 from repro.sql.ast import Select
 from repro.sql.exprutil import split_conjuncts
+from repro.sql.shape import Bound, resolved
 from repro.storage.stats import TableStats
 from repro.storage.table import Table
 from repro.wrappers.pushability import binding_supplier
@@ -70,6 +71,8 @@ class WebServiceSource(DataSource):
 
     def execute_select(self, stmt: Select, metrics=None) -> Relation:
         self._check_access()
+        if isinstance(stmt, Bound):  # its keys are the constants it stands for
+            stmt = resolved(stmt.stmt, stmt.values)
         self._check_fits(stmt)
         table_ref = stmt.from_tables[0]
         self._check_table(table_ref.name)

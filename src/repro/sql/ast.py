@@ -8,9 +8,13 @@ than mutating (see `repro.sql.exprutil`).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
+
+from repro.common.errors import PlanError
 
 
 class Expr:
@@ -48,6 +52,49 @@ class Literal(Expr):
         from repro.sql.printer import render_literal
 
         return render_literal(self.value)
+
+
+#: The values the `Param`s of the statement being planned, run or printed on
+#: this thread stand for (`binding`); None: a `Param` prints as its slot.
+BINDING: ContextVar[Optional[tuple]] = ContextVar("binding", default=None)
+
+
+@contextmanager
+def binding(values: Optional[tuple]):
+    """Put `values` in effect for the `Param`s planned, estimated or printed inside."""
+    token = BINDING.set(values)
+    try:
+        yield
+    finally:
+        BINDING.reset(token)
+
+
+def bound_values() -> tuple:
+    """The values in effect (`binding`) for the `Param`s being estimated or run."""
+    values = BINDING.get()
+    if values is None:
+        raise PlanError("a prepared plan was estimated or run with no values bound")
+    return values
+
+
+@dataclass(frozen=True)
+class Param(Expr):
+    """Slot `index` of a prepared statement (`repro.sql.shape.plant`): the
+    constant at `index` of the values a run is given, of class `kind` (a bind
+    join's keys: `LiteralValues`). A plan holds no constant there, so a rewrite
+    that copies a `Param` copies the slot. It prints as that constant while
+    values are bound (`binding`), else as its typed slot (`?int`)."""
+
+    index: int
+    kind: type
+
+    @property
+    def slot(self) -> str:
+        return "?keys" if self.kind is LiteralValues else "?" + self.kind.__name__
+
+    def __str__(self):
+        values = BINDING.get()
+        return self.slot if values is None else str(values[self.index])
 
 
 @dataclass(frozen=True)
@@ -157,16 +204,20 @@ class LiteralValues(Sequence):
     def __hash__(self):
         return hash(self._key)
 
+    def __str__(self):
+        return ", ".join(map(str, self))
+
 
 @dataclass(frozen=True)
 class InList(Expr):
     operand: Expr
-    items: Sequence[Expr]  # a tuple, or `LiteralValues`
+    items: Sequence[Expr]  # a tuple, `LiteralValues`, or the `Param` of a prepared bind join's keys
     negated: bool = False
 
     def __str__(self):
         keyword = "NOT IN" if self.negated else "IN"
-        inner = ", ".join(str(item) for item in self.items)
+        items = self.items
+        inner = str(items) if items.__class__ is Param else ", ".join(str(item) for item in items)
         return f"({self.operand} {keyword} ({inner}))"
 
 
@@ -297,11 +348,13 @@ class Select:
     @cached_property
     def text(self) -> str:
         """The canonical SQL text (`repro.sql.printer.to_sql`), printed once and
-        kept on the statement: it is immutable, and a rebound or re-written
-        statement is a new one (`dataclasses.replace`) that prints its own."""
+        kept on the statement: it is immutable, and a re-written statement is a
+        new one (`dataclasses.replace`) that prints its own. A `Param` prints
+        as its slot here, whatever values are bound."""
         from repro.sql.printer import to_sql
 
-        return to_sql(self)
+        with binding(None):
+            return to_sql(self)
 
     def __str__(self):
         return self.text

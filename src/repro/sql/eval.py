@@ -29,6 +29,7 @@ from repro.sql.ast import (
     Like,
     Literal,
     LiteralValues,
+    Param,
     Star,
     UnaryOp,
 )
@@ -257,7 +258,10 @@ _EXACT_IN = _PLAIN_TYPES | {_NULL}
 
 def exact_under(literal):
     """The exact types a column may hold for a bare `column <op> literal` to be
-    exact; None for a literal that never is (NULL, a subclass, an int `float()` rounds)."""
+    exact; None for a literal that never is (NULL, a subclass, an int `float()` rounds).
+    A `Param`'s constant is one that lifts (`repro.sql.shape`): plain, its class says."""
+    if literal.__class__ is Param:
+        return _EXACT_UNDER.get(literal.kind)
     return _EXACT_UNDER[type(literal)] if _is_plain(literal) else None
 
 
@@ -270,6 +274,7 @@ def compile_filter_passes(conjuncts, schema: RelSchema):
     and cannot raise, so neither conjunct order nor error order can show.
     Only `column <op> literal` (either way round) and a plain `column IN
     (literals)` have a pass; any other conjunct leaves all to the closure.
+    A `Param` operand is the run's to read.
     """
     passes = []
     for conjunct in conjuncts:
@@ -282,11 +287,10 @@ def compile_filter_passes(conjuncts, schema: RelSchema):
             isinstance(conjunct, InList)
             and not conjunct.negated
             and isinstance(conjunct.operand, ColumnRef)
-            and (probe := _literal_probe(conjunct.items)) is not None
+            and (probe := in_pass(conjunct.items)) is not None
         ):
             column = conjunct.operand
-            operand, has_float, _ = probe
-            admits = _EXACT_IN - {int} if has_float else _EXACT_IN
+            admits, operand = probe
             test = operator.contains
         else:
             return None
@@ -400,6 +404,18 @@ def _is_plain(value) -> bool:
     """An exact builtin scalar; if an int, one that `float()` keeps exact."""
     kind = type(value)
     return kind in _PLAIN_TYPES and (kind is not int or _float_exact(value))
+
+
+def in_pass(items):
+    """``(admits, keys)`` of the filter pass of `column IN (items)`, None if
+    the list has none (see `_literal_probe`); a `Param`'s keys are a run's."""
+    if items.__class__ is Param:
+        return _EXACT_IN, items
+    probe = _literal_probe(items)
+    if probe is None:
+        return None
+    keys, has_float, _ = probe
+    return (_EXACT_IN - {int} if has_float else _EXACT_IN), keys
 
 
 def _literal_probe(items):

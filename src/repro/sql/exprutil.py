@@ -19,6 +19,7 @@ from repro.sql.ast import (
     Like,
     Literal,
     LiteralValues,
+    Param,
     Star,
     UnaryOp,
     and_all,
@@ -37,7 +38,8 @@ def children(expr: Expr) -> list[Expr]:
     if isinstance(expr, IsNull):
         return [expr.operand]
     if isinstance(expr, InList):
-        return [expr.operand, *expr.items]
+        items = expr.items
+        return [expr.operand, items] if items.__class__ is Param else [expr.operand, *items]
     if isinstance(expr, Like):
         return [expr.operand, expr.pattern]
     if isinstance(expr, Between):
@@ -111,8 +113,8 @@ def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     if isinstance(expr, IsNull):
         return IsNull(fn(expr.operand), expr.negated)
     if isinstance(expr, InList):
-        items = expr.items  # a bind join's keys (`LiteralValues`) stay whole, and the planted ones
-        if items.__class__ is not LiteralValues:
+        items = expr.items  # a bind join's keys (`LiteralValues`, or their `Param`) stay whole
+        if items.__class__ is not LiteralValues and items.__class__ is not Param:
             items = tuple(fn(i) for i in items)
         return InList(fn(expr.operand), items, expr.negated)
     if isinstance(expr, Like):
@@ -139,6 +141,20 @@ def transform(expr: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
         return rebuilt if replacement is None else replacement
 
     return visit(expr)
+
+
+def with_values(expr: Expr, values: tuple) -> Expr:
+    """`expr` with each `Param` the constant it stands for in `values` (a
+    `Literal`; a bind join's keys, `LiteralValues`, as an IN-list's items)."""
+
+    def constant(node: Expr) -> Optional[Expr]:
+        if node.__class__ is Param:
+            return values[node.index]
+        if node.__class__ is InList and node.items.__class__ is Param:
+            return InList(node.operand, values[node.items.index], node.negated)
+        return None
+
+    return transform(expr, constant)
 
 
 def substitute_columns(expr: Expr, mapping: dict) -> Expr:
@@ -183,13 +199,14 @@ SWAPPED_COMPARISONS = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=
 
 def column_vs_literal(expr: Expr) -> Optional[tuple[ColumnRef, str, object]]:
     """`(column, op, value)` if the expression compares a column with a
-    literal, written either way round; `op` reads `column <op> value`."""
+    literal, written either way round; `op` reads `column <op> value`. Where
+    the literal is a `Param`, `value` is the `Param`: its constant is the run's."""
     if isinstance(expr, BinaryOp) and expr.op in SWAPPED_COMPARISONS:
         left, right = expr.left, expr.right
-        if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            return left, expr.op, right.value
-        if isinstance(left, Literal) and isinstance(right, ColumnRef):
-            return right, SWAPPED_COMPARISONS[expr.op], left.value
+        if isinstance(left, ColumnRef) and isinstance(right, (Literal, Param)):
+            return left, expr.op, right if right.__class__ is Param else right.value
+        if isinstance(left, (Literal, Param)) and isinstance(right, ColumnRef):
+            return right, SWAPPED_COMPARISONS[expr.op], left if left.__class__ is Param else left.value
     return None
 
 

@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.common.errors import PlanError
 from repro.sql.ast import (
+    BINDING,
     Between,
     BinaryOp,
     CaseWhen,
@@ -28,6 +29,7 @@ from repro.sql.ast import (
     Like,
     Literal,
     OrderItem,
+    Param,
     Select,
     SelectItem,
     Star,
@@ -75,6 +77,9 @@ def render_literal(value, options: PrintOptions = DEFAULT_OPTIONS) -> str:
 def expr_to_sql(expr: Expr, options: PrintOptions = DEFAULT_OPTIONS) -> str:
     if isinstance(expr, Literal):
         return render_literal(expr.value, options)
+    if expr.__class__ is Param:  # the constant bound to it, else its slot
+        values = BINDING.get()
+        return expr.slot if values is None else expr_to_sql(values[expr.index], options)
     if isinstance(expr, ColumnRef):
         return f"{expr.qualifier}.{expr.name}" if expr.qualifier else expr.name
     if isinstance(expr, Star):
@@ -102,7 +107,13 @@ def expr_to_sql(expr: Expr, options: PrintOptions = DEFAULT_OPTIONS) -> str:
         return f"({expr_to_sql(expr.operand, options)} {keyword})"
     if isinstance(expr, InList):
         keyword = "NOT IN" if expr.negated else "IN"
-        inner = ", ".join(expr_to_sql(item, options) for item in expr.items)
+        items = expr.items
+        if items.__class__ is Param:  # a prepared bind join's keys
+            values = BINDING.get()
+            if values is None:
+                return f"({expr_to_sql(expr.operand, options)} {keyword} {items.slot})"
+            items = values[items.index]
+        inner = ", ".join(expr_to_sql(item, options) for item in items)
         return f"({expr_to_sql(expr.operand, options)} {keyword} ({inner}))"
     if isinstance(expr, Like):
         keyword = "NOT LIKE" if expr.negated else "LIKE"

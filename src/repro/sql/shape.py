@@ -3,17 +3,18 @@
 `lift` takes the constant out of each top-level WHERE conjunct `column = c` /
 `column <> c` (either way round) and prints the rest, a typed slot in its
 place. Planning reads of such a constant its type (in the text) and an equality
-selectivity (`CostModel.slot_reads`), no more: a plan made for one statement
-of a shape, re-bound, serves another - the plan caches key on the shape.
+selectivity (`CostModel.slot_reads`), no more: a plan is prepared once per
+shape and reads, from the statement `plant` gives - a `Param` in each slot -
+and run with each statement's values. The plan caches key on the shape.
 All else stays in the shape verbatim - NULL, booleans, non-finite floats,
 integers beyond +-2**53, operands of `<`, BETWEEN, LIKE and IN, constants
 under OR or outside WHERE - because planning reads more of it than that.
 The one IN-list that is a slot is a bind join's keys (`with_in_filter`).
 
-A constant travels as a value from the text to the operator comparing with it:
-a `Template` swaps the literal lexemes of a masked text into a parsed
-prototype, `rebind` swaps those `Literal`s, by identity, wherever a plan or a
-prepared operator holds them. Nothing on the way is derived again.
+A constant travels as a value from the text to the operator comparing with
+it: a `Template` puts the literal lexemes of a masked text in the slots of a
+parsed prototype; a fetch sends a source its statement and the values
+(`Bound`); an operator reads its `Param` off the values it runs with.
 """
 
 from __future__ import annotations
@@ -23,8 +24,19 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Generic, NamedTuple, Optional, Protocol, TypeVar
 
-from repro.sql.ast import BinaryOp, ColumnRef, Expr, InList, Literal, LiteralValues, Select
-from repro.sql.exprutil import column_vs_literal
+from repro.sql.ast import (
+    BINDING,
+    BinaryOp,
+    ColumnRef,
+    Expr,
+    InList,
+    Literal,
+    LiteralValues,
+    Param,
+    Select,
+    binding,
+)
+from repro.sql.exprutil import column_vs_literal, walk, with_values
 from repro.sql.lexer import string_value
 from repro.sql.printer import to_sql
 
@@ -38,7 +50,8 @@ class Lifted(NamedTuple):
 
     shape: str
     columns: tuple = ()  # per slot: the `ColumnRef` its constant is compared with
-    values: tuple = ()  # per slot: the statement's `Literal` (last, a bind join's `LiteralValues`)
+    #: per slot: the statement's `Literal` or `Param` (last, a bind join's `LiteralValues`)
+    values: tuple = ()
 
 
 def _lifts(value) -> bool:
@@ -47,11 +60,11 @@ def _lifts(value) -> bool:
         return abs(value) <= 2**53
     if kind is float:
         return math.isfinite(value)
-    return kind is str or kind is datetime.date
+    return kind is str or kind is datetime.date or kind is Param
 
 
 def _slot(conjunct: Expr) -> Optional[tuple]:
-    """``(column, literal)`` of a conjunct whose constant lifts, else None."""
+    """``(column, operand)`` of a conjunct whose constant lifts, else None."""
     found = column_vs_literal(conjunct)
     if found is None or found[1] not in ("=", "<>") or not _lifts(found[2]):
         return None
@@ -60,12 +73,15 @@ def _slot(conjunct: Expr) -> Optional[tuple]:
 
 
 def _swap_slots(where: Optional[Expr], swap) -> Optional[Expr]:
-    """`where` with ``swap(column, literal)`` in place of each slot's literal."""
+    """`where` with ``swap(column, operand)`` in place of each slot's operand,
+    a bind join's keys (its last conjunct) included."""
     if where.__class__ is BinaryOp and where.op == "AND":
         left, right = _swap_slots(where.left, swap), _swap_slots(where.right, swap)
         if left is where.left and right is where.right:
             return where
         return BinaryOp("AND", left, right)
+    if where.__class__ is InList and where.items.__class__ is LiteralValues:
+        return InList(where.operand, swap(where.operand, where.items), where.negated)
     found = _slot(where)
     if found is None:
         return where
@@ -83,17 +99,30 @@ def lift(stmt: Select) -> Lifted:
     return known
 
 
+def _kind(operand) -> type:
+    """The class of the constant `operand` is or stands for."""
+    kind = operand.__class__
+    if kind is Param:
+        return operand.kind
+    return kind if kind is LiteralValues else operand.value.__class__
+
+
 def _lift(stmt: Select) -> Lifted:
-    where = stmt.where
+    planted, slots = _planted(stmt)
+    return Lifted(planted.text, *zip(*slots))  # a `Param` prints `?int`: no lexer yields it
+
+
+def _planted(stmt: Select) -> tuple:
+    """``(statement, slots)``: `stmt` with `Param(i)` in slot i, and per slot
+    ``(column, operand)`` - a bind join's keys included."""
     slots: list = []
 
-    def slot(column: ColumnRef, literal: Literal) -> ColumnRef:
-        slots.append((column, literal))
-        # prints `?int`: a name no lexer yields, so no column collides with it
-        return ColumnRef("?" + literal.value.__class__.__name__)
+    def slot(column: ColumnRef, operand) -> Param:
+        slots.append((column, operand))
+        return Param(len(slots) - 1, _kind(operand))
 
-    where = _swap_slots(where, slot)
-    return Lifted(to_sql(replace(stmt, where=where) if slots else stmt), *zip(*slots))
+    where = _swap_slots(stmt.where, slot)
+    return (replace(stmt, where=where) if slots else stmt), slots
 
 
 def with_in_filter(template: Select, key: ColumnRef, keys) -> Select:
@@ -103,78 +132,84 @@ def with_in_filter(template: Select, key: ColumnRef, keys) -> Select:
     items = LiteralValues(keys)
     in_list = InList(key, items)
     where = in_list if template.where is None else BinaryOp("AND", template.where, in_list)
-    stmt = replace(template, where=where)
+    stmt = _with_where(template, where)
     shape, columns, values = lift(template)
     vars(stmt)["lifted"] = Lifted(f"{shape} AND {key} IN ?keys", columns + (key,), values + (items,))
+    vars(stmt)["params"] = params_in(template)
     return stmt
 
 
-def plant(stmt: Select) -> tuple:
-    """``(statement, slots)``: `stmt` with a new `Literal` in each slot - a plan
-    made from it re-binds by identity whatever objects `stmt` itself shares.
-    A bind join's keys are theirs alone already, and planted as they are."""
-    values = lift(stmt).values
-    slots: list = []
-
-    def fresh(column: ColumnRef, literal: Literal) -> Literal:
-        slots.append(Literal(literal.value))
-        return slots[-1]
-
-    if not any(value.__class__ is Literal for value in values):  # nothing lifts, keys aside
-        return stmt, values
-    planted = replace(stmt, where=_swap_slots(stmt.where, fresh))
-    return planted, (*slots, *values[len(slots):])
+def _with_where(stmt: Select, where: Optional[Expr]) -> Select:
+    """`stmt` with `where` in place of its own: the constructor's work alone,
+    on the path every new text and bind chunk takes."""
+    s = stmt
+    return Select(s.items, s.from_tables, s.joins, where, s.group_by, s.having, s.order_by, s.limit, s.distinct)
 
 
-def rebind(predicate: Optional[Expr], swap: dict, found: set) -> Optional[Expr]:
-    """`predicate` with each operand in `swap` (`id(planted)` -> replacement)
-    replaced, itself if it holds none; `found` gains the `id` of each one met.
-    A re-binding that leaves `found` short of `swap` met a plan that holds a
-    *copy* of a planted literal, and would serve the model's constant there.
-    Visited is only where the rewriter puts a WHERE conjunct: operands of
-    comparisons under ANDs, and the keys of an IN-list, whole."""
-    if predicate.__class__ is InList:
-        items = swap.get(id(predicate.items))
-        if items is None:
-            return predicate
-        found.add(id(predicate.items))
-        return InList(predicate.operand, items, predicate.negated)
-    if predicate.__class__ is not BinaryOp:
-        return predicate
-    left, right = predicate.left, predicate.right
-    if predicate.op == "AND":
-        new_left, new_right = rebind(left, swap, found), rebind(right, swap, found)
-    else:
-        new_left, new_right = swap.get(id(left), left), swap.get(id(right), right)
-        if new_left is not left:
-            found.add(id(left))
-        if new_right is not right:
-            found.add(id(right))
-    if new_left is left and new_right is right:
-        return predicate
-    return BinaryOp(predicate.op, new_left, new_right)
+def plant(stmt: Select) -> Select:
+    """`stmt` with `Param(i)` in slot i, typed as its constant: what a plan is
+    prepared from, and then run with the values of each statement of its shape."""
+    return _planted(stmt)[0]
 
 
-def rebind_select(stmt: Select, swap: dict, found: set) -> Select:
-    """`stmt` rebound where a pushed-down WHERE conjunct may sit: WHERE, an ON.
-    What `lift` knows of `stmt` the result inherits, constants swapped - unless
-    one was swapped that `lift` left in the shape (there the shape *is* the text)."""
-    mine: set = set()
-    where = rebind(stmt.where, swap, mine)
-    ons = [rebind(join.condition, swap, mine) for join in stmt.joins]
-    if not mine:
-        return stmt
-    found |= mine
-    joins = tuple(
-        join if on is join.condition else replace(join, condition=on)
-        for on, join in zip(ons, stmt.joins)
-    )
-    bound = replace(stmt, where=where, joins=joins)
-    known = vars(stmt).get("lifted")
-    if known is not None and mine == {id(value) for value in known.values if id(value) in swap}:
-        values = tuple([swap.get(id(value), value) for value in known.values])
-        vars(bound)["lifted"] = Lifted(known.shape, known.columns, values)
-    return bound
+# -- a statement holding `Param`s, sent with its values --------------------------
+
+
+class Bound:
+    """A prepared plan's statement and the values its `Param`s stand for: what
+    a fetch sends its source. It reads and prints as the statement it stands
+    for (no attribute of its own shadows one of a `Select`)."""
+
+    __slots__ = ("stmt", "values")
+
+    def __init__(self, stmt: Select, values: tuple):
+        self.stmt = stmt
+        self.values = values
+
+    def __getattr__(self, name: str):  # read as the statement it stands for
+        return getattr(self.stmt, name)
+
+    def __str__(self):
+        with binding(self.values):
+            return to_sql(self.stmt)
+
+
+def unbind(stmt) -> tuple:
+    """``(statement, constants)`` of what a source is sent, a `Select` or a
+    `Bound`: per slot its constant. A `Param` outside the slots (in an ON)
+    is no slot: that statement is taken as it prints, constants and all."""
+    if stmt.__class__ is Select:
+        return stmt, lift(stmt).values
+    stmt, values = stmt.stmt, stmt.values
+    if params_in(stmt) < 0:
+        stmt = resolved(stmt, values)
+        return stmt, lift(stmt).values
+    return stmt, tuple([values[v.index] if v.__class__ is Param else v for v in lift(stmt).values])
+
+
+def resolved(stmt: Select, values: tuple) -> Select:
+    """`stmt` with each `Param` (in WHERE or an ON, where rewrites put them)
+    the constant it stands for in `values`."""
+    return replace(stmt, where=stmt.where and with_values(stmt.where, values), joins=tuple([
+        replace(join, condition=join.condition and with_values(join.condition, values)) for join in stmt.joins
+    ]))
+
+
+def shown(stmt: Select) -> str:
+    """`stmt`'s text, each `Param` the constant bound to it now (`binding`)."""
+    return stmt.text if BINDING.get() is None or not params_in(stmt) else to_sql(stmt)
+
+
+def params_in(stmt: Select) -> int:
+    """How many `Param`s `stmt` holds - a rewrite puts them in WHERE or an
+    ON - or -1 if one is outside its slots (derived once)."""
+    known = vars(stmt).get("params")
+    if known is None:
+        exprs = [stmt.where, *[join.condition for join in stmt.joins]]
+        count = sum(node.__class__ is Param for expr in exprs if expr is not None for node in walk(expr))
+        slotted = sum(value.__class__ is Param for value in lift(stmt).values)
+        known = vars(stmt)["params"] = count if count == slotted else -1
+    return known
 
 
 # -- the plans kept per shape -----------------------------------------------------
@@ -183,18 +218,16 @@ M = TypeVar("M", bound="Member")
 
 
 class Member(Protocol):
-    """A plan prepared for the constants in `slots`, estimated under `reads`
-    (`CostModel.slot_reads`): a `FederatedPlan`, a source's prepared statement."""
+    """A plan prepared from a shape's planted statement (`plant`) for the
+    constants `values`, estimated under their `reads` (`CostModel.slot_reads`):
+    a `FederatedPlan`, a source's prepared statement. It serves every values
+    tuple of equal reads."""
 
     @property
-    def slots(self) -> tuple: ...
+    def values(self) -> tuple: ...
 
     @property
     def reads(self) -> tuple: ...
-
-    def bound_to(self: M, values: tuple) -> Optional[M]:
-        """This plan for `values`, estimates kept; None if a slot is not found."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -207,21 +240,19 @@ class Family(Generic[M]):
     stamp: object = None
 
     def find(self, values: tuple, reads: Callable[[], tuple]) -> Optional[M]:
-        """The member holding these constants, else the first with equal reads
-        re-bound to them (`reads()` is called once, and only then), else None:
-        plan them. A member that holds a copy of a slot does not re-bind."""
+        """The member kept for these constants, else the first of equal reads
+        (`reads()` is called once, and only then), else None: plan them."""
         for member in self.members:
-            if member.slots == values:
+            if member.values == values:
                 return member
         wanted = reads() if self.members else None
-        bound = (member.bound_to(values) for member in self.members if member.reads == wanted)
-        return next((member for member in bound if member is not None), None)
+        return next((member for member in self.members if member.reads == wanted), None)
 
     def add(self, member: M) -> "Family[M]":
         """This family with `member` newest, itself if it holds `member`: what
         `find` returned, or a plan for constants no member has (`find`
         compared them all). Over `FAMILY`, the oldest member whose reads
-        another shares goes (else the oldest): each distinct reads keeps a model."""
+        another shares goes (else the oldest): each distinct reads keeps a plan."""
         if any([known is member for known in self.members]):
             return self
         members = [member, *self.members]
@@ -282,12 +313,14 @@ def learn(statement, tokens: list, origins: dict, values: list) -> Optional[Temp
 
 def instantiate(prototype: Select, template: Template, values: list) -> Optional[Select]:
     """`prototype` (a statement `template` was learned from) for the literal
-    lexemes `values` of another text of its masked spelling and key; None if a
-    value is one no slot holds (an integer beyond 2**53)."""
+    lexemes `values` of another text of its masked spelling and key - its
+    shape known, its constants these; None if a value is one no slot holds
+    (an integer beyond 2**53)."""
     constants = template.constants(values)
     if not all([_lifts(literal.value) for literal in constants]):
         return None
-    swap = dict(zip(map(id, lift(prototype).values), constants))
-    found: set = set()
-    bound = rebind_select(prototype, swap, found)
-    return bound if len(found) == len(swap) else None
+    slots = iter(constants)
+    stmt = _with_where(prototype, _swap_slots(prototype.where, lambda column, literal: next(slots)))
+    known = lift(prototype)
+    vars(stmt)["lifted"] = Lifted(known.shape, known.columns, constants)
+    return stmt

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from itertools import count
 
+from repro.sql.ast import binding
+from repro.sql.shape import shown
 from repro.trace.span import Trace
 
 
@@ -35,7 +37,8 @@ def query_trace(name: str, attrs: dict, planned=None, run=None) -> Trace:
             fetches=len(plan.fetches), bind_joins=len(plan.bind_joins),
         )
     if run is not None:
-        _execute(trace, run)
+        with binding(run.values):  # a statement shows the constants it ran with
+            _execute(trace, run)
     return trace
 
 
@@ -59,7 +62,7 @@ def _execute(trace: Trace, run) -> None:
         category, source = ("bind_fetch" if bind else "fetch"), node.source.name
         span = parent.child(
             f"{category}:{source}", category, source=source,
-            sql=(node.template if bind else node.stmt).text,
+            sql=shown(node.template if bind else node.stmt),
             node=tags[id(node)], **attrs,
         )
         trace.node_spans.setdefault(id(node), []).append(span)

@@ -23,6 +23,7 @@ from repro.sql.ast import (
     Like,
     Literal,
     LiteralValues,
+    Param,
     Select,
     Star,
     UnaryOp,
@@ -52,7 +53,7 @@ def unsupported_reasons(expr: Expr, dialect: Dialect) -> list[str]:
 
 
 def _walk(expr: Expr, dialect: Dialect, reasons: list[str]) -> None:
-    if isinstance(expr, (Literal, ColumnRef, Star)):
+    if isinstance(expr, (Literal, Param, ColumnRef, Star)):  # a `Param`: the constant it stands for
         return
     if isinstance(expr, BinaryOp):
         if expr.op == "AND":
@@ -121,7 +122,7 @@ def _walk(expr: Expr, dialect: Dialect, reasons: list[str]) -> None:
 
 def binding_supplier(conjunct: Expr) -> Optional[tuple]:
     """``(column, keys)`` when `conjunct` is `col = v`, `v = col` or
-    `col IN (v, ...)` over literals; None otherwise."""
+    `col IN (v, ...)` over literals (a `Param`'s key: the `Param`); None otherwise."""
     if isinstance(conjunct, InList):
         column, items = conjunct.operand, conjunct.items
         if conjunct.negated or not isinstance(column, ColumnRef):

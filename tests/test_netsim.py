@@ -129,6 +129,42 @@ class TestMetricsCollector:
         assert mine.network is network
         MetricsCollector().merge(theirs)  # the base class still folds only its own
 
+    def test_merge_keeps_the_bits_of_the_field_loop(self):
+        """`merge` folds by field lists derived once per class; every number is
+        the `self.x + other.x` the loop it replaced made, to the bit - here
+        kept as the reference - a subclass's extra counter included."""
+        import random
+        from collections import Counter
+        from dataclasses import dataclass
+
+        @dataclass
+        class Extended(MetricsCollector):
+            spill_seconds: float = 0.0
+
+        def loop_merge(into, other):
+            for name, kind in type(into)._counter_kinds():
+                if kind is list:
+                    getattr(into, name).extend(getattr(other, name))
+                elif kind is Counter:
+                    getattr(into, name).update(getattr(other, name))
+                else:
+                    setattr(into, name, getattr(into, name) + getattr(other, name))
+
+        rng = random.Random(44)
+        merged, reference = Extended(), Extended()
+        for _ in range(200):
+            part = Extended(spill_seconds=rng.random() / 7)
+            part.record_source_query("crm", seconds=rng.random() / 3)
+            part.charge_seconds(rng.expovariate(5.0))
+            part.record_transfer("crm", "hub", rng.randrange(9), rng.randrange(999))
+            merged.merge(part)
+            loop_merge(reference, part)
+        for name, _ in Extended._counter_kinds():
+            mine, theirs = getattr(merged, name), getattr(reference, name)
+            assert mine == theirs and type(mine) is type(theirs), name
+        assert merged.simulated_seconds.hex() == reference.simulated_seconds.hex()
+        assert merged.spill_seconds.hex() == reference.spill_seconds.hex() != 0.0.hex()
+
     def test_summary_keys(self):
         metrics = MetricsCollector()
         metrics.record_transfer("a", "b", 5, 100, WireFormat.XML, "result ship")

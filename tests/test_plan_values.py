@@ -16,8 +16,6 @@ from repro.bench import BenchConfig, build_enterprise
 from repro.bench.workload import QUERIES
 from repro.engine.logical import LogicalPlan
 from repro.federation import EngineConfig, FederatedEngine
-from repro.sql.ast import Literal
-from repro.sql.parser import parse_select
 
 from tests.test_statement_shape import LOOKUPS
 
@@ -39,14 +37,15 @@ def warm_engine():
     for sql in QUERIES.values():
         engine.query(sql)
     for template in LOOKUPS.values():
-        for key in (7, 8):  # the second binds the first's plan anew
+        for key in (7, 8):  # the second runs the first's plan
             engine.query(template.format(id=key))
     return engine
 
 
 def test_every_cached_plan_and_node_refuses_a_write(warm_engine):
     plans = list(cached_plans(warm_engine))
-    assert len(plans) > len(QUERIES) + len(LOOKUPS)
+    # one plan per shape and reads: q1 is `point_lookup`'s shape, and another id shares its plan
+    assert len(plans) >= len(QUERIES) + len(LOOKUPS) - 1
     nodes = 0
     for plan in plans:
         for field in fields(plan):
@@ -77,15 +76,14 @@ def test_plan_nodes_name_their_inputs_once():
             assert not {"children", "with_children"} & set(vars(cls)), cls
 
 
-def test_a_rebound_plan_labels_its_own_constant():
-    """The printed text is kept on the statement; a rebound one prints anew."""
+def test_one_shared_plan_labels_each_runs_constant():
+    """One plan serves both ids; each result prints the constant it ran with."""
     engine = FederatedEngine(build_enterprise(BenchConfig(scale=1, seed=42)).catalog())
-    plan = engine.planner.plan(parse_select(LOOKUPS["point_lookup"].format(id=7)))
-    assert "id = 7" in plan.pretty()  # prints the statement, which keeps its text
-    bound = plan.bound_to((Literal(8),))
-    assert bound is not None and bound.fetches[0].stmt is not plan.fetches[0].stmt
-    assert "id = 8" in bound.pretty() and "id = 7" not in bound.pretty()
-    assert "id = 7" in plan.pretty()
+    seven, eight = (engine.query(LOOKUPS["point_lookup"].format(id=key)) for key in (7, 8))
+    assert seven.plan is eight.plan
+    assert "id = 7" in seven.explain() and "id = 8" not in seven.explain()
+    assert "id = 8" in eight.explain() and "id = 7" not in eight.explain()
+    assert "id = 7" in seven.plan.pretty()  # a plan prints the statement it was planned for
 
 
 def elapsed_by_query(hold_a_scope: bool) -> dict:

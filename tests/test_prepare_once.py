@@ -25,7 +25,7 @@ from repro.federation.resilience import ResiliencePolicy
 from repro.netsim import FaultInjector, Outage, SimClock, Transient
 from repro.sources import RelationalSource, SourceCapabilities
 from repro.sources.relational import PREPARED_STATEMENTS
-from repro.sql.ast import ColumnRef, InList, Literal, LiteralValues, Select
+from repro.sql.ast import ColumnRef, InList, Literal, LiteralValues, Param, Select
 from repro.sql.eval import compile_filter_passes, compile_predicate
 from repro.sql.exprutil import walk
 from repro.sql.parser import parse, parse_with_origins
@@ -290,7 +290,7 @@ class TestValueBackedInList:
                 return [source._prepared.get(shape).find(values, reads=None)]  # an exact hit reads nothing
 
             calls[count] = python_calls(lambda: found.extend(find()))
-            assert source._prepared.stats.hits == hits + 1 and found[0].slots == lift(stmt).values
+            assert source._prepared.stats.hits == hits + 1 and found[0].values == lift(stmt).values
             assert python_calls(lambda: with_in_filter(BIND_TEMPLATE, BIND_KEY, keys)) <= 20  # no `Literal` made
             assert stmt.where.right.items._literals is None
             found.clear()
@@ -310,7 +310,9 @@ class TestValueBackedInList:
         assert again.relation.rows == first.relation.rows and len(first.relation) == 40
         assert len(planned) == 1 and probed._prepared.stats.hits == hits + 1
         (in_list,) = [node for node in walk(planned[0].where) if isinstance(node, InList)]
-        assert type(in_list.items) is LiteralValues and len(in_list.items) == 8  # what the source was sent
+        assert in_list.items == Param(in_list.items.index, LiteralValues)  # the keys: one slot of the plan
+        (sent,) = [node for node in walk(parse(probed.query_log[-1]).where) if isinstance(node, InList)]
+        assert len(sent.items) == 8  # what the source was sent
 
 
 class TestPreparedStatementReuse:

@@ -345,7 +345,7 @@ class TestPrefetchFailureDiscipline:
         assert [f.source.name for f in plan.fetches] == ["sales", "crm"]
         injector.script("crm", Outage())  # sales healthy, crm down
         metrics = MetricsCollector(network=engine.network)
-        execution = Execution(engine, plan, metrics)
+        execution = Execution(engine, plan, metrics, plan.values)
         with pytest.raises(InjectedFaultError, match="crm"):
             execution.prefetch(plan.fetches)
         assert metrics.source_queries.get("sales") == 1

@@ -26,18 +26,17 @@ from repro.bench.workload import QUERIES
 from repro.cache import canonical_statement, keys
 from repro.common.errors import ParseError, SourceError
 from repro.engine.executor import LocalEngine
-from repro.engine.physical import PhysicalOp
 from repro.federation import EngineConfig
 from repro.sql.shape import with_in_filter
-from repro.federation.planner import FederatedPlan, FederatedPlanner
+from repro.federation.planner import FederatedPlanner
 from repro.netsim import SimClock
-from repro.sources import RelationalSource, relational
+from repro.sources import RelationalSource
 from repro.sql import lexer, parser
-from repro.sql.ast import BinaryOp, ColumnRef, InList, Literal, Select
+from repro.sql.ast import BinaryOp, ColumnRef, InList, Literal, LiteralValues, Param, Select
 from repro.sql.exprutil import transform
 from repro.sql.parser import parse
 from repro.sql.printer import render_literal, to_sql
-from repro.sql.shape import FAMILY, Family, _swap_slots, lift, plant
+from repro.sql.shape import FAMILY, Family, _swap_slots, lift, plant, unbind
 
 from tests.conftest import build_demo_db
 from tests.federation_fixtures import unfit
@@ -180,9 +179,9 @@ class TestLift:
         assert lift(stmt).shape == "SELECT a FROM t WHERE (b = ?int) AND k IN ?keys"
         assert lift(stmt).values == (Literal(1), stmt.where.right.items)
         assert lift(stmt).shape == lift(with_in_filter(template, ColumnRef("k"), [7])).shape
-        planted, slots = plant(stmt)
-        assert slots[0] is planted.where.left.right is not template.where.right
-        assert slots[1] is planted.where.right.items is stmt.where.right.items
+        planted = plant(stmt)
+        assert planted.where.left.right == Param(0, int)
+        assert planted.where.right.items == Param(1, LiteralValues)  # the keys: one slot, whole
         assert FederatedPlanner(FIXTURE.catalog()).cost_model.slot_reads(stmt)[-1] == 200
         assert stmt.where.right.items._literals is None  # no `Literal` was made
 
@@ -199,7 +198,7 @@ class TestLift:
         assert stmt == parse("SELECT a FROM t WHERE id = 7")  # not part of the value
         assert hash(stmt) == hash(parse("SELECT a FROM t WHERE id = 7"))
 
-    def test_planting_gives_each_slot_its_own_literal(self):
+    def test_planting_gives_each_slot_its_own_param(self):
         seven = Literal(7)  # one object in a slot, a second slot and a non-slot
         where = BinaryOp(
             "AND",
@@ -207,11 +206,12 @@ class TestLift:
             BinaryOp("<", ColumnRef("c"), seven),
         )
         stmt = Select((), where=where)
-        planted, slots = plant(stmt)
-        assert planted == stmt and len(slots) == 2 and slots[0] is not slots[1]
-        assert planted.where.left.left.right is slots[0]
-        assert planted.where.left.right.left is slots[1]
-        assert planted.where.right.right is seven and seven not in map(id, slots)
+        planted = plant(stmt)
+        assert lift(stmt).values == (seven, seven)
+        assert planted.where.left.left.right == Param(0, int)
+        assert planted.where.left.right.left == Param(1, int)
+        assert planted.where.right.right is seven  # no slot: the plan keeps it
+        assert planted.text == lift(stmt).shape  # a `Param` prints as its slot
 
 
 # -- the oracle: shape-warm == never saw the shape -------------------------------
@@ -390,21 +390,25 @@ class TestBindStatements:
 
 
 class TestACopiedLiteralIsNeverServed:
-    """Re-binding swaps by identity: a plan that holds a *copy* of a planted
-    literal would answer every later binding with the model's constant. The
-    count of operands swapped tells: short of the slots, plan anew."""
+    """A plan holds a `Param` in each slot, never a constant: a rewriter that
+    copies what it finds - literals and `Param`s alike - copies the slot, and
+    every later statement of the shape is answered with its own constants.
+    One plan serves each reads."""
 
     def copying(self, monkeypatch, module, rule="optimize_logical"):
         from repro.engine import rewrite
 
         optimize = getattr(rewrite, rule)
 
+        def copy(e):
+            if isinstance(e, Literal):
+                return Literal(e.value)
+            return Param(e.index, e.kind) if isinstance(e, Param) else None
+
         def copied(node):
             node = node.with_children([copied(child) for child in node.children])
             if hasattr(node, "predicate"):
-                node = replace(node, predicate=transform(
-                    node.predicate, lambda e: Literal(e.value) if isinstance(e, Literal) else None
-                ))
+                node = replace(node, predicate=transform(node.predicate, copy))
             return node
 
         def copy_literals(plan, *args, **kwargs):
@@ -421,15 +425,15 @@ class TestACopiedLiteralIsNeverServed:
         stmts = [parse(f"SELECT id, total FROM orders WHERE status = 'open' AND cust_id = {i}") for i in (3, 4, 5, 4)]
         answers = []
         planned = calls_to([LocalEngine.logical_plan], lambda: answers.extend(answer(veteran, stmt) for stmt in stmts))
-        assert planned == {"LocalEngine.logical_plan": 3}  # 3, 4, 5: each its own member; 4 again is one
+        reads = {veteran.engine.cost_model.slot_reads(stmt) for stmt in stmts}
+        assert planned == {"LocalEngine.logical_plan": len(reads)} == {"LocalEngine.logical_plan": 1}
         monkeypatch.undo()
         assert answers == [answer(RelationalSource("s", db), stmt) for stmt in stmts]
         assert len({repr(outcome) for outcome, _, _ in answers}) == 3  # never the model's rows
 
     def test_under_a_pre_aggregated_join_at_a_source(self, monkeypatch):
-        """The literal sits in the filter of the join input the source groups:
-        a second constant re-binds from its family, and a plan holding a copy
-        of the literal is planned anew, never served."""
+        """The slot sits in the filter of the join input the source groups:
+        a second constant is served by its family's plan, copied slot or not."""
         from repro.engine import executor
 
         db = build_demo_db()
@@ -441,7 +445,7 @@ class TestACopiedLiteralIsNeverServed:
         assert "Alias(o)" in LocalEngine(db).logical_plan(stmts[0]).pretty()
         fresh = [answer(RelationalSource("s", db), stmt) for stmt in stmts]
         assert fresh[0][0] != fresh[1][0]
-        for copy, plans in ((False, 1), (True, 2)):
+        for copy, plans in ((False, 1), (True, 1)):
             if copy:
                 self.copying(monkeypatch, executor, "eager_aggregate")
             veteran = RelationalSource("s", db)
@@ -459,7 +463,8 @@ class TestACopiedLiteralIsNeverServed:
         template = "SELECT c.name, t.subject FROM customers c LEFT JOIN tickets t ON t.cust_id = c.id WHERE c.id <> {} AND c.segment = 'smb'"
         hub_answers = []
         seen = calls_to([FederatedPlanner.plan], lambda: hub_answers.extend(observe(warm, template.format(i)) for i in (7, 8, 9, 8)))
-        assert seen == {"FederatedPlanner.plan": 3}
+        reads = {warm.planner.cost_model.slot_reads(parse(template.format(i))) for i in (7, 8, 9)}
+        assert seen == {"FederatedPlanner.plan": len(reads)} == {"FederatedPlanner.plan": 1}
         monkeypatch.undo()
         assert hub_answers == [observe(connect(), template.format(i)) for i in (7, 8, 9, 8)]
         assert len({repr(rows) for rows, *_ in hub_answers}) == 3
@@ -692,8 +697,8 @@ class TestWorkSaved:
                     statement = local["statement"]
                     kinds.add(("hub", lift(statement).shape, engine.planner.cost_model.slot_reads(statement)))
                 elif code is RelationalSource.execute_select.__code__:
-                    source, stmt = local["self"], local["stmt"]
-                    kinds.add((source.name, lift(stmt).shape, source.engine.cost_model.slot_reads(stmt)))
+                    source, (stmt, values) = local["self"], unbind(local["stmt"])  # a `Bound` one's constants
+                    kinds.add((source.name, lift(stmt).shape, source.engine.cost_model.slot_reads(stmt, values)))
 
             sys.setprofile(profile)
             try:
@@ -724,31 +729,27 @@ class TestWorkSaved:
         shapes = [lift(parse(sql)).shape for sql in texts.values()]
         assert len(set(shapes)) == len(shapes)  # so each is its family's one binding
 
-    def test_a_second_pass_of_the_mix_binds_nothing(self, monkeypatch):
+    def test_a_second_pass_of_the_mix_binds_nothing(self):
+        import copy
+
         engine = connect()
         for sql in QUERIES.values():
             engine.query(sql)
-        bound = []
-        monkeypatch.setattr(FederatedPlan, "bound_to", lambda plan, values: bound.append(plan))
-        # what a source plans or binds with
-        monkeypatch.setattr(relational, "plant", lambda *args: bound.append(args))
-        monkeypatch.setattr(PhysicalOp, "bound_to", lambda *args: bound.append(args))
-        plans = calls_to([FederatedPlanner.plan], lambda: [engine.query(sql) for sql in QUERIES.values()])
-        assert not bound and plans == {"FederatedPlanner.plan": 0}
+        counted = calls_to(
+            [copy.copy, FederatedPlanner.plan, LocalEngine.logical_plan],
+            lambda: [engine.query(sql) for sql in QUERIES.values()],
+        )
+        assert counted == {"copy": 0, "FederatedPlanner.plan": 0, "LocalEngine.logical_plan": 0}
 
 
 # -- one family of plans, at the hub and at each source ------------------------
 
 
 class Plan(NamedTuple):
-    """A `Family` member and no more: `bound_to` fails where it holds a copy."""
+    """A `Family` member and no more: prepared for `values`, under `reads`."""
 
-    slots: tuple
+    values: tuple
     reads: tuple
-    copied: bool = False
-
-    def bound_to(self, values):
-        return None if self.copied else Plan(values, self.reads)
 
 
 def unread():
@@ -768,15 +769,15 @@ class TestFamily:
         model = Plan((Literal(7),), (0.005,))
         family = Family().add(model).add(Plan((Literal(8),), (0.0,)))
         assert family.find((Literal(7),), unread) is model
-        assert family.find((Literal(7.0),), lambda: (0.005,)) == Plan((Literal(7.0),), (0.005,))
+        assert family.find((Literal(7.0),), lambda: (0.005,)) is model  # equal reads: the same plan
 
-    def test_a_member_holding_a_copy_falls_through_to_the_next_of_its_reads_then_to_planning(self):
+    def test_other_constants_find_the_first_member_of_their_reads_then_planning(self):
         reads = []
-        copied = Plan((Literal(1),), (0.005,), copied=True)
-        family = Family().add(Plan((Literal(2),), (0.005,))).add(Plan((Literal(3),), (0.0,))).add(copied)
-        assert family.find((Literal(4),), lambda: reads.append(1) or (0.005,)) == Plan((Literal(4),), (0.005,))
+        first = Plan((Literal(1),), (0.005,))
+        family = Family().add(Plan((Literal(2),), (0.005,))).add(Plan((Literal(3),), (0.0,))).add(first)
+        assert family.find((Literal(4),), lambda: reads.append(1) or (0.005,)) is first
         assert reads == [1]  # once, for all members
-        assert Family().add(copied).find((Literal(4),), lambda: (0.005,)) is None
+        assert Family().add(first).find((Literal(4),), lambda: (0.0,)) is None
 
     def test_a_full_family_keeps_the_only_member_of_a_distinct_reads(self):
         out_of_range = Plan((Literal(0),), (0.0,))
@@ -784,7 +785,7 @@ class TestFamily:
         for cust_id in range(1, FAMILY + 3):
             family = family.add(Plan((Literal(cust_id),), (0.005,)))
         assert len(family.members) == FAMILY and family.members[-1] is out_of_range
-        assert [member.slots[0].value for member in family.members[:-1]] == list(range(FAMILY + 2, 3, -1))
+        assert [member.values[0].value for member in family.members[:-1]] == list(range(FAMILY + 2, 3, -1))
         distinct = Family()
         for n in range(FAMILY + 1):
             distinct = distinct.add(Plan((Literal(n),), (n,)))
@@ -794,8 +795,10 @@ class TestFamily:
         model = Plan((Literal(7),), (0.005,))
         family = Family().add(model)
         assert family.add(family.find((Literal(7),), unread)) is family
-        bound = family.find((Literal(8),), lambda: (0.005,))
-        assert family.add(bound).members == (bound, model)
+        assert family.add(family.find((Literal(8),), lambda: (0.005,))) is family
+        planned = Plan((Literal(9),), (0.0,))
+        assert family.find((Literal(9),), lambda: (0.0,)) is None
+        assert family.add(planned).members == (planned, model)
 
     @pytest.mark.parametrize("change", sorted(CUSTOMER_CHANGES))
     def test_a_source_family_is_replaced_whole_when_what_it_was_planned_under_moved(self, change):
