@@ -58,15 +58,16 @@ class AdaptiveContext:
     # -- observation (on the query's caller thread, once per answered statement) ------
 
     def observe(
-        self, node, rows: int, payload_bytes: float, keys: Optional[int] = None
+        self, node, rows: int, payload_bytes: float, keys: Optional[int] = None, values: tuple = ()
     ) -> None:
-        """One answered statement: a whole fetch, or one ``keys``-key bind chunk."""
+        """One answered statement: a whole fetch, or one ``keys``-key bind
+        chunk, of a run with `values`."""
         if not self.policy.feedback:
             return
         signature = (
-            fetch_signature(node.source.name, node.stmt)
+            fetch_signature(node.source.name, node.stmt, values)
             if keys is None
-            else bind_signature(node.source.name, node.template, node.right_key)
+            else bind_signature(node.source.name, node.template, node.right_key, values)
         )
         self.store.observe(
             signature, rows, payload_bytes, tags=node.depends_on, keys=keys
@@ -74,12 +75,12 @@ class AdaptiveContext:
 
     # -- prediction / scheduling -------------------------------------------------------
 
-    def predict_fetch_seconds(self, node, network, site: str, sources: dict) -> float:
-        """`sources`: a snapshot of the engine's per-source record."""
+    def predict_fetch_seconds(self, node, network, site: str, sources: dict, values: tuple = ()) -> float:
+        """`sources`: a snapshot of the engine's per-source record; `values`: the run's."""
         rows: Optional[float] = None
         if self.policy.feedback:
             rows = self.store.calibrated_rows(
-                fetch_signature(node.source.name, node.stmt)
+                fetch_signature(node.source.name, node.stmt, values)
             )
         if rows is None:
             rows = max(float(node.est_rows), 0.0)
@@ -92,10 +93,10 @@ class AdaptiveContext:
             return stats.answer_seconds / stats.answer_bytes * max(payload, 1.0)
         return stats.answer_seconds / stats.answers
 
-    def lpt_order(self, fetches: list, network, site: str, scoreboard) -> list:
+    def lpt_order(self, fetches: list, network, site: str, scoreboard, values: tuple = ()) -> list:
         sources = scoreboard.snapshot()
         durations = [
-            self.predict_fetch_seconds(node, network, site, sources) for node in fetches
+            self.predict_fetch_seconds(node, network, site, sources, values) for node in fetches
         ]
         return lpt_order(fetches, durations)
 

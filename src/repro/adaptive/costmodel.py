@@ -45,7 +45,7 @@ class FeedbackCostModel(CostModel):
 
         if isinstance(plan, LogicalFetch):
             rows = self.store.calibrated_rows(
-                fetch_signature(plan.source.name, plan.stmt)
+                fetch_signature(plan.source.name, plan.stmt, self.values)
             )
             if rows is None:
                 return None
@@ -54,7 +54,7 @@ class FeedbackCostModel(CostModel):
 
         if isinstance(plan, LogicalBindJoin):
             per_key = self.store.calibrated_per_key(
-                bind_signature(plan.source.name, plan.template, plan.right_key)
+                bind_signature(plan.source.name, plan.template, plan.right_key, self.values)
             )
             if per_key is None:
                 return None
@@ -64,7 +64,7 @@ class FeedbackCostModel(CostModel):
             rows = max(fetched, left.rows) if plan.kind == "LEFT" else fetched
             return PlanCost(max(rows, 0.0), left.cost + fetched, left.column_stats)
 
-        signature = subtree_signature(plan, self.catalog)
+        signature = subtree_signature(plan, self.catalog, self.values)
         if signature is None:
             return None
         rows = self.store.calibrated_rows(signature)

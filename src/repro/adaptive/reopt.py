@@ -43,8 +43,9 @@ class ReplanReport:
             worst += f"; {self.converted_bind_joins} bind join(s) -> hash join"
         return worst
 
-    def pretty(self) -> str:
-        return "\n".join("  " + line for line in self.root.pretty().splitlines())
+    def pretty(self, values: tuple = ()) -> str:
+        """The new root, each `Param` shown as its constant in `values`."""
+        return "\n".join("  " + line for line in self.root.pretty(values=values).splitlines())
 
 
 class ActualsCostModel(CostModel):
@@ -90,7 +91,7 @@ def maybe_replan(plan, execution, planner, threshold: float) -> Optional[ReplanR
 
     cost_model = ActualsCostModel(planner.catalog, actuals)
     dp_limit = getattr(planner, "join_dp_limit", None) or DP_LIMIT
-    with cost_model.memo_scope():
+    with cost_model.memo_scope(execution.values):
         new_root = reorder_joins(plan.root, cost_model, dp_limit=dp_limit)
         new_root, converted = _reconsider_bind_joins(
             new_root, cost_model, planner.max_bind_keys

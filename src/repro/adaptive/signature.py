@@ -20,11 +20,12 @@ from repro.sql.exprutil import conjoin, split_conjuncts
 from repro.sql.printer import to_sql
 
 
-def cardinality_shape(stmt: Select) -> str:
-    """Text of all a statement's cardinality rests on - constants too, unlike `repro.sql.shape`."""
+def cardinality_shape(stmt: Select, values: tuple = ()) -> str:
+    """Text of all a statement's cardinality rests on - constants too, each
+    `Param` its constant in `values`, unlike `repro.sql.shape`."""
     where = stmt.where
     if where is not None:
-        conjuncts = sorted(split_conjuncts(where), key=to_sql)
+        conjuncts = sorted(split_conjuncts(where), key=lambda conjunct: to_sql(conjunct, values=values))
         where = conjoin(conjuncts)
     shaped = Select(
         items=(SelectItem(Star()),),
@@ -38,15 +39,15 @@ def cardinality_shape(stmt: Select) -> str:
         limit=stmt.limit,
         distinct=stmt.distinct,
     )
-    return to_sql(shaped)
+    return to_sql(shaped, values=values)
 
 
-def fetch_signature(source_name: str, stmt: Select) -> str:
+def fetch_signature(source_name: str, stmt: Select, values: tuple = ()) -> str:
     """Signature for a whole component fetch at one source."""
-    return f"{source_name}::{cardinality_shape(stmt)}"
+    return f"{source_name}::{cardinality_shape(stmt, values)}"
 
 
-def bind_signature(source_name: str, template: Select, right_key) -> str:
+def bind_signature(source_name: str, template: Select, right_key, values: tuple = ()) -> str:
     """Signature for a bind join's probe template (IN-lists stripped).
 
     Chunks of one bind join share this signature: the per-chunk IN-list is
@@ -54,10 +55,10 @@ def bind_signature(source_name: str, template: Select, right_key) -> str:
     key* against the template's shape.
     """
     key = f"{(right_key.qualifier or '').lower()}.{right_key.name.lower()}"
-    return f"{source_name}::bind[{key}]::{cardinality_shape(template)}"
+    return f"{source_name}::bind[{key}]::{cardinality_shape(template, values)}"
 
 
-def subtree_signature(plan, catalog) -> Optional[str]:
+def subtree_signature(plan, catalog, values: tuple = ()) -> Optional[str]:
     """Signature of a logical subtree *as if* it were pushed to its source.
 
     Lets a `FeedbackCostModel` recognize, during the next planning pass,
@@ -89,4 +90,4 @@ def subtree_signature(plan, catalog) -> Optional[str]:
         stmt = plan_to_select(plan, catalog)
     except EIIError:
         return None
-    return fetch_signature(source, stmt)
+    return fetch_signature(source, stmt, values)

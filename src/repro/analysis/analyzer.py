@@ -18,7 +18,7 @@ from repro.analysis.diagnostics import AnalysisReport, error, span_at
 from repro.analysis.invariants import verify_plan
 from repro.analysis.semantic import analyze_statement
 from repro.common.errors import ParseError
-from repro.sql.ast import Select, UnionSelect, binding
+from repro.sql.ast import Select, UnionSelect
 from repro.sql.parser import parse
 
 
@@ -72,6 +72,5 @@ class QueryAnalyzer:
         """Post-planning invariant verification of a `FederatedPlan`, its
         texts showing `values`, the constants of the statement it runs for."""
         report = AnalysisReport()
-        with binding(values):
-            report.extend(verify_plan(plan))
+        report.extend(verify_plan(plan, values=values))
         return report

@@ -18,12 +18,13 @@ from repro.federation.nodes import LogicalBindJoin, LogicalFetch
 from repro.sql.ast import Expr
 from repro.sql.exprutil import column_refs, split_conjuncts
 from repro.sql.printer import to_sql
-from repro.sql.shape import with_in_filter
+from repro.sql.shape import resolved, with_in_filter
 from repro.wrappers.pushability import statement_reasons
 
 
-def verify_plan(plan, degradable=None) -> List[Diagnostic]:
-    """EII4xx diagnostics for a `FederatedPlan` (never raises).
+def verify_plan(plan, degradable=None, values: tuple = ()) -> List[Diagnostic]:
+    """EII4xx diagnostics for a `FederatedPlan` (never raises), its texts
+    showing `values` for its `Param`s.
 
     ``degradable`` is the set of node ``id()``s an execution would let
     degrade under `partial_results`; by default the engine's own marking
@@ -38,16 +39,16 @@ def verify_plan(plan, degradable=None) -> List[Diagnostic]:
         elif isinstance(node, LogicalBindJoin):
             walked_binds.append(node)
 
-    diags.extend(_check_bookkeeping(plan, walked_fetches, walked_binds))
+    diags.extend(_check_bookkeeping(plan, walked_fetches, walked_binds, values))
     for node in walked_fetches:
-        diags.extend(_check_fetch_capabilities(node))
-        diags.extend(_check_tags(node, "fetch"))
-        diags.extend(_check_fetch_connectivity(node))
+        diags.extend(_check_fetch_capabilities(node, values))
+        diags.extend(_check_tags(node, "fetch", values))
+        diags.extend(_check_fetch_connectivity(node, values))
     for node in walked_binds:
-        diags.extend(_check_bind_capabilities(node))
-        diags.extend(_check_tags(node, "bind join"))
+        diags.extend(_check_bind_capabilities(node, values))
+        diags.extend(_check_tags(node, "bind join", values))
     diags.extend(_check_cartesian(plan))
-    diags.extend(_check_degradable(plan, degradable))
+    diags.extend(_check_degradable(plan, degradable, values))
     return diags
 
 
@@ -56,7 +57,7 @@ def verify_plan(plan, degradable=None) -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def _check_bookkeeping(plan, walked_fetches, walked_binds) -> List[Diagnostic]:
+def _check_bookkeeping(plan, walked_fetches, walked_binds, values) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     for label, walked, listed in (
         ("fetch", walked_fetches, plan.fetches),
@@ -69,7 +70,7 @@ def _check_bookkeeping(plan, walked_fetches, walked_binds) -> List[Diagnostic]:
                 diags.append(
                     error(
                         "EII403",
-                        f"{label} {node.label()} is in the plan tree but "
+                        f"{label} {node.label(values)} is in the plan tree but "
                         f"missing from the plan's {label} list",
                         hint="the executor would never prefetch/track it",
                     )
@@ -79,7 +80,7 @@ def _check_bookkeeping(plan, walked_fetches, walked_binds) -> List[Diagnostic]:
                 diags.append(
                     error(
                         "EII403",
-                        f"{label} {node.label()} is listed on the plan but "
+                        f"{label} {node.label(values)} is listed on the plan but "
                         "absent from the plan tree",
                         hint="stale bookkeeping: the node can never run",
                     )
@@ -92,33 +93,34 @@ def _check_bookkeeping(plan, walked_fetches, walked_binds) -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def _check_fetch_capabilities(node: LogicalFetch) -> List[Diagnostic]:
-    reasons = statement_reasons(node.stmt, node.source.capabilities)
-    if not reasons:
+def _check_fetch_capabilities(node: LogicalFetch, values) -> List[Diagnostic]:
+    capabilities = node.source.capabilities
+    if not statement_reasons(node.stmt, capabilities):
         return []
+    stmt = resolved(node.stmt, values) if values else node.stmt  # as a run sends it
     return [
         error(
             "EII401",
-            f"fetch {to_sql(node.stmt)} exceeds the capabilities of source "
+            f"fetch {to_sql(stmt)} exceeds the capabilities of source "
             f"{node.source.name!r}",
-            hint="; ".join(reasons),
+            hint="; ".join(statement_reasons(stmt, capabilities)),
         )
     ]
 
 
-def _check_bind_capabilities(node: LogicalBindJoin) -> List[Diagnostic]:
+def _check_bind_capabilities(node: LogicalBindJoin, values) -> List[Diagnostic]:
     """What a bind join sends is its template with `right_key IN (keys)`."""
-    chunk = with_in_filter(node.template, node.right_key, ())
-    reasons = statement_reasons(chunk, node.source.capabilities)
-    if not reasons:
+    capabilities = node.source.capabilities
+    if not statement_reasons(with_in_filter(node.template, node.right_key, ()), capabilities):
         return []
+    template = resolved(node.template, values) if values else node.template  # as a run sends it
     return [
         error(
             "EII401",
-            f"bind-join template {to_sql(node.template)} probed on "
+            f"bind-join template {to_sql(template)} probed on "
             f"{node.right_key} exceeds the capabilities of source "
             f"{node.source.name!r}",
-            hint="; ".join(reasons),
+            hint="; ".join(statement_reasons(with_in_filter(template, node.right_key, ()), capabilities)),
         )
     ]
 
@@ -128,13 +130,13 @@ def _check_bind_capabilities(node: LogicalBindJoin) -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def _check_tags(node, label: str) -> List[Diagnostic]:
+def _check_tags(node, label: str, values) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     if not node.tables:
         diags.append(
             error(
                 "EII404",
-                f"{label} {node.label()} has no `tables` tags: replica "
+                f"{label} {node.label(values)} has no `tables` tags: replica "
                 "failover cannot find alternate sources for it",
                 hint="the planner must stamp the global table names it reads",
             )
@@ -146,7 +148,7 @@ def _check_tags(node, label: str) -> List[Diagnostic]:
         diags.append(
             error(
                 "EII404",
-                f"{label} {node.label()} reads {sorted(missing)} but its "
+                f"{label} {node.label(values)} reads {sorted(missing)} but its "
                 "cache-invalidation tags (`depends_on`) omit them",
                 hint="writes to those tables would leave stale cache entries",
             )
@@ -181,7 +183,7 @@ def _check_cartesian(plan) -> List[Diagnostic]:
     return diags
 
 
-def _check_fetch_connectivity(node: LogicalFetch) -> List[Diagnostic]:
+def _check_fetch_connectivity(node: LogicalFetch, values) -> List[Diagnostic]:
     """A multi-table fetch whose tables are not all equi-join-connected."""
     stmt = node.stmt
     bindings = [ref.binding.lower() for ref in stmt.tables()]
@@ -219,7 +221,7 @@ def _check_fetch_connectivity(node: LogicalFetch) -> List[Diagnostic]:
     return [
         warning(
             "EII402",
-            f"fetch {to_sql(stmt)} joins {len(bindings)} tables but its "
+            f"fetch {to_sql(stmt, values=values)} joins {len(bindings)} tables but its "
             f"predicates leave {len(roots)} disconnected groups: the source "
             "computes a cartesian product",
             hint="connect every table with a join predicate",
@@ -232,7 +234,7 @@ def _check_fetch_connectivity(node: LogicalFetch) -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def _check_degradable(plan, marked=None) -> List[Diagnostic]:
+def _check_degradable(plan, marked, values) -> List[Diagnostic]:
     """Flag degradable marks on branches whose loss would fabricate answers.
 
     Recomputes the legal marking independently of the engine's traversal
@@ -277,7 +279,7 @@ def _check_degradable(plan, marked=None) -> List[Diagnostic]:
             diags.append(
                 error(
                     "EII405",
-                    f"{node.label()} is marked degradable but feeds an "
+                    f"{node.label(values)} is marked degradable but feeds an "
                     "essential branch: dropping it would fabricate answers",
                     hint="only union arms and nullable LEFT-join sides may "
                     "degrade under partial_results",

@@ -39,7 +39,6 @@ from repro.sql.ast import (
     LiteralValues,
     Param,
     UnaryOp,
-    bound_values,
 )
 from repro.sql.exprutil import column_vs_literal, equi_join_sides, split_conjuncts
 from repro.sql.shape import lift
@@ -93,12 +92,13 @@ class CostModel:
 
     def __init__(self, stats_provider=None):
         self.stats_provider = stats_provider
-        #: `.memo`: id(plan) -> (plan, PlanCost) while the thread is inside a
-        #: `memo_scope`; holding the plan itself keeps it alive, so a recycled
-        #: id cannot alias a discarded candidate's entry. Each thread's own: a
-        #: model is shared (an engine's planner, a source's `LocalEngine`), and
-        #: one thread's pass must not serve another estimates made under
-        #: other statistics or calibrations.
+        #: While the thread is inside a `memo_scope`, its pass: `.memo`, id(plan)
+        #: -> (plan, PlanCost) - holding the plan keeps it alive, so a recycled
+        #: id cannot alias a discarded candidate's entry - and `.values`, what
+        #: the `Param`s estimated stand for. Each thread's own: a model is
+        #: shared (an engine's planner, a source's `LocalEngine`), and one
+        #: thread's pass must not serve another estimates made under other
+        #: statistics, calibrations or values.
         self._scope = threading.local()
 
     # -- public ------------------------------------------------------------------
@@ -115,24 +115,33 @@ class CostModel:
         return result
 
     @contextmanager
-    def memo_scope(self):
-        """Memoize node estimates for one optimization pass.
+    def memo_scope(self, values: Optional[tuple] = None):
+        """One estimation pass: node estimates memoized, each `Param` the
+        constant it stands for in `values`.
 
         Join-order search estimates shared subtrees once per *candidate*
         containing them — exponentially often on larger join sets. Scoping
         the memo to a pass (rather than caching forever) keeps estimates
-        correct across statistics changes; re-entrant, the outermost scope
-        owns the table. The table is the calling thread's alone.
+        correct across statistics changes. Re-entrant: a scope given no
+        values, or the pass's own, joins the enclosing pass; one given other
+        values opens its own, so no estimate is served under values it was
+        not made with. The pass is the calling thread's alone.
         """
         scope = self._scope
-        if getattr(scope, "memo", None) is not None:
+        memo, known = getattr(scope, "memo", None), getattr(scope, "values", ())
+        if memo is not None and (values is None or values is known):
             yield self
             return
-        scope.memo = {}
+        scope.memo, scope.values = {}, () if values is None else values
         try:
             yield self
         finally:
-            scope.memo = None
+            scope.memo, scope.values = memo, known
+
+    @property
+    def values(self) -> tuple:
+        """What the `Param`s of this thread's pass stand for (`memo_scope`)."""
+        return getattr(self._scope, "values", ())
 
     def _estimate_node(self, plan: LogicalPlan) -> PlanCost:
         if isinstance(plan, LogicalScan):
@@ -222,7 +231,7 @@ class CostModel:
             base = self._eq_selectivity_of(expr.operand, None, context)
             items = expr.items
             if items.__class__ is Param:  # a prepared bind join's keys
-                items = bound_values()[items.index]
+                items = items.value_in(self.values)
             sel = min(base * len(items), 1.0)
             return (1.0 - sel) if expr.negated else sel
         if isinstance(expr, Like):
@@ -253,7 +262,8 @@ class CostModel:
         column of a definition is read where it comes from (the provider's
         `base_column`); where that is not plain the read is the value itself,
         so no two constants share a plan."""
-        reads, lifted = [], lift(stmt)
+        reads: list = []
+        lifted = lift(stmt)
         base_column = getattr(self.stats_provider, "base_column", None)
         for column, literal in zip(lifted.columns, lifted.values if values is None else values):
             if literal.__class__ is LiteralValues:
@@ -377,11 +387,11 @@ class CostModel:
         return float(stat.distinct) if stat is not None else DEFAULT_NDV
 
     def _comparison_selectivity(self, expr: BinaryOp, context: PlanCost) -> float:
-        """The one place planning reads a slot's value - a `Param`'s is the one
-        bound (`repro.sql.ast.binding`) - and `slot_reads` reads the same."""
+        """The one place planning reads a slot's value - a `Param`'s is the
+        pass's (`memo_scope`) - and `slot_reads` reads the same."""
         column, op, value = column_vs_literal(expr) or (None, expr.op, None)
         if value.__class__ is Param:
-            value = bound_values()[value.index].value
+            value = value.value_in(self.values).value
         if column is None:
             if equi_join_sides(expr) is not None:
                 left_ndv = self._ndv(expr.left, context)

@@ -121,15 +121,16 @@ def _search(inputs, predicates, cost_model: CostModel, dp_limit: int) -> Logical
     return _greedy(inputs, predicates, cost_model)
 
 
-def _plan_key(plan: LogicalPlan) -> str:
-    """Deterministic tie-break key: the plan's label path.
+def _plan_key(plan: LogicalPlan, values: tuple) -> str:
+    """Deterministic tie-break key: the plan's label path, each `Param` its
+    constant in `values` (the estimating pass's).
 
     Equal-cost candidates (symmetric sides, duplicated inputs) would
     otherwise be decided by enumeration order — stable within one process
     but fragile under refactoring; the lexicographically smallest rendering
     wins instead.
     """
-    return "|".join(node.label() for node in plan.walk())
+    return "|".join(node.label(values) for node in plan.walk())
 
 
 def _join_candidates(left: _JoinState, right: _JoinState, predicates, used, cost_model):
@@ -186,7 +187,7 @@ def _dp(inputs, predicates, cost_model: CostModel) -> LogicalPlan:
                     if (
                         entry is None
                         or total < entry[0]
-                        or (total == entry[0] and _plan_key(plan) < _plan_key(entry[1]))
+                        or (total == entry[0] and _plan_key(plan, cost_model.values) < _plan_key(entry[1], cost_model.values))
                     ):
                         entry = (total, plan, frozenset(used | consumed), cost)
             if entry is not None:

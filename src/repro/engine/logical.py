@@ -18,6 +18,7 @@ from repro.common.errors import PlanError
 from repro.common.schema import Column, RelSchema
 from repro.common.types import DataType
 from repro.sql.ast import ColumnRef, Expr, FuncCall, OrderItem, SelectItem
+from repro.sql.exprutil import printed
 
 #: how a node sets what it derives: a frozen dataclass refuses `self.x = ...`
 _set = object.__setattr__
@@ -46,13 +47,14 @@ class LogicalPlan:
             return self
         return replace(self, **dict(zip(names, children)))  # type: ignore[type-var]
 
-    def label(self) -> str:
+    def label(self, values: tuple = ()) -> str:
+        """The node printed, each `Param` its constant in `values`."""
         return type(self).__name__.replace("Logical", "")
 
-    def pretty(self, indent: int = 0) -> str:
-        lines = ["  " * indent + self.label()]
+    def pretty(self, indent: int = 0, values: tuple = ()) -> str:
+        lines = ["  " * indent + self.label(values)]
         for child in self.children:
-            lines.append(child.pretty(indent + 1))
+            lines.append(child.pretty(indent + 1, values))
         return "\n".join(lines)
 
     def walk(self):
@@ -72,7 +74,7 @@ class LogicalScan(LogicalPlan):
     def __post_init__(self):
         _set(self, "schema", self.schema.with_qualifier(self.binding))
 
-    def label(self):
+    def label(self, values=()):
         if self.binding != self.table_name:
             return f"Scan({self.table_name} AS {self.binding})"
         return f"Scan({self.table_name})"
@@ -87,8 +89,8 @@ class LogicalFilter(LogicalPlan):
     def __post_init__(self):
         _set(self, "schema", self.child.schema)
 
-    def label(self):
-        return f"Filter({self.predicate})"
+    def label(self, values=()):
+        return f"Filter({printed(self.predicate, values)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +127,7 @@ class LogicalProject(LogicalPlan):
             columns.append(Column(item.output_name, dtype, qualifier))
         _set(self, "schema", RelSchema(columns))
 
-    def label(self):
+    def label(self, values=()):
         return f"Project({', '.join(str(item) for item in self.items)})"
 
 
@@ -145,8 +147,8 @@ class LogicalJoin(LogicalPlan):
             raise PlanError(f"unsupported join kind {self.kind!r}")
         _set(self, "schema", self.left.schema.concat(self.right.schema))
 
-    def label(self):
-        on = f" ON {self.condition}" if self.condition is not None else ""
+    def label(self, values=()):
+        on = f" ON {printed(self.condition, values)}" if self.condition is not None else ""
         return f"{self.kind.title()}Join{on}"
 
 
@@ -176,7 +178,7 @@ class LogicalAggregate(LogicalPlan):
         names = self.group_names + self.agg_names
         _set(self, "schema", RelSchema(Column(name, DataType.ANY) for name in names))
 
-    def label(self):
+    def label(self, values=()):
         groups = ", ".join(str(g) for g in self.group_exprs)
         aggs = ", ".join(str(a) for a in self.aggregates)
         return f"Aggregate(by [{groups}] compute [{aggs}])"
@@ -192,7 +194,7 @@ class LogicalSort(LogicalPlan):
         _set(self, "order_items", tuple(self.order_items))
         _set(self, "schema", self.child.schema)
 
-    def label(self):
+    def label(self, values=()):
         return f"Sort({', '.join(str(item) for item in self.order_items)})"
 
 
@@ -205,7 +207,7 @@ class LogicalLimit(LogicalPlan):
     def __post_init__(self):
         _set(self, "schema", self.child.schema)
 
-    def label(self):
+    def label(self, values=()):
         return f"Limit({self.limit})"
 
 
@@ -234,7 +236,7 @@ class LogicalAlias(LogicalPlan):
     def __post_init__(self):
         _set(self, "schema", self.child.schema.with_qualifier(self.binding))
 
-    def label(self):
+    def label(self, values=()):
         return f"Alias({self.binding})"
 
 
@@ -260,5 +262,5 @@ class LogicalUnion(LogicalPlan):
     def with_children(self, children):
         return LogicalUnion(tuple(children))
 
-    def label(self):
+    def label(self, values=()):
         return f"UnionAll({len(self.inputs)})"

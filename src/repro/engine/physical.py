@@ -39,12 +39,9 @@ into `Columns`, which `Relation` keeps until `rows` is first read, and a
 fetch hands them on unbuilt. A join reads its keys and picked columns
 there; index scans, aggregates, sorts, DISTINCT and unions read rows.
 
-A tree holds no constant of its statement's slots: where one is compared
-it holds the `Param`, and a run reads the values bound for it on its thread
-(`repro.sql.ast.binding`). An index scan reads its key there, a filter pass
-its operand, and a closure reading a slot is compiled for the run's values
-(`Lowered.fn_for`), so one prepared tree serves every statement of its
-shape, on any thread.
+A tree holds a `Param` where its statement's slot is compared; a run is
+given the values (`run(values)`, passed down), so one prepared tree serves
+every statement of its shape, on any thread.
 """
 
 from __future__ import annotations
@@ -57,9 +54,9 @@ from typing import Callable, Optional, Sequence
 
 from repro.common.relation import Batch, Columns, Gathered, Relation, vouched
 from repro.common.schema import RelSchema
-from repro.sql.ast import Expr, LiteralValues, Param, bound_values
+from repro.sql.ast import Expr, LiteralValues, Param
 from repro.sql.eval import compile_expr, in_pass
-from repro.sql.exprutil import walk, with_values
+from repro.sql.exprutil import printed, walk, with_values
 from repro.sql.functions import AGGREGATE_FUNCTIONS
 from repro.storage.table import Mirror
 
@@ -255,7 +252,7 @@ def _joined_kinds(left_rows, right_rows, width: int, left_outer: bool, at):
     return tuple(kinds)
 
 
-def run_filter_passes(passes, rows):
+def run_filter_passes(passes, rows, values: tuple = ()):
     """The rows every pass (`repro.sql.eval.compile_filter_passes`) keeps, in
     order, vouched as `rows` were - or None when a column holds a type its
     pass is not exact for. Every guard covers *all* of `rows` before any
@@ -264,8 +261,8 @@ def run_filter_passes(passes, rows):
     rows' vouch answers a guard it satisfies; one it fails is no evidence
     (it may name types these rows lack), so the column is swept. An int
     literal meets a float-only column as a float: exact (`exact_under`),
-    and the cheaper comparison. A `Param` operand is the constant bound to
-    it (a bind join's keys: their pass, if they have one).
+    and the cheaper comparison. A `Param` operand is its constant in
+    `values` (a bind join's keys: their pass, if they have one).
 
     The first pass over rows holding their columns (a scan's) reads its
     column there. If it is the only pass and keeps most rows, the answer is
@@ -278,7 +275,7 @@ def run_filter_passes(passes, rows):
     tested = []
     for position, admits, test, operand in passes:
         if operand.__class__ is Param:
-            operand = bound_values()[operand.index]
+            operand = operand.value_in(values)
             if operand.__class__ is LiteralValues:
                 keyed = in_pass(operand)
                 if keyed is None:
@@ -365,8 +362,8 @@ class Lowered:
     """A row expression as an operator holds it: compiled (`fn`) and printed
     (`str`) when first asked for - a prepared statement answers most from an
     index or its passes, and is seldom explained. One that reads a slot (holds
-    a `Param`) is compiled per run, for the values bound (`fn_for`), and
-    printed as they are then. Threads may race to derive either; an attribute
+    a `Param`) is compiled and printed per call, for the values given
+    (`fn_for`, `text`). Threads may race to derive either; an attribute
     only ever holds a finished one. A hand-built operator wraps the callable
     and label it was given."""
 
@@ -396,22 +393,27 @@ class Lowered:
             self._fn = compile_expr(self.expr, self.schema)
         return self._fn
 
-    def fn_for(self) -> Optional[Callable]:
-        """The compiled expression for this run: for the values bound now."""
+    def fn_for(self, values: tuple) -> Optional[Callable]:
+        """The compiled expression for a run with `values`."""
         if self._fn is None and self.slotted:
-            return compile_expr(with_values(self.expr, bound_values()), self.schema)
+            return compile_expr(with_values(self.expr, values), self.schema)
         return self.fn
 
-    def __str__(self):
+    def text(self, values: tuple = ()) -> str:
+        """The expression printed, each `Param` its constant in `values`."""
         if self._text is None:
             if self.slotted:
-                return str(self.expr)
+                return printed(self.expr, values)
             self._text = str(self.expr)
         return self._text
 
+    def __str__(self):
+        return self.text()
+
 
 class PhysicalOp:
-    """Base physical operator: `schema`, `run() -> list[tuple]`, children."""
+    """Base physical operator: `schema`, `run(values) -> list[tuple]`, children.
+    `values` are what the tree's `Param`s stand for: none in a slot-free tree."""
 
     schema: RelSchema
     #: whether `run()` returns a list it built in that run (a scan's, a
@@ -422,19 +424,19 @@ class PhysicalOp:
     def children(self) -> tuple["PhysicalOp", ...]:
         return ()
 
-    def run(self) -> list[tuple]:
+    def run(self, values: tuple = ()) -> list[tuple]:
         raise NotImplementedError
 
-    def relation(self) -> Relation:
-        return Relation.adopt(self.schema, self.run())
+    def relation(self, values: tuple = ()) -> Relation:
+        return Relation.adopt(self.schema, self.run(values))
 
-    def explain_label(self) -> str:
+    def explain_label(self, values: tuple = ()) -> str:
         return type(self).__name__
 
-    def explain(self, indent: int = 0) -> str:
-        lines = ["  " * indent + self.explain_label()]
+    def explain(self, indent: int = 0, values: tuple = ()) -> str:
+        lines = ["  " * indent + self.explain_label(values)]
         for child in self.children:
-            lines.append(child.explain(indent + 1))
+            lines.append(child.explain(indent + 1, values))
         return "\n".join(lines)
 
 
@@ -446,7 +448,7 @@ class SeqScan(PhysicalOp):
         self.binding = binding
         self.schema = table.schema.with_qualifier(binding)
 
-    def run(self):
+    def run(self, values=()):
         """The live rows, holding the table's `Mirror` as their columns and
         kinds - none if a write landed while they were read."""
         table = self.table
@@ -456,7 +458,7 @@ class SeqScan(PhysicalOp):
             rows.kinds = rows.columns = Mirror(table, version)
         return rows
 
-    def explain_label(self):
+    def explain_label(self, values=()):
         return f"SeqScan({self.table.name} AS {self.binding})"
 
 
@@ -471,15 +473,18 @@ class IndexEqScan(PhysicalOp):
         self.value = value
         self.schema = table.schema.with_qualifier(binding)
 
-    def run(self):
+    def run(self, values=()):
         value = self.value
         if value.__class__ is Param:
-            value = bound_values()[value.index].value
+            value = value.value_in(values).value
         version = self.table.version
         return self.table.vouch(version, self.table.lookup(self.column, value))
 
-    def explain_label(self):
-        return f"IndexEqScan({self.table.name}.{self.column} = {self.value!r})"
+    def explain_label(self, values=()):
+        value = self.value
+        if value.__class__ is Param:
+            value = value.value_in(values).value if values else value.slot
+        return f"IndexEqScan({self.table.name}.{self.column} = {value!r})"
 
 
 class IndexRangeScan(PhysicalOp):
@@ -504,13 +509,13 @@ class IndexRangeScan(PhysicalOp):
         self.include_high = include_high
         self.schema = table.schema.with_qualifier(binding)
 
-    def run(self):
+    def run(self, values=()):
         version = self.table.version
         index = self.table.index_on(self.column)
         rids = index.range(self.low, self.high, self.include_low, self.include_high)
         return self.table.vouch(version, Batch(map(self.table.row_by_id, rids)))
 
-    def explain_label(self):
+    def explain_label(self, values=()):
         low = "" if self.low is None else f"{self.low!r} <{'=' if self.include_low else ''} "
         high = "" if self.high is None else f" <{'=' if self.include_high else ''} {self.high!r}"
         return f"IndexRangeScan({self.table.name}.{self.column}: {low}x{high})"
@@ -524,10 +529,10 @@ class ValuesOp(PhysicalOp):
         self._rows = [tuple(row) for row in rows]
         self._label = label
 
-    def run(self):
+    def run(self, values=()):
         return list(self._rows)
 
-    def explain_label(self):
+    def explain_label(self, values=()):
         return f"{self._label}({len(self._rows)} rows)"
 
 
@@ -547,10 +552,10 @@ class RelabelOp(PhysicalOp):
     def fresh(self):
         return self.child.fresh
 
-    def run(self):
-        return self.child.run()
+    def run(self, values=()):
+        return self.child.run(values)
 
-    def explain_label(self):
+    def explain_label(self, values=()):
         return self._label
 
 
@@ -575,16 +580,16 @@ class FilterOp(PhysicalOp):
     def description(self) -> str:
         return str(self.predicate)
 
-    def run(self):
-        rows = self.child.run()
-        kept = None if self.passes is None else run_filter_passes(self.passes, rows)
+    def run(self, values=()):
+        rows = self.child.run(values)
+        kept = None if self.passes is None else run_filter_passes(self.passes, rows, values)
         if kept is None:
-            predicate = self.predicate.fn_for()
+            predicate = self.predicate.fn_for(values)
             kept = vouched([row for row in rows if predicate(row)], getattr(rows, "kinds", None))
         return kept
 
-    def explain_label(self):
-        return f"Filter({self.predicate})"
+    def explain_label(self, values=()):
+        return f"Filter({self.predicate.text(values)})"
 
 
 class ProjectOp(PhysicalOp):
@@ -605,10 +610,10 @@ class ProjectOp(PhysicalOp):
     def children(self):
         return (self.child,)
 
-    def run(self):
-        return self.to_tuples(self.child.run())
+    def run(self, values=()):
+        return self.to_tuples(self.child.run(values))
 
-    def explain_label(self):
+    def explain_label(self, values=()):
         return f"Project({self.description})"
 
 
@@ -657,16 +662,19 @@ class HashJoinOp(PhysicalOp):
         self.pick, self.schema = tuple(positions), schema
         return self
 
-    def run(self):
-        right_rows = self.right.run()
-        left_rows = self.left.run()
+    def run(self, values=()):
+        right_rows = self.right.run(values)
+        left_rows = self.left.run(values)
         return hash_join(
             left_rows, self.left_keys(left_rows), right_rows, self.right_keys(right_rows),
-            self.kind, self.residual.fn_for(), self.widths, self.pick,
+            self.kind, self.residual.fn_for(values), self.widths, self.pick,
         )
 
-    def explain_label(self):
-        return f"HashJoin[{self.kind}]({self.description})"
+    def explain_label(self, values=()):
+        description = self.description
+        if description.__class__ is Lowered:
+            description = description.text(values)
+        return f"HashJoin[{self.kind}]({description})"
 
 
 class NestedLoopJoinOp(PhysicalOp):
@@ -692,12 +700,12 @@ class NestedLoopJoinOp(PhysicalOp):
     def children(self):
         return (self.left, self.right)
 
-    def run(self):
-        right_rows = self.right.run()
+    def run(self, values=()):
+        right_rows = self.right.run(values)
         out: list[tuple] = []
         null_pad = (None,) * len(self.right.schema)
-        condition = self.condition.fn_for()
-        for row in self.left.run():
+        condition = self.condition.fn_for(values)
+        for row in self.left.run(values):
             matched = False
             for other in right_rows:
                 combined = row + other
@@ -709,8 +717,8 @@ class NestedLoopJoinOp(PhysicalOp):
                 out.append(row + null_pad)
         return out
 
-    def explain_label(self):
-        return f"NestedLoopJoin[{self.kind}]({self.condition})"
+    def explain_label(self, values=()):
+        return f"NestedLoopJoin[{self.kind}]({self.condition.text(values)})"
 
 
 class HashAggregateOp(PhysicalOp):
@@ -759,8 +767,8 @@ class HashAggregateOp(PhysicalOp):
     def children(self):
         return (self.child,)
 
-    def run(self):
-        rows = self.child.run()
+    def run(self, values=()):
+        rows = self.child.run(values)
         by = self.group_keys
         bare_key = isinstance(by, int)
         groups: dict = defaultdict(list)
@@ -794,7 +802,7 @@ class HashAggregateOp(PhysicalOp):
             out.append(((key,) if bare_key else key) + tuple(results))
         return out
 
-    def explain_label(self):
+    def explain_label(self, values=()):
         return f"HashAggregate({self.description})"
 
 
@@ -843,15 +851,15 @@ class SortOp(PhysicalOp):
     def children(self):
         return (self.child,)
 
-    def run(self):
-        rows = self.child.run()
+    def run(self, values=()):
+        rows = self.child.run(values)
         # Successive stable sorts of a copy; the child's list is its own.
         out = vouched(Batch(rows), getattr(rows, "kinds", None))
         for sort_key, reverse in self.passes:
             out.sort(key=sort_key, reverse=reverse)
         return out
 
-    def explain_label(self):
+    def explain_label(self, values=()):
         return f"Sort({self.description})"
 
 
@@ -867,11 +875,11 @@ class LimitOp(PhysicalOp):
     def children(self):
         return (self.child,)
 
-    def run(self):
-        rows = self.child.run()
+    def run(self, values=()):
+        rows = self.child.run(values)
         return vouched(rows[: self.limit], getattr(rows, "kinds", None))
 
-    def explain_label(self):
+    def explain_label(self, values=()):
         return f"Limit({self.limit})"
 
 
@@ -886,8 +894,8 @@ class DistinctOp(PhysicalOp):
     def children(self):
         return (self.child,)
 
-    def run(self):
-        rows = self.child.run()
+    def run(self, values=()):
+        rows = self.child.run(values)
         # first appearances, in order: a dict's keys
         return vouched(Batch(dict.fromkeys(rows)), getattr(rows, "kinds", None))
 
@@ -903,8 +911,8 @@ class UnionAllOp(PhysicalOp):
     def children(self):
         return tuple(self.inputs)
 
-    def run(self):
+    def run(self, values=()):
         out: list[tuple] = []
         for child in self.inputs:
-            out.extend(child.run())
+            out.extend(child.run(values))
         return out

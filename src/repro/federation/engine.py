@@ -42,7 +42,7 @@ from repro.federation.report import Report, counter_line
 from repro.federation.resilience import CompletenessReport, ResilienceManager
 from repro.netsim.metrics import MetricsCollector
 from repro.netsim.network import NetworkModel
-from repro.sql.ast import Select, UnionSelect, binding
+from repro.sql.ast import Select, UnionSelect
 from repro.sql.shape import Family, lift
 from repro.storage.catalog import Database
 from repro.telemetry.plane import resolve_telemetry
@@ -108,25 +108,24 @@ class FederatedResult:
         (documented in `repro.federation.report`) instead of string-scraping.
         """
         report = Report()
-        with binding(self.values):  # its texts show the constants it ran with
-            report.add("plan", self.plan.shown())
-            if self.replan is not None:
-                report.add("replan", self.replan.describe(), self.replan.pretty())
-            for name, counters in self.metrics.shown_groups():
-                report.add(name, counter_line(name, counters))
-            if self.view is not None:
-                report.add("views", self.view.describe())
-            report.add("elapsed", f"simulated elapsed: {self.elapsed_seconds:.4f}s")
-            if self.breaker_states:
-                states = sorted(self.breaker_states.items())
-                report.add(
-                    "breakers", "breakers: " + ", ".join(f"{n}={s}" for n, s in states)
-                )
-            if self.completeness is not None:
-                prefix = "completeness: PARTIAL — " if self.is_partial else "completeness: "
-                report.add("completeness", prefix + self.completeness.describe())
-            if analyze:
-                report.add("analyze", explain_analyze(self))
+        report.add("plan", self.plan.pretty(self.values))  # the constants it ran with
+        if self.replan is not None:
+            report.add("replan", self.replan.describe(), self.replan.pretty(self.values))
+        for name, counters in self.metrics.shown_groups():
+            report.add(name, counter_line(name, counters))
+        if self.view is not None:
+            report.add("views", self.view.describe())
+        report.add("elapsed", f"simulated elapsed: {self.elapsed_seconds:.4f}s")
+        if self.breaker_states:
+            states = sorted(self.breaker_states.items())
+            report.add(
+                "breakers", "breakers: " + ", ".join(f"{n}={s}" for n, s in states)
+            )
+        if self.completeness is not None:
+            prefix = "completeness: PARTIAL — " if self.is_partial else "completeness: "
+            report.add("completeness", prefix + self.completeness.describe())
+        if analyze:
+            report.add("analyze", explain_analyze(self))
         return report
 
     def explain(self) -> str:
@@ -302,7 +301,7 @@ class FederatedEngine:
                     self._raise_unless_ok(self._get_analyzer().verify(plan, values))
                 self._admit(plan)
                 run = Execution(self, plan, MetricsCollector(network=self.network), values)
-                result = self._execute_plan(run, tracer.enabled)
+                result = self._run(run, tracer.enabled)
                 if plan_was_cached:
                     result.metrics.plan_cache_hits += 1
         except Exception as exc:
@@ -508,8 +507,7 @@ class FederatedEngine:
             for fetch in plan.fetches
         ]
         elapsed = makespan(fetch_predictions, self.parallel_workers)
-        with binding(plan.values):
-            elapsed += self._assembly_cost(plan, plan.root)
+        elapsed += self._assembly_cost(plan, plan.root, plan.values)
         elapsed += self.network.transfer_seconds(site, "client", plan.est_result_bytes)
         for bind in plan.bind_joins:
             caps = bind.source.capabilities
@@ -555,17 +553,13 @@ class FederatedEngine:
         """Run a plan as it is: no cache, view or admission stage."""
         tracer, run = self.tracer, Execution(self, plan, MetricsCollector(network=self.network), plan.values)
         try:
-            result = self._execute_plan(run, tracer.enabled)
+            result = self._run(run, tracer.enabled)
         except Exception as exc:
             self._trace(tracer, "execute_plan", {"error": type(exc).__name__}, run=run)
             raise
         attrs = {"rows": len(result.relation), "elapsed_s": result.elapsed_seconds}
         result.trace = self._trace(tracer, "execute_plan", attrs, run=run)
         return result
-
-    def _execute_plan(self, run: Execution, traced: bool) -> FederatedResult:
-        with binding(run.values):  # what its `Param`s stand for, estimated or printed
-            return self._run(run, traced)
 
     def _run(self, run: Execution, traced: bool) -> FederatedResult:
         try:
@@ -593,11 +587,11 @@ class FederatedEngine:
             physical = self._local.lower(run.root, run)
             if traced:
                 instrument_physical(physical)
-            relation = physical.relation()
+            relation = physical.relation(run.values)
             # Bind joins and any late fetches executed serially during assembly.
             serial_tail = metrics.simulated_seconds - after_fetch_work
 
-            assembly_seconds = self._assembly_cost(plan, run.root)
+            assembly_seconds = self._assembly_cost(plan, run.root, run.values)
             metrics.charge_seconds(assembly_seconds)
             final_transfer = metrics.record_transfer(
                 plan.assembly_site, "client", rows=len(relation),
@@ -630,11 +624,13 @@ class FederatedEngine:
 
     # -- internals ----------------------------------------------------------------
 
-    def _assembly_cost(self, plan: FederatedPlan, root: LogicalPlan) -> float:
-        """Simulated seconds of `root`: the plan's estimate holds for every values
-        tuple it serves (equal reads), but not for a root re-optimized in flight
-        or under feedback, whose calibrations move under one plan."""
+    def _assembly_cost(self, plan: FederatedPlan, root: LogicalPlan, values: tuple) -> float:
+        """Simulated seconds of `root` run with `values`: the plan's estimate holds
+        for every values tuple it serves (equal reads), but not for a root
+        re-optimized in flight or under feedback, whose calibrations move under
+        one plan."""
         cost = plan.est_cost
         if cost is None or root is not plan.root or (self.adaptive is not None and self.adaptive.policy.feedback):
-            cost = self.planner.cost_model.estimate(root).cost
+            with self.planner.cost_model.memo_scope(values):
+                cost = self.planner.cost_model.estimate(root).cost
         return cost * HUB_TIME_PER_COST_UNIT_S

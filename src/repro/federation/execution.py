@@ -414,7 +414,7 @@ class Execution:
                 self.report.note_answered(answered_by, est_rows)
             if engine.adaptive is not None:
                 # A cache hit is still a true cardinality observation.
-                engine.adaptive.observe(node, len(rows), size, record.keys)
+                engine.adaptive.observe(node, len(rows), size, record.keys, self.values)
             return rows
         finally:
             record.statement_finished(primary, base, cache, answer)
@@ -473,7 +473,7 @@ class Execution:
             # slot in submission order, so fronting the predicted stragglers
             # lowers the makespan on skewed fetch sets.
             reordered = adaptive.lpt_order(
-                fetches, engine.network, self.site, engine.scoreboard
+                fetches, engine.network, self.site, engine.scoreboard, self.values
             )
             if reordered != list(fetches):
                 self.record.lpt_reordered()

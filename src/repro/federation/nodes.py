@@ -21,7 +21,7 @@ from repro.engine.cost import PlanCost
 from repro.engine.logical import LogicalPlan
 from repro.engine.physical import Lowered, PhysicalOp, hash_join, join_keys
 from repro.sql.ast import BinaryOp, ColumnRef, Expr, Select
-from repro.sql.shape import shown
+from repro.sql.shape import Bound
 
 #: Maximum literals in one generated IN-list; longer key sets are chunked
 #: into multiple component queries.
@@ -51,8 +51,8 @@ class LogicalFetch(LogicalPlan):
     #: find alternate sources and rewrite the statement against them
     tables: frozenset = frozenset()
 
-    def label(self):
-        return f"Fetch[{self.source.name}]({shown(self.stmt)})"
+    def label(self, values=()):
+        return f"Fetch[{self.source.name}]({Bound(self.stmt, values)})"
 
     def estimate_cost(self, cost_model) -> PlanCost:
         if self.est is not None:
@@ -80,11 +80,11 @@ class FetchOp(PhysicalOp):
         self.execution = execution
         self.schema = node.schema
 
-    def run(self):
+    def run(self, values=()):
         return self.execution.fetch(self.node).batch
 
-    def explain_label(self):
-        return self.node.label()
+    def explain_label(self, values=()):
+        return self.node.label(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +132,10 @@ class LogicalBindJoin(LogicalPlan):
         keys = BinaryOp("=", self.left_key, self.right_key)
         return keys if self.residual is None else BinaryOp("AND", keys, self.residual)
 
-    def label(self):
+    def label(self, values=()):
         return (
             f"BindJoin[{self.source.name}]({self.left_key} -> {self.right_key}: "
-            f"{shown(self.template)})"
+            f"{Bound(self.template, values)})"
         )
 
     def estimate_cost(self, cost_model) -> PlanCost:
@@ -182,16 +182,16 @@ class BindJoinOp(PhysicalOp):
         self.pick, self.schema = tuple(positions), schema
         return self
 
-    def run(self):
-        left_rows = self.left.run()
+    def run(self, values=()):
+        left_rows = self.left.run(values)
         left_keys = self._left_keys(left_rows)
         # the distinct non-NULL keys, in order of first appearance
         keys = [key for key in dict.fromkeys(left_keys) if key is not None]
         fetched = self.execution.bind_fetch(self.node, keys).batch
         return hash_join(
             left_rows, left_keys, fetched, self._right_keys(fetched),
-            self.node.kind, self._residual.fn_for(), self._widths, self.pick,
+            self.node.kind, self._residual.fn_for(values), self._widths, self.pick,
         )
 
-    def explain_label(self):
-        return self.node.label()
+    def explain_label(self, values=()):
+        return self.node.label(values)

@@ -43,7 +43,6 @@ from repro.sql.ast import (
     SelectItem,
     TableRef,
     UnionSelect,
-    binding,
 )
 from repro.sql.exprutil import (
     conjoin,
@@ -68,10 +67,10 @@ class FederatedPlan:
     est_result_rows: float = 0.0
     est_result_bytes: int = 0
     #: the constants of the statement it is the plan of, one per `Param` in it
-    #: (`repro.sql.shape.plant`): what `pretty` shows and `execute_plan` runs
-    #: with. The plan cache's shared plan holds its planning statement's; a
-    #: query runs it with its own, and `FederatedEngine.prepare` gives each
-    #: statement a plan holding its own.
+    #: (`repro.sql.shape.plant`): what `pretty` shows by default and
+    #: `execute_plan` runs with. The plan cache's shared plan holds its
+    #: planning statement's; a query runs it with its own, and
+    #: `FederatedEngine.prepare` gives each statement a plan holding its own.
     values: tuple = ()
     #: the `CostModel.slot_reads` of `values`: the plan serves every values tuple
     #: of equal reads, estimates and all
@@ -79,14 +78,11 @@ class FederatedPlan:
     #: the estimated cost of `root`, the assembly work (None: not estimated)
     est_cost: Optional[float] = None
 
-    def pretty(self) -> str:
-        """The plan, each `Param` shown as its constant in `values`."""
-        with binding(self.values):
-            return self.shown()
-
-    def shown(self) -> str:
-        """The plan, each `Param` shown as the constant bound to it now."""
-        return f"assembly site: {self.assembly_site}\n{self.root.pretty()}"
+    def pretty(self, values: Optional[tuple] = None) -> str:
+        """The plan, each `Param` shown as its constant in `values` (by default
+        the plan's own)."""
+        values = self.values if values is None else values
+        return f"assembly site: {self.assembly_site}\n{self.root.pretty(values=values)}"
 
     def table_dependencies(self) -> frozenset:
         """Lower-cased names of every source table this plan reads.
@@ -186,7 +182,7 @@ class FederatedPlanner:
         # One memo scope for the whole cutting pass: subtree estimates are
         # re-requested by pushability analysis, bind-join costing and the
         # final plan estimate.
-        with binding(values), self.cost_model.memo_scope():
+        with self.cost_model.memo_scope(values):
             logical = self.logical_plan(query)
             subtrees: dict = {}
             root = self._cut(logical, subtrees)
@@ -434,7 +430,7 @@ class FederatedPlanner:
         if equi_pair is None:
             if required:
                 raise PlanError(
-                    f"binding-pattern source needs an equi-join key: {join.label()}"
+                    f"binding-pattern source needs an equi-join key: {join.label(self.cost_model.values)}"
                 )
             return None
         left_key, right_key = equi_pair

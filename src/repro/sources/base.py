@@ -11,6 +11,7 @@ from repro.common.schema import RelSchema
 from repro.engine.physical import pick_columns
 from repro.netsim.network import WireFormat
 from repro.sql.ast import Select, Star
+from repro.sql.shape import Bound, resolved
 from repro.storage.stats import TableStats
 from repro.wrappers.dialects import Dialect
 from repro.wrappers.pushability import statement_reasons
@@ -119,9 +120,12 @@ class DataSource:
 
     def _check_fits(self, stmt: Select) -> None:
         """Raise `CapabilityError` unless the capability contract lets
-        `stmt` be sent here (`statement_reasons`)."""
+        `stmt` be sent here (`statement_reasons`); a `Bound` one's reasons
+        name its constants."""
         reasons = statement_reasons(stmt, self.capabilities)
         if reasons:
+            if isinstance(stmt, Bound):
+                reasons = statement_reasons(resolved(stmt.stmt, stmt.values), self.capabilities)
             raise CapabilityError(
                 f"source {self.name!r} cannot run: {stmt} ({'; '.join(reasons)})"
             )

@@ -11,7 +11,7 @@ from repro.common.schema import RelSchema
 from repro.engine.executor import LocalEngine
 from repro.engine.physical import PhysicalOp
 from repro.sources.base import DataSource, SourceCapabilities
-from repro.sql.ast import Select, binding
+from repro.sql.ast import Select
 from repro.sql.printer import to_sql
 from repro.sql.shape import Family, lift, plant, unbind
 from repro.storage.catalog import Database
@@ -93,21 +93,20 @@ class RelationalSource(DataSource):
         if prepared is not None and prepared.values == values:
             text = prepared.text
         else:
-            with binding(received.values if received is not stmt else None):
-                text = to_sql(stmt, self.capabilities.dialect.print_options)
+            text = to_sql(stmt, self.capabilities.dialect.print_options, received.values if received is not stmt else ())
         self.query_log.append(text)
-        with binding(values):  # what the planted statement's `Param`s stand for, planned and run
-            if prepared is None:
+        if prepared is None:
+            with engine.cost_model.memo_scope(values):  # the planted statement's `Param`s stand for these
                 logical = engine.logical_plan(plant(stmt))
                 cost = engine.cost_model.estimate(logical).cost
-                reads = engine.cost_model.slot_reads(stmt, values)
-                prepared = _Prepared(values, text, reads, cost, engine.lower(logical))
-            elif prepared.text is not text:
-                prepared = prepared._replace(values=values, text=text)
-            kept = family.add(prepared)
-            if kept is not family:  # planned, or kept for new values
-                self._prepared.put(shape, kept)
-            result = prepared.physical.relation()
+            reads = engine.cost_model.slot_reads(stmt, values)
+            prepared = _Prepared(values, text, reads, cost, engine.lower(logical))
+        elif prepared.text is not text:
+            prepared = prepared._replace(values=values, text=text)
+        kept = family.add(prepared)
+        if kept is not family:  # planned, or kept for new values
+            self._prepared.put(shape, kept)
+        result = prepared.physical.relation(values)
         self._account(metrics, prepared.cost * self.capabilities.time_per_cost_unit_s)
         return result
 

@@ -8,8 +8,6 @@ than mutating (see `repro.sql.exprutil`).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
@@ -54,36 +52,12 @@ class Literal(Expr):
         return render_literal(self.value)
 
 
-#: The values the `Param`s of the statement being planned, run or printed on
-#: this thread stand for (`binding`); None: a `Param` prints as its slot.
-BINDING: ContextVar[Optional[tuple]] = ContextVar("binding", default=None)
-
-
-@contextmanager
-def binding(values: Optional[tuple]):
-    """Put `values` in effect for the `Param`s planned, estimated or printed inside."""
-    token = BINDING.set(values)
-    try:
-        yield
-    finally:
-        BINDING.reset(token)
-
-
-def bound_values() -> tuple:
-    """The values in effect (`binding`) for the `Param`s being estimated or run."""
-    values = BINDING.get()
-    if values is None:
-        raise PlanError("a prepared plan was estimated or run with no values bound")
-    return values
-
-
 @dataclass(frozen=True)
 class Param(Expr):
     """Slot `index` of a prepared statement (`repro.sql.shape.plant`): the
     constant at `index` of the values a run is given, of class `kind` (a bind
     join's keys: `LiteralValues`). A plan holds no constant there, so a rewrite
-    that copies a `Param` copies the slot. It prints as that constant while
-    values are bound (`binding`), else as its typed slot (`?int`)."""
+    that copies a `Param` copies the slot. It prints as its typed slot (`?int`)."""
 
     index: int
     kind: type
@@ -92,9 +66,15 @@ class Param(Expr):
     def slot(self) -> str:
         return "?keys" if self.kind is LiteralValues else "?" + self.kind.__name__
 
+    def value_in(self, values: tuple):
+        """The constant this slot stands for in `values`, a run's or an
+        estimate's; `PlanError` where they hold none."""
+        if self.index < len(values):
+            return values[self.index]
+        raise PlanError(f"a prepared plan was estimated or run without a value for {self.slot}")
+
     def __str__(self):
-        values = BINDING.get()
-        return self.slot if values is None else str(values[self.index])
+        return self.slot
 
 
 @dataclass(frozen=True)
@@ -350,11 +330,10 @@ class Select:
         """The canonical SQL text (`repro.sql.printer.to_sql`), printed once and
         kept on the statement: it is immutable, and a re-written statement is a
         new one (`dataclasses.replace`) that prints its own. A `Param` prints
-        as its slot here, whatever values are bound."""
+        as its slot."""
         from repro.sql.printer import to_sql
 
-        with binding(None):
-            return to_sql(self)
+        return to_sql(self)
 
     def __str__(self):
         return self.text
@@ -420,7 +399,7 @@ def eq(left: Expr, right: Expr) -> BinaryOp:
 
 def and_all(exprs: Sequence[Expr]) -> Optional[Expr]:
     """Conjoin a sequence of predicates; returns None for an empty sequence."""
-    result = None
+    result: Optional[Expr] = None
     for expr in exprs:
         result = expr if result is None else BinaryOp("AND", result, expr)
     return result

@@ -149,12 +149,17 @@ def with_values(expr: Expr, values: tuple) -> Expr:
 
     def constant(node: Expr) -> Optional[Expr]:
         if node.__class__ is Param:
-            return values[node.index]
+            return node.value_in(values)
         if node.__class__ is InList and node.items.__class__ is Param:
-            return InList(node.operand, values[node.items.index], node.negated)
+            return InList(node.operand, node.items.value_in(values), node.negated)
         return None
 
     return transform(expr, constant)
+
+
+def printed(expr: Expr, values: tuple = ()) -> str:
+    """`str(expr)`, each `Param` its constant in `values` (none given: its slot)."""
+    return str(with_values(expr, values) if values else expr)
 
 
 def substitute_columns(expr: Expr, mapping: dict) -> Expr:

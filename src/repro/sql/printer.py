@@ -14,7 +14,6 @@ from typing import Optional
 
 from repro.common.errors import PlanError
 from repro.sql.ast import (
-    BINDING,
     Between,
     BinaryOp,
     CaseWhen,
@@ -25,10 +24,8 @@ from repro.sql.ast import (
     InList,
     Insert,
     IsNull,
-    JoinClause,
     Like,
     Literal,
-    OrderItem,
     Param,
     Select,
     SelectItem,
@@ -74,12 +71,12 @@ def render_literal(value, options: PrintOptions = DEFAULT_OPTIONS) -> str:
     raise PlanError(f"cannot render literal {value!r}")
 
 
-def expr_to_sql(expr: Expr, options: PrintOptions = DEFAULT_OPTIONS) -> str:
+def expr_to_sql(expr: Expr, options: PrintOptions = DEFAULT_OPTIONS, values: tuple = ()) -> str:
+    """`expr` as SQL, each `Param` its constant in `values` (none given: its slot)."""
     if isinstance(expr, Literal):
         return render_literal(expr.value, options)
-    if expr.__class__ is Param:  # the constant bound to it, else its slot
-        values = BINDING.get()
-        return expr.slot if values is None else expr_to_sql(values[expr.index], options)
+    if isinstance(expr, Param):
+        return expr_to_sql(expr.value_in(values), options) if values else expr.slot
     if isinstance(expr, ColumnRef):
         return f"{expr.qualifier}.{expr.name}" if expr.qualifier else expr.name
     if isinstance(expr, Star):
@@ -88,60 +85,59 @@ def expr_to_sql(expr: Expr, options: PrintOptions = DEFAULT_OPTIONS) -> str:
         op = expr.op
         if op == "||" and options.concat_operator:
             op = options.concat_operator
-        left = expr_to_sql(expr.left, options)
-        right = expr_to_sql(expr.right, options)
+        left = expr_to_sql(expr.left, options, values)
+        right = expr_to_sql(expr.right, options, values)
         return f"({left} {op} {right})"
     if isinstance(expr, UnaryOp):
-        operand = expr_to_sql(expr.operand, options)
+        operand = expr_to_sql(expr.operand, options, values)
         if expr.op == "NOT":
             return f"(NOT {operand})"
         return f"(-{operand})"
     if isinstance(expr, FuncCall):
         name = options.function_names.get(expr.name, expr.name)
-        inner = ", ".join(expr_to_sql(arg, options) for arg in expr.args)
+        inner = ", ".join(expr_to_sql(arg, options, values) for arg in expr.args)
         if expr.distinct:
             inner = f"DISTINCT {inner}"
         return f"{name}({inner})"
     if isinstance(expr, IsNull):
         keyword = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"({expr_to_sql(expr.operand, options)} {keyword})"
+        return f"({expr_to_sql(expr.operand, options, values)} {keyword})"
     if isinstance(expr, InList):
         keyword = "NOT IN" if expr.negated else "IN"
         items = expr.items
-        if items.__class__ is Param:  # a prepared bind join's keys
-            values = BINDING.get()
-            if values is None:
-                return f"({expr_to_sql(expr.operand, options)} {keyword} {items.slot})"
-            items = values[items.index]
-        inner = ", ".join(expr_to_sql(item, options) for item in items)
-        return f"({expr_to_sql(expr.operand, options)} {keyword} ({inner}))"
+        if isinstance(items, Param):  # a prepared bind join's keys
+            if not values:
+                return f"({expr_to_sql(expr.operand, options, values)} {keyword} {items.slot})"
+            items = items.value_in(values)
+        inner = ", ".join(expr_to_sql(item, options, values) for item in items)
+        return f"({expr_to_sql(expr.operand, options, values)} {keyword} ({inner}))"
     if isinstance(expr, Like):
         keyword = "NOT LIKE" if expr.negated else "LIKE"
         return (
-            f"({expr_to_sql(expr.operand, options)} {keyword} "
-            f"{expr_to_sql(expr.pattern, options)})"
+            f"({expr_to_sql(expr.operand, options, values)} {keyword} "
+            f"{expr_to_sql(expr.pattern, options, values)})"
         )
     if isinstance(expr, Between):
         keyword = "NOT BETWEEN" if expr.negated else "BETWEEN"
         return (
-            f"({expr_to_sql(expr.operand, options)} {keyword} "
-            f"{expr_to_sql(expr.low, options)} AND {expr_to_sql(expr.high, options)})"
+            f"({expr_to_sql(expr.operand, options, values)} {keyword} "
+            f"{expr_to_sql(expr.low, options, values)} AND {expr_to_sql(expr.high, options, values)})"
         )
     if isinstance(expr, CaseWhen):
         parts = ["CASE"]
         for cond, value in expr.whens:
             parts.append(
-                f"WHEN {expr_to_sql(cond, options)} THEN {expr_to_sql(value, options)}"
+                f"WHEN {expr_to_sql(cond, options, values)} THEN {expr_to_sql(value, options, values)}"
             )
         if expr.default is not None:
-            parts.append(f"ELSE {expr_to_sql(expr.default, options)}")
+            parts.append(f"ELSE {expr_to_sql(expr.default, options, values)}")
         parts.append("END")
         return " ".join(parts)
     raise PlanError(f"cannot print expression {type(expr).__name__}")
 
 
-def _select_item(item: SelectItem, options: PrintOptions) -> str:
-    text = expr_to_sql(item.expr, options)
+def _select_item(item: SelectItem, options: PrintOptions, values: tuple) -> str:
+    text = expr_to_sql(item.expr, options, values)
     if item.alias:
         return f"{text} AS {item.alias}"
     return text
@@ -153,33 +149,33 @@ def _table_ref(table: TableRef) -> str:
     return table.name
 
 
-def to_sql(statement, options: PrintOptions = DEFAULT_OPTIONS) -> str:
-    """Render a statement AST to SQL text."""
+def to_sql(statement, options: PrintOptions = DEFAULT_OPTIONS, values: tuple = ()) -> str:
+    """Render a statement AST to SQL text, each `Param` its constant in `values`."""
     if isinstance(statement, Select):
         parts = ["SELECT"]
         if statement.distinct:
             parts.append("DISTINCT")
-        parts.append(", ".join(_select_item(item, options) for item in statement.items))
+        parts.append(", ".join(_select_item(item, options, values) for item in statement.items))
         if statement.from_tables:
             parts.append("FROM")
             parts.append(", ".join(_table_ref(t) for t in statement.from_tables))
         for join in statement.joins:
             parts.append(f"{join.kind} JOIN {_table_ref(join.table)}")
             if join.condition is not None:
-                parts.append(f"ON {expr_to_sql(join.condition, options)}")
+                parts.append(f"ON {expr_to_sql(join.condition, options, values)}")
         if statement.where is not None:
-            parts.append(f"WHERE {expr_to_sql(statement.where, options)}")
+            parts.append(f"WHERE {expr_to_sql(statement.where, options, values)}")
         if statement.group_by:
             parts.append(
-                "GROUP BY " + ", ".join(expr_to_sql(g, options) for g in statement.group_by)
+                "GROUP BY " + ", ".join(expr_to_sql(g, options, values) for g in statement.group_by)
             )
         if statement.having is not None:
-            parts.append(f"HAVING {expr_to_sql(statement.having, options)}")
+            parts.append(f"HAVING {expr_to_sql(statement.having, options, values)}")
         if statement.order_by:
             rendered = []
             for item in statement.order_by:
                 direction = "ASC" if item.ascending else "DESC"
-                rendered.append(f"{expr_to_sql(item.expr, options)} {direction}")
+                rendered.append(f"{expr_to_sql(item.expr, options, values)} {direction}")
             parts.append("ORDER BY " + ", ".join(rendered))
         if statement.limit is not None:
             parts.append(f"LIMIT {statement.limit}")
@@ -187,12 +183,12 @@ def to_sql(statement, options: PrintOptions = DEFAULT_OPTIONS) -> str:
 
     if isinstance(statement, UnionSelect):
         keyword = " UNION ALL " if statement.all else " UNION "
-        text = keyword.join(to_sql(select, options) for select in statement.selects)
+        text = keyword.join(to_sql(select, options, values) for select in statement.selects)
         if statement.order_by:
             rendered = []
             for item in statement.order_by:
                 direction = "ASC" if item.ascending else "DESC"
-                rendered.append(f"{expr_to_sql(item.expr, options)} {direction}")
+                rendered.append(f"{expr_to_sql(item.expr, options, values)} {direction}")
             text += " ORDER BY " + ", ".join(rendered)
         if statement.limit is not None:
             text += f" LIMIT {statement.limit}"
@@ -223,6 +219,6 @@ def to_sql(statement, options: PrintOptions = DEFAULT_OPTIONS) -> str:
         return text
 
     if isinstance(statement, Expr):
-        return expr_to_sql(statement, options)
+        return expr_to_sql(statement, options, values)
 
     raise PlanError(f"cannot print statement {type(statement).__name__}")

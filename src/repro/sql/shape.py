@@ -2,19 +2,15 @@
 
 `lift` takes the constant out of each top-level WHERE conjunct `column = c` /
 `column <> c` (either way round) and prints the rest, a typed slot in its
-place. Planning reads of such a constant its type (in the text) and an equality
-selectivity (`CostModel.slot_reads`), no more: a plan is prepared once per
-shape and reads, from the statement `plant` gives - a `Param` in each slot -
-and run with each statement's values. The plan caches key on the shape.
-All else stays in the shape verbatim - NULL, booleans, non-finite floats,
+place. Planning reads of such a constant its type and an equality selectivity
+(`CostModel.slot_reads`), no more: a plan is prepared once per shape and reads
+from `plant`'s statement - a `Param` in each slot - and run, estimated and
+printed with each statement's values, passed along. The plan caches key on
+the shape. All else stays verbatim - NULL, booleans, non-finite floats,
 integers beyond +-2**53, operands of `<`, BETWEEN, LIKE and IN, constants
-under OR or outside WHERE - because planning reads more of it than that.
-The one IN-list that is a slot is a bind join's keys (`with_in_filter`).
-
-A constant travels as a value from the text to the operator comparing with
-it: a `Template` puts the literal lexemes of a masked text in the slots of a
-parsed prototype; a fetch sends a source its statement and the values
-(`Bound`); an operator reads its `Param` off the values it runs with.
+under OR or outside WHERE - because planning reads more of it than that. The
+one IN-list that is a slot is a bind join's keys (`with_in_filter`). A fetch
+sends its statement and values together (`Bound`).
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Generic, NamedTuple, Optional, Protocol, TypeVar
 
 from repro.sql.ast import (
-    BINDING,
     BinaryOp,
     ColumnRef,
     Expr,
@@ -34,7 +29,6 @@ from repro.sql.ast import (
     LiteralValues,
     Param,
     Select,
-    binding,
 )
 from repro.sql.exprutil import column_vs_literal, walk, with_values
 from repro.sql.lexer import string_value
@@ -170,8 +164,8 @@ class Bound:
         return getattr(self.stmt, name)
 
     def __str__(self):
-        with binding(self.values):
-            return to_sql(self.stmt)
+        stmt = self.stmt
+        return to_sql(stmt, values=self.values) if self.values and params_in(stmt) else stmt.text
 
 
 def unbind(stmt) -> tuple:
@@ -193,11 +187,6 @@ def resolved(stmt: Select, values: tuple) -> Select:
     return replace(stmt, where=stmt.where and with_values(stmt.where, values), joins=tuple([
         replace(join, condition=join.condition and with_values(join.condition, values)) for join in stmt.joins
     ]))
-
-
-def shown(stmt: Select) -> str:
-    """`stmt`'s text, each `Param` the constant bound to it now (`binding`)."""
-    return stmt.text if BINDING.get() is None or not params_in(stmt) else to_sql(stmt)
 
 
 def params_in(stmt: Select) -> int:

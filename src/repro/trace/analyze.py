@@ -35,8 +35,8 @@ def instrument_physical(root) -> None:
     for each execution, so it is wrapped once.
     """
     for op in _walk_ops(root):
-        def wrapped(original=op.run, op=op):
-            rows = original()
+        def wrapped(values=(), original=op.run, op=op):
+            rows = original(values)
             op.actual_rows = len(rows)
             return rows
 
@@ -101,7 +101,7 @@ def explain_analyze(result) -> str:
     ]
 
     def render(op, depth: int) -> None:
-        label = op.explain_label()
+        label = op.explain_label(result.values)
         annotations = []
         rows = getattr(op, "actual_rows", None)
         spans = trace.node_spans.get(id(getattr(op, "node", None)))

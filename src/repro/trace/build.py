@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from itertools import count
 
-from repro.sql.ast import binding
-from repro.sql.shape import shown
+from repro.sql.shape import Bound
 from repro.trace.span import Trace
 
 
@@ -37,8 +36,7 @@ def query_trace(name: str, attrs: dict, planned=None, run=None) -> Trace:
             fetches=len(plan.fetches), bind_joins=len(plan.bind_joins),
         )
     if run is not None:
-        with binding(run.values):  # a statement shows the constants it ran with
-            _execute(trace, run)
+        _execute(trace, run)
     return trace
 
 
@@ -62,7 +60,7 @@ def _execute(trace: Trace, run) -> None:
         category, source = ("bind_fetch" if bind else "fetch"), node.source.name
         span = parent.child(
             f"{category}:{source}", category, source=source,
-            sql=shown(node.template if bind else node.stmt),
+            sql=str(Bound(node.template if bind else node.stmt, run.values)),  # the constants it ran with
             node=tags[id(node)], **attrs,
         )
         trace.node_spans.setdefault(id(node), []).append(span)

@@ -63,9 +63,9 @@ def race_increments(counter: RacyCounter, n_threads: int = 2, rounds: int = 100)
 class RunStateEngine(FederatedEngine):
     """Hands each answer the collector of whichever run started last."""
 
-    def _execute_plan(self, run, traced):
+    def _run(self, run, traced):
         self.running = run.metrics  # bug: per-run state on the shared engine
-        result = super()._execute_plan(run, traced)
+        result = super()._run(run, traced)
         result.metrics = self.running
         return result
 

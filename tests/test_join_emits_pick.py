@@ -70,7 +70,7 @@ class Held(LogicalPlan):
         leaf.run = self.batch
         return leaf
 
-    def batch(self):
+    def batch(self, values=()):
         rows = list(self.rows)
         columns = Gathered([row[p] for row in rows] for p in range(3))
         kinds = tuple(frozenset(map(type, column)) for column in columns) if self.vouch else None
@@ -252,13 +252,13 @@ def test_q4_builds_its_rows_once_for_the_answer(monkeypatch):
             builds.append(columns)
         return rows(columns)
 
-    def joining(op):
-        emitted.append(join(op))
+    def joining(op, values=()):
+        emitted.append(join(op, values))
         return emitted[-1]
 
-    def relating(op):
+    def relating(op, values=()):
         roots.append(op)
-        return relation(op)
+        return relation(op, values)
 
     monkeypatch.setattr(Execution, "fetch", fetching)
     monkeypatch.setattr(Columns, "rows", building)

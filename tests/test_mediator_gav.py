@@ -4,8 +4,7 @@ import pytest
 
 from repro.common.errors import PlanError, SchemaError
 from repro.federation import FederatedEngine
-from repro.sql.ast import binding
-from repro.sql.shape import shown
+from repro.sql.shape import Bound
 
 from tests.federation_fixtures import build_catalog
 
@@ -64,8 +63,8 @@ class TestUnfolding:
     def test_view_filter_pushes_into_sources(self):
         engine, _ = build_mediator()
         plan = engine.prepare("SELECT v.name FROM customer360 v WHERE v.city = 'NY'")
-        with binding(plan.values):  # its constants, as a run of the plan sends them
-            fetch_sqls = [shown(f.stmt) for f in plan.fetches]
+        # its constants, as a run of the plan sends them
+        fetch_sqls = [str(Bound(f.stmt, plan.values)) for f in plan.fetches]
         assert any("city" in sql and "NY" in sql for sql in fetch_sqls), fetch_sqls
 
     def test_view_joined_with_base_table(self):

@@ -1146,7 +1146,7 @@ class SameList(PhysicalOp):
         self.schema = schema
         self.rows = rows
 
-    def run(self):
+    def run(self, values=()):
         return self.rows
 
 
@@ -1295,7 +1295,7 @@ class VouchedRows(LogicalPlan):
 
     def lower_physical(self, engine, context=None):
         leaf = ValuesOp(self.schema, self.rows)
-        leaf.run = lambda: vouched(list(self.rows), self.kinds)
+        leaf.run = lambda values=(): vouched(list(self.rows), self.kinds)
         return leaf
 
 
@@ -1570,12 +1570,13 @@ def test_every_filter_of_the_benchmark_traffic_runs_its_passes(monkeypatch):
     ran = {}
     run = FilterOp.run
 
-    def watched(op):
-        rows = op.child.run()
-        assert op.passes is not None, op.description
-        assert run_filter_passes(op.passes, rows) is not None, op.description
-        ran[op.description] = len(op.passes)
-        return run(op)
+    def watched(op, values=()):
+        rows = op.child.run(values)
+        predicate = op.predicate.text(values)  # as the run's constants print it
+        assert op.passes is not None, predicate
+        assert run_filter_passes(op.passes, rows, values) is not None, predicate
+        ran[predicate] = len(op.passes)
+        return run(op, values)
 
     monkeypatch.setattr(FilterOp, "run", watched)
     fixture = build_enterprise(BenchConfig(scale=1, seed=42))
@@ -1619,12 +1620,12 @@ def test_the_benchmark_traffic_is_vouched_at_the_wire_and_guarded_from_the_memo(
         shipped.append((len(relation), kinds, partial))
         return relation
 
-    def guarded(op):
-        rows = op.child.run()
+    def guarded(op, values=()):
+        rows = op.child.run(values)
         if isinstance(op.child, (SeqScan, physical.IndexEqScan, physical.IndexRangeScan)):
             for position, admits, _, _ in op.passes:
                 guards.append(resolved(rows.kinds[position]) <= admits)
-        return run(op)
+        return run(op, values)
 
     monkeypatch.setattr(RelationalSource, "execute_select", shipping)
     monkeypatch.setattr(FilterOp, "run", guarded)

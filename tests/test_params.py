@@ -14,22 +14,25 @@ import sys
 import threading
 from collections import Counter
 
+import pytest
+
 import repro
 from repro.cache import CacheConfig, CacheHierarchy, fetch_key
+from repro.common.errors import CapabilityError, PlanError
 from repro.engine.executor import LocalEngine
 from repro.engine.logical import LogicalPlan
-from repro.engine.physical import PhysicalOp
+from repro.engine.physical import FilterOp, IndexEqScan, PhysicalOp
 from repro.federation import EngineConfig
 from repro.federation.planner import FederatedPlanner
 from repro.netsim import SimClock
 from repro.sources import RelationalSource
-from repro.sql.ast import Select
+from repro.sql.ast import Literal, Select
 from repro.sql.parser import parse
 from repro.sql.shape import Bound, lift, plant, with_in_filter
 
 from tests.conftest import build_demo_db
 from tests.test_prepare_once import answer
-from tests.test_statement_shape import FIXTURE, workloads
+from tests.test_statement_shape import FIXTURE, LOOKUPS, workloads
 
 
 def subclasses(cls):
@@ -175,6 +178,39 @@ def test_a_prepared_plan_runs_and_prints_its_own_statements_constants():
     assert engine.predict_elapsed(prepared) == engine.predict_elapsed(engine.prepare(sql.format(8)))
 
 
+def test_feedback_calibrates_each_constant_on_its_own_runs():
+    """Calibrations are keyed on the constants a run had (`adaptive.signature`,
+    given the run's or the planning pass's values): a re-plan of one id reads
+    its own actuals, another id of the shape none."""
+    engine = repro.connect(FIXTURE.catalog(), EngineConfig(clock=SimClock(), adaptive=True))
+    first = engine.query(LOOKUPS["orders_of"].format(id=7))
+    again, other = (engine.query(LOOKUPS["orders_of"].format(id=key)) for key in (7, 8))
+    static = [fetch.est_rows for fetch in first.plan.fetches]
+    assert [fetch.est_rows for fetch in again.plan.fetches] == [len(first.relation)] != static
+    assert [fetch.est_rows for fetch in other.plan.fetches] == static
+
+
+def test_a_source_refusing_a_prepared_statement_names_its_constants():
+    """What a source is sent is the plan's statement and the run's values: a
+    refusal names the constants, in the statement and in its reasons."""
+    engine = repro.connect(FIXTURE.catalog(), EngineConfig(clock=SimClock()))
+    engine.query(LOOKUPS["point_lookup"].format(id=7))
+    crm = engine.catalog.sources["crm"]
+    crm.capabilities.dialect = dataclasses.replace(crm.capabilities.dialect, supported_predicates=frozenset())
+    with pytest.raises(CapabilityError, match=r"WHERE \(id = 8\) \(.*predicate \(id = 8\) not supported"):
+        engine.query(LOOKUPS["point_lookup"].format(id=8))
+
+
+def test_explain_diagnostics_name_the_statements_constants():
+    """`verify_plan` is handed the plan's values: its warning prints the fetch
+    as it is sent, after a plan of the shape was made for another constant."""
+    engine = repro.connect(FIXTURE.catalog(), EngineConfig(clock=SimClock()))
+    sql = "SELECT o.id, o.total FROM orders o, orders p WHERE o.cust_id = {}"
+    engine.query(sql.format(9))
+    warning = engine.explain(sql.format(7)).split("EII402")[1]
+    assert "(o.cust_id = 7)" in warning and "?int" not in warning
+
+
 class TestThreads:
     def test_eight_threads_run_one_prepared_tree_each_with_its_own_values(self):
         db = build_demo_db()
@@ -210,3 +246,64 @@ class TestThreads:
         assert str(bound) == stmt.text and bound.items == stmt.items
         db = build_demo_db()
         assert answer(RelationalSource("s", db), bound) == answer(RelationalSource("s", db), stmt)
+
+
+class TestValuesArePassed:
+    """A prepared plan's values are given to each run and estimate, never found
+    in effect: without them, it raises `PlanError` (not an `IndexError`)."""
+
+    @staticmethod
+    def prepared(sql: str) -> tuple:
+        db = build_demo_db()
+        db.table("customers").create_index("id")
+        engine = LocalEngine(db)
+        values = lift(parse(sql)).values
+        with engine.cost_model.memo_scope(values):
+            logical = engine.logical_plan(plant(parse(sql)))
+        return engine, logical, values
+
+    def test_a_tree_run_without_its_values_raises(self):
+        def ops(op):
+            yield op
+            for child in op.children:
+                yield from ops(child)
+
+        for sql, reader in [
+            ("SELECT name FROM customers WHERE id = 3", IndexEqScan),  # its key
+            ("SELECT id, total FROM orders WHERE status = 'closed'", FilterOp),  # its pass's operand
+        ]:
+            engine, logical, values = self.prepared(sql)
+            tree = engine.lower(logical)
+            assert reader in {type(op) for op in ops(tree)}, tree.explain()
+            with pytest.raises(PlanError):
+                tree.run()
+            assert tree.relation(values).rows == engine.query(sql).rows
+
+    def test_a_plan_estimated_without_its_values_raises(self):
+        engine, logical, _ = self.prepared("SELECT id, total FROM orders WHERE status = 'closed'")
+        with pytest.raises(PlanError):
+            engine.cost_model.estimate(logical)
+        with pytest.raises(PlanError), engine.cost_model.memo_scope():
+            engine.cost_model.estimate(logical)
+
+    def test_one_thread_estimates_one_plan_under_each_values_tuple_it_is_given(self):
+        """In turn and nested: each estimate is a fresh planner's for those values."""
+        engine, logical, _ = self.prepared("SELECT name FROM customers WHERE id = 3")
+        inside, beyond = (Literal(3),), (Literal(999),)  # 999 lies past the column's largest id
+
+        def fresh(values) -> tuple:
+            model = LocalEngine(engine.db).cost_model
+            with model.memo_scope(values):
+                estimate = model.estimate(logical)
+            return estimate.rows, estimate.cost
+
+        model = engine.cost_model
+        with model.memo_scope(inside):
+            first = model.estimate(logical)
+            with model.memo_scope(beyond):  # its own pass: never the enclosing memo
+                nested = model.estimate(logical)
+        with model.memo_scope(beyond):
+            second = model.estimate(logical)
+        assert fresh(inside) != fresh(beyond)
+        assert (first.rows, first.cost) == fresh(inside)
+        assert (second.rows, second.cost) == (nested.rows, nested.cost) == fresh(beyond)
