@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime
 import enum
 from itertools import compress, repeat
-from operator import is_, itemgetter
+from operator import add, is_, itemgetter
 
 from repro.common.errors import TypeMismatchError
 
@@ -157,6 +157,32 @@ def value_size(value) -> int:
 def row_size(row) -> int:
     """Estimated serialized size of a row (tuple of values)."""
     return sum(map(value_size, row))
+
+
+def row_sizes(columns: list, count: int) -> list:
+    """`list(map(row_size, rows))` of `count` rows held as `columns` (lists),
+    added up a column at a time: a column of one fixed-width exact type adds
+    its width to every row, one of several by a lookup per value, one of
+    strings framing plus each one's UTF-8 length, anything else `value_size`
+    of each value (which raises where `row_size` would)."""
+    fixed = 0  # what every row holds the same
+    varying: list = []  # a column's sizes per row, where they differ
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds <= _SIZE_BY_EXACT_TYPE.keys():
+            if len(kinds) == 1:
+                fixed += _SIZE_BY_EXACT_TYPE[kinds.pop()]
+                continue
+            varying.append(map(_SIZE_BY_EXACT_TYPE.__getitem__, map(type, column)))
+        elif kinds == {str}:
+            fixed += VALUE_OVERHEAD_BYTES
+            varying.append(map(len, map(str.encode, column)))
+        else:
+            varying.append(map(value_size, column))
+    totals = [fixed] * count
+    for sizes in varying:
+        totals = list(map(add, totals, sizes))
+    return totals
 
 
 def rows_size(rows) -> int:

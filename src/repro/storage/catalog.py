@@ -9,7 +9,7 @@ compensation tests and the warehouse loader's atomic refresh.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.common.errors import SchemaError, TransactionError
 from repro.common.schema import Column, RelSchema
@@ -75,7 +75,7 @@ class Database(Catalog):
         self.created_at = time.time()
 
     def stats_for(self, table_name: str) -> TableStats:
-        """Statistics for a table, recollected when the table has changed."""
+        """Statistics for a table, as its writes keep them (`Table.stats`)."""
         return self.table(table_name).stats()
 
     def analyze(self) -> None:
@@ -96,9 +96,11 @@ class Database(Catalog):
 class Transaction:
     """Undo-log transaction over a Database.
 
-    Mutations go through the transaction so it can record inverse
-    operations. Rollback replays the undo log in reverse. Usable as a
-    context manager: commits on clean exit, rolls back on exception.
+    Mutations go through the transaction so it can record what each slot
+    held before; rollback puts it back (`Table.put`), newest first. Every
+    write goes through the table's own write paths, which keep its indexes
+    and statistics. Usable as a context manager: commits on clean exit,
+    rolls back on exception.
     """
 
     def __init__(self, db: Database):
@@ -126,7 +128,7 @@ class Transaction:
         self._check_active()
         table = self.db.table(table_name)
         rid = table.insert(row)
-        self._undo.append(("delete", table, rid))
+        self._undo.append((table, rid, None))
 
     def insert_many(self, table_name: str, rows: Iterable[Sequence]) -> int:
         count = 0
@@ -138,29 +140,22 @@ class Transaction:
     def delete_where(self, table_name: str, predicate) -> int:
         self._check_active()
         table = self.db.table(table_name)
-        removed = []
-        for rid, row in enumerate(table._heap):
-            if row is not None and predicate(row):
-                removed.append((rid, row))
-        for rid, row in removed:
-            table._delete_rid(rid)
-            self._undo.append(("reinsert", table, rid, row))
-        return len(removed)
+        return self._logged(table, lambda removed: table.delete_rows(predicate, removed))
 
     def update_where(self, table_name: str, predicate, updater) -> int:
         self._check_active()
         table = self.db.table(table_name)
-        updated = 0
-        for rid, row in enumerate(table._heap):
-            if row is None or not predicate(row):
-                continue
-            new_row = table._coerce_row(updater(row))
-            table._delete_rid(rid, bump=False)
-            table._reinsert_at(rid, new_row)
-            table.version += 1
-            self._undo.append(("restore", table, rid, row))
-            updated += 1
-        return updated
+        return self._logged(table, lambda updated: table.update_rows(predicate, updater, updated))
+
+    def _logged(self, table: Table, write: Callable[[list], None]) -> int:
+        """Run `write`, logging each `(rid, old row)` it hands back for the
+        rollback - those it changed before failing too; their count."""
+        replaced: list[tuple[int, tuple]] = []
+        try:
+            write(replaced)
+        finally:
+            self._undo.extend((table, rid, row) for rid, row in replaced)
+        return len(replaced)
 
     def commit(self) -> None:
         self._check_active()
@@ -170,20 +165,8 @@ class Transaction:
 
     def rollback(self) -> None:
         self._check_active()
-        for entry in reversed(self._undo):
-            op, table = entry[0], entry[1]
-            if op == "delete":
-                table._delete_rid(entry[2])
-            elif op == "reinsert":
-                rid, row = entry[2], entry[3]
-                table._heap[rid] = None  # ensure slot empty, then reinsert
-                table._reinsert_at(rid, row)
-                table.version += 1
-            elif op == "restore":
-                rid, row = entry[2], entry[3]
-                table._delete_rid(rid, bump=False)
-                table._reinsert_at(rid, row)
-                table.version += 1
+        for table, rid, row in reversed(self._undo):
+            table.put(rid, row)
         self._undo.clear()
         self._state = "rolled_back"
         self.db._transaction_done()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from itertools import compress, repeat
 from operator import is_not, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -11,7 +13,7 @@ from repro.common.relation import Batch, Relation, vouched
 from repro.common.schema import Column, RelSchema
 from repro.common.types import coerce_value
 from repro.storage.index import HashIndex, SortedIndex
-from repro.storage.stats import TableStats
+from repro.storage.stats import Tally, TableStats
 
 
 class Table:
@@ -20,7 +22,8 @@ class Table:
     Rows live in a list; deletions leave `None` tombstones so row ids stay
     stable for the indexes (compaction is explicit via `vacuum`). All
     mutations validate types against the schema and maintain the primary-key
-    constraint and any secondary indexes.
+    constraint and any secondary indexes - and, once the table is written
+    after its statistics were read, the `Tally` they are read off.
     """
 
     def __init__(
@@ -44,6 +47,10 @@ class Table:
         self._indexes: dict[str, object] = {}
         self.version = 0  # bumped on every mutation; used for staleness tracking
         self._derived: tuple = (0, {})  # what `derived` keeps for `version`
+        self._tally: Optional[Tally] = None  # kept by writes once stats are re-read
+        self._stats_read = False
+        self._lock = threading.Lock()  # a write to the heap against a read of the tally
+        self._writing = 0  # statements under way: nothing derived meanwhile is kept
 
     # -- construction helpers -------------------------------------------------
 
@@ -82,17 +89,35 @@ class Table:
 
     def derived(self, key, derive: Callable):
         """`derive()`, kept until a write moves `version`: the one memo of what
-        is computed from the whole heap (statistics, the mirror's columns)."""
+        is computed from the whole heap (statistics, the mirror's columns).
+        What a write moved `version` past, or ran beside, while it was
+        derived is not kept."""
         version = self.version
         memo = self._derived
         if memo[0] != version:
             memo = self._derived = (version, {})
-        if key not in memo[1]:
-            memo[1][key] = derive()
-        return memo[1][key]
+        kept = memo[1]
+        if key in kept:
+            return kept[key]
+        value = derive()
+        if self.version == version and not self._writing:
+            kept[key] = value
+        return value
 
     def stats(self) -> TableStats:
-        return self.derived("stats", lambda: TableStats.collect(self.schema, self.live_rows()))
+        """The statistics of the live rows, read off the tally writes keep
+        or, until the table is written after a read, a new tally of the heap."""
+        return self.derived("stats", self._read_stats)
+
+    def _read_stats(self) -> TableStats:
+        with self._lock:
+            tally = self._tally
+            if tally is None:
+                tally = Tally(self.schema, self._heap)
+                if self._stats_read:  # read, written since (a new version), read again
+                    self._tally = tally
+                self._stats_read = True
+            return tally.stats(self._heap)
 
     def vouch(self, version: int, rows: list) -> list:
         """`rows` - live ones, read no earlier than `version` - vouched by
@@ -141,15 +166,18 @@ class Table:
                 raise IntegrityError(
                     f"duplicate primary key {key} in table {self.name!r}"
                 )
-        rid = len(self._heap)
-        self._heap.append(coerced)
-        self._live_count += 1
-        if self.primary_key:
-            self._pk_map[key] = rid
-        for index in self._indexes.values():
-            position = self.schema.index_of(index.column)
-            index.insert(coerced[position], rid)
-        self.version += 1
+        with self._lock:
+            rid = len(self._heap)
+            self._heap.append(coerced)
+            self._live_count += 1
+            if self.primary_key:
+                self._pk_map[key] = rid
+            for index in self._indexes.values():
+                position = self.schema.index_of(index.column)
+                index.insert(coerced[position], rid)
+            if self._tally is not None:
+                self._tally.add(rid, coerced)
+            self.version += 1
         return rid
 
     def insert_many(self, rows: Iterable[Sequence]) -> int:
@@ -170,14 +198,18 @@ class Table:
 
     def delete_where(self, predicate: Callable[[tuple], bool]) -> int:
         """Delete rows satisfying `predicate`; returns the count removed."""
-        removed = 0
-        for rid, row in enumerate(self._heap):
-            if row is not None and predicate(row):
-                self._delete_rid(rid)
-                removed += 1
-        if removed:
-            self.version += 1
-        return removed
+        removed: list[tuple[int, tuple]] = []
+        self.delete_rows(predicate, removed)
+        return len(removed)
+
+    def delete_rows(self, predicate: Callable[[tuple], bool], removed: list) -> None:
+        """Delete rows satisfying `predicate` as one statement, appending the
+        `(rid, row)` of each to `removed` before it goes."""
+        with self._statement(removed):
+            for rid, row in enumerate(self._heap):
+                if row is not None and predicate(row):
+                    removed.append((rid, row))
+                    self._delete_rid(rid)
 
     def update_where(
         self,
@@ -185,33 +217,73 @@ class Table:
         updater: Callable[[tuple], Sequence],
     ) -> int:
         """Replace rows satisfying `predicate` with `updater(row)`."""
-        updated = 0
-        for rid, row in enumerate(self._heap):
-            if row is None or not predicate(row):
-                continue
-            new_row = self._coerce_row(updater(row))
-            self._delete_rid(rid, bump=False)
-            self._reinsert_at(rid, new_row)
-            updated += 1
-        if updated:
-            self.version += 1
-        return updated
+        updated: list[tuple[int, tuple]] = []
+        self.update_rows(predicate, updater, updated)
+        return len(updated)
+
+    def update_rows(
+        self,
+        predicate: Callable[[tuple], bool],
+        updater: Callable[[tuple], Sequence],
+        updated: list,
+    ) -> None:
+        """Replace rows satisfying `predicate` with `updater(row)`, each in
+        its slot, as one statement, appending the `(rid, old row)` of each
+        to `updated` before it changes."""
+        with self._statement(updated):
+            for rid, row in enumerate(self._heap):
+                if row is None or not predicate(row):
+                    continue
+                new_row = self._coerce_row(updater(row))
+                updated.append((rid, row))
+                self._delete_rid(rid)
+                self._reinsert_at(rid, new_row)
+
+    @contextmanager
+    def _statement(self, changed: list) -> Iterator[None]:
+        """A write of many slots, each logged in `changed` before it
+        changes: `version` moves once, when the write ends - also when it
+        fails part way, if it logged a slot - and nothing derived while it
+        runs is kept. Whoever passed `changed` can put back every slot it
+        names, the one a failure interrupted included."""
+        logged = len(changed)
+        self._writing += 1
+        try:
+            yield
+        finally:
+            if len(changed) > logged:
+                self.version += 1
+            self._writing -= 1
+
+    def put(self, rid: int, row: Optional[tuple]) -> None:
+        """Make slot `rid` hold `row` (None: a tombstone) - how a rollback
+        puts back what a write replaced."""
+        replaced: list[tuple[int, Optional[tuple]]] = []
+        with self._statement(replaced):
+            replaced.append((rid, self._heap[rid]))
+            self._delete_rid(rid)
+            if row is not None:
+                self._reinsert_at(rid, row)
 
     def clear(self) -> None:
-        self._heap.clear()
-        self._pk_map.clear()
-        self._live_count = 0
-        for index in self._indexes.values():
-            column = index.column
-            self._indexes[column] = type(index)(column)
-        self.version += 1
+        with self._lock:
+            self._heap.clear()
+            self._pk_map.clear()
+            self._live_count = 0
+            for index in self._indexes.values():
+                column = index.column
+                self._indexes[column] = type(index)(column)
+            self._tally = None
+            self.version += 1
 
     def vacuum(self) -> None:
         """Compact tombstones; invalidates row ids, so indexes are rebuilt."""
-        live = [row for row in self._heap if row is not None]
-        self._heap = []
-        self._pk_map.clear()
-        self._live_count = 0
+        with self._lock:
+            live = [row for row in self._heap if row is not None]
+            self._heap = []
+            self._pk_map.clear()
+            self._live_count = 0
+            self._tally = None
         old_indexes = list(self._indexes.values())
         self._indexes.clear()
         for row in live:
@@ -270,20 +342,21 @@ class Table:
             for value, column in zip(row, self.schema)
         )
 
-    def _delete_rid(self, rid: int, bump: bool = True) -> None:
-        row = self._heap[rid]
-        if row is None:
-            return
-        self._heap[rid] = None
-        self._live_count -= 1
-        if self.primary_key:
-            key = tuple(row[i] for i in self._pk_indexes)
-            self._pk_map.pop(key, None)
-        for index in self._indexes.values():
-            position = self.schema.index_of(index.column)
-            index.remove(row[position], rid)
-        if bump:
-            self.version += 1
+    def _delete_rid(self, rid: int) -> None:
+        with self._lock:
+            row = self._heap[rid]
+            if row is None:
+                return
+            self._heap[rid] = None
+            self._live_count -= 1
+            if self.primary_key:
+                key = tuple(row[i] for i in self._pk_indexes)
+                self._pk_map.pop(key, None)
+            for index in self._indexes.values():
+                position = self.schema.index_of(index.column)
+                index.remove(row[position], rid)
+            if self._tally is not None:
+                self._tally.remove(rid, row)
 
     def _reinsert_at(self, rid: int, row: tuple) -> None:
         if self.primary_key:
@@ -293,12 +366,16 @@ class Table:
                 raise IntegrityError(
                     f"update would duplicate primary key {key} in {self.name!r}"
                 )
-            self._pk_map[key] = rid
-        self._heap[rid] = row
-        self._live_count += 1
-        for index in self._indexes.values():
-            position = self.schema.index_of(index.column)
-            index.insert(row[position], rid)
+        with self._lock:
+            if self.primary_key:
+                self._pk_map[key] = rid
+            self._heap[rid] = row
+            self._live_count += 1
+            for index in self._indexes.values():
+                position = self.schema.index_of(index.column)
+                index.insert(row[position], rid)
+            if self._tally is not None:
+                self._tally.add(rid, row)
 
 
 def _gathered(rows: list, position: int) -> tuple:
